@@ -31,8 +31,8 @@ fn bench_approx_inverse(c: &mut Criterion) {
 
 fn bench_orderings(c: &mut Criterion) {
     // Ablation of the fill-reducing ordering used before the incomplete
-    // factorization (DESIGN.md design choice): end-to-end Alg. 3 build +
-    // all-edge queries under each ordering.
+    // factorization (RCM is the library default, minimum degree the CLI's):
+    // end-to-end Alg. 3 build + all-edge queries under each ordering.
     let graph = generators::power_grid_mesh(Default::default()).expect("generator");
     let mut group = c.benchmark_group("estimator_ordering");
     group.sample_size(10);

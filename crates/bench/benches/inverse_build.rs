@@ -7,7 +7,8 @@
 //! level schedule is wide, which is what the parallel sweep exploits) and
 //! compare wall-clock times at 1/2/4/8 worker threads. Every parallel run
 //! is verified **bit-identical** to the sequential arena before any timing
-//! is reported.
+//! is reported. The ordering itself is timed too (`ordering_seconds`), since
+//! the CLI's build pays for it before the factorization.
 //!
 //! Besides the human-readable table the bench writes
 //! `BENCH_inverse_build.json` at the repository root so the perf trajectory
@@ -35,6 +36,8 @@ fn main() {
     let graph = generators::grid_2d(SIDE, SIDE, 0.5, 2.0, 7).expect("generator");
     let lap = grounded_laplacian(&graph, 1.0);
     let perm = amd::amd(&lap).expect("amd");
+    let ordering_seconds = min_seconds(SAMPLES, false, || amd::amd(&lap).expect("amd"));
+    println!("ordering (minimum degree): {ordering_seconds:.3}s");
     let permuted = lap.permute_symmetric(&perm).expect("permute");
     let factor = IncompleteCholesky::factor(
         &permuted,
@@ -117,6 +120,7 @@ fn main() {
         ("nodes", Json::Int((SIDE * SIDE) as u64)),
         ("epsilon", Json::Num(EPSILON)),
         ("ordering", Json::Str("amd".to_string())),
+        ("ordering_seconds", Json::Num(ordering_seconds)),
         ("factor_nnz", Json::Int(l.nnz() as u64)),
         ("inverse_nnz", Json::Int(reference.nnz() as u64)),
         // Bytes of row indices in the finished arena (u32 width — half of

@@ -22,7 +22,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0);
     println!("Table I: results for computing effective resistances on large graphs");
-    println!("(synthetic suite, scale {scale}; see DESIGN.md for the substitutions)\n");
+    println!("(synthetic suite, scale {scale}: generated stand-ins for the circuit, FE and social graphs)\n");
     println!(
         "{:<10} {:>8} {:>9} {:>5} | {:>9} {:>8} {:>8} {:>8} | {:>9} {:>8} {:>8} {:>8}",
         "case",

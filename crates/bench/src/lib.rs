@@ -12,7 +12,8 @@
 //!
 //! The graph suite mirrors the structural regimes of the paper's test cases
 //! (social networks, finite-element meshes, circuit meshes) with synthetic
-//! generators at laptop scale; see `DESIGN.md` for the substitution notes.
+//! generators at laptop scale, since the paper's benchmark graphs are not
+//! redistributable (`effres_graph::generators` names the case each stands in for).
 
 pub mod report;
 

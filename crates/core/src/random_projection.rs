@@ -14,7 +14,7 @@
 //! is then an `O(k)` distance computation. The original implementation uses a
 //! combinatorial-multigrid solver; this reproduction offers either a direct
 //! sparse Cholesky solve or incomplete-Cholesky-preconditioned conjugate
-//! gradients (the substitution is documented in `DESIGN.md`).
+//! gradients, which keep the cost structure: `k` Laplacian solves up front.
 
 use crate::error::EffresError;
 use effres_graph::laplacian::{edge_weights, grounded_laplacian, incidence_matrix};

@@ -8,7 +8,7 @@
 //!   column ([`CscMatrix`]) and compressed sparse row ([`CsrMatrix`]);
 //! * small dense matrices ([`DenseMatrix`]) used as reference implementations
 //!   and for Schur complements of small blocks;
-//! * fill-reducing orderings: approximate minimum degree ([`amd::amd`]) and
+//! * fill-reducing orderings: minimum degree ([`amd::amd`]) and
 //!   reverse Cuthill–McKee ([`rcm::rcm`]);
 //! * symbolic analysis: elimination trees, postorder, column counts
 //!   ([`etree`], [`symbolic`]);
