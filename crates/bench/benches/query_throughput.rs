@@ -21,8 +21,10 @@
 //! vs resident throughput at two cache sizes — first in arrival order (the
 //! PR-4 baseline path), then through the **locality scheduler**
 //! (`paged_scheduled`): queries clustered by page pair, blocks pinned and
-//! drained, the hi side swept with coalesced readahead. Bytes read,
-//! readahead reads and page-cache hit rates are recorded per variant. The
+//! drained, the hi side swept with coalesced readahead, and — since the
+//! batch touches more pages than either cache holds — sparsely used pages
+//! read as column runs. Bytes read, readahead reads, column runs and
+//! page-cache hit rates are recorded per variant. The
 //! paged answers are asserted bit-identical to the resident ones before
 //! anything is timed.
 //!
@@ -349,12 +351,14 @@ fn main() {
         println!(
             "paged_scheduled/{cache_pages}_pages: {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read, \
-             {} readahead read(s); {} cluster(s) -> {} block(s), {} window(s))",
+             {} readahead read(s), {} column run(s); {} cluster(s) -> {} block(s), \
+             {} window(s))",
             sequential_seconds / seconds,
             page.hits,
             page.misses,
             page.bytes_read as f64 / (1024.0 * 1024.0),
             page.readahead_reads,
+            page.column_runs,
             schedule.clusters,
             schedule.blocks,
             schedule.windows,
@@ -371,6 +375,7 @@ fn main() {
             ("page_cache_misses", Json::Int(page.misses)),
             ("bytes_read", Json::Int(page.bytes_read)),
             ("readahead_reads", Json::Int(page.readahead_reads)),
+            ("column_runs", Json::Int(page.column_runs)),
             ("clusters", Json::Int(schedule.clusters as u64)),
             ("blocks", Json::Int(schedule.blocks as u64)),
             ("windows", Json::Int(schedule.windows as u64)),

@@ -18,17 +18,20 @@
 //! norms, via [`PagedSnapshot`]) resident and fetches column data on
 //! demand with positioned reads — plain `pread`
 //! (`std::os::unix::fs::FileExt::read_exact_at`) on Unix, `seek_read` on
-//! Windows, no mmap, no platform crates. Columns are fetched in *pages* (a fixed
-//! range of consecutive columns, [`PagedOptions::columns_per_page`]) and
-//! decoded pages live in a sharded slab-LRU cache (the same intrusive-list
-//! idiom as the service layer's pair cache) behind `Arc`s, so hot columns
-//! are served from memory while cold ones stream from disk and eviction can
-//! never invalidate a view a query is still reading. Batch schedulers use
-//! the bulk path instead: [`PagedColumnStore::pin_pages`] fetches page sets
-//! with **coalesced readahead** (adjacent missing pages merge into single
-//! large positioned reads) into an [`PinnedPages`] set served through a
-//! [`PinnedReader`], and [`PagedColumnStore::prefetch_columns`] is the
-//! fire-and-forget cache warm-up hint.
+//! Windows, no mmap, no platform crates. Single-column lookups fetch whole
+//! *pages* (a fixed range of consecutive columns,
+//! [`PagedOptions::columns_per_page`]), and decoded pages live in a sharded
+//! slab-LRU cache (the same intrusive-list idiom as the service layer's pair
+//! cache) behind `Arc`s, so hot columns are served from memory while cold
+//! ones stream from disk and eviction can never invalidate a view a query
+//! is still reading. Batch schedulers use the bulk path instead:
+//! [`PagedColumnStore::pin_pages`] pins page sets into a [`PinnedPages`] set
+//! served through a [`PinnedReader`]. Missing pages are fetched with
+//! **coalesced readahead** (adjacent missing pages merge into single large
+//! positioned reads) — unless the pin carries a *demand* (the columns its
+//! queries will read) that covers under a quarter of a page's bytes, in
+//! which case only the demanded columns are read, as runs of adjacent
+//! columns, and pinned without entering the cache.
 //!
 //! Decoded-page buffers are **recycled**, not churned: when the last `Arc`
 //! to an evicted page drops, its row/value/norm vectors return to a
@@ -222,12 +225,18 @@ pub struct PageCacheStats {
     pub hits: u64,
     /// Page lookups that read and decoded from disk.
     pub misses: u64,
-    /// Bytes fetched from disk by page misses, bulk pins and prefetches.
+    /// Bytes fetched from disk by page misses, bulk pins and column runs.
     pub bytes_read: u64,
-    /// Coalesced positioned reads issued by the bulk/prefetch paths — each
-    /// one covers a run of adjacent pages that single-page misses would have
+    /// Coalesced positioned reads issued by the bulk pin path — each one
+    /// covers a run of adjacent pages that single-page misses would have
     /// fetched with one read (and one syscall) per page per block.
     pub readahead_reads: u64,
+    /// Column runs read by demand-sized pins (see
+    /// [`PagedColumnStore::pin_pages`]): each is two positioned reads
+    /// covering adjacent demanded columns of a sparsely demanded page. Their
+    /// bytes count in `bytes_read`; the page they stand in for counts as one
+    /// miss.
+    pub column_runs: u64,
     /// Read attempts re-issued after a fault: transient-failure retries
     /// plus validation-failure page re-fetches. A fault-free store reports
     /// zero; a store surviving on retries reports how hard it is working.
@@ -266,19 +275,23 @@ impl PageCacheStats {
             misses: self.misses + other.misses,
             bytes_read: self.bytes_read + other.bytes_read,
             readahead_reads: self.readahead_reads + other.readahead_reads,
+            column_runs: self.column_runs + other.column_runs,
             retries: self.retries + other.retries,
             faulted_reads: self.faulted_reads + other.faulted_reads,
         }
     }
 }
 
-/// One decoded page: the row/value data of a contiguous column range, plus
-/// the per-column squared norms (summed in index order at decode time, so
-/// they are bit-identical to the resident norm table).
+/// One decoded column range — a whole page, or a column run of a sparsely
+/// demanded page: the row/value data of contiguous columns, plus the
+/// per-column squared norms (summed in index order at decode time, so they
+/// are bit-identical to the resident norm table).
 #[derive(Debug)]
 struct Page {
-    /// First column covered by the page.
+    /// First column covered.
     first_col: usize,
+    /// One past the last column covered.
+    last_col: usize,
     /// `col_ptr[first_col]` — the entry offset the page's buffers start at.
     base: u64,
     rows: Vec<u32>,
@@ -694,6 +707,7 @@ pub struct PagedColumnStore {
     misses: AtomicU64,
     bytes_read: AtomicU64,
     readahead_reads: AtomicU64,
+    column_runs: AtomicU64,
     retries: AtomicU64,
     faulted_reads: AtomicU64,
     /// Cumulative scrubber counters ([`ScrubStats`]) — separate from the
@@ -795,6 +809,7 @@ impl PagedColumnStore {
             misses: self.misses.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             readahead_reads: self.readahead_reads.load(Ordering::Relaxed),
+            column_runs: self.column_runs.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             faulted_reads: self.faulted_reads.load(Ordering::Relaxed),
         }
@@ -811,6 +826,7 @@ impl PagedColumnStore {
             misses: self.misses.swap(0, Ordering::Relaxed),
             bytes_read: self.bytes_read.swap(0, Ordering::Relaxed),
             readahead_reads: self.readahead_reads.swap(0, Ordering::Relaxed),
+            column_runs: self.column_runs.swap(0, Ordering::Relaxed),
             retries: self.retries.swap(0, Ordering::Relaxed),
             faulted_reads: self.faulted_reads.swap(0, Ordering::Relaxed),
         }
@@ -844,9 +860,7 @@ impl PagedColumnStore {
     /// Returns the serve path's typed per-column
     /// [`EffresError::StoreFailure`] when the page is rotten.
     pub fn scrub_page(&self, pid: usize) -> Result<(), EffresError> {
-        let mut scratch = self.buffers.take_scratch();
-        let result = self.decode_page_with_scratch(pid, &mut scratch).map(drop);
-        self.buffers.put_scratch(scratch);
+        let result = self.decode_page(pid).map(drop);
         self.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
         if result.is_err() {
             self.scrub_failures.fetch_add(1, Ordering::Relaxed);
@@ -903,6 +917,11 @@ impl PagedColumnStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(page);
         }
+        self.fetch_page(pid)
+    }
+
+    /// Reads page `pid` from disk (a miss) and publishes it to the cache.
+    fn fetch_page(&self, pid: usize) -> Result<Arc<Page>, EffresError> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let page = Arc::new(self.decode_page(pid)?);
         self.cache.insert(pid, Arc::clone(&page));
@@ -990,25 +1009,31 @@ impl PagedColumnStore {
         )
     }
 
+    /// On-disk bytes (rows plus values) of columns `first_col..last_col`.
+    fn column_bytes(&self, first_col: usize, last_col: usize) -> usize {
+        self.row_byte_range(first_col, last_col).1 + self.val_byte_range(first_col, last_col).1
+    }
+
     /// Reads and validates one page from disk. Two threads may race to
     /// decode the same page; both produce identical bits and the cache keeps
     /// one of them — correctness is unaffected, only a read is duplicated.
     fn decode_page(&self, pid: usize) -> Result<Page, EffresError> {
+        let (first_col, last_col) = self.page_columns(pid);
         let mut scratch = self.buffers.take_scratch();
-        let result = self.decode_page_with_scratch(pid, &mut scratch);
+        let result = self.read_columns(first_col, last_col, &mut scratch);
         self.buffers.put_scratch(scratch);
         result
     }
 
-    /// Reads the raw row/value bytes of page `pid` into `scratch`, with the
-    /// retry policy applied to both positioned reads.
-    fn fetch_page_bytes(
+    /// Reads the raw row/value bytes of columns `first_col..last_col` into
+    /// `scratch`, with the retry policy applied to both positioned reads.
+    fn fetch_column_bytes(
         &self,
-        pid: usize,
+        first_col: usize,
+        last_col: usize,
         scratch: &mut ReadScratch,
         attempt_base: u32,
     ) -> Result<(), EffresError> {
-        let (first_col, last_col) = self.page_columns(pid);
         let failed = |message: String| EffresError::StoreFailure {
             column: first_col,
             message,
@@ -1026,40 +1051,41 @@ impl PagedColumnStore {
         Ok(())
     }
 
-    /// Fetches and decodes one page. A page that fails *validation* (the
-    /// bytes read fine but do not decode as a well-formed page) is fetched
-    /// once more — corruption in transit heals, corruption at rest fails
-    /// again and surfaces as the typed per-column error of the second
-    /// attempt.
-    fn decode_page_with_scratch(
+    /// Fetches and decodes columns `first_col..last_col` — a page or a
+    /// column run. A range that fails *validation* (the bytes read fine but
+    /// do not decode as well-formed columns) is fetched once more —
+    /// corruption in transit heals, corruption at rest fails again and
+    /// surfaces as the typed per-column error of the second attempt.
+    fn read_columns(
         &self,
-        pid: usize,
+        first_col: usize,
+        last_col: usize,
         scratch: &mut ReadScratch,
     ) -> Result<Page, EffresError> {
-        self.fetch_page_bytes(pid, scratch, 0)?;
-        match self.decode_page_bytes(pid, &scratch.rows, &scratch.vals) {
+        self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
+        match self.decode_columns(first_col, last_col, &scratch.rows, &scratch.vals) {
             Ok(page) => Ok(page),
             Err(_) => {
                 self.faulted_reads.fetch_add(1, Ordering::Relaxed);
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                self.fetch_page_bytes(pid, scratch, REFETCH_ATTEMPT_BASE)?;
-                self.decode_page_bytes(pid, &scratch.rows, &scratch.vals)
+                self.fetch_column_bytes(first_col, last_col, scratch, REFETCH_ATTEMPT_BASE)?;
+                self.decode_columns(first_col, last_col, &scratch.rows, &scratch.vals)
             }
         }
     }
 
-    /// Decodes and validates one page from its raw on-disk bytes (fetched by
-    /// [`PagedColumnStore::decode_page`] one page at a time, or sliced out of
-    /// a larger coalesced read by the bulk paths). The on-disk data is
-    /// untrusted and the kernels rely on sorted lower-triangular columns, so
-    /// every column is validated before the page can serve a query.
-    fn decode_page_bytes(
+    /// Decodes and validates columns `first_col..last_col` from their raw
+    /// on-disk bytes (fetched by [`PagedColumnStore::read_columns`], or
+    /// sliced out of a larger coalesced read by the bulk path). The on-disk
+    /// data is untrusted and the kernels rely on sorted lower-triangular
+    /// columns, so every column is validated before it can serve a query.
+    fn decode_columns(
         &self,
-        pid: usize,
+        first_col: usize,
+        last_col: usize,
         row_bytes: &[u8],
         val_bytes: &[u8],
     ) -> Result<Page, EffresError> {
-        let (first_col, last_col) = self.page_columns(pid);
         let base = self.col_ptr[first_col];
         let count = (self.col_ptr[last_col] - base) as usize;
 
@@ -1181,6 +1207,7 @@ impl PagedColumnStore {
         }
         Ok(Page {
             first_col,
+            last_col,
             base,
             rows,
             vals,
@@ -1219,23 +1246,114 @@ impl PagedColumnStore {
     /// of two small reads per page — then decoded and validated page by
     /// page.
     ///
-    /// Pinned pages are owned by the returned [`PinnedPages`], so eviction
+    /// `demand`, when given, lists the columns the pin's queries will read
+    /// (in any order, duplicates allowed; columns on other pages are
+    /// ignored). A missing page whose demanded columns hold under a quarter
+    /// of its on-disk bytes is then read **sparsely**: each run of adjacent
+    /// demanded columns takes two positioned reads (counted in
+    /// [`PageCacheStats::column_runs`]) through the same retry, validation
+    /// and re-fetch cycle as a page, and the page counts as one miss. Cached
+    /// pages and densely demanded pages take the whole-page path either
+    /// way. A column outside the demand is still served correctly — the
+    /// [`PinnedReader`] falls back to the store's cached path for it.
+    ///
+    /// Whole pages are owned by the returned [`PinnedPages`], so eviction
     /// can never pull one out from under the queries draining it; they are
     /// *also* published to the LRU (the same `Arc`s — no bytes are
     /// duplicated), so a scheduled batch leaves the cache warm for whatever
-    /// comes next. A batch may therefore transiently keep alive up to its
-    /// pin budget *beyond* the pages the cache itself retains; schedulers
-    /// size their pins out of the cache budget to keep the total bounded.
+    /// comes next. Column runs cover only part of their page, so they are
+    /// pinned but never published. A batch may transiently keep alive up to
+    /// its pin budget *beyond* the pages the cache itself retains;
+    /// schedulers size their pins out of the cache budget to keep the total
+    /// bounded (a sparsely read page counts as one pinned page).
     ///
     /// # Errors
     ///
     /// Returns [`EffresError::StoreFailure`] on read failure or if any
-    /// fetched page fails validation.
+    /// fetched page or column run fails validation.
     ///
     /// # Panics
     ///
-    /// Panics if any page id is out of range.
-    pub fn pin_pages(&self, page_ids: &[usize]) -> Result<PinnedPages, EffresError> {
+    /// Panics if any page id or demanded column is out of range.
+    pub fn pin_pages(
+        &self,
+        page_ids: &[usize],
+        demand: Option<&[usize]>,
+    ) -> Result<PinnedPages, EffresError> {
+        let PinPlan {
+            count,
+            mut pages,
+            whole,
+            sparse,
+        } = self.plan_pin(page_ids, demand);
+        for (pid, page) in self.fetch_missing_runs(&whole)? {
+            self.cache.insert(pid, Arc::clone(&page));
+            pages.insert(pid, page);
+        }
+        let mut scratch = self.buffers.take_scratch();
+        let runs: Result<Vec<_>, _> = sparse
+            .iter()
+            .map(|(_, page_runs)| self.read_column_runs(page_runs, &mut scratch))
+            .collect();
+        self.buffers.put_scratch(scratch);
+        Ok(self.pin_set(count, pages, runs?.into_iter().flatten().collect()))
+    }
+
+    /// Degraded form of [`PagedColumnStore::pin_pages`] for partial-results
+    /// batch execution: instead of failing the whole pin when any page is
+    /// bad, returns whatever subset could be fetched plus a typed failure
+    /// per page that could not. The happy path is exactly `pin_pages`
+    /// (coalesced readahead, demand-sized runs, all pages pinned, empty
+    /// failure list); only when that fails does it degrade to page-at-a-time
+    /// fetches — a sparsely demanded page still reads just its runs — so one
+    /// rotten page costs the batch that page's queries, not the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any page id or demanded column is out of range.
+    pub fn pin_pages_partial(
+        &self,
+        page_ids: &[usize],
+        demand: Option<&[usize]>,
+    ) -> (PinnedPages, Vec<(usize, EffresError)>) {
+        match self.pin_pages(page_ids, demand) {
+            Ok(pinned) => (pinned, Vec::new()),
+            Err(_) => {
+                let PinPlan {
+                    count,
+                    mut pages,
+                    whole,
+                    sparse,
+                } = self.plan_pin(page_ids, demand);
+                let mut failures = Vec::new();
+                for pid in whole {
+                    match self.fetch_page(pid) {
+                        Ok(page) => {
+                            pages.insert(pid, page);
+                        }
+                        Err(error) => failures.push((pid, error)),
+                    }
+                }
+                let mut runs = Vec::new();
+                let mut scratch = self.buffers.take_scratch();
+                for (pid, page_runs) in sparse {
+                    match self.read_column_runs(&page_runs, &mut scratch) {
+                        Ok(read) => runs.extend(read),
+                        Err(error) => failures.push((pid, error)),
+                    }
+                }
+                self.buffers.put_scratch(scratch);
+                failures.sort_unstable_by_key(|&(pid, _)| pid);
+                let pinned = self.pin_set(count - failures.len(), pages, runs);
+                (pinned, failures)
+            }
+        }
+    }
+
+    /// Sorts one pin's pages into cache hits (taken here, a hit each),
+    /// missing pages to read whole, and missing pages to read as column runs
+    /// (see [`PagedColumnStore::pin_pages`]).
+    fn plan_pin(&self, page_ids: &[usize], demand: Option<&[usize]>) -> PinPlan {
         let mut pids: Vec<usize> = page_ids.to_vec();
         pids.sort_unstable();
         pids.dedup();
@@ -1246,77 +1364,107 @@ impl PagedColumnStore {
                 self.page_count()
             );
         }
-        let mut pages = HashMap::with_capacity(pids.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for &pid in &pids {
-            match self.cache.get(pid) {
-                Some(page) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    pages.insert(pid, page);
-                }
-                None => missing.push(pid),
+        let demand = demand.map(|columns| {
+            let mut columns = columns.to_vec();
+            columns.sort_unstable();
+            columns.dedup();
+            if let Some(&last) = columns.last() {
+                assert!(
+                    last < self.order,
+                    "column {last} out of bounds for order {}",
+                    self.order
+                );
+            }
+            columns
+        });
+        let mut plan = PinPlan {
+            count: pids.len(),
+            pages: HashMap::with_capacity(pids.len()),
+            whole: Vec::new(),
+            sparse: Vec::new(),
+        };
+        for pid in pids {
+            if let Some(page) = self.cache.get(pid) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                plan.pages.insert(pid, page);
+                continue;
+            }
+            match demand
+                .as_deref()
+                .and_then(|columns| self.sparse_runs(pid, columns))
+            {
+                Some(runs) => plan.sparse.push((pid, runs)),
+                None => plan.whole.push(pid),
             }
         }
-        for (pid, page) in self.fetch_missing_runs(&missing)? {
-            self.cache.insert(pid, Arc::clone(&page));
-            pages.insert(pid, page);
-        }
-        Ok(self.pin_set(pages))
+        plan
     }
 
-    /// Degraded form of [`PagedColumnStore::pin_pages`] for partial-results
-    /// batch execution: instead of failing the whole pin when any page is
-    /// bad, returns whatever subset could be fetched plus a typed failure
-    /// per page that could not. The happy path is exactly `pin_pages`
-    /// (coalesced readahead, all pages pinned, empty failure list); only
-    /// when that fails does it degrade to page-at-a-time fetches so one
-    /// rotten page costs the batch that page's queries, not the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page id is out of range.
-    pub fn pin_pages_partial(
+    /// The runs of adjacent demanded columns to read in place of page `pid`
+    /// — or `None` to read the page whole, when the demanded columns
+    /// (`demand`: ascending, distinct) hold a quarter or more of its on-disk
+    /// bytes.
+    fn sparse_runs(&self, pid: usize, demand: &[usize]) -> Option<Vec<(usize, usize)>> {
+        let (first_col, last_col) = self.page_columns(pid);
+        let on_page = &demand
+            [demand.partition_point(|&j| j < first_col)..demand.partition_point(|&j| j < last_col)];
+        let demanded: usize = on_page.iter().map(|&j| self.column_bytes(j, j + 1)).sum();
+        if 4 * demanded >= self.column_bytes(first_col, last_col) {
+            return None;
+        }
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &j in on_page {
+            match runs.last_mut() {
+                Some((_, end)) if *end == j => *end = j + 1,
+                _ => runs.push((j, j + 1)),
+            }
+        }
+        Some(runs)
+    }
+
+    /// Reads one sparsely demanded page as its column runs (one miss for
+    /// the page, one [`PageCacheStats::column_runs`] per run), each through
+    /// the page path's fetch-validate-refetch cycle.
+    fn read_column_runs(
         &self,
-        page_ids: &[usize],
-    ) -> (PinnedPages, Vec<(usize, EffresError)>) {
-        match self.pin_pages(page_ids) {
-            Ok(pinned) => (pinned, Vec::new()),
-            Err(_) => {
-                let mut pids: Vec<usize> = page_ids.to_vec();
-                pids.sort_unstable();
-                pids.dedup();
-                let mut pages = HashMap::with_capacity(pids.len());
-                let mut failures = Vec::new();
-                for pid in pids {
-                    match self.page_by_id(pid) {
-                        Ok(page) => {
-                            pages.insert(pid, page);
-                        }
-                        Err(error) => failures.push((pid, error)),
-                    }
-                }
-                (self.pin_set(pages), failures)
-            }
-        }
+        runs: &[(usize, usize)],
+        scratch: &mut ReadScratch,
+    ) -> Result<Vec<Arc<Page>>, EffresError> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        runs.iter()
+            .map(|&(first_col, last_col)| {
+                self.column_runs.fetch_add(1, Ordering::Relaxed);
+                self.read_columns(first_col, last_col, scratch)
+                    .map(Arc::new)
+            })
+            .collect()
     }
 
-    /// Wraps a fetched page set in a [`PinnedPages`], recording the pin in
-    /// the live/high-water counters.
-    fn pin_set(&self, pages: HashMap<usize, Arc<Page>>) -> PinnedPages {
-        let count = pages.len() as u64;
+    /// Wraps fetched pages and column runs in a [`PinnedPages`] holding
+    /// `count` pages, recording the pin in the live/high-water counters.
+    fn pin_set(
+        &self,
+        count: usize,
+        pages: HashMap<usize, Arc<Page>>,
+        runs: Vec<Arc<Page>>,
+    ) -> PinnedPages {
+        let counted = count as u64;
         let now = self
             .pin_counters
             .current
-            .fetch_add(count, Ordering::Relaxed)
-            + count;
+            .fetch_add(counted, Ordering::Relaxed)
+            + counted;
         self.pin_counters
             .high_water
             .fetch_max(now, Ordering::Relaxed);
+        debug_assert!(runs.windows(2).all(|w| w[0].last_col <= w[1].first_col));
         PinnedPages {
             pages,
+            runs,
+            count,
             _guard: Some(PinGuard {
                 counters: Arc::clone(&self.pin_counters),
-                count,
+                count: counted,
             }),
         }
     }
@@ -1443,8 +1591,9 @@ impl PagedColumnStore {
             let row_lo = (page_row_at - row_at) as usize;
             let (page_val_at, page_val_len) = self.val_byte_range(lo_col, hi_col);
             let val_lo = (page_val_at - val_at) as usize;
-            let page = match self.decode_page_bytes(
-                pid,
+            let page = match self.decode_columns(
+                lo_col,
+                hi_col,
                 &scratch.rows[row_lo..row_lo + page_row_len],
                 &scratch.vals[val_lo..val_lo + page_val_len],
             ) {
@@ -1463,78 +1612,65 @@ impl PagedColumnStore {
         }
         Ok(())
     }
-
-    /// Readahead hint: ensures the pages serving `columns` are resident in
-    /// the LRU cache, fetching the missing ones with the same coalesced
-    /// reads as [`PagedColumnStore::pin_pages`]. Unlike pinning, prefetched
-    /// pages live in the cache and age out under its normal eviction —
-    /// this is the fire-and-forget hint for callers that know which columns
-    /// a batch is about to touch but keep serving through
-    /// [`ColumnStore::with_column`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::StoreFailure`] on read or validation failure.
-    pub fn prefetch_columns(&self, columns: &[usize]) -> Result<(), EffresError> {
-        let mut pids: Vec<usize> = columns
-            .iter()
-            .map(|&j| {
-                assert!(j < self.order, "column {j} out of bounds");
-                self.page_of_column(j)
-            })
-            .collect();
-        pids.sort_unstable();
-        pids.dedup();
-        let missing: Vec<usize> = pids
-            .into_iter()
-            .filter(|&pid| {
-                let resident = self.cache.get(pid).is_some();
-                if resident {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                !resident
-            })
-            .collect();
-        for (pid, page) in self.fetch_missing_runs(&missing)? {
-            self.cache.insert(pid, page);
-        }
-        Ok(())
-    }
 }
 
 /// A set of decoded pages held resident by a batch scheduler (see
 /// [`PagedColumnStore::pin_pages`]): as long as the set is alive, its pages
-/// cannot be evicted out from under the queries draining them.
+/// — whole, or as the column runs of a sparsely demanded page — cannot be
+/// evicted out from under the queries draining them.
 #[derive(Debug, Default)]
 pub struct PinnedPages {
+    /// Whole pages, keyed by page id.
     pages: HashMap<usize, Arc<Page>>,
+    /// Column runs of sparsely demanded pages, ascending and disjoint.
+    runs: Vec<Arc<Page>>,
+    /// Pages pinned, whole or as runs.
+    count: usize,
     /// `None` only for the empty `Default` set, which pins nothing. Held
     /// purely for its `Drop` (decrements the store's live pin count).
     _guard: Option<PinGuard>,
 }
 
 impl PinnedPages {
-    /// Number of pinned pages.
+    /// Number of pinned pages (a sparsely read page counts as one).
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.count
     }
 
     /// Whether no pages are pinned.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.count == 0
     }
 
-    fn get(&self, pid: usize) -> Option<&Arc<Page>> {
-        self.pages.get(&pid)
+    /// The pinned column run holding column `j`, if any.
+    fn run(&self, j: usize) -> Option<&Arc<Page>> {
+        let after = self.runs.partition_point(|run| run.first_col <= j);
+        self.runs[..after].last().filter(|run| j < run.last_col)
     }
+}
+
+/// How one pin produces its pages (see [`PagedColumnStore::pin_pages`]).
+#[derive(Debug)]
+struct PinPlan {
+    /// Distinct pages requested.
+    count: usize,
+    /// Pages already resident in the LRU.
+    pages: HashMap<usize, Arc<Page>>,
+    /// Missing pages to read whole, ascending (adjacent ones coalesce).
+    whole: Vec<usize>,
+    /// Missing, sparsely demanded pages, ascending, each with its runs of
+    /// adjacent demanded columns.
+    sparse: Vec<(usize, Vec<(usize, usize)>)>,
 }
 
 /// A [`ColumnStore`] view combining a [`PagedColumnStore`] with up to two
 /// [`PinnedPages`] sets (a batch scheduler's long-lived *block* pin and its
-/// rolling *readahead window* pin). Columns on pinned pages are served
-/// without touching the cache or its locks; anything else falls back to the
-/// store's normal cached path. Pinned pages hold the same decoded bits the
-/// cache would, so answers are bit-identical to unpinned serving.
+/// rolling *readahead window* pin). A column resolves to a pinned whole
+/// page first, then to a pinned column run, without touching the cache or
+/// its locks; anything else — including a column outside a sparse pin's
+/// demand — falls back to the store's normal cached path. Pins hold the
+/// same decoded bits the cache would, so answers are bit-identical to
+/// unpinned serving.
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedReader<'s> {
     store: &'s PagedColumnStore,
@@ -1556,10 +1692,13 @@ impl<'s> PinnedReader<'s> {
         }
     }
 
-    fn pinned_page(&self, pid: usize) -> Option<&Arc<Page>> {
-        self.primary
-            .get(pid)
-            .or_else(|| self.secondary.and_then(|set| set.get(pid)))
+    /// The pinned page or column run holding column `j`.
+    fn pinned(&self, j: usize) -> Option<&'s Arc<Page>> {
+        let sets = || std::iter::once(self.primary).chain(self.secondary);
+        let pid = self.store.page_of_column(j);
+        sets()
+            .find_map(|set| set.pages.get(&pid))
+            .or_else(|| sets().find_map(|set| set.run(j)))
     }
 }
 
@@ -1582,7 +1721,7 @@ impl ColumnStore for PinnedReader<'_> {
             "column {j} out of bounds for order {}",
             self.store.order
         );
-        match self.pinned_page(self.store.page_of_column(j)) {
+        match self.pinned(j) {
             Some(page) => {
                 let lo = (self.store.col_ptr[j] - page.base) as usize;
                 let hi = (self.store.col_ptr[j + 1] - page.base) as usize;
@@ -1612,7 +1751,7 @@ impl ColumnStore for PinnedReader<'_> {
         if let Some(table) = &self.store.norms {
             return Ok(table[j]);
         }
-        match self.pinned_page(self.store.page_of_column(j)) {
+        match self.pinned(j) {
             Some(page) => Ok(page.norms[j - page.first_col]),
             None => self.store.column_norm_squared(j),
         }
@@ -1922,6 +2061,7 @@ fn open_paged_impl(
         misses: AtomicU64::new(0),
         bytes_read: AtomicU64::new(0),
         readahead_reads: AtomicU64::new(0),
+        column_runs: AtomicU64::new(0),
         retries: AtomicU64::new(0),
         faulted_reads: AtomicU64::new(0),
         pages_scrubbed: AtomicU64::new(0),
@@ -2128,7 +2268,10 @@ mod tests {
 
         // Pin an adjacent run plus an isolated page: the run coalesces into
         // one (rows, vals) read pair, the isolated page into another.
-        let pinned = paged.store.pin_pages(&[0, 1, 2, pages - 1]).expect("pin");
+        let pinned = paged
+            .store
+            .pin_pages(&[0, 1, 2, pages - 1], None)
+            .expect("pin");
         assert_eq!(pinned.len(), 4);
         let s = paged.store.take_page_cache_stats();
         assert_eq!(s.misses, 4);
@@ -2159,43 +2302,6 @@ mod tests {
         // Counters were reset by the take above.
         let cleared = paged.store.page_cache_stats();
         assert_eq!(cleared, PageCacheStats::default());
-    }
-
-    #[test]
-    fn prefetch_columns_warms_the_cache_with_coalesced_reads() {
-        let estimator = sample_estimator();
-        let path = temp_snapshot("grid10_prefetch.snap", &estimator);
-        let options = PagedOptions {
-            columns_per_page: 16,
-            cache_pages: 64,
-            cache_shards: 1,
-            ..PagedOptions::default()
-        };
-        let paged = open_paged(&path, &options).expect("open");
-        let all: Vec<usize> = (0..paged.store.order).collect();
-        paged.store.prefetch_columns(&all).expect("prefetch");
-        let warm = paged.store.take_page_cache_stats();
-        assert_eq!(warm.misses as usize, paged.store.page_count());
-        assert_eq!(warm.readahead_reads, 2, "one run covering every page");
-        // Every later column access is a hit (norms alone would bypass the
-        // pages entirely via the v3 resident table).
-        let inverse = estimator.approximate_inverse();
-        for j in 0..inverse.order() {
-            assert_eq!(
-                paged
-                    .store
-                    .with_column(j, |c| c.norm2_squared())
-                    .expect("fetch")
-                    .to_bits(),
-                inverse.column(j).norm2_squared().to_bits()
-            );
-        }
-        let after = paged.store.page_cache_stats();
-        assert_eq!(after.misses, 0);
-        assert!(after.hits > 0);
-        // Prefetching again is all hits, no reads.
-        paged.store.prefetch_columns(&all).expect("prefetch again");
-        assert_eq!(paged.store.page_cache_stats().misses, 0);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! between the backends for every page geometry and cache size (including a
 //! one-page cache that evicts on every page switch), and hostile files —
 //! including corrupt v3 varint and norms blocks — must produce typed errors
-//! *before* corrupt data can serve a query.
+//! *before* corrupt data can serve a query. Demand-sized pins must read
+//! exactly the demanded columns' on-disk bytes, serve the same bits, and
+//! fail, heal and degrade the way whole pages do.
 
 use effres::column_store::{self, ColumnStore};
 use effres::EffresError;
@@ -538,4 +540,247 @@ fn narrowed_estimators_are_rejected_by_every_snapshot_writer() {
     }
     assert!(sink.is_empty(), "no writer may emit bytes first");
     assert!(!path.exists(), "no writer may leave a file behind");
+}
+
+/// Geometry of the demand-sized pin tests: 16-column pages (9 over the
+/// 144-column fixtures) and a cache too small to matter.
+fn sparse_options(mode: effres::ValueMode) -> PagedOptions {
+    PagedOptions {
+        columns_per_page: 16,
+        cache_pages: 1,
+        cache_shards: 1,
+        ..PagedOptions::default()
+    }
+    .with_value_mode(mode)
+}
+
+/// On-disk bytes (rows plus values) of each column of a fixture, from its
+/// `col_ptr` block and — for the varint-coded v3 file — its `row_off`
+/// table, read straight from the bytes at the layout offsets above.
+fn column_disk_bytes(name: &str) -> Vec<u64> {
+    let bytes = std::fs::read(fixture(name)).expect("fixture bytes");
+    let table = |at: usize| -> Vec<u64> {
+        bytes[at..at + 8 * (N + 1)]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect()
+    };
+    let col_ptr = table(COL_PTR_OFFSET);
+    let row_off = name.starts_with("v3").then(|| {
+        assert_eq!(bytes[V3_CODEC_OFFSET], 1, "fixture uses the varint codec");
+        table(V3_ROW_OFF_OFFSET)
+    });
+    (0..N)
+        .map(|j| {
+            let entries = col_ptr[j + 1] - col_ptr[j];
+            let rows = row_off
+                .as_ref()
+                .map_or(4 * entries, |off| off[j + 1] - off[j]);
+            rows + 8 * entries
+        })
+        .collect()
+}
+
+/// Demanded columns on pages 1 and 4: runs {17, 18} and {29} on page 1,
+/// {70} on page 4 — a few columns out of sixteen, so both pages are sparse.
+const SPARSE_PAGES: [usize; 2] = [1, 4];
+const SPARSE_DEMAND: [usize; 4] = [29, 17, 70, 18];
+
+/// The resident reference for a value mode: the f64 arena, or the arena
+/// narrowed exactly as f32 page decode narrows.
+fn reference_inverse(mode: effres::ValueMode) -> &'static effres::SparseApproximateInverse {
+    match mode {
+        effres::ValueMode::F64 => resident().estimator.approximate_inverse(),
+        effres::ValueMode::F32 => resident_f32().approximate_inverse(),
+    }
+}
+
+/// Column `j` through a store, as (rows, norm bits): equal iff the decoded
+/// rows match and the values sum to the same bits.
+fn column_bits<S: ColumnStore>(store: &S, j: usize) -> (Vec<u32>, u64) {
+    store
+        .with_column(j, |c| (c.indices().to_vec(), c.norm2_squared().to_bits()))
+        .expect("healthy fixture")
+}
+
+#[test]
+fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
+    for name in ["v2_grid12.snap", "v3_grid12.snap"] {
+        let disk = column_disk_bytes(name);
+        let page_bytes =
+            |pid: usize| -> u64 { disk[16 * pid..(16 * pid + 16).min(N)].iter().sum() };
+        let demanded_bytes: u64 = SPARSE_DEMAND.iter().map(|&j| disk[j]).sum();
+        for pid in SPARSE_PAGES {
+            let on_page: u64 = SPARSE_DEMAND
+                .iter()
+                .filter(|&&j| j / 16 == pid)
+                .map(|&j| disk[j])
+                .sum();
+            assert!(
+                4 * on_page < page_bytes(pid),
+                "{name}: page {pid} must be sparsely demanded for this test"
+            );
+        }
+        for mode in [effres::ValueMode::F64, effres::ValueMode::F32] {
+            let paged = open_paged(fixture(name), &sparse_options(mode)).expect("opens");
+            let pinned = paged
+                .store
+                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+                .expect("healthy fixture");
+            assert_eq!(pinned.len(), 2, "{name} {mode:?}");
+            let stats = paged.store.take_page_cache_stats();
+            assert_eq!(stats.bytes_read, demanded_bytes, "{name} {mode:?}");
+            assert_eq!(stats.column_runs, 3, "{name} {mode:?}: runs 17..19, 29, 70");
+            assert_eq!((stats.hits, stats.misses), (0, 2), "{name} {mode:?}");
+            assert_eq!(stats.readahead_reads, 0, "{name} {mode:?}");
+
+            // The demanded columns serve off the runs, bit-identical to
+            // the resident arena, without touching the store again.
+            let empty = effres_io::PinnedPages::default();
+            let reader = effres_io::PinnedReader::new(&paged.store, &empty, Some(&pinned));
+            let inverse = reference_inverse(mode);
+            for j in SPARSE_DEMAND {
+                assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
+                assert_eq!(
+                    reader.column_norm_squared(j).expect("norm").to_bits(),
+                    inverse.column_norm_squared(j).expect("norm").to_bits(),
+                    "{name} {mode:?} col {j} norm"
+                );
+            }
+            assert_eq!(
+                paged.store.page_cache_stats(),
+                effres_io::PageCacheStats::default(),
+                "{name} {mode:?}: demanded columns never fall back"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
+    let paged = open_paged(
+        fixture("v3_grid12.snap"),
+        &PagedOptions {
+            cache_pages: 4,
+            ..sparse_options(effres::ValueMode::F64)
+        },
+    )
+    .expect("opens");
+    // Every column of page 2 demanded: read whole, coalesced, and cached.
+    let dense: Vec<usize> = (32..48).collect();
+    drop(paged.store.pin_pages(&[2], Some(&dense)).expect("pin"));
+    let stats = paged.store.take_page_cache_stats();
+    assert_eq!(
+        (stats.misses, stats.column_runs, stats.readahead_reads),
+        (1, 0, 2)
+    );
+    // A cached page is a hit even under a sparse demand: nothing is read.
+    drop(paged.store.pin_pages(&[2], Some(&[33])).expect("pin"));
+    let stats = paged.store.take_page_cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.bytes_read), (1, 0, 0));
+    // Sparse runs are pinned but never published: pinning the same sparse
+    // demand again reads again.
+    for _ in 0..2 {
+        drop(paged.store.pin_pages(&[5], Some(&[81])).expect("pin"));
+        let stats = paged.store.take_page_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.column_runs), (0, 1, 1));
+    }
+}
+
+#[test]
+fn a_column_outside_the_demand_reads_the_resident_value() {
+    for name in ["v2_grid12.snap", "v3_grid12.snap"] {
+        for mode in [effres::ValueMode::F64, effres::ValueMode::F32] {
+            let paged = open_paged(fixture(name), &sparse_options(mode)).expect("opens");
+            let pinned = paged
+                .store
+                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+                .expect("healthy fixture");
+            let empty = effres_io::PinnedPages::default();
+            let reader = effres_io::PinnedReader::new(&paged.store, &pinned, Some(&empty));
+            let inverse = reference_inverse(mode);
+            // Column 20 sits on sparsely pinned page 1 but was not demanded.
+            // An empty slice here would answer ‖z_p‖² + ‖z_q‖²; the reader
+            // must fall back to the store and read the real column.
+            let outside = 20;
+            assert_eq!(column_bits(&reader, outside), column_bits(inverse, outside));
+            assert!(!inverse.column(outside).indices().is_empty());
+            for (p, q) in [(17, outside), (outside, 70), (29, 18)] {
+                let want = column_store::column_distance_squared(inverse, p, q).expect("resident");
+                let got = column_store::column_distance_squared(&reader, p, q).expect("paged");
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} {mode:?} ({p}, {q})");
+            }
+            // The fallback is the store's cached page path: one whole-page
+            // miss on top of the two sparse pages, then hits.
+            let stats = paged.store.page_cache_stats();
+            assert_eq!((stats.misses, stats.column_runs), (3, 3), "{name} {mode:?}");
+        }
+    }
+}
+
+#[test]
+fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confined() {
+    use effres_io::{open_paged_with_faults, FaultPlan, RetryPolicy};
+    let retry = RetryPolicy {
+        max_retries: 2,
+        backoff: std::time::Duration::from_micros(1),
+    };
+    let options = sparse_options(effres::ValueMode::F64).with_retry(retry);
+    let path = fixture("v3_grid12.snap");
+    let clean = open_paged(&path, &options).expect("opens");
+    // A demanded column on sparse page 1; overwriting the two high bytes
+    // of its first value makes it decode as NaN.
+    let victim = 29;
+    let offset = clean.store.column_value_byte_offset(victim) + 6;
+
+    // Persistent rot: the run fails validation twice and surfaces typed.
+    let rotten = open_paged_with_faults(&path, &options, FaultPlan::new(0).poison(offset, 2))
+        .expect("opens");
+    let err = rotten
+        .store
+        .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+        .expect_err("poisoned demanded column");
+    assert!(
+        matches!(err, EffresError::StoreFailure { column, .. } if column == victim),
+        "{err:?}"
+    );
+    let stats = rotten.store.take_page_cache_stats();
+    assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
+
+    // The partial pin fails only the rotten page; the other sparse page
+    // pins and serves bit-identically.
+    let (pinned, failures) = rotten
+        .store
+        .pin_pages_partial(&SPARSE_PAGES, Some(&SPARSE_DEMAND));
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].0, 1);
+    assert!(matches!(
+        failures[0].1,
+        EffresError::StoreFailure { column, .. } if column == victim
+    ));
+    assert_eq!(pinned.len(), 1);
+    let empty = effres_io::PinnedPages::default();
+    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+    let inverse = resident().estimator.approximate_inverse();
+    assert_eq!(column_bits(&reader, 70), column_bits(inverse, 70));
+    drop(pinned);
+    assert_eq!(rotten.store.pinned_pages_now(), 0);
+
+    // Rot in transit: the re-fetch reads clean bytes and the run serves.
+    let healing = open_paged_with_faults(
+        &path,
+        &options,
+        FaultPlan::new(0).poison_until_refetch(offset, 2),
+    )
+    .expect("opens");
+    let pinned = healing
+        .store
+        .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+        .expect("heals on the re-fetch");
+    let stats = healing.store.take_page_cache_stats();
+    assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
+    let reader = effres_io::PinnedReader::new(&healing.store, &pinned, Some(&empty));
+    for j in SPARSE_DEMAND {
+        assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
+    }
 }

@@ -808,7 +808,7 @@ fn serve_batch(
         let lookups = page.hits + page.misses;
         println!(
             "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read, \
-             {} readahead read(s) — this batch",
+             {} readahead read(s), {} column run(s) — this batch",
             page.hits,
             page.misses,
             if lookups == 0 {
@@ -817,7 +817,8 @@ fn serve_batch(
                 100.0 * page.hits as f64 / lookups as f64
             },
             page.bytes_read as f64 / (1024.0 * 1024.0),
-            page.readahead_reads
+            page.readahead_reads,
+            page.column_runs
         );
     }
     if let Some(schedule) = result.schedule {

@@ -1397,7 +1397,8 @@ fn stats_json(shared: &Shared) -> String {
         "\"service\":{{\"queries\":{},\"batches\":{},\"pair_cache_hits\":{},\
          \"pair_cache_misses\":{},\"pair_cache_entries\":{},\"pair_cache_capacity\":{},\
          \"page_cache_hits\":{},\"page_cache_misses\":{},\"page_bytes_read\":{},\
-         \"page_readahead_reads\":{},\"page_retries\":{},\"page_faulted_reads\":{}}},",
+         \"page_column_runs\":{},\"page_readahead_reads\":{},\"page_retries\":{},\
+         \"page_faulted_reads\":{}}},",
         service.queries,
         service.batches,
         service.cache_hits,
@@ -1407,6 +1408,7 @@ fn stats_json(shared: &Shared) -> String {
         service.page_cache_hits,
         service.page_cache_misses,
         service.page_bytes_read,
+        service.page_column_runs,
         service.page_readahead_reads,
         service.page_retries,
         service.page_faulted_reads,

@@ -118,6 +118,10 @@ pub struct ServiceStats {
     /// Coalesced readahead reads an out-of-core backend issued (each covers
     /// a run of adjacent pages). Zero for resident backends.
     pub page_readahead_reads: u64,
+    /// Column runs an out-of-core backend read in place of sparsely
+    /// demanded pages (their bytes count in `page_bytes_read`). Zero for
+    /// resident backends.
+    pub page_column_runs: u64,
     /// Page read attempts an out-of-core backend re-issued after a transient
     /// fault (including corruption re-fetches). Zero for resident backends
     /// and on fault-free storage.
@@ -146,6 +150,7 @@ impl ServiceStats {
             page_cache_misses: self.page_cache_misses + later.page_cache_misses,
             page_bytes_read: self.page_bytes_read + later.page_bytes_read,
             page_readahead_reads: self.page_readahead_reads + later.page_readahead_reads,
+            page_column_runs: self.page_column_runs + later.page_column_runs,
             page_retries: self.page_retries + later.page_retries,
             page_faulted_reads: self.page_faulted_reads + later.page_faulted_reads,
         }
@@ -530,6 +535,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             page_cache_misses: page.misses,
             page_bytes_read: page.bytes_read,
             page_readahead_reads: page.readahead_reads,
+            page_column_runs: page.column_runs,
             page_retries: page.retries,
             page_faulted_reads: page.faulted_reads,
         }
@@ -574,6 +580,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             page_cache_misses: page.misses,
             page_bytes_read: page.bytes_read,
             page_readahead_reads: page.readahead_reads,
+            page_column_runs: page.column_runs,
             page_retries: page.retries,
             page_faulted_reads: page.faulted_reads,
         };

@@ -17,19 +17,32 @@
 //!    sorted into page-pair clusters.
 //! 2. **Block** — the `page_lo` side is partitioned into blocks of pinned
 //!    pages sized to the store's cache budget minus a readahead window.
-//!    Each block is fetched once with coalesced reads
+//!    Each block is pinned once
 //!    ([`PagedColumnStore::pin_pages`](effres_io::PagedColumnStore::pin_pages))
 //!    and stays resident while *all* of its queries drain.
 //! 3. **Sweep** — within a block, queries are re-sorted by `page_hi`, and
 //!    the hi side becomes a sorted sweep: successive readahead windows of
-//!    upcoming hi pages are pinned with one coalesced read each, drained,
-//!    and dropped. Windows fan out as jobs on the engine's
-//!    [`WorkerPool`](effres::WorkerPool) — each worker pins its own window
-//!    (its private cache shard, in effect) while sharing the block pin.
+//!    upcoming hi pages are pinned, drained, and dropped. Windows fan out
+//!    as jobs on the engine's [`WorkerPool`](effres::WorkerPool) — each
+//!    worker pins its own window (its private cache shard, in effect) while
+//!    sharing the block pin.
 //!
 //! Every page is therefore read `O(blocks)` times instead of `O(queries)`
-//! times, and every read is a large sequential one. Pin capacity is not
-//! assumed but **leased**: every block acquires its pages from the engine's
+//! times. How much of a page is read depends on the batch's **page
+//! footprint** (the distinct pages its queries touch). A batch that fits
+//! the store's cache budget pins whole pages: adjacent missing pages merge
+//! into large sequential reads, and the pages stay cached for whatever
+//! comes next. A batch that outgrows the budget would flush the cache
+//! anyway, so each block and window pin carries the columns its queries
+//! read as a *demand*, and a page whose demanded columns hold under a
+//! quarter of its bytes is read as runs of adjacent demanded columns —
+//! pinned, not cached. A uniform batch over a file many times the cache
+//! uses a few columns per page, so this is where its I/O goes from
+//! whole-page to per-column. The plan — blocks, windows, evaluation order
+//! — is the same either way; only the bytes behind each pin change.
+//!
+//! Pin capacity is not assumed but **leased**: every block acquires its
+//! pages from the engine's
 //! [`AdmissionLedger`](crate::admission::AdmissionLedger) first, so
 //! concurrent batches on one engine split the cache budget between them
 //! (block by block) instead of over-pinning it — an uncontended lease gets
@@ -53,7 +66,7 @@ use crate::engine::{
 };
 use effres::column_store::{self, KernelStats};
 use effres::EffresError;
-use effres_io::{PagedSnapshot, PinnedPages, PinnedReader};
+use effres_io::{PagedColumnStore, PagedSnapshot, PinnedPages, PinnedReader};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -237,6 +250,7 @@ impl QueryEngine<PagedSnapshot> {
         }
         drop(first_slot_of);
         let misses = pending.len() as u64;
+        let sparse = outgrows_cache(store, &pending);
 
         // 1. Cluster: queries sharing a page pair become adjacent; the slot
         // tiebreak keeps the plan deterministic for identical batches.
@@ -353,9 +367,10 @@ impl QueryEngine<PagedSnapshot> {
             }
             report.blocks += 1;
             let block = &mut pending[block_start..at];
-            // 3. Pin the block (coalesced) and sweep its hi side in sorted
-            // order, so every hi fetch is sequential readahead.
-            let pinned = Arc::new(store.pin_pages(&lo_pages)?);
+            // 3. Pin the block (demand-sized when the batch outgrows the
+            // cache) and sweep its hi side in sorted page order.
+            let demand = sparse.then(|| demand_of(block));
+            let pinned = Arc::new(store.pin_pages(&lo_pages, demand.as_deref())?);
             block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
 
             // Cut the sweep into window jobs: each accumulates up to
@@ -408,7 +423,7 @@ impl QueryEngine<PagedSnapshot> {
                             let core = Arc::clone(&self.core);
                             let pinned = Arc::clone(&pinned);
                             let queries = block[lo..hi].to_vec();
-                            move || drain_window(&core, &pinned, &pids, &queries, job)
+                            move || drain_window(&core, &pinned, &pids, &queries, job, sparse)
                         })
                         .collect();
                     for result in self.worker_pool().run(wave) {
@@ -432,7 +447,7 @@ impl QueryEngine<PagedSnapshot> {
                         });
                     }
                     let (drained, window_kernel) =
-                        drain_window(&self.core, &pinned, pids, &block[*lo..*hi], 0)?;
+                        drain_window(&self.core, &pinned, pids, &block[*lo..*hi], 0, sparse)?;
                     kernel.merge(window_kernel);
                     for (slot, value) in drained {
                         values[slot as usize] = value;
@@ -573,6 +588,7 @@ impl QueryEngine<PagedSnapshot> {
         }
         drop(first_slot_of);
         let misses = pending.len() as u64;
+        let sparse = outgrows_cache(store, &pending);
 
         pending.sort_unstable_by_key(|t| (t.page_lo, t.page_hi, t.slot));
         let clusters = pending
@@ -665,7 +681,8 @@ impl QueryEngine<PagedSnapshot> {
             // Degraded pin: pages that cannot be produced fail only the
             // queries anchored on them; the rest of the block proceeds over
             // whatever did pin.
-            let (pinned, pin_failures) = store.pin_pages_partial(&lo_pages);
+            let demand = sparse.then(|| demand_of(block));
+            let (pinned, pin_failures) = store.pin_pages_partial(&lo_pages, demand.as_deref());
             let pinned = Arc::new(pinned);
             block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
             let mut drainable: Vec<Pending> = Vec::with_capacity(block.len());
@@ -725,7 +742,9 @@ impl QueryEngine<PagedSnapshot> {
                             let core = Arc::clone(&self.core);
                             let pinned = Arc::clone(&pinned);
                             let queries = drainable[lo..hi].to_vec();
-                            move || drain_window_partial(&core, &pinned, &pids, &queries, job)
+                            move || {
+                                drain_window_partial(&core, &pinned, &pids, &queries, job, sparse)
+                            }
                         })
                         .collect();
                     for (window_statuses, window_kernel) in self.worker_pool().run(wave) {
@@ -746,8 +765,14 @@ impl QueryEngine<PagedSnapshot> {
                         }
                         break;
                     }
-                    let (window_statuses, window_kernel) =
-                        drain_window_partial(&self.core, &pinned, pids, &drainable[*lo..*hi], 0);
+                    let (window_statuses, window_kernel) = drain_window_partial(
+                        &self.core,
+                        &pinned,
+                        pids,
+                        &drainable[*lo..*hi],
+                        0,
+                        sparse,
+                    );
                     kernel.merge(window_kernel);
                     for (slot, status) in window_statuses {
                         statuses[slot as usize] = status;
@@ -783,8 +808,32 @@ impl QueryEngine<PagedSnapshot> {
     }
 }
 
+/// Whether the batch's distinct page footprint exceeds the store's cache
+/// budget. Such a batch would flush the LRU anyway, so its pins are
+/// demand-sized (see
+/// [`pin_pages`](effres_io::PagedColumnStore::pin_pages)); a batch that
+/// fits reads, caches and reuses whole pages.
+fn outgrows_cache(store: &PagedColumnStore, pending: &[Pending]) -> bool {
+    let mut pages: Vec<u32> = pending
+        .iter()
+        .flat_map(|t| [t.page_lo, t.page_hi])
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages.len() > store.cache_capacity_pages()
+}
+
+/// The columns `queries` read — the demand of a demand-sized pin.
+fn demand_of(queries: &[Pending]) -> Vec<usize> {
+    queries
+        .iter()
+        .flat_map(|t| [t.pp as usize, t.qq as usize])
+        .collect()
+}
+
 /// Drains one readahead window: pins its hi pages (one coalesced read for
-/// adjacent pages — the sweep keeps them mostly adjacent), then answers the
+/// adjacent pages — the sweep keeps them mostly adjacent — or, when
+/// `sparse`, just the columns the window's queries read), then answers the
 /// window's queries through the store-generic grouped multi-pair kernel
 /// ([`column_store::column_distances_squared_grouped`]) — bit-identical to
 /// the pairwise kernel, but a window's queries sharing a hub column stream
@@ -799,9 +848,11 @@ fn drain_window(
     window_pids: &[usize],
     queries: &[Pending],
     scratch_hint: usize,
+    sparse: bool,
 ) -> Result<(Vec<(u32, f64)>, KernelStats), EffresError> {
     let store = &core.backend.store;
-    let window_pin = store.pin_pages(window_pids)?;
+    let demand = sparse.then(|| demand_of(queries));
+    let window_pin = store.pin_pages(window_pids, demand.as_deref())?;
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
     // Re-sort the window by normalized column pair: pages hold neighbouring
     // columns, so the page-sorted window is nearly column-sorted already,
@@ -847,12 +898,14 @@ fn drain_window_partial(
     window_pids: &[usize],
     queries: &[Pending],
     scratch_hint: usize,
+    sparse: bool,
 ) -> (Vec<(u32, Result<f64, EffresError>)>, KernelStats) {
     let store = &core.backend.store;
     // Failed window pins are not fatal: the reader falls back to the store
     // for unpinned pages, and any page that truly cannot be produced fails
     // its queries in the per-query pass below.
-    let (window_pin, _window_failures) = store.pin_pages_partial(window_pids);
+    let demand = sparse.then(|| demand_of(queries));
+    let (window_pin, _window_failures) = store.pin_pages_partial(window_pids, demand.as_deref());
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
     let norms = core.norms.as_ref().map(|table| table.as_slice());
     let mut sorted: Vec<Pending> = queries.to_vec();
