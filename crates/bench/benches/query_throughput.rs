@@ -34,6 +34,13 @@
 //! the pairwise loop in the same run) and `value_mode` times the f32
 //! narrowed arena against the f64 baseline, recording the halved value
 //! stream and the measured rounding error.
+//!
+//! The `pair_cache` section runs two streams through an engine with the
+//! default pair cache and through one with `cache_capacity: 0`, interleaved
+//! per sample: the all-edges sweep (no repeats, so it prices a
+//! miss) and a Zipf(1.0) stream of 64-pair batches over a pool of a million
+//! random pairs (the skewed traffic the cache exists for). Each variant
+//! records its hit ratio and median queries/s.
 
 use effres::prelude::*;
 use effres_bench::report::{min_seconds, write_report, Json};
@@ -219,6 +226,8 @@ fn main() {
         ("bytes_streamed", Json::Int(kernel.bytes_streamed)),
         ("centrality_sum", Json::Num(centrality_sum)),
     ]);
+
+    let pair_cache_report = pair_cache_section(&estimator, &edge_batch);
 
     // Out-of-core serving: snapshot to disk, then answer the same batch
     // straight from the file. Cold start = open (header + col_ptr only) +
@@ -459,6 +468,7 @@ fn main() {
         ("sequential_queries_per_second", Json::Num(sequential_qps)),
         ("engine", Json::Arr(engine_reports)),
         ("all_edges", all_edges_report),
+        ("pair_cache", pair_cache_report),
         ("value_mode", value_mode_report),
         (
             "paged",
@@ -484,4 +494,161 @@ fn main() {
         Ok(path) => println!("report: {}", path.display()),
         Err(e) => eprintln!("could not write report: {e}"),
     }
+}
+
+/// Samples per `pair_cache` variant; each is a fresh stretch of the stream.
+const CACHE_SAMPLES: usize = 10;
+/// Zipf stream shape: distinct pairs in the pool, pairs per batch, and
+/// batches per sample (one extra sample's worth warms the cache first).
+const ZIPF_POOL: usize = 1_000_000;
+const ZIPF_BATCH: usize = 64;
+const ZIPF_BATCHES_PER_SAMPLE: usize = 1_024;
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `count` batches of `ZIPF_BATCH` pairs drawn Zipf(1.0) from a seeded pool
+/// of `ZIPF_POOL` distinct random pairs.
+fn zipf_batches(nodes: usize, count: usize, seed: u64) -> Vec<QueryBatch> {
+    let mut state = seed;
+    let mut seen = std::collections::HashSet::with_capacity(ZIPF_POOL);
+    let mut pool = Vec::with_capacity(ZIPF_POOL);
+    while pool.len() < ZIPF_POOL {
+        let p = (splitmix64(&mut state) % nodes as u64) as usize;
+        let q = (splitmix64(&mut state) % nodes as u64) as usize;
+        if p != q && seen.insert((p.min(q), p.max(q))) {
+            pool.push((p, q));
+        }
+    }
+    let mut mass = 0.0;
+    let cdf: Vec<f64> = (1..=ZIPF_POOL)
+        .map(|rank| {
+            mass += 1.0 / rank as f64;
+            mass
+        })
+        .collect();
+    (0..count)
+        .map(|_| {
+            QueryBatch::from_pairs(
+                (0..ZIPF_BATCH)
+                    .map(|_| {
+                        let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                        pool[cdf.partition_point(|&c| c <= u * mass).min(ZIPF_POOL - 1)]
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// Runs `samples[0]` untimed (warm-up), then times each later sample on a
+/// default-cache engine and on an uncached one, interleaving the two so
+/// drift hits both alike. Asserts both answer bit-identically; returns the
+/// stream's JSON row.
+fn compare_pair_cache(
+    estimator: &Arc<EffectiveResistanceEstimator>,
+    samples: &[&[QueryBatch]],
+) -> Json {
+    let engine = |cache_capacity| {
+        QueryEngine::new(
+            Arc::clone(estimator),
+            EngineOptions {
+                threads: 1,
+                cache_capacity,
+                parallel_threshold: usize::MAX,
+                ..EngineOptions::default()
+            },
+        )
+    };
+    let default_capacity = EngineOptions::default().cache_capacity;
+    let variants = [engine(default_capacity), engine(0)];
+    let mut seconds = [Vec::new(), Vec::new()];
+    let mut hits = [0u64; 2];
+    let mut lookups = [0u64; 2];
+    let queries: usize = samples[1..]
+        .iter()
+        .flat_map(|s| s.iter())
+        .map(QueryBatch::len)
+        .sum();
+    for (k, sample) in samples.iter().enumerate() {
+        let mut answers: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        for (v, engine) in variants.iter().enumerate() {
+            let start = Instant::now();
+            for batch in *sample {
+                let result = engine.execute(batch).expect("in bounds");
+                if k > 0 {
+                    hits[v] += result.cache_hits;
+                    lookups[v] += result.cache_hits + result.cache_misses;
+                }
+                answers[v].extend(result.values.iter().map(|x| x.to_bits()));
+            }
+            if k > 0 {
+                seconds[v].push(start.elapsed().as_secs_f64());
+            }
+        }
+        assert_eq!(answers[0], answers[1], "cached answers diverged");
+    }
+    let rows = (0..2)
+        .map(|v| {
+            let mut s = seconds[v].clone();
+            s.sort_by(f64::total_cmp);
+            let median = s[s.len() / 2];
+            let per_sample = queries as f64 / s.len() as f64;
+            Json::Obj(vec![
+                (
+                    "cache_capacity",
+                    Json::Int(if v == 0 { default_capacity as u64 } else { 0 }),
+                ),
+                (
+                    "hit_ratio",
+                    Json::Num(hits[v] as f64 / lookups[v].max(1) as f64),
+                ),
+                ("median_seconds", Json::Num(median)),
+                ("min_seconds", Json::Num(s[0])),
+                ("max_seconds", Json::Num(s[s.len() - 1])),
+                ("queries_per_second", Json::Num(per_sample / median)),
+            ])
+        })
+        .collect();
+    Json::Arr(rows)
+}
+
+fn pair_cache_section(estimator: &Arc<EffectiveResistanceEstimator>, edges: &QueryBatch) -> Json {
+    let sweep = std::slice::from_ref(edges);
+    let all_edges = compare_pair_cache(estimator, &[sweep; CACHE_SAMPLES + 1]);
+    let zipf = zipf_batches(
+        estimator.node_count(),
+        ZIPF_BATCHES_PER_SAMPLE * (CACHE_SAMPLES + 1),
+        0x5eed,
+    );
+    let zipf_samples: Vec<&[QueryBatch]> = zipf.chunks(ZIPF_BATCHES_PER_SAMPLE).collect();
+    let zipf_report = compare_pair_cache(estimator, &zipf_samples);
+    for (name, report) in [("all_edges", &all_edges), ("zipf", &zipf_report)] {
+        if let Json::Arr(rows) = report {
+            for row in rows {
+                println!("pair_cache/{name}: {}", row.render());
+            }
+        }
+    }
+    Json::Obj(vec![
+        ("samples", Json::Int(CACHE_SAMPLES as u64)),
+        ("all_edges", all_edges),
+        (
+            "zipf",
+            Json::Obj(vec![
+                ("pool_pairs", Json::Int(ZIPF_POOL as u64)),
+                ("pairs_per_batch", Json::Int(ZIPF_BATCH as u64)),
+                (
+                    "batches_per_sample",
+                    Json::Int(ZIPF_BATCHES_PER_SAMPLE as u64),
+                ),
+                ("variants", zipf_report),
+            ]),
+        ),
+    ])
 }

@@ -383,9 +383,8 @@ impl Client {
 
     /// [`Client::query_batch_partial`] with a deadline: queries answered
     /// before the deadline tripped keep their bit-identical values; the
-    /// abandoned tail carries
-    /// [`STATUS_DEADLINE`](crate::protocol::STATUS_DEADLINE) statuses. A
-    /// batch shed whole (deadline unmeetable up front) answers
+    /// abandoned tail carries [`STATUS_DEADLINE`] statuses. A batch shed
+    /// whole (deadline unmeetable up front) answers
     /// [`ClientError::DeadlineExceeded`].
     pub fn query_batch_partial_deadline(
         &mut self,

@@ -4,8 +4,15 @@
 //! [`Arc`] and turns it into a service: batches fan out as jobs on a
 //! persistent [`WorkerPool`] (the engine's own, or one shared with the
 //! estimator build via [`EngineOptions::pool`]), each job drawing a reusable
-//! scratch column buffer from a pool-wide free list, in front of a sharded
-//! LRU cache of recent pair results.
+//! scratch column buffer from a pool-wide free list, behind a striped
+//! cache of recent pair results whose probe touches one cache line (see
+//! [`crate::cache`]).
+//!
+//! A batch is answered in sorted order: every pair's permuted
+//! `(min << 32) | max` key is computed once and the `(key, slot)` vector
+//! sorted, so pairs sharing a permuted endpoint form runs the hub kernel
+//! answers from one scatter. Each worker reads `(hub, partner)` straight
+//! from the keys, and answers scatter back to request order.
 //!
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
@@ -25,7 +32,7 @@
 use crate::admission::{AdmissionLedger, AdmissionStats};
 use crate::backend::ResistanceBackend;
 use crate::batch::QueryBatch;
-use crate::cache::ShardedLru;
+use crate::cache::{self, ShardedLru};
 use crate::cancel::CancelToken;
 use crate::metrics::ServiceTimeEwma;
 use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
@@ -42,10 +49,9 @@ pub struct EngineOptions {
     /// available core (or per worker of a shared [`EngineOptions::pool`]).
     /// Actual concurrency is capped by the worker-pool size.
     pub threads: usize,
-    /// Total entries of the pair-result cache; `0` disables caching.
+    /// Total entries of the pair-result cache, split over 16 lock stripes
+    /// and rounded up to whole four-entry sets; `0` disables caching.
     pub cache_capacity: usize,
-    /// Number of cache shards (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Batches smaller than this run on the calling thread — dispatching
     /// pool jobs costs more than it saves.
     pub parallel_threshold: usize,
@@ -81,7 +87,6 @@ impl Default for EngineOptions {
         EngineOptions {
             threads: 0,
             cache_capacity: 1 << 16,
-            cache_shards: 16,
             parallel_threshold: 1 << 10,
             pool: None,
             readahead_pages: 0,
@@ -430,14 +435,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// Builds an engine over a shared backend.
     pub fn new(backend: Arc<B>, options: EngineOptions) -> Self {
         let norms = backend.precomputed_norms();
-        let cache = if options.cache_capacity > 0 {
-            Some(ShardedLru::new(
-                options.cache_capacity,
-                options.cache_shards,
-            ))
-        } else {
-            None
-        };
+        let cache = (options.cache_capacity > 0)
+            .then(|| ShardedLru::new(options.cache_capacity, cache::SHARDS));
         // The ledger needs at least two pages (one per side of a pair), the
         // same floor the scheduler's own budget math applies.
         let admission = backend
@@ -928,30 +927,38 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         fail_fast: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<(Vec<Result<f64, EffresError>>, u64, u64, KernelStats), EffresError> {
-        // Sort query indices by **permuted** normalized pair so queries
-        // sharing a permuted endpoint land in the same chunk and reuse the
-        // scattered column (and, on the paged backend, the same decoded
-        // pages). Sorting in the permuted domain also makes the suffix
-        // bounds ascend within a run, so one suffix-bounded scatter serves
-        // the whole run. Out-of-bounds pairs (possible in partial mode)
-        // sort last, past every valid pair.
+        // Sort queries by **permuted** normalized pair so queries sharing
+        // a permuted endpoint land in the same chunk and reuse the scattered
+        // column (and, on the paged backend, the same decoded pages).
+        // Sorting in the permuted domain also makes the suffix bounds ascend
+        // within a run, so one suffix-bounded scatter serves the whole run.
+        // Each key is computed once, up front: a key closure would re-read
+        // the permutation for both endpoints on every comparison.
+        // Out-of-bounds pairs (possible in partial mode) sort last, past
+        // every valid pair.
         let n = self.core.backend.node_count();
         let permutation = self.core.backend.permutation();
-        let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let (p, q) = pairs[i as usize];
-            if p >= n || q >= n {
-                return (usize::MAX, usize::MAX);
-            }
-            let (pp, qq) = (permutation.new(p), permutation.new(q));
-            (pp.min(qq), pp.max(qq))
-        });
+        let mut keyed: Vec<(u64, u32)> = pairs
+            .iter()
+            .zip(0u32..)
+            .map(|(&(p, q), i)| {
+                if p >= n || q >= n {
+                    return (OUT_OF_BOUNDS, i);
+                }
+                (cache_key(permutation.new(p), permutation.new(q)), i)
+            })
+            .collect();
+        keyed.sort_unstable();
         // One shared copy of the sorted batch: jobs borrow disjoint ranges
         // of it through the Arc instead of each owning a `to_vec` of its
         // chunk (the per-job copies were measurable at batch sizes where
         // the parallel path engages).
-        let sorted_pairs: Arc<Vec<(usize, usize)>> =
-            Arc::new(order.iter().map(|&i| pairs[i as usize]).collect());
+        let sorted_pairs: Arc<Vec<SortedQuery>> = Arc::new(
+            keyed
+                .iter()
+                .map(|&(key, i)| (key, pairs[i as usize]))
+                .collect(),
+        );
 
         let results = if threads <= 1 {
             let mut scratch = self.core.take_scratch(0);
@@ -1007,29 +1014,42 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
         let mut statuses: Vec<Result<f64, EffresError>> =
             (0..pairs.len()).map(|_| Ok(0.0)).collect();
-        for (&original, status) in order.iter().zip(sorted_statuses) {
+        for (&(_, original), status) in keyed.iter().zip(sorted_statuses) {
             statuses[original as usize] = status;
         }
         Ok((statuses, hits, misses, kernel))
     }
 }
 
+/// `(min << 32) | max` of two node ids below 2^32: the pair-cache key of a
+/// pair as requested, and the batch sort key of its permuted pair.
 pub(crate) fn cache_key(p: usize, q: usize) -> u64 {
     let (a, b) = if p < q { (p, q) } else { (q, p) };
     ((a as u64) << 32) | b as u64
 }
 
+/// The sort key of a pair with an out-of-bounds node: above every valid key
+/// (node ids stay below `u32::MAX`), so such pairs sort last.
+const OUT_OF_BOUNDS: u64 = u64::MAX;
+
+/// One query of a sorted batch: the [`cache_key`] of its permuted pair
+/// ([`OUT_OF_BOUNDS`] if a node is out of bounds), and the pair as
+/// requested.
+type SortedQuery = (u64, (usize, usize));
+
 impl<B: ResistanceBackend> EngineCore<B> {
-    /// The status-returning heart of both batch modes: answers `pairs` in
-    /// order, producing a per-query `Result`. With `fail_fast` the first
-    /// failure aborts the slice (the all-or-nothing contract of
-    /// [`QueryEngine::execute`]); without it the failure is recorded as that
-    /// query's status and the slice continues — the partial-results
-    /// contract. Both modes run the **same kernels in the same order**, so
-    /// the values a query succeeds with are bit-identical regardless of
-    /// mode and of failures elsewhere in the slice (a failed scratch load
-    /// leaves the scratch empty, which only means the next run re-scatters —
-    /// same arithmetic).
+    /// The status-returning heart of both batch modes: answers a sorted
+    /// run of `pairs` in order, producing a per-query `Result`. Each pair
+    /// carries its sort key, so the loop reads the permuted `(hub, partner)`
+    /// and the next pair's hub from the keys instead of re-permuting. With
+    /// `fail_fast` the first failure aborts the slice (the all-or-nothing
+    /// contract of [`QueryEngine::execute`]); without it the failure is
+    /// recorded as that query's status and the slice continues — the
+    /// partial-results contract. Both modes run the **same kernels in the
+    /// same order**, so the values a query succeeds with are bit-identical
+    /// regardless of mode and of failures elsewhere in the slice (a failed
+    /// scratch load leaves the scratch empty, which only means the next run
+    /// re-scatters — same arithmetic).
     ///
     /// A `cancel` token is checked **between pairs, never mid-kernel**: when
     /// it trips, the pair about to run and everything after it get
@@ -1041,7 +1061,7 @@ impl<B: ResistanceBackend> EngineCore<B> {
     #[allow(clippy::type_complexity)]
     fn run_slice_statuses(
         &self,
-        pairs: &[(usize, usize)],
+        pairs: &[SortedQuery],
         scratch: &mut HubScratch,
         fail_fast: bool,
         cancel: Option<&CancelToken>,
@@ -1051,15 +1071,14 @@ impl<B: ResistanceBackend> EngineCore<B> {
         let mut misses = 0u64;
         let n = self.backend.node_count();
         let store = self.backend.store();
-        let permutation = self.backend.permutation();
-        for (slot, &(p, q)) in pairs.iter().enumerate() {
+        for (slot, &(sort_key, (p, q))) in pairs.iter().enumerate() {
             if let Some(reason) = cancel.and_then(CancelToken::cancelled) {
                 statuses.extend(
                     (slot..pairs.len()).map(|_| Err(EffresError::DeadlineExceeded { reason })),
                 );
                 break;
             }
-            if p >= n || q >= n {
+            if sort_key == OUT_OF_BOUNDS {
                 let err = EffresError::NodeOutOfBounds {
                     node: p.max(q),
                     node_count: n,
@@ -1083,33 +1102,29 @@ impl<B: ResistanceBackend> EngineCore<B> {
                 }
             }
             misses += 1;
-            let pp = permutation.new(p);
-            let qq = permutation.new(q);
             // Batches are sorted by permuted `(min, max)`, so runs of
             // queries sharing a permuted anchor are contiguous and their
             // suffix bounds ascend. For a run, scatter the anchor column's
             // suffix once — from the run's first (smallest) bound — and
             // answer each query with suffix lookups; isolated queries use
             // the two-pointer suffix merge directly (a scatter would cost
-            // more than it saves).
-            let (hub, partner) = (pp.min(qq), pp.max(qq));
-            let shares_hub = |other: &(usize, usize)| {
-                let (op, oq) = *other;
-                op < n && oq < n && {
-                    let (opp, oqq) = (permutation.new(op), permutation.new(oq));
-                    opp.min(oqq) == hub
-                }
-            };
-            let run = scratch.hub() == Some(hub) || pairs.get(slot + 1).is_some_and(shares_hub);
+            // more than it saves). Both kernels and the norm sum are
+            // symmetric, so answering `(hub, partner)` gives the bits of
+            // `(p, q)` in either orientation.
+            let (hub, partner) = ((sort_key >> 32) as usize, sort_key as u32 as usize);
+            let run = scratch.hub() == Some(hub)
+                || pairs
+                    .get(slot + 1)
+                    .is_some_and(|&(next, _)| next >> 32 == sort_key >> 32);
             let outcome = (|| {
                 let dot = if run {
                     scratch.load_suffix(store, hub, partner as u32)?;
                     scratch.suffix_dot(store, partner)?
                 } else {
-                    scratch.isolated_dot(store, pp, qq)?
+                    scratch.isolated_dot(store, hub, partner)?
                 };
-                let (np, nq) = self.norms_of(pp, qq)?;
-                Ok((np + nq - 2.0 * dot).max(0.0))
+                let (nh, np) = self.norms_of(hub, partner)?;
+                Ok((nh + np - 2.0 * dot).max(0.0))
             })();
             match outcome {
                 Ok(value) => {
@@ -1180,6 +1195,87 @@ mod tests {
                 (value - reference).abs() <= 1e-9 * reference.abs().max(1.0),
                 "({p},{q}): {value} vs {reference}"
             );
+        }
+    }
+
+    #[test]
+    fn partial_batches_fail_only_their_out_of_bounds_slots() {
+        let reference_engine = engine_for(
+            400,
+            EngineOptions {
+                threads: 1,
+                cache_capacity: 0,
+                ..EngineOptions::default()
+            },
+        );
+        let n = reference_engine.node_count();
+        // Out-of-bounds pairs (one side, both sides, `usize::MAX`) between
+        // self-pairs, a pair and its reverse, and repeats.
+        let mut pairs = vec![
+            (3, 200),
+            (n, 5),
+            (17, 17),
+            (200, 3),
+            (5, n + 7),
+            (3, 200),
+            (usize::MAX, 2),
+            (0, n - 1),
+            (n + 1, n + 1),
+            (17, 17),
+            (n - 1, 0),
+        ];
+        pairs.extend_from_slice(QueryBatch::random(600, n, 21).pairs());
+        pairs.push((9, n));
+        let batch = QueryBatch::from_pairs(pairs.clone());
+        let valid: Vec<(usize, usize)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(p, q)| p < n && q < n)
+            .collect();
+        let expected = reference_engine
+            .execute(&QueryBatch::from_pairs(valid))
+            .expect("valid pairs")
+            .values;
+        let expected_len = expected.len();
+        assert_eq!(pairs.len() - expected_len, 5);
+
+        for cache_capacity in [0, EngineOptions::default().cache_capacity] {
+            for threads in [1, 2] {
+                let engine = QueryEngine::new(
+                    Arc::clone(reference_engine.estimator()),
+                    EngineOptions {
+                        threads,
+                        cache_capacity,
+                        parallel_threshold: 8,
+                        ..EngineOptions::default()
+                    },
+                );
+                let result = engine.execute_partial(&batch);
+                assert_eq!(result.threads, threads);
+                assert_eq!(result.statuses.len(), pairs.len());
+                let mut expected = expected.iter();
+                for (&(p, q), status) in pairs.iter().zip(&result.statuses) {
+                    if p < n && q < n {
+                        let want = expected.next().expect("one answer per valid pair");
+                        let got = status.as_ref().expect("valid pairs succeed");
+                        assert_eq!(got.to_bits(), want.to_bits(), "({p}, {q})");
+                    } else {
+                        assert_eq!(
+                            status.as_ref().unwrap_err(),
+                            &EffresError::NodeOutOfBounds {
+                                node: p.max(q),
+                                node_count: n,
+                            }
+                        );
+                    }
+                }
+                assert_eq!(result.failures(), pairs.len() - expected_len);
+                if cache_capacity == 0 {
+                    assert_eq!(result.cache_hits, 0);
+                } else {
+                    assert!(result.cache_hits >= 3, "repeats and reverses hit");
+                }
+            }
         }
     }
 
@@ -1334,7 +1430,7 @@ mod tests {
         // The batch kernel path applies the same clamp.
         let mut scratch = HubScratch::new(n);
         let (statuses, _, _, _) = core
-            .run_slice_statuses(&[(a, b)], &mut scratch, true, None)
+            .run_slice_statuses(&[(cache_key(pp, qq), (a, b))], &mut scratch, true, None)
             .expect("slice");
         assert_eq!(*statuses[0].as_ref().expect("status"), 0.0);
     }

@@ -17,8 +17,9 @@
 //!   `QueryEngine::<PagedSnapshot>::execute_scheduled` clusters queries by
 //!   the pages they touch, pins blocks out of the cache budget and sweeps
 //!   the rest with coalesced readahead — same bits, a fraction of the I/O;
-//! * [`cache::ShardedLru`] — a sharded LRU of recent pair results in front
-//!   of the sparse kernel;
+//! * [`cache::ShardedLru`] — a striped, four-way set-associative cache of
+//!   recent pair results in front of the sparse kernel (one cache line per
+//!   probe, LRU within each set);
 //! * [`admission::AdmissionLedger`] — cross-batch admission control for the
 //!   paged backend: concurrent scheduled batches lease page-cache pin
 //!   capacity from one FIFO budget ledger, so many clients can run large

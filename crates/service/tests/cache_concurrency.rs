@@ -1,7 +1,7 @@
-//! The sharded LRU result cache under concurrent mixed traffic: updates are
-//! never lost or torn, eviction never corrupts surviving entries, and the
-//! engine's hit/miss accounting stays consistent while many threads share
-//! one cache.
+//! The striped, set-associative result cache under concurrent mixed
+//! traffic: updates are never lost or torn, eviction never corrupts
+//! surviving entries, and the engine's hit/miss accounting stays consistent
+//! while many threads share one cache.
 
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
@@ -96,7 +96,6 @@ fn concurrent_batches_keep_hit_miss_accounting_and_values_exact() {
         Arc::clone(&estimator),
         EngineOptions {
             cache_capacity: 64, // far fewer than the distinct pairs: eviction is constant
-            cache_shards: 4,
             threads: 4,
             parallel_threshold: 8,
             ..EngineOptions::default()
