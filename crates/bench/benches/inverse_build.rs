@@ -10,16 +10,18 @@
 //! is reported. The ordering itself is timed too (`ordering_seconds`), since
 //! the CLI's build pays for it before the factorization.
 //!
+//! Every timed row records the sample count and the spread (`n`, `min`,
+//! `median`, `max` seconds over `SAMPLES` runs); speedups compare medians.
 //! Besides the human-readable table the bench writes
 //! `BENCH_inverse_build.json` at the repository root so the perf trajectory
-//! is tracked across PRs. On hosts with a single available core the speedup
-//! column degenerates to ~1.0× by construction — the JSON records
-//! `hardware_threads` so consumers can tell scheduling overhead from a
-//! genuine regression.
+//! is tracked across PRs, together with the finished arena's bytes. On
+//! hosts with a single available core the speedup column degenerates to
+//! ~1.0× by construction — the JSON records `hardware_threads` so consumers
+//! can tell scheduling overhead from a genuine regression.
 
 use effres::approx_inverse::SparseApproximateInverse;
 use effres::BuildOptions;
-use effres_bench::report::{min_seconds, write_report, Json};
+use effres_bench::report::{write_report, Json, Sample};
 use effres_graph::{generators, laplacian::grounded_laplacian};
 use effres_sparse::ichol::{IcholOptions, IncompleteCholesky};
 use effres_sparse::{amd, LevelSchedule};
@@ -27,7 +29,7 @@ use effres_sparse::{amd, LevelSchedule};
 const SIDE: usize = 320; // 320 × 320 = 102 400 nodes
 const EPSILON: f64 = 1e-3;
 const DENSE_COLUMN_THRESHOLD: usize = 4;
-const SAMPLES: usize = 3;
+const SAMPLES: usize = 5;
 
 fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -36,8 +38,8 @@ fn main() {
     let graph = generators::grid_2d(SIDE, SIDE, 0.5, 2.0, 7).expect("generator");
     let lap = grounded_laplacian(&graph, 1.0);
     let perm = amd::amd(&lap).expect("amd");
-    let ordering_seconds = min_seconds(SAMPLES, false, || amd::amd(&lap).expect("amd"));
-    println!("ordering (minimum degree): {ordering_seconds:.3}s");
+    let ordering = Sample::time(SAMPLES, false, || amd::amd(&lap).expect("amd"));
+    println!("ordering (minimum degree): {}", spread(&ordering));
     let permuted = lap.permute_symmetric(&perm).expect("permute");
     let factor = IncompleteCholesky::factor(
         &permuted,
@@ -62,9 +64,11 @@ fn main() {
             .expect("Alg. 2")
     };
     let reference = build(&BuildOptions::sequential());
-    let sequential_seconds = min_seconds(SAMPLES, false, || build(&BuildOptions::sequential()));
+    let sequential = Sample::time(SAMPLES, false, || build(&BuildOptions::sequential()));
+    let arena_bytes = reference.footprint().total_bytes();
     println!(
-        "sequential: {sequential_seconds:.3}s  (inverse nnz {}, ratio {:.3})",
+        "sequential: {}  (inverse nnz {}, ratio {:.3}, arena {arena_bytes} B)",
+        spread(&sequential),
         reference.nnz(),
         reference.nnz_ratio()
     );
@@ -74,7 +78,7 @@ fn main() {
     // reused across every sample.
     let shared = std::sync::Arc::new(l.clone());
     let mut parallel_reports = Vec::new();
-    let mut best_speedup = 1.0f64;
+    let mut best_speedup = 0.0f64;
     for threads in [2usize, 4, 8] {
         let pool = effres_sparse::WorkerPool::new(threads);
         let options = BuildOptions {
@@ -103,13 +107,16 @@ fn main() {
             bit_identical,
             "{threads}-thread build is not bit-identical to the sequential build"
         );
-        let seconds = min_seconds(SAMPLES, false, || build(&options));
-        let speedup = sequential_seconds / seconds;
+        let seconds = Sample::time(SAMPLES, false, || build(&options));
+        let speedup = sequential.median / seconds.median;
         best_speedup = best_speedup.max(speedup);
-        println!("{threads} threads:  {seconds:.3}s  speedup {speedup:.2}x  bit-identical yes");
+        println!(
+            "{threads} threads:  {}  speedup {speedup:.2}x  bit-identical yes",
+            spread(&seconds)
+        );
         parallel_reports.push(Json::Obj(vec![
             ("threads", Json::Int(threads as u64)),
-            ("seconds", Json::Num(seconds)),
+            ("seconds", seconds.json()),
             ("speedup", Json::Num(speedup)),
             ("bit_identical", Json::Bool(bit_identical)),
         ]));
@@ -120,11 +127,13 @@ fn main() {
         ("nodes", Json::Int((SIDE * SIDE) as u64)),
         ("epsilon", Json::Num(EPSILON)),
         ("ordering", Json::Str("amd".to_string())),
-        ("ordering_seconds", Json::Num(ordering_seconds)),
+        ("ordering_seconds", ordering.json()),
         ("factor_nnz", Json::Int(l.nnz() as u64)),
         ("inverse_nnz", Json::Int(reference.nnz() as u64)),
-        // Bytes of row indices in the finished arena (u32 width — half of
-        // what a usize-indexed arena would hold on 64-bit hosts).
+        // Bytes of the finished arena (col_ptr + rows + vals), and of its
+        // row indices alone (u32 width — half of what a usize-indexed arena
+        // would hold on 64-bit hosts).
+        ("arena_bytes", Json::Int(arena_bytes as u64)),
         (
             "arena_index_bytes",
             Json::Int(reference.footprint().rows_bytes as u64),
@@ -136,8 +145,7 @@ fn main() {
         ("schedule_levels", Json::Int(schedule.num_levels() as u64)),
         ("schedule_mean_width", Json::Num(schedule.mean_width())),
         ("hardware_threads", Json::Int(hardware as u64)),
-        ("samples", Json::Int(SAMPLES as u64)),
-        ("sequential_seconds", Json::Num(sequential_seconds)),
+        ("sequential_seconds", sequential.json()),
         ("parallel", Json::Arr(parallel_reports)),
         ("best_speedup", Json::Num(best_speedup)),
     ]);
@@ -145,4 +153,12 @@ fn main() {
         Ok(path) => println!("report: {}", path.display()),
         Err(e) => eprintln!("could not write report: {e}"),
     }
+}
+
+/// `median [min, max] over n` in seconds, for the human-readable table.
+fn spread(sample: &Sample) -> String {
+    format!(
+        "{:.3}s [{:.3}, {:.3}] over {}",
+        sample.median, sample.min, sample.max, sample.n
+    )
 }

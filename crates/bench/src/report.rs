@@ -127,6 +127,56 @@ pub fn min_seconds<O>(samples: usize, warm_up: bool, mut routine: impl FnMut() -
     best
 }
 
+/// Wall-clock seconds of repeated runs of one routine: the sample count
+/// and the spread, not just the best run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sample {
+    /// Number of timed runs.
+    pub n: usize,
+    /// Fastest run.
+    pub min: f64,
+    /// Median run (the mean of the middle two for an even count).
+    pub median: f64,
+    /// Slowest run.
+    pub max: f64,
+}
+
+impl Sample {
+    /// Times `routine` for `samples` runs (at least one), after one
+    /// untimed warm-up when `warm_up` is set.
+    pub fn time<O>(samples: usize, warm_up: bool, mut routine: impl FnMut() -> O) -> Sample {
+        if warm_up {
+            std::hint::black_box(routine());
+        }
+        let mut seconds: Vec<f64> = (0..samples.max(1))
+            .map(|_| {
+                let start = std::time::Instant::now();
+                std::hint::black_box(routine());
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        seconds.sort_unstable_by(f64::total_cmp);
+        let n = seconds.len();
+        Sample {
+            n,
+            min: seconds[0],
+            median: (seconds[(n - 1) / 2] + seconds[n / 2]) / 2.0,
+            max: seconds[n - 1],
+        }
+    }
+
+    /// The sample as a JSON object with `n`, `min`, `median` and `max`
+    /// (seconds).
+    pub fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("n", Json::Int(self.n as u64)),
+            ("min", Json::Num(self.min)),
+            ("median", Json::Num(self.median)),
+            ("max", Json::Num(self.max)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +201,21 @@ mod tests {
     fn repo_root_contains_the_workspace_manifest() {
         assert!(repo_root().join("Cargo.toml").is_file());
         assert!(repo_root().join("crates/bench").is_dir());
+    }
+
+    #[test]
+    fn sample_orders_its_spread() {
+        let mut calls = 0;
+        let sample = Sample::time(4, true, || {
+            calls += 1;
+            (0..1000u64).sum::<u64>()
+        });
+        assert_eq!(calls, 5, "one warm-up plus four timed runs");
+        assert_eq!(sample.n, 4);
+        assert!(sample.min <= sample.median && sample.median <= sample.max);
+        assert!(sample.max < 1.0);
+        let rendered = sample.json().render();
+        assert!(rendered.starts_with(r#"{"n":4,"min":"#), "{rendered}");
     }
 
     #[test]

@@ -32,6 +32,19 @@
 //! a batch walking many columns streams through one arena instead of
 //! pointer-chasing per-column `Vec`s.
 //!
+//! # Building a column, and the build's memory
+//!
+//! Each candidate column `z*_j` is scattered into a dense accumulator. Its
+//! pattern starts with `j` and the rows of `z̃` of `j`'s elimination-tree
+//! parent, already sorted, so draining it sorts only the entries the other
+//! contributors add and merges the two runs. The drained column is pruned in
+//! place with integer magnitude keys (see `prune_tail`). Each column is
+//! written once. The sequential sweep writes it straight into the buffers
+//! the finished inverse keeps, last column first, and finishes in place by
+//! reversing the buffers and then each column: a sequential build peaks at
+//! one arena. The parallel sweep publishes columns in completion order and
+//! copies them into column order at the end, so its peak is two arenas.
+//!
 //! # Parallel construction
 //!
 //! Column `j` depends only on the columns `i > j` in `L`'s column-`j`
@@ -565,7 +578,7 @@ impl SparseApproximateInverse {
         } else {
             None
         };
-        let (store, stats) = match schedule {
+        let ((col_ptr, rows, vals), stats) = match schedule {
             Some(schedule) => {
                 // The pool workers need `'static` access to the factor: use
                 // the shared handle when the caller provided one, clone the
@@ -580,11 +593,15 @@ impl SparseApproximateInverse {
                         &transient
                     }
                 };
-                parallel_sweep(factor, diag, keep_limit, epsilon, schedule, threads, pool)
+                let (store, stats) =
+                    parallel_sweep(factor, diag, keep_limit, epsilon, schedule, threads, pool);
+                (store.into_csc(n), stats)
             }
-            None => sequential_sweep(factor.get(), &diag, keep_limit, epsilon),
+            None => {
+                let (store, stats) = sequential_sweep(factor.get(), &diag, keep_limit, epsilon);
+                (store.into_csc_in_place(), stats)
+            }
         };
-        let (col_ptr, rows, vals) = store.into_csc(n);
         Ok(SparseApproximateInverse {
             dim: n,
             col_ptr,
@@ -1017,10 +1034,13 @@ fn resolve_threads(configured: usize) -> usize {
 }
 
 /// The column store used *during* construction: columns live at arbitrary
-/// offsets of two flat buffers (completion order), with per-column
-/// `start`/`len` tables for random access. [`SweepStore::into_csc`]
-/// reorders it into the canonical column-ordered arena at the end, so the
-/// final layout is independent of how the sweep was scheduled.
+/// offsets of two flat buffers, with per-column `start`/`len` tables for
+/// random access. The sequential sweep appends straight onto `rows`/`vals`,
+/// last column first, and [`SweepStore::into_csc_in_place`] then puts the
+/// columns in order without a second arena. The parallel sweep appends
+/// whole chunks in completion order, and [`SweepStore::into_csc`] copies
+/// them into column order, so its final layout is independent of how the
+/// sweep was scheduled.
 struct SweepStore {
     start: Vec<usize>,
     len: Vec<usize>,
@@ -1059,7 +1079,8 @@ impl SweepStore {
         }
     }
 
-    /// Reorders the store into a canonical column-ordered CSC arena.
+    /// Copies the store into a canonical column-ordered CSC arena (the
+    /// parallel sweep's finish; it holds two arenas at its peak).
     fn into_csc(self, n: usize) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
         let total: usize = self.len.iter().sum();
         let mut col_ptr = Vec::with_capacity(n + 1);
@@ -1073,46 +1094,94 @@ impl SweepStore {
         }
         (col_ptr, rows, vals)
     }
+
+    /// Turns the sequential sweep's store — columns `n − 1, …, 0` back to
+    /// back — into the column-ordered CSC arena in place: reversing both
+    /// buffers puts the columns in order with each one reversed, and
+    /// reversing each column's segment restores its row order.
+    fn into_csc_in_place(self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        let SweepStore {
+            len,
+            mut rows,
+            mut vals,
+            ..
+        } = self;
+        rows.reverse();
+        vals.reverse();
+        let mut col_ptr = Vec::with_capacity(len.len() + 1);
+        col_ptr.push(0);
+        let mut end = 0;
+        for nnz in len {
+            let lo = end;
+            end += nnz;
+            rows[lo..end].reverse();
+            vals[lo..end].reverse();
+            col_ptr.push(end);
+        }
+        rows.shrink_to_fit();
+        vals.shrink_to_fit();
+        (col_ptr, rows, vals)
+    }
 }
 
-/// Assembles and prunes one column, appending it to `out_rows`/`out_vals`.
-/// Returns the stored nonzero count. This is the *only* numeric kernel of
-/// the build; the sequential and parallel sweeps both call it, which is what
-/// makes them bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn build_column(
+/// Scatters the candidate column `z*_j = (1 / L_jj) e_j + Σ (−L_ij / L_jj) z̃_i`
+/// into the empty accumulator `acc` and returns the length of the sorted run
+/// its pattern starts with.
+///
+/// The first column scattered is normally `z̃` of `j`'s elimination-tree
+/// parent, the first off-diagonal row of `L(:, j)`. Its rows all exceed `j`
+/// and arrive in increasing order, so the pattern starts with `j` followed
+/// by those rows; [`finish_column`] sorts only what the other contributors
+/// add after that run.
+///
+/// With [`finish_column`] this is the numeric kernel of the build; the
+/// sequential and parallel sweeps both call the pair with the same inputs,
+/// which is what makes them bit-identical.
+fn assemble_column(
     factor: &CscMatrix,
     j: usize,
     diag: f64,
-    keep_limit: usize,
-    epsilon: f64,
     store: &SweepStore,
     acc: &mut SparseAccumulator,
-    scratch: &mut PruneScratch,
-    out_rows: &mut Vec<u32>,
-    out_vals: &mut Vec<f64>,
-    stats: &mut ApproxInverseStats,
 ) -> usize {
     let rows = factor.column_rows(j);
     let vals = factor.column_values(j);
-    // z*_j = (1 / L_jj) e_j + Σ (−L_ij / L_jj) z̃_i.
     acc.add(j, 1.0 / diag);
+    let mut sorted_run = None;
     for (pos, &i) in rows.iter().enumerate() {
         if i <= j {
             continue;
         }
         let scale = -vals[pos] / diag;
         if scale != 0.0 {
-            acc.axpy_raw_u32(scale, store.rows_of(i), store.vals_of(i));
+            let column = store.rows_of(i);
+            sorted_run.get_or_insert(1 + column.len());
+            acc.axpy_raw_u32(scale, column, store.vals_of(i));
         }
     }
-    let start = out_rows.len();
-    let candidate_nnz = acc.take_append_u32(out_rows, out_vals);
+    sorted_run.unwrap_or(1)
+}
+
+/// Drains the column [`assemble_column`] left in `acc` onto the ends of
+/// `rows`/`vals`, prunes it there and returns its stored nonzero count.
+#[allow(clippy::too_many_arguments)]
+fn finish_column(
+    acc: &mut SparseAccumulator,
+    sorted_run: usize,
+    keep_limit: usize,
+    epsilon: f64,
+    rows: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+    scratch: &mut PruneScratch,
+    stats: &mut ApproxInverseStats,
+) -> usize {
+    let start = rows.len();
+    let candidate_nnz = acc.take_append_u32(rows, vals, sorted_run);
     let nnz = if candidate_nnz <= keep_limit {
         stats.small_columns_kept += 1;
         candidate_nnz
     } else {
-        let dropped = prune_tail(out_rows, out_vals, start, epsilon, scratch);
+        let dropped = prune_tail(rows, vals, start, epsilon, scratch);
         stats.pruned_entries += dropped;
         candidate_nnz - dropped
     };
@@ -1121,7 +1190,8 @@ fn build_column(
     nnz
 }
 
-/// The reference backward sweep: one column at a time, last to first.
+/// The reference backward sweep: one column at a time, last to first, each
+/// written once onto the end of the store's own buffers.
 fn sequential_sweep(
     factor: &CscMatrix,
     diag: &[f64],
@@ -1133,25 +1203,19 @@ fn sequential_sweep(
     let mut stats = ApproxInverseStats::default();
     let mut acc = SparseAccumulator::new(n);
     let mut scratch = PruneScratch::default();
-    let mut tmp_rows: Vec<u32> = Vec::new();
-    let mut tmp_vals = Vec::new();
     for j in (0..n).rev() {
-        let nnz = build_column(
-            factor,
-            j,
-            diag[j],
+        let sorted_run = assemble_column(factor, j, diag[j], &store, &mut acc);
+        store.start[j] = store.rows.len();
+        store.len[j] = finish_column(
+            &mut acc,
+            sorted_run,
             keep_limit,
             epsilon,
-            &store,
-            &mut acc,
+            &mut store.rows,
+            &mut store.vals,
             &mut scratch,
-            &mut tmp_rows,
-            &mut tmp_vals,
             &mut stats,
         );
-        store.append(&[(j, nnz)], &tmp_rows, &tmp_vals);
-        tmp_rows.clear();
-        tmp_vals.clear();
     }
     (store, stats)
 }
@@ -1186,10 +1250,10 @@ impl SweepScratch {
 /// pool jobs; workers compute into per-slot scratch under a shared read
 /// lock, publish under the write lock, and the blocking round submission is
 /// the per-level synchronization point (replacing the old scoped threads and
-/// barrier). Because [`build_column`] runs with the same inputs and
-/// floating-point order regardless of chunking — and [`SweepStore::into_csc`]
-/// canonicalizes the arena afterwards — the result is bit-identical to the
-/// sequential sweep for any pool size.
+/// barrier). Because [`assemble_column`] and [`finish_column`] run with the
+/// same inputs and floating-point order regardless of chunking — and
+/// [`SweepStore::into_csc`] canonicalizes the arena afterwards — the result
+/// is bit-identical to the sequential sweep for any pool size.
 fn parallel_sweep(
     factor: Arc<CscMatrix>,
     diag: Vec<f64>,
@@ -1232,17 +1296,16 @@ fn parallel_sweep(
                     {
                         let read = store.read().expect("column store lock poisoned");
                         for &j in &schedule.level(li)[lo..hi] {
-                            let nnz = build_column(
-                                &factor,
-                                j,
-                                diag[j],
+                            let sorted_run =
+                                assemble_column(&factor, j, diag[j], &read, &mut scratch.acc);
+                            let nnz = finish_column(
+                                &mut scratch.acc,
+                                sorted_run,
                                 keep_limit,
                                 epsilon,
-                                &read,
-                                &mut scratch.acc,
-                                &mut scratch.prune,
                                 &mut scratch.rows,
                                 &mut scratch.vals,
+                                &mut scratch.prune,
                                 &mut scratch.stats,
                             );
                             scratch.cols.push((j, nnz));
@@ -1282,9 +1345,11 @@ fn parallel_sweep(
 /// Reusable workspace of [`prune_tail`].
 #[derive(Default)]
 struct PruneScratch {
-    mags: Vec<f64>,
-    order: Vec<u32>,
-    dropped: Vec<bool>,
+    /// The candidate's magnitudes as integer keys, permuted by selection.
+    keys: Vec<u64>,
+    /// How many entries the previous column dropped: where the next
+    /// column's first selection starts looking for its cut.
+    hint: usize,
 }
 
 /// Applies the `trunc_k` pruning rule (Eq. (10)) to the candidate column
@@ -1292,13 +1357,21 @@ struct PruneScratch {
 /// place and returning the number of dropped entries.
 ///
 /// The rule drops the largest set of smallest-magnitude entries whose
-/// absolute values sum to at most `epsilon * ‖x‖₁` (ties broken towards
-/// dropping larger indices, so the result is deterministic). The dropped
-/// count is found by *partial selection* instead of a full sort: the `d`
-/// smallest magnitudes are exposed through exponentially growing
-/// `select_nth_unstable` prefixes and only those prefixes are sorted, so
-/// pruning a `k`-entry column costs `O(k + d log d)` expected for `d`
-/// dropped entries instead of the `O(k log k)` of sorting every magnitude.
+/// absolute values sum to at most `epsilon * ‖x‖₁`, with `‖x‖₁` summed in
+/// row order and the dropped magnitudes summed in ascending order (ties
+/// broken towards dropping larger indices, so the result is deterministic).
+///
+/// Magnitudes are ranked by the integer key `v.abs().to_bits()`: for floats
+/// with the sign bit cleared, integer order is `total_cmp` order. The
+/// smallest keys are exposed through `select_nth_unstable` prefixes that
+/// double in size, the first one sized from the previous column's dropped
+/// count (see [`PruneScratch::hint`]); only those prefixes are sorted, so a
+/// `k`-entry column that drops `d` entries costs `O(k log d)` expected, and
+/// one selection in the common case. The last dropped key is the cut. One
+/// branch-free pass then keeps every entry above the cut and drops every
+/// entry below it. Entries equal to the cut are all dropped unless the next
+/// key up equals it too; only then does a backward counting pass find
+/// which of them to keep.
 fn prune_tail(
     rows: &mut Vec<u32>,
     vals: &mut Vec<f64>,
@@ -1316,70 +1389,67 @@ fn prune_tail(
         return 0;
     }
     let budget = epsilon * norm1;
+    scratch.keys.clear();
+    scratch.keys.extend(tail.iter().map(|v| v.abs().to_bits()));
 
-    // Phase 1 — count the dropped entries: scan magnitudes in ascending
-    // order, accumulating while the running sum stays within the budget.
-    // Selection exposes each next chunk of smallest magnitudes without
-    // sorting the (much larger) kept remainder; chunks double so columns
-    // that drop little stop after inspecting only a handful of entries.
-    scratch.mags.clear();
-    scratch.mags.extend(tail.iter().map(|v| v.abs()));
-    let mags = &mut scratch.mags[..];
+    // Count the dropped entries: scan keys in ascending order, accumulating
+    // magnitudes while the running sum stays within the budget. `above` is
+    // the first key that did not fit, if any.
+    let keys = &mut scratch.keys[..];
     let mut dropped = 0usize;
     let mut acc = 0.0f64;
+    let mut above = None;
     let mut lo = 0usize;
-    let mut chunk = 8usize;
+    let mut chunk = scratch.hint + scratch.hint / 4 + 8;
     'count: while lo < k {
         let hi = (lo + chunk).min(k);
         if hi < k {
-            mags[lo..].select_nth_unstable_by(hi - lo - 1, |a, b| a.total_cmp(b));
+            keys[lo..].select_nth_unstable(hi - lo - 1);
         }
-        mags[lo..hi].sort_unstable_by(|a, b| a.total_cmp(b));
-        for idx in lo..hi {
-            if acc + mags[idx] <= budget {
-                acc += mags[idx];
+        keys[lo..hi].sort_unstable();
+        for &key in &keys[lo..hi] {
+            let magnitude = f64::from_bits(key);
+            if acc + magnitude <= budget {
+                acc += magnitude;
                 dropped += 1;
             } else {
+                above = Some(key);
                 break 'count;
             }
         }
         lo = hi;
         chunk *= 2;
     }
+    scratch.hint = dropped;
     if dropped == 0 {
         return 0;
     }
-    // `epsilon < 1` makes `dropped == k` all but impossible, but an epsilon
-    // one ulp below 1 can round the budget up to the full column sum; the
-    // phases below handle that fine (the column empties), so it is not
-    // asserted away — a panicking build worker would deadlock its siblings
-    // at the level barrier.
+    // A budget close to ‖x‖₁ can let every entry fit (`dropped == k`); the
+    // passes below then empty the column.
+    let cut = keys[dropped - 1];
 
-    // Phase 2 — identify *which* entries to drop: the `dropped` smallest
-    // under (magnitude ascending, index descending), one more selection.
-    let tail = &vals[start..];
-    scratch.order.clear();
-    scratch.order.extend(0..k as u32);
-    scratch.order.select_nth_unstable_by(dropped - 1, |&a, &b| {
-        tail[a as usize]
-            .abs()
-            .total_cmp(&tail[b as usize].abs())
-            .then(b.cmp(&a))
-    });
-    scratch.dropped.clear();
-    scratch.dropped.resize(k, false);
-    for &p in &scratch.order[..dropped] {
-        scratch.dropped[p as usize] = true;
+    // Entries equal to the cut at positions from `ties_from` on are dropped,
+    // those before it kept. Without a tie at the cut every such entry is
+    // among the `dropped` smallest, so all are dropped.
+    let mut ties_from = start;
+    if above == Some(cut) {
+        let below = keys[..dropped].partition_point(|&key| key < cut);
+        let mut to_drop = dropped - below;
+        ties_from = rows.len();
+        while to_drop > 0 {
+            ties_from -= 1;
+            to_drop -= usize::from(vals[ties_from].abs().to_bits() == cut);
+        }
     }
 
-    // Phase 3 — compact in place; the kept entries stay in index order.
+    // Compact in place; the kept entries stay in index order.
     let mut w = start;
-    for r in 0..k {
-        if !scratch.dropped[r] {
-            rows[w] = rows[start + r];
-            vals[w] = vals[start + r];
-            w += 1;
-        }
+    for r in start..rows.len() {
+        let key = vals[r].abs().to_bits();
+        let keep = (key > cut) | ((key == cut) & (r < ties_from));
+        rows[w] = rows[r];
+        vals[w] = vals[r];
+        w += usize::from(keep);
     }
     rows.truncate(w);
     vals.truncate(w);
@@ -1437,6 +1507,100 @@ mod tests {
         let dropped = prune_tail(&mut rows, &mut vals, 0, epsilon, &mut scratch);
         let rows = rows.into_iter().map(|i| i as usize).collect();
         (SparseVec::from_sorted(x.dim(), rows, vals), dropped)
+    }
+
+    /// Reusable workspace of [`prune_tail_reference`].
+    #[derive(Default)]
+    struct ReferenceScratch {
+        mags: Vec<f64>,
+        order: Vec<u32>,
+        dropped: Vec<bool>,
+    }
+
+    /// The pruning rule before integer keys, kept unchanged as the oracle of
+    /// [`prune_tail`]: doubling `total_cmp` selections from a first chunk of
+    /// 8 count the dropped entries, an index selection under (magnitude
+    /// ascending, index descending) picks them, and a mask compacts the
+    /// column.
+    fn prune_tail_reference(
+        rows: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+        start: usize,
+        epsilon: f64,
+        scratch: &mut ReferenceScratch,
+    ) -> usize {
+        let k = rows.len() - start;
+        if k == 0 || epsilon == 0.0 {
+            return 0;
+        }
+        let tail = &vals[start..];
+        let norm1: f64 = tail.iter().map(|v| v.abs()).sum();
+        if norm1 == 0.0 {
+            return 0;
+        }
+        let budget = epsilon * norm1;
+
+        // Phase 1 — count the dropped entries: scan magnitudes in ascending
+        // order, accumulating while the running sum stays within the budget.
+        // Selection exposes each next chunk of smallest magnitudes without
+        // sorting the (much larger) kept remainder; chunks double so columns
+        // that drop little stop after inspecting only a handful of entries.
+        scratch.mags.clear();
+        scratch.mags.extend(tail.iter().map(|v| v.abs()));
+        let mags = &mut scratch.mags[..];
+        let mut dropped = 0usize;
+        let mut acc = 0.0f64;
+        let mut lo = 0usize;
+        let mut chunk = 8usize;
+        'count: while lo < k {
+            let hi = (lo + chunk).min(k);
+            if hi < k {
+                mags[lo..].select_nth_unstable_by(hi - lo - 1, |a, b| a.total_cmp(b));
+            }
+            mags[lo..hi].sort_unstable_by(|a, b| a.total_cmp(b));
+            for idx in lo..hi {
+                if acc + mags[idx] <= budget {
+                    acc += mags[idx];
+                    dropped += 1;
+                } else {
+                    break 'count;
+                }
+            }
+            lo = hi;
+            chunk *= 2;
+        }
+        if dropped == 0 {
+            return 0;
+        }
+        // Phase 2 — identify *which* entries to drop: the `dropped` smallest
+        // under (magnitude ascending, index descending), one more selection.
+        let tail = &vals[start..];
+        scratch.order.clear();
+        scratch.order.extend(0..k as u32);
+        scratch.order.select_nth_unstable_by(dropped - 1, |&a, &b| {
+            tail[a as usize]
+                .abs()
+                .total_cmp(&tail[b as usize].abs())
+                .then(b.cmp(&a))
+        });
+        scratch.dropped.clear();
+        scratch.dropped.resize(k, false);
+        for &p in &scratch.order[..dropped] {
+            scratch.dropped[p as usize] = true;
+        }
+
+        // Phase 3 — compact in place; the kept entries stay in index order.
+        let mut w = start;
+        for r in 0..k {
+            if !scratch.dropped[r] {
+                rows[w] = rows[start + r];
+                vals[w] = vals[start + r];
+                w += 1;
+            }
+        }
+        rows.truncate(w);
+        vals.truncate(w);
+        dropped
     }
 
     #[test]
@@ -1860,6 +2024,107 @@ mod tests {
             assert_eq!(dropped, expected_dropped, "case {case}");
             assert_eq!(pruned.indices(), &expected_indices[..], "case {case}");
         }
+    }
+
+    #[test]
+    fn prune_with_integer_keys_matches_the_reference_rule() {
+        // Seeded candidate columns behind a prefix of earlier columns, in
+        // four value families: heavy ties, magnitudes spread over many
+        // decades, a few large values over a sea of equal small ones (ties
+        // at the cut), and signed values with zeros of both signs.
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut scratch = PruneScratch::default();
+        let mut reference_scratch = ReferenceScratch::default();
+        let (mut ties_at_cut, mut emptied) = (0, 0);
+        for case in 0..12_000u64 {
+            let k = 1 + (next() % 500) as usize;
+            let start = 1 + (next() % 24) as usize;
+            let mut row = 0u32;
+            let rows: Vec<u32> = (0..start + k)
+                .map(|_| {
+                    row += 1 + (next() % 4) as u32;
+                    row
+                })
+                .collect();
+            let vals: Vec<f64> = (0..start + k)
+                .map(|_| match case % 4 {
+                    0 => (next() % 16) as f64 / 4.0 + 0.25,
+                    1 => {
+                        (1.0 + (next() % 1024) as f64 / 1024.0) * 0.5f64.powi((next() % 40) as i32)
+                    }
+                    2 if next() % 8 == 0 => 1.0 + (next() % 100) as f64,
+                    2 => 1e-3 * (1 + next() % 2) as f64,
+                    _ => {
+                        let v = (next() % 8) as f64 * 0.125;
+                        if next() % 2 == 0 {
+                            -v
+                        } else {
+                            v
+                        }
+                    }
+                })
+                .collect();
+            // ε log-uniform over [1e-3, 0.9]; every 500th case uses 1, where
+            // the whole column fits the budget and empties.
+            let epsilon = if case % 500 == 499 {
+                1.0
+            } else {
+                1e-3 * 900f64.powf((next() % 10_001) as f64 / 10_000.0)
+            };
+            // Odd cases start from an arbitrary hint; even ones carry the
+            // previous case's, as the sweep does.
+            if case % 2 == 1 {
+                scratch.hint = (next() % 600) as usize;
+            }
+            let (mut rows_new, mut vals_new) = (rows.clone(), vals.clone());
+            let (mut rows_ref, mut vals_ref) = (rows.clone(), vals.clone());
+            let dropped = prune_tail(&mut rows_new, &mut vals_new, start, epsilon, &mut scratch);
+            let expected = prune_tail_reference(
+                &mut rows_ref,
+                &mut vals_ref,
+                start,
+                epsilon,
+                &mut reference_scratch,
+            );
+            assert_eq!(dropped, expected, "case {case}: dropped count");
+            assert_eq!(rows_new, rows_ref, "case {case}: kept rows");
+            assert!(
+                vals_new
+                    .iter()
+                    .zip(&vals_ref)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "case {case}: kept value bits"
+            );
+            assert_eq!(
+                &rows_new[..start],
+                &rows[..start],
+                "case {case}: prefix rows"
+            );
+            assert!(
+                vals_new[..start]
+                    .iter()
+                    .zip(&vals[..start])
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "case {case}: prefix value bits"
+            );
+            let mut keys: Vec<u64> = vals[start..].iter().map(|v| v.abs().to_bits()).collect();
+            keys.sort_unstable();
+            if expected > 0 && expected < k && keys[expected] == keys[expected - 1] {
+                ties_at_cut += 1;
+            }
+            emptied += usize::from(expected == k);
+        }
+        assert!(
+            ties_at_cut >= 1_000,
+            "only {ties_at_cut} cases tie at the cut"
+        );
+        assert!(emptied >= 10, "only {emptied} cases empty their column");
     }
 
     #[test]

@@ -263,26 +263,15 @@ impl SparseAccumulator {
     /// Panics if the dimensions differ.
     pub fn axpy(&mut self, alpha: f64, x: &SparseVec) {
         assert_eq!(x.dim(), self.dim(), "dimension mismatch");
-        self.axpy_raw(alpha, x.indices(), x.values());
-    }
-
-    /// Adds `alpha * x` where `x` is given as parallel index/value slices —
-    /// the column representation of a flat CSC arena (see the
-    /// approximate-inverse column store in the `effres` crate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or an index is out of bounds.
-    pub fn axpy_raw(&mut self, alpha: f64, indices: &[usize], values: &[f64]) {
-        assert_eq!(indices.len(), values.len(), "index/value length mismatch");
-        for (&i, &v) in indices.iter().zip(values) {
+        for (i, v) in x.iter() {
             self.add(i, alpha * v);
         }
     }
 
-    /// [`SparseAccumulator::axpy_raw`] over `u32` indices — the narrowed
-    /// index width of the flat CSC arena, which stores row indices as `u32`
-    /// so the query path moves half the index bytes.
+    /// Adds `alpha * x` where `x` is given as parallel `u32` index / `f64`
+    /// value slices — a column of a flat CSC arena, which stores row
+    /// indices as `u32` so the query path moves half the index bytes (see
+    /// the approximate-inverse column store in the `effres` crate).
     ///
     /// # Panics
     ///
@@ -314,47 +303,68 @@ impl SparseAccumulator {
     }
 
     /// Appends the accumulated entries, in sorted index order, to the ends of
-    /// `rows` and `vals`, clears the accumulator and returns the number of
-    /// entries appended.
+    /// `rows` and `vals` (an arena's `u32` row buffer and its value buffer),
+    /// clears the accumulator and returns the number of entries appended.
     ///
     /// This is the allocation-free counterpart of
     /// [`SparseAccumulator::take`]: arena-style column stores call it to
     /// deposit a finished column directly at the tail of their flat buffers.
-    pub fn take_append(&mut self, rows: &mut Vec<usize>, vals: &mut Vec<f64>) -> usize {
-        self.pattern.sort_unstable();
-        let nnz = self.pattern.len();
-        rows.reserve(nnz);
-        vals.reserve(nnz);
-        for &i in &self.pattern {
-            rows.push(i);
-            vals.push(self.values[i]);
-            self.values[i] = 0.0;
-            self.occupied[i] = false;
-        }
-        self.pattern.clear();
-        nnz
-    }
-
-    /// [`SparseAccumulator::take_append`] into `u32` row buffers (the arena's
-    /// narrowed index width).
+    ///
+    /// The pattern is kept in insertion order, and `sorted_prefix` tells the
+    /// drain how many of its first entries are already strictly increasing
+    /// — for example `1 + x.len()` after adding one index below every index
+    /// of `x` and then scattering the sorted vector `x` into an otherwise
+    /// empty accumulator. Only the entries after that run are sorted; the
+    /// two runs are then merged while draining. A `sorted_prefix` of `0`
+    /// sorts the whole pattern. The result is the same for every valid
+    /// `sorted_prefix`.
     ///
     /// # Panics
     ///
-    /// Panics if an accumulated index does not fit in `u32`; arena builders
-    /// guard their dimension (`n ≤ u32::MAX`) before accumulating, so this
-    /// only fires on a caller bug.
-    pub fn take_append_u32(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<f64>) -> usize {
-        self.pattern.sort_unstable();
-        let nnz = self.pattern.len();
+    /// Panics if `sorted_prefix` exceeds [`SparseAccumulator::nnz`], if the
+    /// first `sorted_prefix` entries are not strictly increasing, or if an
+    /// accumulated index does not fit in `u32`; arena builders guard their
+    /// dimension (`n ≤ u32::MAX`) before accumulating, so the last only
+    /// fires on a caller bug.
+    pub fn take_append_u32(
+        &mut self,
+        rows: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+        sorted_prefix: usize,
+    ) -> usize {
+        let SparseAccumulator {
+            values,
+            occupied,
+            pattern,
+        } = self;
+        let nnz = pattern.len();
+        assert!(sorted_prefix <= nnz, "sorted prefix exceeds the pattern");
+        let (run, rest) = pattern.split_at_mut(sorted_prefix);
+        assert!(
+            run.windows(2).all(|w| w[0] < w[1]),
+            "the sorted prefix is not strictly increasing"
+        );
+        rest.sort_unstable();
         rows.reserve(nnz);
         vals.reserve(nnz);
-        for &i in &self.pattern {
+        let mut drain = |i: usize| {
             rows.push(u32::try_from(i).expect("accumulator index exceeds u32"));
-            vals.push(self.values[i]);
-            self.values[i] = 0.0;
-            self.occupied[i] = false;
+            vals.push(values[i]);
+            values[i] = 0.0;
+            occupied[i] = false;
+        };
+        let mut next = 0;
+        for &i in rest.iter() {
+            while next < run.len() && run[next] < i {
+                drain(run[next]);
+                next += 1;
+            }
+            drain(i);
         }
-        self.pattern.clear();
+        for &i in &run[next..] {
+            drain(i);
+        }
+        pattern.clear();
         nnz
     }
 
@@ -434,22 +444,112 @@ mod tests {
         let mut a = SparseAccumulator::new(5);
         let mut b = SparseAccumulator::new(5);
         let x = SparseVec::from_sorted(5, vec![0, 2, 4], vec![1.0, -2.0, 3.0]);
+        let x_rows: Vec<u32> = x.indices().iter().map(|&i| i as u32).collect();
         a.axpy(2.0, &x);
         a.add(1, 0.5);
-        b.axpy_raw(2.0, x.indices(), x.values());
+        b.axpy_raw_u32(2.0, &x_rows, x.values());
         b.add(1, 0.5);
         let taken = a.take();
-        let mut rows = vec![9usize]; // pre-existing tail content must survive
+        let mut rows = vec![9u32]; // pre-existing tail content must survive
         let mut vals = vec![7.0];
-        let nnz = b.take_append(&mut rows, &mut vals);
+        let nnz = b.take_append_u32(&mut rows, &mut vals, 3);
         assert_eq!(nnz, taken.nnz());
-        assert_eq!(&rows[1..], taken.indices());
+        let appended: Vec<usize> = rows[1..].iter().map(|&i| i as usize).collect();
+        assert_eq!(appended, taken.indices());
         assert_eq!(&vals[1..], taken.values());
         assert_eq!((rows[0], vals[0]), (9, 7.0));
         // Both accumulators are reusable afterwards.
         a.add(3, 1.0);
         b.add(3, 1.0);
         assert_eq!(a.take().to_dense(), b.take().to_dense());
+    }
+
+    /// Deterministic xorshift stream for the randomized drain tests.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Fills `acc` the way the approximate-inverse sweep does: one entry,
+    /// then a sorted vector of larger indices into the otherwise empty
+    /// accumulator, then scaled vectors over arbitrary indices (some new,
+    /// some already present). Returns the length of the sorted run the
+    /// pattern starts with.
+    fn fill_like_a_sweep(acc: &mut SparseAccumulator, rng: &mut Xorshift) -> usize {
+        let dim = acc.dim();
+        let first = rng.below(dim);
+        acc.add(first, 1.0 + rng.below(4) as f64);
+        let sorted: Vec<usize> = (first + 1..dim).filter(|_| rng.below(3) != 0).collect();
+        for &i in &sorted {
+            acc.add(i, rng.below(1000) as f64 / 7.0);
+        }
+        for _ in 0..rng.below(4) {
+            for _ in 0..rng.below(dim) {
+                acc.add(rng.below(dim), -(rng.below(1000) as f64) / 3.0);
+            }
+        }
+        1 + sorted.len()
+    }
+
+    #[test]
+    fn drain_merges_a_sorted_prefix_like_a_full_sort() {
+        let mut rng = Xorshift(0x2545_f491_4f6c_dd1d);
+        let mut acc = SparseAccumulator::new(64);
+        let mut oracle = SparseAccumulator::new(64);
+        for case in 0..300 {
+            let run = fill_like_a_sweep(&mut oracle, &mut Xorshift(case + 1));
+            let expected = oracle.take();
+            // Every prefix of the sorted run is itself a valid run length.
+            for sorted_prefix in 0..=run {
+                assert_eq!(fill_like_a_sweep(&mut acc, &mut Xorshift(case + 1)), run);
+                let mut rows = vec![7u32, 3];
+                let mut vals = vec![-1.5, 2.5];
+                let nnz = acc.take_append_u32(&mut rows, &mut vals, sorted_prefix);
+                assert_eq!(nnz, expected.nnz(), "case {case}, prefix {sorted_prefix}");
+                assert_eq!((&rows[..2], &vals[..2]), (&[7u32, 3][..], &[-1.5, 2.5][..]));
+                assert!(rows[2..]
+                    .iter()
+                    .map(|&i| i as usize)
+                    .eq(expected.indices().iter().copied()));
+                assert!(vals[2..]
+                    .iter()
+                    .zip(expected.values())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+                // Empty afterwards, with nothing left behind in the dense
+                // workspace: a fresh entry comes back alone.
+                assert_eq!(acc.nnz(), 0);
+                let probe = rng.below(64);
+                acc.add(probe, 0.25);
+                assert_eq!(acc.take(), SparseVec::single(64, probe, 0.25));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted prefix exceeds the pattern")]
+    fn drain_rejects_a_prefix_longer_than_the_pattern() {
+        let mut acc = SparseAccumulator::new(4);
+        acc.add(1, 1.0);
+        acc.take_append_u32(&mut Vec::new(), &mut Vec::new(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the sorted prefix is not strictly increasing")]
+    fn drain_rejects_an_unsorted_prefix() {
+        let mut acc = SparseAccumulator::new(4);
+        acc.add(2, 1.0);
+        acc.add(1, 1.0);
+        acc.take_append_u32(&mut Vec::new(), &mut Vec::new(), 2);
     }
 
     #[test]
