@@ -31,8 +31,8 @@ use effres::prelude::*;
 use effres_bench::report::{write_report, Json};
 use effres_io::paged::{open_paged, PagedOptions};
 use effres_io::snapshot::save_snapshot;
-use effres_server::{Client, ClientError, ServedEngine, Server};
-use effres_service::{EngineOptions, LatencyHistogram, QueryBatch, QueryEngine};
+use effres_server::{Client, ClientError, PartialBatch, Server};
+use effres_service::{EngineOptions, LatencyHistogram, QueryBatch, QueryEngine, ResistanceBackend};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,7 +91,7 @@ fn main() {
             })
             .collect();
         let row = serve_and_load(
-            ServedEngine::Resident(engine),
+            engine,
             None,
             REQUEST_PAIRS,
             &per_connection,
@@ -156,7 +156,7 @@ fn main() {
             })
             .collect();
         let row = serve_and_load(
-            ServedEngine::Paged(engine),
+            engine,
             Some(3),
             QUERIES,
             &per_connection,
@@ -266,7 +266,7 @@ fn deadline_goodput() -> Json {
             ..EngineOptions::default()
         },
     );
-    let server = Server::bind("127.0.0.1:0", ServedEngine::Paged(engine), Some(3)).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, Some(3)).expect("bind");
     let addr = server.local_addr();
     let runner = std::thread::spawn(move || server.run());
 
@@ -290,7 +290,10 @@ fn deadline_goodput() -> Json {
             let mut client = Client::connect(addr).expect("storm connect");
             while !flag.load(Ordering::Relaxed) {
                 match deadline {
-                    Some(budget) => match client.query_batch_deadline(&storm_pairs, budget) {
+                    Some(budget) => match client
+                        .query_batch_with(&storm_pairs, false, Some(budget))
+                        .and_then(PartialBatch::into_values)
+                    {
                         Ok(_) | Err(ClientError::DeadlineExceeded(_)) => {}
                         Err(other) => panic!("storm must be shed cleanly: {other}"),
                     },
@@ -395,8 +398,8 @@ fn min_wall(samples: usize, mut work: impl FnMut()) -> f64 {
 /// Serves `engine` on an ephemeral port, drives each connection's request
 /// chunks through its own TCP client concurrently, and returns the JSON
 /// row. `request_pairs` only labels the row; the chunks carry the pairs.
-fn serve_and_load(
-    engine: ServedEngine,
+fn serve_and_load<B: ResistanceBackend>(
+    engine: QueryEngine<B>,
     snapshot_version: Option<u32>,
     request_pairs: usize,
     per_connection: &[Vec<Vec<(u64, u64)>>],

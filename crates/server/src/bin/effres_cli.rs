@@ -35,8 +35,11 @@ use effres_io::dataset::{load_graph, IngestOptions};
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::{load_snapshot, save_snapshot, Snapshot};
 use effres_io::{pairs, IoError};
-use effres_server::{Client, ClientError, ServedEngine, Server, ServerOptions};
-use effres_service::{EngineOptions, LatencyHistogram, QueryBatch, QueryEngine};
+use effres_server::{Client, ClientError, PartialBatch, Server, ServerOptions};
+use effres_service::{
+    BatchResult, EngineOptions, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine,
+    ResistanceBackend,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -116,9 +119,6 @@ PAGED OPTIONS (snapshot inputs; out-of-core serving):
     --columns-per-page <n>  columns decoded per page      [default: 64]
     --readahead <n>         scheduled-batch readahead window, in pages
                             (0 = auto-size from the cache budget)
-    --no-schedule           batch only: answer in arrival order instead of
-                            through the locality scheduler (slow; the
-                            bit-identical reference path)
 
 SERVE OPTIONS:
     --host <h>              listen address               [default: 127.0.0.1]
@@ -241,7 +241,6 @@ struct Options {
     paged: bool,
     columns_per_page: Option<usize>,
     readahead: usize,
-    no_schedule: bool,
     dense: bool,
     host: String,
     port: u16,
@@ -280,7 +279,6 @@ impl Default for Options {
             paged: false,
             columns_per_page: None,
             readahead: 0,
-            no_schedule: false,
             dense: false,
             host: "127.0.0.1".to_string(),
             port: 7878,
@@ -394,7 +392,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 options.readahead =
                     parse_number(&value_of("--readahead", &mut iter)?, "--readahead")?
             }
-            "--no-schedule" => options.no_schedule = true,
             "--dense" => options.dense = true,
             "--host" => options.host = value_of("--host", &mut iter)?,
             "--port" => options.port = parse_number(&value_of("--port", &mut iter)?, "--port")?,
@@ -886,69 +883,71 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         // pages in its two columns, so it is the honest time-to-first-query.
         let boot = Instant::now();
         let paged = obtain_paged(&path, &options)?;
-        let labels = if options.dense {
-            None
-        } else {
-            paged.labels.clone()
-        };
-        let map = label_map(&labels);
-        let node_count = paged.node_count();
-        let batch = build_batch(source, &labels, &map, node_count, options.seed)?;
-        let engine = QueryEngine::new(
-            Arc::new(paged),
-            EngineOptions {
-                threads: options.threads,
-                cache_capacity: options.cache,
-                pool: Some(pool.clone()),
-                readahead_pages: options.readahead,
-                ..EngineOptions::default()
-            },
-        );
-        if let Some(&(p, q)) = batch.pairs().first() {
-            engine.query(p, q)?;
-            println!(
-                "cold start first query answered {:.3}s after open began",
-                boot.elapsed().as_secs_f64()
-            );
-        }
-        // Batches run through the locality scheduler by default: queries are
-        // clustered by the pages they touch, blocks are pinned and drained,
-        // and the hi side is swept with coalesced readahead. `--no-schedule`
-        // keeps the arrival-order reference path (bit-identical, far more
-        // page traffic).
-        let result = if options.no_schedule {
-            engine.execute(&batch)?
-        } else {
-            engine.execute_scheduled(&batch)?
-        };
-        return serve_batch(
-            &result,
-            &batch,
-            &labels,
-            options.output.as_deref(),
-            pool.threads(),
+        let labels = paged.labels.clone();
+        return run_batch(paged, labels, source, &options, &pool, Some(boot));
+    }
+    let snapshot = obtain_snapshot(&path, &options)?;
+    run_batch(
+        snapshot.estimator,
+        snapshot.labels,
+        source,
+        &options,
+        &pool,
+        None,
+    )
+}
+
+/// The engine options every command serves with: the CLI's thread, cache,
+/// readahead and admission flags on the shared worker pool (resident
+/// backends ignore the paged-only knobs).
+fn engine_options(options: &Options, pool: &WorkerPool) -> EngineOptions {
+    EngineOptions {
+        threads: options.threads,
+        cache_capacity: options.cache,
+        pool: Some(pool.clone()),
+        readahead_pages: options.readahead,
+        admission_queue_depth: (options.admission_depth > 0).then_some(options.admission_depth),
+        admission_timeout: Duration::from_millis(options.admission_timeout_ms),
+        ..EngineOptions::default()
+    }
+}
+
+/// Executes a batch the way a server does ([`QueryEngine::execute_with`]:
+/// paged batches run through the locality scheduler, which clusters
+/// queries by the pages they touch, pins blocks and sweeps the hi side with
+/// coalesced readahead).
+fn execute<B: ResistanceBackend>(
+    engine: &QueryEngine<B>,
+    batch: &QueryBatch,
+) -> Result<BatchResult, CliError> {
+    Ok(engine
+        .execute_with(batch, &ExecOptions::default())
+        .map_err(|abort| abort.error)?)
+}
+
+/// `batch` over an opened backend: resolves the pairs against its labels
+/// (unless `--dense`), reports the cold start when `boot` says when opening
+/// began, runs the batch and prints its summary.
+fn run_batch<B: ResistanceBackend>(
+    backend: B,
+    labels: Option<Vec<u64>>,
+    source: Source<'_>,
+    options: &Options,
+    pool: &WorkerPool,
+    boot: Option<Instant>,
+) -> Result<(), CliError> {
+    let labels = if options.dense { None } else { labels };
+    let map = label_map(&labels);
+    let batch = build_batch(source, &labels, &map, backend.node_count(), options.seed)?;
+    let engine = QueryEngine::new(Arc::new(backend), engine_options(options, pool));
+    if let (Some(boot), Some(&(p, q))) = (boot, batch.pairs().first()) {
+        engine.query(p, q)?;
+        println!(
+            "cold start first query answered {:.3}s after open began",
+            boot.elapsed().as_secs_f64()
         );
     }
-
-    let snapshot = obtain_snapshot(&path, &options)?;
-    let labels = if options.dense {
-        None
-    } else {
-        snapshot.labels.clone()
-    };
-    let map = label_map(&labels);
-    let node_count = snapshot.estimator.node_count();
-    let batch = build_batch(source, &labels, &map, node_count, options.seed)?;
-    let engine = QueryEngine::new(
-        Arc::new(snapshot.estimator),
-        EngineOptions {
-            threads: options.threads,
-            cache_capacity: options.cache,
-            pool: Some(pool.clone()),
-            ..EngineOptions::default()
-        },
-    );
-    let result = engine.execute(&batch)?;
+    let result = execute(&engine, &batch)?;
     serve_batch(
         &result,
         &batch,
@@ -1002,13 +1001,6 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
     let graph = ds.graph;
     let batch = QueryBatch::all_edges(&graph);
 
-    let engine_options = EngineOptions {
-        threads: options.threads,
-        cache_capacity: options.cache,
-        pool: Some(pool.clone()),
-        readahead_pages: options.readahead,
-        ..EngineOptions::default()
-    };
     let check_nodes = |served: usize| -> Result<(), CliError> {
         if graph.node_count() > served {
             return Err(CliError::Run(format!(
@@ -1023,18 +1015,21 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
         Some(snap) if options.paged => {
             let paged = obtain_paged(&snap, &options)?;
             check_nodes(paged.node_count())?;
-            let engine = QueryEngine::new(Arc::new(paged), engine_options);
-            if options.no_schedule {
-                engine.execute(&batch)?
-            } else {
-                engine.execute_scheduled(&batch)?
-            }
+            execute(
+                &QueryEngine::new(Arc::new(paged), engine_options(&options, &pool)),
+                &batch,
+            )?
         }
         Some(snap) => {
             let snapshot = obtain_snapshot(&snap, &options)?;
             check_nodes(snapshot.estimator.node_count())?;
-            let engine = QueryEngine::new(Arc::new(snapshot.estimator), engine_options);
-            engine.execute(&batch)?
+            execute(
+                &QueryEngine::new(
+                    Arc::new(snapshot.estimator),
+                    engine_options(&options, &pool),
+                ),
+                &batch,
+            )?
         }
         None => {
             let start = Instant::now();
@@ -1045,8 +1040,10 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
                 estimator.stats().inverse_nnz,
                 start.elapsed().as_secs_f64()
             );
-            let engine = QueryEngine::new(Arc::new(estimator), engine_options);
-            engine.execute(&batch)?
+            execute(
+                &QueryEngine::new(Arc::new(estimator), engine_options(&options, &pool)),
+                &batch,
+            )?
         }
     };
 
@@ -1217,49 +1214,38 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Builds the served engine from a dataset or snapshot path, reporting the
-/// timings — shared by `serve` startup and `OP_RELOAD`, so a hot reload
-/// goes through exactly the code path a fresh start would (on the same
-/// worker pool).
+/// Opens the served engine from a path, reporting the timings, and returns
+/// it with the snapshot format version it came from — shared by `serve`
+/// startup and `OP_RELOAD`, so a hot reload goes through exactly the code
+/// path a fresh start would (on the same worker pool).
 ///
 /// The server speaks dense node ids, so labels are not needed here; a
 /// client that has dataset ids maps them with `query --dense` semantics.
-fn build_engine(
+type Opener<B> =
+    fn(&Path, &Options, &WorkerPool) -> Result<(QueryEngine<B>, Option<u32>), CliError>;
+
+/// The paged [`Opener`]: a snapshot served out of core.
+fn open_paged_engine(
     path: &Path,
     options: &Options,
     pool: &WorkerPool,
-) -> Result<(ServedEngine, Option<u32>), CliError> {
-    if options.paged {
-        let paged = obtain_paged(path, options)?;
-        let version = paged.version;
-        let engine = QueryEngine::new(
-            Arc::new(paged),
-            EngineOptions {
-                threads: options.threads,
-                cache_capacity: options.cache,
-                pool: Some(pool.clone()),
-                readahead_pages: options.readahead,
-                admission_queue_depth: (options.admission_depth > 0)
-                    .then_some(options.admission_depth),
-                admission_timeout: Duration::from_millis(options.admission_timeout_ms),
-                ..EngineOptions::default()
-            },
-        );
-        Ok((ServedEngine::Paged(engine), Some(version)))
-    } else {
-        let snapshot = obtain_snapshot(path, options)?;
-        let version = snapshot.version;
-        let engine = QueryEngine::new(
-            Arc::new(snapshot.estimator),
-            EngineOptions {
-                threads: options.threads,
-                cache_capacity: options.cache,
-                pool: Some(pool.clone()),
-                ..EngineOptions::default()
-            },
-        );
-        Ok((ServedEngine::Resident(engine), version))
-    }
+) -> Result<(QueryEngine<PagedSnapshot>, Option<u32>), CliError> {
+    let paged = obtain_paged(path, options)?;
+    let version = paged.version;
+    let engine = QueryEngine::new(Arc::new(paged), engine_options(options, pool));
+    Ok((engine, Some(version)))
+}
+
+/// The resident [`Opener`]: a snapshot loaded, or a dataset built, into
+/// memory.
+fn open_resident_engine(
+    path: &Path,
+    options: &Options,
+    pool: &WorkerPool,
+) -> Result<(QueryEngine, Option<u32>), CliError> {
+    let snapshot = obtain_snapshot(path, options)?;
+    let engine = QueryEngine::new(Arc::new(snapshot.estimator), engine_options(options, pool));
+    Ok((engine, snapshot.version))
 }
 
 /// SIGINT/SIGTERM handling for `serve`, std-only: the handler just flips an
@@ -1299,6 +1285,14 @@ mod sig {
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let options = parse_options(args)?;
+    if options.paged {
+        serve(options, open_paged_engine)
+    } else {
+        serve(options, open_resident_engine)
+    }
+}
+
+fn serve<B: ResistanceBackend>(options: Options, open: Opener<B>) -> Result<(), CliError> {
     let path = require_input(&options)?.to_path_buf();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let workers = if options.threads == 0 {
@@ -1307,7 +1301,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         options.threads
     };
     let pool = WorkerPool::new(workers);
-    let (engine, version) = build_engine(&path, &options, &pool)?;
+    let (engine, version) = open(&path, &options, &pool)?;
     let addr = format!("{}:{}", options.host, options.port);
     let server_options = ServerOptions {
         frame_deadline: Duration::from_secs(options.frame_deadline_secs.max(1)),
@@ -1320,13 +1314,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let snapshot_path = is_snapshot(&path).then(|| path.clone());
     let server = Server::bind_with(&addr, engine, version, snapshot_path, server_options)
         .map_err(|e| CliError::Run(format!("cannot bind {addr}: {e}")))?;
-    // Hot reloads rebuild through `build_engine` with the same serve options
-    // and the same worker pool; `options` moves into the closure (nothing
-    // below needs it).
+    // Hot reloads reopen through the same opener with the same serve
+    // options and the same worker pool; `options` moves into the closure
+    // (nothing below needs it).
     {
         let pool = pool.clone();
         server.set_reloader(move |new_path: &Path| {
-            build_engine(new_path, &options, &pool).map_err(|e| match e {
+            open(new_path, &options, &pool).map_err(|e| match e {
                 CliError::Usage(message) | CliError::Run(message) => message,
             })
         });
@@ -1340,7 +1334,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         "serving on {} — {} nodes, {} backend, {served}, {workers} worker(s)",
         server.local_addr(),
         epoch.engine.node_count(),
-        epoch.engine.backend_kind(),
+        epoch.engine.backend().kind(),
     );
     println!(
         "stop with `effres-cli bench-client <addr> --requests 0 --shutdown`, SIGINT, or \
@@ -1514,11 +1508,11 @@ fn cmd_bench_client(args: &[String]) -> Result<(), CliError> {
                             })
                             .collect();
                         tally.batches += 1;
-                        let outcome = if deadline_ms > 0 {
-                            client.query_batch_deadline(&pairs, Duration::from_millis(deadline_ms))
-                        } else {
-                            client.query_batch(&pairs)
-                        };
+                        let deadline =
+                            (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+                        let outcome = client
+                            .query_batch_with(&pairs, false, deadline)
+                            .and_then(PartialBatch::into_values);
                         match outcome {
                             Ok(_) => {
                                 tally.ok_batches += 1;

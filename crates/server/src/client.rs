@@ -17,11 +17,10 @@
 //! back off and retry rather than give up.
 
 use crate::protocol::{
-    read_frame, write_frame, Health, PayloadReader, OP_BATCH, OP_BATCH_DEADLINE, OP_BATCH_OK,
-    OP_BATCH_PARTIAL, OP_BATCH_PARTIAL_DEADLINE, OP_BATCH_PARTIAL_OK, OP_BUSY, OP_DEADLINE,
-    OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_PING, OP_PING_OK, OP_QUERY, OP_QUERY_OK, OP_RELOAD,
-    OP_RELOAD_OK, OP_SHUTDOWN, OP_SHUTDOWN_OK, OP_STATS, OP_STATS_OK, STATUS_BUSY, STATUS_DEADLINE,
-    STATUS_OK,
+    read_frame, write_frame, Health, PayloadReader, BATCH_FLAG_PARTIAL, OP_BATCH, OP_BATCH_OK,
+    OP_BATCH_PARTIAL_OK, OP_BUSY, OP_DEADLINE, OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_PING,
+    OP_PING_OK, OP_QUERY, OP_QUERY_OK, OP_RELOAD, OP_RELOAD_OK, OP_SHUTDOWN, OP_SHUTDOWN_OK,
+    OP_STATS, OP_STATS_OK, STATUS_BUSY, STATUS_DEADLINE, STATUS_OK,
 };
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -56,8 +55,8 @@ pub struct PingReport {
     /// brownout) or draining (shutdown in progress).
     pub health: Health,
     /// Whether the brownout overload controller currently holds the server
-    /// in degraded mode (trimmed readahead, `OP_BATCH` served in partial
-    /// mode).
+    /// in degraded mode (trimmed readahead, fail-fast batches served in
+    /// partial mode).
     pub brownout: bool,
     /// The snapshot file the current epoch serves, when it came from one.
     pub snapshot_path: Option<String>,
@@ -76,9 +75,9 @@ pub struct ReloadReport {
     pub snapshot_version: Option<u32>,
 }
 
-/// A batch answered in partial-results mode: per-query status bytes (the
-/// `STATUS_*` constants in [`crate::protocol`]) next to per-query values
-/// (0.0 where the status is a failure).
+/// A batch answer with per-query status bytes (the `STATUS_*` constants in
+/// [`crate::protocol`]) next to per-query values (0.0 where the status is a
+/// failure) — what [`Client::query_batch_with`] returns in either mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialBatch {
     /// Per-query status byte, in request order.
@@ -97,6 +96,23 @@ impl PartialBatch {
     /// batch would have returned, bit for bit).
     pub fn is_complete(&self) -> bool {
         self.failed == 0
+    }
+
+    /// The values of a complete batch; a batch cut short surfaces as the
+    /// typed error of its dominant failure — a deadline miss, then a shed,
+    /// then any other failure.
+    pub fn into_values(self) -> Result<Vec<f64>, ClientError> {
+        if self.is_complete() {
+            return Ok(self.values);
+        }
+        let message = self.first_failure.unwrap_or_default();
+        Err(if self.statuses.contains(&STATUS_DEADLINE) {
+            ClientError::DeadlineExceeded(message)
+        } else if self.statuses.contains(&STATUS_BUSY) {
+            ClientError::Busy(message)
+        } else {
+            ClientError::Remote(message)
+        })
     }
 }
 
@@ -314,86 +330,71 @@ impl Client {
     /// Effective resistances for a batch of dense node-id pairs, in the
     /// order given. A server in brownout answers in partial mode; a fully
     /// answered batch still returns its (bit-identical) values, a cut-short
-    /// one surfaces as the typed error of its dominant failure.
+    /// one surfaces as the typed error of its dominant failure (see
+    /// [`PartialBatch::into_values`]).
     pub fn query_batch(&mut self, pairs: &[(u64, u64)]) -> Result<Vec<f64>, ClientError> {
-        self.batch_values(&batch_request(OP_BATCH, pairs), pairs.len())
+        self.query_batch_with(pairs, false, None)?.into_values()
     }
 
-    /// [`Client::query_batch`] with a deadline: the server sheds the batch
-    /// up front when the deadline cannot be met, abandons remaining work
-    /// the moment it expires mid-computation, and answers
-    /// [`ClientError::DeadlineExceeded`] either way. The deadline is also
-    /// the disconnect budget — hanging up cancels the server-side work.
-    pub fn query_batch_deadline(
+    /// A batch with explicit failure handling and an optional deadline.
+    ///
+    /// With `partial`, queries that hit a failed page (or an out-of-bounds
+    /// id, a mid-batch shed, or the deadline) come back with a failure
+    /// status instead of failing the whole batch; successful values are
+    /// bit-identical to the plain batch path, and the abandoned tail of a
+    /// deadline miss carries [`STATUS_DEADLINE`]. Without it, the batch is
+    /// all or nothing (a server in brownout may still answer it in partial
+    /// mode).
+    ///
+    /// With a `deadline`, the server sheds the batch up front when the
+    /// deadline cannot be met and abandons remaining work the moment it
+    /// expires mid-computation; a batch shed or abandoned whole answers
+    /// [`ClientError::DeadlineExceeded`]. Sub-millisecond deadlines round
+    /// up to 1 ms. Hanging up cancels the server-side work either way.
+    pub fn query_batch_with(
         &mut self,
         pairs: &[(u64, u64)],
-        deadline: Duration,
-    ) -> Result<Vec<f64>, ClientError> {
-        let request = batch_request_deadline(OP_BATCH_DEADLINE, deadline, pairs);
-        self.batch_values(&request, pairs.len())
-    }
-
-    fn batch_values(&mut self, request: &[u8], expected: usize) -> Result<Vec<f64>, ClientError> {
+        partial: bool,
+        deadline: Option<Duration>,
+    ) -> Result<PartialBatch, ClientError> {
+        let deadline_ms = deadline.map_or(0, |deadline| {
+            u32::try_from(deadline.as_millis())
+                .unwrap_or(u32::MAX)
+                .max(1)
+        });
+        let mut request = Vec::with_capacity(10 + pairs.len() * 16);
+        request.push(OP_BATCH);
+        request.push(if partial { BATCH_FLAG_PARTIAL } else { 0 });
+        request.extend_from_slice(&deadline_ms.to_le_bytes());
+        request.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for &(p, q) in pairs {
+            request.extend_from_slice(&p.to_le_bytes());
+            request.extend_from_slice(&q.to_le_bytes());
+        }
         let (opcode, payload) =
-            self.round_trip_any(request, &[OP_BATCH_OK, OP_BATCH_PARTIAL_OK])?;
-        if opcode == OP_BATCH_OK {
-            let mut reader = PayloadReader::new(&payload);
-            let count = reader.u32().map_err(bad_reply)? as usize;
-            if count != expected {
-                return Err(ClientError::Protocol(format!(
-                    "batch answered {count} values for {expected} pairs"
-                )));
-            }
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(reader.f64().map_err(bad_reply)?);
-            }
-            reader.finish().map_err(bad_reply)?;
-            return Ok(values);
+            self.round_trip_any(&request, &[OP_BATCH_OK, OP_BATCH_PARTIAL_OK])?;
+        if opcode == OP_BATCH_PARTIAL_OK {
+            return parse_partial(&payload, pairs.len());
         }
-        // Brownout alternate: the server answered in partial mode. Complete
-        // answers are as good as OP_BATCH_OK; otherwise surface the typed
-        // error of the dominant failure.
-        let partial = parse_partial(&payload, expected)?;
-        if partial.failed == 0 {
-            return Ok(partial.values);
+        let mut reader = PayloadReader::new(&payload);
+        let count = reader.u32().map_err(bad_reply)? as usize;
+        if count != pairs.len() {
+            return Err(ClientError::Protocol(format!(
+                "batch answered {count} values for {} pairs",
+                pairs.len()
+            )));
         }
-        let message = partial.first_failure.clone().unwrap_or_default();
-        if partial.statuses.contains(&STATUS_DEADLINE) {
-            Err(ClientError::DeadlineExceeded(message))
-        } else if partial.statuses.contains(&STATUS_BUSY) {
-            Err(ClientError::Busy(message))
-        } else {
-            Err(ClientError::Remote(message))
+        let mut values = Vec::with_capacity(count);
+        for _ in 0..count {
+            values.push(reader.f64().map_err(bad_reply)?);
         }
-    }
-
-    /// Like [`Client::query_batch`], but in partial-results mode: queries
-    /// that hit a failed page (or an out-of-bounds id, or a mid-batch shed)
-    /// come back with a failure status instead of failing the whole batch.
-    /// Successful values are bit-identical to the plain batch path.
-    pub fn query_batch_partial(
-        &mut self,
-        pairs: &[(u64, u64)],
-    ) -> Result<PartialBatch, ClientError> {
-        let payload =
-            self.round_trip(&batch_request(OP_BATCH_PARTIAL, pairs), OP_BATCH_PARTIAL_OK)?;
-        parse_partial(&payload, pairs.len())
-    }
-
-    /// [`Client::query_batch_partial`] with a deadline: queries answered
-    /// before the deadline tripped keep their bit-identical values; the
-    /// abandoned tail carries [`STATUS_DEADLINE`] statuses. A batch shed
-    /// whole (deadline unmeetable up front) answers
-    /// [`ClientError::DeadlineExceeded`].
-    pub fn query_batch_partial_deadline(
-        &mut self,
-        pairs: &[(u64, u64)],
-        deadline: Duration,
-    ) -> Result<PartialBatch, ClientError> {
-        let request = batch_request_deadline(OP_BATCH_PARTIAL_DEADLINE, deadline, pairs);
-        let payload = self.round_trip(&request, OP_BATCH_PARTIAL_OK)?;
-        parse_partial(&payload, pairs.len())
+        reader.finish().map_err(bad_reply)?;
+        Ok(PartialBatch {
+            statuses: vec![STATUS_OK; count],
+            values,
+            failed: 0,
+            first_failure: None,
+        })
     }
 
     /// The server's stats document (JSON).
@@ -424,8 +425,8 @@ impl Client {
     }
 
     /// [`Client::round_trip`] for requests with more than one acceptable
-    /// response opcode (a brownout server answers `OP_BATCH` in partial
-    /// mode); returns which one arrived alongside the body.
+    /// response opcode (a batch answers `OP_BATCH_OK` or
+    /// `OP_BATCH_PARTIAL_OK`); returns which one arrived alongside the body.
     fn round_trip_any(
         &mut self,
         request: &[u8],
@@ -470,36 +471,6 @@ impl Client {
 
 fn bad_reply(e: io::Error) -> ClientError {
     ClientError::Protocol(format!("malformed response body: {e}"))
-}
-
-/// Encodes an `OP_BATCH`-shaped request body under `opcode`.
-fn batch_request(opcode: u8, pairs: &[(u64, u64)]) -> Vec<u8> {
-    let mut request = Vec::with_capacity(5 + pairs.len() * 16);
-    request.push(opcode);
-    request.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for &(p, q) in pairs {
-        request.extend_from_slice(&p.to_le_bytes());
-        request.extend_from_slice(&q.to_le_bytes());
-    }
-    request
-}
-
-/// Encodes a deadline-carrying batch request: `u32 deadline_ms` before the
-/// count. Sub-millisecond deadlines round up to 1 ms (0 means "no deadline"
-/// on the wire).
-fn batch_request_deadline(opcode: u8, deadline: Duration, pairs: &[(u64, u64)]) -> Vec<u8> {
-    let deadline_ms = u32::try_from(deadline.as_millis())
-        .unwrap_or(u32::MAX)
-        .max(1);
-    let mut request = Vec::with_capacity(9 + pairs.len() * 16);
-    request.push(opcode);
-    request.extend_from_slice(&deadline_ms.to_le_bytes());
-    request.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for &(p, q) in pairs {
-        request.extend_from_slice(&p.to_le_bytes());
-        request.extend_from_slice(&q.to_le_bytes());
-    }
-    request
 }
 
 /// Decodes an [`OP_BATCH_PARTIAL_OK`] body into a [`PartialBatch`],

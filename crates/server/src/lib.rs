@@ -19,9 +19,10 @@
 //! stats / …) ride along unchanged.
 //!
 //! ```no_run
-//! use effres_server::{Client, ServedEngine, Server};
+//! use effres_server::{Client, Server};
+//! use effres_service::QueryEngine;
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! # let engine: ServedEngine = unimplemented!();
+//! # let engine: QueryEngine = unimplemented!();
 //! let server = Server::bind("127.0.0.1:0", engine, Some(3))?;
 //! let addr = server.local_addr();
 //! std::thread::spawn(move || server.run());
@@ -45,4 +46,4 @@ pub use client::{
     Client, ClientError, PartialBatch, PingReport, ReconnectPolicy, ReloadReport, ServerInfo,
 };
 pub use protocol::Health;
-pub use server::{EngineEpoch, Reloader, ServedEngine, Server, ServerHandle, ServerOptions};
+pub use server::{EngineEpoch, Reloader, Server, ServerHandle, ServerOptions};

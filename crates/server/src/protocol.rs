@@ -13,10 +13,8 @@
 //! |---|---|---|---|
 //! | [`OP_HELLO`] | — | [`OP_HELLO_OK`] | `u64 node_count, u8 backend (0 resident / 1 paged), u32 snapshot_version (0 = built in memory)` |
 //! | [`OP_QUERY`] | `u64 p, u64 q` | [`OP_QUERY_OK`] | `f64 resistance` |
-//! | [`OP_BATCH`] | `u32 count, count × (u64 p, u64 q)` | [`OP_BATCH_OK`] | `u32 count, count × f64` |
-//! | [`OP_BATCH_PARTIAL`] | `u32 count, count × (u64 p, u64 q)` | [`OP_BATCH_PARTIAL_OK`] | `u32 count, u32 failed, count × u8 status, count × f64, UTF-8 first-failure message` |
-//! | [`OP_BATCH_DEADLINE`] | `u32 deadline_ms, u32 count, count × (u64 p, u64 q)` | [`OP_BATCH_OK`] | as `OP_BATCH` (may instead draw [`OP_BATCH_PARTIAL_OK`] under brownout, or [`OP_DEADLINE`]) |
-//! | [`OP_BATCH_PARTIAL_DEADLINE`] | `u32 deadline_ms, u32 count, count × (u64 p, u64 q)` | [`OP_BATCH_PARTIAL_OK`] | as `OP_BATCH_PARTIAL` (may instead draw [`OP_DEADLINE`]) |
+//! | [`OP_BATCH`] | `u8 flags (bit 0 = partial, other bits must be 0), u32 deadline_ms (0 = none), u32 count, count × (u64 p, u64 q)` | [`OP_BATCH_OK`] | `u32 count, count × f64` (a fail-fast batch) |
+//! | | | [`OP_BATCH_PARTIAL_OK`] | `u32 count, u32 failed, count × u8 status, count × f64, UTF-8 first-failure message` (a partial batch, or a fail-fast one cut short under brownout) |
 //! | [`OP_PING`] | — | [`OP_PING_OK`] | `u8 backend (0 resident / 1 paged), u64 node_count, f64 uptime_secs, u64 epoch, u8 health (0 ok / 1 degraded / 2 draining), u8 brownout (0 off / 1 on), UTF-8 snapshot path (may be empty)` |
 //! | [`OP_STATS`] | — | [`OP_STATS_OK`] | UTF-8 JSON (see [`crate::server`]) |
 //! | [`OP_SHUTDOWN`] | — | [`OP_SHUTDOWN_OK`] | — (the server then stops accepting and drains) |
@@ -26,22 +24,28 @@
 //! node id, malformed body, unknown opcode) — the connection stays usable —
 //! or [`OP_BUSY`] when the server sheds the request under overload: the
 //! request was well-formed, the client should back off and retry.
-//! A deadline-carrying batch whose deadline expired — or that the server
-//! judged unmeetable up front — draws [`OP_DEADLINE`] instead: unlike
-//! `OP_BUSY`, retrying the same request with the same deadline is
-//! pointless; the client should relax the deadline or shrink the batch.
+//! A batch whose deadline expired — or that the server judged unmeetable
+//! up front — draws [`OP_DEADLINE`] instead: unlike `OP_BUSY`, retrying the
+//! same request with the same deadline is pointless; the client should
+//! relax the deadline or shrink the batch.
 //! `deadline_ms` is the client's end-to-end budget in milliseconds from the
 //! moment the server parses the request; `0` means no deadline (the request
-//! is still cancelled if the client disconnects mid-computation).
+//! is still cancelled if the client disconnects mid-computation). A batch
+//! body with reserved flag bits set, or whose count disagrees with its
+//! size, draws `OP_ERROR` like any other malformed request.
 //! Frames over [`MAX_FRAME_BYTES`] are rejected without allocation — that
 //! caps a batch at about four million pairs, far above anything the engine
 //! wants in one piece anyway.
 //!
 //! A partial-batch response carries one status byte per query
 //! ([`STATUS_OK`], [`STATUS_STORE_FAILURE`], [`STATUS_OUT_OF_BOUNDS`],
-//! [`STATUS_BUSY`]) followed by one `f64` per query (0.0 where the status
-//! is a failure), so a poisoned page degrades the queries that touch it
-//! instead of failing the whole batch.
+//! [`STATUS_BUSY`], [`STATUS_OTHER`], [`STATUS_DEADLINE`]) followed by one
+//! `f64` per query (0.0 where the status is a failure), so a poisoned page
+//! degrades the queries that touch it instead of failing the whole batch.
+//!
+//! Opcodes `0x07`, `0x09` and `0x0A` are reserved: a client speaking the
+//! earlier protocol, which sent its partial and deadline-carrying batches
+//! there, draws `OP_ERROR` instead of having its body misread.
 
 use std::io::{self, Read, Write};
 
@@ -49,7 +53,12 @@ use std::io::{self, Read, Write};
 pub const OP_HELLO: u8 = 0x01;
 /// One pair query (dense ids).
 pub const OP_QUERY: u8 = 0x02;
-/// A batch of pair queries (dense ids).
+/// A batch of pair queries (dense ids), with a flags byte
+/// ([`BATCH_FLAG_PARTIAL`]) and an optional deadline. The server sheds the
+/// batch up front when its service-time estimate says the deadline cannot
+/// be met, and abandons the remaining work — at the next chunk boundary,
+/// never mid-kernel — when the deadline expires or the client disconnects
+/// mid-computation.
 pub const OP_BATCH: u8 = 0x03;
 /// Server statistics as JSON.
 pub const OP_STATS: u8 = 0x04;
@@ -57,25 +66,16 @@ pub const OP_STATS: u8 = 0x04;
 pub const OP_SHUTDOWN: u8 = 0x05;
 /// Health check: round-trips engine liveness without touching columns.
 pub const OP_PING: u8 = 0x06;
-/// A batch of pair queries answered in partial-results mode: per-query
-/// statuses instead of all-or-nothing.
-pub const OP_BATCH_PARTIAL: u8 = 0x07;
 /// Hot reload: atomically swap the served engine to the snapshot named in
 /// the body (a UTF-8 path the *server* process can read). In-flight requests
 /// finish on the old epoch; every request accepted after the swap serves the
 /// new one.
 pub const OP_RELOAD: u8 = 0x08;
-/// [`OP_BATCH`] with a deadline: the body carries a `u32 deadline_ms`
-/// budget before the count. The server sheds the batch up front when its
-/// service-time estimate says the deadline cannot be met, and abandons the
-/// remaining work — at the next chunk boundary, never mid-kernel — when the
-/// deadline expires or the client disconnects mid-computation.
-pub const OP_BATCH_DEADLINE: u8 = 0x09;
-/// [`OP_BATCH_PARTIAL`] with a deadline (same body prefix as
-/// [`OP_BATCH_DEADLINE`]): queries answered before the deadline tripped
-/// keep their bit-identical values; the abandoned tail carries
-/// [`STATUS_DEADLINE`].
-pub const OP_BATCH_PARTIAL_DEADLINE: u8 = 0x0A;
+/// [`OP_BATCH`] flag bit: answer in partial-results mode — per-query
+/// statuses in an [`OP_BATCH_PARTIAL_OK`] instead of all-or-nothing. Queries
+/// answered before a deadline tripped keep their bit-identical values; the
+/// abandoned tail carries [`STATUS_DEADLINE`].
+pub const BATCH_FLAG_PARTIAL: u8 = 0x01;
 
 /// Response to [`OP_HELLO`].
 pub const OP_HELLO_OK: u8 = 0x81;
@@ -89,14 +89,14 @@ pub const OP_STATS_OK: u8 = 0x84;
 pub const OP_SHUTDOWN_OK: u8 = 0x85;
 /// Response to [`OP_PING`].
 pub const OP_PING_OK: u8 = 0x86;
-/// Response to [`OP_BATCH_PARTIAL`].
+/// Response to a partial [`OP_BATCH`] (see [`BATCH_FLAG_PARTIAL`]).
 pub const OP_BATCH_PARTIAL_OK: u8 = 0x87;
 /// Response to [`OP_RELOAD`]: the new engine is live.
 pub const OP_RELOAD_OK: u8 = 0x88;
-/// Deadline response to a deadline-carrying batch: the deadline expired
-/// mid-computation (or was judged unmeetable up front) and the whole batch
-/// was abandoned; body is a UTF-8 message. Unlike [`OP_BUSY`] this is not
-/// an invitation to retry as-is — relax the deadline or shrink the batch.
+/// Deadline response to a batch: its deadline expired mid-computation (or
+/// was judged unmeetable up front) and the whole batch was abandoned; body
+/// is a UTF-8 message. Unlike [`OP_BUSY`] this is not an invitation to
+/// retry as-is — relax the deadline or shrink the batch.
 pub const OP_DEADLINE: u8 = 0xFD;
 /// Overload response to any request: the server shed it (admission queue
 /// full or lease timeout); body is a UTF-8 message. Back off and retry.

@@ -8,7 +8,10 @@
 //! `Sync`, batches fan out on its worker pool, the pair cache is sharded,
 //! and — on the paged backend — concurrent batches lease pin capacity from
 //! the engine's admission ledger, so many clients can run large batches
-//! without over-pinning the page cache.
+//! without over-pinning the page cache. The server is generic over the
+//! engine's [`ResistanceBackend`]; every [`OP_BATCH`] goes through one
+//! handler and [`QueryEngine::execute_with`], which runs paged batches
+//! through the locality scheduler.
 //!
 //! Shutdown is cooperative and **graceful**: an [`OP_SHUTDOWN`]
 //! request (or [`ServerHandle::shutdown`], which the CLI's SIGINT/SIGTERM
@@ -43,17 +46,17 @@
 //! and overall queries-per-second throughput.
 
 use crate::protocol::{
-    write_frame, Health, PayloadReader, MAX_FRAME_BYTES, OP_BATCH, OP_BATCH_DEADLINE, OP_BATCH_OK,
-    OP_BATCH_PARTIAL, OP_BATCH_PARTIAL_DEADLINE, OP_BATCH_PARTIAL_OK, OP_BUSY, OP_DEADLINE,
-    OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_PING, OP_PING_OK, OP_QUERY, OP_QUERY_OK, OP_RELOAD,
-    OP_RELOAD_OK, OP_SHUTDOWN, OP_SHUTDOWN_OK, OP_STATS, OP_STATS_OK, STATUS_BUSY, STATUS_DEADLINE,
-    STATUS_OK, STATUS_OTHER, STATUS_OUT_OF_BOUNDS, STATUS_STORE_FAILURE,
+    write_frame, Health, PayloadReader, BATCH_FLAG_PARTIAL, MAX_FRAME_BYTES, OP_BATCH, OP_BATCH_OK,
+    OP_BATCH_PARTIAL_OK, OP_BUSY, OP_DEADLINE, OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_PING,
+    OP_PING_OK, OP_QUERY, OP_QUERY_OK, OP_RELOAD, OP_RELOAD_OK, OP_SHUTDOWN, OP_SHUTDOWN_OK,
+    OP_STATS, OP_STATS_OK, STATUS_BUSY, STATUS_DEADLINE, STATUS_OK, STATUS_OTHER,
+    STATUS_OUT_OF_BOUNDS, STATUS_STORE_FAILURE,
 };
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError};
-use effres_io::{PagedSnapshot, ScrubStats};
+use effres_io::PagedColumnStore;
 use effres_service::{
-    AdmissionStats, BatchAbort, BatchResult, CancelToken, LatencyHistogram, PartialBatchResult,
-    QueryBatch, QueryEngine, ServiceStats,
+    BatchResult, CancelToken, ExecMode, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine,
+    ResistanceBackend,
 };
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -111,9 +114,9 @@ pub struct ServerOptions {
     /// shed or deadline miss, 0.0 for a success) reaches this value the
     /// server enters **brownout** — `health` flips to degraded, paged
     /// readahead windows shrink to one page (less speculative I/O per
-    /// lease), and `OP_BATCH` is served in partial mode so answers computed
-    /// before pressure cuts a batch short still ship. Set above `1.0` to
-    /// disable brownout entirely.
+    /// lease), and fail-fast batches are served in partial mode so answers
+    /// computed before pressure cuts a batch short still ship. Set above
+    /// `1.0` to disable brownout entirely.
     pub brownout_enter: f64,
     /// Brownout exit threshold: the pressure EWMA must decay to this value
     /// (successes drain it) before the server leaves brownout. Keep it well
@@ -135,143 +138,6 @@ impl Default for ServerOptions {
     }
 }
 
-/// The engine behind a server: resident or paged, one shared instance.
-///
-/// Batches on the paged variant run through the locality scheduler
-/// (`execute_scheduled`), which is both the fast path and the one that
-/// leases pin capacity from the admission ledger; the resident variant has
-/// no pages to schedule and uses plain parallel execution.
-#[derive(Debug)]
-pub enum ServedEngine {
-    /// In-memory arena backend.
-    Resident(QueryEngine<EffectiveResistanceEstimator>),
-    /// Out-of-core paged-snapshot backend.
-    Paged(QueryEngine<PagedSnapshot>),
-}
-
-impl ServedEngine {
-    /// Number of nodes served (dense ids are `0..node_count`).
-    pub fn node_count(&self) -> usize {
-        match self {
-            ServedEngine::Resident(engine) => engine.node_count(),
-            ServedEngine::Paged(engine) => engine.node_count(),
-        }
-    }
-
-    /// `"resident"` or `"paged"`.
-    pub fn backend_kind(&self) -> &'static str {
-        match self {
-            ServedEngine::Resident(_) => "resident",
-            ServedEngine::Paged(_) => "paged",
-        }
-    }
-
-    /// Answers one pair query (dense ids).
-    pub fn query(&self, p: usize, q: usize) -> Result<f64, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => engine.query(p, q),
-            ServedEngine::Paged(engine) => engine.query(p, q),
-        }
-    }
-
-    /// Executes a batch — scheduled on the paged backend, plain on the
-    /// resident one.
-    pub fn execute(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => engine.execute(batch),
-            ServedEngine::Paged(engine) => engine.execute_scheduled(batch),
-        }
-    }
-
-    /// [`ServedEngine::execute`] under a cancellation token: the batch is
-    /// shed up front when its deadline is unmeetable, and abandoned at the
-    /// next chunk boundary when the token trips mid-computation.
-    pub fn execute_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<BatchResult, BatchAbort> {
-        match self {
-            ServedEngine::Resident(engine) => engine.execute_with_cancel(batch, cancel),
-            ServedEngine::Paged(engine) => engine.execute_scheduled_with_cancel(batch, cancel),
-        }
-    }
-
-    /// [`ServedEngine::execute_partial`] under a cancellation token: a trip
-    /// mid-batch keeps everything already answered (bit-identical) and marks
-    /// the abandoned tail [`EffresError::DeadlineExceeded`].
-    pub fn execute_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => engine.execute_partial_with_cancel(batch, cancel),
-            ServedEngine::Paged(engine) => {
-                engine.execute_scheduled_partial_with_cancel(batch, cancel)
-            }
-        }
-    }
-
-    /// Flips the engine's brownout flag (trimmed readahead windows on the
-    /// paged backend; see `QueryEngine::set_brownout`).
-    pub fn set_brownout(&self, on: bool) {
-        match self {
-            ServedEngine::Resident(engine) => engine.set_brownout(on),
-            ServedEngine::Paged(engine) => engine.set_brownout(on),
-        }
-    }
-
-    /// Executes a batch in partial-results mode: per-query statuses instead
-    /// of all-or-nothing (see
-    /// [`QueryEngine::execute_partial`] and
-    /// `QueryEngine::<PagedSnapshot>::execute_scheduled_partial`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::Busy`] when bounded admission shed the whole
-    /// batch before any work.
-    pub fn execute_partial(&self, batch: &QueryBatch) -> Result<PartialBatchResult, EffresError> {
-        match self {
-            ServedEngine::Resident(engine) => Ok(engine.execute_partial(batch)),
-            ServedEngine::Paged(engine) => engine.execute_scheduled_partial(batch),
-        }
-    }
-
-    /// Cumulative service counters.
-    pub fn stats(&self) -> ServiceStats {
-        match self {
-            ServedEngine::Resident(engine) => engine.stats(),
-            ServedEngine::Paged(engine) => engine.stats(),
-        }
-    }
-
-    /// Per-interval service counters (see
-    /// [`QueryEngine::take_service_stats`]).
-    pub fn take_service_stats(&self) -> ServiceStats {
-        match self {
-            ServedEngine::Resident(engine) => engine.take_service_stats(),
-            ServedEngine::Paged(engine) => engine.take_service_stats(),
-        }
-    }
-
-    /// Admission-ledger counters (paged backends only).
-    pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        match self {
-            ServedEngine::Resident(engine) => engine.admission_stats(),
-            ServedEngine::Paged(engine) => engine.admission_stats(),
-        }
-    }
-
-    /// Cumulative integrity-scrubber counters (paged backends only).
-    pub fn scrub_stats(&self) -> Option<ScrubStats> {
-        match self {
-            ServedEngine::Resident(_) => None,
-            ServedEngine::Paged(engine) => Some(engine.backend().store.scrub_stats()),
-        }
-    }
-}
-
 /// One epoch of serving: an engine plus the identity of the snapshot it was
 /// opened from. Requests pin the current epoch's `Arc` before touching the
 /// engine, so a hot reload ([`crate::protocol::OP_RELOAD`]) swaps the handle
@@ -279,9 +145,9 @@ impl ServedEngine {
 /// the old engine — page cache and buffer pools included — drops with the
 /// last pinned request.
 #[derive(Debug)]
-pub struct EngineEpoch {
+pub struct EngineEpoch<B: ResistanceBackend = EffectiveResistanceEstimator> {
     /// The engine serving this epoch.
-    pub engine: ServedEngine,
+    pub engine: QueryEngine<B>,
     /// Monotonic epoch number, starting at 1 for the engine the server was
     /// bound with and incremented by every successful reload.
     pub epoch: u64,
@@ -292,20 +158,22 @@ pub struct EngineEpoch {
     pub snapshot_version: Option<u32>,
 }
 
-/// The closure hot reload uses to open a snapshot into a fresh engine. The
-/// host installs it ([`Server::set_reloader`]) so the server crate stays
-/// agnostic of how engines are configured — the CLI's reloader reapplies the
-/// same backend, cache and worker-pool choices `serve` started with.
-pub type Reloader = Box<dyn Fn(&Path) -> Result<(ServedEngine, Option<u32>), String> + Send + Sync>;
+/// The closure hot reload uses to open a snapshot into a fresh engine of the
+/// same backend. The host installs it ([`Server::set_reloader`]) so the
+/// server crate stays agnostic of how engines are configured — the CLI's
+/// reloader reapplies the same backend, cache and worker-pool choices
+/// `serve` started with.
+pub type Reloader<B = EffectiveResistanceEstimator> =
+    Box<dyn Fn(&Path) -> Result<(QueryEngine<B>, Option<u32>), String> + Send + Sync>;
 
 /// State shared by the accept loop and every connection handler.
-struct Shared {
+struct Shared<B: ResistanceBackend> {
     /// The current serving epoch, swapped whole on reload. Readers take the
     /// lock only long enough to clone the `Arc`.
-    engine: RwLock<Arc<EngineEpoch>>,
+    engine: RwLock<Arc<EngineEpoch<B>>>,
     /// Opens snapshots for [`crate::protocol::OP_RELOAD`]; reloads are
     /// refused until the host installs one.
-    reloader: OnceLock<Reloader>,
+    reloader: OnceLock<Reloader<B>>,
     /// Successful hot reloads since the server was bound.
     reloads: AtomicU64,
     /// Handler threads currently serving a connection — the drain loop
@@ -332,8 +200,8 @@ struct Shared {
     /// Requests answered with [`OP_BUSY`] (admission shed).
     busy_rejections: AtomicU64,
     /// Queries that failed with a typed store failure (exhausted retries,
-    /// persistent corruption) — whole-request for `OP_QUERY`/`OP_BATCH`,
-    /// per-query for `OP_BATCH_PARTIAL`.
+    /// persistent corruption) — whole-request for `OP_QUERY` and fail-fast
+    /// batches, per-query for partial ones.
     store_failures: AtomicU64,
     /// Partial batches that carried at least one failed query.
     partial_batches: AtomicU64,
@@ -362,7 +230,7 @@ struct Shared {
     pressure_bits: AtomicU64,
 }
 
-impl std::fmt::Debug for Shared {
+impl<B: ResistanceBackend> std::fmt::Debug for Shared<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
             .field("addr", &self.addr)
@@ -371,11 +239,11 @@ impl std::fmt::Debug for Shared {
     }
 }
 
-impl Shared {
+impl<B: ResistanceBackend> Shared<B> {
     /// Pins the current serving epoch: one lock acquisition, one `Arc`
     /// clone. Every request (and the scrubber) goes through this, so a
     /// reload mid-request never swaps an engine out from under anyone.
-    fn current_epoch(&self) -> Arc<EngineEpoch> {
+    fn current_epoch(&self) -> Arc<EngineEpoch<B>> {
         Arc::clone(&self.engine.read().expect("engine lock poisoned"))
     }
 
@@ -417,8 +285,9 @@ impl Shared {
             || self
                 .current_epoch()
                 .engine
-                .scrub_stats()
-                .is_some_and(|s| s.scrub_failures > 0);
+                .backend()
+                .paged_store()
+                .is_some_and(|store| store.scrub_stats().scrub_failures > 0);
         if degraded {
             Health::Degraded
         } else {
@@ -478,30 +347,39 @@ impl Shared {
     }
 }
 
-/// A bound, not-yet-running server. [`Server::run`] blocks until shutdown.
+/// A bound, not-yet-running server over one backend type. [`Server::run`]
+/// blocks until shutdown.
 #[derive(Debug)]
-pub struct Server {
+pub struct Server<B: ResistanceBackend = EffectiveResistanceEstimator> {
     listener: TcpListener,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<B>>,
 }
 
 /// A cheap handle onto a running (or about-to-run) server: lets another
 /// thread observe the bound address, read stats, or trigger shutdown.
-#[derive(Debug, Clone)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
+#[derive(Debug)]
+pub struct ServerHandle<B: ResistanceBackend = EffectiveResistanceEstimator> {
+    shared: Arc<Shared<B>>,
 }
 
-impl Server {
+impl<B: ResistanceBackend> Clone for ServerHandle<B> {
+    fn clone(&self) -> Self {
+        ServerHandle {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<B: ResistanceBackend> Server<B> {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) over a
     /// shared engine with default [`ServerOptions`]. `snapshot_version`
     /// names the on-disk format being served, when the engine came from a
     /// snapshot file.
     pub fn bind(
         addr: &str,
-        engine: ServedEngine,
+        engine: QueryEngine<B>,
         snapshot_version: Option<u32>,
-    ) -> io::Result<Server> {
+    ) -> io::Result<Server<B>> {
         Server::bind_with(
             addr,
             engine,
@@ -516,11 +394,11 @@ impl Server {
     /// and the stats document, and updated by every reload).
     pub fn bind_with(
         addr: &str,
-        engine: ServedEngine,
+        engine: QueryEngine<B>,
         snapshot_version: Option<u32>,
         snapshot_path: Option<PathBuf>,
         options: ServerOptions,
-    ) -> io::Result<Server> {
+    ) -> io::Result<Server<B>> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -567,7 +445,7 @@ impl Server {
     }
 
     /// The current serving epoch (engine plus snapshot identity).
-    pub fn engine(&self) -> Arc<EngineEpoch> {
+    pub fn engine(&self) -> Arc<EngineEpoch<B>> {
         self.shared.current_epoch()
     }
 
@@ -577,13 +455,16 @@ impl Server {
     /// already installed (the first one wins).
     pub fn set_reloader(
         &self,
-        reloader: impl Fn(&Path) -> Result<(ServedEngine, Option<u32>), String> + Send + Sync + 'static,
+        reloader: impl Fn(&Path) -> Result<(QueryEngine<B>, Option<u32>), String>
+            + Send
+            + Sync
+            + 'static,
     ) -> bool {
         self.shared.reloader.set(Box::new(reloader)).is_ok()
     }
 
     /// A handle for observing or shutting down the server from elsewhere.
-    pub fn handle(&self) -> ServerHandle {
+    pub fn handle(&self) -> ServerHandle<B> {
         ServerHandle {
             shared: Arc::clone(&self.shared),
         }
@@ -641,13 +522,16 @@ impl Server {
 }
 
 /// Starts the background integrity scrubber when the options ask for one:
-/// a low-priority thread walking the paged snapshot's pages at roughly
-/// [`ServerOptions::scrub_bytes_per_sec`], revalidating each with the serve
-/// path's own checks (see
-/// [`PagedColumnStore::scrub_page`](effres_io::PagedColumnStore::scrub_page))
-/// and quarantining rot. It follows epoch swaps (a reload restarts the walk
-/// on the new snapshot) and exits at shutdown.
-fn spawn_scrubber(shared: &Arc<Shared>) -> Option<std::thread::JoinHandle<()>> {
+/// a low-priority thread walking the backend's
+/// [`paged_store`](ResistanceBackend::paged_store) at roughly
+/// [`ServerOptions::scrub_bytes_per_sec`], revalidating each page with the
+/// serve path's own checks (see [`PagedColumnStore::scrub_page`]) and
+/// quarantining rot. It follows epoch swaps (a reload restarts the walk on
+/// the new snapshot) and exits at shutdown — at once on a resident backend,
+/// which has nothing to scrub.
+fn spawn_scrubber<B: ResistanceBackend>(
+    shared: &Arc<Shared<B>>,
+) -> Option<std::thread::JoinHandle<()>> {
     let rate = shared.options.scrub_bytes_per_sec;
     if rate == 0 {
         return None;
@@ -661,7 +545,7 @@ fn spawn_scrubber(shared: &Arc<Shared>) -> Option<std::thread::JoinHandle<()>> {
     )
 }
 
-fn scrub_loop(shared: &Shared, bytes_per_sec: u64) {
+fn scrub_loop<B: ResistanceBackend>(shared: &Shared<B>, bytes_per_sec: u64) {
     let mut walk_epoch = 0u64;
     let mut next_page = 0usize;
     while !shared.shutdown.load(Ordering::SeqCst) {
@@ -671,30 +555,24 @@ fn scrub_loop(shared: &Shared, bytes_per_sec: u64) {
             walk_epoch = current.epoch;
             next_page = 0;
         }
-        let pause = match &current.engine {
-            ServedEngine::Paged(engine) => {
-                let store = &engine.backend().store;
-                let pages = store.page_count();
-                if pages == 0 {
-                    POLL_INTERVAL
-                } else {
-                    if next_page >= pages {
-                        next_page = 0;
-                    }
-                    // The verdict already landed in the store's scrub
-                    // stats; rotten pages were quarantined there too.
-                    let _ = store.scrub_page(next_page);
-                    next_page += 1;
-                    // Pace to the byte budget using the mean page size.
-                    let footprint = store.footprint();
-                    let page_bytes =
-                        ((footprint.rows_bytes + footprint.vals_bytes) / pages).max(1) as u64;
-                    Duration::from_secs_f64(page_bytes as f64 / bytes_per_sec as f64)
-                }
+        let Some(store) = current.engine.backend().paged_store() else {
+            return;
+        };
+        let pages = store.page_count();
+        let pause = if pages == 0 {
+            POLL_INTERVAL
+        } else {
+            if next_page >= pages {
+                next_page = 0;
             }
-            // Nothing to scrub on a resident engine; idle until a reload
-            // possibly swaps a paged one in.
-            ServedEngine::Resident(_) => Duration::from_secs(1),
+            // The verdict already landed in the store's scrub stats; rotten
+            // pages were quarantined there too.
+            let _ = store.scrub_page(next_page);
+            next_page += 1;
+            // Pace to the byte budget using the mean page size.
+            let footprint = store.footprint();
+            let page_bytes = ((footprint.rows_bytes + footprint.vals_bytes) / pages).max(1) as u64;
+            Duration::from_secs_f64(page_bytes as f64 / bytes_per_sec as f64)
         };
         // Sleep in poll-interval slices so shutdown is noticed promptly.
         let mut remaining = pause;
@@ -706,7 +584,7 @@ fn scrub_loop(shared: &Shared, bytes_per_sec: u64) {
     }
 }
 
-impl ServerHandle {
+impl<B: ResistanceBackend> ServerHandle<B> {
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.shared.addr
@@ -723,7 +601,7 @@ impl ServerHandle {
     }
 }
 
-fn trigger_shutdown(shared: &Shared) {
+fn trigger_shutdown<B: ResistanceBackend>(shared: &Shared<B>) {
     shared.shutdown.store(true, Ordering::SeqCst);
     // Wake the blocking accept with a throwaway loopback connection; if it
     // fails (listener already gone), shutdown is underway anyway.
@@ -743,7 +621,7 @@ fn trigger_shutdown(shared: &Shared) {
 /// `deadline_closes`; a connection **idle** past
 /// [`ServerOptions::idle_deadline`] is closed and counted in `idle_closes`.
 /// Both clocks reset on every received byte.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+fn serve_connection<B: ResistanceBackend>(stream: TcpStream, shared: &Shared<B>) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_nodelay(true)?;
     let mut writer = io::BufWriter::new(stream.try_clone()?);
@@ -912,9 +790,9 @@ fn frame_length(buffer: &[u8]) -> io::Result<Option<usize>> {
 /// front** — a reload arriving mid-request swaps the shared handle but this
 /// request keeps the epoch it pinned, so a batch never mixes columns from
 /// two snapshots.
-fn handle_request(
+fn handle_request<B: ResistanceBackend>(
     payload: &[u8],
-    shared: &Shared,
+    shared: &Shared<B>,
     stream: &TcpStream,
     writer: &mut impl Write,
 ) -> io::Result<bool> {
@@ -928,7 +806,7 @@ fn handle_request(
             let mut out = Vec::with_capacity(1 + 8 + 1 + 4);
             out.push(OP_HELLO_OK);
             out.extend_from_slice(&(epoch.engine.node_count() as u64).to_le_bytes());
-            out.push(u8::from(epoch.engine.backend_kind() == "paged"));
+            out.push(u8::from(epoch.engine.backend().paged_store().is_some()));
             out.extend_from_slice(&epoch.snapshot_version.unwrap_or(0).to_le_bytes());
             write_frame(writer, &out)?;
         }
@@ -958,15 +836,14 @@ fn handle_request(
                 },
             }
         }
-        OP_BATCH | OP_BATCH_PARTIAL | OP_BATCH_DEADLINE | OP_BATCH_PARTIAL_DEADLINE => {
+        OP_BATCH => {
             let started = Instant::now();
-            let with_deadline = matches!(opcode, OP_BATCH_DEADLINE | OP_BATCH_PARTIAL_DEADLINE);
-            match parse_batch_body(body, with_deadline) {
+            match parse_batch_body(body) {
                 Err(e) => {
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     write_error(writer, &format!("malformed batch: {e}"))?;
                 }
-                Ok((deadline, pairs)) => {
+                Ok((partial, deadline, pairs)) => {
                     let batch = QueryBatch::from_pairs(pairs);
                     let cancel = Arc::new(match deadline {
                         Some(budget) => CancelToken::after(budget),
@@ -979,11 +856,7 @@ fn handle_request(
                     let _guard = (batch.len() >= MONITOR_MIN_PAIRS)
                         .then(|| watch_for_disconnect(stream, &cancel))
                         .flatten();
-                    if matches!(opcode, OP_BATCH_PARTIAL | OP_BATCH_PARTIAL_DEADLINE) {
-                        answer_batch_partial(writer, shared, started, &batch, &cancel)?;
-                    } else {
-                        answer_batch(writer, shared, started, &batch, &cancel)?;
-                    }
+                    answer_batch(writer, shared, started, &batch, partial, cancel)?;
                 }
             }
         }
@@ -996,7 +869,7 @@ fn handle_request(
                 .unwrap_or_default();
             let mut out = Vec::with_capacity(1 + 1 + 8 + 8 + 8 + 1 + 1 + path.len());
             out.push(OP_PING_OK);
-            out.push(u8::from(epoch.engine.backend_kind() == "paged"));
+            out.push(u8::from(epoch.engine.backend().paged_store().is_some()));
             out.extend_from_slice(&(epoch.engine.node_count() as u64).to_le_bytes());
             out.extend_from_slice(&shared.started.elapsed().as_secs_f64().to_le_bytes());
             out.extend_from_slice(&epoch.epoch.to_le_bytes());
@@ -1047,22 +920,25 @@ fn handle_request(
     Ok(true)
 }
 
-/// A parsed batch body: the request's deadline budget (`None` when absent
-/// or zero) and its pairs.
-type ParsedBatch = (Option<Duration>, Vec<(usize, usize)>);
+/// A parsed batch body: whether the client asked for partial results, its
+/// deadline budget (`None` when zero), and its pairs.
+type ParsedBatch = (bool, Option<Duration>, Vec<(usize, usize)>);
 
-/// Parses an `OP_BATCH`-shaped body — optionally prefixed by the
-/// `u32 deadline_ms` of the deadline opcodes.
-fn parse_batch_body(body: &[u8], with_deadline: bool) -> io::Result<ParsedBatch> {
+/// Parses an [`OP_BATCH`] body: `u8 flags | u32 deadline_ms | u32 count |
+/// count × (u64 p, u64 q)`. Reserved flag bits and a count that disagrees
+/// with the payload size are malformed.
+fn parse_batch_body(body: &[u8]) -> io::Result<ParsedBatch> {
+    let malformed = |message| io::Error::new(io::ErrorKind::InvalidData, message);
     let mut reader = PayloadReader::new(body);
-    let deadline_ms = if with_deadline { reader.u32()? } else { 0 };
+    let flags = reader.u8()?;
+    if flags & !BATCH_FLAG_PARTIAL != 0 {
+        return Err(malformed("reserved batch flag bits set"));
+    }
+    let deadline_ms = reader.u32()?;
     let count = reader.u32()? as usize;
-    let header = if with_deadline { 8 } else { 4 };
-    if body.len() < header || count * 16 != body.len() - header {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "batch count disagrees with payload size",
-        ));
+    // The 9-byte header read above, then 16 bytes per pair.
+    if count as u64 * 16 != (body.len() - 9) as u64 {
+        return Err(malformed("batch count disagrees with payload size"));
     }
     let mut pairs = Vec::with_capacity(count);
     for _ in 0..count {
@@ -1070,57 +946,46 @@ fn parse_batch_body(body: &[u8], with_deadline: bool) -> io::Result<ParsedBatch>
     }
     reader.finish()?;
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-    Ok((deadline, pairs))
+    Ok((flags & BATCH_FLAG_PARTIAL != 0, deadline, pairs))
 }
 
-/// Answers an all-or-nothing batch under a cancellation token. Outside
-/// brownout this is the plain `OP_BATCH_OK`-or-abort path; under brownout
-/// the batch runs in partial mode instead, so answers computed before
-/// pressure (or the deadline) cut it short still ship — a complete run
-/// still encodes as `OP_BATCH_OK`, bit-identical to the normal path.
-fn answer_batch(
+/// Answers a batch under a cancellation token. A partial request answers
+/// [`OP_BATCH_PARTIAL_OK`]. A fail-fast one answers [`OP_BATCH_OK`] or the
+/// typed error that ended it — except under brownout, where it runs in
+/// partial mode too, so answers computed before pressure (or the deadline)
+/// cut it short still ship: a complete run still encodes as `OP_BATCH_OK`,
+/// bit-identical to the normal path.
+fn answer_batch<B: ResistanceBackend>(
     writer: &mut impl Write,
-    shared: &Shared,
+    shared: &Shared<B>,
     started: Instant,
     batch: &QueryBatch,
-    cancel: &Arc<CancelToken>,
+    partial: bool,
+    cancel: Arc<CancelToken>,
 ) -> io::Result<()> {
-    let epoch = shared.current_epoch();
-    if shared.brownout_active.load(Ordering::Relaxed) {
-        return match epoch.engine.execute_partial_with_cancel(batch, cancel) {
-            Ok(result) => {
-                note_partial_outcome(shared, &result);
-                if result.is_complete() {
-                    let mut out = Vec::with_capacity(5 + result.statuses.len() * 8);
-                    out.push(OP_BATCH_OK);
-                    out.extend_from_slice(&(result.statuses.len() as u32).to_le_bytes());
-                    for status in &result.statuses {
-                        let value = status.as_ref().copied().unwrap_or(0.0);
-                        out.extend_from_slice(&value.to_le_bytes());
-                    }
-                    write_frame(writer, &out)?;
-                } else {
-                    write_partial_batch(writer, shared, &result)?;
-                }
-                shared.latency.record(started.elapsed());
-                Ok(())
-            }
-            Err(e) => {
-                note_batch_error(shared, &e, batch.len() as u64);
-                write_engine_error(writer, shared, &e)
-            }
-        };
-    }
-    match epoch.engine.execute_with_cancel(batch, cancel) {
+    let mode = if partial || shared.brownout_active.load(Ordering::Relaxed) {
+        ExecMode::Partial
+    } else {
+        ExecMode::FailFast
+    };
+    let options = ExecOptions {
+        mode,
+        cancel: Some(cancel),
+    };
+    match shared.current_epoch().engine.execute_with(batch, &options) {
         Ok(result) => {
-            shared.note_batch_outcome(false);
-            let mut out = Vec::with_capacity(5 + result.values.len() * 8);
-            out.push(OP_BATCH_OK);
-            out.extend_from_slice(&(result.values.len() as u32).to_le_bytes());
-            for value in &result.values {
-                out.extend_from_slice(&value.to_le_bytes());
+            note_batch_result(shared, &result);
+            if partial || !result.failures.is_empty() {
+                write_partial_batch(writer, shared, &result)?;
+            } else {
+                let mut out = Vec::with_capacity(5 + result.values.len() * 8);
+                out.push(OP_BATCH_OK);
+                out.extend_from_slice(&(result.values.len() as u32).to_le_bytes());
+                for value in &result.values {
+                    out.extend_from_slice(&value.to_le_bytes());
+                }
+                write_frame(writer, &out)?;
             }
-            write_frame(writer, &out)?;
             shared.latency.record(started.elapsed());
             Ok(())
         }
@@ -1131,36 +996,10 @@ fn answer_batch(
     }
 }
 
-/// Answers a partial-mode batch under a cancellation token.
-fn answer_batch_partial(
-    writer: &mut impl Write,
-    shared: &Shared,
-    started: Instant,
-    batch: &QueryBatch,
-    cancel: &Arc<CancelToken>,
-) -> io::Result<()> {
-    match shared
-        .current_epoch()
-        .engine
-        .execute_partial_with_cancel(batch, cancel)
-    {
-        Ok(result) => {
-            note_partial_outcome(shared, &result);
-            write_partial_batch(writer, shared, &result)?;
-            shared.latency.record(started.elapsed());
-            Ok(())
-        }
-        Err(e) => {
-            note_batch_error(shared, &e, batch.len() as u64);
-            write_engine_error(writer, shared, &e)
-        }
-    }
-}
-
 /// Books a whole-batch failure: cancellations land in the lifecycle
 /// counters, and sheds or deadline misses feed the brownout pressure EWMA
 /// (a disconnect says nothing about server pressure, so it does not).
-fn note_batch_error(shared: &Shared, error: &EffresError, abandoned: u64) {
+fn note_batch_error<B: ResistanceBackend>(shared: &Shared<B>, error: &EffresError, abandoned: u64) {
     match error {
         EffresError::DeadlineExceeded { reason } => {
             shared.note_cancellation(*reason, abandoned);
@@ -1173,28 +1012,29 @@ fn note_batch_error(shared: &Shared, error: &EffresError, abandoned: u64) {
     }
 }
 
-/// Books a partial batch's outcome: an abandoned tail counts as one
-/// cancellation (with its cause and pair count), and the brownout EWMA
-/// samples shed/miss pressure exactly as the all-or-nothing path does.
-fn note_partial_outcome(shared: &Shared, result: &PartialBatchResult) {
-    let abandoned = result.abandoned_pairs();
-    if abandoned > 0 {
-        let reason = result
-            .statuses
-            .iter()
-            .find_map(|status| match status {
-                Err(EffresError::DeadlineExceeded { reason }) => Some(*reason),
-                _ => None,
-            })
-            .expect("abandoned pairs carry DeadlineExceeded statuses");
-        shared.note_cancellation(reason, abandoned);
-        shared.note_batch_outcome(!matches!(reason, CancelReason::Disconnected));
-    } else {
-        let shed = result
-            .statuses
-            .iter()
-            .any(|status| matches!(status, Err(EffresError::Busy { .. })));
-        shared.note_batch_outcome(shed);
+/// Books a batch that ran: an abandoned tail counts as one cancellation
+/// (with its cause and pair count), and the brownout EWMA samples shed/miss
+/// pressure exactly as the whole-batch failures do.
+fn note_batch_result<B: ResistanceBackend>(shared: &Shared<B>, result: &BatchResult) {
+    let mut abandoned = 0u64;
+    let mut cancelled = None;
+    let mut shed = false;
+    for (_, error) in &result.failures {
+        match error {
+            EffresError::DeadlineExceeded { reason } => {
+                abandoned += 1;
+                cancelled.get_or_insert(*reason);
+            }
+            EffresError::Busy { .. } => shed = true,
+            _ => {}
+        }
+    }
+    match cancelled {
+        Some(reason) => {
+            shared.note_cancellation(reason, abandoned);
+            shared.note_batch_outcome(!matches!(reason, CancelReason::Disconnected));
+        }
+        None => shared.note_batch_outcome(shed),
     }
 }
 
@@ -1224,9 +1064,9 @@ fn write_deadline(writer: &mut impl Write, message: &str) -> io::Result<()> {
 /// (retrying as-is is pointless), everything else [`OP_ERROR`]. Counts the
 /// per-cause statistic either way (cancellation counters are booked by the
 /// batch paths, which know the abandoned-pair count).
-fn write_engine_error(
+fn write_engine_error<B: ResistanceBackend>(
     writer: &mut impl Write,
-    shared: &Shared,
+    shared: &Shared<B>,
     error: &EffresError,
 ) -> io::Result<()> {
     match error {
@@ -1243,57 +1083,54 @@ fn write_engine_error(
     }
 }
 
-/// Status byte for one partial-batch query outcome.
-fn partial_status(status: &Result<f64, EffresError>) -> u8 {
-    match status {
-        Ok(_) => STATUS_OK,
-        Err(EffresError::StoreFailure { .. }) => STATUS_STORE_FAILURE,
-        Err(EffresError::NodeOutOfBounds { .. }) => STATUS_OUT_OF_BOUNDS,
-        Err(EffresError::Busy { .. }) => STATUS_BUSY,
-        Err(EffresError::DeadlineExceeded { .. }) => STATUS_DEADLINE,
-        Err(_) => STATUS_OTHER,
+/// Status byte for one failed partial-batch query.
+fn failure_status(error: &EffresError) -> u8 {
+    match error {
+        EffresError::StoreFailure { .. } => STATUS_STORE_FAILURE,
+        EffresError::NodeOutOfBounds { .. } => STATUS_OUT_OF_BOUNDS,
+        EffresError::Busy { .. } => STATUS_BUSY,
+        EffresError::DeadlineExceeded { .. } => STATUS_DEADLINE,
+        _ => STATUS_OTHER,
     }
 }
 
 /// Encodes an [`OP_BATCH_PARTIAL_OK`] response: per-query status bytes,
 /// values (0.0 where failed), and the first failure's message. Bumps the
 /// per-cause counters for every failed query.
-fn write_partial_batch(
+fn write_partial_batch<B: ResistanceBackend>(
     writer: &mut impl Write,
-    shared: &Shared,
-    result: &PartialBatchResult,
+    shared: &Shared<B>,
+    result: &BatchResult,
 ) -> io::Result<()> {
-    let count = result.statuses.len();
-    let mut failed: u32 = 0;
-    let mut first_failure = String::new();
-    let mut out = Vec::with_capacity(1 + 8 + count * 9);
-    out.push(OP_BATCH_PARTIAL_OK);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // patched below
-    for status in &result.statuses {
-        out.push(partial_status(status));
-        if let Err(e) = status {
-            failed += 1;
-            if first_failure.is_empty() {
-                first_failure = e.to_string();
+    let count = result.values.len();
+    let mut statuses = vec![STATUS_OK; count];
+    for (slot, error) in &result.failures {
+        statuses[*slot] = failure_status(error);
+        match error {
+            EffresError::StoreFailure { .. } => {
+                shared.store_failures.fetch_add(1, Ordering::Relaxed);
             }
-            match e {
-                EffresError::StoreFailure { .. } => {
-                    shared.store_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                EffresError::Busy { .. } => {
-                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
+            EffresError::Busy { .. } => {
+                shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
             }
+            _ => {}
         }
     }
-    out[5..9].copy_from_slice(&failed.to_le_bytes());
-    for status in &result.statuses {
-        out.extend_from_slice(&status.as_ref().copied().unwrap_or(0.0).to_le_bytes());
+    let first_failure = result
+        .failures
+        .first()
+        .map(|(_, error)| error.to_string())
+        .unwrap_or_default();
+    let mut out = Vec::with_capacity(1 + 8 + count * 9 + first_failure.len());
+    out.push(OP_BATCH_PARTIAL_OK);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    out.extend_from_slice(&(result.failures.len() as u32).to_le_bytes());
+    out.extend_from_slice(&statuses);
+    for value in &result.values {
+        out.extend_from_slice(&value.to_le_bytes());
     }
     out.extend_from_slice(first_failure.as_bytes());
-    if failed > 0 {
+    if !result.failures.is_empty() {
         shared.partial_batches.fetch_add(1, Ordering::Relaxed);
     }
     write_frame(writer, &out)
@@ -1320,9 +1157,10 @@ fn json_string(s: &str) -> String {
 
 /// Renders the stats document: plain JSON with stable keys, no external
 /// dependencies (numbers and a fixed vocabulary of strings only).
-fn stats_json(shared: &Shared) -> String {
+fn stats_json<B: ResistanceBackend>(shared: &Shared<B>) -> String {
     let epoch = shared.current_epoch();
     let service = epoch.engine.stats();
+    let store = epoch.engine.backend().paged_store();
     let latency = shared.latency.snapshot();
     let uptime = shared.started.elapsed().as_secs_f64();
     let mut out = String::with_capacity(1024);
@@ -1330,7 +1168,7 @@ fn stats_json(shared: &Shared) -> String {
     write!(
         out,
         "\"backend\":\"{}\",\"nodes\":{},\"snapshot_version\":{},\"snapshot_path\":{},",
-        epoch.engine.backend_kind(),
+        epoch.engine.backend().kind(),
         epoch.engine.node_count(),
         epoch
             .snapshot_version
@@ -1349,7 +1187,7 @@ fn stats_json(shared: &Shared) -> String {
         shared.health().as_str(),
     )
     .expect("write to string");
-    match epoch.engine.scrub_stats() {
+    match store.map(PagedColumnStore::scrub_stats) {
         Some(s) => write!(
             out,
             "\"scrubber\":{{\"pages_scrubbed\":{},\"scrub_failures\":{},\"quarantined\":{}}},",

@@ -11,9 +11,7 @@ use effres_graph::generators;
 use effres_io::paged::{open_paged, open_paged_with_faults, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
 use effres_io::{FaultPlan, RetryPolicy};
-use effres_server::{
-    protocol, Client, ClientError, ReconnectPolicy, ServedEngine, Server, ServerHandle,
-};
+use effres_server::{protocol, Client, ClientError, ReconnectPolicy, Server, ServerHandle};
 use effres_service::{EngineOptions, QueryEngine};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -60,13 +58,12 @@ fn serve(
     options: EngineOptions,
 ) -> (
     std::net::SocketAddr,
-    ServerHandle,
+    ServerHandle<PagedSnapshot>,
     std::thread::JoinHandle<std::io::Result<String>>,
 ) {
     let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), options);
-    let server =
-        Server::bind("127.0.0.1:0", ServedEngine::Paged(engine), Some(version)).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, Some(version)).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());
@@ -202,7 +199,9 @@ fn partial_batches_over_the_wire_degrade_per_query() {
     }
 
     // ...while the partial request degrades exactly the touching queries.
-    let partial = client.query_batch_partial(&pairs).expect("partial batch");
+    let partial = client
+        .query_batch_with(&pairs, true, None)
+        .expect("partial batch");
     assert_eq!(partial.statuses.len(), pairs.len());
     assert!(partial.failed > 0, "the batch sweeps every page");
     assert!(!partial.is_complete());

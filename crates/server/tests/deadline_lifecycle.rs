@@ -1,5 +1,5 @@
 //! End-to-end tests of the deadline-aware request lifecycle over real TCP:
-//! deadline-carrying batch opcodes staying bit-identical, mid-flight expiry
+//! deadline-carrying batches staying bit-identical, mid-flight expiry
 //! with abandoned-work accounting, disconnect-triggered cancellation
 //! releasing the admission lease, and the brownout controller restoring
 //! goodput under a storm of doomed requests.
@@ -8,7 +8,7 @@ use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
-use effres_server::{Client, ClientError, ServedEngine, Server, ServerHandle, ServerOptions};
+use effres_server::{Client, ClientError, PartialBatch, Server, ServerHandle, ServerOptions};
 use effres_service::{EngineOptions, QueryEngine};
 use std::io::Write;
 use std::net::TcpStream;
@@ -67,19 +67,13 @@ fn serve_with(
     server_options: ServerOptions,
 ) -> (
     std::net::SocketAddr,
-    ServerHandle,
+    ServerHandle<PagedSnapshot>,
     std::thread::JoinHandle<std::io::Result<String>>,
 ) {
     let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), options);
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        ServedEngine::Paged(engine),
-        Some(version),
-        None,
-        server_options,
-    )
-    .expect("bind");
+    let server = Server::bind_with("127.0.0.1:0", engine, Some(version), None, server_options)
+        .expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());
@@ -91,7 +85,7 @@ fn serve(
     options: EngineOptions,
 ) -> (
     std::net::SocketAddr,
-    ServerHandle,
+    ServerHandle<PagedSnapshot>,
     std::thread::JoinHandle<std::io::Result<String>>,
 ) {
     serve_with(paged, options, ServerOptions::default())
@@ -149,13 +143,14 @@ fn deadline_batches_round_trip_bit_identically() {
     let mut client = Client::connect(addr).expect("connect");
 
     // A met deadline changes nothing observable: same values, bit for bit,
-    // on both the all-or-nothing and the partial deadline opcodes.
+    // on both all-or-nothing and partial deadline-carrying batches.
     let all = client
-        .query_batch_deadline(&pairs, Duration::from_secs(30))
+        .query_batch_with(&pairs, false, Some(Duration::from_secs(30)))
+        .and_then(PartialBatch::into_values)
         .expect("deadline batch");
     assert_bit_identical(&all, &expected, "deadline batch");
     let partial = client
-        .query_batch_partial_deadline(&pairs, Duration::from_secs(30))
+        .query_batch_with(&pairs, true, Some(Duration::from_secs(30)))
         .expect("partial deadline batch");
     assert!(partial.is_complete());
     assert_bit_identical(&partial.values, &expected, "partial deadline batch");
@@ -189,7 +184,10 @@ fn expired_deadline_abandons_work_and_keeps_the_connection_usable() {
     let doomed: Vec<(u64, u64)> = (0..40_000)
         .map(|i| ((i * 37 + 5) % NODES, (i * 13 + 1) % NODES))
         .collect();
-    match client.query_batch_deadline(&doomed, Duration::from_millis(2)) {
+    match client
+        .query_batch_with(&doomed, false, Some(Duration::from_millis(2)))
+        .and_then(PartialBatch::into_values)
+    {
         Err(ClientError::DeadlineExceeded(message)) => {
             assert!(
                 message.contains("deadline"),
@@ -243,11 +241,14 @@ fn disconnect_mid_batch_releases_the_admission_lease() {
     };
     let (addr, handle, runner) = serve(paged, options);
 
-    // Hand-rolled frame: `u32 length | OP_BATCH | u32 count | pairs` — a
-    // plain batch (no deadline) from a client that then walks away.
+    // Hand-rolled frame: `u32 length | OP_BATCH | u8 flags | u32
+    // deadline_ms | u32 count | pairs` — a plain batch (fail-fast, no
+    // deadline) from a client that then walks away.
     let pairs: u32 = 60_000;
-    let mut payload = Vec::with_capacity(5 + pairs as usize * 16);
+    let mut payload = Vec::with_capacity(10 + pairs as usize * 16);
     payload.push(effres_server::protocol::OP_BATCH);
+    payload.push(0);
+    payload.extend_from_slice(&0u32.to_le_bytes());
     payload.extend_from_slice(&pairs.to_le_bytes());
     for i in 0..u64::from(pairs) {
         payload.extend_from_slice(&((i * 37 + 5) % NODES).to_le_bytes());
@@ -365,12 +366,15 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
                 match deadline {
                     // Cancellation ON: every storm batch is doomed — shed
                     // up front or cancelled at the first chunk boundary.
-                    Some(budget) => match client.query_batch_deadline(&storm_pairs, budget) {
+                    Some(budget) => match client
+                        .query_batch_with(&storm_pairs, false, Some(budget))
+                        .and_then(PartialBatch::into_values)
+                    {
                         Ok(_) | Err(ClientError::DeadlineExceeded(_)) => {}
                         Err(other) => panic!("storm must be shed cleanly: {other}"),
                     },
-                    // Cancellation OFF: the legacy opcode grinds each storm
-                    // batch to completion while live traffic waits.
+                    // Cancellation OFF: without a deadline, each storm
+                    // batch grinds to completion while live traffic waits.
                     None => {
                         client.query_batch(&storm_pairs).expect("legacy storm");
                     }

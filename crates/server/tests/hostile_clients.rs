@@ -5,8 +5,8 @@
 
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
-use effres_server::protocol::OP_ERROR;
-use effres_server::{Client, ServedEngine, Server, ServerHandle, ServerOptions};
+use effres_server::protocol::{OP_BATCH, OP_BATCH_OK, OP_ERROR};
+use effres_server::{Client, Server, ServerHandle, ServerOptions};
 use effres_service::{EngineOptions, QueryEngine};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -32,14 +32,7 @@ fn start(
             ..EngineOptions::default()
         },
     );
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        ServedEngine::Resident(engine),
-        None,
-        None,
-        options,
-    )
-    .expect("bind");
+    let server = Server::bind_with("127.0.0.1:0", engine, None, None, options).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());
@@ -250,6 +243,80 @@ fn disconnect_storms_leave_the_server_serving() {
 
     let stats = handle.stats_json();
     assert!(json_u64(&stats, "connections") >= 32);
+    assert_still_serving(addr);
+    handle.shutdown();
+    runner.join().expect("thread").expect("serve loop");
+}
+
+/// Writes one length-prefixed frame onto a raw socket.
+fn send_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("length prefix");
+    stream.write_all(payload).expect("frame body");
+}
+
+/// An `OP_BATCH` frame: `flags | deadline_ms | count | pairs`.
+fn batch_frame(flags: u8, count: u32, pairs: &[(u64, u64)]) -> Vec<u8> {
+    let mut payload = vec![OP_BATCH, flags];
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&count.to_le_bytes());
+    for &(p, q) in pairs {
+        payload.extend_from_slice(&p.to_le_bytes());
+        payload.extend_from_slice(&q.to_le_bytes());
+    }
+    payload
+}
+
+/// Malformed batch bodies and retired batch opcodes: each draws `OP_ERROR`,
+/// counts as a protocol error, and leaves the same connection answering a
+/// valid batch.
+#[test]
+fn malformed_batches_and_retired_opcodes_are_refused_on_a_live_connection() {
+    let (addr, handle, runner) = start(ServerOptions::default());
+    let pairs = [(0u64, 63u64), (5, 40), (12, 12)];
+    let valid = batch_frame(0, 3, &pairs);
+    let mut reserved = valid.clone();
+    reserved[1] = 0x02;
+    let mut hostile: Vec<(&str, Vec<u8>)> = vec![
+        ("reserved flag bits", reserved),
+        ("every flag bit", batch_frame(0xFF, 3, &pairs)),
+        (
+            "a body shorter than the header",
+            vec![OP_BATCH, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        ("an empty body", vec![OP_BATCH]),
+        ("a count above the payload", batch_frame(0, 4, &pairs)),
+        ("a count below the payload", batch_frame(0, 2, &pairs)),
+    ];
+    for retired in [0x07u8, 0x09, 0x0A] {
+        let mut frame = valid.clone();
+        frame[0] = retired;
+        hostile.push(("a retired batch opcode", frame));
+    }
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    for (index, (what, frame)) in hostile.iter().enumerate() {
+        send_raw_frame(&mut stream, frame);
+        let message = expect_error_frame(&mut stream);
+        assert!(!message.is_empty(), "{what}: the refusal says why");
+        assert_eq!(
+            json_u64(&handle.stats_json(), "protocol"),
+            index as u64 + 1,
+            "{what}: counted as a protocol error"
+        );
+        // The same connection still answers a well-formed batch.
+        send_raw_frame(&mut stream, &valid);
+        let answer = read_raw_frame(&mut stream)
+            .expect("read batch answer")
+            .expect("connection still open");
+        assert_eq!(answer[0], OP_BATCH_OK, "{what}: then {answer:?}");
+        assert_eq!(answer.len(), 1 + 4 + 3 * 8, "{what}: three values");
+    }
+
     assert_still_serving(addr);
     handle.shutdown();
     runner.join().expect("thread").expect("serve loop");

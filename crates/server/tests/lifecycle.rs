@@ -5,9 +5,9 @@
 
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
-use effres_io::paged::{open_paged, PagedOptions};
+use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
-use effres_server::{Client, ServedEngine, Server, ServerOptions};
+use effres_server::{Client, Server, ServerOptions};
 use effres_service::{EngineOptions, QueryEngine};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +29,7 @@ fn snapshot_file(name: &str, est: &EffectiveResistanceEstimator) -> PathBuf {
 
 /// Small pages and cache: reload drops a store that is actively churning
 /// buffers, which is exactly the hard case.
-fn paged_engine(path: &Path) -> ServedEngine {
+fn paged_engine(path: &Path) -> QueryEngine<PagedSnapshot> {
     let paged = open_paged(
         path,
         &PagedOptions {
@@ -40,13 +40,13 @@ fn paged_engine(path: &Path) -> ServedEngine {
         },
     )
     .expect("open paged");
-    ServedEngine::Paged(QueryEngine::new(
+    QueryEngine::new(
         Arc::new(paged),
         EngineOptions {
             cache_capacity: 0,
             ..EngineOptions::default()
         },
-    ))
+    )
 }
 
 /// The values a batch over `pairs` must reproduce bit for bit, per epoch.
@@ -213,7 +213,7 @@ fn shutdown_under_load_drains_in_flight_batches() {
     );
     let server = Server::bind_with(
         "127.0.0.1:0",
-        ServedEngine::Resident(engine),
+        engine,
         None,
         None,
         ServerOptions {

@@ -5,7 +5,7 @@ use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, PagedOptions};
 use effres_io::snapshot::save_snapshot;
-use effres_server::{Client, ClientError, ServedEngine, Server};
+use effres_server::{Client, ClientError, Server};
 use effres_service::{EngineOptions, QueryEngine};
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn start_resident() -> (
             ..EngineOptions::default()
         },
     );
-    let server = Server::bind("127.0.0.1:0", ServedEngine::Resident(engine), None).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, None).expect("bind");
     let addr = server.local_addr();
     let runner = std::thread::spawn(move || server.run());
     (addr, runner, estimator)
@@ -172,8 +172,7 @@ fn paged_backend_serves_with_admission_control_over_the_wire() {
             ..EngineOptions::default()
         },
     );
-    let server =
-        Server::bind("127.0.0.1:0", ServedEngine::Paged(engine), Some(version)).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, Some(version)).expect("bind");
     let addr = server.local_addr();
     let runner = std::thread::spawn(move || server.run());
 

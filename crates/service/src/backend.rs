@@ -3,9 +3,9 @@
 //! A [`ResistanceBackend`] bundles what a serving deployment actually ships:
 //! a [`ColumnStore`] holding the columns of `Z̃`, the fill-reducing
 //! permutation mapping node ids onto columns, and the policy facts the
-//! engine needs (is a precomputed norm table affordable? is there a page
-//! cache worth reporting on?). The engine is generic over it, so the same
-//! batching, pair cache, scratch reuse and worker-pool fan-out serve:
+//! engine needs (is a precomputed norm table affordable? is there a paged
+//! store to schedule batches over?). The engine is generic over it, so the
+//! same batching, pair cache, scratch reuse and worker-pool fan-out serve:
 //!
 //! * [`EffectiveResistanceEstimator`] — the **resident** backend: the arena
 //!   is in memory, so the engine precomputes the `‖z̃_j‖²` table once and
@@ -17,7 +17,7 @@
 
 use effres::column_store::ColumnStore;
 use effres::EffectiveResistanceEstimator;
-use effres_io::{PageCacheStats, PagedSnapshot};
+use effres_io::{PagedColumnStore, PagedSnapshot};
 use effres_sparse::Permutation;
 use std::sync::Arc;
 
@@ -50,29 +50,27 @@ pub trait ResistanceBackend: Send + Sync + 'static {
     /// which the trait contract pins to the same bits.
     fn precomputed_norms(&self) -> Option<Arc<Vec<f64>>>;
 
-    /// Page-cache counters accrued since the last
-    /// [`ResistanceBackend::take_page_cache_stats`], for backends that page
-    /// columns in from storage. Resident backends return `None`.
-    fn page_cache_stats(&self) -> Option<PageCacheStats> {
+    /// The paged column store behind this backend, for backends that page
+    /// columns in from a snapshot file; resident backends return `None`.
+    /// This is the engine's one backend hook: batches run through
+    /// [`QueryEngine::execute_with`](crate::QueryEngine::execute_with) take
+    /// the locality [`scheduler`](crate::scheduler) over this store (and
+    /// the hub-sorted runner without one), the engine puts an
+    /// [`AdmissionLedger`](crate::admission::AdmissionLedger) of its page
+    /// budget in front of the scheduler, and page-cache counters and the
+    /// server's integrity scrubber read it.
+    fn paged_store(&self) -> Option<&PagedColumnStore> {
         None
     }
 
-    /// Snapshots and resets the page-cache counters (see
-    /// [`effres_io::PagedColumnStore::take_page_cache_stats`]), so batch
-    /// executors can report exact per-batch page traffic. Resident backends
-    /// return `None`.
-    fn take_page_cache_stats(&self) -> Option<PageCacheStats> {
-        None
-    }
-
-    /// The page-pin budget concurrent batch executions must share, for
-    /// backends that pin pages out of a bounded cache: the engine puts an
-    /// [`AdmissionLedger`](crate::admission::AdmissionLedger) of this many
-    /// pages in front of the scheduler so concurrent batches lease capacity
-    /// instead of each assuming they own all of it. Resident backends pin
-    /// nothing and return `None`.
-    fn pin_budget_pages(&self) -> Option<usize> {
-        None
+    /// `"paged"` for backends with a [`paged_store`](Self::paged_store),
+    /// `"resident"` otherwise.
+    fn kind(&self) -> &'static str {
+        if self.paged_store().is_some() {
+            "paged"
+        } else {
+            "resident"
+        }
     }
 }
 
@@ -97,7 +95,7 @@ impl ResistanceBackend for EffectiveResistanceEstimator {
 }
 
 impl ResistanceBackend for PagedSnapshot {
-    type Store = effres_io::PagedColumnStore;
+    type Store = PagedColumnStore;
 
     fn store(&self) -> &Self::Store {
         &self.store
@@ -121,15 +119,7 @@ impl ResistanceBackend for PagedSnapshot {
         self.store.resident_norms_shared()
     }
 
-    fn page_cache_stats(&self) -> Option<PageCacheStats> {
-        Some(self.store.page_cache_stats())
-    }
-
-    fn take_page_cache_stats(&self) -> Option<PageCacheStats> {
-        Some(self.store.take_page_cache_stats())
-    }
-
-    fn pin_budget_pages(&self) -> Option<usize> {
-        Some(self.store.cache_capacity_pages())
+    fn paged_store(&self) -> Option<&PagedColumnStore> {
+        Some(&self.store)
     }
 }

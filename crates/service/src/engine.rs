@@ -8,11 +8,21 @@
 //! cache of recent pair results whose probe touches one cache line (see
 //! [`crate::cache`]).
 //!
-//! A batch is answered in sorted order: every pair's permuted
+//! A batch runs through one path, [`QueryEngine::execute_with`]:
+//! validation, the doomed-deadline check, the per-batch page window, the
+//! service counters and the service-time estimate wrap one *runner*, picked
+//! by the backend's [`ResistanceBackend::paged_store`] hook. A resident
+//! backend gets the **hub-sorted runner**: every pair's permuted
 //! `(min << 32) | max` key is computed once and the `(key, slot)` vector
 //! sorted, so pairs sharing a permuted endpoint form runs the hub kernel
-//! answers from one scatter. Each worker reads `(hub, partner)` straight
-//! from the keys, and answers scatter back to request order.
+//! answers from one scatter; each worker reads `(hub, partner)` straight
+//! from the keys, and answers scatter back to request order. A paged
+//! backend gets the locality [`scheduler`](crate::scheduler). Either runner
+//! records one status per slot, so the two [`ExecMode`]s differ only in
+//! what a failure does: fail-fast stops and reports it, partial records it
+//! against its slot and answers the rest. [`QueryEngine::execute`] is the
+//! backend-independent reference: the hub-sorted runner, fail-fast, on
+//! either backend.
 //!
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
@@ -37,7 +47,7 @@ use crate::cancel::CancelToken;
 use crate::metrics::ServiceTimeEwma;
 use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError, WorkerPool};
-use effres_io::PageCacheStats;
+use effres_io::{PageCacheStats, PagedColumnStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -61,11 +71,11 @@ pub struct EngineOptions {
     /// estimator build used (`EffresConfig::with_worker_pool`) so the whole
     /// pipeline shares one set of workers.
     pub pool: Option<WorkerPool>,
-    /// Readahead window of the locality-scheduled paged batch path
-    /// (`QueryEngine::<PagedSnapshot>::execute_scheduled`), in pages: how
-    /// many upcoming non-resident pages each scheduling step pins with one
-    /// coalesced read. `0` (the default) sizes the window automatically from
-    /// the store's cache budget. Resident backends ignore it.
+    /// Readahead window of the locality scheduler that paged batches run
+    /// through ([`QueryEngine::execute_with`]), in pages: how many upcoming
+    /// non-resident pages each scheduling step pins with one coalesced
+    /// read. `0` (the default) sizes the window automatically from the
+    /// store's cache budget. Resident backends ignore it.
     pub readahead_pages: usize,
     /// Bound on the admission ledger's queue depth for scheduled paged
     /// batches. `None` (the default) keeps the PR-5 behavior — lease
@@ -96,12 +106,53 @@ impl Default for EngineOptions {
     }
 }
 
+/// How [`QueryEngine::execute_with`] handles a failed query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// All or nothing: every pair is validated before any work, the first
+    /// failure ends the batch, and a tripped cancellation token ends it
+    /// too — each as a [`BatchAbort`].
+    #[default]
+    FailFast,
+    /// Partial results: each failure (an out-of-bounds node, a store
+    /// failure on a page the pair touches, an admission shed, a
+    /// cancellation) is recorded against its slot in
+    /// [`BatchResult::failures`] and every other query is still answered.
+    /// This is the serving mode of a long-lived server: one poisoned page
+    /// degrades the answers that touch it instead of failing 20k-query
+    /// batches wholesale.
+    Partial,
+}
+
+/// Per-call options of [`QueryEngine::execute_with`].
+#[derive(Debug, Clone, Default)]
+pub struct ExecOptions {
+    /// What a failed query does to the batch.
+    pub mode: ExecMode,
+    /// A cancellation token, checked between chunks of work — between pairs
+    /// of a job slice on the hub-sorted runner, at block and readahead-wave
+    /// boundaries in the scheduler — and never mid-kernel. When it trips,
+    /// every query not yet run fails with
+    /// [`EffresError::DeadlineExceeded`] and the run stops, releasing
+    /// scratch, pinned pages and the admission lease with the abandoned
+    /// tail; answers produced before the trip went through exactly the
+    /// kernel calls a completed run makes. When the token carries a
+    /// deadline the engine's service-time estimate says cannot be met, the
+    /// batch is rejected up front ([`CancelReason::Unmeetable`]).
+    pub cancel: Option<Arc<CancelToken>>,
+}
+
 /// Cumulative service counters (monotonic across the engine's lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Queries answered (batch and single).
+    /// Queries answered (batch and single): slots that produced a value,
+    /// never failed or abandoned ones.
     pub queries: u64,
-    /// Batches executed.
+    /// Batches executed: every batch that ran, whether it completed,
+    /// carried per-slot failures, or was cut short by its cancellation
+    /// token. Batches rejected before running (validation, a doomed
+    /// deadline) and fail-fast batches ended by a store failure or an
+    /// admission shed are not counted.
     pub batches: u64,
     /// Queries answered out of the pair cache.
     pub cache_hits: u64,
@@ -138,35 +189,21 @@ pub struct ServiceStats {
     pub page_faulted_reads: u64,
 }
 
-impl ServiceStats {
-    /// Combines counters drained in an earlier window with counters accrued
-    /// since: the monotone counters sum; the point-in-time gauges
-    /// (`cache_entries`, `cache_capacity`) come from `later`.
-    #[must_use]
-    pub fn merged(&self, later: ServiceStats) -> ServiceStats {
-        ServiceStats {
-            queries: self.queries + later.queries,
-            batches: self.batches + later.batches,
-            cache_hits: self.cache_hits + later.cache_hits,
-            cache_misses: self.cache_misses + later.cache_misses,
-            cache_entries: later.cache_entries,
-            cache_capacity: later.cache_capacity,
-            page_cache_hits: self.page_cache_hits + later.page_cache_hits,
-            page_cache_misses: self.page_cache_misses + later.page_cache_misses,
-            page_bytes_read: self.page_bytes_read + later.page_bytes_read,
-            page_readahead_reads: self.page_readahead_reads + later.page_readahead_reads,
-            page_column_runs: self.page_column_runs + later.page_column_runs,
-            page_retries: self.page_retries + later.page_retries,
-            page_faulted_reads: self.page_faulted_reads + later.page_faulted_reads,
-        }
-    }
-}
-
 /// Result of one batch execution.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Effective resistances, in the order of the batch's pairs.
+    /// Effective resistances, in the order of the batch's pairs; `0.0` at
+    /// every slot listed in [`failures`](Self::failures).
     pub values: Vec<f64>,
+    /// The queries that failed, as `(slot, error)` in slot order — always
+    /// empty in [`ExecMode::FailFast`]. In [`ExecMode::Partial`]: an
+    /// out-of-bounds node ([`EffresError::NodeOutOfBounds`]), a page the
+    /// store could not produce ([`EffresError::StoreFailure`]), a mid-batch
+    /// admission shed ([`EffresError::Busy`]), or a query abandoned by a
+    /// tripped cancellation token ([`EffresError::DeadlineExceeded`]).
+    /// Every other value is bit-identical to what a fault-free fail-fast
+    /// run returns for it.
+    pub failures: Vec<(usize, EffresError)>,
     /// Wall-clock execution time.
     pub elapsed: Duration,
     /// Parallel job chunks the batch fanned out into (1 for the sequential
@@ -195,7 +232,7 @@ pub struct BatchResult {
 }
 
 /// Shape of one locality-scheduled batch execution (see
-/// `QueryEngine::<PagedSnapshot>::execute_scheduled`).
+/// [`crate::scheduler`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScheduleReport {
     /// Distinct `(page_lo, page_hi)` clusters the batch's cache-missing
@@ -208,18 +245,17 @@ pub struct ScheduleReport {
 }
 
 impl BatchResult {
-    /// Queries answered per second.
+    /// Queries answered per second (failed slots are not answers).
     pub fn throughput(&self) -> f64 {
         if self.elapsed.as_secs_f64() == 0.0 {
             return f64::INFINITY;
         }
-        self.values.len() as f64 / self.elapsed.as_secs_f64()
+        (self.values.len() - self.failures.len()) as f64 / self.elapsed.as_secs_f64()
     }
 }
 
-/// Why an all-or-nothing batch with a cancellation token produced no
-/// [`BatchResult`], and how much of it never ran — the error type of the
-/// `_with_cancel` execution paths.
+/// Why a batch produced no [`BatchResult`], and how much of it never ran —
+/// the error type of [`QueryEngine::execute_with`].
 ///
 /// `abandoned_pairs` is the reclamation receipt: queries the engine *skipped*
 /// because the token tripped (or the whole batch, when admission judged the
@@ -254,58 +290,15 @@ impl From<EffresError> for BatchAbort {
     }
 }
 
-/// Result of one batch executed in **partial-results mode**
-/// ([`QueryEngine::execute_partial`],
-/// `QueryEngine::<PagedSnapshot>::execute_scheduled_partial`): instead of
-/// one failure aborting the batch, every query carries its own status.
-/// Successful answers are bit-identical to the all-or-nothing paths — the
-/// partial paths run the very same kernels in the very same order; only
-/// failure *handling* differs.
-#[derive(Debug, Clone)]
-pub struct PartialBatchResult {
-    /// Per-query outcome, in the order of the batch's pairs: the resistance,
-    /// or the typed error that failed this query (out-of-bounds node, a
-    /// store failure on a page the pair touches, admission shed).
-    pub statuses: Vec<Result<f64, EffresError>>,
-    /// Wall-clock execution time.
-    pub elapsed: Duration,
-    /// Parallel job chunks the batch fanned out into (1 for the sequential
-    /// path).
-    pub threads: usize,
-    /// Pair-cache hits within this batch.
-    pub cache_hits: u64,
-    /// Pair-cache misses within this batch.
-    pub cache_misses: u64,
-    /// Page traffic of this batch (see [`BatchResult::page_cache`]).
-    pub page_cache: Option<PageCacheStats>,
-    /// Multi-pair kernel traffic of this batch (see
-    /// [`BatchResult::kernel`]).
-    pub kernel: KernelStats,
-    /// How the locality scheduler organized this batch (scheduled paged
-    /// executions only).
-    pub schedule: Option<ScheduleReport>,
-}
-
-impl PartialBatchResult {
-    /// Queries that failed.
-    pub fn failures(&self) -> usize {
-        self.statuses.iter().filter(|s| s.is_err()).count()
-    }
-
-    /// `true` when every query succeeded.
-    pub fn is_complete(&self) -> bool {
-        self.statuses.iter().all(Result::is_ok)
-    }
-
-    /// Queries this batch never ran because its cancellation token tripped
-    /// (statuses carrying [`EffresError::DeadlineExceeded`]) — the work the
-    /// lifecycle layer reclaimed for live requests.
-    pub fn abandoned_pairs(&self) -> u64 {
-        self.statuses
-            .iter()
-            .filter(|s| matches!(s, Err(EffresError::DeadlineExceeded { .. })))
-            .count() as u64
-    }
+/// What a batch runner hands back to [`QueryEngine::execute_with`]: one
+/// status per request slot, plus what the run counted on the way.
+pub(crate) struct Run {
+    pub(crate) statuses: Vec<Result<f64, EffresError>>,
+    pub(crate) threads: usize,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) kernel: KernelStats,
+    pub(crate) schedule: Option<ScheduleReport>,
 }
 
 /// Shards of the scratch free list: enough that concurrent batch jobs
@@ -329,8 +322,8 @@ pub(crate) struct EngineCore<B: ResistanceBackend> {
     pub(crate) norms: Option<Arc<Vec<f64>>>,
     pub(crate) cache: Option<ShardedLru>,
     /// The pin-budget ledger concurrent scheduled batches lease capacity
-    /// from, for backends that pin pages out of a bounded cache
-    /// ([`ResistanceBackend::pin_budget_pages`]); `None` for resident
+    /// from, sized to the page budget of the backend's
+    /// [`paged_store`](ResistanceBackend::paged_store); `None` for resident
     /// backends, which pin nothing.
     pub(crate) admission: Option<Arc<AdmissionLedger>>,
     /// Reusable hub-scratch columns (see [`HubScratch`]), sharded so
@@ -398,20 +391,17 @@ pub struct QueryEngine<B: ResistanceBackend = EffectiveResistanceEstimator> {
     /// The engine's own pool, created lazily on the first parallel batch
     /// when no shared pool was configured.
     owned_pool: OnceLock<WorkerPool>,
-    pub(crate) queries: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
+    queries: AtomicU64,
+    batches: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
     /// Page traffic drained from the backend's snapshot/reset counters by
     /// finished batches, so cumulative [`ServiceStats`] survive the
     /// per-batch resets.
-    pub(crate) drained_page_stats: Mutex<PageCacheStats>,
-    /// Service counters drained by [`QueryEngine::take_service_stats`], so
-    /// cumulative [`QueryEngine::stats`] survive the per-interval resets.
-    drained_service_stats: Mutex<ServiceStats>,
+    drained_page_stats: Mutex<PageCacheStats>,
     /// Smoothed per-pair service time of completed batches, feeding the
-    /// doomed-deadline check of the `_with_cancel` paths.
-    pub(crate) service_time: ServiceTimeEwma,
+    /// doomed-deadline check of cancellable batches.
+    service_time: ServiceTimeEwma,
     /// Brownout flag (set by the server's overload controller): while on,
     /// the locality scheduler trims its readahead windows to the minimum so
     /// a pressured cache stops speculating.
@@ -440,8 +430,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         // The ledger needs at least two pages (one per side of a pair), the
         // same floor the scheduler's own budget math applies.
         let admission = backend
-            .pin_budget_pages()
-            .map(|budget| Arc::new(AdmissionLedger::new(budget.max(2))));
+            .paged_store()
+            .map(|store| Arc::new(AdmissionLedger::new(store.cache_capacity_pages().max(2))));
         QueryEngine {
             core: Arc::new(EngineCore {
                 backend,
@@ -457,7 +447,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             drained_page_stats: Mutex::new(PageCacheStats::default()),
-            drained_service_stats: Mutex::new(ServiceStats::default()),
             service_time: ServiceTimeEwma::new(),
             brownout: AtomicBool::new(false),
         }
@@ -503,21 +492,14 @@ impl<B: ResistanceBackend> QueryEngine<B> {
 
     /// Cumulative service counters: the page-cache figures combine what
     /// finished batches drained from the backend's snapshot/reset counters
-    /// with whatever has accrued since (single queries, an in-flight batch),
-    /// and the service counters survive [`QueryEngine::take_service_stats`]
-    /// windows the same way.
+    /// with whatever has accrued since (single queries, an in-flight batch).
     pub fn stats(&self) -> ServiceStats {
-        let live = self.live_service_stats();
-        self.drained_service_stats
-            .lock()
-            .expect("service stats lock poisoned")
-            .merged(live)
-    }
-
-    /// Counters accrued since the last [`QueryEngine::take_service_stats`]
-    /// window (or since construction).
-    fn live_service_stats(&self) -> ServiceStats {
-        let live = self.core.backend.page_cache_stats().unwrap_or_default();
+        let live = self
+            .core
+            .backend
+            .paged_store()
+            .map(PagedColumnStore::page_cache_stats)
+            .unwrap_or_default();
         let page = self
             .drained_page_stats
             .lock()
@@ -540,80 +522,18 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
-    /// Snapshots the service counters accrued since the previous call and
-    /// resets the interval, mirroring
-    /// [`take_page_cache_stats`](effres_io::PagedColumnStore::take_page_cache_stats):
-    /// a long-lived server calls this once per reporting interval to get
-    /// per-interval hit rates under sustained traffic, while
-    /// [`QueryEngine::stats`] keeps reporting cumulative totals (the drained
-    /// intervals are folded into a lifetime pool). The gauges
-    /// (`cache_entries`, `cache_capacity`) are point-in-time in both views.
-    ///
-    /// Taking an interval while a batch is in flight attributes the batch's
-    /// traffic so far to the closing interval and the rest to the next one —
-    /// nothing is lost or double-counted.
-    pub fn take_service_stats(&self) -> ServiceStats {
-        // Drain the backend's live page counters into the per-engine pool
-        // first, then empty the pool into the interval delta.
-        if let Some(live) = self.core.backend.take_page_cache_stats() {
-            let mut drained = self
-                .drained_page_stats
-                .lock()
-                .expect("page stats lock poisoned");
-            *drained = drained.merged(live);
-        }
-        let page = std::mem::take(
-            &mut *self
-                .drained_page_stats
-                .lock()
-                .expect("page stats lock poisoned"),
-        );
-        let delta = ServiceStats {
-            queries: self.queries.swap(0, Ordering::Relaxed),
-            batches: self.batches.swap(0, Ordering::Relaxed),
-            cache_hits: self.cache_hits.swap(0, Ordering::Relaxed),
-            cache_misses: self.cache_misses.swap(0, Ordering::Relaxed),
-            cache_entries: self.core.cache.as_ref().map_or(0, ShardedLru::len),
-            cache_capacity: self.core.cache.as_ref().map_or(0, ShardedLru::capacity),
-            page_cache_hits: page.hits,
-            page_cache_misses: page.misses,
-            page_bytes_read: page.bytes_read,
-            page_readahead_reads: page.readahead_reads,
-            page_column_runs: page.column_runs,
-            page_retries: page.retries,
-            page_faulted_reads: page.faulted_reads,
-        };
-        let mut pool = self
-            .drained_service_stats
-            .lock()
-            .expect("service stats lock poisoned");
-        *pool = pool.merged(delta);
-        delta
-    }
-
     /// Counters of the pin-budget admission ledger, for backends that pin
     /// pages out of a bounded cache; `None` for resident backends.
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
         self.core.admission.as_deref().map(AdmissionLedger::stats)
     }
 
-    /// Opens a per-batch page-traffic window: counters accrued *before* the
-    /// batch (single queries, stats polling) are drained into the cumulative
-    /// pool so the close-of-window delta is the batch's own traffic.
-    pub(crate) fn begin_page_window(&self) {
-        if let Some(stray) = self.core.backend.take_page_cache_stats() {
-            let mut drained = self
-                .drained_page_stats
-                .lock()
-                .expect("page stats lock poisoned");
-            *drained = drained.merged(stray);
-        }
-    }
-
-    /// Closes a per-batch window: returns the batch's page traffic and folds
-    /// it into the cumulative pool.
-    pub(crate) fn end_page_window(&self) -> Option<PageCacheStats> {
-        let delta = self.core.backend.take_page_cache_stats()?;
+    /// Drains the backend's live page counters into the cumulative pool and
+    /// returns them: at the start of a batch this sweeps away traffic that
+    /// accrued before it (single queries, stats polling), so the same call
+    /// at its end returns the batch's own traffic.
+    fn drain_page_window(&self) -> Option<PageCacheStats> {
+        let delta = self.core.backend.paged_store()?.take_page_cache_stats();
         let mut drained = self
             .drained_page_stats
             .lock()
@@ -659,7 +579,10 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         Ok(value)
     }
 
-    /// Executes a batch, in parallel when it is large enough.
+    /// The reference batch path: the hub-sorted runner, fail-fast, on any
+    /// backend — on a paged engine, the arrival-order path the locality
+    /// scheduler is pinned bit-identical to. Serving code calls
+    /// [`execute_with`](Self::execute_with), which schedules paged batches.
     ///
     /// Every pair is validated before any work starts; on a validation error
     /// no query has run. Results come back in the batch's original pair
@@ -671,197 +594,128 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// node, or [`EffresError::StoreFailure`] if an out-of-core backend
     /// failed mid-batch (in which case the batch produced no values).
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
-                return Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-            }
-        }
-        let threads = self.effective_threads(batch.len());
-        self.begin_page_window();
-        let start = Instant::now();
-        let (values, hits, misses, kernel) = self.run_parallel(batch.pairs(), threads)?;
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.service_time.record(batch.len(), elapsed);
-        Ok(BatchResult {
-            values,
-            elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
-        })
+        self.run_batch(batch, &ExecOptions::default(), None)
+            .map_err(|abort| abort.error)
     }
 
-    /// Executes a batch in **partial-results mode**: no single failure
-    /// aborts the batch. Every query gets its own status — an invalid pair
-    /// fails with [`EffresError::NodeOutOfBounds`], a pair touching a page
-    /// the store cannot produce fails with [`EffresError::StoreFailure`],
-    /// and every other query still succeeds, with values bit-identical to
-    /// what [`QueryEngine::execute`] would have returned for it (same
-    /// kernels, same order; see `tests/` for the pinning property tests).
+    /// Executes a batch: through the locality [`scheduler`](crate::scheduler)
+    /// when the backend has a [`paged_store`](ResistanceBackend::paged_store),
+    /// through the hub-sorted runner otherwise — in parallel when the batch
+    /// is large enough, with results in the batch's original pair order
+    /// and bit-identical either way. `options` picks the failure handling
+    /// ([`ExecMode`]) and an optional cancellation token.
     ///
-    /// This is the serving mode of a long-lived server: one poisoned page
-    /// degrades the answers that touch it instead of killing 20k-query
-    /// batches wholesale.
-    pub fn execute_partial(&self, batch: &QueryBatch) -> PartialBatchResult {
-        self.execute_partial_inner(batch, None)
-    }
-
-    /// [`QueryEngine::execute`] with a cancellation token: the run checks
-    /// `cancel` at every chunk boundary (between pairs of a job slice, never
-    /// mid-kernel) and stops as soon as it trips, releasing scratch and page
-    /// budget with the abandoned tail. On cancellation the whole batch
-    /// reports as a [`BatchAbort`] carrying the [`CancelReason`] and how many
-    /// pairs never ran; answers produced before the trip went through exactly
-    /// the kernel calls a completed run would have made, they are just not
-    /// returned (the all-or-nothing contract — use
-    /// [`execute_partial_with_cancel`](Self::execute_partial_with_cancel) to
-    /// keep the prefix).
+    /// Whatever the mode, the engine books one batch for every run that
+    /// reached the runner and returned statuses — completed, degraded, or
+    /// cancelled — with its pair-cache probes, and counts only the slots
+    /// that produced a value in [`ServiceStats::queries`].
     ///
-    /// When the token carries a deadline and the engine has a service-time
-    /// estimate, a *doomed* batch — estimated time already past the deadline
-    /// — is rejected up front ([`CancelReason::Unmeetable`]) without touching
-    /// the admission queue.
-    pub fn execute_with_cancel(
+    /// # Errors
+    ///
+    /// In [`ExecMode::FailFast`]: [`EffresError::NodeOutOfBounds`] naming
+    /// the first invalid node (no query has run), then
+    /// [`EffresError::StoreFailure`] if the store failed mid-batch,
+    /// [`EffresError::Busy`] if bounded admission shed the batch, or
+    /// [`EffresError::DeadlineExceeded`] with the count of abandoned pairs
+    /// when the token tripped. In either mode: a token that tripped before
+    /// the batch started, or whose deadline the service-time estimate says
+    /// cannot be met, rejects the batch whole; and in
+    /// [`ExecMode::Partial`] a [`EffresError::Busy`] shed before anything
+    /// ran rejects it whole too — nothing was computed, so the caller should
+    /// back off and resubmit.
+    pub fn execute_with(
         &self,
         batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
+        options: &ExecOptions,
     ) -> Result<BatchResult, BatchAbort> {
-        let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
+        self.run_batch(batch, options, self.core.backend.paged_store())
+    }
+
+    /// The one batch path: everything around the runner — the locality
+    /// scheduler over `schedule_over` when given, the hub-sorted runner
+    /// otherwise.
+    fn run_batch(
+        &self,
+        batch: &QueryBatch,
+        options: &ExecOptions,
+        schedule_over: Option<&PagedColumnStore>,
+    ) -> Result<BatchResult, BatchAbort> {
+        let fail_fast = options.mode == ExecMode::FailFast;
+        if fail_fast {
+            let n = self.core.backend.node_count();
+            if let Some(&(p, q)) = batch.pairs().iter().find(|&&(p, q)| p >= n || q >= n) {
                 return Err(BatchAbort::from(EffresError::NodeOutOfBounds {
                     node: p.max(q),
                     node_count: n,
                 }));
             }
         }
-        if let Err(error) = self.admit_deadline(batch, cancel) {
-            return Err(BatchAbort {
-                error,
-                abandoned_pairs: batch.len() as u64,
-            });
-        }
-        let threads = self.effective_threads(batch.len());
-        self.begin_page_window();
-        let start = Instant::now();
-        let run = self.run_parallel_statuses(batch.pairs(), threads, true, Some(cancel));
-        let elapsed = start.elapsed();
-        let (statuses, hits, misses, kernel) = match run {
-            Ok(out) => out,
-            Err(error) => {
-                self.end_page_window();
-                return Err(BatchAbort::from(error));
+        let cancel = options.cancel.as_ref();
+        if let Some(token) = cancel {
+            if let Err(error) = self.admit_deadline(batch, token) {
+                return Err(BatchAbort {
+                    error,
+                    abandoned_pairs: batch.len() as u64,
+                });
             }
+        }
+        self.drain_page_window();
+        let start = Instant::now();
+        let run = match schedule_over {
+            Some(store) => self.run_scheduled(store, batch.pairs(), fail_fast, cancel),
+            None => self.run_sorted(batch.pairs(), fail_fast, cancel),
         };
-        // In fail-fast mode a non-cancellation failure aborted above, so any
-        // `Err` statuses here are the cancelled tail.
-        let abandoned = statuses.iter().filter(|s| s.is_err()).count() as u64;
-        self.queries
-            .fetch_add(batch.len() as u64 - abandoned, Ordering::Relaxed);
+        let elapsed = start.elapsed();
+        let page_cache = self.drain_page_window();
+        let run = run?;
+
+        let mut values = Vec::with_capacity(run.statuses.len());
+        let mut failures = Vec::new();
+        for (slot, status) in run.statuses.into_iter().enumerate() {
+            match status {
+                Ok(value) => values.push(value),
+                Err(error) => {
+                    values.push(0.0);
+                    failures.push((slot, error));
+                }
+            }
+        }
+        let answered = values.len() - failures.len();
+        self.queries.fetch_add(answered as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        if abandoned > 0 {
-            self.end_page_window();
-            let error = statuses
-                .into_iter()
-                .find_map(Result::err)
-                .expect("an abandoned batch has an Err status");
+        self.cache_hits.fetch_add(run.hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(run.misses, Ordering::Relaxed);
+        if failures.is_empty() {
+            self.service_time.record(batch.len(), elapsed);
+        } else if fail_fast {
+            // A fail-fast runner returns statuses only when its token
+            // stopped it, so every failure is an abandoned query.
             return Err(BatchAbort {
-                error,
-                abandoned_pairs: abandoned,
+                error: failures[0].1.clone(),
+                abandoned_pairs: failures.len() as u64,
             });
         }
-        self.service_time.record(batch.len(), elapsed);
         Ok(BatchResult {
-            values: statuses
-                .into_iter()
-                .map(|s| s.expect("no Err statuses survive the abandoned check"))
-                .collect(),
+            values,
+            failures,
             elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
+            threads: run.threads,
+            cache_hits: run.hits,
+            cache_misses: run.misses,
+            page_cache,
+            kernel: run.kernel,
+            schedule: run.schedule,
         })
     }
 
-    /// [`QueryEngine::execute_partial`] with a cancellation token: when the
-    /// token trips mid-batch, queries answered before the trip keep their
-    /// (bit-identical) values and the abandoned tail carries
-    /// [`EffresError::DeadlineExceeded`] statuses — count them with
-    /// [`PartialBatchResult::abandoned_pairs`]. A batch judged doomed up
-    /// front (deadline closer than the estimated service time) is rejected
-    /// as a whole with `Err`.
-    pub fn execute_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.admit_deadline(batch, cancel)?;
-        Ok(self.execute_partial_inner(batch, Some(cancel)))
-    }
-
-    fn execute_partial_inner(
-        &self,
-        batch: &QueryBatch,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> PartialBatchResult {
-        let threads = self.effective_threads(batch.len());
-        self.begin_page_window();
-        let start = Instant::now();
-        let (statuses, hits, misses, kernel) = self
-            .run_parallel_statuses(batch.pairs(), threads, false, cancel)
-            .expect("partial-mode run never aborts");
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        let result = PartialBatchResult {
-            statuses,
-            elapsed,
-            threads,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: None,
-        };
-        if result.is_complete() {
-            self.service_time.record(batch.len(), elapsed);
-        }
-        result
-    }
-
-    /// The doomed-deadline gate of every `_with_cancel` path: an
-    /// already-tripped token fails immediately, and a deadline the
-    /// service-time EWMA says cannot be met is shed up front
-    /// ([`CancelReason::Unmeetable`]) — through the admission ledger when the
-    /// backend has one (so the shed is counted in
-    /// [`AdmissionStats::shed_doomed`]), directly otherwise. With no
-    /// estimate yet (cold engine) every deadline is admitted: the gate only
-    /// sheds on evidence.
-    pub(crate) fn admit_deadline(
-        &self,
-        batch: &QueryBatch,
-        cancel: &CancelToken,
-    ) -> Result<(), EffresError> {
+    /// The doomed-deadline gate of cancellable batches: an already-tripped
+    /// token fails immediately, and a deadline the service-time EWMA says
+    /// cannot be met is shed up front ([`CancelReason::Unmeetable`]) —
+    /// through the admission ledger when the backend has one (so the shed
+    /// is counted in [`AdmissionStats::shed_doomed`]), directly otherwise.
+    /// With no estimate yet (cold engine) every deadline is admitted: the
+    /// gate only sheds on evidence.
+    fn admit_deadline(&self, batch: &QueryBatch, cancel: &CancelToken) -> Result<(), EffresError> {
         cancel.check()?;
         let Some(deadline) = cancel.deadline() else {
             return Ok(());
@@ -898,35 +752,19 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         configured.min(batch_len.div_ceil(256)).max(1)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_parallel(
+    /// The hub-sorted runner, sequential (one job) or parallel. Both forms
+    /// sort and scatter back identically — the sequential one just answers
+    /// the whole sorted batch inline instead of dispatching chunk jobs to
+    /// the pool — so values are bit-identical across them. Sorting even the
+    /// sequential batch is what lets the hub-run kernel engage on a single
+    /// worker.
+    fn run_sorted(
         &self,
         pairs: &[(usize, usize)],
-        threads: usize,
-    ) -> Result<(Vec<f64>, u64, u64, KernelStats), EffresError> {
-        let (statuses, hits, misses, kernel) =
-            self.run_parallel_statuses(pairs, threads, true, None)?;
-        let values = statuses
-            .into_iter()
-            .map(|s| s.expect("fail-fast parallel run aborts on the first error"))
-            .collect();
-        Ok((values, hits, misses, kernel))
-    }
-
-    /// The status-returning batch path, sequential (`threads <= 1`) or
-    /// parallel. Both modes sort and scatter back identically — the
-    /// sequential mode just answers the whole sorted batch inline instead of
-    /// dispatching chunk jobs to the pool — so values are bit-identical
-    /// across modes. Sorting even the sequential batch is what lets the
-    /// hub-run kernel engage on a single worker.
-    #[allow(clippy::type_complexity)]
-    fn run_parallel_statuses(
-        &self,
-        pairs: &[(usize, usize)],
-        threads: usize,
         fail_fast: bool,
         cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<(Vec<Result<f64, EffresError>>, u64, u64, KernelStats), EffresError> {
+    ) -> Result<Run, EffresError> {
+        let threads = self.effective_threads(pairs.len());
         // Sort queries by **permuted** normalized pair so queries sharing
         // a permuted endpoint land in the same chunk and reuse the scattered
         // column (and, on the paged backend, the same decoded pages).
@@ -1017,7 +855,14 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         for (&(_, original), status) in keyed.iter().zip(sorted_statuses) {
             statuses[original as usize] = status;
         }
-        Ok((statuses, hits, misses, kernel))
+        Ok(Run {
+            statuses,
+            threads,
+            hits,
+            misses,
+            kernel,
+            schedule: None,
+        })
     }
 }
 
@@ -1043,7 +888,7 @@ impl<B: ResistanceBackend> EngineCore<B> {
     /// carries its sort key, so the loop reads the permuted `(hub, partner)`
     /// and the next pair's hub from the keys instead of re-permuting. With
     /// `fail_fast` the first failure aborts the slice (the all-or-nothing
-    /// contract of [`QueryEngine::execute`]); without it the failure is
+    /// contract of [`ExecMode::FailFast`]); without it the failure is
     /// recorded as that query's status and the slice continues — the
     /// partial-results contract. Both modes run the **same kernels in the
     /// same order**, so the values a query succeeds with are bit-identical
@@ -1151,6 +996,20 @@ mod tests {
     use effres::EffresConfig;
     use effres_graph::generators;
 
+    fn partial() -> ExecOptions {
+        ExecOptions {
+            mode: ExecMode::Partial,
+            cancel: None,
+        }
+    }
+
+    fn cancellable(mode: ExecMode, cancel: &Arc<CancelToken>) -> ExecOptions {
+        ExecOptions {
+            mode,
+            cancel: Some(Arc::clone(cancel)),
+        }
+    }
+
     fn engine_for(nodes: usize, options: EngineOptions) -> QueryEngine {
         let side = (nodes as f64).sqrt() as usize;
         let graph = generators::grid_2d(side, side, 0.5, 2.0, 5).expect("generator");
@@ -1250,26 +1109,34 @@ mod tests {
                         ..EngineOptions::default()
                     },
                 );
-                let result = engine.execute_partial(&batch);
+                let result = engine
+                    .execute_with(&batch, &partial())
+                    .expect("a partial batch without a token always runs");
                 assert_eq!(result.threads, threads);
-                assert_eq!(result.statuses.len(), pairs.len());
+                assert_eq!(result.values.len(), pairs.len());
                 let mut expected = expected.iter();
-                for (&(p, q), status) in pairs.iter().zip(&result.statuses) {
+                let mut failures = result.failures.iter();
+                for (slot, &(p, q)) in pairs.iter().enumerate() {
+                    let got = result.values[slot];
                     if p < n && q < n {
                         let want = expected.next().expect("one answer per valid pair");
-                        let got = status.as_ref().expect("valid pairs succeed");
                         assert_eq!(got.to_bits(), want.to_bits(), "({p}, {q})");
                     } else {
                         assert_eq!(
-                            status.as_ref().unwrap_err(),
-                            &EffresError::NodeOutOfBounds {
-                                node: p.max(q),
-                                node_count: n,
-                            }
+                            failures.next().expect("one failure per invalid pair"),
+                            &(
+                                slot,
+                                EffresError::NodeOutOfBounds {
+                                    node: p.max(q),
+                                    node_count: n,
+                                }
+                            )
                         );
+                        assert_eq!(got, 0.0, "failed slots carry 0.0");
                     }
                 }
-                assert_eq!(result.failures(), pairs.len() - expected_len);
+                assert!(failures.next().is_none(), "valid pairs succeed");
+                assert_eq!(result.failures.len(), pairs.len() - expected_len);
                 if cache_capacity == 0 {
                     assert_eq!(result.cache_hits, 0);
                 } else {
@@ -1442,15 +1309,19 @@ mod tests {
         let cancel = Arc::new(CancelToken::unbounded());
         cancel.cancel(CancelReason::Disconnected);
         let before = engine.stats();
-        let abort = engine.execute_with_cancel(&batch, &cancel).unwrap_err();
-        assert_eq!(
-            abort.error,
-            EffresError::DeadlineExceeded {
-                reason: CancelReason::Disconnected
-            }
-        );
-        assert_eq!(abort.abandoned_pairs, batch.len() as u64);
-        assert_eq!(engine.stats().queries, before.queries, "no query ran");
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let abort = engine
+                .execute_with(&batch, &cancellable(mode, &cancel))
+                .unwrap_err();
+            assert_eq!(
+                abort.error,
+                EffresError::DeadlineExceeded {
+                    reason: CancelReason::Disconnected
+                }
+            );
+            assert_eq!(abort.abandoned_pairs, batch.len() as u64);
+        }
+        assert_eq!(engine.stats(), before, "no batch ran");
     }
 
     #[test]
@@ -1467,12 +1338,15 @@ mod tests {
         let batch = QueryBatch::random(3000, engine.node_count(), 13);
         let reference = engine.execute(&batch).expect("reference");
         let cancel = Arc::new(CancelToken::after(Duration::from_secs(3600)));
-        let result = engine
-            .execute_with_cancel(&batch, &cancel)
-            .expect("nowhere near the deadline");
-        assert_eq!(result.values.len(), reference.values.len());
-        for (value, reference) in result.values.iter().zip(&reference.values) {
-            assert_eq!(value.to_bits(), reference.to_bits());
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let result = engine
+                .execute_with(&batch, &cancellable(mode, &cancel))
+                .expect("nowhere near the deadline");
+            assert!(result.failures.is_empty());
+            assert_eq!(result.values.len(), reference.values.len());
+            for (value, reference) in result.values.iter().zip(&reference.values) {
+                assert_eq!(value.to_bits(), reference.to_bits());
+            }
         }
     }
 
@@ -1489,6 +1363,7 @@ mod tests {
         );
         let batch = QueryBatch::random(20_000, engine.node_count(), 11);
         let reference = engine.execute(&batch).expect("reference").values;
+        let answered_before = engine.stats().queries;
         let cancel = Arc::new(CancelToken::unbounded());
         let canceller = {
             let cancel = Arc::clone(&cancel);
@@ -1497,31 +1372,36 @@ mod tests {
                 cancel.cancel(CancelReason::Disconnected);
             })
         };
-        let outcome = engine.execute_partial_with_cancel(&batch, &cancel);
+        let outcome = engine.execute_with(&batch, &cancellable(ExecMode::Partial, &cancel));
         canceller.join().expect("canceller");
         match outcome {
             Ok(result) => {
                 // Whatever the race decided, every completed answer is
                 // bit-identical to the solo run and the abandoned tail is
                 // typed and fully accounted.
+                let mut failures = result.failures.iter().peekable();
                 let mut completed = 0u64;
-                for (status, reference) in result.statuses.iter().zip(&reference) {
-                    match status {
-                        Ok(value) => {
+                for (slot, (value, reference)) in result.values.iter().zip(&reference).enumerate() {
+                    match failures.next_if(|(failed, _)| *failed == slot) {
+                        None => {
                             completed += 1;
                             assert_eq!(value.to_bits(), reference.to_bits());
                         }
-                        Err(EffresError::DeadlineExceeded { reason }) => {
+                        Some((_, EffresError::DeadlineExceeded { reason })) => {
                             assert_eq!(*reason, CancelReason::Disconnected);
                         }
-                        Err(other) => panic!("unexpected status: {other}"),
+                        Some((_, other)) => panic!("unexpected status: {other}"),
                     }
                 }
-                assert_eq!(completed + result.abandoned_pairs(), batch.len() as u64);
+                assert_eq!(completed + result.failures.len() as u64, batch.len() as u64);
+                assert_eq!(
+                    engine.stats().queries - answered_before,
+                    completed,
+                    "only answered slots count as queries"
+                );
             }
             // The canceller won the race to admission: nothing ran at all.
-            Err(EffresError::DeadlineExceeded { .. }) => {}
-            Err(other) => panic!("unexpected batch error: {other}"),
+            Err(abort) => assert!(matches!(abort.error, EffresError::DeadlineExceeded { .. })),
         }
     }
 
@@ -1536,15 +1416,19 @@ mod tests {
         let batch = QueryBatch::random(100, engine.node_count(), 8);
         let before = engine.stats();
         let cancel = Arc::new(CancelToken::after(Duration::from_secs(5)));
-        let abort = engine.execute_with_cancel(&batch, &cancel).unwrap_err();
-        assert_eq!(
-            abort.error,
-            EffresError::DeadlineExceeded {
-                reason: CancelReason::Unmeetable
-            }
-        );
-        assert_eq!(abort.abandoned_pairs, batch.len() as u64);
-        assert_eq!(engine.stats().queries, before.queries, "no query ran");
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let abort = engine
+                .execute_with(&batch, &cancellable(mode, &cancel))
+                .unwrap_err();
+            assert_eq!(
+                abort.error,
+                EffresError::DeadlineExceeded {
+                    reason: CancelReason::Unmeetable
+                }
+            );
+            assert_eq!(abort.abandoned_pairs, batch.len() as u64);
+        }
+        assert_eq!(engine.stats(), before, "no batch ran");
     }
 
     #[test]

@@ -7,16 +7,22 @@
 //! * [`engine::QueryEngine`] — a thread-safe engine over an `Arc`-shared
 //!   [`backend::ResistanceBackend`], fanning [`batch::QueryBatch`]es out
 //!   onto a persistent [`WorkerPool`](effres::WorkerPool) (shareable with
-//!   the estimator build) with reusable scratch column buffers;
+//!   the estimator build) with reusable scratch column buffers. Every batch
+//!   takes one path, [`QueryEngine::execute_with`], whose
+//!   [`ExecOptions`] pick fail-fast or partial results
+//!   ([`ExecMode`]) and an optional [`CancelToken`];
+//!   [`QueryEngine::execute`] is the backend-independent reference path;
 //! * [`backend::ResistanceBackend`] — the serving backends: the resident
 //!   [`EffectiveResistanceEstimator`](effres::EffectiveResistanceEstimator)
 //!   arena, or the out-of-core
 //!   [`PagedSnapshot`](effres_io::PagedSnapshot) paging columns in from a
-//!   v2/v3 snapshot file (bit-identical answers either way);
-//! * [`scheduler`] — the locality scheduler for paged batches:
-//!   `QueryEngine::<PagedSnapshot>::execute_scheduled` clusters queries by
-//!   the pages they touch, pins blocks out of the cache budget and sweeps
-//!   the rest with coalesced readahead — same bits, a fraction of the I/O;
+//!   v2/v3 snapshot file (bit-identical answers either way). Its
+//!   [`paged_store`](backend::ResistanceBackend::paged_store) hook picks
+//!   the batch runner;
+//! * [`scheduler`] — the locality scheduler paged batches run through:
+//!   it clusters queries by the pages they touch, pins blocks out of the
+//!   cache budget and sweeps the rest with coalesced readahead — same bits,
+//!   a fraction of the I/O;
 //! * [`cache::ShardedLru`] — a striped, four-way set-associative cache of
 //!   recent pair results in front of the sparse kernel (one cache line per
 //!   probe, LRU within each set);
@@ -68,7 +74,7 @@ pub use batch::QueryBatch;
 pub use cache::ShardedLru;
 pub use cancel::CancelToken;
 pub use engine::{
-    BatchAbort, BatchResult, EngineOptions, PartialBatchResult, QueryEngine, ScheduleReport,
+    BatchAbort, BatchResult, EngineOptions, ExecMode, ExecOptions, QueryEngine, ScheduleReport,
     ServiceStats,
 };
 pub use metrics::{HistogramSnapshot, LatencyHistogram, ServiceTimeEwma};

@@ -10,7 +10,9 @@
 //! Pairwise Effective Resistance"): *amortize every fetched block over all
 //! the queries that need it before letting it go*.
 //!
-//! [`QueryEngine::execute_scheduled`] does that in three steps:
+//! [`QueryEngine::execute_with`] runs every batch on a backend with a
+//! [`paged_store`](crate::ResistanceBackend::paged_store) through this
+//! scheduler, in three steps:
 //!
 //! 1. **Cluster** — each cache-missing query is mapped to its page pair
 //!    `(page_lo, page_hi)` (permuted endpoints, unordered) and the batch is
@@ -46,31 +48,46 @@
 //! [`AdmissionLedger`](crate::admission::AdmissionLedger) first, so
 //! concurrent batches on one engine split the cache budget between them
 //! (block by block) instead of over-pinning it — an uncontended lease gets
-//! the full budget and the plan is exactly the solo plan. Results are scattered
-//! back into the batch's original request order, and each query is evaluated
-//! by exactly the same store-generic kernels as the unscheduled path (the
-//! grouped multi-pair kernel
+//! the full budget and the plan is exactly the solo plan.
+//!
+//! One body serves both [`ExecMode`](crate::ExecMode)s: every query gets a
+//! status, and the mode only decides what a failure does. Fail-fast stops
+//! at the first failure other than a cancellation (a block or window pin,
+//! a window's kernel, an admission shed). Partial mode degrades instead:
+//! block and window pins degrade page by page
+//! ([`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial)),
+//! a window whose grouped kernel fails is re-run query by query so only
+//! the queries touching an unproducible page fail, and a shed after the
+//! first block marks the remaining queries [`EffresError::Busy`]. In both
+//! modes a cancellation token is checked at every block and readahead-wave
+//! boundary — where the lease, the block pin and the window pins all
+//! release by RAII — and a trip marks every query not yet drained
+//! [`EffresError::DeadlineExceeded`].
+//!
+//! Results are scattered back into the batch's original request order, and
+//! each query is evaluated by exactly the same store-generic kernels as the
+//! hub-sorted runner (the grouped multi-pair kernel
 //! [`column_distances_squared_grouped`](effres::column_store::column_distances_squared_grouped),
 //! property-pinned bit-identical to the pairwise
-//! [`column_dot`](effres::column_store::column_dot) loop), so the values are
-//! **bit-identical** to unscheduled paged — and to resident — execution;
-//! only the evaluation order and the I/O pattern change. Query independence makes that reordering safe by construction,
-//! and the property tests in `tests/io_service_end_to_end.rs` pin it.
+//! [`column_dot`](effres::column_store::column_dot) loop, also on a
+//! one-pair slice), so the values are **bit-identical** to unscheduled
+//! paged — and to resident — execution in either mode; only the evaluation
+//! order and the I/O pattern change. Query independence makes that
+//! reordering safe by construction, and the property tests in
+//! `tests/io_service_end_to_end.rs` pin it.
 
 use crate::admission::PinLease;
 use crate::backend::ResistanceBackend;
 use crate::batch::QueryBatch;
 use crate::cancel::CancelToken;
 use crate::engine::{
-    cache_key, BatchAbort, BatchResult, EngineCore, PartialBatchResult, QueryEngine, ScheduleReport,
+    cache_key, BatchResult, EngineCore, ExecOptions, QueryEngine, Run, ScheduleReport,
 };
 use effres::column_store::{self, KernelStats};
 use effres::EffresError;
 use effres_io::{PagedColumnStore, PagedSnapshot, PinnedPages, PinnedReader};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One cache-missing query, resolved into the permuted domain and mapped
 /// onto its page pair.
@@ -88,7 +105,30 @@ struct Pending {
     page_hi: u32,
 }
 
+/// A readahead window of one block: the hi pages it pins, and the range of
+/// the block's queries it drains.
+type Window = (Vec<usize>, usize, usize);
+
 impl QueryEngine<PagedSnapshot> {
+    /// [`execute_with`](QueryEngine::execute_with) with default options —
+    /// fail-fast, no cancellation token — through the locality scheduler:
+    /// answers come back in the batch's original pair order and are
+    /// bit-identical to [`QueryEngine::execute`], which remains the
+    /// arrival-order reference path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EffresError::NodeOutOfBounds`] naming the first invalid
+    /// node (no query has run), [`EffresError::StoreFailure`] if the
+    /// store failed mid-batch (in which case the batch produced no values),
+    /// or [`EffresError::Busy`] if bounded admission shed the batch.
+    pub fn execute_scheduled(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
+        self.execute_with(batch, &ExecOptions::default())
+            .map_err(|abort| abort.error)
+    }
+}
+
+impl<B: ResistanceBackend> QueryEngine<B> {
     /// Leases pin capacity for one block, honoring the engine's admission
     /// bounds: unbounded blocking by default, shedding with a typed
     /// [`EffresError::Busy`] when
@@ -137,76 +177,23 @@ impl QueryEngine<PagedSnapshot> {
         }
     }
 
-    /// Executes a batch through the locality scheduler (see the module
-    /// docs): answers come back in the batch's original pair order and are
-    /// bit-identical to [`QueryEngine::execute`], which remains the
-    /// arrival-order reference path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::NodeOutOfBounds`] naming the first invalid
-    /// node (no query has run), [`EffresError::StoreFailure`] if the
-    /// store failed mid-batch (in which case the batch produced no values),
-    /// or [`EffresError::Busy`] if bounded admission shed the batch.
-    pub fn execute_scheduled(&self, batch: &QueryBatch) -> Result<BatchResult, EffresError> {
-        self.validate_batch(batch)?;
-        self.execute_scheduled_inner(batch, None)
-            .map_err(|abort| abort.error)
-    }
-
-    /// [`execute_scheduled`](Self::execute_scheduled) with a cancellation
-    /// token, checked at every **block boundary and readahead-wave
-    /// boundary** — the scheduler's natural chunk edges, where the block
-    /// lease, the pinned pages and the window pins all release by RAII, so a
-    /// trip frees page-cache budget for live batches within one chunk and
-    /// never interrupts a kernel (answers already drained went through
-    /// exactly the calls a completed run makes). On cancellation the batch
-    /// reports as a [`BatchAbort`] counting the queries that never drained;
-    /// a deadline the service-time EWMA says cannot be met is shed up front
-    /// through the admission ledger's doomed gate.
-    pub fn execute_scheduled_with_cancel(
+    /// The scheduler's runner over `store` (see the module docs): one status
+    /// per slot of `pairs`, in request order. `Err` only in fail-fast mode,
+    /// on the first failure that is not a cancellation — and, in either
+    /// mode, for a [`EffresError::Busy`] shed before the first block ran.
+    pub(crate) fn run_scheduled(
         &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<BatchResult, BatchAbort> {
-        self.validate_batch(batch)?;
-        if let Err(error) = self.admit_deadline(batch, cancel) {
-            return Err(BatchAbort {
-                error,
-                abandoned_pairs: batch.len() as u64,
-            });
-        }
-        self.execute_scheduled_inner(batch, Some(cancel))
-    }
-
-    fn validate_batch(&self, batch: &QueryBatch) -> Result<(), EffresError> {
-        let n = self.core.backend.node_count();
-        for &(p, q) in batch.pairs() {
-            if p >= n || q >= n {
-                return Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn execute_scheduled_inner(
-        &self,
-        batch: &QueryBatch,
+        store: &PagedColumnStore,
+        pairs: &[(usize, usize)],
+        fail_fast: bool,
         cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<BatchResult, BatchAbort> {
+    ) -> Result<Run, EffresError> {
         let n = self.core.backend.node_count();
-        debug_assert!(batch.pairs().iter().all(|&(p, q)| p < n && q < n));
-        self.begin_page_window();
-        let start = Instant::now();
-
-        let store = &self.core.backend.store;
         let permutation = self.core.backend.permutation();
-        let mut values = vec![0.0f64; batch.len()];
+        let mut statuses: Vec<Result<f64, EffresError>> =
+            (0..pairs.len()).map(|_| Ok(0.0)).collect();
         let mut hits = 0u64;
-        let mut pending: Vec<Pending> = Vec::with_capacity(batch.len());
+        let mut pending: Vec<Pending> = Vec::with_capacity(pairs.len());
         // With a pair cache, in-batch repeats of a pair compute once and fan
         // out afterwards (the arrival-order path serves them from the cache
         // as it goes; here the cache is consulted before any work, so
@@ -218,15 +205,23 @@ impl QueryEngine<PagedSnapshot> {
         let mut duplicates: Vec<(u32, u32)> = Vec::new();
         let mut first_slot_of: std::collections::HashMap<u64, u32> =
             std::collections::HashMap::new();
-        for (slot, &(p, q)) in batch.pairs().iter().enumerate() {
+        for (slot, &(p, q)) in pairs.iter().enumerate() {
+            if p >= n || q >= n {
+                // Partial mode only: fail-fast batches are validated first.
+                statuses[slot] = Err(EffresError::NodeOutOfBounds {
+                    node: p.max(q),
+                    node_count: n,
+                });
+                continue;
+            }
             if p == q {
-                continue; // values[slot] stays 0.0
+                continue; // statuses[slot] stays Ok(0.0)
             }
             let key = cache_key(p, q);
             if let Some(cache) = &self.core.cache {
                 if let Some(value) = cache.get(key) {
                     hits += 1;
-                    values[slot] = value;
+                    statuses[slot] = Ok(value);
                     continue;
                 }
                 if let Some(&first) = first_slot_of.get(&key) {
@@ -274,7 +269,7 @@ impl QueryEngine<PagedSnapshot> {
         // batch, is what lets a large batch split: it re-queues at every
         // block boundary, so competing traffic interleaves.
         let budget = store.cache_capacity_pages().max(2);
-        let threads = self.effective_threads(batch.len()).max(1);
+        let threads = self.effective_threads(pairs.len()).max(1);
         // Brownout trims readahead to the single-page minimum: a pressured
         // cache stops speculating, at the cost of more, smaller reads. The
         // plan changes shape but the kernels and their inputs do not, so
@@ -311,15 +306,16 @@ impl QueryEngine<PagedSnapshot> {
         let mut kernel = KernelStats::default();
         let mut parallel_fan = 1usize;
         let mut at = 0usize;
-        let total_pending = pending.len();
-        while at < total_pending {
+        while at < pending.len() {
             // Block boundary: the cheapest place to notice a tripped token —
             // no lease held, nothing pinned, everything after `at` unread.
             if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                return Err(BatchAbort {
-                    error: EffresError::DeadlineExceeded { reason },
-                    abandoned_pairs: (total_pending - at) as u64,
-                });
+                fail_all(
+                    &mut statuses,
+                    &pending[at..],
+                    &EffresError::DeadlineExceeded { reason },
+                );
+                break;
             }
             let desired = if distinct_lo_from[at] >= full_block_cap {
                 budget
@@ -332,16 +328,16 @@ impl QueryEngine<PagedSnapshot> {
             // with `Busy` under bounded admission).
             let lease = match self.lease_block(desired, cancel.map(Arc::as_ref)) {
                 Ok(lease) => lease,
-                Err(error) => {
-                    let abandoned = if matches!(error, EffresError::DeadlineExceeded { .. }) {
-                        (total_pending - at) as u64
-                    } else {
-                        0
-                    };
-                    return Err(BatchAbort {
-                        error,
-                        abandoned_pairs: abandoned,
-                    });
+                // A shed before anything drained rejects the batch whole,
+                // and so does any shed in fail-fast mode.
+                Err(busy @ EffresError::Busy { .. }) if fail_fast || at == 0 => return Err(busy),
+                Err(err) => {
+                    // A later shed in partial mode, or a deadline run out
+                    // waiting for the lease: everything drained so far
+                    // stands; the rest is typed for the client — `Busy` to
+                    // retry, `DeadlineExceeded` to give up on.
+                    fail_all(&mut statuses, &pending[at..], &err);
+                    break;
                 }
             };
             let grant = lease.as_ref().map_or(budget, |l| l.granted());
@@ -368,326 +364,20 @@ impl QueryEngine<PagedSnapshot> {
             report.blocks += 1;
             let block = &mut pending[block_start..at];
             // 3. Pin the block (demand-sized when the batch outgrows the
-            // cache) and sweep its hi side in sorted page order.
+            // cache) and sweep its hi side in sorted page order. A degraded
+            // pin fails only the queries anchored on pages it could not
+            // produce; the rest of the block proceeds over what did pin.
             let demand = sparse.then(|| demand_of(block));
-            let pinned = Arc::new(store.pin_pages(&lo_pages, demand.as_deref())?);
-            block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
-
-            // Cut the sweep into window jobs: each accumulates up to
-            // `window` distinct hi pages that are not already pinned with
-            // the block.
-            let mut job_bounds: Vec<(Vec<usize>, usize, usize)> = Vec::new();
-            let mut job_pids: Vec<usize> = Vec::new();
-            let mut job_start = 0usize;
-            for (i, t) in block.iter().enumerate() {
-                let hi = t.page_hi as usize;
-                let needed = lo_pages.binary_search(&hi).is_err() && job_pids.last() != Some(&hi);
-                if needed && job_pids.len() == window {
-                    job_bounds.push((std::mem::take(&mut job_pids), job_start, i));
-                    job_start = i;
-                }
-                if needed {
-                    job_pids.push(hi);
-                }
-            }
-            job_bounds.push((job_pids, job_start, block.len()));
-            report.windows += job_bounds.len();
-
-            if fan > 1 && job_bounds.len() > 1 {
-                // Fan the windows out: each worker pins its own window (its
-                // per-worker shard of the grant) over the shared block pin.
-                // Jobs are submitted in waves of at most `fan`, because the
-                // pin bound is per *concurrent* window — a pool with more
-                // workers than `fan` would otherwise pin every window of the
-                // block at once and blow through the lease. The closures are
-                // built per wave, not up front, so a token that trips
-                // between waves abandons the un-dispatched windows without
-                // ever materializing them.
-                parallel_fan = parallel_fan.max(job_bounds.len().min(fan));
-                let mut bounds: VecDeque<(Vec<usize>, usize, usize)> = job_bounds.into();
-                let mut job_index = 0usize;
-                while !bounds.is_empty() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        let undrained: u64 =
-                            bounds.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
-                        return Err(BatchAbort {
-                            error: EffresError::DeadlineExceeded { reason },
-                            abandoned_pairs: undrained + (total_pending - at) as u64,
-                        });
-                    }
-                    let wave: Vec<_> = bounds
-                        .drain(..fan.min(bounds.len()))
-                        .map(|(pids, lo, hi)| {
-                            let job = job_index;
-                            job_index += 1;
-                            let core = Arc::clone(&self.core);
-                            let pinned = Arc::clone(&pinned);
-                            let queries = block[lo..hi].to_vec();
-                            move || drain_window(&core, &pinned, &pids, &queries, job, sparse)
-                        })
-                        .collect();
-                    for result in self.worker_pool().run(wave) {
-                        let (drained, window_kernel) = result?;
-                        kernel.merge(window_kernel);
-                        for (slot, value) in drained {
-                            values[slot as usize] = value;
-                        }
-                    }
-                }
+            let (pinned, pin_failures) = if fail_fast {
+                (store.pin_pages(&lo_pages, demand.as_deref())?, Vec::new())
             } else {
-                for (index, (pids, lo, hi)) in job_bounds.iter().enumerate() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        let undrained: u64 = job_bounds[index..]
-                            .iter()
-                            .map(|&(_, lo, hi)| (hi - lo) as u64)
-                            .sum();
-                        return Err(BatchAbort {
-                            error: EffresError::DeadlineExceeded { reason },
-                            abandoned_pairs: undrained + (total_pending - at) as u64,
-                        });
-                    }
-                    let (drained, window_kernel) =
-                        drain_window(&self.core, &pinned, pids, &block[*lo..*hi], 0, sparse)?;
-                    kernel.merge(window_kernel);
-                    for (slot, value) in drained {
-                        values[slot as usize] = value;
-                    }
-                }
-            }
-        }
-
-        for (slot, first) in duplicates {
-            values[slot as usize] = values[first as usize];
-        }
-
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.service_time.record(batch.len(), elapsed);
-        Ok(BatchResult {
-            values,
-            elapsed,
-            threads: parallel_fan,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
-            kernel,
-            schedule: Some(report),
-        })
-    }
-
-    /// The partial-results twin of
-    /// [`execute_scheduled`](Self::execute_scheduled): same clustering, same
-    /// blocks, same kernels — but failures **degrade** instead of aborting.
-    ///
-    /// * An out-of-bounds pair fails only its own slot
-    ///   ([`EffresError::NodeOutOfBounds`]).
-    /// * A page the store cannot produce (exhausted retries, persistent
-    ///   corruption) fails only the queries that touch it: block pins
-    ///   degrade through
-    ///   [`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial),
-    ///   and a window whose batched kernel fails is re-run query by query so
-    ///   the poisoned page pair is isolated
-    ///   ([`EffresError::StoreFailure`]).
-    /// * Under bounded admission, a shed at a block boundary marks the
-    ///   *remaining* queries [`EffresError::Busy`] and returns what already
-    ///   drained.
-    ///
-    /// Successful answers are bit-identical to a fault-free
-    /// [`execute_scheduled`](Self::execute_scheduled) run: the per-query
-    /// fallback calls the very same batched kernel
-    /// ([`column_store::column_distances_squared_batch`]) on a one-pair
-    /// slice, which computes per pair exactly what the full-window call
-    /// computes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::Busy`] only when bounded admission sheds the
-    /// **first** block — nothing has been computed, so the caller should
-    /// back off and resubmit the batch whole.
-    pub fn execute_scheduled_partial(
-        &self,
-        batch: &QueryBatch,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.execute_scheduled_partial_inner(batch, None)
-    }
-
-    /// [`execute_scheduled_partial`](Self::execute_scheduled_partial) with a
-    /// cancellation token: a trip at a block or readahead-wave boundary
-    /// keeps everything already drained (bit-identical, as always) and marks
-    /// the rest [`EffresError::DeadlineExceeded`] — count the tail with
-    /// [`PartialBatchResult::abandoned_pairs`]. A batch whose deadline the
-    /// service-time EWMA says cannot be met is shed whole with `Err` before
-    /// anything is queued or pinned.
-    pub fn execute_scheduled_partial_with_cancel(
-        &self,
-        batch: &QueryBatch,
-        cancel: &Arc<CancelToken>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        self.admit_deadline(batch, cancel)?;
-        self.execute_scheduled_partial_inner(batch, Some(cancel))
-    }
-
-    fn execute_scheduled_partial_inner(
-        &self,
-        batch: &QueryBatch,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<PartialBatchResult, EffresError> {
-        let n = self.core.backend.node_count();
-        self.begin_page_window();
-        let start = Instant::now();
-
-        let store = &self.core.backend.store;
-        let permutation = self.core.backend.permutation();
-        let mut statuses: Vec<Result<f64, EffresError>> =
-            (0..batch.len()).map(|_| Ok(0.0)).collect();
-        let mut hits = 0u64;
-        let mut pending: Vec<Pending> = Vec::with_capacity(batch.len());
-        let mut duplicates: Vec<(u32, u32)> = Vec::new();
-        let mut first_slot_of: std::collections::HashMap<u64, u32> =
-            std::collections::HashMap::new();
-        for (slot, &(p, q)) in batch.pairs().iter().enumerate() {
-            if p >= n || q >= n {
-                statuses[slot] = Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
-                continue;
-            }
-            if p == q {
-                continue; // statuses[slot] stays Ok(0.0)
-            }
-            let key = cache_key(p, q);
-            if let Some(cache) = &self.core.cache {
-                if let Some(value) = cache.get(key) {
-                    hits += 1;
-                    statuses[slot] = Ok(value);
-                    continue;
-                }
-                if let Some(&first) = first_slot_of.get(&key) {
-                    hits += 1;
-                    duplicates.push((slot as u32, first));
-                    continue;
-                }
-                first_slot_of.insert(key, slot as u32);
-            }
-            let pp = permutation.new(p);
-            let qq = permutation.new(q);
-            let (pa, pb) = (store.page_of_column(pp), store.page_of_column(qq));
-            pending.push(Pending {
-                slot: slot as u32,
-                pp: pp as u32,
-                qq: qq as u32,
-                key,
-                page_lo: pa.min(pb) as u32,
-                page_hi: pa.max(pb) as u32,
-            });
-        }
-        drop(first_slot_of);
-        let misses = pending.len() as u64;
-        let sparse = outgrows_cache(store, &pending);
-
-        pending.sort_unstable_by_key(|t| (t.page_lo, t.page_hi, t.slot));
-        let clusters = pending
-            .windows(2)
-            .filter(|w| (w[0].page_lo, w[0].page_hi) != (w[1].page_lo, w[1].page_hi))
-            .count()
-            + usize::from(!pending.is_empty());
-
-        // Identical budget math to the all-or-nothing path: the plan — and
-        // therefore the evaluation order — must not depend on the mode.
-        let budget = store.cache_capacity_pages().max(2);
-        let threads = self.effective_threads(batch.len()).max(1);
-        let brownout = self.brownout_active();
-        let window_of = |grant: usize| {
-            if brownout {
-                1
-            } else {
-                match self.options.readahead_pages {
-                    0 => (grant / 8).clamp(1, 64),
-                    w => w,
-                }
-            }
-            .min(grant - 1)
-            .max(1)
-        };
-        let full_window = window_of(budget);
-        let full_block_cap = budget.saturating_sub(full_window * threads).max(1);
-
-        let mut distinct_lo_from = vec![0usize; pending.len() + 1];
-        for i in (0..pending.len()).rev() {
-            let new_page = i + 1 == pending.len() || pending[i].page_lo != pending[i + 1].page_lo;
-            distinct_lo_from[i] = distinct_lo_from[i + 1] + usize::from(new_page);
-        }
-
-        let mut report = ScheduleReport {
-            clusters,
-            blocks: 0,
-            windows: 0,
-        };
-        let mut kernel = KernelStats::default();
-        let mut parallel_fan = 1usize;
-        let mut at = 0usize;
-        while at < pending.len() {
-            // Block boundary: a tripped token keeps the drained prefix and
-            // types the rest — partial mode never aborts mid-batch.
-            if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                for t in &pending[at..] {
-                    statuses[t.slot as usize] = Err(EffresError::DeadlineExceeded { reason });
-                }
-                break;
-            }
-            let desired = if distinct_lo_from[at] >= full_block_cap {
-                budget
-            } else {
-                (distinct_lo_from[at] + full_window * threads).min(budget)
+                store.pin_pages_partial(&lo_pages, demand.as_deref())
             };
-            let lease = match self.lease_block(desired, cancel.map(Arc::as_ref)) {
-                Ok(lease) => lease,
-                Err(busy @ EffresError::Busy { .. }) if at == 0 => return Err(busy),
-                Err(err) => {
-                    // Mid-batch shed (or a deadline run out waiting for the
-                    // lease): everything drained so far stands; the rest is
-                    // typed for the client — `Busy` to retry,
-                    // `DeadlineExceeded` to give up on.
-                    for t in &pending[at..] {
-                        statuses[t.slot as usize] = Err(err.clone());
-                    }
-                    break;
-                }
-            };
-            let grant = lease.as_ref().map_or(budget, |l| l.granted());
-            let window = window_of(grant.max(2));
-            let fan = threads.min((grant.saturating_sub(1) / window).max(1));
-            let block_cap = grant.saturating_sub(window * fan).max(1);
-
-            let block_start = at;
-            let mut lo_pages: Vec<usize> = Vec::new();
-            while at < pending.len() {
-                let lo = pending[at].page_lo as usize;
-                if lo_pages.last() != Some(&lo) {
-                    if lo_pages.len() == block_cap {
-                        break;
-                    }
-                    lo_pages.push(lo);
-                }
-                at += 1;
-            }
-            report.blocks += 1;
-            let block = &mut pending[block_start..at];
-            // Degraded pin: pages that cannot be produced fail only the
-            // queries anchored on them; the rest of the block proceeds over
-            // whatever did pin.
-            let demand = sparse.then(|| demand_of(block));
-            let (pinned, pin_failures) = store.pin_pages_partial(&lo_pages, demand.as_deref());
             let pinned = Arc::new(pinned);
             block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
-            let mut drainable: Vec<Pending> = Vec::with_capacity(block.len());
-            if pin_failures.is_empty() {
-                drainable.extend_from_slice(block);
+            let mut drainable: Vec<Pending> = Vec::new();
+            let block: &[Pending] = if pin_failures.is_empty() {
+                block
             } else {
                 for t in block.iter() {
                     match pin_failures
@@ -698,81 +388,89 @@ impl QueryEngine<PagedSnapshot> {
                         None => drainable.push(*t),
                     }
                 }
-            }
+                &drainable
+            };
 
-            let mut job_bounds: Vec<(Vec<usize>, usize, usize)> = Vec::new();
+            // Cut the sweep into windows: each accumulates up to `window`
+            // distinct hi pages that are not already pinned with the block.
+            let mut windows: Vec<Window> = Vec::new();
             let mut job_pids: Vec<usize> = Vec::new();
             let mut job_start = 0usize;
-            for (i, t) in drainable.iter().enumerate() {
+            for (i, t) in block.iter().enumerate() {
                 let hi = t.page_hi as usize;
                 let needed = lo_pages.binary_search(&hi).is_err() && job_pids.last() != Some(&hi);
                 if needed && job_pids.len() == window {
-                    job_bounds.push((std::mem::take(&mut job_pids), job_start, i));
+                    windows.push((std::mem::take(&mut job_pids), job_start, i));
                     job_start = i;
                 }
                 if needed {
                     job_pids.push(hi);
                 }
             }
-            job_bounds.push((job_pids, job_start, drainable.len()));
-            report.windows += job_bounds.len();
+            windows.push((job_pids, job_start, block.len()));
+            report.windows += windows.len();
 
-            if fan > 1 && job_bounds.len() > 1 {
-                parallel_fan = parallel_fan.max(job_bounds.len().min(fan));
-                let mut bounds: VecDeque<(Vec<usize>, usize, usize)> = job_bounds.into();
-                let mut job_index = 0usize;
-                while !bounds.is_empty() {
-                    // Wave boundary: abandon the un-dispatched windows of
-                    // this block (the sticky token marks the later blocks at
-                    // the top of the outer loop).
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        for &(_, lo, hi) in &bounds {
-                            for t in &drainable[lo..hi] {
-                                statuses[t.slot as usize] =
-                                    Err(EffresError::DeadlineExceeded { reason });
-                            }
-                        }
-                        break;
+            // Fan the windows out when there is more than one and room for
+            // more than one at a time: each worker pins its own window (its
+            // per-worker shard of the grant) over the shared block pin.
+            // Windows go out in waves of at most `fan`, because the pin
+            // bound is per *concurrent* window — a pool with more workers
+            // than `fan` would otherwise pin every window of the block at
+            // once and blow through the lease. Otherwise waves hold one
+            // window each, drained on this thread. Jobs are built per wave,
+            // so a token that trips between waves abandons the
+            // un-dispatched windows without ever materializing them.
+            let fan_out = fan > 1 && windows.len() > 1;
+            let wave_size = if fan_out { fan } else { 1 };
+            if fan_out {
+                parallel_fan = parallel_fan.max(windows.len().min(fan));
+            }
+            let mut windows: VecDeque<Window> = windows.into();
+            let mut job_index = 0usize;
+            while !windows.is_empty() {
+                // Wave boundary: abandon the un-dispatched windows of this
+                // block (the sticky token marks the later blocks at the top
+                // of the outer loop).
+                if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
+                    let error = EffresError::DeadlineExceeded { reason };
+                    for (_, lo, hi) in &windows {
+                        fail_all(&mut statuses, &block[*lo..*hi], &error);
                     }
-                    let wave: Vec<_> = bounds
-                        .drain(..fan.min(bounds.len()))
+                    break;
+                }
+                let wave = windows.drain(..wave_size.min(windows.len()));
+                let drained = if fan_out {
+                    let jobs: Vec<_> = wave
                         .map(|(pids, lo, hi)| {
                             let job = job_index;
                             job_index += 1;
                             let core = Arc::clone(&self.core);
                             let pinned = Arc::clone(&pinned);
-                            let queries = drainable[lo..hi].to_vec();
+                            let queries = block[lo..hi].to_vec();
                             move || {
-                                drain_window_partial(&core, &pinned, &pids, &queries, job, sparse)
+                                drain_window(
+                                    &core, &pinned, &pids, &queries, job, sparse, fail_fast,
+                                )
                             }
                         })
                         .collect();
-                    for (window_statuses, window_kernel) in self.worker_pool().run(wave) {
-                        kernel.merge(window_kernel);
-                        for (slot, status) in window_statuses {
-                            statuses[slot as usize] = status;
-                        }
-                    }
-                }
-            } else {
-                for (index, (pids, lo, hi)) in job_bounds.iter().enumerate() {
-                    if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                        for &(_, lo, hi) in &job_bounds[index..] {
-                            for t in &drainable[lo..hi] {
-                                statuses[t.slot as usize] =
-                                    Err(EffresError::DeadlineExceeded { reason });
-                            }
-                        }
-                        break;
-                    }
-                    let (window_statuses, window_kernel) = drain_window_partial(
-                        &self.core,
-                        &pinned,
-                        pids,
-                        &drainable[*lo..*hi],
-                        0,
-                        sparse,
-                    );
+                    self.worker_pool().run(jobs)
+                } else {
+                    wave.map(|(pids, lo, hi)| {
+                        drain_window(
+                            &self.core,
+                            &pinned,
+                            &pids,
+                            &block[lo..hi],
+                            0,
+                            sparse,
+                            fail_fast,
+                        )
+                    })
+                    .collect()
+                };
+                for result in drained {
+                    let (window_statuses, window_kernel) = result?;
                     kernel.merge(window_kernel);
                     for (slot, status) in window_statuses {
                         statuses[slot as usize] = status;
@@ -784,27 +482,21 @@ impl QueryEngine<PagedSnapshot> {
         for (slot, first) in duplicates {
             statuses[slot as usize] = statuses[first as usize].clone();
         }
-
-        let elapsed = start.elapsed();
-        self.queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-        let result = PartialBatchResult {
+        Ok(Run {
             statuses,
-            elapsed,
             threads: parallel_fan,
-            cache_hits: hits,
-            cache_misses: misses,
-            page_cache: self.end_page_window(),
+            hits,
+            misses,
             kernel,
             schedule: Some(report),
-        };
-        if result.is_complete() {
-            self.service_time.record(batch.len(), elapsed);
-        }
-        Ok(result)
+        })
+    }
+}
+
+/// Fails every query in `queries` with `error`.
+fn fail_all(statuses: &mut [Result<f64, EffresError>], queries: &[Pending], error: &EffresError) {
+    for t in queries {
+        statuses[t.slot as usize] = Err(error.clone());
     }
 }
 
@@ -841,19 +533,40 @@ fn demand_of(queries: &[Pending]) -> Vec<usize> {
 /// touches the cache locks for them. The hub scratch comes from the
 /// engine's sharded free list (`scratch_hint` spreads concurrent windows
 /// over distinct shards), and the kernel counters it accumulated ride back
-/// alongside the values.
-fn drain_window(
-    core: &EngineCore<PagedSnapshot>,
+/// alongside the statuses.
+///
+/// With `fail_fast` a failed window pin or kernel fails the window. Without
+/// it the window pin degrades page by page, and a failed grouped kernel is
+/// re-run **query by query** over the same pinned reader — the grouped
+/// kernel on a one-pair slice computes the bit-identical per-pair value
+/// (the multi-pair property tests pin this), so the successes stay
+/// bit-identical and only queries actually touching an unproducible page
+/// fail.
+#[allow(clippy::type_complexity)]
+fn drain_window<B: ResistanceBackend>(
+    core: &EngineCore<B>,
     block_pin: &PinnedPages,
     window_pids: &[usize],
     queries: &[Pending],
     scratch_hint: usize,
     sparse: bool,
-) -> Result<(Vec<(u32, f64)>, KernelStats), EffresError> {
-    let store = &core.backend.store;
+    fail_fast: bool,
+) -> Result<(Vec<(u32, Result<f64, EffresError>)>, KernelStats), EffresError> {
+    let store = core
+        .backend
+        .paged_store()
+        .expect("the scheduler runs on paged backends");
     let demand = sparse.then(|| demand_of(queries));
-    let window_pin = store.pin_pages(window_pids, demand.as_deref())?;
+    // Failed window pins are not fatal in partial mode: the reader falls
+    // back to the store for unpinned pages, and any page that truly cannot
+    // be produced fails its queries in the per-query pass below.
+    let window_pin = if fail_fast {
+        store.pin_pages(window_pids, demand.as_deref())?
+    } else {
+        store.pin_pages_partial(window_pids, demand.as_deref()).0
+    };
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
+    let norms = core.norms.as_ref().map(|table| table.as_slice());
     // Re-sort the window by normalized column pair: pages hold neighbouring
     // columns, so the page-sorted window is nearly column-sorted already,
     // and this makes runs sharing a hub column contiguous for the grouped
@@ -866,102 +579,42 @@ fn drain_window(
         .map(|t| (t.pp as usize, t.qq as usize))
         .collect();
     let mut scratch = core.take_scratch(scratch_hint);
-    let outcome = column_store::column_distances_squared_grouped(
-        &reader,
-        &pairs,
-        core.norms.as_ref().map(|table| table.as_slice()),
-        &mut scratch,
-    );
+    let statuses: Result<Vec<Result<f64, EffresError>>, EffresError> =
+        match column_store::column_distances_squared_grouped(&reader, &pairs, norms, &mut scratch) {
+            Ok(values) => Ok(values.into_iter().map(Ok).collect()),
+            Err(err) if fail_fast => Err(err),
+            Err(_) => Ok(pairs
+                .iter()
+                .map(|pair| {
+                    column_store::column_distances_squared_grouped(
+                        &reader,
+                        std::slice::from_ref(pair),
+                        norms,
+                        &mut scratch,
+                    )
+                    .map(|values| values[0])
+                })
+                .collect()),
+        };
     let kernel = scratch.take_stats();
     core.return_scratch(scratch_hint, scratch);
-    let values = outcome?;
-    let mut out = Vec::with_capacity(sorted.len());
-    for (t, &value) in sorted.iter().zip(&values) {
-        if let Some(cache) = &core.cache {
-            cache.insert(t.key, value);
-        }
-        out.push((t.slot, value));
-    }
-    Ok((out, kernel))
-}
-
-/// The degrading twin of [`drain_window`]: window pins degrade page by page,
-/// and a failed grouped kernel is re-run **query by query** over the same
-/// pinned reader — the grouped kernel on a one-pair slice computes the
-/// bit-identical per-pair value (the multi-pair property tests pin this),
-/// so the successes stay bit-identical and only queries actually touching
-/// an unproducible page fail.
-#[allow(clippy::type_complexity)]
-fn drain_window_partial(
-    core: &EngineCore<PagedSnapshot>,
-    block_pin: &PinnedPages,
-    window_pids: &[usize],
-    queries: &[Pending],
-    scratch_hint: usize,
-    sparse: bool,
-) -> (Vec<(u32, Result<f64, EffresError>)>, KernelStats) {
-    let store = &core.backend.store;
-    // Failed window pins are not fatal: the reader falls back to the store
-    // for unpinned pages, and any page that truly cannot be produced fails
-    // its queries in the per-query pass below.
-    let demand = sparse.then(|| demand_of(queries));
-    let (window_pin, _window_failures) = store.pin_pages_partial(window_pids, demand.as_deref());
-    let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
-    let norms = core.norms.as_ref().map(|table| table.as_slice());
-    let mut sorted: Vec<Pending> = queries.to_vec();
-    sorted.sort_unstable_by_key(|t| (t.pp.min(t.qq), t.pp.max(t.qq), t.slot));
-    let pairs: Vec<(usize, usize)> = sorted
+    let out = sorted
         .iter()
-        .map(|t| (t.pp as usize, t.qq as usize))
+        .zip(statuses?)
+        .map(|(t, status)| {
+            if let (Ok(value), Some(cache)) = (&status, &core.cache) {
+                cache.insert(t.key, *value);
+            }
+            (t.slot, status)
+        })
         .collect();
-    let mut scratch = core.take_scratch(scratch_hint);
-    let out = match column_store::column_distances_squared_grouped(
-        &reader,
-        &pairs,
-        norms,
-        &mut scratch,
-    ) {
-        Ok(values) => sorted
-            .iter()
-            .zip(&values)
-            .map(|(t, &value)| {
-                if let Some(cache) = &core.cache {
-                    cache.insert(t.key, value);
-                }
-                (t.slot, Ok(value))
-            })
-            .collect(),
-        Err(_) => sorted
-            .iter()
-            .map(|t| {
-                let pair = [(t.pp as usize, t.qq as usize)];
-                match column_store::column_distances_squared_grouped(
-                    &reader,
-                    &pair,
-                    norms,
-                    &mut scratch,
-                ) {
-                    Ok(values) => {
-                        let value = values[0];
-                        if let Some(cache) = &core.cache {
-                            cache.insert(t.key, value);
-                        }
-                        (t.slot, Ok(value))
-                    }
-                    Err(err) => (t.slot, Err(err)),
-                }
-            })
-            .collect(),
-    };
-    let kernel = scratch.take_stats();
-    core.return_scratch(scratch_hint, scratch);
-    (out, kernel)
+    Ok((out, kernel))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineOptions;
+    use crate::engine::{BatchAbort, EngineOptions, ExecMode};
     use effres::{EffectiveResistanceEstimator, EffresConfig};
     use effres_graph::generators;
     use effres_io::paged::{open_paged, PagedOptions};
@@ -1140,8 +793,12 @@ mod tests {
         let batch = QueryBatch::random(500, 256, 21);
         let cancel = Arc::new(CancelToken::unbounded());
         cancel.cancel(CancelReason::Disconnected);
+        let with_token = |mode, cancel: &Arc<CancelToken>| ExecOptions {
+            mode,
+            cancel: Some(Arc::clone(cancel)),
+        };
         let abort = engine
-            .execute_scheduled_with_cancel(&batch, &cancel)
+            .execute_with(&batch, &with_token(ExecMode::FailFast, &cancel))
             .unwrap_err();
         assert_eq!(
             abort.error,
@@ -1153,19 +810,26 @@ mod tests {
         // Nothing was pinned or leased: the full budget is still available.
         let admission = engine.admission_stats().expect("paged ledger");
         assert_eq!(admission.available, admission.budget);
-        // The partial twin rejects whole too when nothing has run.
+        // Partial mode rejects whole too when nothing has run.
         assert!(matches!(
-            engine.execute_scheduled_partial_with_cancel(&batch, &cancel),
-            Err(EffresError::DeadlineExceeded { .. })
+            engine.execute_with(&batch, &with_token(ExecMode::Partial, &cancel)),
+            Err(BatchAbort {
+                error: EffresError::DeadlineExceeded { .. },
+                ..
+            })
         ));
         // An untripped token executes normally, bit-identical.
         let live = Arc::new(CancelToken::unbounded());
         let reference = engine.execute_scheduled(&batch).expect("reference");
-        let result = engine
-            .execute_scheduled_with_cancel(&batch, &live)
-            .expect("live batch");
-        for (x, y) in reference.values.iter().zip(&result.values) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let result = engine
+                .execute_with(&batch, &with_token(mode, &live))
+                .expect("live batch");
+            assert!(result.failures.is_empty());
+            assert!(result.schedule.is_some(), "paged batches are scheduled");
+            for (x, y) in reference.values.iter().zip(&result.values) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
     }
 

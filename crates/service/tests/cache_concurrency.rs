@@ -155,19 +155,4 @@ fn concurrent_batches_keep_hit_miss_accounting_and_values_exact() {
     );
     assert!(stats.cache_hits > 0, "repeated pairs must hit");
     assert!(stats.cache_entries <= stats.cache_capacity);
-
-    // The snapshot/reset path must hand the whole interval out exactly once.
-    let drained = cached.take_service_stats();
-    assert_eq!(drained.queries, expected_queries);
-    assert_eq!(
-        drained.cache_hits + drained.cache_misses,
-        expected_queries - self_pairs
-    );
-    let after = cached.take_service_stats();
-    assert_eq!(after.queries, 0, "second drain sees an empty interval");
-    assert_eq!(
-        cached.stats().queries,
-        expected_queries,
-        "cumulative stats keep the drained history"
-    );
 }

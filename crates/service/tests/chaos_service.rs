@@ -14,7 +14,7 @@ use effres_graph::generators;
 use effres_io::paged::{open_paged, open_paged_with_faults, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
 use effres_io::{FaultPlan, RetryPolicy};
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_service::{BatchAbort, EngineOptions, ExecMode, ExecOptions, QueryBatch, QueryEngine};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -48,6 +48,13 @@ fn churny_options() -> PagedOptions {
 
 fn engine_over(paged: PagedSnapshot, options: EngineOptions) -> QueryEngine<PagedSnapshot> {
     QueryEngine::new(Arc::new(paged), options)
+}
+
+fn partial_mode() -> ExecOptions {
+    ExecOptions {
+        mode: ExecMode::Partial,
+        cancel: None,
+    }
 }
 
 fn plain_options() -> EngineOptions {
@@ -149,21 +156,23 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
 
     // ...while the partial path degrades exactly the touching queries.
     let partial = faulted
-        .execute_scheduled_partial(&batch)
+        .execute_with(&batch, &partial_mode())
         .expect("partial mode never sheds without admission bounds");
-    assert_eq!(partial.statuses.len(), batch.len());
+    assert_eq!(partial.values.len(), batch.len());
+    let mut failures = partial.failures.iter().peekable();
     let mut failed = 0usize;
-    for ((&(p, q), status), reference_value) in batch
+    for (slot, ((&(p, q), value), reference_value)) in batch
         .pairs()
         .iter()
-        .zip(&partial.statuses)
+        .zip(&partial.values)
         .zip(&reference.values)
+        .enumerate()
     {
         // A self-pair is answered 0.0 without touching the store, so rot
         // on its page cannot fail it.
         let touches = p != q && (on_rotten_page(p) || on_rotten_page(q));
-        match status {
-            Ok(value) => {
+        match failures.next_if(|(failed_slot, _)| *failed_slot == slot) {
+            None => {
                 assert!(
                     !touches,
                     "({p}, {q}) touches the rotten page and must not serve"
@@ -174,22 +183,22 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
                     "({p}, {q}) succeeded and must be bit-identical"
                 );
             }
-            Err(EffresError::StoreFailure { .. }) => {
+            Some((_, EffresError::StoreFailure { .. })) => {
                 failed += 1;
                 assert!(
                     touches,
                     "({p}, {q}) is off the rotten page and must not fail"
                 );
+                assert_eq!(*value, 0.0, "failed slots carry 0.0");
             }
-            Err(other) => panic!("unexpected failure for ({p}, {q}): {other}"),
+            Some((_, other)) => panic!("unexpected failure for ({p}, {q}): {other}"),
         }
     }
     assert!(
         failed > 0,
         "a 4k random batch over 256 nodes hits every page"
     );
-    assert_eq!(partial.failures(), failed);
-    assert!(!partial.is_complete());
+    assert_eq!(partial.failures.len(), failed);
 }
 
 #[test]
@@ -305,8 +314,11 @@ fn queued_batch_times_out_with_a_typed_busy() {
     // With queue room, the second batch queues — and must give up with a
     // typed timeout rather than waiting for the holder indefinitely.
     let asked = Instant::now();
-    match engine.execute_scheduled_partial(&QueryBatch::random(2_000, 256, 0x5ED)) {
-        Err(EffresError::Busy { reason }) => {
+    match engine.execute_with(&QueryBatch::random(2_000, 256, 0x5ED), &partial_mode()) {
+        Err(BatchAbort {
+            error: EffresError::Busy { reason },
+            ..
+        }) => {
             assert_eq!(reason, BusyReason::LeaseTimeout);
             let elapsed = asked.elapsed();
             assert!(

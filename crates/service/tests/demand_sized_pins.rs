@@ -9,7 +9,7 @@ use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::save_snapshot;
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_service::{EngineOptions, ExecMode, ExecOptions, QueryBatch, QueryEngine};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -102,14 +102,13 @@ proptest! {
         let engine = paged_engine(columns_per_page, cache_pages, threads);
         let scheduled = engine.execute_scheduled(&batch).expect("scheduled");
         assert_bits(&expected, &scheduled.values, "execute_scheduled");
-        let partial = engine.execute_scheduled_partial(&batch).expect("partial");
-        prop_assert!(partial.is_complete());
-        let partial_values: Vec<f64> = partial
-            .statuses
-            .iter()
-            .map(|status| *status.as_ref().expect("healthy snapshot"))
-            .collect();
-        assert_bits(&expected, &partial_values, "execute_scheduled_partial");
+        let partial_mode = ExecOptions {
+            mode: ExecMode::Partial,
+            cancel: None,
+        };
+        let partial = engine.execute_with(&batch, &partial_mode).expect("partial");
+        prop_assert!(partial.failures.is_empty(), "healthy snapshot");
+        assert_bits(&expected, &partial.values, "partial execute_with");
         let store = &engine.backend().store;
         prop_assert!(
             store.pinned_pages_high_water() <= store.cache_capacity_pages(),

@@ -7,7 +7,7 @@ use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::dataset::{load_graph, IngestOptions};
 use effres_io::{edge_list, gzip, snapshot};
-use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use effres_service::{EngineOptions, ExecMode, ExecOptions, QueryBatch, QueryEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -206,7 +206,7 @@ proptest! {
     /// geometries (including a one-page cache), cache budgets, readahead
     /// windows and batches: `execute_scheduled` returns its values in the
     /// batch's original request order and bit-identical to the unscheduled
-    /// paged path.
+    /// paged path, and so does the scheduler in partial mode.
     #[test]
     fn scheduler_preserves_order_and_bits_across_page_geometries(
         (columns_per_page, cache_pages, readahead, queries, seed) in
@@ -236,16 +236,24 @@ proptest! {
         let batch = QueryBatch::random(queries, reference.node_count(), seed);
         let a = reference.execute(&batch).expect("unscheduled");
         let b = scheduled.execute_scheduled(&batch).expect("scheduled");
-        prop_assert_eq!(a.values.len(), b.values.len());
-        for (slot, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
-            prop_assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "slot {} {:?} (geometry {:?})",
-                slot,
-                batch.pairs()[slot],
-                paged_options
-            );
+        let partial = ExecOptions {
+            mode: ExecMode::Partial,
+            cancel: None,
+        };
+        let c = scheduled.execute_with(&batch, &partial).expect("partial");
+        prop_assert!(c.failures.is_empty());
+        for scheduled in [&b, &c] {
+            prop_assert_eq!(a.values.len(), scheduled.values.len());
+            for (slot, (x, y)) in a.values.iter().zip(&scheduled.values).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "slot {} {:?} (geometry {:?})",
+                    slot,
+                    batch.pairs()[slot],
+                    paged_options
+                );
+            }
         }
     }
 }
