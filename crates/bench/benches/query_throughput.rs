@@ -28,12 +28,10 @@
 //! paged answers are asserted bit-identical to the resident ones before
 //! anything is timed.
 //!
-//! Two further sections ride the same graph: `all_edges` times the
+//! A further section rides the same graph: `all_edges` times the
 //! spanning-edge-centrality workload (every edge as a pair — the natural
 //! stress for the hub-grouped multi-pair kernel, pinned bit-identical to
-//! the pairwise loop in the same run) and `value_mode` times the f32
-//! narrowed arena against the f64 baseline, recording the halved value
-//! stream and the measured rounding error.
+//! the pairwise loop in the same run).
 //!
 //! The `pair_cache` section runs two streams through an engine with the
 //! default pair cache and through one with `cache_capacity: 0`, interleaved
@@ -390,57 +388,6 @@ fn main() {
             ("windows", Json::Int(schedule.windows as u64)),
         ]));
     }
-    // The f32 value mode: reload the (f64-canonical) snapshot, narrow the
-    // arena, and answer the same random batch. Records the halved value
-    // stream, the measured narrowing error, the worst whole-query relative
-    // error against the f64 answers, and the narrowed throughput.
-    let narrow = effres_io::snapshot::load_snapshot(&snap_path)
-        .expect("reload snapshot")
-        .estimator
-        .with_value_mode(ValueMode::F32)
-        .expect("narrowing a healthy arena succeeds");
-    let f64_vals_bytes = estimator.approximate_inverse().footprint().vals_bytes;
-    let f32_vals_bytes = narrow.approximate_inverse().footprint().vals_bytes;
-    let narrowing_error = narrow.approximate_inverse().narrowing_error();
-    let narrow_engine = QueryEngine::new(
-        Arc::new(narrow),
-        EngineOptions {
-            threads: 1,
-            cache_capacity: 0,
-            parallel_threshold: usize::MAX,
-            ..EngineOptions::default()
-        },
-    );
-    let narrow_values = narrow_engine.execute(&batch).expect("in bounds").values;
-    let max_query_rel_error = narrow_values
-        .iter()
-        .zip(&resident_reference)
-        .map(|(a, b)| (a - b).abs() / b.abs().max(1e-12))
-        .fold(0.0_f64, f64::max);
-    let f32_seconds = min_seconds(SAMPLES, true, || {
-        narrow_engine.execute(&batch).expect("in bounds")
-    });
-    let f32_qps = QUERIES as f64 / f32_seconds;
-    println!(
-        "value_mode f32: vals {:.1} -> {:.1} MiB, narrowing error {narrowing_error:.2e}, \
-         max query relative error {max_query_rel_error:.2e}, {f32_seconds:.3}s \
-         ({f32_qps:.0} queries/s, {:.2}x sequential f64)",
-        f64_vals_bytes as f64 / (1024.0 * 1024.0),
-        f32_vals_bytes as f64 / (1024.0 * 1024.0),
-        sequential_seconds / f32_seconds,
-    );
-    let value_mode_report = Json::Obj(vec![
-        ("f64_vals_bytes", Json::Int(f64_vals_bytes as u64)),
-        ("f32_vals_bytes", Json::Int(f32_vals_bytes as u64)),
-        ("narrowing_error", Json::Num(narrowing_error)),
-        ("max_query_relative_error", Json::Num(max_query_rel_error)),
-        ("f32_seconds", Json::Num(f32_seconds)),
-        ("f32_queries_per_second", Json::Num(f32_qps)),
-        (
-            "speedup_vs_sequential_f64",
-            Json::Num(sequential_seconds / f32_seconds),
-        ),
-    ]);
     std::fs::remove_file(&snap_path).ok();
 
     let stats = estimator.stats();
@@ -469,7 +416,6 @@ fn main() {
         ("engine", Json::Arr(engine_reports)),
         ("all_edges", all_edges_report),
         ("pair_cache", pair_cache_report),
-        ("value_mode", value_mode_report),
         (
             "paged",
             Json::Obj(vec![

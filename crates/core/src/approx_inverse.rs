@@ -115,8 +115,7 @@ pub struct ArenaFootprint {
     pub col_ptr_bytes: usize,
     /// Bytes of the row-index block (`nnz × 4`).
     pub rows_bytes: usize,
-    /// Bytes of the value block (`nnz × 8` for `f64` values, `nnz × 4`
-    /// in the narrowed `f32` value mode).
+    /// Bytes of the value block (`nnz × 8`).
     pub vals_bytes: usize,
     /// Width of one stored row index in bytes (4 for the `u32` arena).
     pub index_width_bytes: usize,
@@ -129,91 +128,14 @@ impl ArenaFootprint {
     }
 }
 
-/// Precision of the stored arena values (the row indices are always `u32`).
-///
-/// The query kernels are memory-bandwidth bound, so halving the value
-/// stream from 8 to 4 bytes per entry is a real throughput lever — at the
-/// cost of one rounding per stored value. Every kernel **accumulates in
-/// `f64` regardless**: narrow values are widened before any arithmetic, so
-/// f32 mode pays only the per-entry conversion error (at most `2⁻²⁴`
-/// relative, measured and reported by
-/// [`SparseApproximateInverse::narrowing_error`]), never reduced-precision
-/// accumulation. Snapshots stay f64-canonical; narrowing happens at load or
-/// page-decode time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValueMode {
-    /// Full-precision `f64` values — the default, bit-identical to every
-    /// release so far.
-    #[default]
-    F64,
-    /// Narrowed `f32` values, widened to `f64` on use (opt-in).
-    F32,
-}
-
-impl ValueMode {
-    /// Bytes of one stored value in this mode.
-    pub fn value_bytes(self) -> usize {
-        match self {
-            ValueMode::F64 => 8,
-            ValueMode::F32 => 4,
-        }
-    }
-}
-
-/// The value slice behind a [`ColumnView`], at whichever width the owning
-/// store keeps its arena (see [`ValueMode`]).
-#[derive(Debug, Clone, Copy)]
-pub enum ValuesView<'a> {
-    /// Full-precision values.
-    F64(&'a [f64]),
-    /// Narrowed values; kernels widen each entry to `f64` before use.
-    F32(&'a [f32]),
-}
-
-impl ValuesView<'_> {
-    /// Number of stored values.
-    pub fn len(&self) -> usize {
-        match self {
-            ValuesView::F64(v) => v.len(),
-            ValuesView::F32(v) => v.len(),
-        }
-    }
-
-    /// Whether no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The mode of the underlying slice.
-    pub fn mode(&self) -> ValueMode {
-        match self {
-            ValuesView::F64(_) => ValueMode::F64,
-            ValuesView::F32(_) => ValueMode::F32,
-        }
-    }
-
-    /// Value at position `pos`, widened to `f64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of bounds.
-    pub fn get(&self, pos: usize) -> f64 {
-        match self {
-            ValuesView::F64(v) => v[pos],
-            ValuesView::F32(v) => f64::from(v[pos]),
-        }
-    }
-}
-
 /// A borrowed view of one column of the approximate inverse: parallel
 /// `indices`/`values` slices into the flat CSC arena, with strictly
-/// increasing `u32` indices (see the module docs for the index narrowing)
-/// and values at the arena's [`ValueMode`] width.
+/// increasing `u32` indices (see the module docs for the index narrowing).
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnView<'a> {
     dim: usize,
     indices: &'a [u32],
-    values: ValuesView<'a>,
+    values: &'a [f64],
 }
 
 impl<'a> ColumnView<'a> {
@@ -238,52 +160,26 @@ impl<'a> ColumnView<'a> {
         self.indices
     }
 
-    /// Stored values, parallel to [`ColumnView::indices`] — full-precision
-    /// arenas only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view borrows an f32-mode arena; width-agnostic callers
-    /// use [`ColumnView::values_view`] or [`ColumnView::iter`] instead.
+    /// Stored values, parallel to [`ColumnView::indices`].
     pub fn values(&self) -> &'a [f64] {
-        match self.values {
-            ValuesView::F64(values) => values,
-            ValuesView::F32(_) => panic!(
-                "column holds f32 values; use values_view()/iter() or a ValueMode::F64 store"
-            ),
-        }
-    }
-
-    /// Stored values at their native width, parallel to
-    /// [`ColumnView::indices`].
-    pub fn values_view(&self) -> ValuesView<'a> {
         self.values
     }
 
-    /// The value width of the backing arena.
-    pub fn value_mode(&self) -> ValueMode {
-        self.values.mode()
-    }
-
-    /// Approximate bytes one stored entry occupies in the arena (row index
-    /// plus value) — what a kernel streams per entry it touches.
+    /// Bytes one stored entry occupies in the arena (a `u32` row index plus
+    /// an `f64` value) — what a kernel streams per entry it touches.
     pub fn entry_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() + self.values.mode().value_bytes()
+        std::mem::size_of::<u32>() + std::mem::size_of::<f64>()
     }
 
-    /// Iterates over stored `(index, value)` pairs in index order, widening
-    /// narrow values to `f64`.
+    /// Iterates over stored `(index, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
-        let indices = self.indices.iter().map(|&i| i as usize);
-        match self.values {
-            ValuesView::F64(values) => {
-                Box::new(indices.zip(values.iter().copied())) as Box<dyn Iterator<Item = _> + 'a>
-            }
-            ValuesView::F32(values) => Box::new(indices.zip(values.iter().map(|&v| f64::from(v)))),
-        }
+        self.indices
+            .iter()
+            .map(|&i| i as usize)
+            .zip(self.values.iter().copied())
     }
 
-    /// Value at `index` (zero if not stored), widened to `f64`.
+    /// Value at `index` (zero if not stored).
     ///
     /// # Panics
     ///
@@ -291,32 +187,19 @@ impl<'a> ColumnView<'a> {
     pub fn get(&self, index: usize) -> f64 {
         assert!(index < self.dim, "index out of bounds");
         match self.indices.binary_search(&(index as u32)) {
-            Ok(pos) => self.values.get(pos),
+            Ok(pos) => self.values[pos],
             Err(_) => 0.0,
         }
     }
 
-    /// 1-norm (sum of absolute values), accumulated in `f64`.
+    /// 1-norm (sum of absolute values).
     pub fn norm1(&self) -> f64 {
-        match self.values {
-            ValuesView::F64(values) => values.iter().map(|v| v.abs()).sum(),
-            ValuesView::F32(values) => values.iter().map(|&v| f64::from(v).abs()).sum(),
-        }
+        self.values.iter().map(|v| v.abs()).sum()
     }
 
-    /// Squared Euclidean norm, accumulated in `f64` (narrow values widen
-    /// before squaring, so f32 mode never squares in reduced precision).
+    /// Squared Euclidean norm.
     pub fn norm2_squared(&self) -> f64 {
-        match self.values {
-            ValuesView::F64(values) => values.iter().map(|v| v * v).sum(),
-            ValuesView::F32(values) => values
-                .iter()
-                .map(|&v| {
-                    let w = f64::from(v);
-                    w * w
-                })
-                .sum(),
-        }
+        self.values.iter().map(|v| v * v).sum()
     }
 
     /// Dot product of the column's suffix from `bound` with a dense vector,
@@ -326,23 +209,15 @@ impl<'a> ColumnView<'a> {
     /// intersect the other operand and are skipped via one binary search.
     pub fn suffix_dot_dense(&self, dense: &[f64], bound: u32) -> f64 {
         let start = self.indices.partition_point(|&row| row < bound);
-        let indices = &self.indices[start..];
-        match self.values {
-            ValuesView::F64(values) => indices
-                .iter()
-                .zip(&values[start..])
-                .map(|(&i, v)| dense[i as usize] * v)
-                .sum(),
-            ValuesView::F32(values) => indices
-                .iter()
-                .zip(&values[start..])
-                .map(|(&i, &v)| dense[i as usize] * f64::from(v))
-                .sum(),
-        }
+        self.indices[start..]
+            .iter()
+            .zip(&self.values[start..])
+            .map(|(&i, v)| dense[i as usize] * v)
+            .sum()
     }
 
     /// 1-norm of the difference with a sparse vector of the same dimension
-    /// (a diagnostics path: allocation is fine, so the view is widened and
+    /// (a diagnostics path: allocation is fine, so the view is copied and
     /// the shared `vecops` merge kernel does the work).
     ///
     /// # Panics
@@ -372,40 +247,17 @@ impl<'a> ColumnView<'a> {
         ColumnView {
             dim,
             indices,
-            values: ValuesView::F64(values),
-        }
-    }
-
-    /// Assembles a view over narrowed `f32` values (see
-    /// [`ColumnView::from_slices`] for the invariants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `values` have different lengths.
-    pub fn from_slices_f32(dim: usize, indices: &'a [u32], values: &'a [f32]) -> Self {
-        assert_eq!(
-            indices.len(),
-            values.len(),
-            "ColumnView slices must be parallel"
-        );
-        ColumnView {
-            dim,
-            indices,
-            values: ValuesView::F32(values),
+            values,
         }
     }
 
     /// Copies the view into an owned [`SparseVec`] (widening the indices
-    /// back to `usize` and narrow values to `f64`).
+    /// back to `usize`).
     pub fn to_sparse_vec(&self) -> SparseVec {
-        let values = match self.values {
-            ValuesView::F64(values) => values.to_vec(),
-            ValuesView::F32(values) => values.iter().map(|&v| f64::from(v)).collect(),
-        };
         SparseVec::from_sorted(
             self.dim,
             self.indices.iter().map(|&i| i as usize).collect(),
-            values,
+            self.values.to_vec(),
         )
     }
 }
@@ -416,20 +268,11 @@ impl<'a> ColumnView<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseApproximateInverse {
     dim: usize,
-    /// `col_ptr[j]..col_ptr[j + 1]` indexes `rows` and the active value
-    /// buffer for column `j`.
+    /// `col_ptr[j]..col_ptr[j + 1]` indexes `rows` and `vals` for column
+    /// `j`.
     col_ptr: Vec<usize>,
     rows: Vec<u32>,
-    /// Full-precision values (empty in [`ValueMode::F32`]).
     vals: Vec<f64>,
-    /// Narrowed values (empty in [`ValueMode::F64`]); exactly one of
-    /// `vals`/`vals32` is populated, selected by `mode`.
-    vals32: Vec<f32>,
-    mode: ValueMode,
-    /// Largest relative rounding error introduced by the last
-    /// f64 → f32 narrowing (0 in f64 mode; retained as a record after
-    /// widening back).
-    narrowing_error: f64,
     stats: ApproxInverseStats,
     epsilon: f64,
 }
@@ -607,9 +450,6 @@ impl SparseApproximateInverse {
             col_ptr,
             rows,
             vals,
-            vals32: Vec::new(),
-            mode: ValueMode::F64,
-            narrowing_error: 0.0,
             stats,
             epsilon,
         })
@@ -634,14 +474,10 @@ impl SparseApproximateInverse {
     pub fn column(&self, j: usize) -> ColumnView<'_> {
         let lo = self.col_ptr[j];
         let hi = self.col_ptr[j + 1];
-        let values = match self.mode {
-            ValueMode::F64 => ValuesView::F64(&self.vals[lo..hi]),
-            ValueMode::F32 => ValuesView::F32(&self.vals32[lo..hi]),
-        };
         ColumnView {
             dim: self.dim,
             indices: &self.rows[lo..hi],
-            values,
+            values: &self.vals[lo..hi],
         }
     }
 
@@ -657,84 +493,9 @@ impl SparseApproximateInverse {
     }
 
     /// The arena's concatenated values, parallel to
-    /// [`SparseApproximateInverse::arena_rows`] — full-precision arenas
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics in [`ValueMode::F32`]: snapshots (the only raw-arena
-    /// consumers) are f64-canonical, so narrowed inverses must be widened
-    /// with [`SparseApproximateInverse::with_value_mode`] first.
+    /// [`SparseApproximateInverse::arena_rows`].
     pub fn arena_values(&self) -> &[f64] {
-        assert_eq!(
-            self.mode,
-            ValueMode::F64,
-            "arena holds f32 values; convert with with_value_mode(ValueMode::F64) first"
-        );
         &self.vals
-    }
-
-    /// The value width of the arena (see [`ValueMode`]).
-    pub fn value_mode(&self) -> ValueMode {
-        self.mode
-    }
-
-    /// Largest relative rounding error introduced by narrowing the arena to
-    /// `f32` (`|widened − original| / |original|` over all stored values;
-    /// `0` for an arena that was never narrowed). At most `2⁻²⁴ ≈ 6e-8` by
-    /// IEEE-754 round-to-nearest.
-    pub fn narrowing_error(&self) -> f64 {
-        self.narrowing_error
-    }
-
-    /// Converts the arena's value storage to `mode`, returning the
-    /// converted inverse. `F64 → F32` narrows every stored value with
-    /// round-to-nearest and records the worst relative error (see
-    /// [`SparseApproximateInverse::narrowing_error`]); `F32 → F64` widens
-    /// losslessly; same-mode conversion is a no-op. The indices, column
-    /// pointers, stats, and epsilon are untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::InvalidConfig`] if a finite stored value
-    /// overflows `f32` (magnitude above ~3.4e38) — the inverse is returned
-    /// unusable in that error path, so convert before serving.
-    pub fn with_value_mode(mut self, mode: ValueMode) -> Result<Self, EffresError> {
-        match (self.mode, mode) {
-            (ValueMode::F64, ValueMode::F64) | (ValueMode::F32, ValueMode::F32) => {}
-            (ValueMode::F64, ValueMode::F32) => {
-                let mut max_rel = 0.0_f64;
-                let mut vals32 = Vec::with_capacity(self.vals.len());
-                for (pos, &v) in self.vals.iter().enumerate() {
-                    let narrowed = v as f32;
-                    if v.is_finite() && !narrowed.is_finite() {
-                        return Err(EffresError::InvalidConfig {
-                            name: "value_mode",
-                            message: format!(
-                                "arena value {v:e} at entry {pos} overflows f32; \
-                                 the inverse cannot be narrowed"
-                            ),
-                        });
-                    }
-                    if v != 0.0 {
-                        max_rel = max_rel.max(((f64::from(narrowed) - v) / v).abs());
-                    }
-                    vals32.push(narrowed);
-                }
-                self.vals = Vec::new();
-                self.vals32 = vals32;
-                self.mode = ValueMode::F32;
-                self.narrowing_error = max_rel;
-            }
-            (ValueMode::F32, ValueMode::F64) => {
-                self.vals = self.vals32.iter().map(|&v| f64::from(v)).collect();
-                self.vals32 = Vec::new();
-                self.mode = ValueMode::F64;
-                // narrowing_error is kept: the values still carry the
-                // rounding from the earlier narrowing.
-            }
-        }
-        Ok(self)
     }
 
     /// Total number of stored nonzeros.
@@ -754,14 +515,11 @@ impl SparseApproximateInverse {
     }
 
     /// Byte-level footprint of the arena buffers (see [`ArenaFootprint`]).
-    /// In [`ValueMode::F32`] the value bytes are half the f64 figure — the
-    /// point of the narrow mode.
     pub fn footprint(&self) -> ArenaFootprint {
         ArenaFootprint {
             col_ptr_bytes: self.col_ptr.len() * std::mem::size_of::<usize>(),
             rows_bytes: self.rows.len() * std::mem::size_of::<u32>(),
-            vals_bytes: self.vals.len() * std::mem::size_of::<f64>()
-                + self.vals32.len() * std::mem::size_of::<f32>(),
+            vals_bytes: self.vals.len() * std::mem::size_of::<f64>(),
             index_width_bytes: std::mem::size_of::<u32>(),
         }
     }
@@ -821,11 +579,6 @@ impl SparseApproximateInverse {
     /// serialization: `(dim, col_ptr, rows, vals, stats, epsilon)`. The row
     /// buffer is at the arena's native `u32` width — exactly the bytes the
     /// v2 snapshot encoding writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics in [`ValueMode::F32`] (snapshots are f64-canonical; widen
-    /// with [`SparseApproximateInverse::with_value_mode`] first).
     #[allow(clippy::type_complexity)]
     pub fn into_arena(
         self,
@@ -837,11 +590,6 @@ impl SparseApproximateInverse {
         ApproxInverseStats,
         f64,
     ) {
-        assert_eq!(
-            self.mode,
-            ValueMode::F64,
-            "arena holds f32 values; convert with with_value_mode(ValueMode::F64) first"
-        );
         (
             self.dim,
             self.col_ptr,
@@ -946,9 +694,6 @@ impl SparseApproximateInverse {
             col_ptr,
             rows,
             vals,
-            vals32: Vec::new(),
-            mode: ValueMode::F64,
-            narrowing_error: 0.0,
             stats: recomputed,
             epsilon,
         })
@@ -2125,57 +1870,5 @@ mod tests {
             "only {ties_at_cut} cases tie at the cut"
         );
         assert!(emptied >= 10, "only {emptied} cases empty their column");
-    }
-
-    #[test]
-    fn value_mode_conversion_halves_bytes_and_bounds_error() {
-        let a = grid_laplacian(6, 6, 1e-3);
-        let chol = CholeskyFactor::factor(&a).expect("spd");
-        let z = SparseApproximateInverse::from_factor(chol.factor_l(), 0.02, 8).unwrap();
-        assert_eq!(z.value_mode(), ValueMode::F64);
-        assert_eq!(z.narrowing_error(), 0.0);
-        let f64_footprint = z.footprint();
-
-        let narrow = z.clone().with_value_mode(ValueMode::F32).unwrap();
-        assert_eq!(narrow.value_mode(), ValueMode::F32);
-        assert_eq!(narrow.nnz(), z.nnz());
-        assert_eq!(narrow.footprint().vals_bytes * 2, f64_footprint.vals_bytes);
-        // IEEE round-to-nearest: at most half an ulp, i.e. 2⁻²⁴ relative.
-        assert!(narrow.narrowing_error() <= 2.0_f64.powi(-24));
-        for j in 0..z.order() {
-            let (wide, thin) = (z.column(j), narrow.column(j));
-            assert_eq!(wide.indices(), thin.indices());
-            assert_eq!(thin.entry_bytes(), 8);
-            assert_eq!(wide.entry_bytes(), 12);
-            for ((_, a), (_, b)) in wide.iter().zip(thin.iter()) {
-                let bound = a.abs() * 2.0_f64.powi(-24);
-                assert!((a - b).abs() <= bound, "column {j}: {a} vs {b}");
-            }
-        }
-
-        // Widening back is lossless on the narrowed values and keeps the
-        // error record.
-        let widened = narrow.clone().with_value_mode(ValueMode::F64).unwrap();
-        assert_eq!(widened.value_mode(), ValueMode::F64);
-        assert_eq!(widened.narrowing_error(), narrow.narrowing_error());
-        assert_eq!(widened.footprint().vals_bytes, f64_footprint.vals_bytes);
-        for j in 0..z.order() {
-            let (a, b) = (widened.column(j), narrow.column(j));
-            for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "arena holds f32 values")]
-    fn arena_values_rejects_narrowed_arenas() {
-        let a = grid_laplacian(3, 3, 1e-3);
-        let chol = CholeskyFactor::factor(&a).expect("spd");
-        let z = SparseApproximateInverse::from_factor(chol.factor_l(), 0.1, 4)
-            .unwrap()
-            .with_value_mode(ValueMode::F32)
-            .unwrap();
-        let _ = z.arena_values();
     }
 }

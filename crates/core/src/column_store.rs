@@ -13,9 +13,11 @@
 //! * the **resident** backend — [`SparseApproximateInverse`]'s arena, where a
 //!   column is two slice borrows and access can never fail; and
 //! * **out-of-core** backends — `effres_io::PagedColumnStore` decodes
-//!   columns on demand from a v2 snapshot file behind a page cache, where a
-//!   fetch can fail (I/O error, corruption discovered while decoding a page)
-//!   and borrowed access must be scoped to a closure because the page a view
+//!   columns on demand from a v3 snapshot file behind a page cache (column
+//!   norms come from the file's persisted norm table; v2 files, which have
+//!   none, fall back to norms summed per decoded page), where a fetch can
+//!   fail (I/O error, corruption discovered while decoding a page) and
+//!   borrowed access must be scoped to a closure because the page a view
 //!   points into is owned by the cache, not the caller.
 //!
 //! Those two constraints shape the trait: column access is
@@ -25,10 +27,9 @@
 //! serving thread. For the in-memory store the closure compiles down to the
 //! direct slice access it always was.
 
-use crate::approx_inverse::{ColumnView, SparseApproximateInverse, ValuesView};
+use crate::approx_inverse::{ColumnView, SparseApproximateInverse};
 use crate::error::EffresError;
 use effres_sparse::vecops;
-use effres_sparse::vecops::ScalarValue;
 
 /// A source of the columns of the approximate inverse `Z̃`.
 ///
@@ -157,36 +158,12 @@ pub fn column_dot<S: ColumnStore + ?Sized>(
 }
 
 /// The suffix-restricted two-pointer merge shared by [`column_dot`]'s
-/// nested-fetch path (where both views are alive at once). Dispatches on
-/// the views' value widths; every arm accumulates in `f64` via the shared
-/// `vecops` merge, so the all-`f64` arm is bit-identical to the historical
-/// `&[f64]`-only loop.
+/// nested-fetch path (where both views are alive at once): binary-searches
+/// both operands to the `bound..` suffix, then runs the shared sorted-merge
+/// dot product of `vecops`.
 fn suffix_dot_views(a: ColumnView<'_>, b: ColumnView<'_>, bound: u32) -> f64 {
-    match (a.values_view(), b.values_view()) {
-        (ValuesView::F64(av), ValuesView::F64(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F64(av), ValuesView::F32(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F32(av), ValuesView::F64(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-        (ValuesView::F32(av), ValuesView::F32(bv)) => {
-            suffix_merge_dot(a.indices(), av, b.indices(), bv, bound)
-        }
-    }
-}
-
-/// Binary-searches both operands to the `bound..` suffix, then runs the
-/// shared sorted-merge dot product (f64 accumulation for any value width).
-fn suffix_merge_dot<A: ScalarValue, B: ScalarValue>(
-    ai: &[u32],
-    av: &[A],
-    bi: &[u32],
-    bv: &[B],
-    bound: u32,
-) -> f64 {
+    let (ai, av) = (a.indices(), a.values());
+    let (bi, bv) = (b.indices(), b.values());
     let i = ai.partition_point(|&row| row < bound);
     let j = bi.partition_point(|&row| row < bound);
     vecops::sparse_dot(&ai[i..], &av[i..], &bi[j..], &bv[j..])
@@ -209,19 +186,8 @@ pub fn column_distance_squared<S: ColumnStore + ?Sized>(
     q: usize,
 ) -> Result<f64, EffresError> {
     store.with_column(p, |a| {
-        store.with_column(q, |b| match (a.values_view(), b.values_view()) {
-            (ValuesView::F64(av), ValuesView::F64(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F64(av), ValuesView::F32(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F32(av), ValuesView::F64(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
-            (ValuesView::F32(av), ValuesView::F32(bv)) => {
-                vecops::sparse_distance_squared(a.indices(), av, b.indices(), bv)
-            }
+        store.with_column(q, |b| {
+            vecops::sparse_distance_squared(a.indices(), a.values(), b.indices(), b.values())
         })
     })?
 }
@@ -307,8 +273,8 @@ pub struct KernelStats {
     /// Pairs answered by the plain two-column suffix merge (no neighbour
     /// shared a hub, so batching had nothing to amortize).
     pub isolated_pairs: u64,
-    /// Approximate arena bytes the kernels read (row indices + values, at
-    /// the store's value width), excluding norm-table lookups.
+    /// Arena bytes the kernels read (a 4-byte row index plus an 8-byte
+    /// value per entry), excluding norm-table lookups.
     pub bytes_streamed: u64,
 }
 
@@ -461,17 +427,8 @@ impl HubScratch {
             // after running the closure still leaves a cleanable scratch.
             let indices = &column.indices()[start..];
             loaded_indices.extend_from_slice(indices);
-            match column.values_view() {
-                ValuesView::F64(values) => {
-                    for (&i, &v) in indices.iter().zip(&values[start..]) {
-                        dense[i as usize] = v;
-                    }
-                }
-                ValuesView::F32(values) => {
-                    for (&i, &v) in indices.iter().zip(&values[start..]) {
-                        dense[i as usize] = f64::from(v);
-                    }
-                }
+            for (&i, &v) in indices.iter().zip(&column.values()[start..]) {
+                dense[i as usize] = v;
             }
             (column.nnz() - start) * column.entry_bytes()
         })?;
@@ -805,6 +762,51 @@ mod tests {
         assert!(stats.bytes_streamed > 0);
         assert!(stats.pairs_per_hub_load() > 1.0);
         assert_eq!(scratch.stats(), KernelStats::default());
+    }
+
+    /// Entries of column `j` at rows `bound..`, counted straight from the
+    /// arena's `col_ptr`/`rows` buffers.
+    fn suffix_entries(z: &SparseApproximateInverse, j: usize, bound: usize) -> u64 {
+        let rows = &z.arena_rows()[z.col_ptr()[j]..z.col_ptr()[j + 1]];
+        rows.iter().filter(|&&row| row as usize >= bound).count() as u64
+    }
+
+    #[test]
+    fn kernels_stream_twelve_bytes_per_suffix_entry() {
+        // A 4-byte row index plus an 8-byte value per entry read.
+        const ENTRY_BYTES: u64 = 12;
+        let z = sample_inverse();
+        for hub in [0usize, 7, 20, 35] {
+            let partners = [hub, 0, 5, 20, 35, 35];
+            let mut scratch = HubScratch::new(z.order());
+            column_dots_hub(&z, hub, &partners, &mut scratch).expect("infallible");
+            // One hub load from the smallest bound, then each partner's
+            // suffix from its own bound.
+            let from_row = partners
+                .iter()
+                .map(|&p| hub.max(p))
+                .min()
+                .expect("non-empty");
+            let mut entries = suffix_entries(&z, hub, from_row);
+            for &partner in &partners {
+                entries += suffix_entries(&z, partner, hub.max(partner));
+            }
+            let stats = scratch.take_stats();
+            assert_eq!(
+                (stats.hub_loads, stats.hub_pairs),
+                (1, partners.len() as u64)
+            );
+            assert_eq!(stats.bytes_streamed, ENTRY_BYTES * entries, "hub {hub}");
+        }
+        let mut scratch = HubScratch::new(z.order());
+        for (p, q) in [(0, 35), (3, 3), (10, 20), (34, 35), (20, 10), (0, 1)] {
+            scratch.isolated_dot(&z, p, q).expect("infallible");
+            let bound = p.max(q);
+            let entries = suffix_entries(&z, p, bound) + suffix_entries(&z, q, bound);
+            let stats = scratch.take_stats();
+            assert_eq!(stats.isolated_pairs, 1);
+            assert_eq!(stats.bytes_streamed, ENTRY_BYTES * entries, "({p}, {q})");
+        }
     }
 
     #[test]

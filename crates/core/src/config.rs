@@ -1,6 +1,5 @@
 //! Configuration of the effective-resistance estimator.
 
-use crate::approx_inverse::ValueMode;
 use crate::error::EffresError;
 use effres_sparse::WorkerPool;
 
@@ -104,21 +103,14 @@ pub struct EffresConfig {
     /// share the *same* pool. Results are bit-identical either way.
     pub worker_pool: Option<WorkerPool>,
     /// Decoded-page budget of a *paged* (out-of-core) column store, in
-    /// pages, when the deployment serves straight from a v2 snapshot file
-    /// instead of a resident arena (`effres_io::PagedColumnStore`,
-    /// `effres-cli --paged`). Resident serving ignores it. Carried here so a
-    /// build-then-serve deployment configures both stages from one config;
-    /// answers are bit-identical for every cache size — the knob trades
-    /// disk reads only.
+    /// pages, when the deployment serves straight from a v3 snapshot file
+    /// (column norms from its persisted norm table; v2 files fall back to
+    /// per-page norms) instead of a resident arena
+    /// (`effres_io::PagedColumnStore`, `effres-cli --paged`). Resident
+    /// serving ignores it. Carried here so a build-then-serve deployment
+    /// configures both stages from one config; answers are bit-identical
+    /// for every cache size — the knob trades disk reads only.
     pub page_cache_pages: usize,
-    /// Width of the stored arena values (see
-    /// [`ValueMode`]). The default `F64` is bit-identical
-    /// to every release so far; `F32` halves the value stream the query
-    /// kernels read (the estimator narrows the arena after the f64 build,
-    /// recording the worst relative rounding error in
-    /// [`crate::SparseApproximateInverse::narrowing_error`]). Snapshots
-    /// stay f64-canonical regardless.
-    pub value_mode: ValueMode,
 }
 
 impl Default for EffresConfig {
@@ -132,7 +124,6 @@ impl Default for EffresConfig {
             build: BuildOptions::default(),
             worker_pool: None,
             page_cache_pages: DEFAULT_PAGE_CACHE_PAGES,
-            value_mode: ValueMode::default(),
         }
     }
 }
@@ -197,12 +188,6 @@ impl EffresConfig {
     /// the store, never here.
     pub fn with_page_cache_pages(mut self, pages: usize) -> Self {
         self.page_cache_pages = pages;
-        self
-    }
-
-    /// Sets the stored value width (see [`EffresConfig::value_mode`]).
-    pub fn with_value_mode(mut self, value_mode: ValueMode) -> Self {
-        self.value_mode = value_mode;
         self
     }
 

@@ -9,7 +9,7 @@
 //! 4. run Alg. 2 to obtain the sparse approximate inverse `Z̃ ≈ L⁻¹`;
 //! 5. answer each query `(p, q)` as `R(p, q) ≈ ‖z̃_{π(p)} − z̃_{π(q)}‖²`.
 
-use crate::approx_inverse::{SparseApproximateInverse, ValueMode};
+use crate::approx_inverse::SparseApproximateInverse;
 use crate::column_store::{column_distances_squared_grouped, HubScratch};
 use crate::config::{EffresConfig, Ordering};
 use crate::depth::FilledGraphDepth;
@@ -110,11 +110,7 @@ impl EffectiveResistanceEstimator {
             config.dense_column_threshold,
             &config.build,
             config.worker_pool.as_ref(),
-        )?
-        // The build always runs in full precision; an f32 deployment
-        // narrows the finished arena (so the narrowing error is a single
-        // rounding per value, never compounded through the sweep).
-        .with_value_mode(config.value_mode)?;
+        )?;
         let stats = EstimatorStats {
             node_count: matrix.ncols(),
             factor_nnz,
@@ -226,29 +222,6 @@ impl EffectiveResistanceEstimator {
         }
         let pairs: Vec<(usize, usize)> = graph.edges().map(|(_, e)| (e.u, e.v)).collect();
         self.query_many(&pairs)
-    }
-
-    /// Converts the arena's value storage (see [`ValueMode`] and
-    /// [`SparseApproximateInverse::with_value_mode`]). The memoized norm
-    /// table is dropped: in f32 mode the norms must be recomputed from the
-    /// *narrowed* values so they stay bit-consistent with what the query
-    /// kernels stream, so a table primed from an f64 snapshot cannot be
-    /// carried over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EffresError::InvalidConfig`] if a stored value overflows
-    /// `f32` when narrowing.
-    pub fn with_value_mode(self, mode: ValueMode) -> Result<Self, EffresError> {
-        if self.inverse.value_mode() == mode {
-            return Ok(self);
-        }
-        Ok(EffectiveResistanceEstimator {
-            inverse: self.inverse.with_value_mode(mode)?,
-            permutation: self.permutation,
-            stats: self.stats,
-            norms: std::sync::OnceLock::new(),
-        })
     }
 
     /// Approximate effective resistance using squared column norms

@@ -56,7 +56,7 @@ pub mod exact;
 pub mod random_projection;
 pub mod stats;
 
-pub use approx_inverse::{SparseApproximateInverse, ValueMode};
+pub use approx_inverse::SparseApproximateInverse;
 pub use config::{BuildOptions, EffresConfig, Ordering};
 pub use effres_sparse::WorkerPool;
 pub use error::{BusyReason, CancelReason, EffresError};
@@ -68,7 +68,7 @@ pub use column_store::{ColumnStore, HubScratch, KernelStats};
 
 /// Convenient glob import of the main types.
 pub mod prelude {
-    pub use crate::approx_inverse::{SparseApproximateInverse, ValueMode};
+    pub use crate::approx_inverse::SparseApproximateInverse;
     pub use crate::column_store::{ColumnStore, HubScratch, KernelStats};
     pub use crate::config::{BuildOptions, EffresConfig, Ordering};
     pub use crate::error::{BusyReason, CancelReason, EffresError};

@@ -5,16 +5,12 @@
 //! sorted or not, with self-pairs, duplicates, empty and singleton sets.
 //! That identity is what lets the service engine and the paged scheduler
 //! re-order and hub-group batches freely without changing a single answer.
-//!
-//! The f32 half: narrowing the arena must report a per-value relative
-//! error within the `2⁻²⁴` round-to-nearest bound, and whole queries
-//! through the narrowed arena must stay within a small multiple of it.
 
 use effres::column_store::{
-    self, column_distances_squared_batch, column_distances_squared_grouped, column_dot,
-    column_dots_hub, ColumnStore, HubScratch,
+    column_distances_squared_batch, column_distances_squared_grouped, column_dot, column_dots_hub,
+    HubScratch,
 };
-use effres::{EffectiveResistanceEstimator, EffresConfig, ValueMode};
+use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -27,15 +23,6 @@ fn estimator() -> &'static EffectiveResistanceEstimator {
     EST.get_or_init(|| {
         let graph = generators::grid_2d(SIDE, SIDE, 0.5, 2.0, 5).expect("generator");
         EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build")
-    })
-}
-
-fn estimator_f32() -> &'static EffectiveResistanceEstimator {
-    static EST: OnceLock<EffectiveResistanceEstimator> = OnceLock::new();
-    EST.get_or_init(|| {
-        let graph = generators::grid_2d(SIDE, SIDE, 0.5, 2.0, 5).expect("generator");
-        let config = EffresConfig::default().with_value_mode(ValueMode::F32);
-        EffectiveResistanceEstimator::build(&graph, &config).expect("build")
     })
 }
 
@@ -103,40 +90,6 @@ proptest! {
             prop_assert_eq!(stats.pairs(), 2 * non_self);
         }
     }
-
-    /// The f32 arena answers the grouped kernel bit-identically to its own
-    /// pairwise reference too (the scatter argument does not depend on the
-    /// value width), and each narrowed query stays near the f64 answer.
-    #[test]
-    fn f32_grouped_matches_f32_pairwise_and_stays_near_f64(
-        pairs in proptest::collection::vec((0usize..NODES, 0usize..NODES), 1..32),
-    ) {
-        let narrow = estimator_f32().approximate_inverse();
-        let mut scratch = HubScratch::new(narrow.order());
-        let reference = column_distances_squared_batch(narrow, &pairs, None)
-            .expect("resident store never fails");
-        let grouped = column_distances_squared_grouped(narrow, &pairs, None, &mut scratch)
-            .expect("resident store never fails");
-        for (r, g) in reference.iter().zip(&grouped) {
-            prop_assert_eq!(r.to_bits(), g.to_bits());
-        }
-        // Whole queries: compare against the f64 estimator. The distance
-        // sums ~2·depth products of narrowed values, so allow a modest
-        // multiple of the per-value bound (relative to the query scale).
-        let wide = estimator().approximate_inverse();
-        let permutation = estimator().permutation();
-        for &(p, q) in &pairs {
-            let (pp, qq) = (permutation.new(p), permutation.new(q));
-            let exact = wide.column_distance_squared(pp, qq);
-            let approx = column_store::column_distance_squared(narrow, pp, qq)
-                .expect("resident store never fails");
-            let scale = exact.abs().max(1e-12);
-            prop_assert!(
-                (exact - approx).abs() / scale <= 1e-5,
-                "({p},{q}): f64 {exact} vs f32 {approx}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -156,26 +109,4 @@ fn empty_and_singleton_batches_are_exact() {
     let stats = scratch.take_stats();
     assert_eq!(stats.hub_loads, 0);
     assert_eq!(stats.isolated_pairs, 1);
-}
-
-#[test]
-fn narrowing_error_is_reported_and_within_the_round_to_nearest_bound() {
-    let wide = estimator().approximate_inverse();
-    let narrow = estimator_f32().approximate_inverse();
-    assert_eq!(wide.value_mode(), ValueMode::F64);
-    assert_eq!(narrow.value_mode(), ValueMode::F32);
-    assert_eq!(wide.narrowing_error(), 0.0);
-    let reported = narrow.narrowing_error();
-    assert!(reported > 0.0, "a real arena narrows inexactly");
-    assert!(
-        reported <= f64::from(f32::EPSILON) / 2.0,
-        "round-to-nearest bound violated: {reported}"
-    );
-    // The arena the kernels stream really is half as wide.
-    let (wide_bytes, narrow_bytes) = (wide.footprint().vals_bytes, narrow.footprint().vals_bytes);
-    assert_eq!(wide_bytes, 2 * narrow_bytes);
-    // And round-tripping back to f64 restores nothing: narrowing is a
-    // one-way conversion (widen is exact on every stored value, so the
-    // narrowed estimator re-narrowed is itself).
-    assert_eq!(ColumnStore::nnz(narrow), ColumnStore::nnz(wide));
 }

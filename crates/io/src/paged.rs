@@ -71,7 +71,6 @@ use effres::approx_inverse::{ensure_u32_indexable, ArenaFootprint, ColumnView};
 use effres::column_store::ColumnStore;
 use effres::error::EffresError;
 use effres::estimator::EstimatorStats;
-use effres::ValueMode;
 use effres_sparse::Permutation;
 use std::collections::HashMap;
 use std::fs::File;
@@ -162,15 +161,6 @@ pub struct PagedOptions {
     /// [`RetryPolicy`]): transient faults are absorbed and counted
     /// ([`PageCacheStats::retries`]) instead of failing the query.
     pub retry: RetryPolicy,
-    /// Width of the *decoded* page values (see [`ValueMode`]). The on-disk
-    /// file stays f64-canonical either way; `F32` narrows each value once at
-    /// page-decode time, halving the decoded value stream in memory. Unlike
-    /// the other knobs this one changes bits: answers match a resident
-    /// estimator narrowed with the same mode, not the f64 answers. In `F32`
-    /// mode a v3 file's persisted norm table is ignored and per-page norms
-    /// are recomputed from the narrowed values, keeping paged answers
-    /// bit-identical to resident f32 serving.
-    pub value_mode: ValueMode,
 }
 
 impl Default for PagedOptions {
@@ -180,7 +170,6 @@ impl Default for PagedOptions {
             cache_pages: effres::config::DEFAULT_PAGE_CACHE_PAGES,
             cache_shards: 8,
             retry: RetryPolicy::default(),
-            value_mode: ValueMode::default(),
         }
     }
 }
@@ -202,12 +191,6 @@ impl PagedOptions {
     /// Sets the positioned-read retry policy (see [`PagedOptions::retry`]).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the decoded value width (see [`PagedOptions::value_mode`]).
-    pub fn with_value_mode(mut self, value_mode: ValueMode) -> Self {
-        self.value_mode = value_mode;
         self
     }
 }
@@ -295,11 +278,7 @@ struct Page {
     /// `col_ptr[first_col]` — the entry offset the page's buffers start at.
     base: u64,
     rows: Vec<u32>,
-    /// Decoded values in the store's [`ValueMode`]: exactly one of `vals`
-    /// (f64 mode) and `vals32` (f32 mode) is populated, the other stays
-    /// empty — a page never holds both widths.
     vals: Vec<f64>,
-    vals32: Vec<f32>,
     norms: Vec<f64>,
     /// Where the buffers go when the last `Arc` drops (`Weak`: a store being
     /// torn down takes its pool with it and outstanding pages just free).
@@ -312,7 +291,6 @@ impl Drop for Page {
             pool.put_page_buffers(PageBuffers {
                 rows: std::mem::take(&mut self.rows),
                 vals: std::mem::take(&mut self.vals),
-                vals32: std::mem::take(&mut self.vals32),
                 norms: std::mem::take(&mut self.norms),
             });
         }
@@ -324,19 +302,14 @@ impl Drop for Page {
 struct PageBuffers {
     rows: Vec<u32>,
     vals: Vec<f64>,
-    vals32: Vec<f32>,
     norms: Vec<f64>,
 }
 
 impl PageBuffers {
     /// Entries the set can hold without reallocating (rows and values are
     /// always sized together; the min guards against them ever diverging).
-    /// A store's pool only ever sees its own value mode, so whichever value
-    /// vector that mode uses carries the capacity and the other stays empty.
     fn entry_capacity(&self) -> usize {
-        self.rows
-            .capacity()
-            .min(self.vals.capacity().max(self.vals32.capacity()))
+        self.rows.capacity().min(self.vals.capacity())
     }
 }
 
@@ -390,10 +363,8 @@ impl BufferPool {
 
     /// A buffer set whose row/value capacity already covers `count` entries:
     /// the smallest fitting spare, or a fresh set in the next power-of-two
-    /// entry class, with the value vector of the store's `mode` pre-sized
-    /// (the other width stays empty so f32 stores never pay for f64-wide
-    /// buffers).
-    fn take_page_buffers(&self, count: usize, mode: ValueMode) -> PageBuffers {
+    /// entry class.
+    fn take_page_buffers(&self, count: usize) -> PageBuffers {
         let fitting = {
             let mut spares = self.pages.lock().expect("buffer pool poisoned");
             let at = spares.partition_point(|b| b.entry_capacity() < count);
@@ -407,14 +378,9 @@ impl BufferPool {
             None => {
                 self.fresh.fetch_add(1, Ordering::Relaxed);
                 let class = count.next_power_of_two();
-                let (vals, vals32) = match mode {
-                    ValueMode::F64 => (Vec::with_capacity(class), Vec::new()),
-                    ValueMode::F32 => (Vec::new(), Vec::with_capacity(class)),
-                };
                 PageBuffers {
                     rows: Vec::with_capacity(class),
-                    vals,
-                    vals32,
+                    vals: Vec::with_capacity(class),
                     norms: Vec::new(),
                 }
             }
@@ -664,8 +630,10 @@ impl PageLru {
     }
 }
 
-/// A column store serving the approximate inverse directly from a v2
-/// snapshot file through a page cache (see the module docs).
+/// A column store serving the approximate inverse directly from a v3
+/// snapshot file through a page cache (see the module docs), with column
+/// norms from the file's persisted norm table. v2 files, which have no norm
+/// table, are served too, with norms summed per decoded page.
 ///
 /// The store is `Send + Sync`: positioned reads do not touch a shared file
 /// cursor, the cache shards are independently locked, and decoded pages are
@@ -692,9 +660,6 @@ pub struct PagedColumnStore {
     norms: Option<Arc<Vec<f64>>>,
     rows_offset: u64,
     vals_offset: u64,
-    /// Width pages are decoded at ([`PagedOptions::value_mode`]); the file
-    /// itself is always f64-canonical.
-    value_mode: ValueMode,
     columns_per_page: usize,
     cache: PageLru,
     /// Retry policy for positioned reads ([`PagedOptions::retry`]).
@@ -782,11 +747,6 @@ impl PagedColumnStore {
     /// The row codec of the underlying file.
     pub fn row_codec(&self) -> RowCodec {
         self.codec
-    }
-
-    /// Width pages are decoded at (see [`PagedOptions::value_mode`]).
-    pub fn value_mode(&self) -> ValueMode {
-        self.value_mode
     }
 
     /// The persisted `‖z̃_j‖²` table (permuted domain), resident for v3
@@ -1096,9 +1056,8 @@ impl PagedColumnStore {
         let PageBuffers {
             mut rows,
             mut vals,
-            mut vals32,
             mut norms,
-        } = self.buffers.take_page_buffers(count, self.value_mode);
+        } = self.buffers.take_page_buffers(count);
         rows.clear();
         match (&self.codec, &self.row_off) {
             (RowCodec::Varint, Some(off)) => {
@@ -1138,27 +1097,15 @@ impl PagedColumnStore {
                 }
             }
         };
-        // On-disk values are always f64; f32 mode narrows each one here,
-        // once per decode, exactly as the resident estimator narrows its
-        // arena — so a paged f32 column is bit-identical to a resident f32
-        // column.
         vals.clear();
-        vals32.clear();
-        match self.value_mode {
-            ValueMode::F64 => vals.extend(
-                val_bytes
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-            ),
-            ValueMode::F32 => vals32.extend(
-                val_bytes
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")) as f32),
-            ),
-        }
+        vals.extend(
+            val_bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
 
-        // With a resident norm table (v3, f64 mode) the per-page norms are
-        // never read: skip accumulating them on this hot path.
+        // With a resident norm table (v3) the per-page norms are never
+        // read: skip accumulating them on this hot path.
         let want_norms = self.norms.is_none();
         norms.clear();
         if want_norms {
@@ -1177,25 +1124,13 @@ impl PagedColumnStore {
             }
             if want_norms {
                 // One fused pass: finiteness fold + the norm sum, accumulated
-                // in index order over the *stored* values — the same order
-                // and width the resident norm table uses, so the bits are
-                // identical in both modes.
+                // in index order over the stored values — the same order the
+                // resident norm table uses, so the bits are identical.
                 let mut finite = true;
                 let mut norm = 0.0f64;
-                match self.value_mode {
-                    ValueMode::F64 => {
-                        for &v in &vals[lo..hi] {
-                            finite &= v.is_finite();
-                            norm += v * v;
-                        }
-                    }
-                    ValueMode::F32 => {
-                        for &v in &vals32[lo..hi] {
-                            let w = f64::from(v);
-                            finite &= w.is_finite();
-                            norm += w * w;
-                        }
-                    }
+                for &v in &vals[lo..hi] {
+                    finite &= v.is_finite();
+                    norm += v * v;
                 }
                 if !finite {
                     return Err(corrupt("non-finite value".to_string()));
@@ -1211,7 +1146,6 @@ impl PagedColumnStore {
             base,
             rows,
             vals,
-            vals32,
             norms,
             pool: Arc::downgrade(&self.buffers),
         })
@@ -1725,18 +1659,11 @@ impl ColumnStore for PinnedReader<'_> {
             Some(page) => {
                 let lo = (self.store.col_ptr[j] - page.base) as usize;
                 let hi = (self.store.col_ptr[j + 1] - page.base) as usize;
-                Ok(f(match self.store.value_mode {
-                    ValueMode::F64 => ColumnView::from_slices(
-                        self.store.order,
-                        &page.rows[lo..hi],
-                        &page.vals[lo..hi],
-                    ),
-                    ValueMode::F32 => ColumnView::from_slices_f32(
-                        self.store.order,
-                        &page.rows[lo..hi],
-                        &page.vals32[lo..hi],
-                    ),
-                }))
+                Ok(f(ColumnView::from_slices(
+                    self.store.order,
+                    &page.rows[lo..hi],
+                    &page.vals[lo..hi],
+                )))
             }
             None => self.store.with_column(j, f),
         }
@@ -1780,14 +1707,11 @@ impl ColumnStore for PagedColumnStore {
         let page = self.page_for(j)?;
         let lo = (self.col_ptr[j] - page.base) as usize;
         let hi = (self.col_ptr[j + 1] - page.base) as usize;
-        Ok(f(match self.value_mode {
-            ValueMode::F64 => {
-                ColumnView::from_slices(self.order, &page.rows[lo..hi], &page.vals[lo..hi])
-            }
-            ValueMode::F32 => {
-                ColumnView::from_slices_f32(self.order, &page.rows[lo..hi], &page.vals32[lo..hi])
-            }
-        }))
+        Ok(f(ColumnView::from_slices(
+            self.order,
+            &page.rows[lo..hi],
+            &page.vals[lo..hi],
+        )))
     }
 
     fn column_norm_squared(&self, j: usize) -> Result<f64, EffresError> {
@@ -1804,10 +1728,11 @@ impl ColumnStore for PagedColumnStore {
     }
 }
 
-/// Everything a query service needs from a v2 snapshot, opened for paged
+/// Everything a query service needs from a v3 snapshot, opened for paged
 /// serving: the out-of-core column [`store`](PagedSnapshot::store) plus the
 /// resident metadata (permutation, build statistics, dataset labels) the
-/// header carries.
+/// header carries and the persisted norm table. A v2 snapshot opens the
+/// same way without a norm table; its norms come off decoded pages.
 #[derive(Debug)]
 pub struct PagedSnapshot {
     /// The disk-backed column store.
@@ -2033,15 +1958,6 @@ fn open_paged_impl(
 
     let cache = PageLru::new(options.cache_pages, options.cache_shards);
     let buffers = Arc::new(BufferPool::new(cache.capacity()));
-    // A v3 file's persisted norm table was summed over the full-precision
-    // values; in f32 mode the columns served are the *narrowed* values, so
-    // the table is dropped (still validated above) and per-page norms are
-    // recomputed from what is actually served — keeping paged f32 answers
-    // bit-identical to a resident estimator narrowed with the same mode.
-    let norms = match options.value_mode {
-        ValueMode::F64 => norms,
-        ValueMode::F32 => None,
-    };
     let store = PagedColumnStore {
         file,
         order: n,
@@ -2052,7 +1968,6 @@ fn open_paged_impl(
         norms: norms.map(Arc::new),
         rows_offset,
         vals_offset,
-        value_mode: options.value_mode,
         columns_per_page: options.columns_per_page,
         cache,
         retry: options.retry,

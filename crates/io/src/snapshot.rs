@@ -512,19 +512,6 @@ fn validate_for_write(
             "{n} nodes exceed the snapshot's u32 index space"
         )));
     }
-    // Snapshots are f64-canonical in every version: a narrowed estimator
-    // would persist rounded values (and a norm table summed over them),
-    // silently downgrading every future deployment of the file. Save the
-    // estimator *before* narrowing it (value-mode conversion is a serving
-    // concern; `effres-cli build --value-mode f32` saves first, then
-    // narrows for its own stats report).
-    if estimator.approximate_inverse().value_mode() != effres::ValueMode::F64 {
-        return Err(IoError::Format(
-            "snapshots are f64-canonical and this estimator was narrowed to f32; \
-             save the f64 estimator before converting with with_value_mode"
-                .into(),
-        ));
-    }
     if let Some(labels) = labels {
         if labels.len() != n {
             return Err(IoError::Format(format!(
@@ -575,10 +562,10 @@ fn write_labels<W: Write>(
     }
 }
 
-/// Reads a snapshot written by [`write_snapshot`] (version 2) or the legacy
-/// [`write_snapshot_v1`] format, auto-detecting the version from the header,
-/// verifying magic and checksum, and revalidating every structural
-/// invariant.
+/// Reads a snapshot written by [`write_snapshot`] (version 3, the current
+/// format) or the legacy [`write_snapshot_v2`] and [`write_snapshot_v1`]
+/// formats, auto-detecting the version from the header, verifying magic and
+/// checksum, and revalidating every structural invariant.
 ///
 /// # Errors
 ///

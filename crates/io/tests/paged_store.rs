@@ -419,36 +419,6 @@ fn v3_fixture_serves_persisted_norms_bit_identical_to_resident() {
     assert_eq!((stats.hits, stats.misses, stats.bytes_read), (0, 0, 0));
 }
 
-/// The f64 resident estimator narrowed to f32 — the reference the paged
-/// f32 mode must match bit for bit.
-fn resident_f32() -> &'static effres::EffectiveResistanceEstimator {
-    static NARROW: OnceLock<effres::EffectiveResistanceEstimator> = OnceLock::new();
-    NARROW.get_or_init(|| {
-        load_snapshot(fixture("v2_grid12.snap"))
-            .expect("v2 fixture loads")
-            .estimator
-            .with_value_mode(effres::ValueMode::F32)
-            .expect("narrowing a healthy arena succeeds")
-    })
-}
-
-/// Both paged-capable encodings decoded in f32 mode, across the same page
-/// geometries the f64 property sweeps.
-fn paged_f32_stores() -> &'static [PagedSnapshot] {
-    static STORES: OnceLock<Vec<PagedSnapshot>> = OnceLock::new();
-    STORES.get_or_init(|| {
-        ["v2_grid12.snap", "v3_grid12.snap"]
-            .iter()
-            .flat_map(|name| {
-                paged_configs().iter().map(|options| {
-                    let options = (*options).with_value_mode(effres::ValueMode::F32);
-                    open_paged(fixture(name), &options).expect("fixture opens")
-                })
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -486,72 +456,17 @@ proptest! {
             }
         }
     }
-
-    /// The f32 decode mode: every paged geometry and encoding must serve
-    /// queries and per-column norms bit-identical to the **resident f32**
-    /// estimator (narrow-at-load and narrow-at-page-decode agree exactly),
-    /// including on the v3 file whose persisted f64 norm table must be
-    /// ignored in this mode.
-    #[test]
-    fn paged_f32_matches_resident_f32_bitwise(
-        (p, q, which) in (0usize..144, 0usize..144, 0usize..8),
-    ) {
-        let narrow = resident_f32().approximate_inverse();
-        let paged = &paged_f32_stores()[which];
-        prop_assert!(paged.norms().is_none(), "f32 mode drops the persisted f64 norms");
-        let resident_distance = column_store::column_distance_squared(narrow, p, q)
-            .expect("resident store never fails");
-        let paged_distance = column_store::column_distance_squared(&paged.store, p, q)
-            .expect("healthy fixture");
-        prop_assert_eq!(resident_distance.to_bits(), paged_distance.to_bits());
-        let resident_norm = narrow.column_norm_squared(p).expect("resident norm");
-        let paged_norm = paged.store.column_norm_squared(p).expect("paged norm");
-        prop_assert_eq!(resident_norm.to_bits(), paged_norm.to_bits());
-    }
-}
-
-#[test]
-fn narrowed_estimators_are_rejected_by_every_snapshot_writer() {
-    use effres_io::snapshot::{
-        save_snapshot, write_snapshot, write_snapshot_v1, write_snapshot_v2,
-    };
-    let narrow = resident_f32();
-    let dir = std::env::temp_dir().join("effres-f32-reject");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("narrowed.snap");
-    let mut sink = Vec::new();
-    for (name, result) in [
-        ("save_snapshot", save_snapshot(&path, narrow, None)),
-        ("write_snapshot", write_snapshot(&mut sink, narrow, None)),
-        (
-            "write_snapshot_v1",
-            write_snapshot_v1(&mut sink, narrow, None),
-        ),
-        (
-            "write_snapshot_v2",
-            write_snapshot_v2(&mut sink, narrow, None),
-        ),
-    ] {
-        let err = result.expect_err(name);
-        assert!(
-            matches!(err, IoError::Format(ref m) if m.contains("f64-canonical")),
-            "{name}: {err}"
-        );
-    }
-    assert!(sink.is_empty(), "no writer may emit bytes first");
-    assert!(!path.exists(), "no writer may leave a file behind");
 }
 
 /// Geometry of the demand-sized pin tests: 16-column pages (9 over the
 /// 144-column fixtures) and a cache too small to matter.
-fn sparse_options(mode: effres::ValueMode) -> PagedOptions {
+fn sparse_options() -> PagedOptions {
     PagedOptions {
         columns_per_page: 16,
         cache_pages: 1,
         cache_shards: 1,
         ..PagedOptions::default()
     }
-    .with_value_mode(mode)
 }
 
 /// On-disk bytes (rows plus values) of each column of a fixture, from its
@@ -586,15 +501,6 @@ fn column_disk_bytes(name: &str) -> Vec<u64> {
 const SPARSE_PAGES: [usize; 2] = [1, 4];
 const SPARSE_DEMAND: [usize; 4] = [29, 17, 70, 18];
 
-/// The resident reference for a value mode: the f64 arena, or the arena
-/// narrowed exactly as f32 page decode narrows.
-fn reference_inverse(mode: effres::ValueMode) -> &'static effres::SparseApproximateInverse {
-    match mode {
-        effres::ValueMode::F64 => resident().estimator.approximate_inverse(),
-        effres::ValueMode::F32 => resident_f32().approximate_inverse(),
-    }
-}
-
 /// Column `j` through a store, as (rows, norm bits): equal iff the decoded
 /// rows match and the values sum to the same bits.
 fn column_bits<S: ColumnStore>(store: &S, j: usize) -> (Vec<u32>, u64) {
@@ -621,38 +527,36 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
                 "{name}: page {pid} must be sparsely demanded for this test"
             );
         }
-        for mode in [effres::ValueMode::F64, effres::ValueMode::F32] {
-            let paged = open_paged(fixture(name), &sparse_options(mode)).expect("opens");
-            let pinned = paged
-                .store
-                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
-                .expect("healthy fixture");
-            assert_eq!(pinned.len(), 2, "{name} {mode:?}");
-            let stats = paged.store.take_page_cache_stats();
-            assert_eq!(stats.bytes_read, demanded_bytes, "{name} {mode:?}");
-            assert_eq!(stats.column_runs, 3, "{name} {mode:?}: runs 17..19, 29, 70");
-            assert_eq!((stats.hits, stats.misses), (0, 2), "{name} {mode:?}");
-            assert_eq!(stats.readahead_reads, 0, "{name} {mode:?}");
+        let paged = open_paged(fixture(name), &sparse_options()).expect("opens");
+        let pinned = paged
+            .store
+            .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+            .expect("healthy fixture");
+        assert_eq!(pinned.len(), 2, "{name}");
+        let stats = paged.store.take_page_cache_stats();
+        assert_eq!(stats.bytes_read, demanded_bytes, "{name}");
+        assert_eq!(stats.column_runs, 3, "{name}: runs 17..19, 29, 70");
+        assert_eq!((stats.hits, stats.misses), (0, 2), "{name}");
+        assert_eq!(stats.readahead_reads, 0, "{name}");
 
-            // The demanded columns serve off the runs, bit-identical to
-            // the resident arena, without touching the store again.
-            let empty = effres_io::PinnedPages::default();
-            let reader = effres_io::PinnedReader::new(&paged.store, &empty, Some(&pinned));
-            let inverse = reference_inverse(mode);
-            for j in SPARSE_DEMAND {
-                assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
-                assert_eq!(
-                    reader.column_norm_squared(j).expect("norm").to_bits(),
-                    inverse.column_norm_squared(j).expect("norm").to_bits(),
-                    "{name} {mode:?} col {j} norm"
-                );
-            }
+        // The demanded columns serve off the runs, bit-identical to the
+        // resident arena, without touching the store again.
+        let empty = effres_io::PinnedPages::default();
+        let reader = effres_io::PinnedReader::new(&paged.store, &empty, Some(&pinned));
+        let inverse = resident().estimator.approximate_inverse();
+        for j in SPARSE_DEMAND {
+            assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
             assert_eq!(
-                paged.store.page_cache_stats(),
-                effres_io::PageCacheStats::default(),
-                "{name} {mode:?}: demanded columns never fall back"
+                reader.column_norm_squared(j).expect("norm").to_bits(),
+                inverse.column_norm_squared(j).expect("norm").to_bits(),
+                "{name} col {j} norm"
             );
         }
+        assert_eq!(
+            paged.store.page_cache_stats(),
+            effres_io::PageCacheStats::default(),
+            "{name}: demanded columns never fall back"
+        );
     }
 }
 
@@ -662,7 +566,7 @@ fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
         fixture("v3_grid12.snap"),
         &PagedOptions {
             cache_pages: 4,
-            ..sparse_options(effres::ValueMode::F64)
+            ..sparse_options()
         },
     )
     .expect("opens");
@@ -690,31 +594,29 @@ fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
 #[test]
 fn a_column_outside_the_demand_reads_the_resident_value() {
     for name in ["v2_grid12.snap", "v3_grid12.snap"] {
-        for mode in [effres::ValueMode::F64, effres::ValueMode::F32] {
-            let paged = open_paged(fixture(name), &sparse_options(mode)).expect("opens");
-            let pinned = paged
-                .store
-                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
-                .expect("healthy fixture");
-            let empty = effres_io::PinnedPages::default();
-            let reader = effres_io::PinnedReader::new(&paged.store, &pinned, Some(&empty));
-            let inverse = reference_inverse(mode);
-            // Column 20 sits on sparsely pinned page 1 but was not demanded.
-            // An empty slice here would answer ‖z_p‖² + ‖z_q‖²; the reader
-            // must fall back to the store and read the real column.
-            let outside = 20;
-            assert_eq!(column_bits(&reader, outside), column_bits(inverse, outside));
-            assert!(!inverse.column(outside).indices().is_empty());
-            for (p, q) in [(17, outside), (outside, 70), (29, 18)] {
-                let want = column_store::column_distance_squared(inverse, p, q).expect("resident");
-                let got = column_store::column_distance_squared(&reader, p, q).expect("paged");
-                assert_eq!(got.to_bits(), want.to_bits(), "{name} {mode:?} ({p}, {q})");
-            }
-            // The fallback is the store's cached page path: one whole-page
-            // miss on top of the two sparse pages, then hits.
-            let stats = paged.store.page_cache_stats();
-            assert_eq!((stats.misses, stats.column_runs), (3, 3), "{name} {mode:?}");
+        let paged = open_paged(fixture(name), &sparse_options()).expect("opens");
+        let pinned = paged
+            .store
+            .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+            .expect("healthy fixture");
+        let empty = effres_io::PinnedPages::default();
+        let reader = effres_io::PinnedReader::new(&paged.store, &pinned, Some(&empty));
+        let inverse = resident().estimator.approximate_inverse();
+        // Column 20 sits on sparsely pinned page 1 but was not demanded. An
+        // empty slice here would answer ‖z_p‖² + ‖z_q‖²; the reader must
+        // fall back to the store and read the real column.
+        let outside = 20;
+        assert_eq!(column_bits(&reader, outside), column_bits(inverse, outside));
+        assert!(!inverse.column(outside).indices().is_empty());
+        for (p, q) in [(17, outside), (outside, 70), (29, 18)] {
+            let want = column_store::column_distance_squared(inverse, p, q).expect("resident");
+            let got = column_store::column_distance_squared(&reader, p, q).expect("paged");
+            assert_eq!(got.to_bits(), want.to_bits(), "{name} ({p}, {q})");
         }
+        // The fallback is the store's cached page path: one whole-page miss
+        // on top of the two sparse pages, then hits.
+        let stats = paged.store.page_cache_stats();
+        assert_eq!((stats.misses, stats.column_runs), (3, 3), "{name}");
     }
 }
 
@@ -725,7 +627,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         max_retries: 2,
         backoff: std::time::Duration::from_micros(1),
     };
-    let options = sparse_options(effres::ValueMode::F64).with_retry(retry);
+    let options = sparse_options().with_retry(retry);
     let path = fixture("v3_grid12.snap");
     let clean = open_paged(&path, &options).expect("opens");
     // A demanded column on sparse page 1; overwriting the two high bytes

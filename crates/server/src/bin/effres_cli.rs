@@ -22,14 +22,15 @@
 //! estimator uses internally (`--dense` skips the mapping — that is the id
 //! space the network protocol speaks).
 //!
-//! With `--paged`, `query`/`batch`/`stats` serve a **v2 snapshot straight
-//! from disk**: only the header, permutation and column pointers are loaded
-//! (milliseconds even for huge graphs) and column data pages in on demand
-//! through an LRU cache sized by `--page-cache`. Answers are bit-identical
-//! to resident serving.
+//! With `--paged`, `query`/`batch`/`stats` serve a **v3 snapshot straight
+//! from disk**: only the header, permutation, column pointers and persisted
+//! norm table are loaded (milliseconds even for huge graphs) and column data
+//! pages in on demand through an LRU cache sized by `--page-cache`. v2
+//! snapshots, which have no norm table, serve the same way with norms summed
+//! per decoded page. Answers are bit-identical to resident serving.
 
 use effres::centrality::centralities_from_resistances;
-use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, ValueMode, WorkerPool};
+use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, WorkerPool};
 use effres_graph::builder::MergePolicy;
 use effres_io::dataset::{load_graph, IngestOptions};
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
@@ -58,8 +59,7 @@ USAGE:
                      [--threads N] [--cache N] [--seed S] [--output <file>]
                      [--paged [--page-cache N]] [ingest|build options]
     effres-cli centrality <dataset> [--snapshot <file> [--paged]]
-                     [--value-mode f64|f32] [--threads N] [--output <file>]
-                     [ingest|build options]
+                     [--threads N] [--output <file>] [ingest|build options]
     effres-cli stats <dataset|snapshot> [--paged [--page-cache N]]
     effres-cli stats <host:port>
     effres-cli serve <dataset|snapshot> [--host H] [--port N] [--threads N]
@@ -83,15 +83,10 @@ BUILD OPTIONS (dataset inputs):
     --epsilon <e>           pruning threshold of Alg. 2  [default: 1e-3]
     --drop-tolerance <t>    incomplete Cholesky drop tol [default: 1e-3]
     --ordering <o>          natural | rcm | amd          [default: amd]
-    --ground <g>            ground conductance           [default: 1e-6]
+    --ground <g>            ground conductance           [default: 1]
     --build-threads <n>     approximate-inverse build workers
                             (0 = all cores, 1 = sequential; results are
                             bit-identical either way)     [default: 0]
-    --value-mode <m>        f64 | f32 — width of the served arena values.
-                            f32 halves the value stream the query kernels
-                            read, at a bounded relative rounding error per
-                            value (~6e-8); snapshots stay f64-canonical
-                            either way                    [default: f64]
 
 CENTRALITY OPTIONS (spanning-edge centrality of every edge):
     --snapshot <file>       serve queries from this prebuilt snapshot
@@ -358,14 +353,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     parse_number(&value_of("--build-threads", &mut iter)?, "--build-threads")?;
                 options.config = options.config.with_build_threads(threads);
             }
-            "--value-mode" => {
-                let mode = match value_of("--value-mode", &mut iter)?.as_str() {
-                    "f64" => ValueMode::F64,
-                    "f32" => ValueMode::F32,
-                    other => return Err(CliError::Usage(format!("unknown value mode `{other}`"))),
-                };
-                options.config = options.config.with_value_mode(mode);
-            }
             "--output" | "-o" => options.output = Some(value_of("--output", &mut iter)?.into()),
             "--snapshot" => options.snapshot = Some(value_of("--snapshot", &mut iter)?.into()),
             "--pairs" => options.pairs_file = Some(value_of("--pairs", &mut iter)?.into()),
@@ -500,24 +487,13 @@ fn is_snapshot(path: &Path) -> bool {
 fn obtain_snapshot(path: &Path, options: &Options) -> Result<Snapshot, CliError> {
     if is_snapshot(path) {
         let start = Instant::now();
-        let mut snapshot = load_snapshot(path)?;
+        let snapshot = load_snapshot(path)?;
         println!(
             "loaded snapshot {} ({} nodes) in {:.3}s",
             path.display(),
             snapshot.estimator.node_count(),
             start.elapsed().as_secs_f64()
         );
-        // Snapshots are f64-canonical; a narrower serving width is applied
-        // here, after the load (dataset inputs narrow inside `build`).
-        if options.config.value_mode == ValueMode::F32 {
-            let start = Instant::now();
-            snapshot.estimator = snapshot.estimator.with_value_mode(ValueMode::F32)?;
-            println!(
-                "narrowed   values to f32 (max relative error {:.2e}) in {:.3}s",
-                snapshot.estimator.approximate_inverse().narrowing_error(),
-                start.elapsed().as_secs_f64()
-            );
-        }
         return Ok(snapshot);
     }
     let start = Instant::now();
@@ -554,9 +530,8 @@ fn obtain_paged(path: &Path, options: &Options) -> Result<PagedSnapshot, CliErro
         ));
     }
     let start = Instant::now();
-    let mut paged_options = PagedOptions::default()
-        .with_cache_pages(options.config.page_cache_pages)
-        .with_value_mode(options.config.value_mode);
+    let mut paged_options =
+        PagedOptions::default().with_cache_pages(options.config.page_cache_pages);
     if let Some(columns) = options.columns_per_page {
         paged_options = paged_options.with_columns_per_page(columns);
     }
@@ -637,21 +612,15 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let mut options = parse_options(args)?;
-    let path = require_input(&options)?.to_path_buf();
-    if is_snapshot(&path) {
+    let options = parse_options(args)?;
+    let path = require_input(&options)?;
+    if is_snapshot(path) {
         return Err(CliError::Run(format!(
             "{} is already a snapshot",
             path.display()
         )));
     }
-    // Snapshots are f64-canonical, so build (and save) at full precision and
-    // only narrow afterwards for the stats report; `--value-mode f32` on a
-    // later `query`/`batch`/`centrality` run applies the same narrowing at
-    // load time.
-    let requested_mode = options.config.value_mode;
-    options.config = options.config.with_value_mode(ValueMode::F64);
-    let mut snapshot = obtain_snapshot(&path, &options)?;
+    let snapshot = obtain_snapshot(path, &options)?;
     if let Some(output) = &options.output {
         let start = Instant::now();
         save_snapshot(output, &snapshot.estimator, snapshot.labels.as_deref())?;
@@ -662,9 +631,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             bytes as f64 / (1024.0 * 1024.0),
             start.elapsed().as_secs_f64()
         );
-    }
-    if requested_mode == ValueMode::F32 {
-        snapshot.estimator = snapshot.estimator.with_value_mode(ValueMode::F32)?;
     }
     print_estimator_stats(&snapshot.estimator);
     Ok(())
@@ -1171,13 +1137,6 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
                 "per-page (v2)"
             }
         );
-        println!(
-            "values     {}",
-            match paged.store.value_mode() {
-                ValueMode::F64 => "f64",
-                ValueMode::F32 => "f32 (narrowed at page decode; disk stays f64)",
-            }
-        );
         println!("max depth  {}", s.max_depth);
         println!(
             "labels     {}",
@@ -1664,12 +1623,5 @@ fn print_estimator_stats(estimator: &EffectiveResistanceEstimator) {
         mib(f.total_bytes()),
         f.index_width_bytes
     );
-    match estimator.approximate_inverse().value_mode() {
-        ValueMode::F64 => println!("values     f64"),
-        ValueMode::F32 => println!(
-            "values     f32 (max relative narrowing error {:.2e})",
-            estimator.approximate_inverse().narrowing_error()
-        ),
-    }
     println!("max depth  {}", s.max_depth);
 }

@@ -10,10 +10,12 @@
 //! * [`EffectiveResistanceEstimator`] — the **resident** backend: the arena
 //!   is in memory, so the engine precomputes the `‖z̃_j‖²` table once and
 //!   every query is a single suffix dot product;
-//! * [`PagedSnapshot`] — the **out-of-core** backend: columns live in a v2
-//!   snapshot file behind a page cache, the norm table would cost a full
-//!   file scan at boot, so the engine reads per-column norms off the decoded
-//!   pages instead (bit-identical by the [`ColumnStore`] contract).
+//! * [`PagedSnapshot`] — the **out-of-core** backend: columns live in a v3
+//!   snapshot file behind a page cache, and the engine reads per-column
+//!   norms from the file's persisted norm table. v2 files have no table and
+//!   computing one would cost a full file scan at boot, so for them the
+//!   engine reads norms off the decoded pages instead (bit-identical by the
+//!   [`ColumnStore`] contract).
 
 use effres::column_store::ColumnStore;
 use effres::EffectiveResistanceEstimator;

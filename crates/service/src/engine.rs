@@ -27,12 +27,13 @@
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
 //! CSC arena behind a precomputed `‖z̃_j‖²` norm table, while the paged
-//! [`effres_io::PagedSnapshot`] backend pages them in from a v2 snapshot
-//! file on demand (per-column norms come off the decoded pages — the
-//! [`ColumnStore`] contract pins them to the same bits, so both backends
-//! return bit-identical resistances). Column fetches are fallible for the
-//! paged backend, so the batch paths propagate [`EffresError`] instead of
-//! panicking a worker.
+//! [`effres_io::PagedSnapshot`] backend pages them in from a v3 snapshot
+//! file on demand and reads per-column norms from the file's persisted
+//! norm table (v2 files, which have none, take norms off the decoded pages;
+//! the [`ColumnStore`] contract pins every source to the same bits, so both
+//! backends return bit-identical resistances). Column fetches are fallible
+//! for the paged backend, so the batch paths propagate [`EffresError`]
+//! instead of panicking a worker.
 //!
 //! The backends and every type they contain are plain owned data plus
 //! independently locked caches, so sharing one across pool workers behind an

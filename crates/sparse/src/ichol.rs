@@ -31,12 +31,6 @@ pub struct IcholOptions {
     /// encountered; the pivot is replaced by
     /// `breakdown_shift * |A(j, j)|` (plus a tiny absolute floor).
     pub breakdown_shift: f64,
-    /// Diagonal compensation heuristic (in the spirit of modified incomplete
-    /// Cholesky): the mass of the dropped entries of each working column is
-    /// added to that column's pivot before scaling. For Laplacian-like (SDD
-    /// M-)matrices the dropped entries are nonpositive, so compensation
-    /// counteracts the systematic stiffening that plain dropping introduces.
-    pub diagonal_compensation: bool,
 }
 
 impl Default for IcholOptions {
@@ -45,7 +39,6 @@ impl Default for IcholOptions {
             drop_tolerance: 1e-3,
             max_fill_per_column: usize::MAX,
             breakdown_shift: 1e-3,
-            diagonal_compensation: false,
         }
     }
 }
@@ -184,7 +177,6 @@ impl IncompleteCholesky {
             // split them into kept and dropped sets.
             let threshold = options.drop_tolerance * col_norm1[j];
             let mut kept: Vec<(usize, f64)> = Vec::new();
-            let mut dropped_sum = 0.0;
             let pivot_accum = w[j];
             for &i in &pattern {
                 in_pattern[i] = false;
@@ -196,7 +188,6 @@ impl IncompleteCholesky {
                 if v.abs() > threshold {
                     kept.push((i, v));
                 } else {
-                    dropped_sum += v;
                     stats.dropped += 1;
                 }
             }
@@ -206,20 +197,12 @@ impl IncompleteCholesky {
                         .partial_cmp(&a.1.abs())
                         .expect("factor entries are finite")
                 });
-                for &(_, v) in &kept[options.max_fill_per_column..] {
-                    dropped_sum += v;
-                }
                 stats.dropped += kept.len() - options.max_fill_per_column;
                 kept.truncate(options.max_fill_per_column);
             }
             kept.sort_unstable_by_key(|&(i, _)| i);
 
-            // Pivot, optionally compensated by the dropped mass so that the
-            // row sums of L Lᵀ track those of A (modified incomplete Cholesky).
             let mut d = pivot_accum;
-            if options.diagonal_compensation {
-                d += dropped_sum;
-            }
             if d <= 0.0 {
                 let shift = options.breakdown_shift * a.get(j, j).abs() + f64::EPSILON;
                 d = shift.max(f64::EPSILON);
@@ -392,43 +375,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn diagonal_compensation_softens_the_factor() {
-        // Plain dropping stiffens the factored operator (dropped entries of an
-        // M-matrix column are negative, so pivots come out too large);
-        // compensation folds the dropped mass back into the pivot, so every
-        // compensated pivot is at most the plain one and the row sums of
-        // L Lᵀ move closer to those of A.
-        let a = grid_laplacian(8, 8, 0.5);
-        let plain_opts = IcholOptions {
-            drop_tolerance: 5e-2,
-            ..IcholOptions::default()
-        };
-        let comp_opts = IcholOptions {
-            diagonal_compensation: true,
-            ..plain_opts
-        };
-        let plain = IncompleteCholesky::factor(&a, plain_opts).expect("spd");
-        let comp = IncompleteCholesky::factor(&a, comp_opts).expect("spd");
-        assert!(plain.stats().dropped > 0, "test requires actual dropping");
-        let n = a.ncols();
-        for j in 0..n {
-            assert!(comp.factor_l().get(j, j) <= plain.factor_l().get(j, j) + 1e-14);
-        }
-        let ones = vec![1.0; n];
-        let row_sum_error = |ic: &IncompleteCholesky| -> f64 {
-            let l = ic.factor_l();
-            let llt_ones = l.matvec(&l.matvec_transpose(&ones));
-            let a_ones = a.matvec(&ones);
-            llt_ones
-                .iter()
-                .zip(&a_ones)
-                .map(|(x, y)| (x - y).abs())
-                .sum()
-        };
-        assert!(row_sum_error(&comp) < row_sum_error(&plain));
     }
 
     #[test]

@@ -57,45 +57,12 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
-/// A stored sparse-vector value that widens losslessly to the `f64` the
-/// kernels accumulate in. The arithmetic of every sparse kernel is defined
-/// on the widened values, so for `f64` operands (where widening is the
-/// identity) the generic kernels are bit-identical to the original
-/// `&[f64]`-only ones, and `f32` operands (the opt-in narrow value mode of
-/// the `effres` arena) pay only the per-entry conversion error, never
-/// accumulation in reduced precision.
-pub trait ScalarValue: Copy {
-    /// The value as an `f64` (exact: every `f32` is representable).
-    fn widen(self) -> f64;
-}
-
-impl ScalarValue for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-}
-
-impl ScalarValue for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-}
-
 /// Dot product of two sparse vectors given as sorted parallel
 /// `indices`/`values` slices — the shared merge kernel behind
 /// [`crate::SparseVec::dot`] and the flat-arena column views of the `effres`
 /// crate. Generic over the index width so both `usize`-indexed sparse
-/// vectors and the arena's narrowed `u32` columns share one implementation,
-/// and over the value width (see [`ScalarValue`]) so the narrow-value arena
-/// mode reuses it; accumulation is always in `f64`.
-pub fn sparse_dot<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
-    ai: &[I],
-    av: &[A],
-    bi: &[I],
-    bv: &[B],
-) -> f64 {
+/// vectors and the arena's narrowed `u32` columns share one implementation.
+pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
     let mut s = 0.0;
     let mut ia = 0;
     let mut ib = 0;
@@ -104,7 +71,7 @@ pub fn sparse_dot<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
             std::cmp::Ordering::Less => ia += 1,
             std::cmp::Ordering::Greater => ib += 1,
             std::cmp::Ordering::Equal => {
-                s += av[ia].widen() * bv[ib].widen();
+                s += av[ia] * bv[ib];
                 ia += 1;
                 ib += 1;
             }
@@ -116,13 +83,12 @@ pub fn sparse_dot<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
 /// Runs the union merge of two sorted sparse vectors, feeding `visit` with
 /// the pair of values at every index where either vector is nonzero (zero
 /// for the absent side). The reduction behind the sparse distance and
-/// difference norms. Generic over the index and value widths (see
-/// [`sparse_dot`]).
-fn sparse_union_fold<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
+/// difference norms. Generic over the index width (see [`sparse_dot`]).
+fn sparse_union_fold<I: Copy + Ord>(
     ai: &[I],
-    av: &[A],
+    av: &[f64],
     bi: &[I],
-    bv: &[B],
+    bv: &[f64],
     mut visit: impl FnMut(f64, f64),
 ) {
     let mut ia = 0;
@@ -130,15 +96,15 @@ fn sparse_union_fold<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
     while ia < ai.len() && ib < bi.len() {
         match ai[ia].cmp(&bi[ib]) {
             std::cmp::Ordering::Less => {
-                visit(av[ia].widen(), 0.0);
+                visit(av[ia], 0.0);
                 ia += 1;
             }
             std::cmp::Ordering::Greater => {
-                visit(0.0, bv[ib].widen());
+                visit(0.0, bv[ib]);
                 ib += 1;
             }
             std::cmp::Ordering::Equal => {
-                visit(av[ia].widen(), bv[ib].widen());
+                visit(av[ia], bv[ib]);
                 ia += 1;
                 ib += 1;
             }
@@ -148,22 +114,17 @@ fn sparse_union_fold<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
     // drain it in a tight loop (this is the hot exit for the estimator's
     // lower-triangular columns, whose supports often barely overlap).
     for &a in &av[ia..] {
-        visit(a.widen(), 0.0);
+        visit(a, 0.0);
     }
     for &b in &bv[ib..] {
-        visit(0.0, b.widen());
+        visit(0.0, b);
     }
 }
 
 /// Squared Euclidean distance between two sparse vectors given as sorted
-/// parallel `indices`/`values` slices. Generic over the index and value
-/// widths (see [`sparse_dot`]).
-pub fn sparse_distance_squared<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
-    ai: &[I],
-    av: &[A],
-    bi: &[I],
-    bv: &[B],
-) -> f64 {
+/// parallel `indices`/`values` slices. Generic over the index width (see
+/// [`sparse_dot`]).
+pub fn sparse_distance_squared<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
     let mut s = 0.0;
     sparse_union_fold(ai, av, bi, bv, |a, b| {
         let d = a - b;
@@ -173,14 +134,9 @@ pub fn sparse_distance_squared<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
 }
 
 /// 1-norm of the difference of two sparse vectors given as sorted parallel
-/// `indices`/`values` slices. Generic over the index and value widths (see
+/// `indices`/`values` slices. Generic over the index width (see
 /// [`sparse_dot`]).
-pub fn sparse_diff_norm1<I: Copy + Ord, A: ScalarValue, B: ScalarValue>(
-    ai: &[I],
-    av: &[A],
-    bi: &[I],
-    bv: &[B],
-) -> f64 {
+pub fn sparse_diff_norm1<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
     let mut s = 0.0;
     sparse_union_fold(ai, av, bi, bv, |a, b| s += (a - b).abs());
     s
@@ -255,31 +211,7 @@ mod tests {
         assert_eq!(sparse_distance_squared(&ai, &av, &bi, &bv), d2);
         assert_eq!(sparse_diff_norm1(&ai, &av, &bi, &bv), l1);
         // Empty operands short-circuit to the other side's contribution.
-        assert_eq!(sparse_dot::<usize, f64, f64>(&[], &[], &bi, &bv), 0.0);
-        assert_eq!(
-            sparse_diff_norm1::<usize, f64, f64>(&[], &[], &bi, &bv),
-            6.0
-        );
-    }
-
-    #[test]
-    fn narrow_values_widen_before_any_arithmetic() {
-        // Mixed-width kernels must compute on the widened f32 values: the
-        // result equals the all-f64 kernel run on the widened operands.
-        let (ai, av32) = (vec![0u32, 2, 4], vec![0.1f32, 2.5, 3.0]);
-        let (bi, bv) = (vec![1u32, 2, 4], vec![-1.0f64, 5.0, 0.25]);
-        let av: Vec<f64> = av32.iter().map(|&v| f64::from(v)).collect();
-        assert_eq!(
-            sparse_dot(&ai, &av32, &bi, &bv).to_bits(),
-            sparse_dot(&ai, &av, &bi, &bv).to_bits()
-        );
-        assert_eq!(
-            sparse_distance_squared(&ai, &av32, &bi, &bv).to_bits(),
-            sparse_distance_squared(&ai, &av, &bi, &bv).to_bits()
-        );
-        assert_eq!(
-            sparse_diff_norm1(&ai, &av32, &bi, &bv).to_bits(),
-            sparse_diff_norm1(&ai, &av, &bi, &bv).to_bits()
-        );
+        assert_eq!(sparse_dot(&[], &[], &bi, &bv), 0.0);
+        assert_eq!(sparse_diff_norm1(&[], &[], &bi, &bv), 6.0);
     }
 }
