@@ -14,8 +14,7 @@
 //!   column is two slice borrows and access can never fail; and
 //! * **out-of-core** backends — `effres_io::PagedColumnStore` decodes
 //!   columns on demand from a v3 snapshot file behind a page cache (column
-//!   norms come from the file's persisted norm table; v2 files, which have
-//!   none, fall back to norms summed per decoded page), where a fetch can
+//!   norms come from the file's persisted norm table), where a fetch can
 //!   fail (I/O error, corruption discovered while decoding a page) and
 //!   borrowed access must be scoped to a closure because the page a view
 //!   points into is owned by the cache, not the caller.
@@ -70,21 +69,6 @@ pub trait ColumnStore {
         j: usize,
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError>;
-
-    /// Squared Euclidean norm `‖z̃_j‖²` of column `j`, summed in index order.
-    ///
-    /// The default fetches the column and sums `v·v` front to back; backends
-    /// that decode columns in batches (pages) may serve a cached value, but
-    /// it must be **bit-identical** to the default — the norm table is part
-    /// of the query result, and resident and paged backends are pinned to
-    /// agree bitwise.
-    ///
-    /// # Errors
-    ///
-    /// See [`ColumnStore::with_column`].
-    fn column_norm_squared(&self, j: usize) -> Result<f64, EffresError> {
-        self.with_column(j, |column| column.norm2_squared())
-    }
 }
 
 impl ColumnStore for SparseApproximateInverse {
@@ -122,10 +106,6 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError> {
         (**self).with_column(j, f)
-    }
-
-    fn column_norm_squared(&self, j: usize) -> Result<f64, EffresError> {
-        (**self).column_norm_squared(j)
     }
 }
 
@@ -218,8 +198,8 @@ pub fn column_distance_squared_with_norms<S: ColumnStore + ?Sized>(
 
 /// Batched form of the effective-resistance kernel: answers every (permuted)
 /// pair of `pairs` in order, using the norm table when one is provided and
-/// per-column norms off the store otherwise (bit-identical by the
-/// [`ColumnStore::column_norm_squared`] contract).
+/// summing each fetched column otherwise (the table holds the same sums, so
+/// the bits agree).
 ///
 /// This is the store-generic entry point batch schedulers build on: callers
 /// that reorder queries for locality (the `effres-service` paged scheduler)
@@ -249,7 +229,7 @@ pub fn column_distances_squared_batch<S: ColumnStore + ?Sized>(
             let dot = column_dot(store, p, q)?;
             let (np, nq) = match norms_squared {
                 Some(table) => (table[p], table[q]),
-                None => (store.column_norm_squared(p)?, store.column_norm_squared(q)?),
+                None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
             };
             // Same clamp as the scalar kernel: cancellation can dip below 0.
             Ok((np + nq - 2.0 * dot).max(0.0))
@@ -601,7 +581,7 @@ pub fn column_distances_squared_grouped<S: ColumnStore + ?Sized>(
         };
         let (np, nq) = match norms_squared {
             Some(table) => (table[p], table[q]),
-            None => (store.column_norm_squared(p)?, store.column_norm_squared(q)?),
+            None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
         };
         // Same clamp as the scalar kernel: cancellation can dip below 0.
         out.push((np + nq - 2.0 * dot).max(0.0));
@@ -609,21 +589,21 @@ pub fn column_distances_squared_grouped<S: ColumnStore + ?Sized>(
     Ok(out)
 }
 
-/// Squared Euclidean norms `‖z̃_j‖²` of every column, in column order.
-///
-/// Query services over resident stores precompute this once so a query
-/// reduces to one sparse dot product; out-of-core services skip the table
-/// (computing it would stream the whole file at boot) and use
-/// [`ColumnStore::column_norm_squared`] per query instead — the two are
-/// bit-identical by contract.
+/// `‖z̃_j‖²` summed in index order over the fetched column: the value a norm
+/// table holds, for kernels called without one.
+fn fetched_norm<S: ColumnStore + ?Sized>(store: &S, j: usize) -> Result<f64, EffresError> {
+    store.with_column(j, |column| column.norm2_squared())
+}
+
+/// Squared Euclidean norms `‖z̃_j‖²` of every column, in column order,
+/// summed in index order — the table resident services precompute once (and
+/// v3 snapshots persist) so a query reduces to one sparse dot product.
 ///
 /// # Errors
 ///
 /// Propagates the store's fetch errors.
 pub fn column_norms_squared<S: ColumnStore + ?Sized>(store: &S) -> Result<Vec<f64>, EffresError> {
-    (0..store.order())
-        .map(|j| store.column_norm_squared(j))
-        .collect()
+    (0..store.order()).map(|j| fetched_norm(store, j)).collect()
 }
 
 #[cfg(test)]
@@ -853,16 +833,5 @@ mod tests {
             column_dot(&by_ref, 0, 10).expect("infallible").to_bits(),
             z.column_dot(0, 10).to_bits()
         );
-    }
-
-    #[test]
-    fn default_norm_matches_view_norm() {
-        let z = sample_inverse();
-        for j in 0..z.order() {
-            assert_eq!(
-                z.column_norm_squared(j).expect("infallible").to_bits(),
-                z.column(j).norm2_squared().to_bits()
-            );
-        }
     }
 }

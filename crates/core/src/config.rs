@@ -104,8 +104,7 @@ pub struct EffresConfig {
     pub worker_pool: Option<WorkerPool>,
     /// Decoded-page budget of a *paged* (out-of-core) column store, in
     /// pages, when the deployment serves straight from a v3 snapshot file
-    /// (column norms from its persisted norm table; v2 files fall back to
-    /// per-page norms) instead of a resident arena
+    /// and its persisted norm table instead of a resident arena
     /// (`effres_io::PagedColumnStore`, `effres-cli --paged`). Resident
     /// serving ignores it. Carried here so a build-then-serve deployment
     /// configures both stages from one config; answers are bit-identical

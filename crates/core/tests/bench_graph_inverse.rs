@@ -7,7 +7,10 @@
 //! that arena, so a faster sweep has to return it bit for bit. Each case
 //! pins an FNV-1a fingerprint of the sequential build's `col_ptr`,
 //! `arena_rows` and value bits, and its four build counters; a 2-thread
-//! pooled build must give the same fingerprint and counters.
+//! pooled build must give the same fingerprint and counters. Every stored
+//! value must also be finite with its sign bit clear (Lemma 1), the
+//! property behind the fingerprint that any content check of paged reads
+//! may rely on.
 //!
 //! The 320×320 case takes tens of seconds in a debug build, so it is
 //! ignored there; CI runs it in release:
@@ -79,6 +82,13 @@ fn assert_pinned(side: usize, expected_fingerprint: u64, expected_stats: ApproxI
         fingerprint(&sequential),
         expected_fingerprint,
         "{side}x{side} grid: the sequential arena changed"
+    );
+    let values = sequential.arena_values();
+    assert!(
+        values
+            .iter()
+            .all(|v| v.is_finite() && !v.is_sign_negative()),
+        "{side}x{side} grid: a stored value is non-finite or has its sign bit set"
     );
 
     let pool = WorkerPool::new(2);

@@ -1,22 +1,23 @@
-//! Out-of-core column store: serving queries straight from a v2 or v3
-//! snapshot file.
+//! Out-of-core column store: serving queries straight from a v3 snapshot
+//! file.
 //!
 //! The whole point of the paper's approximate inverse is that `Z̃` is sparse
 //! enough to *keep around* — but keeping it around does not have to mean
-//! keeping it in RAM. The v2/v3 snapshot layouts store the arena as
-//! contiguous bulk blocks (`col_ptr`, `rows`, `vals`; see
-//! [`crate::snapshot`]), so any column is two positioned reads away:
+//! keeping it in RAM. The v3 snapshot layout stores the arena as contiguous
+//! bulk blocks (`col_ptr`, `rows`, `vals`; see [`crate::snapshot`]), so any
+//! column is two positioned reads away:
 //!
 //! ```text
 //! rows of column j:  file[rows_offset + 4·col_ptr[j] ..]      (raw codec)
-//!                    file[rows_offset + row_off[j] ..]        (varint codec, v3)
+//!                    file[rows_offset + row_off[j] ..]        (varint codec)
 //! vals of column j:  file[vals_offset + 8·col_ptr[j] .. vals_offset + 8·col_ptr[j+1]]
 //! ```
 //!
-//! [`PagedColumnStore`] keeps only the `col_ptr` block (plus, for v3, the
-//! varint byte-offset table — and the permutation, labels and persisted
-//! norms, via [`PagedSnapshot`]) resident and fetches column data on
-//! demand with positioned reads — plain `pread`
+//! [`PagedColumnStore`] keeps only the `col_ptr` block, the varint
+//! byte-offset table (when the file uses that codec) and the persisted
+//! `‖z̃_j‖²` table resident (the permutation and labels live in
+//! [`PagedSnapshot`]), and fetches column data on demand with positioned
+//! reads — plain `pread`
 //! (`std::os::unix::fs::FileExt::read_exact_at`) on Unix, `seek_read` on
 //! Windows, no mmap, no platform crates. Single-column lookups fetch whole
 //! *pages* (a fixed range of consecutive columns,
@@ -34,7 +35,7 @@
 //! columns, and pinned without entering the cache.
 //!
 //! Decoded-page buffers are **recycled**, not churned: when the last `Arc`
-//! to an evicted page drops, its row/value/norm vectors return to a
+//! to an evicted page drops, its row/value vectors return to a
 //! per-store free list (bounded by the cache budget) and the next decode
 //! reuses their capacity, and the multi-megabyte coalesced read scratch is
 //! pooled the same way. Without this, a cache-sized sweep allocates and
@@ -58,8 +59,10 @@
 //!
 //! Answers are **bit-identical** to the resident arena's for every page
 //! geometry and cache size: pages decode the same little-endian bytes the
-//! resident loader reads, per-column norms are summed in the same order, and
-//! the kernels are the same generic code (`effres::column_store`).
+//! resident loader reads, the norm table is the same persisted block, and
+//! the kernels are the same generic code (`effres::column_store`). v1 and
+//! v2 files have no norm table, so [`open_paged`] refuses them; the
+//! resident loader still reads them, which is how they are re-encoded.
 
 use crate::error::IoError;
 use crate::fault::{FaultPlan, ReadFault, RetryPolicy, REFETCH_ATTEMPT_BASE};
@@ -266,9 +269,7 @@ impl PageCacheStats {
 }
 
 /// One decoded column range — a whole page, or a column run of a sparsely
-/// demanded page: the row/value data of contiguous columns, plus the
-/// per-column squared norms (summed in index order at decode time, so they
-/// are bit-identical to the resident norm table).
+/// demanded page: the row/value data of contiguous columns.
 #[derive(Debug)]
 struct Page {
     /// First column covered.
@@ -279,7 +280,6 @@ struct Page {
     base: u64,
     rows: Vec<u32>,
     vals: Vec<f64>,
-    norms: Vec<f64>,
     /// Where the buffers go when the last `Arc` drops (`Weak`: a store being
     /// torn down takes its pool with it and outstanding pages just free).
     pool: Weak<BufferPool>,
@@ -291,7 +291,6 @@ impl Drop for Page {
             pool.put_page_buffers(PageBuffers {
                 rows: std::mem::take(&mut self.rows),
                 vals: std::mem::take(&mut self.vals),
-                norms: std::mem::take(&mut self.norms),
             });
         }
     }
@@ -302,7 +301,6 @@ impl Drop for Page {
 struct PageBuffers {
     rows: Vec<u32>,
     vals: Vec<f64>,
-    norms: Vec<f64>,
 }
 
 impl PageBuffers {
@@ -381,7 +379,6 @@ impl BufferPool {
                 PageBuffers {
                     rows: Vec::with_capacity(class),
                     vals: Vec::with_capacity(class),
-                    norms: Vec::new(),
                 }
             }
         }
@@ -632,8 +629,7 @@ impl PageLru {
 
 /// A column store serving the approximate inverse directly from a v3
 /// snapshot file through a page cache (see the module docs), with column
-/// norms from the file's persisted norm table. v2 files, which have no norm
-/// table, are served too, with norms summed per decoded page.
+/// norms from the file's persisted norm table.
 ///
 /// The store is `Send + Sync`: positioned reads do not touch a shared file
 /// cursor, the cache shards are independently locked, and decoded pages are
@@ -646,18 +642,14 @@ pub struct PagedColumnStore {
     nnz: usize,
     /// The resident `col_ptr` block (entry offsets, as stored on disk).
     col_ptr: Vec<u64>,
-    /// How the on-disk row block is encoded (v2 files are always raw; v3
-    /// files negotiated at write time).
+    /// How the on-disk row block is encoded (negotiated at write time).
     codec: RowCodec,
     /// Per-column *byte* offsets into the row block — present iff the codec
     /// is [`RowCodec::Varint`], where entry offsets no longer locate bytes.
     row_off: Option<Vec<u64>>,
-    /// The file's persisted `‖z̃_j‖²` table (v3): when present,
-    /// [`ColumnStore::column_norm_squared`] serves straight from it and page
-    /// decode skips accumulating per-page norms — the table was summed in
-    /// the same index order at write time, so the bits are identical.
-    /// `Arc`-shared: the query engine keeps the same single copy.
-    norms: Option<Arc<Vec<f64>>>,
+    /// The file's persisted `‖z̃_j‖²` table, summed in index order at write
+    /// time. `Arc`-shared: the query engine keeps the same single copy.
+    norms: Arc<Vec<f64>>,
     rows_offset: u64,
     vals_offset: u64,
     columns_per_page: usize,
@@ -721,8 +713,8 @@ impl Drop for PinGuard {
 /// the codec trades disk bytes for decode work, never bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowCodec {
-    /// `u32 × nnz`, as the in-memory arena stores them (v2, or v3 files
-    /// where varint would not have shrunk the block).
+    /// `u32 × nnz`, as the in-memory arena stores them (files where varint
+    /// would not have shrunk the block).
     Raw,
     /// Per-column LEB128 delta encoding with a resident byte-offset table.
     Varint,
@@ -749,16 +741,12 @@ impl PagedColumnStore {
         self.codec
     }
 
-    /// The persisted `‖z̃_j‖²` table (permuted domain), resident for v3
-    /// files; `None` for v2 files, whose norms come off decoded pages.
-    pub fn resident_norms(&self) -> Option<&[f64]> {
-        self.norms.as_deref().map(Vec::as_slice)
-    }
-
-    /// The persisted norm table behind its shared handle, for consumers that
-    /// keep it (the query engine): clones the `Arc`, not the `8n` bytes.
-    pub fn resident_norms_shared(&self) -> Option<Arc<Vec<f64>>> {
-        self.norms.clone()
+    /// The persisted `‖z̃_j‖²` table (permuted domain): `f64 × n` resident,
+    /// like the rest of the cold-start state, so queries pay no page traffic
+    /// for the norm terms. Consumers that keep it (the query engine) clone
+    /// the `Arc`, not the `8n` bytes.
+    pub fn norms(&self) -> &Arc<Vec<f64>> {
+        &self.norms
     }
 
     /// Page-cache counters accumulated since the last
@@ -841,12 +829,11 @@ impl PagedColumnStore {
     }
 
     /// Bytes this store keeps permanently resident (the `col_ptr` block,
-    /// plus the varint byte-offset table when present) — the part of the
-    /// arena that did *not* stay on disk. Decoded pages come and go within
-    /// the cache budget on top of this.
+    /// the varint byte-offset table when present, and the norm table) — the
+    /// part of the snapshot that did *not* stay on disk. Decoded pages come
+    /// and go within the cache budget on top of this.
     pub fn resident_bytes(&self) -> usize {
-        (self.col_ptr.len() + self.row_off.as_ref().map_or(0, Vec::len))
-            * std::mem::size_of::<u64>()
+        (self.col_ptr.len() + self.row_off.as_ref().map_or(0, Vec::len) + self.norms.len()) * 8
     }
 
     /// On-disk footprint of the three arena blocks, in the same shape the
@@ -1053,11 +1040,7 @@ impl PagedColumnStore {
         // cleared here, so only capacity (never contents) survives reuse. On
         // a validation error they simply drop instead of returning to the
         // pool — corrupt files are not a steady state worth optimizing.
-        let PageBuffers {
-            mut rows,
-            mut vals,
-            mut norms,
-        } = self.buffers.take_page_buffers(count);
+        let PageBuffers { mut rows, mut vals } = self.buffers.take_page_buffers(count);
         rows.clear();
         match (&self.codec, &self.row_off) {
             (RowCodec::Varint, Some(off)) => {
@@ -1103,14 +1086,6 @@ impl PagedColumnStore {
                 .chunks_exact(8)
                 .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
         );
-
-        // With a resident norm table (v3) the per-page norms are never
-        // read: skip accumulating them on this hot path.
-        let want_norms = self.norms.is_none();
-        norms.clear();
-        if want_norms {
-            norms.reserve(last_col - first_col);
-        }
         for j in first_col..last_col {
             let lo = (self.col_ptr[j] - base) as usize;
             let hi = (self.col_ptr[j + 1] - base) as usize;
@@ -1122,21 +1097,7 @@ impl PagedColumnStore {
                         .to_string(),
                 ));
             }
-            if want_norms {
-                // One fused pass: finiteness fold + the norm sum, accumulated
-                // in index order over the stored values — the same order the
-                // resident norm table uses, so the bits are identical.
-                let mut finite = true;
-                let mut norm = 0.0f64;
-                for &v in &vals[lo..hi] {
-                    finite &= v.is_finite();
-                    norm += v * v;
-                }
-                if !finite {
-                    return Err(corrupt("non-finite value".to_string()));
-                }
-                norms.push(norm);
-            } else if !vals[lo..hi].iter().all(|v| v.is_finite()) {
+            if !vals[lo..hi].iter().all(|v| v.is_finite()) {
                 return Err(corrupt("non-finite value".to_string()));
             }
         }
@@ -1146,7 +1107,6 @@ impl PagedColumnStore {
             base,
             rows,
             vals,
-            norms,
             pool: Arc::downgrade(&self.buffers),
         })
     }
@@ -1668,21 +1628,6 @@ impl ColumnStore for PinnedReader<'_> {
             None => self.store.with_column(j, f),
         }
     }
-
-    fn column_norm_squared(&self, j: usize) -> Result<f64, EffresError> {
-        assert!(
-            j < self.store.order,
-            "column {j} out of bounds for order {}",
-            self.store.order
-        );
-        if let Some(table) = &self.store.norms {
-            return Ok(table[j]);
-        }
-        match self.pinned(j) {
-            Some(page) => Ok(page.norms[j - page.first_col]),
-            None => self.store.column_norm_squared(j),
-        }
-    }
 }
 
 impl ColumnStore for PagedColumnStore {
@@ -1713,26 +1658,12 @@ impl ColumnStore for PagedColumnStore {
             &page.vals[lo..hi],
         )))
     }
-
-    fn column_norm_squared(&self, j: usize) -> Result<f64, EffresError> {
-        assert!(
-            j < self.order,
-            "column {j} out of bounds for order {}",
-            self.order
-        );
-        if let Some(table) = &self.norms {
-            return Ok(table[j]);
-        }
-        let page = self.page_for(j)?;
-        Ok(page.norms[j - page.first_col])
-    }
 }
 
 /// Everything a query service needs from a v3 snapshot, opened for paged
-/// serving: the out-of-core column [`store`](PagedSnapshot::store) plus the
-/// resident metadata (permutation, build statistics, dataset labels) the
-/// header carries and the persisted norm table. A v2 snapshot opens the
-/// same way without a norm table; its norms come off decoded pages.
+/// serving: the out-of-core column [`store`](PagedSnapshot::store), which
+/// also holds the persisted norm table, plus the resident metadata
+/// (permutation, build statistics, dataset labels) the header carries.
 #[derive(Debug)]
 pub struct PagedSnapshot {
     /// The disk-backed column store.
@@ -1746,8 +1677,6 @@ pub struct PagedSnapshot {
     /// Original dataset ids of the dense nodes, if the snapshot was written
     /// from an ingested dataset.
     pub labels: Option<Vec<u64>>,
-    /// On-disk format version the snapshot was opened from (2 or 3).
-    pub version: u32,
 }
 
 impl PagedSnapshot {
@@ -1755,23 +1684,12 @@ impl PagedSnapshot {
     pub fn node_count(&self) -> usize {
         self.stats.node_count
     }
-
-    /// The persisted `‖z̃_j‖²` table (permuted domain), present for v3
-    /// snapshots: `f64 × n` resident — proportional to the node count, like
-    /// the rest of the cold-start state — so queries pay **zero** page
-    /// traffic for the norm terms. `None` for v2 files, where norms come off
-    /// the decoded pages instead (bit-identical either way). The single copy
-    /// lives in the [`store`](PagedSnapshot::store).
-    pub fn norms(&self) -> Option<&[f64]> {
-        self.store.resident_norms()
-    }
 }
 
-/// Opens a v2 or v3 snapshot for paged serving: reads and validates the
-/// header, the permutation, the full `col_ptr` block (plus, for v3, the row
-/// codec with its byte-offset table and the persisted norms block) and the
-/// labels — never the rows/vals blocks, which stay on disk until queries
-/// page them in.
+/// Opens a v3 snapshot for paged serving: reads and validates the header,
+/// the permutation, the full `col_ptr` block, the row codec (with its
+/// byte-offset table), the persisted norms block and the labels — never the
+/// rows/vals blocks, which stay on disk until queries page them in.
 ///
 /// Cold-start cost is proportional to the *node* count, not the nonzero
 /// count: on large graphs the rows/vals blocks dominate the file and are
@@ -1779,8 +1697,8 @@ impl PagedSnapshot {
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Format`] for files that are not v2/v3 snapshots (v1
-/// files name the re-encode path), have a non-monotone or out-of-span
+/// Returns [`IoError::Format`] for files that are not v3 snapshots (v1 and
+/// v2 files name the re-encode command), have a non-monotone or out-of-span
 /// `col_ptr`/`row_off`, or whose length disagrees with the layout the header
 /// implies (truncation is caught here, before serving); [`IoError::Io`] on
 /// read failure.
@@ -1832,22 +1750,20 @@ fn open_paged_impl(
     reader
         .read_exact(&mut version)
         .map_err(|_| IoError::Format("truncated snapshot (no version)".into()))?;
-    let version = match u32::from_le_bytes(version) {
-        v @ (VERSION_V2 | VERSION_V3) => v,
-        VERSION_V1 => {
-            return Err(IoError::Format(
-                "version 1 snapshots store per-column records and cannot be served paged; \
-                 load and re-save the snapshot to re-encode it with bulk arena blocks"
-                    .into(),
-            ))
+    match u32::from_le_bytes(version) {
+        VERSION_V3 => {}
+        v @ (VERSION_V1 | VERSION_V2) => {
+            return Err(IoError::Format(format!(
+                "version {v} snapshots have no norm table and cannot be served paged; \
+                 re-encode with `effres-cli build <snapshot> --output <new.snap>`"
+            )))
         }
         other => {
             return Err(IoError::Format(format!(
-                "unsupported snapshot version {other} \
-                 (paged serving reads {VERSION_V2} and {VERSION_V3})"
+                "unsupported snapshot version {other} (paged serving reads {VERSION_V3})"
             )))
         }
-    };
+    }
 
     let mut input = CrcReader::new(&mut reader);
     let PayloadHeader {
@@ -1861,29 +1777,21 @@ fn open_paged_impl(
     let nnz = input.take_u64()?;
     let col_ptr = read_col_ptr_block(&mut input, n, nnz)?;
     let overflow = || IoError::Format("arena block sizes overflow the file offset space".into());
-    // v3 carries a row codec byte (and, for the varint codec, the encoded
-    // byte count plus the per-column byte-offset table) between col_ptr and
-    // the row block; v2 is always raw.
-    let (codec, row_off, rows_bytes) = if version == VERSION_V3 {
-        match input.take_u8()? {
-            ROW_CODEC_RAW => (
-                RowCodec::Raw,
-                None,
-                nnz.checked_mul(4).ok_or_else(overflow)?,
-            ),
-            ROW_CODEC_VARINT => {
-                let rows_bytes = input.take_u64()?;
-                let row_off = read_row_off_block(&mut input, &col_ptr, rows_bytes)?;
-                (RowCodec::Varint, Some(row_off), rows_bytes)
-            }
-            other => return Err(IoError::Format(format!("unknown v3 row codec {other}"))),
-        }
-    } else {
-        (
+    // A row codec byte (and, for the varint codec, the encoded byte count
+    // plus the per-column byte-offset table) sits between col_ptr and the
+    // row block.
+    let (codec, row_off, rows_bytes) = match input.take_u8()? {
+        ROW_CODEC_RAW => (
             RowCodec::Raw,
             None,
             nnz.checked_mul(4).ok_or_else(overflow)?,
-        )
+        ),
+        ROW_CODEC_VARINT => {
+            let rows_bytes = input.take_u64()?;
+            let row_off = read_row_off_block(&mut input, &col_ptr, rows_bytes)?;
+            (RowCodec::Varint, Some(row_off), rows_bytes)
+        }
+        other => return Err(IoError::Format(format!("unknown v3 row codec {other}"))),
     };
     // 12 header bytes (magic + version) precede the crc-tracked payload.
     let rows_offset = 12 + input.consumed();
@@ -1894,33 +1802,22 @@ fn open_paged_impl(
     let vals_bytes = nnz.checked_mul(8).ok_or_else(overflow)?;
     let vals_offset = rows_offset.checked_add(rows_bytes).ok_or_else(overflow)?;
     let after_vals = vals_offset.checked_add(vals_bytes).ok_or_else(overflow)?;
-    // v3: the persisted norms block sits between the values and the labels;
-    // it is part of the resident cold-start state (∝ nodes, not nonzeros).
-    let norms_bytes = if version == VERSION_V3 {
-        (n as u64).checked_mul(8).ok_or_else(overflow)?
-    } else {
-        0
-    };
+    // The persisted norms block sits between the values and the labels; it
+    // is part of the resident cold-start state (∝ nodes, not nonzeros).
+    let norms_bytes = (n as u64).checked_mul(8).ok_or_else(overflow)?;
     let labels_offset = after_vals.checked_add(norms_bytes).ok_or_else(overflow)?;
-    let norms = if version == VERSION_V3 {
-        let truncated =
-            |_| IoError::Format("truncated snapshot (norms block out of range)".to_string());
-        let mut bytes = vec![0u8; norms_bytes as usize];
-        file.read_exact_at(&mut bytes, after_vals)
-            .map_err(truncated)?;
-        let norms: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-            .collect();
-        if !norms.iter().all(|v| v.is_finite() && *v >= 0.0) {
-            return Err(IoError::Format(
-                "non-finite or negative entry in the norms block".into(),
-            ));
-        }
-        Some(norms)
-    } else {
-        None
-    };
+    let mut bytes = vec![0u8; norms_bytes as usize];
+    file.read_exact_at(&mut bytes, after_vals)
+        .map_err(|_| IoError::Format("truncated snapshot (norms block out of range)".into()))?;
+    let norms: Vec<f64> = bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
+    if !norms.iter().all(|v| v.is_finite() && *v >= 0.0) {
+        return Err(IoError::Format(
+            "non-finite or negative entry in the norms block".into(),
+        ));
+    }
 
     let truncated =
         |_| IoError::Format("truncated snapshot (labels block out of range)".to_string());
@@ -1965,7 +1862,7 @@ fn open_paged_impl(
         col_ptr,
         codec,
         row_off,
-        norms: norms.map(Arc::new),
+        norms: Arc::new(norms),
         rows_offset,
         vals_offset,
         columns_per_page: options.columns_per_page,
@@ -1991,7 +1888,6 @@ fn open_paged_impl(
         stats,
         epsilon,
         labels,
-        version,
     })
 }
 
@@ -2054,7 +1950,7 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "col {j} values differ");
                 assert_eq!(
-                    paged.store.column_norm_squared(j).expect("norm").to_bits(),
+                    paged.store.norms()[j].to_bits(),
                     inverse.column(j).norm2_squared().to_bits(),
                     "col {j} norm"
                 );
@@ -2094,10 +1990,8 @@ mod tests {
         let paged = open_paged(&path, &options).expect("open");
         assert_eq!(paged.store.cache_capacity_pages(), 1);
         let inverse = estimator.approximate_inverse();
-        // Two full sweeps over the column *data* (norms alone would be
-        // served from the v3 resident table without touching a page): the
-        // second sweep misses again because each page evicts the previous
-        // one.
+        // Two full sweeps over the column data: the second sweep misses
+        // again because each page evicts the previous one.
         for _ in 0..2 {
             for j in 0..inverse.order() {
                 assert_eq!(
@@ -2121,7 +2015,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_still_serve_paged_and_report_no_norms() {
+    fn v2_snapshots_are_rejected_with_a_reencode_hint() {
         let estimator = sample_estimator();
         let dir = std::env::temp_dir().join("effres-paged-unit");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -2131,17 +2025,11 @@ mod tests {
         crate::snapshot::write_snapshot_v2(&mut writer, &estimator, None).expect("write v2");
         use std::io::Write as _;
         writer.flush().expect("flush");
-        let paged = open_paged(&path, &PagedOptions::default()).expect("open");
-        assert_eq!(paged.store.row_codec(), RowCodec::Raw);
-        assert!(paged.norms().is_none());
-        let inverse = estimator.approximate_inverse();
-        for j in 0..inverse.order() {
-            assert_eq!(
-                paged.store.column_norm_squared(j).expect("norm").to_bits(),
-                inverse.column(j).norm2_squared().to_bits(),
-                "col {j}"
-            );
-        }
+        let err = open_paged(&path, &PagedOptions::default()).expect_err("v2 must be rejected");
+        assert!(err.to_string().contains("version 2"), "{err}");
+        assert!(err.to_string().contains("effres-cli build"), "{err}");
+        // The resident loader still reads it fine.
+        assert!(load_snapshot(&path).is_ok());
     }
 
     #[test]
@@ -2151,7 +2039,7 @@ mod tests {
         let paged = open_paged(&path, &PagedOptions::default()).expect("open");
         // The 100-node grid compresses: varint wins the negotiation.
         assert_eq!(paged.store.row_codec(), RowCodec::Varint);
-        let norms = paged.norms().expect("v3 persists norms");
+        let norms = paged.store.norms();
         let inverse = estimator.approximate_inverse();
         let recomputed = inverse.column_norms_squared();
         assert_eq!(norms.len(), recomputed.len());
@@ -2206,7 +2094,7 @@ mod tests {
                 .zip(inverse.column(j).values())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
             assert_eq!(
-                reader.column_norm_squared(j).expect("norm").to_bits(),
+                paged.store.norms()[j].to_bits(),
                 inverse.column(j).norm2_squared().to_bits()
             );
         }

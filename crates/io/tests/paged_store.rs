@@ -1,26 +1,98 @@
-//! The paged column store against the resident arena, pinned on the
-//! committed `v2_grid12.snap` and `v3_grid12.snap` fixtures (same estimator,
-//! two on-disk encodings): every query answer must be **bit-identical**
-//! between the backends for every page geometry and cache size (including a
-//! one-page cache that evicts on every page switch), and hostile files —
-//! including corrupt v3 varint and norms blocks — must produce typed errors
-//! *before* corrupt data can serve a query. Demand-sized pins must read
-//! exactly the demanded columns' on-disk bytes, serve the same bits, and
-//! fail, heal and degrade the way whole pages do.
+//! The paged column store against the resident arena, pinned on two v3
+//! files of the same estimator: the committed `v3_grid12.snap` fixture
+//! (varint rows) and a raw-codec file derived from the committed
+//! `v2_grid12.snap` (see [`raw_v3_bytes`]). Every query answer must be
+//! **bit-identical** between the backends for every page geometry and cache
+//! size (including a one-page cache that evicts on every page switch), and
+//! hostile files — including corrupt raw rows, varint rows and norms blocks
+//! — must produce typed errors *before* corrupt data can serve a query.
+//! Demand-sized pins must read exactly the demanded columns' on-disk bytes,
+//! serve the same bits, and fail, heal and degrade the way whole pages do.
 
 use effres::column_store::{self, ColumnStore};
 use effres::EffresError;
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::load_snapshot;
-use effres_io::{IoError, Snapshot};
+use effres_io::{IoError, RowCodec, Snapshot};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name)
+}
+
+/// Byte offsets of the layouts of the 144-node labeled fixtures, used to
+/// splice the raw-codec file and to craft hostile mutations at precise
+/// positions. Both versions start
+/// magic+version (12) | n,eps (16) | stats (48) | counters (16) | perm (4n)
+/// | nnz (8) | col_ptr (8(n+1)).
+/// v2 continues | rows (4·nnz) | vals (8·nnz) | labels (1 + 8n) | crc (4).
+/// v3 continues | codec (1) | rows (raw: 4·nnz; varint: rows_bytes (8)
+/// | row_off (8(n+1)) | varint bytes) | vals (8·nnz) | norms (8n)
+/// | labels (1 + 8n) | crc (4).
+const N: usize = 144;
+const COL_PTR_OFFSET: usize = 12 + 16 + 48 + 16 + 4 * N + 8;
+/// v3's codec byte, where v2's row block starts.
+const V3_CODEC_OFFSET: usize = COL_PTR_OFFSET + 8 * (N + 1);
+const RAW_ROWS_OFFSET: usize = V3_CODEC_OFFSET + 1;
+const V3_ROW_OFF_OFFSET: usize = V3_CODEC_OFFSET + 1 + 8;
+const V3_ROWS_OFFSET: usize = V3_ROW_OFF_OFFSET + 8 * (N + 1);
+/// Offset of the norms block, counted from the END of a v3 file (crc, then
+/// the labeled fixture's label block, then norms).
+const V3_NORMS_FROM_END: usize = 4 + (1 + 8 * N) + 8 * N;
+
+fn work_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join("effres-paged-store");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// The committed v2 fixture spliced into a v3 file with the raw row codec:
+/// version 3, codec byte 0 after `col_ptr`, the norms block (the resident
+/// table's bits) after the values, and a fresh crc over the payload. The
+/// writer only picks the raw codec when varint would not shrink the rows,
+/// which never happens on the grid fixtures, so raw-row decode needs a
+/// derived file.
+fn raw_v3_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let v2 = std::fs::read(fixture("v2_grid12.snap")).expect("fixture bytes");
+        let nnz_at = COL_PTR_OFFSET - 8;
+        let nnz = u64::from_le_bytes(v2[nnz_at..COL_PTR_OFFSET].try_into().unwrap()) as usize;
+        let labels_at = V3_CODEC_OFFSET + 12 * nnz;
+        let mut bytes = v2[..8].to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(&v2[12..V3_CODEC_OFFSET]);
+        bytes.push(0);
+        bytes.extend_from_slice(&v2[V3_CODEC_OFFSET..labels_at]);
+        for norm in resident_norms() {
+            bytes.extend_from_slice(&norm.to_le_bytes());
+        }
+        bytes.extend_from_slice(&v2[labels_at..v2.len() - 4]);
+        let crc = effres_io::gzip::crc32(&bytes[12..]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    })
+}
+
+fn raw_v3_path() -> &'static Path {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let path = work_dir().join("raw_v3_grid12.snap");
+        std::fs::write(&path, raw_v3_bytes()).expect("write raw v3");
+        path
+    })
+}
+
+/// The two served encodings of the fixture estimator, by name.
+fn served_files() -> [(&'static str, PathBuf); 2] {
+    [
+        ("raw v3", raw_v3_path().to_path_buf()),
+        ("varint v3", fixture("v3_grid12.snap")),
+    ]
 }
 
 /// The page geometries the property test sweeps: the default, a one-column /
@@ -68,30 +140,49 @@ fn resident_norms() -> &'static [f64] {
     })
 }
 
-/// Every page geometry over every paged-capable fixture encoding: indices
-/// `0..4` are the v2 file (raw rows, per-page norms), `4..8` the v3 file
-/// (varint rows, persisted norms).
+/// Every page geometry over both served encodings: indices `0..4` are the
+/// raw-codec file, `4..8` the varint fixture.
 fn paged_stores() -> &'static [PagedSnapshot] {
     static STORES: OnceLock<Vec<PagedSnapshot>> = OnceLock::new();
     STORES.get_or_init(|| {
-        ["v2_grid12.snap", "v3_grid12.snap"]
-            .iter()
-            .flat_map(|name| {
+        served_files()
+            .into_iter()
+            .flat_map(|(_, path)| {
                 paged_configs()
                     .iter()
-                    .map(|options| open_paged(fixture(name), options).expect("fixture opens"))
+                    .map(move |options| open_paged(&path, options).expect("file opens"))
             })
             .collect()
     })
+}
+
+#[test]
+fn the_raw_v3_file_opens_raw_and_loads_resident() {
+    let paged = open_paged(raw_v3_path(), &PagedOptions::default()).expect("opens");
+    assert_eq!(paged.store.row_codec(), RowCodec::Raw);
+    let loaded = load_snapshot(raw_v3_path()).expect("the spliced file loads resident");
+    assert_eq!(loaded.version, Some(3));
+    let (inverse, spliced) = (
+        resident().estimator.approximate_inverse(),
+        loaded.estimator.approximate_inverse(),
+    );
+    assert_eq!(spliced.col_ptr(), inverse.col_ptr());
+    assert_eq!(spliced.arena_rows(), inverse.arena_rows());
+    assert!(spliced
+        .arena_values()
+        .iter()
+        .zip(inverse.arena_values())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert_eq!(loaded.labels, resident().labels);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
     /// Random pairs through the fill-reducing permutation, across every page
-    /// geometry and both paged encodings (v2 raw, v3 varint): the paged
-    /// store must reproduce the resident arena's distance, norm-table
-    /// distance and per-column norms bit for bit.
+    /// geometry and both row codecs: the paged store must reproduce the
+    /// resident arena's distance, norm table and norm-table distance bit
+    /// for bit.
     #[test]
     fn paged_queries_match_resident_bitwise(
         (p, q, which) in (0usize..144, 0usize..144, 0usize..8),
@@ -111,21 +202,18 @@ proptest! {
             .expect("healthy fixture");
         prop_assert_eq!(resident_distance.to_bits(), paged_distance.to_bits());
         // Norm-table distance (the engine's hot path): the resident side
-        // uses the precomputed table, the paged side per-column norms off
-        // the decoded pages.
-        let paged_norms = (
-            paged.store.column_norm_squared(pp).expect("healthy fixture"),
-            paged.store.column_norm_squared(qq).expect("healthy fixture"),
-        );
-        prop_assert_eq!(resident_norms()[pp].to_bits(), paged_norms.0.to_bits());
-        prop_assert_eq!(resident_norms()[qq].to_bits(), paged_norms.1.to_bits());
+        // uses the table it computed, the paged side the file's persisted
+        // norms block.
+        let paged_norms = paged.store.norms();
+        prop_assert_eq!(resident_norms()[pp].to_bits(), paged_norms[pp].to_bits());
+        prop_assert_eq!(resident_norms()[qq].to_bits(), paged_norms[qq].to_bits());
         let resident_fast =
             inverse.column_distance_squared_with_norms(pp, qq, resident_norms());
         let paged_fast = column_store::column_distance_squared_with_norms(
             &paged.store,
             pp,
             qq,
-            resident_norms(),
+            paged_norms,
         )
         .expect("healthy fixture");
         prop_assert_eq!(resident_fast.to_bits(), paged_fast.to_bits());
@@ -140,7 +228,7 @@ fn one_page_cache_evicts_on_every_page_switch_and_stays_bit_identical() {
     let snapshot = resident();
     let inverse = snapshot.estimator.approximate_inverse();
     let paged = open_paged(
-        fixture("v2_grid12.snap"),
+        raw_v3_path(),
         &PagedOptions {
             columns_per_page: 1,
             cache_pages: 1,
@@ -148,15 +236,17 @@ fn one_page_cache_evicts_on_every_page_switch_and_stays_bit_identical() {
             ..PagedOptions::default()
         },
     )
-    .expect("fixture opens");
+    .expect("file opens");
     assert_eq!(paged.store.cache_capacity_pages(), 1);
-    let forward: Vec<u64> = (0..inverse.order())
-        .map(|j| paged.store.column_norm_squared(j).expect("fetch").to_bits())
-        .collect();
-    let backward: Vec<u64> = (0..inverse.order())
-        .rev()
-        .map(|j| paged.store.column_norm_squared(j).expect("fetch").to_bits())
-        .collect();
+    let column_norm = |j: usize| {
+        paged
+            .store
+            .with_column(j, |c| c.norm2_squared())
+            .expect("fetch")
+            .to_bits()
+    };
+    let forward: Vec<u64> = (0..inverse.order()).map(column_norm).collect();
+    let backward: Vec<u64> = (0..inverse.order()).rev().map(column_norm).collect();
     for j in 0..inverse.order() {
         let expected = inverse.column(j).norm2_squared().to_bits();
         assert_eq!(forward[j], expected, "forward col {j}");
@@ -179,7 +269,7 @@ fn one_page_cache_evicts_on_every_page_switch_and_stays_bit_identical() {
 #[test]
 fn paged_metadata_matches_the_resident_loader() {
     let snapshot = resident();
-    let paged = open_paged(fixture("v2_grid12.snap"), &PagedOptions::default()).expect("opens");
+    let paged = open_paged(raw_v3_path(), &PagedOptions::default()).expect("opens");
     assert_eq!(paged.stats, snapshot.estimator.stats());
     assert_eq!(paged.labels, snapshot.labels);
     assert_eq!(
@@ -192,21 +282,15 @@ fn paged_metadata_matches_the_resident_loader() {
     );
 }
 
-/// Byte offsets of the v2 layout for the 144-node labeled fixture, used to
-/// craft hostile mutations at precise positions:
-/// magic+version (12) | n,eps (16) | stats (48) | counters (16) | perm (4n)
-/// | nnz (8) | col_ptr (8(n+1)) | rows (4·nnz) | vals (8·nnz) | labels | crc.
-const N: usize = 144;
-const COL_PTR_OFFSET: usize = 12 + 16 + 48 + 16 + 4 * N + 8;
-const ROWS_OFFSET: usize = COL_PTR_OFFSET + 8 * (N + 1);
-
-fn hostile_copy(mutate: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
-    let mut bytes = std::fs::read(fixture("v2_grid12.snap")).expect("fixture bytes");
+/// A mutated copy of the raw-codec file, written under its own name.
+fn hostile_copy(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
+    let mut bytes = raw_v3_bytes().to_vec();
+    assert_eq!(
+        bytes[V3_CODEC_OFFSET], 0,
+        "the spliced file uses the raw codec"
+    );
     mutate(&mut bytes);
-    let dir = std::env::temp_dir().join("effres-paged-hostile");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    // One file per test invocation is fine; tests overwrite their own name.
-    let path = dir.join(format!("hostile_{}.snap", bytes.len()));
+    let path = work_dir().join(format!("hostile_raw_{name}.snap"));
     std::fs::write(&path, bytes).expect("write hostile");
     path
 }
@@ -214,7 +298,7 @@ fn hostile_copy(mutate: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
 #[test]
 fn non_monotone_col_ptr_is_rejected_by_both_loaders_before_serving() {
     // Make col_ptr[1] larger than col_ptr[2]: the prefix sums go backwards.
-    let path = hostile_copy(|bytes| {
+    let path = hostile_copy("col_ptr", |bytes| {
         let at = COL_PTR_OFFSET + 8 * 2;
         let next = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let at1 = COL_PTR_OFFSET + 8;
@@ -233,8 +317,8 @@ fn out_of_range_row_is_a_typed_store_failure_at_page_decode() {
     // Corrupt the first row index to point past the 144-node order. The
     // paged opener cannot see it (rows stay on disk), but decoding the
     // page that contains it must fail with a typed error — never serve it.
-    let path = hostile_copy(|bytes| {
-        bytes[ROWS_OFFSET..ROWS_OFFSET + 4].copy_from_slice(&500u32.to_le_bytes());
+    let path = hostile_copy("row", |bytes| {
+        bytes[RAW_ROWS_OFFSET..RAW_ROWS_OFFSET + 4].copy_from_slice(&500u32.to_le_bytes());
     });
     let paged = open_paged(&path, &PagedOptions::default()).expect("open skips row blocks");
     let err = paged
@@ -254,7 +338,7 @@ fn col_ptr_past_the_declared_nnz_is_rejected() {
     // Push the last col_ptr entry past nnz: both the "exceeds" and the
     // "must end at nnz" guards protect the offset arithmetic the paged
     // reads rely on.
-    let path = hostile_copy(|bytes| {
+    let path = hostile_copy("nnz", |bytes| {
         let at = COL_PTR_OFFSET + 8 * N;
         let last = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         bytes[at..at + 8].copy_from_slice(&(last + 4).to_le_bytes());
@@ -269,16 +353,11 @@ fn col_ptr_past_the_declared_nnz_is_rejected() {
 #[test]
 fn truncated_column_data_is_rejected_at_open_not_at_query_time() {
     // Cut the file in the middle of the value block: the resident loader
-    // hits EOF; the paged opener must notice via the layout-implied length
-    // check at open — before a query could fail half-way through a batch.
-    let path = {
-        let bytes = std::fs::read(fixture("v2_grid12.snap")).expect("fixture bytes");
-        let dir = std::env::temp_dir().join("effres-paged-hostile");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("truncated.snap");
-        std::fs::write(&path, &bytes[..bytes.len() - 100]).expect("write");
-        path
-    };
+    // hits EOF; the paged opener must notice at open — before a query
+    // could fail half-way through a batch.
+    let bytes = raw_v3_bytes();
+    let path = work_dir().join("truncated.snap");
+    std::fs::write(&path, &bytes[..bytes.len() - V3_NORMS_FROM_END - 100]).expect("write");
     assert!(matches!(
         open_paged(&path, &PagedOptions::default()),
         Err(IoError::Format(_))
@@ -290,31 +369,16 @@ fn truncated_column_data_is_rejected_at_open_not_at_query_time() {
 fn zero_columns_per_page_is_rejected() {
     let options = PagedOptions::default().with_columns_per_page(0);
     assert!(matches!(
-        open_paged(fixture("v2_grid12.snap"), &options),
+        open_paged(raw_v3_path(), &options),
         Err(IoError::Format(_))
     ));
 }
-
-/// Byte offsets of the v3 layout for the 144-node labeled fixture (the
-/// fixture negotiates the varint codec):
-/// magic+version (12) | n,eps (16) | stats (48) | counters (16) | perm (4n)
-/// | nnz (8) | col_ptr (8(n+1)) | codec (1) | rows_bytes (8)
-/// | row_off (8(n+1)) | varint rows | vals (8·nnz) | norms (8n)
-/// | labels (1 + 8n) | crc (4).
-const V3_CODEC_OFFSET: usize = COL_PTR_OFFSET + 8 * (N + 1);
-const V3_ROW_OFF_OFFSET: usize = V3_CODEC_OFFSET + 1 + 8;
-const V3_ROWS_OFFSET: usize = V3_ROW_OFF_OFFSET + 8 * (N + 1);
-/// Offset of the norms block, counted from the END of the file (crc, then
-/// the labeled fixture's label block, then norms).
-const V3_NORMS_FROM_END: usize = 4 + (1 + 8 * N) + 8 * N;
 
 fn hostile_v3_copy(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> PathBuf {
     let mut bytes = std::fs::read(fixture("v3_grid12.snap")).expect("fixture bytes");
     assert_eq!(bytes[V3_CODEC_OFFSET], 1, "fixture uses the varint codec");
     mutate(&mut bytes);
-    let dir = std::env::temp_dir().join("effres-paged-hostile");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("hostile_v3_{name}.snap"));
+    let path = work_dir().join(format!("hostile_v3_{name}.snap"));
     std::fs::write(&path, bytes).expect("write hostile");
     path
 }
@@ -385,9 +449,7 @@ fn truncated_norms_block_is_rejected_at_open() {
     // layout-implied length check must notice before serving.
     let bytes = std::fs::read(fixture("v3_grid12.snap")).expect("fixture bytes");
     let cut = bytes.len() - V3_NORMS_FROM_END + 8 * (N / 2);
-    let dir = std::env::temp_dir().join("effres-paged-hostile");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("hostile_v3_truncated_norms.snap");
+    let path = work_dir().join("hostile_v3_truncated_norms.snap");
     std::fs::write(&path, &bytes[..cut]).expect("write");
     assert!(matches!(
         open_paged(&path, &PagedOptions::default()),
@@ -400,7 +462,7 @@ fn truncated_norms_block_is_rejected_at_open() {
 fn v3_fixture_serves_persisted_norms_bit_identical_to_resident() {
     let snapshot = resident();
     let paged = open_paged(fixture("v3_grid12.snap"), &PagedOptions::default()).expect("opens");
-    let norms = paged.norms().expect("v3 carries norms");
+    let norms = paged.store.norms();
     assert_eq!(norms.len(), 144);
     for (j, norm) in norms.iter().enumerate() {
         assert_eq!(
@@ -424,8 +486,9 @@ proptest! {
 
     /// Pair sequences through the grouped multi-pair kernel on the paged
     /// store: bit for bit the pairwise batch reference on the *resident*
-    /// arena, for every page geometry and both encodings, with and
-    /// without the persisted norm table, on a reused (dirty) scratch.
+    /// arena, for every page geometry and both row codecs, with the
+    /// persisted norm table and without one (norms summed over the fetched
+    /// columns), on a reused (dirty) scratch.
     #[test]
     fn paged_grouped_kernel_matches_resident_pairwise_bitwise(
         (pairs, which) in (
@@ -442,17 +505,19 @@ proptest! {
         )
         .expect("resident store never fails");
         let mut scratch = column_store::HubScratch::new(ColumnStore::order(&paged.store));
-        for _ in 0..2 {
-            let grouped = column_store::column_distances_squared_grouped(
-                &paged.store,
-                &pairs,
-                paged.norms(),
-                &mut scratch,
-            )
-            .expect("healthy fixture");
-            prop_assert_eq!(reference.len(), grouped.len());
-            for (r, g) in reference.iter().zip(&grouped) {
-                prop_assert_eq!(r.to_bits(), g.to_bits());
+        for norms in [Some(paged.store.norms().as_slice()), None] {
+            for _ in 0..2 {
+                let grouped = column_store::column_distances_squared_grouped(
+                    &paged.store,
+                    &pairs,
+                    norms,
+                    &mut scratch,
+                )
+                .expect("healthy fixture");
+                prop_assert_eq!(reference.len(), grouped.len());
+                for (r, g) in reference.iter().zip(&grouped) {
+                    prop_assert_eq!(r.to_bits(), g.to_bits());
+                }
             }
         }
     }
@@ -469,11 +534,11 @@ fn sparse_options() -> PagedOptions {
     }
 }
 
-/// On-disk bytes (rows plus values) of each column of a fixture, from its
-/// `col_ptr` block and — for the varint-coded v3 file — its `row_off`
-/// table, read straight from the bytes at the layout offsets above.
-fn column_disk_bytes(name: &str) -> Vec<u64> {
-    let bytes = std::fs::read(fixture(name)).expect("fixture bytes");
+/// On-disk bytes (rows plus values) of each column of a served file, from
+/// its `col_ptr` block and — for the varint codec — its `row_off` table,
+/// read straight from the bytes at the layout offsets above.
+fn column_disk_bytes(path: &Path) -> Vec<u64> {
+    let bytes = std::fs::read(path).expect("file bytes");
     let table = |at: usize| -> Vec<u64> {
         bytes[at..at + 8 * (N + 1)]
             .chunks_exact(8)
@@ -481,10 +546,7 @@ fn column_disk_bytes(name: &str) -> Vec<u64> {
             .collect()
     };
     let col_ptr = table(COL_PTR_OFFSET);
-    let row_off = name.starts_with("v3").then(|| {
-        assert_eq!(bytes[V3_CODEC_OFFSET], 1, "fixture uses the varint codec");
-        table(V3_ROW_OFF_OFFSET)
-    });
+    let row_off = (bytes[V3_CODEC_OFFSET] == 1).then(|| table(V3_ROW_OFF_OFFSET));
     (0..N)
         .map(|j| {
             let entries = col_ptr[j + 1] - col_ptr[j];
@@ -511,8 +573,8 @@ fn column_bits<S: ColumnStore>(store: &S, j: usize) -> (Vec<u32>, u64) {
 
 #[test]
 fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
-    for name in ["v2_grid12.snap", "v3_grid12.snap"] {
-        let disk = column_disk_bytes(name);
+    for (name, path) in served_files() {
+        let disk = column_disk_bytes(&path);
         let page_bytes =
             |pid: usize| -> u64 { disk[16 * pid..(16 * pid + 16).min(N)].iter().sum() };
         let demanded_bytes: u64 = SPARSE_DEMAND.iter().map(|&j| disk[j]).sum();
@@ -527,7 +589,7 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
                 "{name}: page {pid} must be sparsely demanded for this test"
             );
         }
-        let paged = open_paged(fixture(name), &sparse_options()).expect("opens");
+        let paged = open_paged(&path, &sparse_options()).expect("opens");
         let pinned = paged
             .store
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
@@ -547,8 +609,8 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
         for j in SPARSE_DEMAND {
             assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
             assert_eq!(
-                reader.column_norm_squared(j).expect("norm").to_bits(),
-                inverse.column_norm_squared(j).expect("norm").to_bits(),
+                paged.store.norms()[j].to_bits(),
+                inverse.column(j).norm2_squared().to_bits(),
                 "{name} col {j} norm"
             );
         }
@@ -593,8 +655,8 @@ fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
 
 #[test]
 fn a_column_outside_the_demand_reads_the_resident_value() {
-    for name in ["v2_grid12.snap", "v3_grid12.snap"] {
-        let paged = open_paged(fixture(name), &sparse_options()).expect("opens");
+    for (name, path) in served_files() {
+        let paged = open_paged(&path, &sparse_options()).expect("opens");
         let pinned = paged
             .store
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))

@@ -60,6 +60,24 @@ fn v1_snapshot_loads_into_the_arena_backed_estimator() {
 }
 
 #[test]
+fn committed_fixtures_store_only_finite_values_with_the_sign_bit_clear() {
+    // Lemma 1: every stored value of Z̃ is nonnegative, and no fixture
+    // stores a -0.0 either, so a decoded value with its sign bit set can
+    // only be corruption.
+    for name in ["v1_grid12.snap", "v2_grid12.snap", "v3_grid12.snap"] {
+        let loaded = load_snapshot(fixture(name)).expect("fixture must load");
+        let values = loaded.estimator.approximate_inverse().arena_values();
+        assert!(!values.is_empty(), "{name}");
+        assert!(
+            values
+                .iter()
+                .all(|v| v.is_finite() && !v.is_sign_negative()),
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn v2_and_v3_fixtures_load_bit_identical_to_the_v1_fixture() {
     // The same estimator through every on-disk encoding: the per-column v1
     // records, the v2 bulk arena blocks and the v3 codec-negotiated blocks

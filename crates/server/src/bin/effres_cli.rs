@@ -3,6 +3,7 @@
 //! ```text
 //! effres-cli load  <dataset>                      ingest + report
 //! effres-cli build <dataset> [-o out.snap]        ingest + factor + snapshot
+//! effres-cli build <snapshot> -o out.snap         re-encode as v3
 //! effres-cli query <dataset|snapshot> <p> <q>     one resistance
 //! effres-cli batch <dataset|snapshot> --random N  thousands of queries
 //! effres-cli batch <dataset|snapshot> --pairs f   ... from a pair file
@@ -25,9 +26,10 @@
 //! With `--paged`, `query`/`batch`/`stats` serve a **v3 snapshot straight
 //! from disk**: only the header, permutation, column pointers and persisted
 //! norm table are loaded (milliseconds even for huge graphs) and column data
-//! pages in on demand through an LRU cache sized by `--page-cache`. v2
-//! snapshots, which have no norm table, serve the same way with norms summed
-//! per decoded page. Answers are bit-identical to resident serving.
+//! pages in on demand through an LRU cache sized by `--page-cache`. Answers
+//! are bit-identical to resident serving. v1 and v2 snapshots have no norm
+//! table and are refused; `build <old.snap> --output <new.snap>` loads any
+//! version and writes it as v3.
 
 use effres::centrality::centralities_from_resistances;
 use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, WorkerPool};
@@ -52,7 +54,7 @@ const USAGE: &str = "effres-cli — effective-resistance queries on graph datase
 
 USAGE:
     effres-cli load  <dataset> [ingest options]
-    effres-cli build <dataset> [ingest|build options] [--output <snapshot>]
+    effres-cli build <dataset|snapshot> [ingest|build options] [--output <snapshot>]
     effres-cli query <dataset|snapshot> <p> <q> [ingest|build options]
                      [--paged [--page-cache N]]
     effres-cli batch <dataset|snapshot> (--pairs <file> | --random <count>)
@@ -106,10 +108,12 @@ BATCH OPTIONS:
     --output <file>         write `p q resistance` lines here
 
 PAGED OPTIONS (snapshot inputs; out-of-core serving):
-    --paged                 serve columns directly from the v2/v3 snapshot
+    --paged                 serve columns directly from the v3 snapshot
                             file (positioned reads + LRU page cache) instead
                             of loading the arena into memory; answers are
-                            bit-identical to resident serving
+                            bit-identical to resident serving. Re-encode a
+                            v1/v2 snapshot first with
+                            `build <old.snap> --output <new.snap>`
     --page-cache <n>        decoded pages kept resident   [default: 1024]
     --columns-per-page <n>  columns decoded per page      [default: 64]
     --readahead <n>         scheduled-batch readahead window, in pages
@@ -539,19 +543,14 @@ fn obtain_paged(path: &Path, options: &Options) -> Result<PagedSnapshot, CliErro
     let f = paged.store.footprint();
     println!(
         "opened paged snapshot {} ({} nodes, {:.1} MiB on disk, {:.1} MiB resident, \
-         {} rows, norms {}) in {:.3}s",
+         {} rows, norms persisted) in {:.3}s",
         path.display(),
         paged.node_count(),
         mib(f.total_bytes()),
-        mib(paged.store.resident_bytes() + paged.norms().map_or(0, |n| n.len() * 8)),
+        mib(paged.store.resident_bytes()),
         match paged.store.row_codec() {
             effres_io::RowCodec::Raw => "raw",
             effres_io::RowCodec::Varint => "delta-varint",
-        },
-        if paged.norms().is_some() {
-            "persisted"
-        } else {
-            "per-page"
         },
         start.elapsed().as_secs_f64()
     );
@@ -614,12 +613,6 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let options = parse_options(args)?;
     let path = require_input(&options)?;
-    if is_snapshot(path) {
-        return Err(CliError::Run(format!(
-            "{} is already a snapshot",
-            path.display()
-        )));
-    }
     let snapshot = obtain_snapshot(path, &options)?;
     if let Some(output) = &options.output {
         let start = Instant::now();
@@ -1094,7 +1087,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     if options.paged {
         let paged = obtain_paged(path, &options)?;
         println!("snapshot   {} (paged)", path.display());
-        println!("format     v{}", paged.version);
+        println!("format     v3");
         let s = paged.stats;
         println!("nodes      {}", s.node_count);
         println!(
@@ -1117,7 +1110,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         );
         println!(
             "resident   {:.1} MiB (col_ptr/offset/norm blocks; columns page in on demand)",
-            mib(paged.store.resident_bytes() + paged.norms().map_or(0, |n| n.len() * 8))
+            mib(paged.store.resident_bytes())
         );
         println!(
             "pages      {} column(s)/page, {} page(s) on disk, cache {} page(s)",
@@ -1126,15 +1119,10 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             paged.store.cache_capacity_pages()
         );
         println!(
-            "codec      {} rows, norms {}",
+            "codec      {} rows, norms persisted",
             match paged.store.row_codec() {
                 effres_io::RowCodec::Raw => "raw u32",
                 effres_io::RowCodec::Varint => "delta-varint",
-            },
-            if paged.norms().is_some() {
-                "persisted (v3)"
-            } else {
-                "per-page (v2)"
             }
         );
         println!("max depth  {}", s.max_depth);
@@ -1190,9 +1178,9 @@ fn open_paged_engine(
     pool: &WorkerPool,
 ) -> Result<(QueryEngine<PagedSnapshot>, Option<u32>), CliError> {
     let paged = obtain_paged(path, options)?;
-    let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), engine_options(options, pool));
-    Ok((engine, Some(version)))
+    // `open_paged` serves v3 files only.
+    Ok((engine, Some(3)))
 }
 
 /// The resident [`Opener`]: a snapshot loaded, or a dataset built, into

@@ -61,9 +61,8 @@ fn serve(
     ServerHandle<PagedSnapshot>,
     std::thread::JoinHandle<std::io::Result<String>>,
 ) {
-    let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), options);
-    let server = Server::bind("127.0.0.1:0", engine, Some(version)).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, Some(3)).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());

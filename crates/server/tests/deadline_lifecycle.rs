@@ -70,10 +70,9 @@ fn serve_with(
     ServerHandle<PagedSnapshot>,
     std::thread::JoinHandle<std::io::Result<String>>,
 ) {
-    let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), options);
-    let server = Server::bind_with("127.0.0.1:0", engine, Some(version), None, server_options)
-        .expect("bind");
+    let server =
+        Server::bind_with("127.0.0.1:0", engine, Some(3), None, server_options).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());

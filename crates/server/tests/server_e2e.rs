@@ -162,7 +162,6 @@ fn paged_backend_serves_with_admission_control_over_the_wire() {
         },
     )
     .expect("open");
-    let version = paged.version;
     let engine = QueryEngine::new(
         Arc::new(paged),
         EngineOptions {
@@ -172,13 +171,13 @@ fn paged_backend_serves_with_admission_control_over_the_wire() {
             ..EngineOptions::default()
         },
     );
-    let server = Server::bind("127.0.0.1:0", engine, Some(version)).expect("bind");
+    let server = Server::bind("127.0.0.1:0", engine, Some(3)).expect("bind");
     let addr = server.local_addr();
     let runner = std::thread::spawn(move || server.run());
 
     let mut client = Client::connect(addr).expect("connect");
     assert!(client.info().paged);
-    assert_eq!(client.info().snapshot_version, Some(version));
+    assert_eq!(client.info().snapshot_version, Some(3));
 
     // Two clients race batches large enough to engage the scheduler and the
     // admission ledger; answers must match the resident estimator exactly.

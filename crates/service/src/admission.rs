@@ -149,34 +149,71 @@ impl AdmissionLedger {
     }
 
     /// Leases between `min` and `desired` units, blocking until capacity is
-    /// available. `min` is the smallest grant the caller can make progress
-    /// with; `desired` is its full plan (both clamped to the budget, and
-    /// `desired` to at least `min`). An uncontended lease gets `desired`
-    /// immediately; under contention the request joins the FIFO queue and is
-    /// granted whatever is available (≥ `min`) when it reaches the head —
-    /// unless its `desired` fits on top of the minimums of everything ahead,
-    /// in which case it bypasses the queue with a full grant.
+    /// available — the unbounded case of [`lease_within`](Self::lease_within),
+    /// which never sheds.
+    pub fn lease(&self, min: usize, desired: usize) -> PinLease<'_> {
+        self.lease_within(min, desired, usize::MAX, None)
+            .expect("an unbounded lease never sheds")
+    }
+
+    /// Leases between `min` and `desired` units. `min` is the smallest grant
+    /// the caller can make progress with; `desired` is its full plan (both
+    /// clamped to the budget, and `desired` to at least `min`). An
+    /// uncontended lease gets `desired` immediately; under contention the
+    /// request joins the FIFO queue and is granted whatever is available
+    /// (≥ `min`) when it reaches the head — unless its `desired` fits on top
+    /// of the minimums of everything ahead, in which case it bypasses the
+    /// queue with a full grant.
+    ///
+    /// Two bounds turn waiting into a typed [`EffresError::Busy`]:
+    ///
+    /// * `max_waiting` — if that many requests are already queued, the
+    ///   request is shed immediately ([`BusyReason::QueueFull`]). Depth
+    ///   bounds the queue's latency promise: a request admitted to the queue
+    ///   has a real chance of being served within its timeout; one behind an
+    ///   unbounded line does not.
+    /// * `timeout` — the longest the request will wait once queued (`None`
+    ///   waits until granted). If capacity has not been granted by then, the
+    ///   ticket is withdrawn and the request shed
+    ///   ([`BusyReason::LeaseTimeout`]).
+    ///
+    /// Shed requests leave the ledger exactly as they found it (the ticket
+    /// is removed and every remaining waiter re-evaluated), and are counted
+    /// in [`AdmissionStats::shed_queue_full`] / [`shed_timeout`](AdmissionStats::shed_timeout).
     ///
     /// The returned [`PinLease`] gives the grant back on drop. Callers must
     /// not hold one lease while requesting another (self-deadlock under
     /// contention); the scheduler leases once per block and releases before
     /// the next.
-    pub fn lease(&self, min: usize, desired: usize) -> PinLease<'_> {
+    pub fn lease_within(
+        &self,
+        min: usize,
+        desired: usize,
+        max_waiting: usize,
+        timeout: Option<Duration>,
+    ) -> Result<PinLease<'_>, EffresError> {
         let min = min.clamp(1, self.budget);
         let desired = desired.clamp(min, self.budget);
         let mut state = self.state.lock().expect("admission ledger lock poisoned");
         if state.queue.is_empty() && state.available >= desired {
             state.available -= desired;
             state.leases += 1;
-            return PinLease {
+            return Ok(PinLease {
                 ledger: self,
                 granted: desired,
-            };
+            });
+        }
+        if state.queue.len() >= max_waiting {
+            state.shed_queue_full += 1;
+            return Err(EffresError::Busy {
+                reason: BusyReason::QueueFull,
+            });
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
         state.queue.push_back((ticket, min));
         state.queued += 1;
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
         loop {
             let pos = state
                 .queue
@@ -200,89 +237,18 @@ impl AdmissionLedger {
                 state.leases += 1;
                 // Queue positions shifted; re-evaluate every waiter.
                 self.freed.notify_all();
-                return PinLease {
-                    ledger: self,
-                    granted,
-                };
-            }
-            state = self
-                .freed
-                .wait(state)
-                .expect("admission ledger lock poisoned");
-        }
-    }
-
-    /// The bounded, shedding variant of [`lease`](Self::lease): identical
-    /// grant policy, but the request is **rejected** with a typed
-    /// [`EffresError::Busy`] instead of waiting forever.
-    ///
-    /// Two bounds apply:
-    ///
-    /// * `max_waiting` — if that many requests are already queued, the
-    ///   request is shed immediately ([`BusyReason::QueueFull`]). Depth
-    ///   bounds the queue's latency promise: a request admitted to the queue
-    ///   has a real chance of being served within its timeout; one behind an
-    ///   unbounded line does not.
-    /// * `timeout` — the longest the request will wait once queued. If
-    ///   capacity has not been granted by then, the ticket is withdrawn and
-    ///   the request shed ([`BusyReason::LeaseTimeout`]).
-    ///
-    /// Shed requests leave the ledger exactly as they found it (the ticket
-    /// is removed and every remaining waiter re-evaluated), and are counted
-    /// in [`AdmissionStats::shed_queue_full`] / [`shed_timeout`](AdmissionStats::shed_timeout).
-    pub fn lease_within(
-        &self,
-        min: usize,
-        desired: usize,
-        max_waiting: usize,
-        timeout: Duration,
-    ) -> Result<PinLease<'_>, EffresError> {
-        let min = min.clamp(1, self.budget);
-        let desired = desired.clamp(min, self.budget);
-        let mut state = self.state.lock().expect("admission ledger lock poisoned");
-        if state.queue.is_empty() && state.available >= desired {
-            state.available -= desired;
-            state.leases += 1;
-            return Ok(PinLease {
-                ledger: self,
-                granted: desired,
-            });
-        }
-        if state.queue.len() >= max_waiting {
-            state.shed_queue_full += 1;
-            return Err(EffresError::Busy {
-                reason: BusyReason::QueueFull,
-            });
-        }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.queue.push_back((ticket, min));
-        state.queued += 1;
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pos = state
-                .queue
-                .iter()
-                .position(|&(t, _)| t == ticket)
-                .expect("waiting ticket stays queued");
-            let ahead: usize = state.queue.iter().take(pos).map(|&(_, m)| m).sum();
-            let granted = if pos == 0 && state.available >= min {
-                Some(desired.min(state.available))
-            } else if pos > 0 && state.available >= ahead + desired {
-                Some(desired)
-            } else {
-                None
-            };
-            if let Some(granted) = granted {
-                state.queue.remove(pos);
-                state.available -= granted;
-                state.leases += 1;
-                self.freed.notify_all();
                 return Ok(PinLease {
                     ledger: self,
                     granted,
                 });
             }
+            let Some(deadline) = deadline else {
+                state = self
+                    .freed
+                    .wait(state)
+                    .expect("admission ledger lock poisoned");
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 state.queue.remove(pos);
@@ -446,7 +412,7 @@ mod tests {
     fn bounded_lease_grants_when_uncontended() {
         let ledger = AdmissionLedger::new(8);
         let lease = ledger
-            .lease_within(2, 8, 4, Duration::from_millis(50))
+            .lease_within(2, 8, 4, Some(Duration::from_millis(50)))
             .expect("uncontended bounded lease");
         assert_eq!(lease.granted(), 8);
         drop(lease);
@@ -459,7 +425,7 @@ mod tests {
     fn bounded_lease_sheds_immediately_when_the_queue_is_full() {
         let ledger = AdmissionLedger::new(4);
         let _holder = ledger.lease(2, 4); // budget exhausted
-        let shed = ledger.lease_within(2, 4, 0, Duration::from_secs(10));
+        let shed = ledger.lease_within(2, 4, 0, Some(Duration::from_secs(10)));
         assert_eq!(
             shed.unwrap_err(),
             EffresError::Busy {
@@ -530,7 +496,7 @@ mod tests {
         let ledger = AdmissionLedger::new(4);
         let holder = ledger.lease(2, 4);
         let start = Instant::now();
-        let shed = ledger.lease_within(2, 4, 4, Duration::from_millis(20));
+        let shed = ledger.lease_within(2, 4, 4, Some(Duration::from_millis(20)));
         assert_eq!(
             shed.unwrap_err(),
             EffresError::Busy {
@@ -544,7 +510,7 @@ mod tests {
         // The ledger is intact: a later request proceeds normally.
         assert_eq!(
             ledger
-                .lease_within(2, 4, 4, Duration::from_millis(20))
+                .lease_within(2, 4, 4, Some(Duration::from_millis(20)))
                 .expect("post-shed lease")
                 .granted(),
             4

@@ -2,20 +2,17 @@
 //!
 //! A [`ResistanceBackend`] bundles what a serving deployment actually ships:
 //! a [`ColumnStore`] holding the columns of `Z̃`, the fill-reducing
-//! permutation mapping node ids onto columns, and the policy facts the
-//! engine needs (is a precomputed norm table affordable? is there a paged
-//! store to schedule batches over?). The engine is generic over it, so the
-//! same batching, pair cache, scratch reuse and worker-pool fan-out serve:
+//! permutation mapping node ids onto columns, the `‖z̃_j‖²` norm table every
+//! answer reads, and whether there is a paged store to schedule batches
+//! over. The engine is generic over it, so the same batching, pair cache,
+//! scratch reuse and worker-pool fan-out serve:
 //!
 //! * [`EffectiveResistanceEstimator`] — the **resident** backend: the arena
-//!   is in memory, so the engine precomputes the `‖z̃_j‖²` table once and
-//!   every query is a single suffix dot product;
+//!   is in memory, the norm table is computed once (or loaded with a v3
+//!   snapshot), and every query is a single suffix dot product;
 //! * [`PagedSnapshot`] — the **out-of-core** backend: columns live in a v3
-//!   snapshot file behind a page cache, and the engine reads per-column
-//!   norms from the file's persisted norm table. v2 files have no table and
-//!   computing one would cost a full file scan at boot, so for them the
-//!   engine reads norms off the decoded pages instead (bit-identical by the
-//!   [`ColumnStore`] contract).
+//!   snapshot file behind a page cache, and the norm table is the file's
+//!   persisted norms block.
 
 use effres::column_store::ColumnStore;
 use effres::EffectiveResistanceEstimator;
@@ -41,16 +38,12 @@ pub trait ResistanceBackend: Send + Sync + 'static {
     /// Number of nodes served.
     fn node_count(&self) -> usize;
 
-    /// A precomputed `‖z̃_j‖²` table in the permuted domain, if this backend
-    /// can produce one without paying per-query I/O for it: resident stores
-    /// sweep data that is already in memory (once, memoized), and paged v3
-    /// snapshots load the table straight from the file's persisted norms
+    /// The `‖z̃_j‖²` table in the permuted domain, summed in index order:
+    /// resident stores sweep data that is already in memory (once,
+    /// memoized), and paged snapshots load the file's persisted norms
     /// block. The table comes behind an [`Arc`] so backend, store and engine
-    /// share one copy of the `8n` bytes. Backends that return `None` (paged
-    /// v2 files, whose table would stream the whole file at boot) make the
-    /// engine fall back to [`ColumnStore::column_norm_squared`] per query,
-    /// which the trait contract pins to the same bits.
-    fn precomputed_norms(&self) -> Option<Arc<Vec<f64>>>;
+    /// share one copy of the `8n` bytes.
+    fn norms(&self) -> Arc<Vec<f64>>;
 
     /// The paged column store behind this backend, for backends that page
     /// columns in from a snapshot file; resident backends return `None`.
@@ -91,8 +84,8 @@ impl ResistanceBackend for EffectiveResistanceEstimator {
         EffectiveResistanceEstimator::node_count(self)
     }
 
-    fn precomputed_norms(&self) -> Option<Arc<Vec<f64>>> {
-        Some(self.column_norms_shared())
+    fn norms(&self) -> Arc<Vec<f64>> {
+        self.column_norms_shared()
     }
 }
 
@@ -111,14 +104,8 @@ impl ResistanceBackend for PagedSnapshot {
         PagedSnapshot::node_count(self)
     }
 
-    /// v3 snapshots persist the table, so the paged engine gets it resident
-    /// for free (`f64 × n`, part of the cold-start state — shared with the
-    /// store, not copied) and queries pay zero page traffic for the norm
-    /// terms. v2 files return `None` — computing the table would read every
-    /// value block at boot, defeating the paged cold start — and per-column
-    /// norms come off the decoded pages instead.
-    fn precomputed_norms(&self) -> Option<Arc<Vec<f64>>> {
-        self.store.resident_norms_shared()
+    fn norms(&self) -> Arc<Vec<f64>> {
+        Arc::clone(self.store.norms())
     }
 
     fn paged_store(&self) -> Option<&PagedColumnStore> {

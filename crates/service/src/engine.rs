@@ -26,14 +26,12 @@
 //!
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
-//! CSC arena behind a precomputed `‖z̃_j‖²` norm table, while the paged
-//! [`effres_io::PagedSnapshot`] backend pages them in from a v3 snapshot
-//! file on demand and reads per-column norms from the file's persisted
-//! norm table (v2 files, which have none, take norms off the decoded pages;
-//! the [`ColumnStore`] contract pins every source to the same bits, so both
-//! backends return bit-identical resistances). Column fetches are fallible
-//! for the paged backend, so the batch paths propagate [`EffresError`]
-//! instead of panicking a worker.
+//! CSC arena, while the paged [`effres_io::PagedSnapshot`] backend pages
+//! them in from a v3 snapshot file on demand. Both hand the engine one
+//! `‖z̃_j‖²` norm table, summed in the same order (the paged one is the
+//! file's persisted block), so both return bit-identical resistances.
+//! Column fetches are fallible for the paged backend, so the batch paths
+//! propagate [`EffresError`] instead of panicking a worker.
 //!
 //! The backends and every type they contain are plain owned data plus
 //! independently locked caches, so sharing one across pool workers behind an
@@ -46,7 +44,7 @@ use crate::batch::QueryBatch;
 use crate::cache::{self, ShardedLru};
 use crate::cancel::CancelToken;
 use crate::metrics::ServiceTimeEwma;
-use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
+use effres::column_store::{self, HubScratch, KernelStats};
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError, WorkerPool};
 use effres_io::{PageCacheStats, PagedColumnStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -309,18 +307,15 @@ pub(crate) struct Run {
 const SCRATCH_SHARDS: usize = 8;
 
 /// The shareable heart of the engine: everything a pool worker needs to
-/// answer a slice of queries — the backend, the (optional) norm table, the
+/// answer a slice of queries — the backend, the norm table, the
 /// result cache and a free list of reusable scratch columns. Lives behind
 /// one [`Arc`] so batch jobs are `'static` without copying any of it.
 #[derive(Debug)]
 pub(crate) struct EngineCore<B: ResistanceBackend> {
     pub(crate) backend: Arc<B>,
-    /// `‖z̃_j‖²` per permuted column, when the backend can afford the table
-    /// (resident stores, paged v3 snapshots) — shared with the backend, not
-    /// copied. `None` for out-of-core backends without a persisted table,
-    /// which serve per-column norms off their decoded pages — bit-identical
-    /// either way.
-    pub(crate) norms: Option<Arc<Vec<f64>>>,
+    /// `‖z̃_j‖²` per permuted column ([`ResistanceBackend::norms`]) —
+    /// shared with the backend, not copied.
+    pub(crate) norms: Arc<Vec<f64>>,
     pub(crate) cache: Option<ShardedLru>,
     /// The pin-budget ledger concurrent scheduled batches lease capacity
     /// from, sized to the page budget of the backend's
@@ -357,28 +352,13 @@ impl<B: ResistanceBackend> EngineCore<B> {
             .push(scratch);
     }
 
-    /// Squared norms of two permuted columns, from the table or the store.
-    fn norms_of(&self, pp: usize, qq: usize) -> Result<(f64, f64), EffresError> {
-        match &self.norms {
-            Some(table) => Ok((table[pp], table[qq])),
-            None => {
-                let store = self.backend.store();
-                Ok((
-                    store.column_norm_squared(pp)?,
-                    store.column_norm_squared(qq)?,
-                ))
-            }
-        }
-    }
-
     /// The resistance of one (permuted, distinct, in-bounds) pair through
     /// the norm identity `‖z̃_p − z̃_q‖² = ‖z̃_p‖² + ‖z̃_q‖² − 2⟨z̃_p, z̃_q⟩`.
     fn pair_value(&self, pp: usize, qq: usize) -> Result<f64, EffresError> {
         let dot = column_store::column_dot(self.backend.store(), pp, qq)?;
-        let (np, nq) = self.norms_of(pp, qq)?;
         // Clamp: cancellation can go slightly negative for near-identical
         // columns, and resistances are nonnegative.
-        Ok((np + nq - 2.0 * dot).max(0.0))
+        Ok((self.norms[pp] + self.norms[qq] - 2.0 * dot).max(0.0))
     }
 }
 
@@ -425,7 +405,7 @@ impl QueryEngine {
 impl<B: ResistanceBackend> QueryEngine<B> {
     /// Builds an engine over a shared backend.
     pub fn new(backend: Arc<B>, options: EngineOptions) -> Self {
-        let norms = backend.precomputed_norms();
+        let norms = backend.norms();
         let cache = (options.cache_capacity > 0)
             .then(|| ShardedLru::new(options.cache_capacity, cache::SHARDS));
         // The ledger needs at least two pages (one per side of a pair), the
@@ -969,8 +949,7 @@ impl<B: ResistanceBackend> EngineCore<B> {
                 } else {
                     scratch.isolated_dot(store, hub, partner)?
                 };
-                let (nh, np) = self.norms_of(hub, partner)?;
-                Ok((nh + np - 2.0 * dot).max(0.0))
+                Ok((self.norms[hub] + self.norms[partner] - 2.0 * dot).max(0.0))
             })();
             match outcome {
                 Ok(value) => {
@@ -994,6 +973,7 @@ impl<B: ResistanceBackend> EngineCore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use effres::column_store::ColumnStore;
     use effres::EffresConfig;
     use effres_graph::generators;
 
@@ -1288,7 +1268,7 @@ mod tests {
         );
         let core = EngineCore {
             backend: Arc::clone(&estimator),
-            norms: Some(Arc::new(norms)),
+            norms: Arc::new(norms),
             cache: None,
             admission: None,
             scratches: std::array::from_fn(|_| Mutex::new(Vec::new())),

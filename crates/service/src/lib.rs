@@ -16,7 +16,7 @@
 //!   [`EffectiveResistanceEstimator`](effres::EffectiveResistanceEstimator)
 //!   arena, or the out-of-core
 //!   [`PagedSnapshot`](effres_io::PagedSnapshot) paging columns in from a
-//!   v2/v3 snapshot file (bit-identical answers either way). Its
+//!   v3 snapshot file (bit-identical answers either way). Its
 //!   [`paged_store`](backend::ResistanceBackend::paged_store) hook picks
 //!   the batch runner;
 //! * [`scheduler`] — the locality scheduler paged batches run through:

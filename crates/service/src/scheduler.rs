@@ -149,21 +149,17 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         let Some(ledger) = self.core.admission.as_deref() else {
             return Ok(None);
         };
-        let remaining = cancel.and_then(CancelToken::remaining);
-        let lease = match (self.options.admission_queue_depth, remaining) {
-            (None, None) => Ok(ledger.lease(2, desired)),
-            (None, Some(remaining)) => ledger.lease_within(2, desired, usize::MAX, remaining),
-            (Some(depth), None) => {
-                ledger.lease_within(2, desired, depth, self.options.admission_timeout)
-            }
-            (Some(depth), Some(remaining)) => ledger.lease_within(
-                2,
-                desired,
-                depth,
-                self.options.admission_timeout.min(remaining),
-            ),
-        };
-        match lease {
+        // The admission timeout applies only to a bounded queue; a deadline
+        // caps whichever wait is left.
+        let depth = self.options.admission_queue_depth;
+        let timeout = [
+            depth.map(|_| self.options.admission_timeout),
+            cancel.and_then(CancelToken::remaining),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        match ledger.lease_within(2, desired, depth.unwrap_or(usize::MAX), timeout) {
             Ok(lease) => Ok(Some(lease)),
             Err(err) => {
                 // A lease timeout that coincides with the token's deadline
@@ -566,7 +562,7 @@ fn drain_window<B: ResistanceBackend>(
         store.pin_pages_partial(window_pids, demand.as_deref()).0
     };
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
-    let norms = core.norms.as_ref().map(|table| table.as_slice());
+    let norms = Some(core.norms.as_slice());
     // Re-sort the window by normalized column pair: pages hold neighbouring
     // columns, so the page-sorted window is nearly column-sorted already,
     // and this makes runs sharing a hub column contiguous for the grouped
