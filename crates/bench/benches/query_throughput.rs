@@ -31,17 +31,19 @@
 //! A further section rides the same graph: `all_edges` times the
 //! spanning-edge-centrality workload (every edge as a pair — the natural
 //! stress for the hub-grouped multi-pair kernel, pinned bit-identical to
-//! the pairwise loop in the same run).
+//! the pairwise loop in the same run). Its rows record the sample count,
+//! min, median and max seconds.
 //!
 //! The `pair_cache` section runs two streams through an engine with the
 //! default pair cache and through one with `cache_capacity: 0`, interleaved
-//! per sample: the all-edges sweep (no repeats, so it prices a
-//! miss) and a Zipf(1.0) stream of 64-pair batches over a pool of a million
-//! random pairs (the skewed traffic the cache exists for). Each variant
-//! records its hit ratio and median queries/s.
+//! per sample: the all-edges sweep (more pairs than the cache holds, so it
+//! bypasses the cache and both variants run the same path) and a Zipf(1.0)
+//! stream of 64-pair batches over a pool of a million random pairs (the
+//! skewed traffic the cache exists for). Each variant records its hit
+//! ratio and median queries/s.
 
 use effres::prelude::*;
-use effres_bench::report::{min_seconds, write_report, Json};
+use effres_bench::report::{min_seconds, write_report, Json, Sample};
 use effres_io::paged::{open_paged, PagedOptions};
 use effres_io::snapshot::save_snapshot;
 use effres_service::{EngineOptions, QueryBatch, QueryEngine};
@@ -126,7 +128,9 @@ fn main() {
         })
         .collect();
     sorted_edges.sort_unstable();
-    let pairwise_kernel_seconds = min_seconds(SAMPLES, true, || {
+    // Every all-edges row is a `Sample` (count, min, median, max); ratios
+    // and rates are of medians.
+    let pairwise_kernel = Sample::time(SAMPLES, true, || {
         effres::column_store::column_distances_squared_batch(
             inverse,
             &sorted_edges,
@@ -135,7 +139,7 @@ fn main() {
         .expect("resident store never fails")
     });
     let mut kernel_scratch = effres::column_store::HubScratch::new(inverse.order());
-    let grouped_kernel_seconds = min_seconds(SAMPLES, true, || {
+    let grouped_kernel = Sample::time(SAMPLES, true, || {
         effres::column_store::column_distances_squared_grouped(
             inverse,
             &sorted_edges,
@@ -145,18 +149,19 @@ fn main() {
         .expect("resident store never fails")
     });
     kernel_scratch.take_stats();
-    let kernel_speedup = pairwise_kernel_seconds / grouped_kernel_seconds;
+    let kernel_speedup = pairwise_kernel.median / grouped_kernel.median;
     println!(
-        "all_edges kernels: pairwise merge {pairwise_kernel_seconds:.3}s \
-         ({:.0} q/s), grouped scatter {grouped_kernel_seconds:.3}s ({:.0} q/s, \
-         {kernel_speedup:.2}x pairwise)",
-        edge_queries as f64 / pairwise_kernel_seconds,
-        edge_queries as f64 / grouped_kernel_seconds,
+        "all_edges kernels (median): pairwise merge {:.3}s ({:.0} q/s), grouped scatter \
+         {:.3}s ({:.0} q/s, {kernel_speedup:.2}x pairwise)",
+        pairwise_kernel.median,
+        edge_queries as f64 / pairwise_kernel.median,
+        grouped_kernel.median,
+        edge_queries as f64 / grouped_kernel.median,
     );
-    let all_edges_sequential_seconds = min_seconds(SAMPLES, true, || {
+    let all_edges_sequential = Sample::time(SAMPLES, true, || {
         estimator.query_many(&edge_pairs).expect("in bounds")
     });
-    let all_edges_sequential_qps = edge_queries as f64 / all_edges_sequential_seconds;
+    let all_edges_sequential_qps = edge_queries as f64 / all_edges_sequential.median;
     let edge_reference = estimator.query_many(&edge_pairs).expect("in bounds");
     let edge_engine = QueryEngine::new(
         Arc::clone(&estimator),
@@ -177,19 +182,21 @@ fn main() {
         "grouped all-edges answers diverged from the pairwise loop"
     );
     let kernel = edge_check.kernel;
-    let all_edges_seconds = min_seconds(SAMPLES, true, || {
+    let all_edges_engine = Sample::time(SAMPLES, true, || {
         edge_engine.execute(&edge_batch).expect("in bounds")
     });
-    let all_edges_qps = edge_queries as f64 / all_edges_seconds;
+    let all_edges_qps = edge_queries as f64 / all_edges_engine.median;
     let centralities =
         effres::centrality::centralities_from_resistances(&graph, &edge_check.values);
     let centrality_sum: f64 = centralities.iter().sum();
     println!(
-        "all_edges ({edge_queries} edges): sequential {all_edges_sequential_seconds:.3}s \
-         ({all_edges_sequential_qps:.0} q/s), grouped engine {all_edges_seconds:.3}s \
+        "all_edges ({edge_queries} edges, median): sequential {:.3}s \
+         ({all_edges_sequential_qps:.0} q/s), grouped engine {:.3}s \
          ({all_edges_qps:.0} q/s, {:.2}x); kernel {} hub load(s) x {:.1} pair(s)/hub, \
          {} isolated, {:.1} MiB streamed; centrality sum {centrality_sum:.1} (n-1 = {})",
-        all_edges_sequential_seconds / all_edges_seconds,
+        all_edges_sequential.median,
+        all_edges_engine.median,
+        all_edges_sequential.median / all_edges_engine.median,
         kernel.hub_loads,
         kernel.pairs_per_hub_load(),
         kernel.isolated_pairs,
@@ -198,25 +205,19 @@ fn main() {
     );
     let all_edges_report = Json::Obj(vec![
         ("edges", Json::Int(edge_queries as u64)),
-        (
-            "pairwise_kernel_seconds",
-            Json::Num(pairwise_kernel_seconds),
-        ),
-        ("grouped_kernel_seconds", Json::Num(grouped_kernel_seconds)),
+        ("pairwise_kernel_seconds", pairwise_kernel.json()),
+        ("grouped_kernel_seconds", grouped_kernel.json()),
         ("kernel_speedup", Json::Num(kernel_speedup)),
-        (
-            "sequential_seconds",
-            Json::Num(all_edges_sequential_seconds),
-        ),
+        ("sequential_seconds", all_edges_sequential.json()),
         (
             "sequential_queries_per_second",
             Json::Num(all_edges_sequential_qps),
         ),
-        ("engine_seconds", Json::Num(all_edges_seconds)),
+        ("engine_seconds", all_edges_engine.json()),
         ("engine_queries_per_second", Json::Num(all_edges_qps)),
         (
             "speedup_vs_sequential",
-            Json::Num(all_edges_sequential_seconds / all_edges_seconds),
+            Json::Num(all_edges_sequential.median / all_edges_engine.median),
         ),
         ("hub_loads", Json::Int(kernel.hub_loads)),
         ("hub_pairs", Json::Int(kernel.hub_pairs)),

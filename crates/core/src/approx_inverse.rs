@@ -202,20 +202,6 @@ impl<'a> ColumnView<'a> {
         self.values.iter().map(|v| v * v).sum()
     }
 
-    /// Dot product of the column's suffix from `bound` with a dense vector,
-    /// accumulated in entry order — the hub-scatter kernel of
-    /// [`crate::column_store::HubScratch`]. The suffix restriction mirrors
-    /// [`crate::column_store::column_dot`]: entries below `bound` cannot
-    /// intersect the other operand and are skipped via one binary search.
-    pub fn suffix_dot_dense(&self, dense: &[f64], bound: u32) -> f64 {
-        let start = self.indices.partition_point(|&row| row < bound);
-        self.indices[start..]
-            .iter()
-            .zip(&self.values[start..])
-            .map(|(&i, v)| dense[i as usize] * v)
-            .sum()
-    }
-
     /// 1-norm of the difference with a sparse vector of the same dimension
     /// (a diagnostics path: allocation is fine, so the view is copied and
     /// the shared `vecops` merge kernel does the work).

@@ -131,22 +131,73 @@ pub fn column_dot<S: ColumnStore + ?Sized>(
     p: usize,
     q: usize,
 ) -> Result<f64, EffresError> {
-    let bound = p.max(q) as u32;
-    store.with_column(p, |a| {
-        store.with_column(q, |b| suffix_dot_views(a, b, bound))
-    })?
+    store.with_column(p, |a| store.with_column(q, |b| suffix_merge(a, p, b, q).0))?
 }
 
-/// The suffix-restricted two-pointer merge shared by [`column_dot`]'s
-/// nested-fetch path (where both views are alive at once): binary-searches
-/// both operands to the `bound..` suffix, then runs the shared sorted-merge
-/// dot product of `vecops`.
-fn suffix_dot_views(a: ColumnView<'_>, b: ColumnView<'_>, bound: u32) -> f64 {
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let i = ai.partition_point(|&row| row < bound);
-    let j = bi.partition_point(|&row| row < bound);
-    vecops::sparse_dot(&ai[i..], &av[i..], &bi[j..], &bv[j..])
+/// Entries of column `j` at rows `bound..`, as parallel slices. Column `j`
+/// is supported on `j..` (the lower-triangular invariant of
+/// [`ColumnStore`]), so when `j` is the bound its suffix is the whole
+/// column and no search runs; otherwise one binary search finds the start.
+fn suffix(column: ColumnView<'_>, j: usize, bound: u32) -> (&[u32], &[f64]) {
+    let start = if j as u32 >= bound {
+        0
+    } else {
+        column.indices().partition_point(|&row| row < bound)
+    };
+    (&column.indices()[start..], &column.values()[start..])
+}
+
+/// The suffix-restricted two-pointer merge of column `p` (view `a`) with
+/// column `q` (view `b`) over rows `max(p, q)..`: the shared sorted-merge
+/// dot product of `vecops`, and the bytes it streamed. Only the smaller
+/// index's column is searched for its suffix start.
+fn suffix_merge(a: ColumnView<'_>, p: usize, b: ColumnView<'_>, q: usize) -> (f64, usize) {
+    let bound = p.max(q) as u32;
+    let (ai, av) = suffix(a, p, bound);
+    let (bi, bv) = suffix(b, q, bound);
+    (
+        vecops::sparse_dot(ai, av, bi, bv),
+        ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes(),
+    )
+}
+
+/// Adds `dense[row] · v` over one column's entries to `sum`, in entry
+/// order.
+fn add_dense_products(sum: f64, dense: &[f64], (rows, values): (&[u32], &[f64])) -> f64 {
+    rows.iter()
+        .zip(values)
+        .fold(sum, |sum, (&row, v)| sum + dense[row as usize] * v)
+}
+
+/// `Σ dense[row] · v` over one column's entries, in entry order. The sum
+/// starts from `-0.0`, the exact additive identity (`-0.0 + x` is `x` for
+/// every `x`), which is also where `Iterator::sum` starts.
+fn dense_dot(dense: &[f64], entries: (&[u32], &[f64])) -> f64 {
+    add_dense_products(-0.0, dense, entries)
+}
+
+/// Two [`dense_dot`]s in one pass: the loop steps both entry streams
+/// together, keeping two independent accumulations in flight instead of one
+/// chain of dependent adds, then finishes the longer stream alone. Each
+/// lane still sums its own entries in entry order from `-0.0`, so each is
+/// bit-identical to its one-lane `dense_dot`.
+fn dense_dots_two(
+    dense: &[f64],
+    (a_rows, a_values): (&[u32], &[f64]),
+    (b_rows, b_values): (&[u32], &[f64]),
+) -> (f64, f64) {
+    let common = a_rows.len().min(b_rows.len());
+    let (mut sum_a, mut sum_b) = (-0.0, -0.0);
+    let lane_a = a_rows[..common].iter().zip(&a_values[..common]);
+    let lane_b = b_rows[..common].iter().zip(&b_values[..common]);
+    for ((&row_a, va), (&row_b, vb)) in lane_a.zip(lane_b) {
+        sum_a += dense[row_a as usize] * va;
+        sum_b += dense[row_b as usize] * vb;
+    }
+    (
+        add_dense_products(sum_a, dense, (&a_rows[common..], &a_values[common..])),
+        add_dense_products(sum_b, dense, (&b_rows[common..], &b_values[common..])),
+    )
 }
 
 /// Squared Euclidean distance between two columns — the effective-resistance
@@ -402,15 +453,14 @@ impl HubScratch {
         let dense = &mut self.dense;
         let loaded_indices = &mut self.loaded_indices;
         let bytes = store.with_column(hub, |column| {
-            let start = column.indices().partition_point(|&row| row < from_row);
+            let (rows, values) = suffix(column, hub, from_row);
             // Record the indices before scattering so a store that fails
             // after running the closure still leaves a cleanable scratch.
-            let indices = &column.indices()[start..];
-            loaded_indices.extend_from_slice(indices);
-            for (&i, &v) in indices.iter().zip(&column.values()[start..]) {
+            loaded_indices.extend_from_slice(rows);
+            for (&i, &v) in rows.iter().zip(values) {
                 dense[i as usize] = v;
             }
-            (column.nnz() - start) * column.entry_bytes()
+            rows.len() * column.entry_bytes()
         })?;
         self.hub = Some(hub);
         self.loaded_from = from_row;
@@ -448,15 +498,48 @@ impl HubScratch {
         }
         let dense = &self.dense;
         let (dot, bytes) = store.with_column(partner, |column| {
-            let start = column.indices().partition_point(|&row| row < bound);
+            let entries = suffix(column, partner, bound);
             (
-                column.suffix_dot_dense(dense, bound),
-                (column.nnz() - start) * column.entry_bytes(),
+                dense_dot(dense, entries),
+                entries.0.len() * column.entry_bytes(),
             )
         })?;
         self.stats.hub_pairs += 1;
         self.stats.bytes_streamed += bytes as u64;
         Ok(dot)
+    }
+
+    /// [`HubScratch::suffix_dot`] for partners `a` and `b` at once, in one
+    /// pass over both partner suffixes with two accumulators (see
+    /// [`dense_dots_two`]): the same two dots, bits and counters as two
+    /// `suffix_dot` calls. The resident scatter must already cover both
+    /// bounds.
+    fn suffix_dots_two<S: ColumnStore + ?Sized>(
+        &mut self,
+        store: &S,
+        a: usize,
+        b: usize,
+    ) -> Result<(f64, f64), EffresError> {
+        let hub = self
+            .hub
+            .expect("HubScratch::suffix_dots_two without a loaded hub");
+        let (bound_a, bound_b) = (hub.max(a) as u32, hub.max(b) as u32);
+        debug_assert!(self.loaded_from <= bound_a.min(bound_b));
+        let dense = &self.dense;
+        let (dots, bytes) = store.with_column(a, |column_a| {
+            store.with_column(b, |column_b| {
+                let entries_a = suffix(column_a, a, bound_a);
+                let entries_b = suffix(column_b, b, bound_b);
+                (
+                    dense_dots_two(dense, entries_a, entries_b),
+                    entries_a.0.len() * column_a.entry_bytes()
+                        + entries_b.0.len() * column_b.entry_bytes(),
+                )
+            })
+        })??;
+        self.stats.hub_pairs += 2;
+        self.stats.bytes_streamed += bytes as u64;
+        Ok(dots)
     }
 
     /// The plain two-column suffix merge of [`column_dot`], counted as an
@@ -476,17 +559,8 @@ impl HubScratch {
         p: usize,
         q: usize,
     ) -> Result<f64, EffresError> {
-        let bound = p.max(q) as u32;
-        let (dot, bytes) = store.with_column(p, |a| {
-            store.with_column(q, |b| {
-                let start_a = a.indices().partition_point(|&row| row < bound);
-                let start_b = b.indices().partition_point(|&row| row < bound);
-                (
-                    suffix_dot_views(a, b, bound),
-                    (a.nnz() - start_a) * a.entry_bytes() + (b.nnz() - start_b) * b.entry_bytes(),
-                )
-            })
-        })??;
+        let (dot, bytes) =
+            store.with_column(p, |a| store.with_column(q, |b| suffix_merge(a, p, b, q)))??;
         self.stats.isolated_pairs += 1;
         self.stats.bytes_streamed += bytes as u64;
         Ok(dot)
@@ -539,9 +613,17 @@ pub fn column_dots_hub<S: ColumnStore + ?Sized>(
 /// engine and the paged scheduler already do — turn every hub cluster into
 /// one load.
 ///
+/// Within a run, pairs are answered **two at a time**: one pass over both
+/// partners' suffixes with two accumulators, so two independent chains of
+/// adds are in flight instead of one. A run's odd last pair, a pair whose
+/// bound the resident scatter does not cover (possible only out of sorted
+/// order), and isolated pairs take the one-pair paths.
+///
 /// Answers are **bit-identical** to the pairwise batch kernel for any pair
 /// order: each pair evaluates the same suffix-restricted dot (see
-/// [`HubScratch`]) and the same norm identity with the same clamp.
+/// [`HubScratch`]) summed in the same entry order, and the same norm
+/// identity with the same clamp. The [`KernelStats`] are those of
+/// answering the pairs one at a time.
 ///
 /// # Errors
 ///
@@ -558,33 +640,50 @@ pub fn column_distances_squared_grouped<S: ColumnStore + ?Sized>(
     norms_squared: Option<&[f64]>,
     scratch: &mut HubScratch,
 ) -> Result<Vec<f64>, EffresError> {
+    let distance = |p: usize, q: usize, dot: f64| {
+        let (np, nq) = match norms_squared {
+            Some(table) => (table[p], table[q]),
+            None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
+        };
+        // Same clamp as the scalar kernel: cancellation can dip below 0.
+        Ok::<f64, EffresError>((np + nq - 2.0 * dot).max(0.0))
+    };
     let mut out = Vec::with_capacity(pairs.len());
-    for (slot, &(p, q)) in pairs.iter().enumerate() {
+    let mut slot = 0;
+    while let Some(&(p, q)) = pairs.get(slot) {
+        slot += 1;
         if p == q {
             out.push(0.0);
             continue;
         }
         let hub = p.min(q);
         let partner = p.max(q);
+        let next = pairs.get(slot).filter(|&&(r, s)| r.min(s) == hub);
         // Scatter the hub only when it amortizes: it is already resident,
         // or the next pair shares it.
-        let shares_hub = |other: &(usize, usize)| other.0.min(other.1) == hub;
-        let batched = scratch.hub() == Some(hub) || pairs.get(slot + 1).is_some_and(shares_hub);
-        let dot = if batched {
-            // Suffix-bounded scatter: on a batch sorted by `(min, max)` the
-            // run's first pair has the smallest bound, so later pairs no-op
-            // here and the hub streams exactly once, from that bound on.
-            scratch.load_suffix(store, hub, partner as u32)?;
-            scratch.suffix_dot(store, partner)?
-        } else {
-            scratch.isolated_dot(store, p, q)?
-        };
-        let (np, nq) = match norms_squared {
-            Some(table) => (table[p], table[q]),
-            None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
-        };
-        // Same clamp as the scalar kernel: cancellation can dip below 0.
-        out.push((np + nq - 2.0 * dot).max(0.0));
+        if scratch.hub() != Some(hub) && next.is_none() {
+            let dot = scratch.isolated_dot(store, p, q)?;
+            out.push(distance(p, q, dot)?);
+            continue;
+        }
+        // Suffix-bounded scatter: on a batch sorted by `(min, max)` the
+        // run's first pair has the smallest bound, so later pairs no-op
+        // here and the hub streams exactly once, from that bound on.
+        scratch.load_suffix(store, hub, partner as u32)?;
+        // The next pair rides along as a second lane when the scatter
+        // already covers its bound — always, on a sorted batch.
+        match next.filter(|&&(r, s)| r != s && scratch.loaded_from <= r.max(s) as u32) {
+            Some(&(r, s)) => {
+                let (dot, next_dot) = scratch.suffix_dots_two(store, partner, r.max(s))?;
+                out.push(distance(p, q, dot)?);
+                out.push(distance(r, s, next_dot)?);
+                slot += 1;
+            }
+            None => {
+                let dot = scratch.suffix_dot(store, partner)?;
+                out.push(distance(p, q, dot)?);
+            }
+        }
     }
     Ok(out)
 }

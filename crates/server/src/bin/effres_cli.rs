@@ -61,7 +61,8 @@ USAGE:
                      [--threads N] [--cache N] [--seed S] [--output <file>]
                      [--paged [--page-cache N]] [ingest|build options]
     effres-cli centrality <dataset> [--snapshot <file> [--paged]]
-                     [--threads N] [--output <file>] [ingest|build options]
+                     [--threads N] [--cache N] [--output <file>]
+                     [ingest|build options]
     effres-cli stats <dataset|snapshot> [--paged [--page-cache N]]
     effres-cli stats <host:port>
     effres-cli serve <dataset|snapshot> [--host H] [--port N] [--threads N]

@@ -2,9 +2,10 @@
 //!
 //! Query traffic on real graphs is often skewed — a small set of popular
 //! node pairs dominates — so a bounded cache in front of the sparse kernel
-//! answers the repeats without touching a column. It must also be cheap on
-//! traffic that never repeats (an all-edges sweep misses on every pair), so
-//! a probe touches exactly one cache line:
+//! answers the repeats without touching a column. A batch with more pairs
+//! than the cache holds (an all-edges sweep) bypasses it: it would evict
+//! its own entries before a repeat could hit them, and flush the hot ones.
+//! A probe must still be cheap when it misses, so it touches one line:
 //!
 //! * The cache is split into lock stripes (16 in the engine), each guarded
 //!   by its own mutex, so parallel batch workers rarely contend on the same

@@ -14,15 +14,20 @@
 //! by the backend's [`ResistanceBackend::paged_store`] hook. A resident
 //! backend gets the **hub-sorted runner**: every pair's permuted
 //! `(min << 32) | max` key is computed once and the `(key, slot)` vector
-//! sorted, so pairs sharing a permuted endpoint form runs the hub kernel
-//! answers from one scatter; each worker reads `(hub, partner)` straight
-//! from the keys, and answers scatter back to request order. A paged
-//! backend gets the locality [`scheduler`](crate::scheduler). Either runner
-//! records one status per slot, so the two [`ExecMode`]s differ only in
-//! what a failure does: fail-fast stops and reports it, partial records it
-//! against its slot and answers the rest. [`QueryEngine::execute`] is the
-//! backend-independent reference: the hub-sorted runner, fail-fast, on
-//! either backend.
+//! sorted, so pairs sharing a permuted endpoint form runs, and repeats of
+//! a pair fold onto its first occurrence. Each worker reads
+//! `(hub, partner)` straight from the keys and hands its slice to the
+//! grouped multi-pair kernel
+//! ([`column_distances_squared_grouped`](column_store::column_distances_squared_grouped))
+//! in chunks — the kernel the scheduler runs too — and answers scatter
+//! back to request order. A paged backend gets the locality
+//! [`scheduler`](crate::scheduler). Either runner writes one value per
+//! slot and lists the failed slots, so the two [`ExecMode`]s differ only
+//! in what a failure does: fail-fast stops and reports it, partial records
+//! it against its slot and answers the rest. [`QueryEngine::execute`] is
+//! the backend-independent reference: the hub-sorted runner, fail-fast, on
+//! either backend. A batch larger than the pair cache, such as an
+//! all-edges sweep, bypasses it ([`EngineOptions::cache_capacity`]).
 //!
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
@@ -44,7 +49,7 @@ use crate::batch::QueryBatch;
 use crate::cache::{self, ShardedLru};
 use crate::cancel::CancelToken;
 use crate::metrics::ServiceTimeEwma;
-use effres::column_store::{self, HubScratch, KernelStats};
+use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError, WorkerPool};
 use effres_io::{PageCacheStats, PagedColumnStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +64,11 @@ pub struct EngineOptions {
     /// Actual concurrency is capped by the worker-pool size.
     pub threads: usize,
     /// Total entries of the pair-result cache, split over 16 lock stripes
-    /// and rounded up to whole four-entry sets; `0` disables caching.
+    /// and rounded up to whole four-entry sets; `0` disables caching. A
+    /// batch with more pairs than the cache holds neither probes nor fills
+    /// it — it would evict its own entries before a repeat could hit them,
+    /// and flush other clients' hot entries — but still answers its own
+    /// repeats once.
     pub cache_capacity: usize,
     /// Batches smaller than this run on the calling thread — dispatching
     /// pool jobs costs more than it saves.
@@ -128,9 +137,10 @@ pub enum ExecMode {
 pub struct ExecOptions {
     /// What a failed query does to the batch.
     pub mode: ExecMode,
-    /// A cancellation token, checked between chunks of work — between pairs
-    /// of a job slice on the hub-sorted runner, at block and readahead-wave
-    /// boundaries in the scheduler — and never mid-kernel. When it trips,
+    /// A cancellation token, checked between chunks of work — between
+    /// kernel chunks of a job slice (about 4,096 pairs) on the hub-sorted
+    /// runner, at block and readahead-wave boundaries in the scheduler —
+    /// and never mid-kernel. When it trips,
     /// every query not yet run fails with
     /// [`EffresError::DeadlineExceeded`] and the run stops, releasing
     /// scratch, pinned pages and the admission lease with the abandoned
@@ -153,7 +163,8 @@ pub struct ServiceStats {
     /// deadline) and fail-fast batches ended by a store failure or an
     /// admission shed are not counted.
     pub batches: u64,
-    /// Queries answered out of the pair cache.
+    /// Queries answered out of the pair cache, or as a repeat of a pair
+    /// earlier in their batch (answered once, with a cache configured).
     pub cache_hits: u64,
     /// Queries that had to run the sparse kernel.
     pub cache_misses: u64,
@@ -209,9 +220,11 @@ pub struct BatchResult {
     /// path); actual concurrency is additionally capped by the worker-pool
     /// size.
     pub threads: usize,
-    /// Pair-cache hits within this batch.
+    /// Pair-cache hits within this batch, counting each repeat of a pair
+    /// inside the batch (answered once, with a cache configured) as a hit.
     pub cache_hits: u64,
-    /// Pair-cache misses within this batch.
+    /// Queries of this batch that ran the sparse kernel (with the cache
+    /// bypassed, every distinct non-self pair).
     pub cache_misses: u64,
     /// Page traffic of **this batch** (hits, misses, bytes read, coalesced
     /// readahead reads), for out-of-core backends — taken with a
@@ -290,9 +303,13 @@ impl From<EffresError> for BatchAbort {
 }
 
 /// What a batch runner hands back to [`QueryEngine::execute_with`]: one
-/// status per request slot, plus what the run counted on the way.
+/// value per slot of the pairs it ran (`0.0` where the slot failed), the
+/// failures as `(slot, error)` in slot order, and what the run counted on
+/// the way.
+#[derive(Default)]
 pub(crate) struct Run {
-    pub(crate) statuses: Vec<Result<f64, EffresError>>,
+    pub(crate) values: Vec<f64>,
+    pub(crate) failures: Vec<(usize, EffresError)>,
     pub(crate) threads: usize,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
@@ -359,6 +376,52 @@ impl<B: ResistanceBackend> EngineCore<B> {
         // Clamp: cancellation can go slightly negative for near-identical
         // columns, and resistances are nonnegative.
         Ok((self.norms[pp] + self.norms[qq] - 2.0 * dot).max(0.0))
+    }
+
+    /// The pair cache a batch of `batch_len` pairs probes and fills: none
+    /// when the batch holds more pairs than the cache does. Such a batch
+    /// would evict its own entries before a repeat could hit them, and
+    /// flush every hot entry other clients rely on, so probing it would
+    /// only cost; the runners fold its in-batch repeats instead.
+    pub(crate) fn pair_cache(&self, batch_len: usize) -> Option<&ShardedLru> {
+        self.cache
+            .as_ref()
+            .filter(|cache| batch_len <= cache.capacity())
+    }
+}
+
+/// Answers permuted `pairs` through the grouped multi-pair kernel
+/// ([`column_store::column_distances_squared_grouped`]): one value per
+/// pair. A failed call fails the run in fail-fast mode; in partial mode it
+/// is re-run **pair by pair** — the grouped kernel on a one-pair slice
+/// computes the bit-identical per-pair value (the multi-pair property tests
+/// pin this) — so only the pairs touching a column the store cannot produce
+/// fail, listed as `(index into pairs, error)` with `0.0` as their value.
+#[allow(clippy::type_complexity)]
+pub(crate) fn grouped_values<S: ColumnStore + ?Sized>(
+    store: &S,
+    pairs: &[(usize, usize)],
+    norms: &[f64],
+    scratch: &mut HubScratch,
+    fail_fast: bool,
+) -> Result<(Vec<f64>, Vec<(usize, EffresError)>), EffresError> {
+    let grouped = |pairs: &[(usize, usize)], scratch: &mut HubScratch| {
+        column_store::column_distances_squared_grouped(store, pairs, Some(norms), scratch)
+    };
+    match grouped(pairs, scratch) {
+        Ok(values) => Ok((values, Vec::new())),
+        Err(err) if fail_fast => Err(err),
+        Err(_) => {
+            let mut values = vec![0.0; pairs.len()];
+            let mut failures = Vec::new();
+            for (i, pair) in pairs.iter().enumerate() {
+                match grouped(std::slice::from_ref(pair), scratch) {
+                    Ok(value) => values[i] = value[0],
+                    Err(err) => failures.push((i, err)),
+                }
+            }
+            Ok((values, failures))
+        }
     }
 }
 
@@ -533,16 +596,15 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     pub fn query(&self, p: usize, q: usize) -> Result<f64, EffresError> {
         let n = self.core.backend.node_count();
         if p >= n || q >= n {
-            return Err(EffresError::NodeOutOfBounds {
-                node: p.max(q),
-                node_count: n,
-            });
+            return Err(out_of_bounds((p, q), n));
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
         if p == q {
             return Ok(0.0);
         }
-        let key = cache_key(p, q);
+        let permutation = self.core.backend.permutation();
+        let (pp, qq) = (permutation.new(p), permutation.new(q));
+        let key = cache_key(pp, qq);
         if let Some(cache) = &self.core.cache {
             if let Some(value) = cache.get(key) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -550,10 +612,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let permutation = self.core.backend.permutation();
-        let value = self
-            .core
-            .pair_value(permutation.new(p), permutation.new(q))?;
+        let value = self.core.pair_value(pp, qq)?;
         if let Some(cache) = &self.core.cache {
             cache.insert(key, value);
         }
@@ -587,7 +646,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// ([`ExecMode`]) and an optional cancellation token.
     ///
     /// Whatever the mode, the engine books one batch for every run that
-    /// reached the runner and returned statuses — completed, degraded, or
+    /// reached the runner and returned its answers — completed, degraded, or
     /// cancelled — with its pair-cache probes, and counts only the slots
     /// that produced a value in [`ServiceStats::queries`].
     ///
@@ -624,11 +683,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         let fail_fast = options.mode == ExecMode::FailFast;
         if fail_fast {
             let n = self.core.backend.node_count();
-            if let Some(&(p, q)) = batch.pairs().iter().find(|&&(p, q)| p >= n || q >= n) {
-                return Err(BatchAbort::from(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                }));
+            if let Some(&pair) = batch.pairs().iter().find(|&&(p, q)| p >= n || q >= n) {
+                return Err(BatchAbort::from(out_of_bounds(pair, n)));
             }
         }
         let cancel = options.cancel.as_ref();
@@ -642,43 +698,28 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
         self.drain_page_window();
         let start = Instant::now();
-        let run = match schedule_over {
-            Some(store) => self.run_scheduled(store, batch.pairs(), fail_fast, cancel),
-            None => self.run_sorted(batch.pairs(), fail_fast, cancel),
-        };
+        let run = self.run_folded(batch.pairs(), schedule_over, fail_fast, cancel);
         let elapsed = start.elapsed();
         let page_cache = self.drain_page_window();
         let run = run?;
-
-        let mut values = Vec::with_capacity(run.statuses.len());
-        let mut failures = Vec::new();
-        for (slot, status) in run.statuses.into_iter().enumerate() {
-            match status {
-                Ok(value) => values.push(value),
-                Err(error) => {
-                    values.push(0.0);
-                    failures.push((slot, error));
-                }
-            }
-        }
-        let answered = values.len() - failures.len();
+        let answered = run.values.len() - run.failures.len();
         self.queries.fetch_add(answered as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.cache_hits.fetch_add(run.hits, Ordering::Relaxed);
         self.cache_misses.fetch_add(run.misses, Ordering::Relaxed);
-        if failures.is_empty() {
+        if run.failures.is_empty() {
             self.service_time.record(batch.len(), elapsed);
         } else if fail_fast {
-            // A fail-fast runner returns statuses only when its token
-            // stopped it, so every failure is an abandoned query.
+            // A fail-fast runner returns a run with failures only when its
+            // token stopped it, so every failure is an abandoned query.
             return Err(BatchAbort {
-                error: failures[0].1.clone(),
-                abandoned_pairs: failures.len() as u64,
+                error: run.failures[0].1.clone(),
+                abandoned_pairs: run.failures.len() as u64,
             });
         }
         Ok(BatchResult {
-            values,
-            failures,
+            values: run.values,
+            failures: run.failures,
             elapsed,
             threads: run.threads,
             cache_hits: run.hits,
@@ -733,28 +774,20 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         configured.min(batch_len.div_ceil(256)).max(1)
     }
 
-    /// The hub-sorted runner, sequential (one job) or parallel. Both forms
-    /// sort and scatter back identically — the sequential one just answers
-    /// the whole sorted batch inline instead of dispatching chunk jobs to
-    /// the pool — so values are bit-identical across them. Sorting even the
-    /// sequential batch is what lets the hub-run kernel engage on a single
-    /// worker.
-    fn run_sorted(
+    /// What both runners share: each pair's [`cache_key`] is computed once
+    /// and the `(key, slot)` vector sorted; out-of-bounds pairs (partial
+    /// mode) sort last and fail here. With a pair cache configured, each
+    /// repeat of a pair, adjacent after the sort, folds onto its first
+    /// occurrence before the work splits: answered once, it counts as the
+    /// hit it would have been. The distinct queries go to the scheduler
+    /// over `schedule_over` when given, to the hub-sorted runner otherwise.
+    fn run_folded(
         &self,
         pairs: &[(usize, usize)],
+        schedule_over: Option<&PagedColumnStore>,
         fail_fast: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<Run, EffresError> {
-        let threads = self.effective_threads(pairs.len());
-        // Sort queries by **permuted** normalized pair so queries sharing
-        // a permuted endpoint land in the same chunk and reuse the scattered
-        // column (and, on the paged backend, the same decoded pages).
-        // Sorting in the permuted domain also makes the suffix bounds ascend
-        // within a run, so one suffix-bounded scatter serves the whole run.
-        // Each key is computed once, up front: a key closure would re-read
-        // the permutation for both endpoints on every comparison.
-        // Out-of-bounds pairs (possible in partial mode) sort last, past
-        // every valid pair.
         let n = self.core.backend.node_count();
         let permutation = self.core.backend.permutation();
         let mut keyed: Vec<(u64, u32)> = pairs
@@ -768,205 +801,225 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             })
             .collect();
         keyed.sort_unstable();
-        // One shared copy of the sorted batch: jobs borrow disjoint ranges
-        // of it through the Arc instead of each owning a `to_vec` of its
-        // chunk (the per-job copies were measurable at batch sizes where
-        // the parallel path engages).
-        let sorted_pairs: Arc<Vec<SortedQuery>> = Arc::new(
-            keyed
-                .iter()
-                .map(|&(key, i)| (key, pairs[i as usize]))
+        let valid = keyed.partition_point(|&(key, _)| key != OUT_OF_BOUNDS);
+        let mut run = Run {
+            values: vec![0.0; pairs.len()],
+            failures: (keyed.drain(valid..))
+                .map(|(_, slot)| (slot as usize, out_of_bounds(pairs[slot as usize], n)))
                 .collect(),
-        );
+            ..Run::default()
+        };
+        let mut repeats: Vec<(u32, u32)> = Vec::new();
+        if self.core.cache.is_some() {
+            keyed.dedup_by(|repeat, first| {
+                let fold = repeat.0 == first.0 && !is_self(repeat.0);
+                if fold {
+                    repeats.push((repeat.1, first.1));
+                }
+                fold
+            });
+        }
+        run.hits = repeats.len() as u64;
+        match schedule_over {
+            Some(store) => self.run_scheduled(store, &keyed, &mut run, fail_fast, cancel),
+            None => self.run_sorted(keyed, &mut run, fail_fast, cancel),
+        }?;
+        // Each repeat takes its first occurrence's outcome.
+        run.failures.sort_unstable_by_key(|&(slot, _)| slot);
+        let firsts = run.failures.len();
+        for (slot, first) in repeats.into_iter().map(|(s, f)| (s as usize, f as usize)) {
+            run.values[slot] = run.values[first];
+            if let Ok(i) = run.failures[..firsts].binary_search_by_key(&first, |f| f.0) {
+                run.failures.push((slot, run.failures[i].1.clone()));
+            }
+        }
+        run.failures.sort_unstable_by_key(|&(slot, _)| slot);
+        Ok(run)
+    }
 
-        let results = if threads <= 1 {
-            let mut scratch = self.core.take_scratch(0);
-            let out = self.core.run_slice_statuses(
-                &sorted_pairs,
-                &mut scratch,
-                fail_fast,
-                cancel.map(Arc::as_ref),
-            );
-            self.core.return_scratch(0, scratch);
-            vec![out]
+    /// The hub-sorted runner: answers `keyed`, the sorted distinct queries
+    /// of a batch, into `run`. Sorted in the permuted domain, runs of pairs
+    /// sharing a hub are contiguous with ascending suffix bounds, so one
+    /// scatter serves each run, on one worker or many (bit-identical).
+    fn run_sorted(
+        &self,
+        keyed: Vec<(u64, u32)>,
+        run: &mut Run,
+        fail_fast: bool,
+        cancel: Option<&Arc<CancelToken>>,
+    ) -> Result<(), EffresError> {
+        let batch_len = run.values.len();
+        let threads = self.effective_threads(batch_len);
+        run.threads = threads;
+        // One pool job per chunk of the sorted batch (run inline when there
+        // is one thread): the job borrows its range of one shared copy
+        // through the Arc, answers it with a scratch column drawn from the
+        // core's sharded free list (the job index spreads jobs over
+        // distinct shards), and hands back its values, failures and the
+        // kernel counters its scratch accumulated.
+        let keyed = Arc::new(keyed);
+        let chunk_len = keyed.len().div_ceil(threads).max(1);
+        let jobs: Vec<_> = (0..keyed.len())
+            .step_by(chunk_len)
+            .enumerate()
+            .map(|(job, lo)| {
+                let hi = (lo + chunk_len).min(keyed.len());
+                let (core, keyed) = (Arc::clone(&self.core), Arc::clone(&keyed));
+                let cancel = cancel.map(Arc::clone);
+                move || {
+                    let mut scratch = core.take_scratch(job);
+                    let queries = &keyed[lo..hi];
+                    let out = core.run_slice(
+                        queries,
+                        batch_len,
+                        &mut scratch,
+                        fail_fast,
+                        cancel.as_deref(),
+                    );
+                    core.return_scratch(job, scratch);
+                    out
+                }
+            })
+            .collect();
+        let slices = if threads <= 1 {
+            jobs.into_iter().map(|job| job()).collect()
         } else {
-            let chunk_len = sorted_pairs.len().div_ceil(threads);
-            // One pool job per chunk: the job takes a clone of the engine
-            // core and its chunk's range, answers it with a scratch column
-            // drawn from the core's sharded free list (the job index spreads
-            // jobs over distinct shards), and hands back the statuses plus
-            // the kernel counters its scratch accumulated.
-            let jobs: Vec<_> = (0..sorted_pairs.len())
-                .step_by(chunk_len)
-                .enumerate()
-                .map(|(job, lo)| {
-                    let hi = (lo + chunk_len).min(sorted_pairs.len());
-                    let core = Arc::clone(&self.core);
-                    let sorted_pairs = Arc::clone(&sorted_pairs);
-                    let cancel = cancel.map(Arc::clone);
-                    move || {
-                        let mut scratch = core.take_scratch(job);
-                        let out = core.run_slice_statuses(
-                            &sorted_pairs[lo..hi],
-                            &mut scratch,
-                            fail_fast,
-                            cancel.as_deref(),
-                        );
-                        core.return_scratch(job, scratch);
-                        out
-                    }
-                })
-                .collect();
             self.worker_pool().run(jobs)
         };
-
-        let mut sorted_statuses = Vec::with_capacity(sorted_pairs.len());
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut kernel = KernelStats::default();
-        for result in results {
-            let (statuses, h, m, k) = result?;
-            sorted_statuses.extend(statuses);
-            hits += h;
-            misses += m;
-            kernel.merge(k);
+        let mut at = 0;
+        for slice in slices {
+            let slice = slice?;
+            let queries = &keyed[at..at + slice.values.len()];
+            for (&(_, slot), &value) in queries.iter().zip(&slice.values) {
+                run.values[slot as usize] = value;
+            }
+            let located = slice.failures.into_iter();
+            (run.failures).extend(located.map(|(i, error)| (queries[i].1 as usize, error)));
+            at += queries.len();
+            run.hits += slice.hits;
+            run.misses += slice.misses;
+            run.kernel.merge(slice.kernel);
         }
-        let mut statuses: Vec<Result<f64, EffresError>> =
-            (0..pairs.len()).map(|_| Ok(0.0)).collect();
-        for (&(_, original), status) in keyed.iter().zip(sorted_statuses) {
-            statuses[original as usize] = status;
-        }
-        Ok(Run {
-            statuses,
-            threads,
-            hits,
-            misses,
-            kernel,
-            schedule: None,
-        })
+        Ok(())
     }
 }
 
-/// `(min << 32) | max` of two node ids below 2^32: the pair-cache key of a
-/// pair as requested, and the batch sort key of its permuted pair.
+/// The error of a pair with a node outside `0..node_count`.
+fn out_of_bounds((p, q): (usize, usize), node_count: usize) -> EffresError {
+    EffresError::NodeOutOfBounds {
+        node: p.max(q),
+        node_count,
+    }
+}
+
+/// `(min << 32) | max` of two node ids below 2^32: the batch sort key and
+/// the pair-cache key of a permuted pair.
 pub(crate) fn cache_key(p: usize, q: usize) -> u64 {
     let (a, b) = if p < q { (p, q) } else { (q, p) };
     ((a as u64) << 32) | b as u64
+}
+
+/// Whether a [`cache_key`] is a self-pair's (`R(p, p) = 0`, never cached).
+fn is_self(key: u64) -> bool {
+    key >> 32 == key & u64::from(u32::MAX)
 }
 
 /// The sort key of a pair with an out-of-bounds node: above every valid key
 /// (node ids stay below `u32::MAX`), so such pairs sort last.
 const OUT_OF_BOUNDS: u64 = u64::MAX;
 
-/// One query of a sorted batch: the [`cache_key`] of its permuted pair
-/// ([`OUT_OF_BOUNDS`] if a node is out of bounds), and the pair as
-/// requested.
-type SortedQuery = (u64, (usize, usize));
+/// Queries of a sorted slice per grouped-kernel call — about a millisecond
+/// of kernel time on the bench grid, which bounds how long a tripped
+/// cancellation token goes unnoticed.
+const KERNEL_CHUNK: usize = 4096;
+
+/// End of the kernel chunk of `queries` starting at `lo`: [`KERNEL_CHUNK`]
+/// queries on, moved back one when the chunk would end on a hub run's
+/// first pair — the kernel would answer that pair alone, one scatter
+/// earlier than the run needs (the counters, never the bits, would
+/// change).
+fn chunk_end(queries: &[(u64, u32)], lo: usize) -> usize {
+    let hi = (lo + KERNEL_CHUNK).min(queries.len());
+    let hub = |i: usize| queries[i].0 >> 32;
+    if hi < queries.len() && hub(hi) == hub(hi - 1) && hub(hi - 1) != hub(hi - 2) {
+        hi - 1
+    } else {
+        hi
+    }
+}
 
 impl<B: ResistanceBackend> EngineCore<B> {
-    /// The status-returning heart of both batch modes: answers a sorted
-    /// run of `pairs` in order, producing a per-query `Result`. Each pair
-    /// carries its sort key, so the loop reads the permuted `(hub, partner)`
-    /// and the next pair's hub from the keys instead of re-permuting. With
-    /// `fail_fast` the first failure aborts the slice (the all-or-nothing
-    /// contract of [`ExecMode::FailFast`]); without it the failure is
-    /// recorded as that query's status and the slice continues — the
-    /// partial-results contract. Both modes run the **same kernels in the
-    /// same order**, so the values a query succeeds with are bit-identical
-    /// regardless of mode and of failures elsewhere in the slice (a failed
-    /// scratch load leaves the scratch empty, which only means the next run
-    /// re-scatters — same arithmetic).
+    /// One job of the hub-sorted runner: answers sorted `queries`, whose
+    /// keys carry the permuted `(hub, partner)`, as a [`Run`] over their
+    /// positions, in chunks of about [`KERNEL_CHUNK`]. In a chunk,
+    /// self-pairs are `0.0`, cache hits are served (when the batch of
+    /// `batch_len` pairs uses the cache, [`EngineCore::pair_cache`]), and
+    /// the rest run one [`grouped_values`] call, count as misses and fill
+    /// the cache.
     ///
-    /// A `cancel` token is checked **between pairs, never mid-kernel**: when
-    /// it trips, the pair about to run and everything after it get
-    /// [`EffresError::DeadlineExceeded`] statuses and the slice stops — in
+    /// A `cancel` token is checked **between chunks, never mid-kernel**:
+    /// when it trips, the chunk about to run and everything after it fail
+    /// with [`EffresError::DeadlineExceeded`] and the slice stops — in
     /// *both* modes (cancellation is stop-and-report, not a fault, so even
     /// fail-fast slices return `Ok` and let the caller account the
     /// abandoned tail). Answers produced before the trip are untouched,
     /// which keeps them bit-identical to an uncancelled run.
-    #[allow(clippy::type_complexity)]
-    fn run_slice_statuses(
+    fn run_slice(
         &self,
-        pairs: &[SortedQuery],
+        queries: &[(u64, u32)],
+        batch_len: usize,
         scratch: &mut HubScratch,
         fail_fast: bool,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Vec<Result<f64, EffresError>>, u64, u64, KernelStats), EffresError> {
-        let mut statuses = Vec::with_capacity(pairs.len());
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let n = self.backend.node_count();
+    ) -> Result<Run, EffresError> {
         let store = self.backend.store();
-        for (slot, &(sort_key, (p, q))) in pairs.iter().enumerate() {
+        let cache = self.pair_cache(batch_len);
+        let mut run = Run {
+            values: vec![0.0; queries.len()],
+            ..Run::default()
+        };
+        // The chunk's pairs that need the kernel, and their positions.
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(KERNEL_CHUNK);
+        let mut positions: Vec<usize> = Vec::with_capacity(KERNEL_CHUNK);
+        let mut lo = 0;
+        while lo < queries.len() {
             if let Some(reason) = cancel.and_then(CancelToken::cancelled) {
-                statuses.extend(
-                    (slot..pairs.len()).map(|_| Err(EffresError::DeadlineExceeded { reason })),
-                );
+                let abandoned = EffresError::DeadlineExceeded { reason };
+                run.failures
+                    .extend((lo..queries.len()).map(|i| (i, abandoned.clone())));
                 break;
             }
-            if sort_key == OUT_OF_BOUNDS {
-                let err = EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                };
-                if fail_fast {
-                    return Err(err);
-                }
-                statuses.push(Err(err));
-                continue;
-            }
-            if p == q {
-                statuses.push(Ok(0.0));
-                continue;
-            }
-            let key = cache_key(p, q);
-            if let Some(cache) = &self.cache {
-                if let Some(value) = cache.get(key) {
-                    hits += 1;
-                    statuses.push(Ok(value));
+            let hi = chunk_end(queries, lo);
+            pairs.clear();
+            positions.clear();
+            for (i, &(key, _)) in queries.iter().enumerate().take(hi).skip(lo) {
+                if is_self(key) {
                     continue;
                 }
-            }
-            misses += 1;
-            // Batches are sorted by permuted `(min, max)`, so runs of
-            // queries sharing a permuted anchor are contiguous and their
-            // suffix bounds ascend. For a run, scatter the anchor column's
-            // suffix once — from the run's first (smallest) bound — and
-            // answer each query with suffix lookups; isolated queries use
-            // the two-pointer suffix merge directly (a scatter would cost
-            // more than it saves). Both kernels and the norm sum are
-            // symmetric, so answering `(hub, partner)` gives the bits of
-            // `(p, q)` in either orientation.
-            let (hub, partner) = ((sort_key >> 32) as usize, sort_key as u32 as usize);
-            let run = scratch.hub() == Some(hub)
-                || pairs
-                    .get(slot + 1)
-                    .is_some_and(|&(next, _)| next >> 32 == sort_key >> 32);
-            let outcome = (|| {
-                let dot = if run {
-                    scratch.load_suffix(store, hub, partner as u32)?;
-                    scratch.suffix_dot(store, partner)?
-                } else {
-                    scratch.isolated_dot(store, hub, partner)?
-                };
-                Ok((self.norms[hub] + self.norms[partner] - 2.0 * dot).max(0.0))
-            })();
-            match outcome {
-                Ok(value) => {
-                    if let Some(cache) = &self.cache {
-                        cache.insert(key, value);
-                    }
-                    statuses.push(Ok(value));
+                if let Some(value) = cache.and_then(|cache| cache.get(key)) {
+                    run.hits += 1;
+                    run.values[i] = value;
+                    continue;
                 }
-                Err(err) => {
-                    if fail_fast {
-                        return Err(err);
-                    }
-                    statuses.push(Err(err));
+                pairs.push(((key >> 32) as usize, key as u32 as usize));
+                positions.push(i);
+            }
+            run.misses += pairs.len() as u64;
+            let (values, failures) =
+                grouped_values(store, &pairs, &self.norms, scratch, fail_fast)?;
+            for (k, (&i, &value)) in positions.iter().zip(&values).enumerate() {
+                run.values[i] = value;
+                let failed = || failures.binary_search_by_key(&k, |&(k, _)| k).is_ok();
+                if let Some(cache) = cache.filter(|_| !failed()) {
+                    cache.insert(queries[i].0, value);
                 }
             }
+            run.failures
+                .extend(failures.into_iter().map(|(k, error)| (positions[k], error)));
+            lo = hi;
         }
-        Ok((statuses, hits, misses, scratch.take_stats()))
+        run.kernel = scratch.take_stats();
+        Ok(run)
     }
 }
 
@@ -1239,7 +1292,7 @@ mod tests {
 
     #[test]
     fn pair_value_clamps_negative_cancellation_to_zero() {
-        // Pins the clamp in `pair_value` and `run_slice_statuses`:
+        // Pins the clamp in `pair_value` and `run_slice`:
         // floating-point cancellation in ‖z̃_p‖² + ‖z̃_q‖² − 2⟨z̃_p, z̃_q⟩ can
         // go slightly negative for near-identical columns, and resistances
         // are nonnegative, so the engine must return exactly 0.0 — never a
@@ -1250,12 +1303,12 @@ mod tests {
         let store = estimator.approximate_inverse();
         let permutation = estimator.permutation();
         let n = store.order();
-        let (a, b, pp, qq, dot) = (0..n)
+        let (pp, qq, dot) = (0..n)
             .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
             .find_map(|(a, b)| {
                 let (pp, qq) = (permutation.new(a), permutation.new(b));
                 let dot = column_store::column_dot(store, pp, qq).expect("resident dot");
-                (dot > 0.0).then_some((a, b, pp, qq, dot))
+                (dot > 0.0).then_some((pp, qq, dot))
             })
             .expect("some pair of columns overlaps");
         let mut norms = vec![1.0; n];
@@ -1277,10 +1330,11 @@ mod tests {
         assert_eq!(value, 0.0, "clamped exactly to zero, not {unclamped}");
         // The batch kernel path applies the same clamp.
         let mut scratch = HubScratch::new(n);
-        let (statuses, _, _, _) = core
-            .run_slice_statuses(&[(cache_key(pp, qq), (a, b))], &mut scratch, true, None)
+        let run = core
+            .run_slice(&[(cache_key(pp, qq), 0)], 1, &mut scratch, true, None)
             .expect("slice");
-        assert_eq!(*statuses[0].as_ref().expect("status"), 0.0);
+        assert!(run.failures.is_empty());
+        assert_eq!(run.values[0], 0.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! the full budget and the plan is exactly the solo plan.
 //!
 //! One body serves both [`ExecMode`](crate::ExecMode)s: every query gets a
-//! status, and the mode only decides what a failure does. Fail-fast stops
+//! value or a failure, and the mode only decides what a failure does. Fail-fast stops
 //! at the first failure other than a cancellation (a block or window pin,
 //! a window's kernel, an admission shed). Partial mode degrades instead:
 //! block and window pins degrade page by page
@@ -81,9 +81,10 @@ use crate::backend::ResistanceBackend;
 use crate::batch::QueryBatch;
 use crate::cancel::CancelToken;
 use crate::engine::{
-    cache_key, BatchResult, EngineCore, ExecOptions, QueryEngine, Run, ScheduleReport,
+    cache_key, grouped_values, BatchResult, EngineCore, ExecOptions, QueryEngine, Run,
+    ScheduleReport,
 };
-use effres::column_store::{self, KernelStats};
+use effres::column_store::KernelStats;
 use effres::EffresError;
 use effres_io::{PagedColumnStore, PagedSnapshot, PinnedPages, PinnedReader};
 use std::collections::VecDeque;
@@ -95,11 +96,9 @@ use std::sync::Arc;
 struct Pending {
     /// Index into the batch (and the output vector).
     slot: u32,
-    /// Permuted endpoints.
+    /// Permuted endpoints, `pp < qq`.
     pp: u32,
     qq: u32,
-    /// Pair-cache key of the original `(p, q)`.
-    key: u64,
     /// Unordered page pair: `page_lo <= page_hi`.
     page_lo: u32,
     page_hi: u32,
@@ -173,74 +172,41 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
-    /// The scheduler's runner over `store` (see the module docs): one status
-    /// per slot of `pairs`, in request order. `Err` only in fail-fast mode,
-    /// on the first failure that is not a cancellation — and, in either
-    /// mode, for a [`EffresError::Busy`] shed before the first block ran.
+    /// The scheduler's runner over `store` (see the module docs): answers
+    /// `queries`, the sorted distinct `(key, slot)` queries of a batch, into
+    /// `run`. `Err` only in fail-fast mode, on the first failure that is
+    /// not a cancellation — and, in either mode, for a
+    /// [`EffresError::Busy`] shed before the first block ran.
     pub(crate) fn run_scheduled(
         &self,
         store: &PagedColumnStore,
-        pairs: &[(usize, usize)],
+        queries: &[(u64, u32)],
+        run: &mut Run,
         fail_fast: bool,
         cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<Run, EffresError> {
-        let n = self.core.backend.node_count();
-        let permutation = self.core.backend.permutation();
-        let mut statuses: Vec<Result<f64, EffresError>> =
-            (0..pairs.len()).map(|_| Ok(0.0)).collect();
-        let mut hits = 0u64;
-        let mut pending: Vec<Pending> = Vec::with_capacity(pairs.len());
-        // With a pair cache, in-batch repeats of a pair compute once and fan
-        // out afterwards (the arrival-order path serves them from the cache
-        // as it goes; here the cache is consulted before any work, so
-        // duplicates must be folded explicitly — each entry maps a repeat's
-        // slot to the slot of the pair's first occurrence, and counts as the
-        // hit it would have been). With the cache disabled, repeats are
-        // computed like the arrival-order path computes them, keeping the
-        // hit/miss accounting of the two paths identical.
-        let mut duplicates: Vec<(u32, u32)> = Vec::new();
-        let mut first_slot_of: std::collections::HashMap<u64, u32> =
-            std::collections::HashMap::new();
-        for (slot, &(p, q)) in pairs.iter().enumerate() {
-            if p >= n || q >= n {
-                // Partial mode only: fail-fast batches are validated first.
-                statuses[slot] = Err(EffresError::NodeOutOfBounds {
-                    node: p.max(q),
-                    node_count: n,
-                });
+    ) -> Result<(), EffresError> {
+        let batch_len = run.values.len();
+        let mut pending: Vec<Pending> = Vec::with_capacity(queries.len());
+        let cache = self.core.pair_cache(batch_len);
+        for &(key, slot) in queries {
+            let (pp, qq) = ((key >> 32) as usize, key as u32 as usize);
+            if pp == qq {
+                continue; // R(p, p) = 0: values[slot] stays 0.0
+            }
+            if let Some(value) = cache.and_then(|cache| cache.get(key)) {
+                run.hits += 1;
+                run.values[slot as usize] = value;
                 continue;
             }
-            if p == q {
-                continue; // statuses[slot] stays Ok(0.0)
-            }
-            let key = cache_key(p, q);
-            if let Some(cache) = &self.core.cache {
-                if let Some(value) = cache.get(key) {
-                    hits += 1;
-                    statuses[slot] = Ok(value);
-                    continue;
-                }
-                if let Some(&first) = first_slot_of.get(&key) {
-                    hits += 1;
-                    duplicates.push((slot as u32, first));
-                    continue;
-                }
-                first_slot_of.insert(key, slot as u32);
-            }
-            let pp = permutation.new(p);
-            let qq = permutation.new(q);
-            let (pa, pb) = (store.page_of_column(pp), store.page_of_column(qq));
             pending.push(Pending {
-                slot: slot as u32,
+                slot,
                 pp: pp as u32,
                 qq: qq as u32,
-                key,
-                page_lo: pa.min(pb) as u32,
-                page_hi: pa.max(pb) as u32,
+                page_lo: store.page_of_column(pp) as u32,
+                page_hi: store.page_of_column(qq) as u32,
             });
         }
-        drop(first_slot_of);
-        let misses = pending.len() as u64;
+        run.misses = pending.len() as u64;
         let sparse = outgrows_cache(store, &pending);
 
         // 1. Cluster: queries sharing a page pair become adjacent; the slot
@@ -265,7 +231,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         // batch, is what lets a large batch split: it re-queues at every
         // block boundary, so competing traffic interleaves.
         let budget = store.cache_capacity_pages().max(2);
-        let threads = self.effective_threads(pairs.len()).max(1);
+        let threads = self.effective_threads(batch_len).max(1);
         // Brownout trims readahead to the single-page minimum: a pressured
         // cache stops speculating, at the cost of more, smaller reads. The
         // plan changes shape but the kernels and their inputs do not, so
@@ -299,7 +265,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             blocks: 0,
             windows: 0,
         };
-        let mut kernel = KernelStats::default();
         let mut parallel_fan = 1usize;
         let mut at = 0usize;
         while at < pending.len() {
@@ -307,7 +272,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             // no lease held, nothing pinned, everything after `at` unread.
             if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
                 fail_all(
-                    &mut statuses,
+                    &mut run.failures,
                     &pending[at..],
                     &EffresError::DeadlineExceeded { reason },
                 );
@@ -332,7 +297,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                     // waiting for the lease: everything drained so far
                     // stands; the rest is typed for the client — `Busy` to
                     // retry, `DeadlineExceeded` to give up on.
-                    fail_all(&mut statuses, &pending[at..], &err);
+                    fail_all(&mut run.failures, &pending[at..], &err);
                     break;
                 }
             };
@@ -380,7 +345,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                         .iter()
                         .find(|(pid, _)| *pid == t.page_lo as usize)
                     {
-                        Some((_, err)) => statuses[t.slot as usize] = Err(err.clone()),
+                        Some((_, err)) => run.failures.push((t.slot as usize, err.clone())),
                         None => drainable.push(*t),
                     }
                 }
@@ -430,7 +395,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
                     let error = EffresError::DeadlineExceeded { reason };
                     for (_, lo, hi) in &windows {
-                        fail_all(&mut statuses, &block[*lo..*hi], &error);
+                        fail_all(&mut run.failures, &block[*lo..*hi], &error);
                     }
                     break;
                 }
@@ -445,7 +410,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                             let queries = block[lo..hi].to_vec();
                             move || {
                                 drain_window(
-                                    &core, &pinned, &pids, &queries, job, sparse, fail_fast,
+                                    &core, &pinned, &pids, &queries, batch_len, job, sparse,
+                                    fail_fast,
                                 )
                             }
                         })
@@ -458,6 +424,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                             &pinned,
                             &pids,
                             &block[lo..hi],
+                            batch_len,
                             0,
                             sparse,
                             fail_fast,
@@ -466,34 +433,25 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                     .collect()
                 };
                 for result in drained {
-                    let (window_statuses, window_kernel) = result?;
-                    kernel.merge(window_kernel);
-                    for (slot, status) in window_statuses {
-                        statuses[slot as usize] = status;
+                    let (answers, window_failures, window_kernel) = result?;
+                    run.kernel.merge(window_kernel);
+                    for (slot, value) in answers {
+                        run.values[slot as usize] = value;
                     }
+                    run.failures.extend(window_failures);
                 }
             }
         }
 
-        for (slot, first) in duplicates {
-            statuses[slot as usize] = statuses[first as usize].clone();
-        }
-        Ok(Run {
-            statuses,
-            threads: parallel_fan,
-            hits,
-            misses,
-            kernel,
-            schedule: Some(report),
-        })
+        run.threads = parallel_fan;
+        run.schedule = Some(report);
+        Ok(())
     }
 }
 
 /// Fails every query in `queries` with `error`.
-fn fail_all(statuses: &mut [Result<f64, EffresError>], queries: &[Pending], error: &EffresError) {
-    for t in queries {
-        statuses[t.slot as usize] = Err(error.clone());
-    }
+fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error: &EffresError) {
+    failures.extend(queries.iter().map(|t| (t.slot as usize, error.clone())));
 }
 
 /// Whether the batch's distinct page footprint exceeds the store's cache
@@ -522,32 +480,32 @@ fn demand_of(queries: &[Pending]) -> Vec<usize> {
 /// Drains one readahead window: pins its hi pages (one coalesced read for
 /// adjacent pages — the sweep keeps them mostly adjacent — or, when
 /// `sparse`, just the columns the window's queries read), then answers the
-/// window's queries through the store-generic grouped multi-pair kernel
-/// ([`column_store::column_distances_squared_grouped`]) — bit-identical to
-/// the pairwise kernel, but a window's queries sharing a hub column stream
-/// that column once — via a reader that prefers the pinned pages and never
-/// touches the cache locks for them. The hub scratch comes from the
-/// engine's sharded free list (`scratch_hint` spreads concurrent windows
-/// over distinct shards), and the kernel counters it accumulated ride back
-/// alongside the statuses.
+/// window's queries through the grouped multi-pair kernel
+/// ([`grouped_values`]) — bit-identical to the pairwise kernel, but a
+/// window's queries sharing a hub column stream that column once — via a
+/// reader that prefers the pinned pages and never touches the cache locks
+/// for them. The answers fill the pair cache unless the batch of
+/// `batch_len` pairs bypasses it. The hub scratch comes from the engine's
+/// sharded free list (`scratch_hint` spreads concurrent windows over
+/// distinct shards), and the kernel counters it accumulated ride back
+/// alongside the `(slot, value)` answers and the `(slot, error)` failures.
 ///
 /// With `fail_fast` a failed window pin or kernel fails the window. Without
 /// it the window pin degrades page by page, and a failed grouped kernel is
-/// re-run **query by query** over the same pinned reader — the grouped
-/// kernel on a one-pair slice computes the bit-identical per-pair value
-/// (the multi-pair property tests pin this), so the successes stay
+/// re-run query by query over the same pinned reader, so the successes stay
 /// bit-identical and only queries actually touching an unproducible page
 /// fail.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn drain_window<B: ResistanceBackend>(
     core: &EngineCore<B>,
     block_pin: &PinnedPages,
     window_pids: &[usize],
     queries: &[Pending],
+    batch_len: usize,
     scratch_hint: usize,
     sparse: bool,
     fail_fast: bool,
-) -> Result<(Vec<(u32, Result<f64, EffresError>)>, KernelStats), EffresError> {
+) -> Result<(Vec<(u32, f64)>, Vec<(usize, EffresError)>, KernelStats), EffresError> {
     let store = core
         .backend
         .paged_store()
@@ -562,49 +520,35 @@ fn drain_window<B: ResistanceBackend>(
         store.pin_pages_partial(window_pids, demand.as_deref()).0
     };
     let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
-    let norms = Some(core.norms.as_slice());
-    // Re-sort the window by normalized column pair: pages hold neighbouring
-    // columns, so the page-sorted window is nearly column-sorted already,
-    // and this makes runs sharing a hub column contiguous for the grouped
-    // kernel. Safe because queries are independent and answers scatter back
-    // by slot.
+    // Re-sort the window by column pair: pages hold neighbouring columns,
+    // so the page-sorted window is nearly column-sorted already, and this
+    // makes runs sharing a hub column contiguous for the grouped kernel.
+    // Safe because queries are independent and answers scatter back by
+    // slot.
     let mut sorted: Vec<Pending> = queries.to_vec();
-    sorted.sort_unstable_by_key(|t| (t.pp.min(t.qq), t.pp.max(t.qq), t.slot));
+    sorted.sort_unstable_by_key(|t| (t.pp, t.qq, t.slot));
     let pairs: Vec<(usize, usize)> = sorted
         .iter()
         .map(|t| (t.pp as usize, t.qq as usize))
         .collect();
     let mut scratch = core.take_scratch(scratch_hint);
-    let statuses: Result<Vec<Result<f64, EffresError>>, EffresError> =
-        match column_store::column_distances_squared_grouped(&reader, &pairs, norms, &mut scratch) {
-            Ok(values) => Ok(values.into_iter().map(Ok).collect()),
-            Err(err) if fail_fast => Err(err),
-            Err(_) => Ok(pairs
-                .iter()
-                .map(|pair| {
-                    column_store::column_distances_squared_grouped(
-                        &reader,
-                        std::slice::from_ref(pair),
-                        norms,
-                        &mut scratch,
-                    )
-                    .map(|values| values[0])
-                })
-                .collect()),
-        };
+    let outcome = grouped_values(&reader, &pairs, &core.norms, &mut scratch, fail_fast);
     let kernel = scratch.take_stats();
     core.return_scratch(scratch_hint, scratch);
-    let out = sorted
-        .iter()
-        .zip(statuses?)
-        .map(|(t, status)| {
-            if let (Ok(value), Some(cache)) = (&status, &core.cache) {
-                cache.insert(t.key, *value);
+    let (values, failures) = outcome?;
+    if let Some(cache) = core.pair_cache(batch_len) {
+        for (i, (t, &value)) in sorted.iter().zip(&values).enumerate() {
+            if failures.binary_search_by_key(&i, |&(i, _)| i).is_err() {
+                cache.insert(cache_key(t.pp as usize, t.qq as usize), value);
             }
-            (t.slot, status)
-        })
+        }
+    }
+    let failures = failures
+        .into_iter()
+        .map(|(i, error)| (sorted[i].slot as usize, error))
         .collect();
-    Ok((out, kernel))
+    let answers = sorted.iter().map(|t| t.slot).zip(values).collect();
+    Ok((answers, failures, kernel))
 }
 
 #[cfg(test)]
