@@ -34,6 +34,13 @@
 //! the pairwise loop in the same run). Its rows record the sample count,
 //! min, median and max seconds.
 //!
+//! The `cold_start` section times the two ways a server starts from the
+//! paged section's snapshot file: `load_snapshot` (the resident loader,
+//! which reads, checksums and validates every byte) and `open_paged`
+//! (header blocks and the norm table only), each a `Sample` of
+//! `COLD_SAMPLES` runs after one warm-up that leaves the file in the page
+//! cache.
+//!
 //! The `pair_cache` section runs two streams through an engine with the
 //! default pair cache and through one with `cache_capacity: 0`, interleaved
 //! per sample: the all-edges sweep (more pairs than the cache holds, so it
@@ -45,7 +52,7 @@
 use effres::prelude::*;
 use effres_bench::report::{min_seconds, write_report, Json, Sample};
 use effres_io::paged::{open_paged, PagedOptions};
-use effres_io::snapshot::save_snapshot;
+use effres_io::snapshot::{load_snapshot, save_snapshot};
 use effres_service::{EngineOptions, QueryBatch, QueryEngine};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,6 +60,8 @@ use std::time::Instant;
 const SIDE: usize = 320; // 320 × 320 = 102 400 nodes
 const QUERIES: usize = 20_000;
 const SAMPLES: usize = 10;
+/// Runs per cold-start row: each resident load holds a second arena.
+const COLD_SAMPLES: usize = 5;
 
 fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -239,6 +248,24 @@ fn main() {
         snapshot_bytes as f64 / (1024.0 * 1024.0),
         snap_path.display()
     );
+    let load_seconds = Sample::time(COLD_SAMPLES, true, || {
+        load_snapshot(&snap_path).expect("resident load")
+    });
+    let open_paged_seconds = Sample::time(COLD_SAMPLES, true, || {
+        open_paged(&snap_path, &PagedOptions::default()).expect("open paged")
+    });
+    println!(
+        "cold start (median of {COLD_SAMPLES}): load_snapshot {:.3}s ({:.0} MiB/s), \
+         open_paged {:.4}s",
+        load_seconds.median,
+        snapshot_bytes as f64 / (1024.0 * 1024.0) / load_seconds.median,
+        open_paged_seconds.median,
+    );
+    let cold_start_report = Json::Obj(vec![
+        ("snapshot_bytes", Json::Int(snapshot_bytes)),
+        ("load_snapshot_seconds", load_seconds.json()),
+        ("open_paged_seconds", open_paged_seconds.json()),
+    ]);
 
     let cold = Instant::now();
     let paged = open_paged(&snap_path, &PagedOptions::default()).expect("open paged");
@@ -417,6 +444,7 @@ fn main() {
         ("engine", Json::Arr(engine_reports)),
         ("all_edges", all_edges_report),
         ("pair_cache", pair_cache_report),
+        ("cold_start", cold_start_report),
         (
             "paged",
             Json::Obj(vec![

@@ -20,46 +20,90 @@ pub fn is_gzip(data: &[u8]) -> bool {
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), used by the gzip trailer and the snapshot format.
+//
+// The resident snapshot loader checksums every payload byte it reads, so
+// this loop paces every resident start and reload. It is slicing-by-16:
+// table `k` maps a byte to its contribution to the CRC when `k` more bytes
+// follow it, so one step folds 16 input bytes with 16 independent table
+// lookups instead of a chain of 16 dependent ones. The first four bytes of
+// a block are XORed with the running CRC (the bytewise step's `c ^ byte`,
+// four bytes at a time); tail bytes (`len % 16`) take the bytewise step
+// with table 0. Both compute the same reflected CRC, bit for bit (the tests
+// keep the bytewise loop as the oracle). On one 2.0 GHz Xeon core this
+// checksums 2.0–2.4 GB/s; the bytewise loop managed 0.27 GB/s.
 // ---------------------------------------------------------------------------
 
-/// Streaming CRC-32 (IEEE polynomial, as used by gzip).
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    table: [u32; 256],
-    state: u32,
+/// The reflected IEEE polynomial.
+const POLY: u32 = 0xedb8_8320;
+
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is
+/// `TABLES[k - 1][b]` advanced over one more zero byte.
+static TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        tables[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Streaming CRC-32 (IEEE polynomial, as used by gzip).
+#[derive(Debug, Clone, Default)]
+pub struct Crc32 {
+    state: u32,
 }
 
 impl Crc32 {
     /// A fresh hasher.
     pub fn new() -> Self {
-        let mut table = [0u32; 256];
-        for (n, slot) in table.iter_mut().enumerate() {
-            let mut c = n as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        Crc32 { table, state: 0 }
+        Crc32 { state: 0 }
     }
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.state ^ 0xffff_ffff;
-        for &byte in data {
-            c = self.table[((c ^ byte as u32) & 0xff) as usize] ^ (c >> 8);
+        let t = &TABLES;
+        let mut c = !self.state;
+        let (blocks, tail) = data.as_chunks::<16>();
+        for b in blocks {
+            // Bytes 4..16 do not depend on the running CRC: fold them
+            // first, off the loop-carried chain, which is then one XOR,
+            // one lookup and a two-level XOR tree per block. (Written in
+            // byte order, the sixteen XORs compiled to one chain behind the
+            // running CRC, at ~1.5 GB/s instead of 2.0–2.4.)
+            let rest = (t[11][b[4] as usize] ^ t[10][b[5] as usize])
+                ^ (t[9][b[6] as usize] ^ t[8][b[7] as usize])
+                ^ (t[7][b[8] as usize] ^ t[6][b[9] as usize])
+                ^ (t[5][b[10] as usize] ^ t[4][b[11] as usize])
+                ^ (t[3][b[12] as usize] ^ t[2][b[13] as usize])
+                ^ (t[1][b[14] as usize] ^ t[0][b[15] as usize]);
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = rest
+                ^ ((t[15][lo as u8 as usize] ^ t[14][(lo >> 8) as u8 as usize])
+                    ^ (t[13][(lo >> 16) as u8 as usize] ^ t[12][(lo >> 24) as usize]));
         }
-        self.state = c ^ 0xffff_ffff;
+        for &byte in tail {
+            c = t[0][(c as u8 ^ byte) as usize] ^ (c >> 8);
+        }
+        self.state = !c;
     }
 
     /// The checksum of everything absorbed so far.
@@ -466,12 +510,60 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
+        // At 0–9 bytes these never reach the 16-byte block loop; the
+        // oracle test below covers it.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         let mut streaming = Crc32::new();
         streaming.update(b"1234");
         streaming.update(b"56789");
         assert_eq!(streaming.finish(), 0xcbf4_3926);
+    }
+
+    /// The one-table, one-byte-per-step CRC-32 the sliced kernel replaced:
+    /// the oracle it must match bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (n, slot) in table.iter_mut().enumerate() {
+            let mut c = n as u32;
+            for _ in 0..8 {
+                c = if c & 1 == 1 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            *slot = c;
+        }
+        let mut c = 0xffff_ffffu32;
+        for &byte in data {
+            c = table[((c ^ byte as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle() {
+        // Every length 0..=4099 covers all sixteen tail lengths many times
+        // over; each buffer is checksummed whole and fed in random splits
+        // (empty, sub-block and multi-block pieces), so the 16-byte blocks
+        // start at every offset of the buffer.
+        let mut rng = proptest::TestRng::deterministic();
+        for len in 0..=4099usize {
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let expected = crc32_bytewise(&data);
+            assert_eq!(crc32(&data), expected, "whole buffer of {len} bytes");
+            let mut streaming = Crc32::new();
+            let mut rest = data.as_slice();
+            while !rest.is_empty() {
+                let cap = if rng.next_u64() & 1 == 0 {
+                    rest.len()
+                } else {
+                    32
+                };
+                let take = (rng.next_u64() % (cap as u64 + 1)) as usize;
+                let (piece, after) = rest.split_at(take.min(rest.len()));
+                streaming.update(piece);
+                rest = after;
+            }
+            assert_eq!(streaming.finish(), expected, "split buffer of {len} bytes");
+        }
     }
 
     #[test]

@@ -51,11 +51,13 @@
 //! (strictly increasing lower-triangular row indices in range, finite
 //! values) — a corrupt page is a typed
 //! [`EffresError::StoreFailure`](effres::EffresError), never a panic and
-//! never silently wrong answers. The whole-payload crc32 is *not* checked
-//! (that would require streaming the entire file, defeating the
-//! milliseconds-to-first-query cold start); corruption the structural
-//! checks cannot see — flipped value bytes that stay finite — is caught by
-//! the resident loader, not this one.
+//! never silently wrong answers. The whole-payload crc32 is *not computed*:
+//! it covers the whole file, and streaming the file would defeat the
+//! milliseconds-to-first-query cold start, so the opener parses the header
+//! blocks without checksumming them. Corruption the structural checks
+//! cannot see — flipped value bytes that stay finite — is caught by the
+//! resident loader ([`crate::snapshot::load_snapshot`]), which verifies the
+//! crc on every load, not by this one.
 //!
 //! Answers are **bit-identical** to the resident arena's for every page
 //! geometry and cache size: pages decode the same little-endian bytes the
@@ -1765,7 +1767,9 @@ fn open_paged_impl(
         }
     }
 
-    let mut input = CrcReader::new(&mut reader);
+    // The payload crc32 covers the whole file; the opener reads only the
+    // header blocks, so it never gets to compare one and computes none.
+    let mut input = CrcReader::without_crc(&mut reader);
     let PayloadHeader {
         n,
         epsilon,
@@ -1793,7 +1797,7 @@ fn open_paged_impl(
         }
         other => return Err(IoError::Format(format!("unknown v3 row codec {other}"))),
     };
-    // 12 header bytes (magic + version) precede the crc-tracked payload.
+    // 12 header bytes (magic + version) precede the crc-covered payload.
     let rows_offset = 12 + input.consumed();
     drop(input);
     drop(reader);

@@ -209,6 +209,9 @@ const BLOCK_CHUNK: usize = 1 << 15;
 /// allocation request that aborts the process.
 const PREALLOC_CAP: usize = 1 << 20;
 
+/// The error for a non-finite entry of a v2/v3 value block.
+const NON_FINITE_VALUE: &str = "non-finite value in the arena value block";
+
 /// A persisted estimator plus the optional dataset node labels.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -281,7 +284,9 @@ impl<W: Write> CrcWriter<'_, W> {
 
 pub(crate) struct CrcReader<'a, R: Read> {
     inner: &'a mut R,
-    crc: Crc32,
+    /// The running payload checksum; `None` for a reader that never gets to
+    /// the trailer (the paged opener reads only the header blocks).
+    crc: Option<Crc32>,
     /// Payload bytes consumed so far (the paged opener uses this to locate
     /// the bulk blocks within the file without duplicating layout math).
     consumed: u64,
@@ -290,12 +295,22 @@ pub(crate) struct CrcReader<'a, R: Read> {
 }
 
 impl<R: Read> CrcReader<'_, R> {
+    /// A reader that checksums every payload byte it consumes.
     pub(crate) fn new(inner: &mut R) -> CrcReader<'_, R> {
         CrcReader {
             inner,
-            crc: Crc32::new(),
+            crc: Some(Crc32::new()),
             consumed: 0,
             chunk: Vec::new(),
+        }
+    }
+
+    /// A reader that only parses: for callers that never compare the
+    /// trailer, so computing the checksum would be wasted work.
+    pub(crate) fn without_crc(inner: &mut R) -> CrcReader<'_, R> {
+        CrcReader {
+            crc: None,
+            ..CrcReader::new(inner)
         }
     }
 
@@ -313,7 +328,9 @@ impl<R: Read> CrcReader<'_, R> {
                 IoError::Io(e)
             }
         })?;
-        self.crc.update(buf);
+        if let Some(crc) = &mut self.crc {
+            crc.update(buf);
+        }
         self.consumed += buf.len() as u64;
         Ok(())
     }
@@ -340,14 +357,14 @@ impl<R: Read> CrcReader<'_, R> {
         Ok(f64::from_le_bytes(self.take::<8>()?))
     }
 
-    /// Reads one bulk block of `count` fixed-width items, appending each
-    /// decoded item via `push`. Reads in `BLOCK_CHUNK`-item chunks so a
-    /// hostile count costs at most one chunk of scratch before the stream
-    /// runs dry.
-    fn take_block<const W2: usize>(
+    /// Reads one bulk block of `count` fixed-width items, handing `each`
+    /// one chunk of up to `BLOCK_CHUNK` items at a time. Reading chunk by
+    /// chunk means a hostile count costs at most one chunk of scratch
+    /// before the stream runs dry.
+    fn take_chunks<const W2: usize>(
         &mut self,
         count: usize,
-        mut push: impl FnMut([u8; W2]) -> Result<(), IoError>,
+        mut each: impl FnMut(&[[u8; W2]]) -> Result<(), IoError>,
     ) -> Result<(), IoError> {
         let mut remaining = count;
         while remaining > 0 {
@@ -357,12 +374,45 @@ impl<R: Read> CrcReader<'_, R> {
             let result = self.fill(&mut staged);
             self.chunk = staged;
             result?;
-            for item in self.chunk.chunks_exact(W2) {
-                push(item.try_into().expect("chunk is W2-aligned"))?;
-            }
+            each(self.chunk.as_chunks::<W2>().0)?;
             remaining -= take;
         }
         Ok(())
+    }
+
+    /// [`take_chunks`](Self::take_chunks), one item at a time.
+    fn take_block<const W2: usize>(
+        &mut self,
+        count: usize,
+        mut push: impl FnMut([u8; W2]) -> Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        self.take_chunks(count, |items: &[[u8; W2]]| {
+            items.iter().try_for_each(|&item| push(item))
+        })
+    }
+
+    /// Reads a block of `count` `f64`s, rejecting it with `what` unless
+    /// every value passes `valid`. Each chunk is decoded by one `extend`
+    /// and checked by one pass that does not stop early (so the finiteness
+    /// check vectorizes); the vector's preallocation is capped like every
+    /// other untrusted count.
+    fn take_f64_block(
+        &mut self,
+        count: usize,
+        valid: impl Fn(f64) -> bool,
+        what: &str,
+    ) -> Result<Vec<f64>, IoError> {
+        let mut values: Vec<f64> = Vec::with_capacity(count.min(PREALLOC_CAP));
+        self.take_chunks(count, |items: &[[u8; 8]]| {
+            let start = values.len();
+            values.extend(items.iter().map(|&b| f64::from_le_bytes(b)));
+            if values[start..].iter().fold(true, |ok, &v| ok & valid(v)) {
+                Ok(())
+            } else {
+                Err(IoError::Format(what.to_string()))
+            }
+        })?;
+        Ok(values)
     }
 }
 
@@ -692,7 +742,11 @@ fn read_payload<R: Read>(reader: &mut R, version: Version) -> Result<Snapshot, I
             return Err(IoError::Format(format!("invalid labels flag {other}")));
         }
     };
-    let computed = input.crc.finish();
+    let computed = input
+        .crc
+        .as_ref()
+        .expect("the resident loader checksums its whole payload")
+        .finish();
     let mut trailer = [0u8; 4];
     input
         .inner
@@ -839,19 +893,7 @@ fn read_arena_v2<R: Read>(
         arena_rows.push(r);
         Ok(())
     })?;
-    let mut arena_vals: Vec<f64> = Vec::with_capacity(nnz.min(PREALLOC_CAP));
-    let mut bad_value = false;
-    input.take_block(nnz, |b: [u8; 8]| {
-        let v = f64::from_le_bytes(b);
-        bad_value |= !v.is_finite();
-        arena_vals.push(v);
-        Ok(())
-    })?;
-    if bad_value {
-        return Err(IoError::Format(
-            "non-finite value in the arena value block".into(),
-        ));
-    }
+    let arena_vals = input.take_f64_block(nnz, f64::is_finite, NON_FINITE_VALUE)?;
     Ok((col_ptr, arena_rows, arena_vals))
 }
 
@@ -960,31 +1002,12 @@ fn read_arena_v3<R: Read>(
         }
     }
     let col_ptr: Vec<usize> = col_ptr_u64.into_iter().map(|p| p as usize).collect();
-    let mut arena_vals: Vec<f64> = Vec::with_capacity(nnz.min(PREALLOC_CAP));
-    let mut bad_value = false;
-    input.take_block(nnz, |b: [u8; 8]| {
-        arena_vals.push(f64::from_le_bytes(b));
-        bad_value |= !arena_vals.last().expect("just pushed").is_finite();
-        Ok(())
-    })?;
-    if bad_value {
-        return Err(IoError::Format(
-            "non-finite value in the arena value block".into(),
-        ));
-    }
-    let mut norms: Vec<f64> = Vec::with_capacity(n.min(PREALLOC_CAP));
-    let mut bad_norm = false;
-    input.take_block(n, |b: [u8; 8]| {
-        let v = f64::from_le_bytes(b);
-        bad_norm |= !v.is_finite() || v < 0.0;
-        norms.push(v);
-        Ok(())
-    })?;
-    if bad_norm {
-        return Err(IoError::Format(
-            "non-finite or negative entry in the norms block".into(),
-        ));
-    }
+    let arena_vals = input.take_f64_block(nnz, f64::is_finite, NON_FINITE_VALUE)?;
+    let norms = input.take_f64_block(
+        n,
+        |v| v.is_finite() && v >= 0.0,
+        "non-finite or negative entry in the norms block",
+    )?;
     Ok((col_ptr, arena_rows, arena_vals, norms))
 }
 
@@ -1345,6 +1368,61 @@ mod tests {
             // Truncation.
             let cut = &bytes[..bytes.len() - 7];
             assert!(read_snapshot(&mut &cut[..]).is_err());
+        }
+    }
+
+    #[test]
+    fn a_flipped_bit_in_any_region_of_the_v3_fixture_is_rejected() {
+        // The committed 144-node labeled fixture, varint rows. Region
+        // bounds come from its own size fields, then are pinned.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3_grid12.snap");
+        let bytes = std::fs::read(path).expect("fixture");
+        read_snapshot(&mut bytes.as_slice()).expect("the fixture loads");
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let n = u64_at(12);
+        let permutation = 12 + 16 + 48 + 16;
+        let col_ptr = permutation + 4 * n + 8;
+        let row_off = col_ptr + 8 * (n + 1) + 1 + 8;
+        let rows = row_off + 8 * (n + 1);
+        let values = rows + u64_at(row_off - 8);
+        let norms = values + 8 * u64_at(col_ptr - 8);
+        let labels = norms + 8 * n + 1;
+        let crc = labels + 8 * n;
+        assert_eq!((n, values, norms, crc + 4), (144, 12_890, 91_842, 94_151));
+        let regions = [
+            ("header", 0..permutation),
+            ("permutation", permutation..col_ptr - 8),
+            ("col_ptr", col_ptr..row_off - 9),
+            ("row_off", row_off..rows),
+            ("rows", rows..values),
+            ("values", values..norms),
+            ("norms", norms..labels - 1),
+            ("labels", labels..crc),
+            ("crc trailer", crc..crc + 4),
+        ];
+        // One bit (the lowest) of every 31st byte, walking down from the
+        // last. A low bit never turns a finite f64 non-finite, so no
+        // structural check can see a flip in the value block: only the
+        // checksum catches it.
+        let mut flips = [0usize; 9];
+        for at in (0..bytes.len()).rev().step_by(31) {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            let err = read_snapshot(&mut bad.as_slice())
+                .map(|_| ())
+                .expect_err(&format!("a flip at byte {at} must be rejected"));
+            if (values..norms).contains(&at) {
+                assert!(
+                    matches!(&err, IoError::Format(m) if m.contains("checksum mismatch")),
+                    "byte {at}: {err}"
+                );
+            }
+            if let Some(k) = regions.iter().position(|(_, r)| r.contains(&at)) {
+                flips[k] += 1;
+            }
+        }
+        for ((name, _), count) in regions.iter().zip(flips) {
+            assert!(count > 0, "no flip landed in the {name}");
         }
     }
 
