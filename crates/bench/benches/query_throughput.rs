@@ -6,7 +6,16 @@
 //! CSC arena with its narrowed `u32` row indices. Both now answer through
 //! the hub-grouped multi-pair kernel; the `all_edges` section additionally
 //! times that kernel against the plain pairwise merge on identical sorted
-//! input, isolating the multi-pair gain itself.
+//! input, isolating the multi-pair gain itself. Every timed row is a
+//! `Sample` (count, min, median and max seconds); rates and ratios are of
+//! medians.
+//!
+//! The `random_pairs_kernel` section times the isolated-pair kernel alone
+//! on the random batch, sorted as the engine runs it: the plain two-pointer
+//! merge against `column_distances_squared_batch` (rows touched up front,
+//! then intersected eight at a time), interleaved per sample, in ns per
+//! pair, under the bench's RCM ordering and under minimum-degree ordering
+//! (the serving benchmark's build).
 //!
 //! This is the acceptance workload of the ingestion/service subsystem: a
 //! ≥ 100k-node generated graph answering tens of thousands of `(p, q)`
@@ -49,8 +58,10 @@
 //! skewed traffic the cache exists for). Each variant records its hit
 //! ratio and median queries/s.
 
+use effres::approx_inverse::SparseApproximateInverse;
+use effres::column_store::column_distances_squared_batch;
 use effres::prelude::*;
-use effres_bench::report::{min_seconds, write_report, Json, Sample};
+use effres_bench::report::{write_report, Json, Sample};
 use effres_io::paged::{open_paged, PagedOptions};
 use effres_io::snapshot::{load_snapshot, save_snapshot};
 use effres_service::{EngineOptions, QueryBatch, QueryEngine};
@@ -74,11 +85,14 @@ fn main() {
     let batch = QueryBatch::random(QUERIES, estimator.node_count(), 42);
     let pairs = batch.pairs().to_vec();
 
-    let sequential_seconds = min_seconds(SAMPLES, true, || {
+    let sequential = Sample::time(SAMPLES, true, || {
         estimator.query_many(&pairs).expect("in bounds")
     });
+    let sequential_seconds = sequential.median;
     let sequential_qps = QUERIES as f64 / sequential_seconds;
-    println!("sequential query_many: {sequential_seconds:.3}s  ({sequential_qps:.0} queries/s)");
+    println!(
+        "sequential query_many (median): {sequential_seconds:.3}s  ({sequential_qps:.0} queries/s)"
+    );
 
     let mut engine_reports = Vec::new();
     for &threads in &[1usize, 2, 4, 8] {
@@ -94,15 +108,17 @@ fn main() {
                 ..EngineOptions::default()
             },
         );
-        let seconds = min_seconds(SAMPLES, true, || engine.execute(&batch).expect("in bounds"));
+        let sample = Sample::time(SAMPLES, true, || engine.execute(&batch).expect("in bounds"));
+        let seconds = sample.median;
         let qps = QUERIES as f64 / seconds;
         println!(
-            "engine_batched/{threads}_threads: {seconds:.3}s  ({qps:.0} queries/s, {:.2}x sequential)",
+            "engine_batched/{threads}_threads (median): {seconds:.3}s  ({qps:.0} queries/s, \
+             {:.2}x sequential)",
             sequential_seconds / seconds
         );
         engine_reports.push(Json::Obj(vec![
             ("threads", Json::Int(threads as u64)),
-            ("seconds", Json::Num(seconds)),
+            ("seconds", sample.json()),
             ("queries_per_second", Json::Num(qps)),
             (
                 "speedup_vs_sequential",
@@ -110,6 +126,8 @@ fn main() {
             ),
         ]));
     }
+
+    let random_pairs_report = random_pairs_kernel(&graph, &estimator, &batch);
 
     // The all-edges centrality workload: every graph edge as a query pair.
     // An edge list shares endpoints heavily, so this is the natural stress
@@ -318,16 +336,17 @@ fn main() {
         .expect("open paged");
         let engine = QueryEngine::new(Arc::new(paged), paged_engine_options());
         // Fewer samples than the in-memory variants: each paged pass is
-        // disk-bound and tens of times slower, and the min still lands on a
-        // warm page cache.
+        // disk-bound and tens of times slower, and after the warm-up every
+        // run finds the file in the OS page cache.
         let mut last = None;
-        let seconds = min_seconds(3, true, || {
+        let sample = Sample::time(3, true, || {
             last = Some(engine.execute(&batch).expect("in bounds"));
         });
+        let seconds = sample.median;
         let qps = QUERIES as f64 / seconds;
         let page = last.and_then(|r| r.page_cache).unwrap_or_default();
         println!(
-            "paged_query/{cache_pages}_pages: {seconds:.3}s  ({qps:.0} queries/s, \
+            "paged_query/{cache_pages}_pages (median): {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read)",
             sequential_seconds / seconds,
             page.hits,
@@ -336,7 +355,7 @@ fn main() {
         );
         paged_reports.push(Json::Obj(vec![
             ("cache_pages", Json::Int(cache_pages as u64)),
-            ("seconds", Json::Num(seconds)),
+            ("seconds", sample.json()),
             ("queries_per_second", Json::Num(qps)),
             (
                 "speedup_vs_sequential_resident",
@@ -376,15 +395,16 @@ fn main() {
             "scheduled paged answers diverged from resident"
         );
         let mut last = None;
-        let seconds = min_seconds(3, false, || {
+        let sample = Sample::time(3, false, || {
             last = Some(engine.execute_scheduled(&batch).expect("in bounds"));
         });
+        let seconds = sample.median;
         let qps = QUERIES as f64 / seconds;
         let last = last.expect("at least one sample");
         let page = last.page_cache.unwrap_or_default();
         let schedule = last.schedule.unwrap_or_default();
         println!(
-            "paged_scheduled/{cache_pages}_pages: {seconds:.3}s  ({qps:.0} queries/s, \
+            "paged_scheduled/{cache_pages}_pages (median): {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read, \
              {} readahead read(s), {} column run(s); {} cluster(s) -> {} block(s), \
              {} window(s))",
@@ -400,7 +420,7 @@ fn main() {
         );
         scheduled_reports.push(Json::Obj(vec![
             ("cache_pages", Json::Int(cache_pages as u64)),
-            ("seconds", Json::Num(seconds)),
+            ("seconds", sample.json()),
             ("queries_per_second", Json::Num(qps)),
             (
                 "speedup_vs_sequential_resident",
@@ -439,9 +459,10 @@ fn main() {
         ("queries", Json::Int(QUERIES as u64)),
         ("hardware_threads", Json::Int(hardware as u64)),
         ("samples", Json::Int(SAMPLES as u64)),
-        ("sequential_seconds", Json::Num(sequential_seconds)),
+        ("sequential_seconds", sequential.json()),
         ("sequential_queries_per_second", Json::Num(sequential_qps)),
         ("engine", Json::Arr(engine_reports)),
+        ("random_pairs_kernel", random_pairs_report),
         ("all_edges", all_edges_report),
         ("pair_cache", pair_cache_report),
         ("cold_start", cold_start_report),
@@ -570,10 +591,8 @@ fn compare_pair_cache(
     }
     let rows = (0..2)
         .map(|v| {
-            let mut s = seconds[v].clone();
-            s.sort_by(f64::total_cmp);
-            let median = s[s.len() / 2];
-            let per_sample = queries as f64 / s.len() as f64;
+            let sample = Sample::of(seconds[v].clone());
+            let per_sample = queries as f64 / sample.n as f64;
             Json::Obj(vec![
                 (
                     "cache_capacity",
@@ -583,10 +602,10 @@ fn compare_pair_cache(
                     "hit_ratio",
                     Json::Num(hits[v] as f64 / lookups[v].max(1) as f64),
                 ),
-                ("median_seconds", Json::Num(median)),
-                ("min_seconds", Json::Num(s[0])),
-                ("max_seconds", Json::Num(s[s.len() - 1])),
-                ("queries_per_second", Json::Num(per_sample / median)),
+                ("median_seconds", Json::Num(sample.median)),
+                ("min_seconds", Json::Num(sample.min)),
+                ("max_seconds", Json::Num(sample.max)),
+                ("queries_per_second", Json::Num(per_sample / sample.median)),
             ])
         })
         .collect();
@@ -625,5 +644,129 @@ fn pair_cache_section(estimator: &Arc<EffectiveResistanceEstimator>, edges: &Que
                 ("variants", zipf_report),
             ]),
         ),
+    ])
+}
+
+/// The plain two-pointer merge over the suffix pairs of
+/// `column_distances_squared_batch` — the isolated-pair kernel before its
+/// rows were touched up front and intersected in blocks of eight — with
+/// the same norm identity and clamp, so the answers are the same bits.
+fn merge_distances(
+    inverse: &SparseApproximateInverse,
+    pairs: &[(usize, usize)],
+    norms: &[f64],
+) -> Vec<f64> {
+    // Only the smaller index's column is searched: the other one starts at
+    // the bound.
+    let suffix = |j: usize, bound: usize| {
+        let column = inverse.column(j);
+        let start = if j == bound {
+            0
+        } else {
+            column
+                .indices()
+                .partition_point(|&row| (row as usize) < bound)
+        };
+        (&column.indices()[start..], &column.values()[start..])
+    };
+    pairs
+        .iter()
+        .map(|&(p, q)| {
+            if p == q {
+                return 0.0;
+            }
+            let bound = p.max(q);
+            let ((ai, av), (bi, bv)) = (suffix(p, bound), suffix(q, bound));
+            let (mut dot, mut ia, mut ib) = (0.0, 0, 0);
+            while ia < ai.len() && ib < bi.len() {
+                match ai[ia].cmp(&bi[ib]) {
+                    std::cmp::Ordering::Less => ia += 1,
+                    std::cmp::Ordering::Greater => ib += 1,
+                    std::cmp::Ordering::Equal => {
+                        dot += av[ia] * bv[ib];
+                        ia += 1;
+                        ib += 1;
+                    }
+                }
+            }
+            (norms[p] + norms[q] - 2.0 * dot).max(0.0)
+        })
+        .collect()
+}
+
+/// Random pairs, kernel against kernel: the plain merge
+/// ([`merge_distances`]) against `column_distances_squared_batch` on the
+/// batch's pairs, permuted and sorted as the engine runs them, timed
+/// interleaved (after one untimed round) so drift hits both alike. Answers
+/// are asserted bit-identical first. Runs on the bench's RCM-ordered
+/// estimator and on a minimum-degree-ordered one of the same graph (the
+/// serving benchmark's build), whose columns are about ten times shorter.
+fn random_pairs_kernel(
+    graph: &effres_graph::Graph,
+    rcm: &EffectiveResistanceEstimator,
+    batch: &QueryBatch,
+) -> Json {
+    let minimum_degree = EffectiveResistanceEstimator::build(
+        graph,
+        &EffresConfig::default().with_ordering(Ordering::MinimumDegree),
+    )
+    .expect("build");
+    let rows = [("rcm", rcm), ("minimum_degree", &minimum_degree)].map(|(name, estimator)| {
+        let inverse = estimator.approximate_inverse();
+        let norms = estimator.column_norms_squared();
+        let permutation = estimator.permutation();
+        let mut sorted: Vec<(usize, usize)> = (batch.pairs().iter())
+            .map(|&(p, q)| {
+                let (a, b) = (permutation.new(p), permutation.new(q));
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        sorted.sort_unstable();
+        let block = || column_distances_squared_batch(inverse, &sorted, Some(&norms));
+        let merged = merge_distances(inverse, &sorted, &norms);
+        let blocked = block().expect("resident store never fails");
+        assert!(
+            merged
+                .iter()
+                .zip(&blocked)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "block intersection diverged from the plain merge ({name})"
+        );
+        let mut seconds = [Vec::new(), Vec::new()];
+        for round in 0..=SAMPLES {
+            let start = Instant::now();
+            std::hint::black_box(merge_distances(inverse, &sorted, &norms));
+            let merge = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            std::hint::black_box(block().expect("resident store never fails"));
+            if round > 0 {
+                seconds[0].push(merge);
+                seconds[1].push(start.elapsed().as_secs_f64());
+            }
+        }
+        let ns_per_pair = 1e9 / sorted.len() as f64;
+        let [merge, block] = seconds.map(|s| Sample::of(s).scaled(ns_per_pair));
+        println!(
+            "random_pairs_kernel/{name} (median ns/pair): plain merge {:.0} [{:.0}-{:.0}], \
+             touched block intersection {:.0} [{:.0}-{:.0}], {:.2}x",
+            merge.median,
+            merge.min,
+            merge.max,
+            block.median,
+            block.min,
+            block.max,
+            merge.median / block.median,
+        );
+        Json::Obj(vec![
+            ("ordering", Json::Str(name.to_string())),
+            ("plain_merge_ns_per_pair", merge.json()),
+            ("block_intersection_ns_per_pair", block.json()),
+            ("speedup", Json::Num(merge.median / block.median)),
+        ])
+    });
+    Json::Obj(vec![
+        ("pairs", Json::Int(batch.len() as u64)),
+        ("samples", Json::Int(SAMPLES as u64)),
+        ("orderings", Json::Arr(rows.into())),
     ])
 }

@@ -111,22 +111,6 @@ pub fn write_report(name: &str, body: Json) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Times `routine` for `samples` runs (after one warm-up when `warm_up` is
-/// set) and returns the minimum wall-clock seconds — the usual low-noise
-/// point estimate for throughput-style benches.
-pub fn min_seconds<O>(samples: usize, warm_up: bool, mut routine: impl FnMut() -> O) -> f64 {
-    if warm_up {
-        std::hint::black_box(routine());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let start = std::time::Instant::now();
-        std::hint::black_box(routine());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Wall-clock seconds of repeated runs of one routine: the sample count
 /// and the spread, not just the best run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,13 +132,25 @@ impl Sample {
         if warm_up {
             std::hint::black_box(routine());
         }
-        let mut seconds: Vec<f64> = (0..samples.max(1))
-            .map(|_| {
-                let start = std::time::Instant::now();
-                std::hint::black_box(routine());
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
+        Sample::of(
+            (0..samples.max(1))
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(routine());
+                    start.elapsed().as_secs_f64()
+                })
+                .collect(),
+        )
+    }
+
+    /// The sample of runs timed elsewhere (for routines timed interleaved
+    /// with others).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seconds` is empty.
+    pub fn of(mut seconds: Vec<f64>) -> Sample {
+        assert!(!seconds.is_empty(), "a sample needs at least one run");
         seconds.sort_unstable_by(f64::total_cmp);
         let n = seconds.len();
         Sample {
@@ -165,8 +161,19 @@ impl Sample {
         }
     }
 
+    /// The sample with every run multiplied by `factor` (seconds per batch
+    /// into nanoseconds per pair, say).
+    pub fn scaled(&self, factor: f64) -> Sample {
+        Sample {
+            n: self.n,
+            min: self.min * factor,
+            median: self.median * factor,
+            max: self.max * factor,
+        }
+    }
+
     /// The sample as a JSON object with `n`, `min`, `median` and `max`
-    /// (seconds).
+    /// (seconds, or the unit [`Sample::scaled`] turned them into).
     pub fn json(&self) -> Json {
         Json::Obj(vec![
             ("n", Json::Int(self.n as u64)),
@@ -219,8 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn min_seconds_times_something() {
-        let s = min_seconds(2, true, || (0..1000u64).sum::<u64>());
-        assert!((0.0..1.0).contains(&s));
+    fn sample_of_runs_timed_elsewhere() {
+        let sample = Sample::of(vec![3.0, 1.0, 4.0, 2.0]);
+        assert_eq!((sample.n, sample.min, sample.max), (4, 1.0, 4.0));
+        assert_eq!(sample.median, 2.5);
+        let per_pair = sample.scaled(0.5);
+        assert_eq!(
+            (per_pair.min, per_pair.median, per_pair.max),
+            (0.5, 1.25, 2.0)
+        );
     }
 }

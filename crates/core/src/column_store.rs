@@ -147,11 +147,18 @@ fn suffix(column: ColumnView<'_>, j: usize, bound: u32) -> (&[u32], &[f64]) {
     (&column.indices()[start..], &column.values()[start..])
 }
 
-/// The suffix-restricted two-pointer merge of column `p` (view `a`) with
-/// column `q` (view `b`) over rows `max(p, q)..`: the shared sorted-merge
-/// dot product of `vecops`, and the bytes it streamed. Only the smaller
-/// index's column is searched for its suffix start.
+/// The suffix-restricted intersection of column `p` (view `a`) with column
+/// `q` (view `b`) over rows `max(p, q)..`: the shared sparse dot product of
+/// `vecops`, and its [`KernelStats::bytes_streamed`] count. Only the
+/// smaller index's column is searched for its suffix start.
+///
+/// A random pair's columns are cold, and reading them is a chain of cache
+/// misses: the suffix search probes one line after another, then the dot
+/// walks both suffixes a line at a time. So the rows of both columns are
+/// touched first (see [`touch_lines`]): their misses are in flight
+/// together before the search and the dot read them.
 fn suffix_merge(a: ColumnView<'_>, p: usize, b: ColumnView<'_>, q: usize) -> (f64, usize) {
+    std::hint::black_box(touch_lines(a.indices()) ^ touch_lines(b.indices()));
     let bound = p.max(q) as u32;
     let (ai, av) = suffix(a, p, bound);
     let (bi, bv) = suffix(b, q, bound);
@@ -159,6 +166,28 @@ fn suffix_merge(a: ColumnView<'_>, p: usize, b: ColumnView<'_>, q: usize) -> (f6
         vecops::sparse_dot(ai, av, bi, bv),
         ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes(),
     )
+}
+
+/// Row indices per 64-byte cache line.
+const ROWS_PER_LINE: usize = 64 / std::mem::size_of::<u32>();
+
+/// Most cache lines [`touch_lines`] loads per column: 1 KiB of rows. On the
+/// minimum-degree-ordered benchmark grid a random pair's columns hold about
+/// 160 rows (under 256 for 99% of pairs), so they are touched whole. A
+/// longer column gets only its head touched: the hardware prefetcher
+/// streams the rest, and a longer pre-pass only delays the dot behind it
+/// (touching whole RCM-ordered columns of the same grid, about 1,450 rows,
+/// made random pairs 10–20% slower than no touch at all).
+const TOUCH_LINES: usize = 16;
+
+/// Loads one row index from every 64-byte line of the first
+/// [`TOUCH_LINES`] lines of `rows` and folds them into one value, so no
+/// load is optimized away. The loads do not depend on each other, so their
+/// misses overlap instead of queueing one behind another.
+fn touch_lines(rows: &[u32]) -> u32 {
+    let head = &rows[..rows.len().min(TOUCH_LINES * ROWS_PER_LINE)];
+    let last = head.last().copied().unwrap_or(0);
+    (head.iter().step_by(ROWS_PER_LINE)).fold(last, |acc, &row| acc ^ row)
 }
 
 /// Adds `dense[row] · v` over one column's entries to `sum`, in entry
@@ -288,11 +317,11 @@ pub fn column_distances_squared_batch<S: ColumnStore + ?Sized>(
         .collect()
 }
 
-/// Byte-level counters of what the multi-pair kernels actually streamed —
-/// the observability half of the batched path: `bytes_streamed / pairs()`
-/// is the bytes-per-query figure the kernels exist to shrink, and
-/// `hub_pairs / hub_loads` is how many pairs each hub-column load was
-/// amortized over.
+/// Work counters of the multi-pair kernels — the observability half of
+/// the batched path: `bytes_streamed / pairs()` is the per-query work
+/// figure (12 bytes per column entry walked) the hub kernels exist to
+/// shrink, and `hub_pairs / hub_loads` is how many pairs each hub-column
+/// load was amortized over.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Hub columns scattered into a dense scratch (each streams the hub's
@@ -301,11 +330,16 @@ pub struct KernelStats {
     /// Pairs answered against a resident hub (only the partner's suffix is
     /// streamed).
     pub hub_pairs: u64,
-    /// Pairs answered by the plain two-column suffix merge (no neighbour
+    /// Pairs answered by the two-column suffix intersection (no neighbour
     /// shared a hub, so batching had nothing to amortize).
     pub isolated_pairs: u64,
-    /// Arena bytes the kernels read (a 4-byte row index plus an 8-byte
-    /// value per entry), excluding norm-table lookups.
+    /// A work count, not a byte count: 12 (a 4-byte row index plus an
+    /// 8-byte value) per suffix entry the kernels walked. The hub paths
+    /// read every value they count; the two-column intersection reads a
+    /// value only where both suffixes share a row (about 2 of 290 entries
+    /// for a random pair of the benchmark grid), while its suffix search
+    /// and touch pass load rows below the bound that are not counted.
+    /// Norm-table lookups are not counted either.
     pub bytes_streamed: u64,
 }
 
@@ -542,7 +576,7 @@ impl HubScratch {
         Ok(dots)
     }
 
-    /// The plain two-column suffix merge of [`column_dot`], counted as an
+    /// The two-column suffix intersection of [`column_dot`], counted as an
     /// isolated pair (the grouped kernels fall back to this when no
     /// neighbouring pair shares a hub, leaving any resident hub untouched).
     ///
@@ -852,7 +886,7 @@ mod tests {
 
     #[test]
     fn kernels_stream_twelve_bytes_per_suffix_entry() {
-        // A 4-byte row index plus an 8-byte value per entry read.
+        // A 4-byte row index plus an 8-byte value per suffix entry walked.
         const ENTRY_BYTES: u64 = 12;
         let z = sample_inverse();
         for hub in [0usize, 7, 20, 35] {

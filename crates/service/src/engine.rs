@@ -586,7 +586,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         Some(delta)
     }
 
-    /// Answers one query through the cache and the norm identity.
+    /// Answers one query through the cache and the norm identity. It counts
+    /// in [`ServiceStats::queries`] only when it produces a value; a query
+    /// that runs the kernel counts as a cache miss even if the store fails.
     ///
     /// # Errors
     ///
@@ -598,8 +600,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         if p >= n || q >= n {
             return Err(out_of_bounds((p, q), n));
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
         if p == q {
+            self.queries.fetch_add(1, Ordering::Relaxed);
             return Ok(0.0);
         }
         let permutation = self.core.backend.permutation();
@@ -607,12 +609,14 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         let key = cache_key(pp, qq);
         if let Some(cache) = &self.core.cache {
             if let Some(value) = cache.get(key) {
+                self.queries.fetch_add(1, Ordering::Relaxed);
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(value);
             }
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let value = self.core.pair_value(pp, qq)?;
+        self.queries.fetch_add(1, Ordering::Relaxed);
         if let Some(cache) = &self.core.cache {
             cache.insert(key, value);
         }
@@ -979,8 +983,9 @@ impl<B: ResistanceBackend> EngineCore<B> {
             ..Run::default()
         };
         // The chunk's pairs that need the kernel, and their positions.
-        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(KERNEL_CHUNK);
-        let mut positions: Vec<usize> = Vec::with_capacity(KERNEL_CHUNK);
+        let capacity = queries.len().min(KERNEL_CHUNK);
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(capacity);
+        let mut positions: Vec<usize> = Vec::with_capacity(capacity);
         let mut lo = 0;
         while lo < queries.len() {
             if let Some(reason) = cancel.and_then(CancelToken::cancelled) {

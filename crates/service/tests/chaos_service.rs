@@ -202,6 +202,61 @@ fn partial_mode_fails_only_the_queries_touching_the_rotten_page() {
 }
 
 #[test]
+fn a_single_query_failing_on_a_rotten_page_is_a_miss_but_not_an_answer() {
+    let path = snapshot_path();
+    let probe = open_paged(path, &churny_options()).expect("probe open");
+    let victim = 101;
+    let offset = probe.store.column_value_byte_offset(victim) + 6;
+    let poisoned_page = probe.store.page_of_column(victim);
+    let columns_per_page = probe.store.columns_per_page();
+    let permutation = probe.permutation.clone();
+    let rotten = permutation.old(victim);
+    let off_page = |node: usize| permutation.new(node) / columns_per_page != poisoned_page;
+    let healthy = (0..256).find(|&node| node != rotten && off_page(node));
+    let healthy = healthy.expect("most nodes are off the rotten page");
+    let other = (0..256).find(|&node| node != healthy && node != rotten && off_page(node));
+    let other = other.expect("most nodes are off the rotten page");
+
+    let plan = FaultPlan::new(0).poison(offset, 2);
+    let engine = engine_over(
+        open_paged_with_faults(
+            path,
+            &churny_options().with_retry(RetryPolicy {
+                max_retries: 2,
+                backoff: Duration::from_micros(1),
+            }),
+            plan,
+        )
+        .expect("faulted open"),
+        EngineOptions::default(),
+    );
+    let before = engine.stats();
+    for attempt in 1..=2u64 {
+        let failed = engine.query(rotten, healthy);
+        assert!(
+            matches!(failed, Err(EffresError::StoreFailure { .. })),
+            "a query touching a rotten page must fail typed: {failed:?}"
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.queries, before.queries, "a failure is no answer");
+        assert_eq!(
+            stats.cache_misses,
+            before.cache_misses + attempt,
+            "each attempt ran the kernel, and no failure was cached"
+        );
+    }
+    // A self-pair, a kernel answer and a cache hit each count once.
+    assert_eq!(engine.query(rotten, rotten).expect("self-pair"), 0.0);
+    let value = engine.query(healthy, other).expect("off the rotten page");
+    let repeat = engine.query(other, healthy).expect("cached");
+    assert_eq!(value.to_bits(), repeat.to_bits());
+    let stats = engine.stats();
+    assert_eq!(stats.queries, before.queries + 3);
+    assert_eq!(stats.cache_misses, before.cache_misses + 3);
+    assert_eq!(stats.cache_hits, before.cache_hits + 1);
+}
+
+#[test]
 fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
     let path = snapshot_path();
     // Deep queue bound of zero: while one scheduled batch holds the pin

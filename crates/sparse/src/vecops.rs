@@ -57,13 +57,54 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
+/// Indices per block of [`sparse_dot`]'s block intersection.
+const BLOCK: usize = 8;
+
 /// Dot product of two sparse vectors given as sorted parallel
-/// `indices`/`values` slices — the shared merge kernel behind
+/// `indices`/`values` slices — the shared kernel behind
 /// [`crate::SparseVec::dot`] and the flat-arena column views of the `effres`
 /// crate. Generic over the index width so both `usize`-indexed sparse
 /// vectors and the arena's narrowed `u32` columns share one implementation.
+///
+/// A block intersection: the next eight indices of each side are compared
+/// all-pairs without branching. When no index is shared, the block with the
+/// smaller last index moves on (the last indices differ, or they would be
+/// shared); when one is, the two-pointer merge runs inside the block pair
+/// until one side leaves its block. The rest is merged. Supports that share
+/// few indices skip most of the merge's unpredictable branches, and
+/// supports that share most of them pay one compare per eight merge steps.
+/// Every shared index still contributes the same product, added in
+/// ascending index order from `+0.0`, so the result is bit-identical to the
+/// plain merge.
 pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
     let mut s = 0.0;
+    let (mut ia, mut ib) = (0, 0);
+    while let (Some(a), Some(b)) = (ai.get(ia..ia + BLOCK), bi.get(ib..ib + BLOCK)) {
+        let shared = a
+            .iter()
+            .fold(false, |any, x| b.iter().fold(any, |any, y| any | (x == y)));
+        if shared {
+            let (sum, passed_a, passed_b) =
+                merge_dot(s, (a, &av[ia..ia + BLOCK]), (b, &bv[ib..ib + BLOCK]));
+            (s, ia, ib) = (sum, ia + passed_a, ib + passed_b);
+            continue;
+        }
+        // Which block moves on is as unpredictable as the rows: no branch.
+        let a_first = a[BLOCK - 1] < b[BLOCK - 1];
+        ia += BLOCK * usize::from(a_first);
+        ib += BLOCK * usize::from(!a_first);
+    }
+    merge_dot(s, (&ai[ia..], &av[ia..]), (&bi[ib..], &bv[ib..])).0
+}
+
+/// The two-pointer merge of [`sparse_dot`]: adds the product at every
+/// shared index to `s`, in ascending index order, until one side runs out.
+/// Returns the sum and how many entries of each side it passed.
+fn merge_dot<I: Copy + Ord>(
+    mut s: f64,
+    (ai, av): (&[I], &[f64]),
+    (bi, bv): (&[I], &[f64]),
+) -> (f64, usize, usize) {
     let mut ia = 0;
     let mut ib = 0;
     while ia < ai.len() && ib < bi.len() {
@@ -77,7 +118,7 @@ pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> 
             }
         }
     }
-    s
+    (s, ia, ib)
 }
 
 /// Runs the union merge of two sorted sparse vectors, feeding `visit` with
@@ -157,6 +198,127 @@ pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain two-pointer merge `sparse_dot` was before the block
+    /// intersection: the bitwise oracle.
+    fn merged_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
+        let mut s = 0.0;
+        let (mut ia, mut ib) = (0, 0);
+        while ia < ai.len() && ib < bi.len() {
+            match ai[ia].cmp(&bi[ib]) {
+                std::cmp::Ordering::Less => ia += 1,
+                std::cmp::Ordering::Greater => ib += 1,
+                std::cmp::Ordering::Equal => {
+                    s += av[ia] * bv[ib];
+                    ia += 1;
+                    ib += 1;
+                }
+            }
+        }
+        s
+    }
+
+    /// Values of every sign and magnitude, zeros of both signs included,
+    /// so that a product added out of order or twice changes the bits.
+    fn value(k: usize) -> f64 {
+        const VALUES: [f64; 9] = [1.5, -0.25, 0.0, 3.0e-7, -2.0, -0.0, 1.0e9, -1.0e-300, 0.1];
+        VALUES[k % VALUES.len()] * (1.0 + k as f64 / 7.0)
+    }
+
+    /// Checks the block intersection against the merge, bitwise, with `u32`
+    /// and `usize` indices.
+    fn assert_block_dot_is_the_merge(ai: &[u32], bi: &[u32], shift: usize) {
+        let av: Vec<f64> = (0..ai.len()).map(|k| value(k + shift)).collect();
+        let bv: Vec<f64> = (0..bi.len()).map(|k| value(3 * k + shift + 1)).collect();
+        let expected = merged_dot(ai, &av, bi, &bv).to_bits();
+        assert_eq!(
+            sparse_dot(ai, &av, bi, &bv).to_bits(),
+            expected,
+            "{ai:?} · {bi:?}"
+        );
+        let (au, bu): (Vec<usize>, Vec<usize>) = (
+            ai.iter().map(|&i| i as usize).collect(),
+            bi.iter().map(|&i| i as usize).collect(),
+        );
+        assert_eq!(sparse_dot(&au, &av, &bu, &bv).to_bits(), expected);
+        assert_eq!(
+            sparse_dot(bi, &bv, ai, &av).to_bits(),
+            merged_dot(bi, &bv, ai, &av).to_bits()
+        );
+    }
+
+    #[test]
+    fn block_dot_is_the_merge_on_every_shape_up_to_25_entries() {
+        let evens = |len: u32| (0..len).map(|k| 2 * k).collect::<Vec<u32>>();
+        let odds = |len: u32| (0..len).map(|k| 2 * k + 1).collect::<Vec<u32>>();
+        // Rows `4k + 1` plus the rows at entries 7, 8, 15, 16, 23 and 24 of
+        // `evens` (the last and first rows of its blocks), which land off
+        // the diagonal of `b`'s blocks.
+        let edges = |len: u32| {
+            let edge = |row: &u32| [14, 16, 30, 32, 46, 48].contains(row);
+            let rows = (0..).filter(|row| row % 4 == 1 || edge(row));
+            rows.take(len as usize).collect::<Vec<u32>>()
+        };
+        for len_a in 0..=25u32 {
+            for len_b in 0..=25u32 {
+                let shapes = [
+                    // Identical (or one a prefix of the other).
+                    ((0..len_a).collect(), (0..len_b).collect()),
+                    // Disjoint ranges.
+                    ((0..len_a).collect(), (100..100 + len_b).collect()),
+                    // Interleaved, never equal.
+                    (evens(len_a), odds(len_b)),
+                    // Multiples of three against evens: every sixth row is
+                    // shared, off the diagonal, and the blocks of `a` end
+                    // first, so the merge leaves `b`'s blocks midway.
+                    (evens(len_a), (0..len_b).map(|k| 3 * k).collect()),
+                    // Rows `4k + 1`, every fifth moved to the even row `4k`:
+                    // a block of `b` shares nothing with the first block of
+                    // `a`, waits for the next one, and shares a row with it.
+                    (
+                        evens(len_a),
+                        (0..len_b).map(|k| 4 * k + u32::from(k % 5 != 4)).collect(),
+                    ),
+                    // Matches on block edges.
+                    (evens(len_a), edges(len_b)),
+                    // Equal block maxima: entry 7 of every block of `b` is
+                    // the last row of the matching block of `a`, so the
+                    // merge leaves both blocks at once.
+                    (
+                        evens(len_a),
+                        (0..len_b).map(|k| 2 * k + u32::from(k % 8 != 7)).collect(),
+                    ),
+                ];
+                for (shift, (ai, bi)) in shapes.iter().enumerate() {
+                    assert_block_dot_is_the_merge(ai, bi, shift);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn block_dot_is_the_merge_on_random_supports(
+            (raw_a, raw_b) in (
+                proptest::collection::vec(any::<u32>(), 0..26),
+                proptest::collection::vec(any::<u32>(), 0..26),
+            ),
+            (universe, shift) in (1u32..64, 0usize..9),
+        ) {
+            // Sorted distinct rows from a small universe, so shared rows,
+            // equal block maxima and block-edge matches are all common.
+            let rows = |raw: Vec<u32>| {
+                let mut rows: Vec<u32> = raw.into_iter().map(|r| r % universe).collect();
+                rows.sort_unstable();
+                rows.dedup();
+                rows
+            };
+            assert_block_dot_is_the_merge(&rows(raw_a), &rows(raw_b), shift);
+        }
+    }
 
     #[test]
     fn dot_and_norms() {
