@@ -10,6 +10,12 @@
 //! is reported. The ordering itself is timed too (`ordering_seconds`), since
 //! the CLI's build pays for it before the factorization.
 //!
+//! Two ablations of the design choices of Alg. 2 / Alg. 3 ride along: the
+//! pruning threshold `ε` (sequential build time against nnz(Z̃), on the same
+//! factor) and the fill-reducing ordering applied before the incomplete
+//! factorization (build plus all-edge queries under the natural, RCM and
+//! minimum-degree orderings, on a small power-grid mesh).
+//!
 //! Every timed row records the sample count and the spread (`n`, `min`,
 //! `median`, `max` seconds over `SAMPLES` runs); speedups compare medians.
 //! Besides the human-readable table the bench writes
@@ -20,7 +26,7 @@
 //! can tell scheduling overhead from a genuine regression.
 
 use effres::approx_inverse::SparseApproximateInverse;
-use effres::BuildOptions;
+use effres::{BuildOptions, EffectiveResistanceEstimator, EffresConfig, Ordering};
 use effres_bench::report::{write_report, Json, Sample};
 use effres_graph::{generators, laplacian::grounded_laplacian};
 use effres_sparse::ichol::{IcholOptions, IncompleteCholesky};
@@ -30,6 +36,8 @@ const SIDE: usize = 320; // 320 × 320 = 102 400 nodes
 const EPSILON: f64 = 1e-3;
 const DENSE_COLUMN_THRESHOLD: usize = 4;
 const SAMPLES: usize = 5;
+/// Runs per ordering of the ordering ablation (each takes milliseconds).
+const ORDERING_SAMPLES: usize = 10;
 
 fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -72,6 +80,59 @@ fn main() {
         reference.nnz(),
         reference.nnz_ratio()
     );
+
+    // Ablation of the pruning threshold on the same factor.
+    let mut epsilon_reports = Vec::new();
+    for epsilon in [1e-2, 1e-3, 1e-4] {
+        let mut inverse_nnz = 0;
+        let seconds = Sample::time(SAMPLES, false, || {
+            let inverse = SparseApproximateInverse::from_factor_with(
+                l,
+                epsilon,
+                DENSE_COLUMN_THRESHOLD,
+                &BuildOptions::sequential(),
+            )
+            .expect("Alg. 2");
+            inverse_nnz = inverse.nnz();
+            inverse
+        });
+        println!(
+            "eps {epsilon:e}:   {}  (inverse nnz {inverse_nnz})",
+            spread(&seconds)
+        );
+        epsilon_reports.push(Json::Obj(vec![
+            ("epsilon", Json::Num(epsilon)),
+            ("seconds", seconds.json()),
+            ("inverse_nnz", Json::Int(inverse_nnz as u64)),
+        ]));
+    }
+
+    // Ablation of the fill-reducing ordering: Alg. 3 end to end.
+    let mesh = generators::power_grid_mesh(Default::default()).expect("generator");
+    let mut ordering_reports = Vec::new();
+    for (name, ordering) in [
+        ("natural", Ordering::Natural),
+        ("rcm", Ordering::Rcm),
+        ("min_degree", Ordering::MinimumDegree),
+    ] {
+        let config = EffresConfig::default().with_ordering(ordering);
+        let mut inverse_nnz = 0;
+        let seconds = Sample::time(ORDERING_SAMPLES, true, || {
+            let estimator = EffectiveResistanceEstimator::build(&mesh, &config).expect("build");
+            inverse_nnz = estimator.stats().inverse_nnz;
+            estimator.query_all_edges(&mesh).expect("queries")
+        });
+        println!(
+            "ordering {name}: {}  build + {} edge queries (inverse nnz {inverse_nnz})",
+            spread(&seconds),
+            mesh.edge_count()
+        );
+        ordering_reports.push(Json::Obj(vec![
+            ("ordering", Json::Str(name.to_string())),
+            ("seconds", seconds.json()),
+            ("inverse_nnz", Json::Int(inverse_nnz as u64)),
+        ]));
+    }
 
     // The parallel configurations run the production deployment shape: the
     // factor shared in one Arc (no per-build copy) on a persistent pool
@@ -148,6 +209,16 @@ fn main() {
         ("sequential_seconds", sequential.json()),
         ("parallel", Json::Arr(parallel_reports)),
         ("best_speedup", Json::Num(best_speedup)),
+        ("epsilon_ablation", Json::Arr(epsilon_reports)),
+        (
+            "ordering_ablation",
+            Json::Obj(vec![
+                ("graph", Json::Str("power_grid_mesh_32x32".to_string())),
+                ("nodes", Json::Int(mesh.node_count() as u64)),
+                ("edges", Json::Int(mesh.edge_count() as u64)),
+                ("rows", Json::Arr(ordering_reports)),
+            ]),
+        ),
     ]);
     match write_report("inverse_build", body) {
         Ok(path) => println!("report: {}", path.display()),

@@ -22,10 +22,10 @@
 //! Windows, no mmap, no platform crates. Single-column lookups fetch whole
 //! *pages* (a fixed range of consecutive columns,
 //! [`PagedOptions::columns_per_page`]), and decoded pages live in a sharded
-//! slab-LRU cache (the same intrusive-list idiom as the service layer's pair
-//! cache) behind `Arc`s, so hot columns are served from memory while cold
-//! ones stream from disk and eviction can never invalidate a view a query
-//! is still reading. Batch schedulers use the bulk path instead:
+//! LRU cache (an intrusive recency list over a slab) behind `Arc`s, so hot
+//! columns are served from memory while cold ones stream from disk and
+//! eviction can never invalidate a view a query is still reading. Batch
+//! schedulers use the bulk path instead:
 //! [`PagedColumnStore::pin_pages`] pins page sets into a [`PinnedPages`] set
 //! served through a [`PinnedReader`]. Missing pages are fetched with
 //! **coalesced readahead** (adjacent missing pages merge into single large
@@ -203,10 +203,10 @@ impl PagedOptions {
 /// Page-cache counters of a [`PagedColumnStore`]. A **hit** served a column
 /// from a resident decoded page; a **miss** paid a disk read and a decode.
 ///
-/// All counters are relaxed atomics underneath: they are monotonic between
-/// calls to [`PagedColumnStore::take_page_cache_stats`], which snapshots and
-/// resets them so callers (the query engine's batch paths) can report
-/// per-batch rates instead of process-lifetime totals.
+/// All counters are relaxed atomics underneath that count from open and
+/// only grow: a window's traffic is the difference of two snapshots
+/// ([`PageCacheStats::since`]), which is how the query engine reports
+/// per-batch figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageCacheStats {
     /// Page lookups answered from the cache (or an already-pinned page).
@@ -237,10 +237,9 @@ pub struct PageCacheStats {
 }
 
 /// Cumulative counters of the background integrity scrubber (see
-/// [`PagedColumnStore::scrub_page`]). Unlike [`PageCacheStats`] these are
-/// **never** reset by the per-batch stat windows: they describe the health
-/// of the snapshot at rest over the store's whole lifetime, which is what a
-/// health check wants to see.
+/// [`PagedColumnStore::scrub_page`]): they describe the health of the
+/// snapshot at rest over the store's whole lifetime, which is what a health
+/// check wants to see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrubStats {
     /// Pages fetched and revalidated by the scrubber.
@@ -255,17 +254,19 @@ pub struct ScrubStats {
 }
 
 impl PageCacheStats {
-    /// Counter-wise sum (both sides of a snapshot/reset cycle).
+    /// Counter-wise difference: the traffic between `earlier` and `self`,
+    /// two snapshots of the same store taken in that order (its counters
+    /// only grow, so no field goes negative).
     #[must_use]
-    pub fn merged(self, other: PageCacheStats) -> PageCacheStats {
+    pub fn since(self, earlier: PageCacheStats) -> PageCacheStats {
         PageCacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            bytes_read: self.bytes_read + other.bytes_read,
-            readahead_reads: self.readahead_reads + other.readahead_reads,
-            column_runs: self.column_runs + other.column_runs,
-            retries: self.retries + other.retries,
-            faulted_reads: self.faulted_reads + other.faulted_reads,
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            readahead_reads: self.readahead_reads - earlier.readahead_reads,
+            column_runs: self.column_runs - earlier.column_runs,
+            retries: self.retries - earlier.retries,
+            faulted_reads: self.faulted_reads - earlier.faulted_reads,
         }
     }
 }
@@ -446,9 +447,10 @@ struct PageNode {
     next: u32,
 }
 
-/// One shard of the page cache: the same intrusive-list-over-a-slab LRU as
-/// the service layer's pair cache, holding `Arc<Page>`s so a page can be
-/// evicted while a reader still borrows from it.
+/// One shard of the page cache: an LRU kept as an intrusive doubly linked
+/// recency list over a slab of nodes (head most recent, tail the next
+/// victim), holding `Arc<Page>`s so a page can be evicted while a reader
+/// still borrows from it.
 #[derive(Debug)]
 struct PageShard {
     map: HashMap<usize, u32>,
@@ -669,8 +671,7 @@ pub struct PagedColumnStore {
     column_runs: AtomicU64,
     retries: AtomicU64,
     faulted_reads: AtomicU64,
-    /// Cumulative scrubber counters ([`ScrubStats`]) — separate from the
-    /// windowed page-cache stats so batch snapshots never reset them.
+    /// Cumulative scrubber counters ([`ScrubStats`]).
     pages_scrubbed: AtomicU64,
     scrub_failures: AtomicU64,
     quarantined: AtomicU64,
@@ -751,8 +752,7 @@ impl PagedColumnStore {
         &self.norms
     }
 
-    /// Page-cache counters accumulated since the last
-    /// [`PagedColumnStore::take_page_cache_stats`] (or since open).
+    /// Page-cache counters accumulated since open (see [`PageCacheStats`]).
     pub fn page_cache_stats(&self) -> PageCacheStats {
         PageCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -765,25 +765,7 @@ impl PagedColumnStore {
         }
     }
 
-    /// Snapshots the page-cache counters and resets them to zero, so a batch
-    /// executor can report exact per-batch rates: take once before the batch
-    /// (crediting whatever accrued to the previous window) and once after.
-    /// The swap per counter is atomic; concurrent batches each see a
-    /// consistent partition of the total (nothing is lost or double-counted).
-    pub fn take_page_cache_stats(&self) -> PageCacheStats {
-        PageCacheStats {
-            hits: self.hits.swap(0, Ordering::Relaxed),
-            misses: self.misses.swap(0, Ordering::Relaxed),
-            bytes_read: self.bytes_read.swap(0, Ordering::Relaxed),
-            readahead_reads: self.readahead_reads.swap(0, Ordering::Relaxed),
-            column_runs: self.column_runs.swap(0, Ordering::Relaxed),
-            retries: self.retries.swap(0, Ordering::Relaxed),
-            faulted_reads: self.faulted_reads.swap(0, Ordering::Relaxed),
-        }
-    }
-
-    /// Cumulative integrity-scrubber counters (never reset; see
-    /// [`ScrubStats`]).
+    /// Cumulative integrity-scrubber counters (see [`ScrubStats`]).
     pub fn scrub_stats(&self) -> ScrubStats {
         ScrubStats {
             pages_scrubbed: self.pages_scrubbed.load(Ordering::Relaxed),
@@ -857,11 +839,7 @@ impl PagedColumnStore {
 
     /// The decoded page covering column `j`, from the cache or from disk.
     fn page_for(&self, j: usize) -> Result<Arc<Page>, EffresError> {
-        self.page_by_id(j / self.columns_per_page)
-    }
-
-    /// The decoded page `pid`, from the cache or from disk.
-    fn page_by_id(&self, pid: usize) -> Result<Arc<Page>, EffresError> {
+        let pid = self.page_of_column(j);
         if let Some(page) = self.cache.get(pid) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(page);
@@ -1400,88 +1378,62 @@ impl PagedColumnStore {
         )
     }
 
-    /// Fetches a sorted, deduplicated list of non-resident pages: maximal
-    /// runs of adjacent ids coalesce into single positioned reads (counted
-    /// as one miss per page), and the decoded pages come back keyed by id.
+    /// Fetches a sorted, deduplicated list of non-resident pages with
+    /// coalesced readahead: the list is cut into chunks at every break in
+    /// adjacency and before a chunk would outgrow [`MAX_COALESCED_BYTES`]
+    /// (so a large pinned block never demands a read buffer proportional to
+    /// itself), and each chunk takes one positioned read per block. One
+    /// `scratch` serves every chunk, so a batch pays for its read buffers
+    /// once. Each page counts as one miss once all of them are read; the
+    /// decoded pages come back keyed by id.
     fn fetch_missing_runs(
         &self,
         missing: &[usize],
     ) -> Result<HashMap<usize, Arc<Page>>, EffresError> {
-        let mut scratch = self.buffers.take_scratch();
-        let result = (|| {
-            let mut fetched: HashMap<usize, Arc<Page>> = HashMap::with_capacity(missing.len());
-            let mut run_start = 0;
-            while run_start < missing.len() {
-                let mut run_end = run_start + 1;
-                while run_end < missing.len() && missing[run_end] == missing[run_end - 1] + 1 {
-                    run_end += 1;
-                }
-                self.read_page_run(&missing[run_start..run_end], &mut fetched, &mut scratch)?;
-                run_start = run_end;
-            }
-            self.misses
-                .fetch_add(missing.len() as u64, Ordering::Relaxed);
-            Ok(fetched)
-        })();
-        self.buffers.put_scratch(scratch);
-        result
-    }
-
-    /// Reads one run of adjacent pages, splitting it into coalesced
-    /// positioned reads of at most [`MAX_COALESCED_BYTES`] each so a large
-    /// pinned block never demands a read buffer proportional to itself.
-    /// `scratch` is reused across chunks — and across the runs of one bulk
-    /// call — so a batch pays for its read buffers once, not per chunk.
-    fn read_page_run(
-        &self,
-        run: &[usize],
-        pages: &mut HashMap<usize, Arc<Page>>,
-        scratch: &mut ReadScratch,
-    ) -> Result<(), EffresError> {
         let page_bytes = |pid: usize| {
             let (first_col, last_col) = self.page_columns(pid);
-            self.row_byte_range(first_col, last_col).1 + self.val_byte_range(first_col, last_col).1
+            self.column_bytes(first_col, last_col)
         };
+        let mut scratch = self.buffers.take_scratch();
+        let mut fetched = HashMap::with_capacity(missing.len());
+        let mut result = Ok(());
         let mut start = 0;
-        while start < run.len() {
+        while start < missing.len() && result.is_ok() {
             let mut end = start + 1;
-            let mut total = page_bytes(run[start]);
-            while end < run.len() && total + page_bytes(run[end]) <= MAX_COALESCED_BYTES {
-                total += page_bytes(run[end]);
+            let mut total = page_bytes(missing[start]);
+            while end < missing.len()
+                && missing[end] == missing[end - 1] + 1
+                && total + page_bytes(missing[end]) <= MAX_COALESCED_BYTES
+            {
+                total += page_bytes(missing[end]);
                 end += 1;
             }
-            self.read_page_chunk(&run[start..end], pages, scratch)?;
+            result = self.read_page_chunk(&missing[start..end], &mut fetched, &mut scratch);
             start = end;
         }
-        Ok(())
+        self.buffers.put_scratch(scratch);
+        result?;
+        self.misses
+            .fetch_add(missing.len() as u64, Ordering::Relaxed);
+        Ok(fetched)
     }
 
-    /// Reads one bounded chunk of adjacent pages with two coalesced
-    /// positioned reads and decodes each page out of the shared buffers.
+    /// Reads one chunk of adjacent pages through
+    /// [`PagedColumnStore::fetch_column_bytes`] (two coalesced positioned
+    /// reads) and decodes each page out of the shared buffers.
     fn read_page_chunk(
         &self,
-        run: &[usize],
+        chunk: &[usize],
         pages: &mut HashMap<usize, Arc<Page>>,
         scratch: &mut ReadScratch,
     ) -> Result<(), EffresError> {
-        let (first_col, _) = self.page_columns(run[0]);
-        let (_, last_col) = self.page_columns(*run.last().expect("non-empty run"));
-        let failed = |message: String| EffresError::StoreFailure {
-            column: first_col,
-            message,
-        };
-        let (row_at, row_len) = self.row_byte_range(first_col, last_col);
-        scratch.rows.resize(row_len, 0);
-        self.read_block(&mut scratch.rows, row_at, 0)
-            .map_err(|e| failed(format!("readahead of the row block: {e}")))?;
-        let (val_at, val_len) = self.val_byte_range(first_col, last_col);
-        scratch.vals.resize(val_len, 0);
-        self.read_block(&mut scratch.vals, val_at, 0)
-            .map_err(|e| failed(format!("readahead of the value block: {e}")))?;
+        let (first_col, _) = self.page_columns(chunk[0]);
+        let (_, last_col) = self.page_columns(*chunk.last().expect("non-empty chunk"));
+        self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
         self.readahead_reads.fetch_add(2, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add((row_len + val_len) as u64, Ordering::Relaxed);
-        for &pid in run {
+        let (row_at, _) = self.row_byte_range(first_col, last_col);
+        let (val_at, _) = self.val_byte_range(first_col, last_col);
+        for &pid in chunk {
             let (lo_col, hi_col) = self.page_columns(pid);
             let (page_row_at, page_row_len) = self.row_byte_range(lo_col, hi_col);
             let row_lo = (page_row_at - row_at) as usize;
@@ -2080,10 +2032,13 @@ mod tests {
             .pin_pages(&[0, 1, 2, pages - 1], None)
             .expect("pin");
         assert_eq!(pinned.len(), 4);
-        let s = paged.store.take_page_cache_stats();
-        assert_eq!(s.misses, 4);
-        assert_eq!(s.readahead_reads, 4, "two coalesced runs x (rows + vals)");
-        assert!(s.bytes_read > 0);
+        let pinning = paged.store.page_cache_stats();
+        assert_eq!(pinning.misses, 4);
+        assert_eq!(
+            pinning.readahead_reads, 4,
+            "two coalesced runs x (rows + vals)"
+        );
+        assert!(pinning.bytes_read > 0);
 
         // Pinned columns serve without the cache; unpinned ones fall back.
         let empty = PinnedPages::default();
@@ -2104,11 +2059,8 @@ mod tests {
         }
         // Pinned columns are served off the pin (no lock traffic); the
         // unpinned middle pages fall back to the cache path and miss.
-        let s = paged.store.take_page_cache_stats();
+        let s = paged.store.page_cache_stats().since(pinning);
         assert!(s.misses > 0);
-        // Counters were reset by the take above.
-        let cleared = paged.store.page_cache_stats();
-        assert_eq!(cleared, PageCacheStats::default());
     }
 
     #[test]

@@ -267,6 +267,43 @@ fn one_page_cache_evicts_on_every_page_switch_and_stays_bit_identical() {
 }
 
 #[test]
+fn a_full_cache_evicts_the_least_recently_used_page() {
+    // Three pages in one shard: the victim must be the page touched least
+    // recently, not the one inserted first (FIFO would evict page 0 below).
+    let paged = open_paged(
+        fixture("v3_grid12.snap"),
+        &PagedOptions {
+            columns_per_page: 8,
+            cache_pages: 3,
+            cache_shards: 1,
+            ..PagedOptions::default()
+        },
+    )
+    .expect("opens");
+    assert_eq!(paged.store.cache_capacity_pages(), 3);
+    // Touches the first column of page `pid`; true on a cache hit.
+    let touch = |pid: usize| {
+        let before = paged.store.page_cache_stats();
+        paged.store.with_column(8 * pid, |_| ()).expect("fetch");
+        let step = paged.store.page_cache_stats().since(before);
+        assert_eq!(step.hits + step.misses, 1, "page {pid}");
+        step.hits == 1
+    };
+    for pid in [0, 1, 2] {
+        assert!(!touch(pid), "page {pid} starts cold");
+    }
+    assert!(touch(0), "page 0 is resident");
+    // Recency is now 0, 2, 1: inserting page 3 evicts page 1.
+    assert!(!touch(3));
+    assert!(touch(0), "page 0 was touched after page 1");
+    assert!(touch(2), "page 2 was touched after page 1");
+    assert!(!touch(1), "page 1 was the least recently used");
+    // Page 1's return evicted page 3; pages 0, 2 and 1 stay resident.
+    assert!(touch(0) && touch(2) && touch(1));
+    assert!(!touch(3), "page 3 was the least recently used");
+}
+
+#[test]
 fn paged_metadata_matches_the_resident_loader() {
     let snapshot = resident();
     let paged = open_paged(raw_v3_path(), &PagedOptions::default()).expect("opens");
@@ -595,7 +632,7 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
             .expect("healthy fixture");
         assert_eq!(pinned.len(), 2, "{name}");
-        let stats = paged.store.take_page_cache_stats();
+        let stats = paged.store.page_cache_stats();
         assert_eq!(stats.bytes_read, demanded_bytes, "{name}");
         assert_eq!(stats.column_runs, 3, "{name}: runs 17..19, 29, 70");
         assert_eq!((stats.hits, stats.misses), (0, 2), "{name}");
@@ -616,7 +653,7 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
         }
         assert_eq!(
             paged.store.page_cache_stats(),
-            effres_io::PageCacheStats::default(),
+            stats,
             "{name}: demanded columns never fall back"
         );
     }
@@ -635,21 +672,24 @@ fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
     // Every column of page 2 demanded: read whole, coalesced, and cached.
     let dense: Vec<usize> = (32..48).collect();
     drop(paged.store.pin_pages(&[2], Some(&dense)).expect("pin"));
-    let stats = paged.store.take_page_cache_stats();
+    let whole = paged.store.page_cache_stats();
     assert_eq!(
-        (stats.misses, stats.column_runs, stats.readahead_reads),
+        (whole.misses, whole.column_runs, whole.readahead_reads),
         (1, 0, 2)
     );
     // A cached page is a hit even under a sparse demand: nothing is read.
     drop(paged.store.pin_pages(&[2], Some(&[33])).expect("pin"));
-    let stats = paged.store.take_page_cache_stats();
+    let mut before = paged.store.page_cache_stats();
+    let stats = before.since(whole);
     assert_eq!((stats.hits, stats.misses, stats.bytes_read), (1, 0, 0));
     // Sparse runs are pinned but never published: pinning the same sparse
     // demand again reads again.
     for _ in 0..2 {
         drop(paged.store.pin_pages(&[5], Some(&[81])).expect("pin"));
-        let stats = paged.store.take_page_cache_stats();
+        let after = paged.store.page_cache_stats();
+        let stats = after.since(before);
         assert_eq!((stats.hits, stats.misses, stats.column_runs), (0, 1, 1));
+        before = after;
     }
 }
 
@@ -708,7 +748,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         matches!(err, EffresError::StoreFailure { column, .. } if column == victim),
         "{err:?}"
     );
-    let stats = rotten.store.take_page_cache_stats();
+    let stats = rotten.store.page_cache_stats();
     assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
 
     // The partial pin fails only the rotten page; the other sparse page
@@ -741,7 +781,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         .store
         .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
         .expect("heals on the re-fetch");
-    let stats = healing.store.take_page_cache_stats();
+    let stats = healing.store.page_cache_stats();
     assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
     let reader = effres_io::PinnedReader::new(&healing.store, &pinned, Some(&empty));
     for j in SPARSE_DEMAND {

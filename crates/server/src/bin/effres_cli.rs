@@ -760,8 +760,8 @@ fn serve_batch(
         );
     }
     if let Some(page) = result.page_cache {
-        // Per-batch traffic (the counters are snapshot/reset around the
-        // batch), not process-lifetime totals.
+        // Per-batch traffic (the store counters' growth across the batch),
+        // not process-lifetime totals.
         let lookups = page.hits + page.misses;
         println!(
             "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read, \

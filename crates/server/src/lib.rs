@@ -12,8 +12,9 @@
 //! other client is working from.
 //!
 //! The crate is std-only (no async runtime, no serde): frames are
-//! hand-framed, the stats document is hand-rendered JSON, and the blocking
-//! [`Client`] is a thin wrapper over one socket. The `effres-cli` binary
+//! hand-framed, the stats document is rendered by the workspace's one JSON
+//! writer ([`json::Json`]), and the blocking [`Client`] is a thin wrapper
+//! over one socket. The `effres-cli` binary
 //! lives here too — its `serve` and `bench-client` subcommands are the
 //! operational entry points, and the pipeline subcommands (build / query /
 //! stats / …) ride along unchanged.
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod json;
 pub mod protocol;
 pub mod server;
 

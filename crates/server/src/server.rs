@@ -38,13 +38,15 @@
 //! pages are quarantined out of the cache. Its findings ride in the stats
 //! document and in the `health` byte of [`OP_PING`].
 //!
-//! The [`OP_STATS`] response is a JSON object
-//! (stable keys, no external dependencies) carrying the backend identity
-//! (including the snapshot format version, path, epoch and reload count),
-//! cumulative service counters, admission-ledger state, scrubber counters,
-//! the health state, the latency quantiles (p50/p95/p99 in microseconds)
-//! and overall queries-per-second throughput.
+//! The [`OP_STATS`] response is a JSON object with stable keys, rendered
+//! by the workspace's one JSON writer ([`crate::json`]). It carries the
+//! backend identity (including the snapshot format version, path, epoch
+//! and reload count), cumulative service counters, admission-ledger state,
+//! scrubber counters, the health state, the latency quantiles
+//! (p50/p95/p99 in microseconds) and overall queries-per-second
+//! throughput.
 
+use crate::json::Json;
 use crate::protocol::{
     write_frame, Health, PayloadReader, BATCH_FLAG_PARTIAL, MAX_FRAME_BYTES, OP_BATCH, OP_BATCH_OK,
     OP_BATCH_PARTIAL_OK, OP_BUSY, OP_DEADLINE, OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_PING,
@@ -53,12 +55,10 @@ use crate::protocol::{
     STATUS_OUT_OF_BOUNDS, STATUS_STORE_FAILURE,
 };
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError};
-use effres_io::PagedColumnStore;
 use effres_service::{
     BatchResult, CancelToken, ExecMode, ExecOptions, LatencyHistogram, QueryBatch, QueryEngine,
     ResistanceBackend,
 };
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -525,7 +525,8 @@ impl<B: ResistanceBackend> Server<B> {
 /// a low-priority thread walking the backend's
 /// [`paged_store`](ResistanceBackend::paged_store) at roughly
 /// [`ServerOptions::scrub_bytes_per_sec`], revalidating each page with the
-/// serve path's own checks (see [`PagedColumnStore::scrub_page`]) and
+/// serve path's own checks (see
+/// [`PagedColumnStore::scrub_page`](effres_io::PagedColumnStore::scrub_page)) and
 /// quarantining rot. It follows epoch swaps (a reload restarts the walk on
 /// the new snapshot) and exits at shutdown — at once on a resident backend,
 /// which has nothing to scrub.
@@ -639,7 +640,7 @@ fn serve_connection<B: ResistanceBackend>(stream: TcpStream, shared: &Shared<B>)
                     // as one): tell the peer, count it, drop the link —
                     // the framing cannot resynchronize past it.
                     shared.frame_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_error(&mut writer, &e.to_string());
+                    let _ = write_message(&mut writer, OP_ERROR, &e.to_string());
                     let _ = writer.flush();
                     return Err(e);
                 }
@@ -666,7 +667,7 @@ fn serve_connection<B: ResistanceBackend>(stream: TcpStream, shared: &Shared<B>)
                 shared.idle_closes.fetch_add(1, Ordering::Relaxed);
             } else {
                 shared.deadline_closes.fetch_add(1, Ordering::Relaxed);
-                let _ = write_error(&mut writer, "frame deadline exceeded mid-payload");
+                let _ = write_message(&mut writer, OP_ERROR, "frame deadline exceeded mid-payload");
                 let _ = writer.flush();
             }
             return Ok(());
@@ -798,7 +799,7 @@ fn handle_request<B: ResistanceBackend>(
 ) -> io::Result<bool> {
     let Some((&opcode, body)) = payload.split_first() else {
         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return write_error(writer, "empty frame").map(|()| true);
+        return write_message(writer, OP_ERROR, "empty frame").map(|()| true);
     };
     match opcode {
         OP_HELLO => {
@@ -822,7 +823,7 @@ fn handle_request<B: ResistanceBackend>(
             match parsed {
                 Err(e) => {
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    write_error(writer, &format!("malformed query: {e}"))?;
+                    write_message(writer, OP_ERROR, &format!("malformed query: {e}"))?;
                 }
                 Ok((p, q)) => match shared.current_epoch().engine.query(p as usize, q as usize) {
                     Ok(value) => {
@@ -841,7 +842,7 @@ fn handle_request<B: ResistanceBackend>(
             match parse_batch_body(body) {
                 Err(e) => {
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    write_error(writer, &format!("malformed batch: {e}"))?;
+                    write_message(writer, OP_ERROR, &format!("malformed batch: {e}"))?;
                 }
                 Ok((partial, deadline, pairs)) => {
                     let batch = QueryBatch::from_pairs(pairs);
@@ -881,11 +882,11 @@ fn handle_request<B: ResistanceBackend>(
         OP_RELOAD => match std::str::from_utf8(body) {
             Err(_) => {
                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                write_error(writer, "reload path is not valid UTF-8")?;
+                write_message(writer, OP_ERROR, "reload path is not valid UTF-8")?;
             }
             Ok("") => {
                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                write_error(writer, "reload needs a snapshot path")?;
+                write_message(writer, OP_ERROR, "reload needs a snapshot path")?;
             }
             Ok(path) => match shared.reload(Path::new(path)) {
                 Ok((epoch, node_count, version)) => {
@@ -896,7 +897,9 @@ fn handle_request<B: ResistanceBackend>(
                     out.extend_from_slice(&version.to_le_bytes());
                     write_frame(writer, &out)?;
                 }
-                Err(message) => write_error(writer, &format!("reload failed: {message}"))?,
+                Err(message) => {
+                    write_message(writer, OP_ERROR, &format!("reload failed: {message}"))?
+                }
             },
         },
         OP_STATS => {
@@ -914,7 +917,7 @@ fn handle_request<B: ResistanceBackend>(
         }
         other => {
             shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            write_error(writer, &format!("unknown opcode {other:#04x}"))?;
+            write_message(writer, OP_ERROR, &format!("unknown opcode {other:#04x}"))?;
         }
     }
     Ok(true)
@@ -1038,23 +1041,11 @@ fn note_batch_result<B: ResistanceBackend>(shared: &Shared<B>, result: &BatchRes
     }
 }
 
-fn write_error(writer: &mut impl Write, message: &str) -> io::Result<()> {
+/// Writes a reply frame of `opcode` followed by a UTF-8 `message` (the
+/// error, busy and deadline replies).
+fn write_message(writer: &mut impl Write, opcode: u8, message: &str) -> io::Result<()> {
     let mut out = Vec::with_capacity(1 + message.len());
-    out.push(OP_ERROR);
-    out.extend_from_slice(message.as_bytes());
-    write_frame(writer, &out)
-}
-
-fn write_busy(writer: &mut impl Write, message: &str) -> io::Result<()> {
-    let mut out = Vec::with_capacity(1 + message.len());
-    out.push(OP_BUSY);
-    out.extend_from_slice(message.as_bytes());
-    write_frame(writer, &out)
-}
-
-fn write_deadline(writer: &mut impl Write, message: &str) -> io::Result<()> {
-    let mut out = Vec::with_capacity(1 + message.len());
-    out.push(OP_DEADLINE);
+    out.push(opcode);
     out.extend_from_slice(message.as_bytes());
     write_frame(writer, &out)
 }
@@ -1072,14 +1063,16 @@ fn write_engine_error<B: ResistanceBackend>(
     match error {
         EffresError::Busy { .. } => {
             shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            write_busy(writer, &error.to_string())
+            write_message(writer, OP_BUSY, &error.to_string())
         }
-        EffresError::DeadlineExceeded { .. } => write_deadline(writer, &error.to_string()),
+        EffresError::DeadlineExceeded { .. } => {
+            write_message(writer, OP_DEADLINE, &error.to_string())
+        }
         EffresError::StoreFailure { .. } => {
             shared.store_failures.fetch_add(1, Ordering::Relaxed);
-            write_error(writer, &error.to_string())
+            write_message(writer, OP_ERROR, &error.to_string())
         }
-        other => write_error(writer, &other.to_string()),
+        other => write_message(writer, OP_ERROR, &other.to_string()),
     }
 }
 
@@ -1136,156 +1129,136 @@ fn write_partial_batch<B: ResistanceBackend>(
     write_frame(writer, &out)
 }
 
-/// Encodes `s` as a JSON string literal (quotes, backslashes and control
-/// characters escaped — enough for arbitrary snapshot paths).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to string");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders the stats document: plain JSON with stable keys, no external
-/// dependencies (numbers and a fixed vocabulary of strings only).
+/// Renders the stats document: one JSON object with stable keys in a fixed
+/// order, `null` where the backend has no such subsystem.
 fn stats_json<B: ResistanceBackend>(shared: &Shared<B>) -> String {
     let epoch = shared.current_epoch();
     let service = epoch.engine.stats();
-    let store = epoch.engine.backend().paged_store();
     let latency = shared.latency.snapshot();
     let uptime = shared.started.elapsed().as_secs_f64();
-    let mut out = String::with_capacity(1024);
-    out.push('{');
-    write!(
-        out,
-        "\"backend\":\"{}\",\"nodes\":{},\"snapshot_version\":{},\"snapshot_path\":{},",
-        epoch.engine.backend().kind(),
-        epoch.engine.node_count(),
-        epoch
-            .snapshot_version
-            .map_or("null".to_string(), |v| v.to_string()),
-        epoch
-            .snapshot_path
-            .as_ref()
-            .map_or("null".to_string(), |p| json_string(&p.to_string_lossy())),
-    )
-    .expect("write to string");
-    write!(
-        out,
-        "\"epoch\":{},\"reloads\":{},\"health\":\"{}\",",
-        epoch.epoch,
-        shared.reloads.load(Ordering::Relaxed),
-        shared.health().as_str(),
-    )
-    .expect("write to string");
-    match store.map(PagedColumnStore::scrub_stats) {
-        Some(s) => write!(
-            out,
-            "\"scrubber\":{{\"pages_scrubbed\":{},\"scrub_failures\":{},\"quarantined\":{}}},",
-            s.pages_scrubbed, s.scrub_failures, s.quarantined,
-        )
-        .expect("write to string"),
-        None => out.push_str("\"scrubber\":null,"),
-    }
-    write!(
-        out,
-        "\"uptime_secs\":{uptime:.3},\"connections\":{},\"requests\":{},",
-        shared.connections.load(Ordering::Relaxed),
-        shared.requests.load(Ordering::Relaxed),
-    )
-    .expect("write to string");
-    write!(
-        out,
-        "\"errors\":{{\"protocol\":{},\"frame\":{},\"deadline_closes\":{},\"idle_closes\":{},\
-         \"busy_rejections\":{},\"store_failures\":{},\"partial_batches\":{}}},",
-        shared.protocol_errors.load(Ordering::Relaxed),
-        shared.frame_errors.load(Ordering::Relaxed),
-        shared.deadline_closes.load(Ordering::Relaxed),
-        shared.idle_closes.load(Ordering::Relaxed),
-        shared.busy_rejections.load(Ordering::Relaxed),
-        shared.store_failures.load(Ordering::Relaxed),
-        shared.partial_batches.load(Ordering::Relaxed),
-    )
-    .expect("write to string");
-    write!(
-        out,
-        "\"lifecycle\":{{\"cancelled_batches\":{},\"deadline_exceeded\":{},\
-         \"disconnect_cancels\":{},\"abandoned_pairs\":{},\"brownout_entries\":{},\
-         \"brownout_exits\":{},\"brownout_active\":{}}},",
-        shared.cancelled_batches.load(Ordering::Relaxed),
-        shared.deadline_exceeded.load(Ordering::Relaxed),
-        shared.disconnect_cancels.load(Ordering::Relaxed),
-        shared.abandoned_pairs.load(Ordering::Relaxed),
-        shared.brownout_entries.load(Ordering::Relaxed),
-        shared.brownout_exits.load(Ordering::Relaxed),
-        shared.brownout_active.load(Ordering::Relaxed),
-    )
-    .expect("write to string");
-    write!(
-        out,
-        "\"service\":{{\"queries\":{},\"batches\":{},\"pair_cache_hits\":{},\
-         \"pair_cache_misses\":{},\"pair_cache_entries\":{},\"pair_cache_capacity\":{},\
-         \"page_cache_hits\":{},\"page_cache_misses\":{},\"page_bytes_read\":{},\
-         \"page_column_runs\":{},\"page_readahead_reads\":{},\"page_retries\":{},\
-         \"page_faulted_reads\":{}}},",
-        service.queries,
-        service.batches,
-        service.cache_hits,
-        service.cache_misses,
-        service.cache_entries,
-        service.cache_capacity,
-        service.page_cache_hits,
-        service.page_cache_misses,
-        service.page_bytes_read,
-        service.page_column_runs,
-        service.page_readahead_reads,
-        service.page_retries,
-        service.page_faulted_reads,
-    )
-    .expect("write to string");
-    match epoch.engine.admission_stats() {
-        Some(a) => write!(
-            out,
-            "\"admission\":{{\"budget\":{},\"available\":{},\"waiting\":{},\"leases\":{},\
-             \"queued\":{},\"shed_queue_full\":{},\"shed_timeout\":{},\"shed_doomed\":{}}},",
-            a.budget,
-            a.available,
-            a.waiting,
-            a.leases,
-            a.queued,
-            a.shed_queue_full,
-            a.shed_timeout,
-            a.shed_doomed
-        )
-        .expect("write to string"),
-        None => out.push_str("\"admission\":null,"),
-    }
-    write!(
-        out,
-        "\"latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\"p99\":{},\
-         \"max\":{}}},",
-        latency.count,
-        latency.mean_micros(),
-        latency.quantile_micros(0.50),
-        latency.quantile_micros(0.95),
-        latency.quantile_micros(0.99),
-        latency.max_micros,
-    )
-    .expect("write to string");
+    let count = |counter: &AtomicU64| Json::Int(counter.load(Ordering::Relaxed));
+    let scrubber = match epoch.engine.backend().paged_store() {
+        Some(store) => {
+            let s = store.scrub_stats();
+            Json::Obj(vec![
+                ("pages_scrubbed", Json::Int(s.pages_scrubbed)),
+                ("scrub_failures", Json::Int(s.scrub_failures)),
+                ("quarantined", Json::Int(s.quarantined)),
+            ])
+        }
+        None => Json::Null,
+    };
+    let admission = match epoch.engine.admission_stats() {
+        Some(a) => Json::Obj(vec![
+            ("budget", Json::Int(a.budget as u64)),
+            ("available", Json::Int(a.available as u64)),
+            ("waiting", Json::Int(a.waiting as u64)),
+            ("leases", Json::Int(a.leases)),
+            ("queued", Json::Int(a.queued)),
+            ("shed_queue_full", Json::Int(a.shed_queue_full)),
+            ("shed_timeout", Json::Int(a.shed_timeout)),
+            ("shed_doomed", Json::Int(a.shed_doomed)),
+        ]),
+        None => Json::Null,
+    };
     let qps = if uptime > 0.0 {
         service.queries as f64 / uptime
     } else {
         0.0
     };
-    write!(out, "\"throughput_qps\":{qps:.1}}}").expect("write to string");
-    out
+    Json::Obj(vec![
+        (
+            "backend",
+            Json::Str(epoch.engine.backend().kind().to_string()),
+        ),
+        ("nodes", Json::Int(epoch.engine.node_count() as u64)),
+        (
+            "snapshot_version",
+            epoch
+                .snapshot_version
+                .map_or(Json::Null, |v| Json::Int(v.into())),
+        ),
+        (
+            "snapshot_path",
+            epoch
+                .snapshot_path
+                .as_ref()
+                .map_or(Json::Null, |p| Json::Str(p.to_string_lossy().into_owned())),
+        ),
+        ("epoch", Json::Int(epoch.epoch)),
+        ("reloads", count(&shared.reloads)),
+        ("health", Json::Str(shared.health().as_str().to_string())),
+        ("scrubber", scrubber),
+        ("uptime_secs", Json::Num(uptime)),
+        ("connections", count(&shared.connections)),
+        ("requests", count(&shared.requests)),
+        (
+            "errors",
+            Json::Obj(vec![
+                ("protocol", count(&shared.protocol_errors)),
+                ("frame", count(&shared.frame_errors)),
+                ("deadline_closes", count(&shared.deadline_closes)),
+                ("idle_closes", count(&shared.idle_closes)),
+                ("busy_rejections", count(&shared.busy_rejections)),
+                ("store_failures", count(&shared.store_failures)),
+                ("partial_batches", count(&shared.partial_batches)),
+            ]),
+        ),
+        (
+            "lifecycle",
+            Json::Obj(vec![
+                ("cancelled_batches", count(&shared.cancelled_batches)),
+                ("deadline_exceeded", count(&shared.deadline_exceeded)),
+                ("disconnect_cancels", count(&shared.disconnect_cancels)),
+                ("abandoned_pairs", count(&shared.abandoned_pairs)),
+                ("brownout_entries", count(&shared.brownout_entries)),
+                ("brownout_exits", count(&shared.brownout_exits)),
+                (
+                    "brownout_active",
+                    Json::Bool(shared.brownout_active.load(Ordering::Relaxed)),
+                ),
+            ]),
+        ),
+        (
+            "service",
+            Json::Obj(vec![
+                ("queries", Json::Int(service.queries)),
+                ("batches", Json::Int(service.batches)),
+                ("pair_cache_hits", Json::Int(service.cache_hits)),
+                ("pair_cache_misses", Json::Int(service.cache_misses)),
+                (
+                    "pair_cache_entries",
+                    Json::Int(service.cache_entries as u64),
+                ),
+                (
+                    "pair_cache_capacity",
+                    Json::Int(service.cache_capacity as u64),
+                ),
+                ("page_cache_hits", Json::Int(service.page_cache_hits)),
+                ("page_cache_misses", Json::Int(service.page_cache_misses)),
+                ("page_bytes_read", Json::Int(service.page_bytes_read)),
+                ("page_column_runs", Json::Int(service.page_column_runs)),
+                (
+                    "page_readahead_reads",
+                    Json::Int(service.page_readahead_reads),
+                ),
+                ("page_retries", Json::Int(service.page_retries)),
+                ("page_faulted_reads", Json::Int(service.page_faulted_reads)),
+            ]),
+        ),
+        ("admission", admission),
+        (
+            "latency_us",
+            Json::Obj(vec![
+                ("count", Json::Int(latency.count)),
+                ("mean", Json::Num(latency.mean_micros())),
+                ("p50", Json::Int(latency.quantile_micros(0.50))),
+                ("p95", Json::Int(latency.quantile_micros(0.95))),
+                ("p99", Json::Int(latency.quantile_micros(0.99))),
+                ("max", Json::Int(latency.max_micros)),
+            ]),
+        ),
+        ("throughput_qps", Json::Num(qps)),
+    ])
+    .render()
 }

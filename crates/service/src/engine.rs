@@ -9,7 +9,7 @@
 //! [`crate::cache`]).
 //!
 //! A batch runs through one path, [`QueryEngine::execute_with`]:
-//! validation, the doomed-deadline check, the per-batch page window, the
+//! validation, the doomed-deadline check, the per-batch page figures, the
 //! service counters and the service-time estimate wrap one *runner*, picked
 //! by the backend's [`ResistanceBackend::paged_store`] hook. A resident
 //! backend gets the **hub-sorted runner**: every pair's permuted
@@ -226,12 +226,12 @@ pub struct BatchResult {
     /// Queries of this batch that ran the sparse kernel (with the cache
     /// bypassed, every distinct non-self pair).
     pub cache_misses: u64,
-    /// Page traffic of **this batch** (hits, misses, bytes read, coalesced
-    /// readahead reads), for out-of-core backends — taken with a
-    /// snapshot/reset of the backend's relaxed counters around the batch, so
-    /// the rates are per-batch, not process-lifetime. `None` for resident
-    /// backends. Exact when batches on the engine do not overlap;
-    /// overlapping batches split the totals between them.
+    /// Page traffic during **this batch** (hits, misses, bytes read,
+    /// coalesced readahead reads), for out-of-core backends: how much the
+    /// store's counters, which only grow, grew from the batch's start to its
+    /// end ([`PageCacheStats::since`]). `None` for resident backends. Exact
+    /// when batches on the store do not overlap; an overlapping batch's
+    /// traffic is counted in both.
     pub page_cache: Option<PageCacheStats>,
     /// What the multi-pair kernels streamed for **this batch** (hub loads,
     /// pairs per hub, arena bytes read) — exact per batch: the counters
@@ -439,10 +439,6 @@ pub struct QueryEngine<B: ResistanceBackend = EffectiveResistanceEstimator> {
     batches: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Page traffic drained from the backend's snapshot/reset counters by
-    /// finished batches, so cumulative [`ServiceStats`] survive the
-    /// per-batch resets.
-    drained_page_stats: Mutex<PageCacheStats>,
     /// Smoothed per-pair service time of completed batches, feeding the
     /// doomed-deadline check of cancellable batches.
     service_time: ServiceTimeEwma,
@@ -490,7 +486,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             batches: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            drained_page_stats: Mutex::new(PageCacheStats::default()),
             service_time: ServiceTimeEwma::new(),
             brownout: AtomicBool::new(false),
         }
@@ -534,21 +529,10 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         }
     }
 
-    /// Cumulative service counters: the page-cache figures combine what
-    /// finished batches drained from the backend's snapshot/reset counters
-    /// with whatever has accrued since (single queries, an in-flight batch).
+    /// Cumulative service counters; the page-cache figures are the
+    /// backend store's own, counted since it was opened.
     pub fn stats(&self) -> ServiceStats {
-        let live = self
-            .core
-            .backend
-            .paged_store()
-            .map(PagedColumnStore::page_cache_stats)
-            .unwrap_or_default();
-        let page = self
-            .drained_page_stats
-            .lock()
-            .expect("page stats lock poisoned")
-            .merged(live);
+        let page = self.page_cache_stats().unwrap_or_default();
         ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -572,18 +556,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         self.core.admission.as_deref().map(AdmissionLedger::stats)
     }
 
-    /// Drains the backend's live page counters into the cumulative pool and
-    /// returns them: at the start of a batch this sweeps away traffic that
-    /// accrued before it (single queries, stats polling), so the same call
-    /// at its end returns the batch's own traffic.
-    fn drain_page_window(&self) -> Option<PageCacheStats> {
-        let delta = self.core.backend.paged_store()?.take_page_cache_stats();
-        let mut drained = self
-            .drained_page_stats
-            .lock()
-            .expect("page stats lock poisoned");
-        *drained = drained.merged(delta);
-        Some(delta)
+    /// The backend store's page counters, for out-of-core backends.
+    fn page_cache_stats(&self) -> Option<PageCacheStats> {
+        Some(self.core.backend.paged_store()?.page_cache_stats())
     }
 
     /// Answers one query through the cache and the norm identity. It counts
@@ -700,11 +675,14 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 });
             }
         }
-        self.drain_page_window();
+        let pages_before = self.page_cache_stats();
         let start = Instant::now();
         let run = self.run_folded(batch.pairs(), schedule_over, fail_fast, cancel);
         let elapsed = start.elapsed();
-        let page_cache = self.drain_page_window();
+        let page_cache = self
+            .page_cache_stats()
+            .zip(pages_before)
+            .map(|(after, before)| after.since(before));
         let run = run?;
         let answered = run.values.len() - run.failures.len();
         self.queries.fetch_add(answered as u64, Ordering::Relaxed);

@@ -698,7 +698,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.queries, 1000);
-        // Cumulative page stats survive the per-batch snapshot/reset cycle.
+        // Serial batches' page figures add up to the store's cumulative ones.
         let first_page = first.page_cache.expect("paged");
         let second_page = second.page_cache.expect("paged");
         assert_eq!(
