@@ -32,7 +32,8 @@
 //! positioned reads) — unless the pin carries a *demand* (the columns its
 //! queries will read) that covers under a quarter of a page's bytes, in
 //! which case only the demanded columns are read, as runs of adjacent
-//! columns, and pinned without entering the cache.
+//! columns decoded back to back into one arena per pin, and pinned without
+//! entering the cache. A partial pin plans once and degrades in place.
 //!
 //! Decoded-page buffers are **recycled**, not churned: when the last `Arc`
 //! to an evicted page drops, its row/value vectors return to a
@@ -42,7 +43,8 @@
 //! frees one page buffer per miss — gigabytes of allocator traffic per
 //! large batch that glibc hands back to the kernel, turning a long-lived
 //! server's steady state into a minor-page-fault storm. With the pool,
-//! steady-state serving allocates nothing on the page path.
+//! steady-state serving allocates nothing on the whole-page path; a sparse
+//! pin allocates its one arena.
 //!
 //! Trust model: the file is untrusted. The `col_ptr` block is fully
 //! validated at [`open_paged`] time (monotone, spanning exactly the declared
@@ -271,14 +273,9 @@ impl PageCacheStats {
     }
 }
 
-/// One decoded column range — a whole page, or a column run of a sparsely
-/// demanded page: the row/value data of contiguous columns.
+/// One decoded page: the row/value data of its contiguous columns.
 #[derive(Debug)]
 struct Page {
-    /// First column covered.
-    first_col: usize,
-    /// One past the last column covered.
-    last_col: usize,
     /// `col_ptr[first_col]` — the entry offset the page's buffers start at.
     base: u64,
     rows: Vec<u32>,
@@ -322,7 +319,8 @@ const SCRATCH_SPARES: usize = 4;
 
 /// Free lists of decoded-page and read-scratch buffers, shared between a
 /// store (which pops on decode) and its pages (which push on drop, via a
-/// `Weak` back-reference).
+/// `Weak` back-reference). Only whole pages draw page buffers from it: the
+/// column runs of a sparse pin decode into that pin's own arena.
 ///
 /// Page entry counts vary along the column profile, so recycling is by
 /// **best fit**: the spare list stays sorted by capacity and a decode takes
@@ -837,18 +835,14 @@ impl PagedColumnStore {
         }
     }
 
-    /// The decoded page covering column `j`, from the cache or from disk.
+    /// The decoded page covering column `j`: from the cache, or read from
+    /// disk (a miss) and published to the cache.
     fn page_for(&self, j: usize) -> Result<Arc<Page>, EffresError> {
         let pid = self.page_of_column(j);
         if let Some(page) = self.cache.get(pid) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(page);
         }
-        self.fetch_page(pid)
-    }
-
-    /// Reads page `pid` from disk (a miss) and publishes it to the cache.
-    fn fetch_page(&self, pid: usize) -> Result<Arc<Page>, EffresError> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let page = Arc::new(self.decode_page(pid)?);
         self.cache.insert(pid, Arc::clone(&page));
@@ -946,10 +940,34 @@ impl PagedColumnStore {
     /// one of them — correctness is unaffected, only a read is duplicated.
     fn decode_page(&self, pid: usize) -> Result<Page, EffresError> {
         let (first_col, last_col) = self.page_columns(pid);
+        let mut page = self.empty_page(first_col, last_col);
         let mut scratch = self.buffers.take_scratch();
-        let result = self.read_columns(first_col, last_col, &mut scratch);
+        let result = self.read_columns(
+            first_col,
+            last_col,
+            &mut scratch,
+            &mut page.rows,
+            &mut page.vals,
+        );
         self.buffers.put_scratch(scratch);
-        result
+        result.map(|()| page)
+    }
+
+    /// An empty page for columns `first_col..last_col`, on pooled buffers
+    /// that already hold its entries. Recycled buffers are cleared here, so
+    /// only capacity (never contents) survives reuse.
+    fn empty_page(&self, first_col: usize, last_col: usize) -> Page {
+        let base = self.col_ptr[first_col];
+        let count = (self.col_ptr[last_col] - base) as usize;
+        let PageBuffers { mut rows, mut vals } = self.buffers.take_page_buffers(count);
+        rows.clear();
+        vals.clear();
+        Page {
+            base,
+            rows,
+            vals,
+            pool: Arc::downgrade(&self.buffers),
+        }
     }
 
     /// Reads the raw row/value bytes of columns `first_col..last_col` into
@@ -978,9 +996,10 @@ impl PagedColumnStore {
         Ok(())
     }
 
-    /// Fetches and decodes columns `first_col..last_col` — a page or a
-    /// column run. A range that fails *validation* (the bytes read fine but
-    /// do not decode as well-formed columns) is fetched once more —
+    /// Fetches columns `first_col..last_col` — a page or a column run — and
+    /// appends them, decoded and validated, to `rows`/`vals`. A range that
+    /// fails *validation* (the bytes read fine but do not decode as
+    /// well-formed columns) is truncated away and fetched once more —
     /// corruption in transit heals, corruption at rest fails again and
     /// surfaces as the typed per-column error of the second attempt.
     fn read_columns(
@@ -988,40 +1007,46 @@ impl PagedColumnStore {
         first_col: usize,
         last_col: usize,
         scratch: &mut ReadScratch,
-    ) -> Result<Page, EffresError> {
+        rows: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+    ) -> Result<(), EffresError> {
+        let start = rows.len();
+        // Each attempt decodes over whatever a failed one appended.
+        let mut decode = |bytes: &ReadScratch| {
+            rows.truncate(start);
+            vals.truncate(start);
+            self.decode_into(first_col, last_col, &bytes.rows, &bytes.vals, rows, vals)
+        };
         self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
-        match self.decode_columns(first_col, last_col, &scratch.rows, &scratch.vals) {
-            Ok(page) => Ok(page),
-            Err(_) => {
-                self.faulted_reads.fetch_add(1, Ordering::Relaxed);
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                self.fetch_column_bytes(first_col, last_col, scratch, REFETCH_ATTEMPT_BASE)?;
-                self.decode_columns(first_col, last_col, &scratch.rows, &scratch.vals)
-            }
+        if decode(scratch).is_ok() {
+            return Ok(());
         }
+        self.faulted_reads.fetch_add(1, Ordering::Relaxed);
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        self.fetch_column_bytes(first_col, last_col, scratch, REFETCH_ATTEMPT_BASE)?;
+        decode(scratch)
     }
 
     /// Decodes and validates columns `first_col..last_col` from their raw
     /// on-disk bytes (fetched by [`PagedColumnStore::read_columns`], or
-    /// sliced out of a larger coalesced read by the bulk path). The on-disk
-    /// data is untrusted and the kernels rely on sorted lower-triangular
-    /// columns, so every column is validated before it can serve a query.
-    fn decode_columns(
+    /// sliced out of a larger coalesced read by the bulk path), appending
+    /// them to `rows`/`vals`; an error can leave part of them appended. The
+    /// on-disk data is untrusted and the kernels rely on sorted
+    /// lower-triangular columns, so every column is validated before it can
+    /// serve a query.
+    fn decode_into(
         &self,
         first_col: usize,
         last_col: usize,
         row_bytes: &[u8],
         val_bytes: &[u8],
-    ) -> Result<Page, EffresError> {
+        rows: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+    ) -> Result<(), EffresError> {
         let base = self.col_ptr[first_col];
-        let count = (self.col_ptr[last_col] - base) as usize;
-
-        // Recycled buffers from a previously evicted page, when available:
-        // cleared here, so only capacity (never contents) survives reuse. On
-        // a validation error they simply drop instead of returning to the
-        // pool — corrupt files are not a steady state worth optimizing.
-        let PageBuffers { mut rows, mut vals } = self.buffers.take_page_buffers(count);
-        rows.clear();
+        let start = rows.len();
+        // Where column `j` starts in the appended block.
+        let at = |j: usize| start + (self.col_ptr[j] - base) as usize;
         match (&self.codec, &self.row_off) {
             (RowCodec::Varint, Some(off)) => {
                 let byte_base = off[first_col];
@@ -1030,7 +1055,7 @@ impl PagedColumnStore {
                     let hi = (off[j + 1] - byte_base) as usize;
                     let entries = (self.col_ptr[j + 1] - self.col_ptr[j]) as usize;
                     // The decoder enforces strictly increasing in-range rows.
-                    decode_varint_column(&row_bytes[lo..hi], entries, self.order, &mut rows)
+                    decode_varint_column(&row_bytes[lo..hi], entries, self.order, rows)
                         .map_err(|message| EffresError::StoreFailure { column: j, message })?;
                 }
             }
@@ -1043,9 +1068,7 @@ impl PagedColumnStore {
                 // Raw rows arrive unchecked: reject non-increasing or
                 // out-of-range indices per column.
                 for j in first_col..last_col {
-                    let lo = (self.col_ptr[j] - base) as usize;
-                    let hi = (self.col_ptr[j + 1] - base) as usize;
-                    let column = &rows[lo..hi];
+                    let column = &rows[at(j)..at(j + 1)];
                     if !column.windows(2).all(|w| w[0] < w[1])
                         || column.last().is_some_and(|&i| i as usize >= self.order)
                     {
@@ -1060,15 +1083,18 @@ impl PagedColumnStore {
                 }
             }
         };
-        vals.clear();
         vals.extend(
             val_bytes
                 .chunks_exact(8)
                 .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
         );
+        // One branch-free pass over the block; only a block holding a
+        // non-finite value is scanned column by column, to name the column.
+        let finite = vals[start..]
+            .iter()
+            .fold(true, |finite, v| finite & v.is_finite());
         for j in first_col..last_col {
-            let lo = (self.col_ptr[j] - base) as usize;
-            let hi = (self.col_ptr[j + 1] - base) as usize;
+            let (lo, hi) = (at(j), at(j + 1));
             let corrupt = |message: String| EffresError::StoreFailure { column: j, message };
             if rows[lo..hi].first().is_some_and(|&i| (i as usize) < j) {
                 return Err(corrupt(
@@ -1077,18 +1103,11 @@ impl PagedColumnStore {
                         .to_string(),
                 ));
             }
-            if !vals[lo..hi].iter().all(|v| v.is_finite()) {
+            if !finite && !vals[lo..hi].iter().all(|v| v.is_finite()) {
                 return Err(corrupt("non-finite value".to_string()));
             }
         }
-        Ok(Page {
-            first_col,
-            last_col,
-            base,
-            rows,
-            vals,
-            pool: Arc::downgrade(&self.buffers),
-        })
+        Ok(())
     }
 
     /// Page id serving column `j`.
@@ -1126,9 +1145,11 @@ impl PagedColumnStore {
     /// of its on-disk bytes is then read **sparsely**: each run of adjacent
     /// demanded columns takes two positioned reads (counted in
     /// [`PageCacheStats::column_runs`]) through the same retry, validation
-    /// and re-fetch cycle as a page, and the page counts as one miss. Cached
-    /// pages and densely demanded pages take the whole-page path either
-    /// way. A column outside the demand is still served correctly — the
+    /// and re-fetch cycle as a page, and the page counts as one miss. All
+    /// runs decode into one arena owned by the pin, reserved once from
+    /// `col_ptr` before any read and freed when the pin drops. Cached pages
+    /// and densely demanded pages take the whole-page path either way. A
+    /// column outside the demand is still served correctly — the
     /// [`PinnedReader`] falls back to the store's cached path for it.
     ///
     /// Whole pages are owned by the returned [`PinnedPages`], so eviction
@@ -1154,33 +1175,19 @@ impl PagedColumnStore {
         page_ids: &[usize],
         demand: Option<&[usize]>,
     ) -> Result<PinnedPages, EffresError> {
-        let PinPlan {
-            count,
-            mut pages,
-            whole,
-            sparse,
-        } = self.plan_pin(page_ids, demand);
-        for (pid, page) in self.fetch_missing_runs(&whole)? {
-            self.cache.insert(pid, Arc::clone(&page));
-            pages.insert(pid, page);
-        }
-        let mut scratch = self.buffers.take_scratch();
-        let runs: Result<Vec<_>, _> = sparse
-            .iter()
-            .map(|(_, page_runs)| self.read_column_runs(page_runs, &mut scratch))
-            .collect();
-        self.buffers.put_scratch(scratch);
-        Ok(self.pin_set(count, pages, runs?.into_iter().flatten().collect()))
+        self.pin(page_ids, demand, false).map(|(pinned, _)| pinned)
     }
 
     /// Degraded form of [`PagedColumnStore::pin_pages`] for partial-results
     /// batch execution: instead of failing the whole pin when any page is
     /// bad, returns whatever subset could be fetched plus a typed failure
-    /// per page that could not. The happy path is exactly `pin_pages`
-    /// (coalesced readahead, demand-sized runs, all pages pinned, empty
-    /// failure list); only when that fails does it degrade to page-at-a-time
-    /// fetches — a sparsely demanded page still reads just its runs — so one
-    /// rotten page costs the batch that page's queries, not the batch.
+    /// per page that could not, in page order. The pin is planned once,
+    /// exactly as `pin_pages` plans it, and degrades in place: a coalesced
+    /// read that fails is fetched again page by page, and a sparse page
+    /// whose run stays rotten drops its runs from the arena. Every other
+    /// page and run stands, and each page counts its hit or miss, its runs
+    /// and its retries once — so one rotten page costs the batch that
+    /// page's queries, not the batch.
     ///
     /// # Panics
     ///
@@ -1190,38 +1197,111 @@ impl PagedColumnStore {
         page_ids: &[usize],
         demand: Option<&[usize]>,
     ) -> (PinnedPages, Vec<(usize, EffresError)>) {
-        match self.pin_pages(page_ids, demand) {
-            Ok(pinned) => (pinned, Vec::new()),
-            Err(_) => {
-                let PinPlan {
-                    count,
-                    mut pages,
-                    whole,
-                    sparse,
-                } = self.plan_pin(page_ids, demand);
-                let mut failures = Vec::new();
-                for pid in whole {
-                    match self.fetch_page(pid) {
-                        Ok(page) => {
-                            pages.insert(pid, page);
-                        }
-                        Err(error) => failures.push((pid, error)),
+        self.pin(page_ids, demand, true)
+            .expect("a partial pin lists its failures instead of returning one")
+    }
+
+    /// The one pin body of [`PagedColumnStore::pin_pages`] (`partial` off:
+    /// the first failure fails the pin) and
+    /// [`PagedColumnStore::pin_pages_partial`] (`partial` on: failures are
+    /// listed and the pin goes on without those pages).
+    fn pin(
+        &self,
+        page_ids: &[usize],
+        demand: Option<&[usize]>,
+        partial: bool,
+    ) -> Result<(PinnedPages, Vec<(usize, EffresError)>), EffresError> {
+        let PinPlan {
+            count,
+            mut pages,
+            whole,
+            sparse,
+        } = self.plan_pin(page_ids, demand);
+        let mut failures = Vec::new();
+        // One scratch serves every read of the pin (on a failed pin it just
+        // drops: corrupt files are not a steady state worth optimizing).
+        let mut scratch = self.buffers.take_scratch();
+        for chunk in self.coalesced_chunks(&whole) {
+            self.misses.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+            let decoded = match self.read_page_chunk(chunk, &mut scratch) {
+                Ok(decoded) => decoded,
+                Err(error) if !partial => return Err(error),
+                // The coalesced read failed: fetch its pages one by one.
+                Err(_) => chunk.iter().map(|&pid| self.decode_page(pid)).collect(),
+            };
+            for (&pid, page) in chunk.iter().zip(decoded) {
+                match page {
+                    Ok(page) => {
+                        let page = Arc::new(page);
+                        self.cache.insert(pid, Arc::clone(&page));
+                        pages.insert(pid, page);
                     }
+                    Err(error) if !partial => return Err(error),
+                    Err(error) => failures.push((pid, error)),
                 }
-                let mut runs = Vec::new();
-                let mut scratch = self.buffers.take_scratch();
-                for (pid, page_runs) in sparse {
-                    match self.read_column_runs(&page_runs, &mut scratch) {
-                        Ok(read) => runs.extend(read),
-                        Err(error) => failures.push((pid, error)),
-                    }
-                }
-                self.buffers.put_scratch(scratch);
-                failures.sort_unstable_by_key(|&(pid, _)| pid);
-                let pinned = self.pin_set(count - failures.len(), pages, runs);
-                (pinned, failures)
             }
         }
+        // The demanded entries are known before any read: one reservation.
+        let entries = sparse
+            .iter()
+            .flat_map(|(_, runs)| runs)
+            .map(|&(first_col, last_col)| {
+                (self.col_ptr[last_col] - self.col_ptr[first_col]) as usize
+            })
+            .sum();
+        let mut arena = RunArena {
+            rows: Vec::with_capacity(entries),
+            vals: Vec::with_capacity(entries),
+            runs: Vec::new(),
+        };
+        for (pid, runs) in sparse {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let (page_entries, page_runs) = (arena.rows.len(), arena.runs.len());
+            for (first_col, last_col) in runs {
+                self.column_runs.fetch_add(1, Ordering::Relaxed);
+                let offset = arena.rows.len();
+                let read = self.read_columns(
+                    first_col,
+                    last_col,
+                    &mut scratch,
+                    &mut arena.rows,
+                    &mut arena.vals,
+                );
+                match read {
+                    Ok(()) => arena.runs.push((first_col, last_col, offset)),
+                    Err(error) if !partial => return Err(error),
+                    Err(error) => {
+                        arena.rows.truncate(page_entries);
+                        arena.vals.truncate(page_entries);
+                        arena.runs.truncate(page_runs);
+                        failures.push((pid, error));
+                        break;
+                    }
+                }
+            }
+        }
+        self.buffers.put_scratch(scratch);
+        failures.sort_unstable_by_key(|&(pid, _)| pid);
+
+        let pinned = (count - failures.len()) as u64;
+        let now = self
+            .pin_counters
+            .current
+            .fetch_add(pinned, Ordering::Relaxed)
+            + pinned;
+        self.pin_counters
+            .high_water
+            .fetch_max(now, Ordering::Relaxed);
+        let pinned = PinnedPages {
+            pages,
+            runs: arena,
+            count: pinned as usize,
+            _guard: Some(PinGuard {
+                counters: Arc::clone(&self.pin_counters),
+                count: pinned,
+            }),
+        };
+        Ok((pinned, failures))
     }
 
     /// Sorts one pin's pages into cache hits (taken here, a hit each),
@@ -1296,53 +1376,6 @@ impl PagedColumnStore {
         Some(runs)
     }
 
-    /// Reads one sparsely demanded page as its column runs (one miss for
-    /// the page, one [`PageCacheStats::column_runs`] per run), each through
-    /// the page path's fetch-validate-refetch cycle.
-    fn read_column_runs(
-        &self,
-        runs: &[(usize, usize)],
-        scratch: &mut ReadScratch,
-    ) -> Result<Vec<Arc<Page>>, EffresError> {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        runs.iter()
-            .map(|&(first_col, last_col)| {
-                self.column_runs.fetch_add(1, Ordering::Relaxed);
-                self.read_columns(first_col, last_col, scratch)
-                    .map(Arc::new)
-            })
-            .collect()
-    }
-
-    /// Wraps fetched pages and column runs in a [`PinnedPages`] holding
-    /// `count` pages, recording the pin in the live/high-water counters.
-    fn pin_set(
-        &self,
-        count: usize,
-        pages: HashMap<usize, Arc<Page>>,
-        runs: Vec<Arc<Page>>,
-    ) -> PinnedPages {
-        let counted = count as u64;
-        let now = self
-            .pin_counters
-            .current
-            .fetch_add(counted, Ordering::Relaxed)
-            + counted;
-        self.pin_counters
-            .high_water
-            .fetch_max(now, Ordering::Relaxed);
-        debug_assert!(runs.windows(2).all(|w| w[0].last_col <= w[1].first_col));
-        PinnedPages {
-            pages,
-            runs,
-            count,
-            _guard: Some(PinGuard {
-                counters: Arc::clone(&self.pin_counters),
-                count: counted,
-            }),
-        }
-    }
-
     /// Pages currently pinned across all outstanding [`PinnedPages`] sets.
     pub fn pinned_pages_now(&self) -> usize {
         self.pin_counters.current.load(Ordering::Relaxed) as usize
@@ -1366,11 +1399,11 @@ impl PagedColumnStore {
             .len()
     }
 
-    /// How many page decodes reused a recycled buffer set vs. allocated
-    /// fresh, since open: `(recycled, fresh)`. A long-lived store should see
-    /// `recycled` dominate once the cache has filled once — fresh decodes
-    /// after warm-up mean the allocator (and, behind it, the kernel's page
-    /// fault path) is back on the serving path.
+    /// How many whole-page decodes reused a recycled buffer set vs.
+    /// allocated fresh, since open: `(recycled, fresh)`. A long-lived store
+    /// should see `recycled` dominate once the cache has filled once — fresh
+    /// decodes after warm-up mean the allocator (and, behind it, the
+    /// kernel's page fault path) is back on the serving path.
     pub fn buffer_pool_stats(&self) -> (u64, u64) {
         (
             self.buffers.recycled.load(Ordering::Relaxed),
@@ -1378,27 +1411,18 @@ impl PagedColumnStore {
         )
     }
 
-    /// Fetches a sorted, deduplicated list of non-resident pages with
-    /// coalesced readahead: the list is cut into chunks at every break in
-    /// adjacency and before a chunk would outgrow [`MAX_COALESCED_BYTES`]
-    /// (so a large pinned block never demands a read buffer proportional to
-    /// itself), and each chunk takes one positioned read per block. One
-    /// `scratch` serves every chunk, so a batch pays for its read buffers
-    /// once. Each page counts as one miss once all of them are read; the
-    /// decoded pages come back keyed by id.
-    fn fetch_missing_runs(
-        &self,
-        missing: &[usize],
-    ) -> Result<HashMap<usize, Arc<Page>>, EffresError> {
+    /// Cuts a sorted, deduplicated list of missing pages into the chunks
+    /// coalesced readahead reads whole: at every break in adjacency, and
+    /// before a chunk would outgrow [`MAX_COALESCED_BYTES`] (so a large
+    /// pinned block never demands a read buffer proportional to itself).
+    fn coalesced_chunks<'a>(&self, missing: &'a [usize]) -> Vec<&'a [usize]> {
         let page_bytes = |pid: usize| {
             let (first_col, last_col) = self.page_columns(pid);
             self.column_bytes(first_col, last_col)
         };
-        let mut scratch = self.buffers.take_scratch();
-        let mut fetched = HashMap::with_capacity(missing.len());
-        let mut result = Ok(());
+        let mut chunks = Vec::new();
         let mut start = 0;
-        while start < missing.len() && result.is_ok() {
+        while start < missing.len() {
             let mut end = start + 1;
             let mut total = page_bytes(missing[start]);
             while end < missing.len()
@@ -1408,57 +1432,52 @@ impl PagedColumnStore {
                 total += page_bytes(missing[end]);
                 end += 1;
             }
-            result = self.read_page_chunk(&missing[start..end], &mut fetched, &mut scratch);
+            chunks.push(&missing[start..end]);
             start = end;
         }
-        self.buffers.put_scratch(scratch);
-        result?;
-        self.misses
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        Ok(fetched)
+        chunks
     }
 
     /// Reads one chunk of adjacent pages through
     /// [`PagedColumnStore::fetch_column_bytes`] (two coalesced positioned
-    /// reads) and decodes each page out of the shared buffers.
+    /// reads) and decodes each page out of the shared buffers, in order. A
+    /// page that fails validation is re-fetched alone through the
+    /// single-page path (which carries its own fetch-validate-refetch cycle)
+    /// and its outcome is its own: corruption that may heal fails no chunk.
     fn read_page_chunk(
         &self,
         chunk: &[usize],
-        pages: &mut HashMap<usize, Arc<Page>>,
         scratch: &mut ReadScratch,
-    ) -> Result<(), EffresError> {
+    ) -> Result<Vec<Result<Page, EffresError>>, EffresError> {
         let (first_col, _) = self.page_columns(chunk[0]);
         let (_, last_col) = self.page_columns(*chunk.last().expect("non-empty chunk"));
         self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
         self.readahead_reads.fetch_add(2, Ordering::Relaxed);
         let (row_at, _) = self.row_byte_range(first_col, last_col);
         let (val_at, _) = self.val_byte_range(first_col, last_col);
-        for &pid in chunk {
+        let decode = |pid: usize| {
             let (lo_col, hi_col) = self.page_columns(pid);
             let (page_row_at, page_row_len) = self.row_byte_range(lo_col, hi_col);
             let row_lo = (page_row_at - row_at) as usize;
             let (page_val_at, page_val_len) = self.val_byte_range(lo_col, hi_col);
             let val_lo = (page_val_at - val_at) as usize;
-            let page = match self.decode_columns(
+            let mut page = self.empty_page(lo_col, hi_col);
+            self.decode_into(
                 lo_col,
                 hi_col,
                 &scratch.rows[row_lo..row_lo + page_row_len],
                 &scratch.vals[val_lo..val_lo + page_val_len],
-            ) {
-                Ok(page) => page,
-                // A page inside a coalesced read failed validation: re-fetch
-                // just that page through the single-page path (which carries
-                // its own fetch-validate-refetch cycle) instead of failing
-                // the whole chunk on corruption that may heal.
-                Err(_) => {
-                    self.faulted_reads.fetch_add(1, Ordering::Relaxed);
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.decode_page(pid)?
-                }
-            };
-            pages.insert(pid, Arc::new(page));
-        }
-        Ok(())
+                &mut page.rows,
+                &mut page.vals,
+            )
+            .map(|()| page)
+            .or_else(|_| {
+                self.faulted_reads.fetch_add(1, Ordering::Relaxed);
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.decode_page(pid)
+            })
+        };
+        Ok(chunk.iter().map(|&pid| decode(pid)).collect())
     }
 }
 
@@ -1470,8 +1489,8 @@ impl PagedColumnStore {
 pub struct PinnedPages {
     /// Whole pages, keyed by page id.
     pages: HashMap<usize, Arc<Page>>,
-    /// Column runs of sparsely demanded pages, ascending and disjoint.
-    runs: Vec<Arc<Page>>,
+    /// Column runs of sparsely demanded pages, in one arena.
+    runs: RunArena,
     /// Pages pinned, whole or as runs.
     count: usize,
     /// `None` only for the empty `Default` set, which pins nothing. Held
@@ -1490,11 +1509,34 @@ impl PinnedPages {
         self.count == 0
     }
 
-    /// The pinned column run holding column `j`, if any.
-    fn run(&self, j: usize) -> Option<&Arc<Page>> {
-        let after = self.runs.partition_point(|run| run.first_col <= j);
-        self.runs[..after].last().filter(|run| j < run.last_col)
+    /// Rows and values of column `j` (on page `pid`) from a pinned whole
+    /// page or column run, if the set holds it; `col_ptr` is the store's.
+    fn column(&self, j: usize, pid: usize, col_ptr: &[u64]) -> Option<(&[u32], &[f64])> {
+        let (rows, vals, at) = match self.pages.get(&pid) {
+            Some(page) => (&page.rows, &page.vals, (col_ptr[j] - page.base) as usize),
+            None => {
+                let runs = &self.runs.runs;
+                let &(first_col, _, offset) = runs[..runs.partition_point(|run| run.0 <= j)]
+                    .last()
+                    .filter(|run| j < run.1)?;
+                let at = offset + (col_ptr[j] - col_ptr[first_col]) as usize;
+                (&self.runs.rows, &self.runs.vals, at)
+            }
+        };
+        let end = at + (col_ptr[j + 1] - col_ptr[j]) as usize;
+        Some((&rows[at..end], &vals[at..end]))
     }
+}
+
+/// The column runs of one pin's sparsely demanded pages, decoded back to
+/// back into one pair of buffers.
+#[derive(Debug, Default)]
+struct RunArena {
+    rows: Vec<u32>,
+    vals: Vec<f64>,
+    /// `(first_col, last_col, offset)` of each run: its columns, and where
+    /// its entries start in `rows`/`vals`. Ascending and disjoint.
+    runs: Vec<(usize, usize, usize)>,
 }
 
 /// How one pin produces its pages (see [`PagedColumnStore::pin_pages`]).
@@ -1513,9 +1555,9 @@ struct PinPlan {
 
 /// A [`ColumnStore`] view combining a [`PagedColumnStore`] with up to two
 /// [`PinnedPages`] sets (a batch scheduler's long-lived *block* pin and its
-/// rolling *readahead window* pin). A column resolves to a pinned whole
-/// page first, then to a pinned column run, without touching the cache or
-/// its locks; anything else — including a column outside a sparse pin's
+/// rolling *readahead window* pin). A column resolves to a slice of a
+/// pinned whole page or of a pin's run arena, without touching the cache
+/// or its locks; anything else — including a column outside a sparse pin's
 /// demand — falls back to the store's normal cached path. Pins hold the
 /// same decoded bits the cache would, so answers are bit-identical to
 /// unpinned serving.
@@ -1539,15 +1581,6 @@ impl<'s> PinnedReader<'s> {
             secondary,
         }
     }
-
-    /// The pinned page or column run holding column `j`.
-    fn pinned(&self, j: usize) -> Option<&'s Arc<Page>> {
-        let sets = || std::iter::once(self.primary).chain(self.secondary);
-        let pid = self.store.page_of_column(j);
-        sets()
-            .find_map(|set| set.pages.get(&pid))
-            .or_else(|| sets().find_map(|set| set.run(j)))
-    }
 }
 
 impl ColumnStore for PinnedReader<'_> {
@@ -1569,16 +1602,12 @@ impl ColumnStore for PinnedReader<'_> {
             "column {j} out of bounds for order {}",
             self.store.order
         );
-        match self.pinned(j) {
-            Some(page) => {
-                let lo = (self.store.col_ptr[j] - page.base) as usize;
-                let hi = (self.store.col_ptr[j + 1] - page.base) as usize;
-                Ok(f(ColumnView::from_slices(
-                    self.store.order,
-                    &page.rows[lo..hi],
-                    &page.vals[lo..hi],
-                )))
-            }
+        let pid = self.store.page_of_column(j);
+        let pinned = std::iter::once(self.primary)
+            .chain(self.secondary)
+            .find_map(|set| set.column(j, pid, &self.store.col_ptr));
+        match pinned {
+            Some((rows, vals)) => Ok(f(ColumnView::from_slices(self.store.order, rows, vals))),
             None => self.store.with_column(j, f),
         }
     }

@@ -136,43 +136,106 @@ pub(crate) fn encode_varint_column(out: &mut Vec<u8>, rows: &[u32]) {
 /// malformation — a truncated or over-long varint, a zero gap (rows not
 /// strictly increasing), an out-of-range index, trailing garbage — is a
 /// typed error, so both the resident loader and the paged page decoder can
-/// treat the block as untrusted.
+/// treat the block as untrusted. Any anomaly on the word-at-a-time path
+/// reruns the column through [`decode_varint_column_exact`], so every
+/// output and every error is that decoder's.
 pub(crate) fn decode_varint_column(
     bytes: &[u8],
     count: usize,
     order: usize,
     out: &mut Vec<u32>,
 ) -> Result<(), String> {
-    // This is the hot loop of the paged miss path: a decode-bound batch
-    // spends most of its time here, so the dominant case — a one-byte
-    // varint, since the gaps of a sparse column are small — takes a single
-    // bounds check and no shifting; multi-byte and malformed encodings fall
-    // through to the cold loop.
-    #[cold]
-    fn long_varint(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let Some(&byte) = bytes.get(*at) else {
-                return Err("varint row encoding is truncated".to_string());
-            };
-            *at += 1;
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
+    let start = out.len();
+    // A well-formed column spends at least one byte per row: `count` sizes
+    // the output only when the bytes already read could hold that many.
+    if count <= bytes.len() {
+        out.resize(start + count, 0);
+        if decode_varint_words(bytes, order, &mut out[start..]) {
+            return Ok(());
+        }
+        out.truncate(start);
+    }
+    decode_varint_column_exact(bytes, count, order, out)
+}
+
+/// The hot path of [`decode_varint_column`], and of both loaders: fills
+/// `rows` from `bytes`, or returns `false` on anything out of the ordinary.
+/// Sparse columns' gaps are mostly one-byte varints, so each 8-byte load
+/// writes those before its first continuation or zero byte; the first row,
+/// a multi-byte gap and the tail go one varint at a time.
+fn decode_varint_words(bytes: &[u8], order: usize, rows: &mut [u32]) -> bool {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let bound = order as u64;
+    let count = rows.len();
+    let mut k = 0;
+    let mut at = 0;
+    let mut prev = 0u64;
+    while k < count {
+        if let (true, Some(word)) = (k > 0, bytes.get(at..at + 8)) {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte window"));
+            // High bit of each continuation or zero byte. The zero test
+            // borrows only upwards from a zero byte, so it is exact for the
+            // lowest one, which is all the run length needs.
+            let stops = (w | (w.wrapping_sub(LOW) & !w)) & HIGH;
+            let run = ((stops.trailing_zeros() / 8) as usize).min(count - k);
+            for (i, row) in rows[k..k + run].iter_mut().enumerate() {
+                prev += (w >> (8 * i)) & 0xff;
+                *row = prev as u32;
             }
-            shift += 7;
-            if shift > 28 {
-                return Err("varint row encoding overflows u32".to_string());
+            k += run;
+            at += run;
+            if run == 8 || k == count {
+                continue;
             }
         }
+        // One varint: the first row, a multi-byte or zero gap, or the tail.
+        let Ok(value) = long_varint(bytes, &mut at) else {
+            return false;
+        };
+        prev += value;
+        if (k > 0 && value == 0) || prev >= bound {
+            return false;
+        }
+        rows[k] = prev as u32;
+        k += 1;
     }
+    at == bytes.len() && prev < bound
+}
 
+/// Reads one LEB128 varint of at most five bytes at `*at`, moving past it.
+fn long_varint(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
+    let mut value = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&byte) = bytes.get(*at) else {
+            return Err("varint row encoding is truncated".to_string());
+        };
+        *at += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
+        if shift > 28 {
+            return Err("varint row encoding overflows u32".to_string());
+        }
+    }
+}
+
+/// The exact, one-varint-at-a-time decoder behind [`decode_varint_column`],
+/// which defers to it whenever a column is not plainly well formed.
+fn decode_varint_column_exact(
+    bytes: &[u8],
+    count: usize,
+    order: usize,
+    out: &mut Vec<u32>,
+) -> Result<(), String> {
     let len = bytes.len();
     let bound = order as u64;
     let mut at = 0usize;
     let mut prev = 0u64;
-    out.reserve(count);
+    out.reserve(count.min(len));
     for k in 0..count {
         let value = if at < len && bytes[at] < 0x80 {
             at += 1;
@@ -1186,6 +1249,7 @@ mod tests {
     use super::*;
     use effres::EffresConfig;
     use effres_graph::generators;
+    use proptest::prelude::*;
 
     fn sample_estimator() -> EffectiveResistanceEstimator {
         let graph = generators::grid_2d(12, 12, 0.5, 2.0, 9).expect("generator");
@@ -1320,6 +1384,143 @@ mod tests {
             &mut out
         )
         .is_err());
+    }
+
+    /// Runs the word-at-a-time decoder and the exact one over the same
+    /// column, each appending to the same non-empty output, and asserts
+    /// equal results (`Err` strings included) and equal outputs.
+    fn assert_decoders_agree(bytes: &[u8], count: usize, order: usize) {
+        let mut fast = vec![7u32, 9];
+        let mut exact = fast.clone();
+        let got = super::decode_varint_column(bytes, count, order, &mut fast);
+        let want = super::decode_varint_column_exact(bytes, count, order, &mut exact);
+        assert_eq!(got, want, "{bytes:?}, count {count}, order {order}");
+        assert_eq!(fast, exact, "{bytes:?}, count {count}, order {order}");
+    }
+
+    /// `rows` encoded, then decoded at `count` and at both order bounds.
+    fn check_column(rows: &[u32], mutate: impl Fn(&mut Vec<u8>)) {
+        let mut bytes = Vec::new();
+        super::encode_varint_column(&mut bytes, rows);
+        mutate(&mut bytes);
+        let last = rows.last().map_or(0, |&r| r as usize);
+        for order in [last + 1, last, u32::MAX as usize, usize::MAX] {
+            for count in [rows.len(), rows.len() + 1, rows.len().saturating_sub(1)] {
+                assert_decoders_agree(&bytes, count, order);
+            }
+        }
+    }
+
+    #[test]
+    fn word_decoder_matches_the_exact_decoder_on_shaped_columns() {
+        for count in 0..=40usize {
+            for align in 0..8usize {
+                for big in [1u32, 127, 128, 16_383, 16_384] {
+                    // Small gaps with a `big` one every fifth row, shifted
+                    // by `align` so it lands on every byte of a word.
+                    let mut rows = Vec::with_capacity(count);
+                    let mut row = align as u32;
+                    for i in 0..count {
+                        if i > 0 {
+                            row += if (i + align) % 5 == 0 {
+                                big
+                            } else {
+                                1 + (i * 37 % 127) as u32
+                            };
+                        }
+                        rows.push(row);
+                    }
+                    check_column(&rows, |_| {});
+                    // A well-formed column never leaves the word path.
+                    let mut words = vec![0; count];
+                    let mut encoded = Vec::new();
+                    super::encode_varint_column(&mut encoded, &rows);
+                    assert!(super::decode_varint_words(
+                        &encoded,
+                        row as usize + 1,
+                        &mut words
+                    ));
+                    assert_eq!(words, rows);
+                    // The same bytes at every alignment of the buffer.
+                    let mut bytes = vec![0xAA; align];
+                    super::encode_varint_column(&mut bytes, &rows);
+                    assert_decoders_agree(&bytes[align..], count, row as usize + 1);
+                    // Every byte made a zero gap, a continuation or an
+                    // over-long varint's start.
+                    for at in (0..bytes.len() - align).filter(|_| big >= 128) {
+                        for byte in [0u8, 0x80, 0xFF] {
+                            check_column(&rows, |b| b[at] = byte);
+                        }
+                    }
+                    // Truncated and trailing bytes.
+                    check_column(&rows, |b| {
+                        b.pop();
+                    });
+                    check_column(&rows, |b| b.push(1));
+                    check_column(&rows, |b| b.push(0));
+                }
+            }
+        }
+        // First rows up to u32::MAX and beyond (five-byte varints), and
+        // over-long and multi-byte zero varints, first and as a gap.
+        for first in [0u32, 127, 128, u32::MAX - 3, u32::MAX] {
+            check_column(&[first], |_| {});
+            check_column(&[first, first.saturating_add(1)], |_| {});
+        }
+        for bytes in [
+            &[0x80, 0x80, 0x80, 0x80, 0x10][..],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0x05, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0x05, 0x80, 0x00],
+            &[0x05, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x80, 0x00],
+        ] {
+            for count in 0..4 {
+                for order in [100, usize::MAX] {
+                    assert_decoders_agree(bytes, count, order);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Random byte strings: almost all malformed, in every way at once.
+        #[test]
+        fn word_decoder_matches_the_exact_decoder_on_random_bytes(
+            (bytes, count, order) in (
+                proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 0..48),
+                0usize..50,
+                0usize..20_000,
+            ),
+        ) {
+            assert_decoders_agree(&bytes, count, order);
+        }
+
+        /// Random well-formed columns of mostly one-byte gaps, then one
+        /// random byte overwritten.
+        #[test]
+        fn word_decoder_matches_the_exact_decoder_on_near_valid_columns(
+            (gaps, at, byte) in (
+                proptest::collection::vec((0u32..300).prop_map(|g| g % 150 + 1), 0..80),
+                0usize..100,
+                0u32..256,
+            ),
+        ) {
+            let rows: Vec<u32> = gaps
+                .iter()
+                .scan(0u32, |row, &gap| {
+                    *row += gap;
+                    Some(*row)
+                })
+                .collect();
+            check_column(&rows, |_| {});
+            check_column(&rows, |b| {
+                if let Some(slot) = b.get_mut(at) {
+                    *slot = byte as u8;
+                }
+            });
+        }
     }
 
     #[test]

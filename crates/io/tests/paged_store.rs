@@ -788,3 +788,116 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
     }
 }
+
+#[test]
+fn a_partial_pin_fails_only_its_rotten_page_and_counts_each_page_once() {
+    use effres_io::{open_paged_with_faults, FaultPlan, RetryPolicy};
+    let path = fixture("v3_grid12.snap");
+    let options = PagedOptions {
+        cache_pages: 4,
+        ..sparse_options()
+    }
+    .with_retry(RetryPolicy::none());
+    let clean = open_paged(&path, &options).expect("opens");
+    // Sparse pages 1, 4 and 6 around cached page 2; the demanded column of
+    // the middle sparse page, 70, is rotten at rest.
+    let victim = 70;
+    let offset = clean.store.column_value_byte_offset(victim) + 6;
+    let rotten = open_paged_with_faults(&path, &options, FaultPlan::new(0).poison(offset, 2))
+        .expect("opens");
+    let dense: Vec<usize> = (32..48).collect();
+    drop(rotten.store.pin_pages(&[2], Some(&dense)).expect("page 2"));
+    let cached = rotten.store.page_cache_stats();
+
+    let mut demand = dense.clone();
+    demand.extend([17, 18, 29, victim, 100]);
+    let (pinned, failures) = rotten.store.pin_pages_partial(&[1, 2, 4, 6], Some(&demand));
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].0, 4);
+    assert!(matches!(
+        failures[0].1,
+        EffresError::StoreFailure { column, .. } if column == victim
+    ));
+    assert_eq!(pinned.len(), 3);
+    assert_eq!(rotten.store.pinned_pages_now(), 3);
+
+    // One hit, three misses, runs 17..19, 29, 70 and 100, and one re-fetch
+    // of the rotten run, whose bytes are read twice.
+    let stats = rotten.store.page_cache_stats().since(cached);
+    let disk = column_disk_bytes(&path);
+    assert_eq!((stats.hits, stats.misses, stats.column_runs), (1, 3, 4));
+    assert_eq!((stats.retries, stats.faulted_reads), (1, 1));
+    assert_eq!(stats.readahead_reads, 0);
+    assert_eq!(
+        stats.bytes_read,
+        disk[17] + disk[18] + disk[29] + 2 * disk[victim] + disk[100]
+    );
+
+    // Every demanded column of the healthy pages serves off the pin,
+    // bit-identical to the resident arena.
+    let empty = effres_io::PinnedPages::default();
+    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+    let inverse = resident().estimator.approximate_inverse();
+    for &j in demand.iter().filter(|&&j| j != victim) {
+        assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
+    }
+    assert_eq!(
+        rotten.store.page_cache_stats().since(cached),
+        stats,
+        "pinned columns never fall back"
+    );
+    drop(pinned);
+    assert_eq!(rotten.store.pinned_pages_now(), 0);
+}
+
+#[test]
+fn sparse_pins_leave_the_buffer_pool_alone_and_whole_pages_recycle() {
+    let paged = open_paged(fixture("v3_grid12.snap"), &sparse_options()).expect("opens");
+    let sparse_pin = || {
+        drop(
+            paged
+                .store
+                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+                .expect("healthy fixture"),
+        );
+    };
+    sparse_pin();
+    assert_eq!(paged.store.buffer_pool_stats(), (0, 0));
+    // A one-page cache: pinning page 1 evicts page 0, whose buffers then
+    // serve page 0's next decode.
+    for pid in [0, 1, 0] {
+        drop(
+            paged
+                .store
+                .pin_pages(&[pid], None)
+                .expect("healthy fixture"),
+        );
+    }
+    assert_eq!(paged.store.buffer_pool_stats(), (1, 2));
+    sparse_pin();
+    assert_eq!(paged.store.buffer_pool_stats(), (1, 2));
+}
+
+#[test]
+fn a_pin_publishes_its_whole_pages_in_page_order() {
+    // Two cache slots in one shard: a pin of pages 0, 1 and 2 publishes
+    // them in page order, so pages 1 and 2 stay resident and the page
+    // counts of whatever comes next repeat from run to run.
+    let paged = open_paged(
+        fixture("v3_grid12.snap"),
+        &PagedOptions {
+            columns_per_page: 8,
+            cache_pages: 2,
+            cache_shards: 1,
+            ..PagedOptions::default()
+        },
+    )
+    .expect("opens");
+    drop(paged.store.pin_pages(&[2, 0, 1], None).expect("pin"));
+    let pinned = paged.store.page_cache_stats();
+    for pid in [1, 2, 0] {
+        paged.store.with_column(8 * pid, |_| ()).expect("fetch");
+    }
+    let stats = paged.store.page_cache_stats().since(pinned);
+    assert_eq!((stats.hits, stats.misses), (2, 1));
+}
