@@ -32,7 +32,9 @@
 //! (`paged_scheduled`): queries clustered by page pair, blocks pinned and
 //! drained, the hi side swept with coalesced readahead, and — since the
 //! batch touches more pages than either cache holds — sparsely used pages
-//! read as column runs. Bytes read, readahead reads, column runs and
+//! read as column runs, whose values are read only for the pairs whose
+//! suffixes share a row (`disjoint_pairs` counts the batch's pairs that
+//! share none). Bytes read, readahead reads, column runs, value reads and
 //! page-cache hit rates are recorded per variant. The
 //! paged answers are asserted bit-identical to the resident ones before
 //! anything is timed.
@@ -406,14 +408,15 @@ fn main() {
         println!(
             "paged_scheduled/{cache_pages}_pages (median): {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read, \
-             {} readahead read(s), {} column run(s); {} cluster(s) -> {} block(s), \
-             {} window(s))",
+             {} readahead read(s), {} column run(s), {} value read(s); {} cluster(s) -> \
+             {} block(s), {} window(s))",
             sequential_seconds / seconds,
             page.hits,
             page.misses,
             page.bytes_read as f64 / (1024.0 * 1024.0),
             page.readahead_reads,
             page.column_runs,
+            page.value_reads,
             schedule.clusters,
             schedule.blocks,
             schedule.windows,
@@ -431,6 +434,7 @@ fn main() {
             ("bytes_read", Json::Int(page.bytes_read)),
             ("readahead_reads", Json::Int(page.readahead_reads)),
             ("column_runs", Json::Int(page.column_runs)),
+            ("value_reads", Json::Int(page.value_reads)),
             ("clusters", Json::Int(schedule.clusters as u64)),
             ("blocks", Json::Int(schedule.blocks as u64)),
             ("windows", Json::Int(schedule.windows as u64)),
@@ -482,6 +486,10 @@ fn main() {
                     Json::Num(time_to_first_query),
                 ),
                 ("engine", Json::Arr(paged_reports)),
+                (
+                    "disjoint_pairs",
+                    Json::Int(disjoint_pairs(&estimator, &pairs)),
+                ),
                 ("scheduled", Json::Arr(scheduled_reports)),
             ]),
         ),
@@ -490,6 +498,25 @@ fn main() {
         Ok(path) => println!("report: {}", path.display()),
         Err(e) => eprintln!("could not write report: {e}"),
     }
+}
+
+/// Pairs of `pairs` (node ids) whose suffixes share no row: column `p` of
+/// `Z̃` at rows `max(p, q)..` against column `q`, in the permuted domain.
+/// Their answers need no stored value, only the norm table.
+fn disjoint_pairs(estimator: &EffectiveResistanceEstimator, pairs: &[(usize, usize)]) -> u64 {
+    let permutation = estimator.permutation();
+    let inverse = estimator.approximate_inverse();
+    let disjoint = pairs.iter().filter(|&&(u, v)| {
+        let (p, q) = (permutation.new(u), permutation.new(v));
+        let bound = p.max(q) as u32;
+        let b = inverse.column(q).indices();
+        !inverse
+            .column(p)
+            .indices()
+            .iter()
+            .any(|row| *row >= bound && b.binary_search(row).is_ok())
+    });
+    disjoint.count() as u64
 }
 
 /// Samples per `pair_cache` variant; each is a fresh stretch of the stream.

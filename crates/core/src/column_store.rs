@@ -25,6 +25,16 @@
 //! surface a typed [`EffresError::StoreFailure`] instead of panicking the
 //! serving thread. For the in-memory store the closure compiles down to the
 //! direct slice access it always was.
+//!
+//! Most random pairs need no stored value at all: `⟨z̃_p, z̃_q⟩` sums over
+//! the rows the two suffixes share, and on large sparse graphs most pairs
+//! share none, so the norm table answers them alone. The trait's one
+//! provided method, [`ColumnStore::with_rows_first`], lends a column's rows
+//! at once and its values on request ([`RowsFirst`]); the two-column dot
+//! walks the rows first and asks for values only where the suffixes meet,
+//! so a store that can produce rows for less than rows and values — a paged
+//! pin that reads a run's values on first use — reads no value a pair's
+//! answer does not use.
 
 use crate::approx_inverse::{ColumnView, SparseApproximateInverse};
 use crate::error::EffresError;
@@ -69,6 +79,108 @@ pub trait ColumnStore {
         j: usize,
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError>;
+
+    /// Calls `f` with column `j` lent rows first: its rows at once, its
+    /// values on request ([`RowsFirst::values`]). A store that can produce
+    /// a column's rows for less than its rows and values overrides this;
+    /// the default lends [`ColumnStore::with_column`]'s view, so it is the
+    /// same one access.
+    ///
+    /// # Errors
+    ///
+    /// As [`ColumnStore::with_column`]. A store that defers the values
+    /// reports a failure to produce them from [`RowsFirst::values`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.order()`.
+    fn with_rows_first<R>(
+        &self,
+        j: usize,
+        f: impl FnOnce(RowsFirst<'_>) -> R,
+    ) -> Result<R, EffresError> {
+        self.with_column(j, |column| f(RowsFirst::lent(column)))
+    }
+}
+
+/// A column lent rows first (see [`ColumnStore::with_rows_first`]): its row
+/// indices at once, and its values when [`RowsFirst::values`] asks for them.
+#[derive(Clone, Copy)]
+pub struct RowsFirst<'a> {
+    rows: &'a [u32],
+    values: Values<'a>,
+}
+
+/// Where a [`RowsFirst`] column's values come from.
+#[derive(Clone, Copy)]
+enum Values<'a> {
+    /// Lent with the rows.
+    Lent(&'a [f64]),
+    /// Produced by the store on request.
+    Deferred(&'a dyn Fn() -> Result<&'a [f64], EffresError>),
+}
+
+impl<'a> RowsFirst<'a> {
+    /// A column whose values are lent with its rows.
+    pub fn lent(column: ColumnView<'a>) -> Self {
+        RowsFirst {
+            rows: column.indices(),
+            values: Values::Lent(column.values()),
+        }
+    }
+
+    /// A column whose values `values` produces on request: exactly one per
+    /// row of `rows`, or the store's failure to produce them.
+    pub fn deferred(
+        rows: &'a [u32],
+        values: &'a dyn Fn() -> Result<&'a [f64], EffresError>,
+    ) -> Self {
+        RowsFirst {
+            rows,
+            values: Values::Deferred(values),
+        }
+    }
+
+    /// The column's row indices, strictly increasing.
+    pub fn rows(&self) -> &'a [u32] {
+        self.rows
+    }
+
+    /// The column's values, parallel to [`RowsFirst::rows`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the store's [`EffresError::StoreFailure`] when it cannot
+    /// produce the values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store produced a different number of values than rows.
+    pub fn values(&self) -> Result<&'a [f64], EffresError> {
+        let values = match self.values {
+            Values::Lent(values) => values,
+            Values::Deferred(read) => read()?,
+        };
+        assert_eq!(
+            values.len(),
+            self.rows.len(),
+            "a column's values must be parallel to its rows"
+        );
+        Ok(values)
+    }
+
+    /// Bytes per stored entry: a `u32` row index plus an `f64` value.
+    pub fn entry_bytes(&self) -> usize {
+        std::mem::size_of::<u32>() + std::mem::size_of::<f64>()
+    }
+}
+
+impl std::fmt::Debug for RowsFirst<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowsFirst")
+            .field("rows", &self.rows)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ColumnStore for SparseApproximateInverse {
@@ -107,6 +219,14 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
     ) -> Result<R, EffresError> {
         (**self).with_column(j, f)
     }
+
+    fn with_rows_first<R>(
+        &self,
+        j: usize,
+        f: impl FnOnce(RowsFirst<'_>) -> R,
+    ) -> Result<R, EffresError> {
+        (**self).with_rows_first(j, f)
+    }
 }
 
 /// Inner product `⟨z̃_p, z̃_q⟩` of two columns of a store.
@@ -119,9 +239,14 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
 /// kernel of [`column_distance_squared_with_norms`] cheaper than the full
 /// union merge of [`column_distance_squared`].
 ///
+/// The rows come first ([`ColumnStore::with_rows_first`]): values are asked
+/// for only when the two suffixes share a row, so a pair whose suffixes
+/// share none reads no value and gets the `+0.0` dot.
+///
 /// # Errors
 ///
-/// Propagates the store's fetch errors (see [`ColumnStore::with_column`]).
+/// Propagates the store's fetch errors (see [`ColumnStore::with_column`]
+/// and [`RowsFirst::values`]).
 ///
 /// # Panics
 ///
@@ -131,41 +256,63 @@ pub fn column_dot<S: ColumnStore + ?Sized>(
     p: usize,
     q: usize,
 ) -> Result<f64, EffresError> {
-    store.with_column(p, |a| store.with_column(q, |b| suffix_merge(a, p, b, q).0))?
+    suffix_merge(store, p, q).map(|(dot, _)| dot)
 }
 
-/// Entries of column `j` at rows `bound..`, as parallel slices. Column `j`
-/// is supported on `j..` (the lower-triangular invariant of
+/// Where the entries of column `j` at rows `bound..` start in its `rows`.
+/// Column `j` is supported on `j..` (the lower-triangular invariant of
 /// [`ColumnStore`]), so when `j` is the bound its suffix is the whole
 /// column and no search runs; otherwise one binary search finds the start.
-fn suffix(column: ColumnView<'_>, j: usize, bound: u32) -> (&[u32], &[f64]) {
-    let start = if j as u32 >= bound {
+fn suffix_start(rows: &[u32], j: usize, bound: u32) -> usize {
+    if j as u32 >= bound {
         0
     } else {
-        column.indices().partition_point(|&row| row < bound)
-    };
+        rows.partition_point(|&row| row < bound)
+    }
+}
+
+/// Entries of column `j` at rows `bound..`, as parallel slices (see
+/// [`suffix_start`]).
+fn suffix(column: ColumnView<'_>, j: usize, bound: u32) -> (&[u32], &[f64]) {
+    let start = suffix_start(column.indices(), j, bound);
     (&column.indices()[start..], &column.values()[start..])
 }
 
-/// The suffix-restricted intersection of column `p` (view `a`) with column
-/// `q` (view `b`) over rows `max(p, q)..`: the shared sparse dot product of
-/// `vecops`, and its [`KernelStats::bytes_streamed`] count. Only the
-/// smaller index's column is searched for its suffix start.
+/// The suffix-restricted intersection of columns `p` and `q` over rows
+/// `max(p, q)..`: the shared sparse dot product of `vecops`, and its
+/// [`KernelStats::bytes_streamed`] count. One rows-first access per column;
+/// only the smaller index's column is searched for its suffix start. The
+/// dot's index walk ([`vecops::sparse_meet`]) runs over the rows alone, and
+/// both columns' values are asked for only when it finds a shared row.
 ///
 /// A random pair's columns are cold, and reading them is a chain of cache
 /// misses: the suffix search probes one line after another, then the dot
 /// walks both suffixes a line at a time. So the rows of both columns are
 /// touched first (see [`touch_lines`]): their misses are in flight
 /// together before the search and the dot read them.
-fn suffix_merge(a: ColumnView<'_>, p: usize, b: ColumnView<'_>, q: usize) -> (f64, usize) {
-    std::hint::black_box(touch_lines(a.indices()) ^ touch_lines(b.indices()));
+fn suffix_merge<S: ColumnStore + ?Sized>(
+    store: &S,
+    p: usize,
+    q: usize,
+) -> Result<(f64, usize), EffresError> {
     let bound = p.max(q) as u32;
-    let (ai, av) = suffix(a, p, bound);
-    let (bi, bv) = suffix(b, q, bound);
-    (
-        vecops::sparse_dot(ai, av, bi, bv),
-        ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes(),
-    )
+    let merge = |a: RowsFirst<'_>, b: RowsFirst<'_>| {
+        std::hint::black_box(touch_lines(a.rows()) ^ touch_lines(b.rows()));
+        let (a_from, b_from) = (
+            suffix_start(a.rows(), p, bound),
+            suffix_start(b.rows(), q, bound),
+        );
+        let (ai, bi) = (&a.rows()[a_from..], &b.rows()[b_from..]);
+        let dot = match vecops::sparse_meet(ai, bi) {
+            Some(at) => {
+                let (av, bv) = (&a.values()?[a_from..], &b.values()?[b_from..]);
+                vecops::sparse_dot_from(ai, av, bi, bv, at)
+            }
+            None => 0.0,
+        };
+        Ok::<_, EffresError>((dot, ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes()))
+    };
+    store.with_rows_first(p, |a| store.with_rows_first(q, |b| merge(a, b)))??
 }
 
 /// Row indices per 64-byte cache line.
@@ -335,11 +482,12 @@ pub struct KernelStats {
     pub isolated_pairs: u64,
     /// A work count, not a byte count: 12 (a 4-byte row index plus an
     /// 8-byte value) per suffix entry the kernels walked. The hub paths
-    /// read every value they count; the two-column intersection reads a
-    /// value only where both suffixes share a row (about 2 of 290 entries
-    /// for a random pair of the benchmark grid), while its suffix search
-    /// and touch pass load rows below the bound that are not counted.
-    /// Norm-table lookups are not counted either.
+    /// read every value they count; the two-column intersection reads
+    /// values only from the first block of rows the suffixes share (about 2
+    /// of 290 entries for a random pair of the benchmark grid, none at all
+    /// for most), while its suffix search and touch pass load rows below
+    /// the bound that are not counted. Norm-table lookups are not counted
+    /// either.
     pub bytes_streamed: u64,
 }
 
@@ -579,6 +727,8 @@ impl HubScratch {
     /// The two-column suffix intersection of [`column_dot`], counted as an
     /// isolated pair (the grouped kernels fall back to this when no
     /// neighbouring pair shares a hub, leaving any resident hub untouched).
+    /// Like [`column_dot`], it asks for values only when the two suffixes
+    /// share a row.
     ///
     /// # Errors
     ///
@@ -593,8 +743,7 @@ impl HubScratch {
         p: usize,
         q: usize,
     ) -> Result<f64, EffresError> {
-        let (dot, bytes) =
-            store.with_column(p, |a| store.with_column(q, |b| suffix_merge(a, p, b, q)))??;
+        let (dot, bytes) = suffix_merge(store, p, q)?;
         self.stats.isolated_pairs += 1;
         self.stats.bytes_streamed += bytes as u64;
         Ok(dot)
@@ -966,5 +1115,119 @@ mod tests {
             column_dot(&by_ref, 0, 10).expect("infallible").to_bits(),
             z.column_dot(0, 10).to_bits()
         );
+    }
+
+    /// The arena, lent rows first with values that cost a request: each
+    /// request is counted, and column `rotten`'s fail.
+    struct DeferredValues {
+        z: SparseApproximateInverse,
+        rotten: usize,
+        requests: std::cell::Cell<usize>,
+    }
+
+    impl ColumnStore for DeferredValues {
+        fn order(&self) -> usize {
+            self.z.order()
+        }
+
+        fn nnz(&self) -> usize {
+            self.z.nnz()
+        }
+
+        fn with_column<R>(
+            &self,
+            j: usize,
+            f: impl FnOnce(ColumnView<'_>) -> R,
+        ) -> Result<R, EffresError> {
+            self.z.with_column(j, f)
+        }
+
+        fn with_rows_first<R>(
+            &self,
+            j: usize,
+            f: impl FnOnce(RowsFirst<'_>) -> R,
+        ) -> Result<R, EffresError> {
+            let column = self.z.column(j);
+            let values = || {
+                self.requests.set(self.requests.get() + 1);
+                match j == self.rotten {
+                    true => Err(EffresError::StoreFailure {
+                        column: j,
+                        message: "rotten".to_string(),
+                    }),
+                    false => Ok(column.values()),
+                }
+            };
+            Ok(f(RowsFirst::deferred(column.indices(), &values)))
+        }
+    }
+
+    /// Two grounded 3×6 grids with no edge between them: a column of one
+    /// block has no row in the other, so pairs across the blocks share no
+    /// row, and pairs within a block share some.
+    fn two_block_inverse() -> SparseApproximateInverse {
+        let n = 36;
+        let mut t = TripletMatrix::new(n, n);
+        for block in [0, 18] {
+            for r in 0..3 {
+                for c in 0..6 {
+                    let u = block + 6 * r + c;
+                    if c + 1 < 6 {
+                        t.add_laplacian_edge(u, u + 1, 1.0);
+                    }
+                    if r + 1 < 3 {
+                        t.add_laplacian_edge(u, u + 6, 1.0);
+                    }
+                }
+            }
+            t.push(block, block, 1e-3);
+        }
+        let chol = CholeskyFactor::factor(&t.to_csc()).expect("spd");
+        SparseApproximateInverse::from_factor(chol.factor_l(), 1e-3, 2).expect("valid")
+    }
+
+    #[test]
+    fn the_pair_dot_asks_for_values_only_where_suffixes_meet() {
+        let z = two_block_inverse();
+        let n = z.order();
+        let meets = |p: usize, q: usize| {
+            let b = z.column(q).indices();
+            let bound = p.max(q) as u32;
+            let mut a = z.column(p).indices().iter();
+            a.any(|r| *r >= bound && b.binary_search(r).is_ok())
+        };
+        // A rotten column whose suffix meets some partners and not others.
+        let rotten = (0..n)
+            .find(|&j| (0..n).any(|q| meets(j, q)) && (0..n).any(|q| !meets(j, q)))
+            .expect("both kinds of pairs");
+        let store = DeferredValues {
+            z: two_block_inverse(),
+            rotten,
+            requests: std::cell::Cell::new(0),
+        };
+        let mut scratch = HubScratch::new(n);
+        for p in 0..n {
+            for q in 0..n {
+                store.requests.set(0);
+                let dot = scratch.isolated_dot(&store, p, q);
+                if !meets(p, q) {
+                    // No shared row: no value is read and the dot is
+                    // `+0.0`, rotten column or not.
+                    assert_eq!(store.requests.get(), 0, "({p}, {q})");
+                    assert_eq!(dot.expect("no value read").to_bits(), 0.0f64.to_bits());
+                    continue;
+                }
+                // Column `p`'s values are asked for first.
+                let asked = if p == rotten { 1 } else { 2 };
+                assert_eq!(store.requests.get(), asked, "({p}, {q})");
+                match p == rotten || q == rotten {
+                    true => assert!(dot.is_err(), "({p}, {q})"),
+                    false => assert_eq!(
+                        dot.expect("healthy").to_bits(),
+                        z.column_dot(p, q).to_bits()
+                    ),
+                }
+            }
+        }
     }
 }

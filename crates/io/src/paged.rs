@@ -32,8 +32,13 @@
 //! positioned reads) — unless the pin carries a *demand* (the columns its
 //! queries will read) that covers under a quarter of a page's bytes, in
 //! which case only the demanded columns are read, as runs of adjacent
-//! columns decoded back to back into one arena per pin, and pinned without
-//! entering the cache. A partial pin plans once and degrades in place.
+//! columns pinned without entering the cache. A run pins its **rows** only
+//! (one positioned read, decoded back to back into one arena per pin); its
+//! values are read the first time a column of the run is asked for them,
+//! and kept in the pin. The two-column dot asks for values only where a
+//! pair's suffixes share a row (see `effres::column_store::column_dot`),
+//! and on large sparse graphs most random pairs share none, so most runs
+//! never read their values. A partial pin plans once and degrades in place.
 //!
 //! Decoded-page buffers are **recycled**, not churned: when the last `Arc`
 //! to an evicted page drops, its row/value vectors return to a
@@ -44,7 +49,8 @@
 //! large batch that glibc hands back to the kernel, turning a long-lived
 //! server's steady state into a minor-page-fault storm. With the pool,
 //! steady-state serving allocates nothing on the whole-page path; a sparse
-//! pin allocates its one arena.
+//! pin allocates its one row arena, and one value buffer per run whose
+//! values are read.
 //!
 //! Trust model: the file is untrusted. The `col_ptr` block is fully
 //! validated at [`open_paged`] time (monotone, spanning exactly the declared
@@ -53,10 +59,12 @@
 //! (strictly increasing lower-triangular row indices in range, finite
 //! values) — a corrupt page is a typed
 //! [`EffresError::StoreFailure`](effres::EffresError), never a panic and
-//! never silently wrong answers. The whole-payload crc32 is *not computed*:
-//! it covers the whole file, and streaming the file would defeat the
-//! milliseconds-to-first-query cold start, so the opener parses the header
-//! blocks without checksumming them. Corruption the structural checks
+//! never silently wrong answers. A column run's rows are validated when it
+//! is pinned and its values when they are first read, so rotten rows fail
+//! the pin and rotten values fail the first access that reads them. The
+//! whole-payload crc32 is *not computed*: it covers the whole file, and
+//! streaming the file would defeat the milliseconds-to-first-query cold
+//! start, so the opener parses the header blocks without checksumming them. Corruption the structural checks
 //! cannot see — flipped value bytes that stay finite — is caught by the
 //! resident loader ([`crate::snapshot::load_snapshot`]), which verifies the
 //! crc on every load, not by this one.
@@ -75,7 +83,7 @@ use crate::snapshot::{
     PayloadHeader, MAGIC, ROW_CODEC_RAW, ROW_CODEC_VARINT, VERSION_V1, VERSION_V2, VERSION_V3,
 };
 use effres::approx_inverse::{ensure_u32_indexable, ArenaFootprint, ColumnView};
-use effres::column_store::ColumnStore;
+use effres::column_store::{ColumnStore, RowsFirst};
 use effres::error::EffresError;
 use effres::estimator::EstimatorStats;
 use effres_sparse::Permutation;
@@ -84,7 +92,7 @@ use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Positioned reads over a shared [`File`], std-only on every platform:
 /// `pread` on Unix and `seek_read` on Windows never touch a shared cursor,
@@ -222,11 +230,16 @@ pub struct PageCacheStats {
     /// fetched with one read (and one syscall) per page per block.
     pub readahead_reads: u64,
     /// Column runs read by demand-sized pins (see
-    /// [`PagedColumnStore::pin_pages`]): each is two positioned reads
-    /// covering adjacent demanded columns of a sparsely demanded page. Their
-    /// bytes count in `bytes_read`; the page they stand in for counts as one
-    /// miss.
+    /// [`PagedColumnStore::pin_pages`]): each covers adjacent demanded
+    /// columns of a sparsely demanded page, and is one positioned read of
+    /// their rows, plus one of their values when a pair first needs them
+    /// (counted in `value_reads`). Their bytes count in `bytes_read`; the
+    /// page they stand in for counts as one miss.
     pub column_runs: u64,
+    /// Column runs whose values were read: a run's values are read the
+    /// first time a pair asks for a value of one of its columns, so a run
+    /// whose pairs all share no row with their partners is never counted.
+    pub value_reads: u64,
     /// Read attempts re-issued after a fault: transient-failure retries
     /// plus validation-failure page re-fetches. A fault-free store reports
     /// zero; a store surviving on retries reports how hard it is working.
@@ -267,6 +280,7 @@ impl PageCacheStats {
             bytes_read: self.bytes_read - earlier.bytes_read,
             readahead_reads: self.readahead_reads - earlier.readahead_reads,
             column_runs: self.column_runs - earlier.column_runs,
+            value_reads: self.value_reads - earlier.value_reads,
             retries: self.retries - earlier.retries,
             faulted_reads: self.faulted_reads - earlier.faulted_reads,
         }
@@ -433,6 +447,16 @@ const MAX_COALESCED_BYTES: usize = 32 << 20;
 struct ReadScratch {
     rows: Vec<u8>,
     vals: Vec<u8>,
+}
+
+/// The first `len` bytes of a reused read buffer, growing it only when it
+/// is shorter: reads of every size share one buffer without zero-filling
+/// what an earlier, longer read already sized.
+fn front(buffer: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buffer.len() < len {
+        buffer.resize(len, 0);
+    }
+    &mut buffer[..len]
 }
 
 #[derive(Debug)]
@@ -667,6 +691,7 @@ pub struct PagedColumnStore {
     bytes_read: AtomicU64,
     readahead_reads: AtomicU64,
     column_runs: AtomicU64,
+    value_reads: AtomicU64,
     retries: AtomicU64,
     faulted_reads: AtomicU64,
     /// Cumulative scrubber counters ([`ScrubStats`]).
@@ -758,6 +783,7 @@ impl PagedColumnStore {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             readahead_reads: self.readahead_reads.load(Ordering::Relaxed),
             column_runs: self.column_runs.load(Ordering::Relaxed),
+            value_reads: self.value_reads.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             faulted_reads: self.faulted_reads.load(Ordering::Relaxed),
         }
@@ -946,8 +972,8 @@ impl PagedColumnStore {
             first_col,
             last_col,
             &mut scratch,
-            &mut page.rows,
-            &mut page.vals,
+            Some(&mut page.rows),
+            Some(&mut page.vals),
         );
         self.buffers.put_scratch(scratch);
         result.map(|()| page)
@@ -970,36 +996,45 @@ impl PagedColumnStore {
         }
     }
 
-    /// Reads the raw row/value bytes of columns `first_col..last_col` into
-    /// `scratch`, with the retry policy applied to both positioned reads.
+    /// Reads the raw bytes of columns `first_col..last_col` into the front
+    /// of `scratch`: the row block when `rows`, the value block when
+    /// `vals`, with the retry policy applied to each positioned read.
+    /// Returns how many bytes of `scratch.rows` and `scratch.vals` hold
+    /// them (zero for a block not read).
     fn fetch_column_bytes(
         &self,
-        first_col: usize,
-        last_col: usize,
+        (first_col, last_col): (usize, usize),
+        (rows, vals): (bool, bool),
         scratch: &mut ReadScratch,
         attempt_base: u32,
-    ) -> Result<(), EffresError> {
+    ) -> Result<(usize, usize), EffresError> {
         let failed = |message: String| EffresError::StoreFailure {
             column: first_col,
             message,
         };
-        let (row_at, row_len) = self.row_byte_range(first_col, last_col);
-        scratch.rows.resize(row_len, 0);
-        self.read_block(&mut scratch.rows, row_at, attempt_base)
-            .map_err(|e| failed(format!("reading the row block: {e}")))?;
-        let (val_at, val_len) = self.val_byte_range(first_col, last_col);
-        scratch.vals.resize(val_len, 0);
-        self.read_block(&mut scratch.vals, val_at, attempt_base)
-            .map_err(|e| failed(format!("reading the value block: {e}")))?;
+        let (mut row_len, mut val_len) = (0, 0);
+        if rows {
+            let row_at;
+            (row_at, row_len) = self.row_byte_range(first_col, last_col);
+            self.read_block(front(&mut scratch.rows, row_len), row_at, attempt_base)
+                .map_err(|e| failed(format!("reading the row block: {e}")))?;
+        }
+        if vals {
+            let val_at;
+            (val_at, val_len) = self.val_byte_range(first_col, last_col);
+            self.read_block(front(&mut scratch.vals, val_len), val_at, attempt_base)
+                .map_err(|e| failed(format!("reading the value block: {e}")))?;
+        }
         self.bytes_read
             .fetch_add((row_len + val_len) as u64, Ordering::Relaxed);
-        Ok(())
+        Ok((row_len, val_len))
     }
 
-    /// Fetches columns `first_col..last_col` — a page or a column run — and
-    /// appends them, decoded and validated, to `rows`/`vals`. A range that
-    /// fails *validation* (the bytes read fine but do not decode as
-    /// well-formed columns) is truncated away and fetched once more —
+    /// Fetches columns `first_col..last_col` — a page, a run's rows or a
+    /// run's values — and appends the halves asked for, decoded and
+    /// validated, to `rows` and `vals` (a half left `None` is not read). A
+    /// range that fails *validation* (the bytes read fine but do not decode
+    /// as well-formed columns) is truncated away and fetched once more —
     /// corruption in transit heals, corruption at rest fails again and
     /// surfaces as the typed per-column error of the second attempt.
     fn read_columns(
@@ -1007,41 +1042,48 @@ impl PagedColumnStore {
         first_col: usize,
         last_col: usize,
         scratch: &mut ReadScratch,
-        rows: &mut Vec<u32>,
-        vals: &mut Vec<f64>,
+        mut rows: Option<&mut Vec<u32>>,
+        mut vals: Option<&mut Vec<f64>>,
     ) -> Result<(), EffresError> {
-        let start = rows.len();
+        let range = (first_col, last_col);
+        let halves = (rows.is_some(), vals.is_some());
+        let row_start = rows.as_ref().map_or(0, |rows| rows.len());
+        let val_start = vals.as_ref().map_or(0, |vals| vals.len());
         // Each attempt decodes over whatever a failed one appended.
-        let mut decode = |bytes: &ReadScratch| {
-            rows.truncate(start);
-            vals.truncate(start);
-            self.decode_into(first_col, last_col, &bytes.rows, &bytes.vals, rows, vals)
+        let mut decode = |bytes: &ReadScratch, (row_len, val_len): (usize, usize)| {
+            if let Some(rows) = rows.as_deref_mut() {
+                rows.truncate(row_start);
+                self.decode_rows(first_col, last_col, &bytes.rows[..row_len], rows)?;
+            }
+            if let Some(vals) = vals.as_deref_mut() {
+                vals.truncate(val_start);
+                self.decode_values(first_col, last_col, &bytes.vals[..val_len], vals)?;
+            }
+            Ok(())
         };
-        self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
-        if decode(scratch).is_ok() {
+        let read = self.fetch_column_bytes(range, halves, scratch, 0)?;
+        if decode(scratch, read).is_ok() {
             return Ok(());
         }
         self.faulted_reads.fetch_add(1, Ordering::Relaxed);
         self.retries.fetch_add(1, Ordering::Relaxed);
-        self.fetch_column_bytes(first_col, last_col, scratch, REFETCH_ATTEMPT_BASE)?;
-        decode(scratch)
+        let read = self.fetch_column_bytes(range, halves, scratch, REFETCH_ATTEMPT_BASE)?;
+        decode(scratch, read)
     }
 
-    /// Decodes and validates columns `first_col..last_col` from their raw
+    /// The row half of decoding columns `first_col..last_col` from their raw
     /// on-disk bytes (fetched by [`PagedColumnStore::read_columns`], or
-    /// sliced out of a larger coalesced read by the bulk path), appending
-    /// them to `rows`/`vals`; an error can leave part of them appended. The
+    /// sliced out of a larger coalesced read by the bulk path): appends
+    /// their rows to `rows`; an error can leave part of them appended. The
     /// on-disk data is untrusted and the kernels rely on sorted
-    /// lower-triangular columns, so every column is validated before it can
-    /// serve a query.
-    fn decode_into(
+    /// lower-triangular columns, so every column's rows are validated
+    /// before they can serve a query.
+    fn decode_rows(
         &self,
         first_col: usize,
         last_col: usize,
         row_bytes: &[u8],
-        val_bytes: &[u8],
         rows: &mut Vec<u32>,
-        vals: &mut Vec<f64>,
     ) -> Result<(), EffresError> {
         let base = self.col_ptr[first_col];
         let start = rows.len();
@@ -1083,6 +1125,34 @@ impl PagedColumnStore {
                 }
             }
         };
+        for j in first_col..last_col {
+            if rows[at(j)..at(j + 1)]
+                .first()
+                .is_some_and(|&i| (i as usize) < j)
+            {
+                return Err(EffresError::StoreFailure {
+                    column: j,
+                    message: "column has an entry above the diagonal; \
+                              inverse columns must be supported on the diagonal suffix"
+                        .to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The value half of decoding columns `first_col..last_col` (see
+    /// [`PagedColumnStore::decode_rows`]): appends their values to `vals`,
+    /// each validated finite; an error can leave part of them appended.
+    fn decode_values(
+        &self,
+        first_col: usize,
+        last_col: usize,
+        val_bytes: &[u8],
+        vals: &mut Vec<f64>,
+    ) -> Result<(), EffresError> {
+        let base = self.col_ptr[first_col];
+        let start = vals.len();
         vals.extend(
             val_bytes
                 .chunks_exact(8)
@@ -1093,21 +1163,46 @@ impl PagedColumnStore {
         let finite = vals[start..]
             .iter()
             .fold(true, |finite, v| finite & v.is_finite());
+        if finite {
+            return Ok(());
+        }
+        let at = |j: usize| start + (self.col_ptr[j] - base) as usize;
         for j in first_col..last_col {
-            let (lo, hi) = (at(j), at(j + 1));
-            let corrupt = |message: String| EffresError::StoreFailure { column: j, message };
-            if rows[lo..hi].first().is_some_and(|&i| (i as usize) < j) {
-                return Err(corrupt(
-                    "column has an entry above the diagonal; \
-                     inverse columns must be supported on the diagonal suffix"
-                        .to_string(),
-                ));
-            }
-            if !finite && !vals[lo..hi].iter().all(|v| v.is_finite()) {
-                return Err(corrupt("non-finite value".to_string()));
+            if !vals[at(j)..at(j + 1)].iter().all(|v| v.is_finite()) {
+                return Err(EffresError::StoreFailure {
+                    column: j,
+                    message: "non-finite value".to_string(),
+                });
             }
         }
         Ok(())
+    }
+
+    /// The values of pinned column run `run`, read and validated the first
+    /// time a column of the run is asked for (see
+    /// [`PagedColumnStore::pin_pages`]), through the same retry and
+    /// re-fetch cycle as any read. Later asks, from any thread sharing the
+    /// pin, get that read's values or its typed failure without reading
+    /// again.
+    fn run_values<'r>(&self, run: &'r Run) -> Result<&'r [f64], EffresError> {
+        run.values
+            .get_or_init(|| {
+                self.value_reads.fetch_add(1, Ordering::Relaxed);
+                let entries = self.col_ptr[run.last_col] - self.col_ptr[run.first_col];
+                let mut vals = Vec::with_capacity(entries as usize);
+                let mut scratch = self.buffers.take_scratch();
+                let read = self.read_columns(
+                    run.first_col,
+                    run.last_col,
+                    &mut scratch,
+                    None,
+                    Some(&mut vals),
+                );
+                self.buffers.put_scratch(scratch);
+                read.map(|()| vals)
+            })
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
     /// Page id serving column `j`.
@@ -1143,14 +1238,19 @@ impl PagedColumnStore {
     /// (in any order, duplicates allowed; columns on other pages are
     /// ignored). A missing page whose demanded columns hold under a quarter
     /// of its on-disk bytes is then read **sparsely**: each run of adjacent
-    /// demanded columns takes two positioned reads (counted in
-    /// [`PageCacheStats::column_runs`]) through the same retry, validation
-    /// and re-fetch cycle as a page, and the page counts as one miss. All
-    /// runs decode into one arena owned by the pin, reserved once from
-    /// `col_ptr` before any read and freed when the pin drops. Cached pages
-    /// and densely demanded pages take the whole-page path either way. A
-    /// column outside the demand is still served correctly — the
-    /// [`PinnedReader`] falls back to the store's cached path for it.
+    /// demanded columns (counted in [`PageCacheStats::column_runs`]) pins
+    /// its rows — one positioned read through the same retry, validation
+    /// and re-fetch cycle as a page — and the page counts as one miss. All
+    /// runs' rows decode into one arena owned by the pin, reserved once from
+    /// `col_ptr` before any read and freed when the pin drops. A run's
+    /// values are read, through the same cycle, the first time a
+    /// [`PinnedReader`] is asked for a value of one of its columns (counted
+    /// in [`PageCacheStats::value_reads`]); they stay in the pin, shared by
+    /// every reader over it, and a run no pair needs values from never
+    /// reads them. Cached pages and densely demanded pages take the
+    /// whole-page path either way. A column outside the demand is still
+    /// served correctly — the [`PinnedReader`] falls back to the store's
+    /// cached path for it.
     ///
     /// Whole pages are owned by the returned [`PinnedPages`], so eviction
     /// can never pull one out from under the queries draining it; they are
@@ -1165,7 +1265,9 @@ impl PagedColumnStore {
     /// # Errors
     ///
     /// Returns [`EffresError::StoreFailure`] on read failure or if any
-    /// fetched page or column run fails validation.
+    /// fetched page or column run's rows fail validation. A run's values
+    /// are not read here: their read failure or rot surfaces, as the same
+    /// typed error, from the [`PinnedReader`] access that first reads them.
     ///
     /// # Panics
     ///
@@ -1184,10 +1286,13 @@ impl PagedColumnStore {
     /// per page that could not, in page order. The pin is planned once,
     /// exactly as `pin_pages` plans it, and degrades in place: a coalesced
     /// read that fails is fetched again page by page, and a sparse page
-    /// whose run stays rotten drops its runs from the arena. Every other
-    /// page and run stands, and each page counts its hit or miss, its runs
-    /// and its retries once — so one rotten page costs the batch that
-    /// page's queries, not the batch.
+    /// whose run's rows stay rotten drops its runs from the arena. Every
+    /// other page and run stands, and each page counts its hit or miss, its
+    /// runs and its retries once — so one rotten page costs the batch that
+    /// page's queries, not the batch. Runs pin their rows only, so rotten
+    /// values fail no pin: they fail the first [`PinnedReader`] access that
+    /// reads them, and every later one, and only the pairs whose answers
+    /// need them.
     ///
     /// # Panics
     ///
@@ -1251,7 +1356,6 @@ impl PagedColumnStore {
             .sum();
         let mut arena = RunArena {
             rows: Vec::with_capacity(entries),
-            vals: Vec::with_capacity(entries),
             runs: Vec::new(),
         };
         for (pid, runs) in sparse {
@@ -1260,19 +1364,24 @@ impl PagedColumnStore {
             for (first_col, last_col) in runs {
                 self.column_runs.fetch_add(1, Ordering::Relaxed);
                 let offset = arena.rows.len();
+                // Rows only: the values wait for the run's first use.
                 let read = self.read_columns(
                     first_col,
                     last_col,
                     &mut scratch,
-                    &mut arena.rows,
-                    &mut arena.vals,
+                    Some(&mut arena.rows),
+                    None,
                 );
                 match read {
-                    Ok(()) => arena.runs.push((first_col, last_col, offset)),
+                    Ok(()) => arena.runs.push(Run {
+                        first_col,
+                        last_col,
+                        offset,
+                        values: OnceLock::new(),
+                    }),
                     Err(error) if !partial => return Err(error),
                     Err(error) => {
                         arena.rows.truncate(page_entries);
-                        arena.vals.truncate(page_entries);
                         arena.runs.truncate(page_runs);
                         failures.push((pid, error));
                         break;
@@ -1451,7 +1560,7 @@ impl PagedColumnStore {
     ) -> Result<Vec<Result<Page, EffresError>>, EffresError> {
         let (first_col, _) = self.page_columns(chunk[0]);
         let (_, last_col) = self.page_columns(*chunk.last().expect("non-empty chunk"));
-        self.fetch_column_bytes(first_col, last_col, scratch, 0)?;
+        self.fetch_column_bytes((first_col, last_col), (true, true), scratch, 0)?;
         self.readahead_reads.fetch_add(2, Ordering::Relaxed);
         let (row_at, _) = self.row_byte_range(first_col, last_col);
         let (val_at, _) = self.val_byte_range(first_col, last_col);
@@ -1462,20 +1571,16 @@ impl PagedColumnStore {
             let (page_val_at, page_val_len) = self.val_byte_range(lo_col, hi_col);
             let val_lo = (page_val_at - val_at) as usize;
             let mut page = self.empty_page(lo_col, hi_col);
-            self.decode_into(
-                lo_col,
-                hi_col,
-                &scratch.rows[row_lo..row_lo + page_row_len],
-                &scratch.vals[val_lo..val_lo + page_val_len],
-                &mut page.rows,
-                &mut page.vals,
-            )
-            .map(|()| page)
-            .or_else(|_| {
-                self.faulted_reads.fetch_add(1, Ordering::Relaxed);
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                self.decode_page(pid)
-            })
+            let row_bytes = &scratch.rows[row_lo..row_lo + page_row_len];
+            let val_bytes = &scratch.vals[val_lo..val_lo + page_val_len];
+            self.decode_rows(lo_col, hi_col, row_bytes, &mut page.rows)
+                .and_then(|()| self.decode_values(lo_col, hi_col, val_bytes, &mut page.vals))
+                .map(|()| page)
+                .or_else(|_| {
+                    self.faulted_reads.fetch_add(1, Ordering::Relaxed);
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    self.decode_page(pid)
+                })
         };
         Ok(chunk.iter().map(|&pid| decode(pid)).collect())
     }
@@ -1509,34 +1614,66 @@ impl PinnedPages {
         self.count == 0
     }
 
-    /// Rows and values of column `j` (on page `pid`) from a pinned whole
-    /// page or column run, if the set holds it; `col_ptr` is the store's.
-    fn column(&self, j: usize, pid: usize, col_ptr: &[u64]) -> Option<(&[u32], &[f64])> {
-        let (rows, vals, at) = match self.pages.get(&pid) {
-            Some(page) => (&page.rows, &page.vals, (col_ptr[j] - page.base) as usize),
-            None => {
-                let runs = &self.runs.runs;
-                let &(first_col, _, offset) = runs[..runs.partition_point(|run| run.0 <= j)]
-                    .last()
-                    .filter(|run| j < run.1)?;
-                let at = offset + (col_ptr[j] - col_ptr[first_col]) as usize;
-                (&self.runs.rows, &self.runs.vals, at)
-            }
-        };
-        let end = at + (col_ptr[j + 1] - col_ptr[j]) as usize;
-        Some((&rows[at..end], &vals[at..end]))
+    /// Column `j` (on page `pid`) from a pinned whole page or column run,
+    /// if the set holds it; `col_ptr` is the store's.
+    fn column(&self, j: usize, pid: usize, col_ptr: &[u64]) -> Option<PinnedColumn<'_>> {
+        let entries = (col_ptr[j + 1] - col_ptr[j]) as usize;
+        if let Some(page) = self.pages.get(&pid) {
+            let at = (col_ptr[j] - page.base) as usize;
+            let end = at + entries;
+            return Some(PinnedColumn::Whole(
+                &page.rows[at..end],
+                &page.vals[at..end],
+            ));
+        }
+        let runs = &self.runs.runs;
+        let run = runs[..runs.partition_point(|run| run.first_col <= j)]
+            .last()
+            .filter(|run| j < run.last_col)?;
+        let lo = (col_ptr[j] - col_ptr[run.first_col]) as usize;
+        let at = run.offset + lo;
+        Some(PinnedColumn::Run {
+            rows: &self.runs.rows[at..at + entries],
+            run,
+            lo,
+        })
     }
 }
 
-/// The column runs of one pin's sparsely demanded pages, decoded back to
-/// back into one pair of buffers.
+/// A column a [`PinnedPages`] set holds.
+#[derive(Debug, Clone, Copy)]
+enum PinnedColumn<'a> {
+    /// The rows and values of a column of a pinned whole page.
+    Whole(&'a [u32], &'a [f64]),
+    /// The rows of a column of a pinned run; its values sit at `lo..` of
+    /// the run's values, once read ([`PagedColumnStore::run_values`]).
+    Run {
+        rows: &'a [u32],
+        run: &'a Run,
+        lo: usize,
+    },
+}
+
+/// The column runs of one pin's sparsely demanded pages: their rows,
+/// decoded back to back into one buffer when the pin is made, and each
+/// run's values, read on the run's first use.
 #[derive(Debug, Default)]
 struct RunArena {
     rows: Vec<u32>,
-    vals: Vec<f64>,
-    /// `(first_col, last_col, offset)` of each run: its columns, and where
-    /// its entries start in `rows`/`vals`. Ascending and disjoint.
-    runs: Vec<(usize, usize, usize)>,
+    /// Ascending and disjoint.
+    runs: Vec<Run>,
+}
+
+/// One column run of a [`RunArena`].
+#[derive(Debug)]
+struct Run {
+    first_col: usize,
+    last_col: usize,
+    /// Where the run's rows start in the arena's `rows`.
+    offset: usize,
+    /// The run's values once read and validated, or the typed failure of
+    /// that read ([`PagedColumnStore::run_values`]).
+    values: OnceLock<Result<Vec<f64>, EffresError>>,
 }
 
 /// How one pin produces its pages (see [`PagedColumnStore::pin_pages`]).
@@ -1561,6 +1698,16 @@ struct PinPlan {
 /// demand — falls back to the store's normal cached path. Pins hold the
 /// same decoded bits the cache would, so answers are bit-identical to
 /// unpinned serving.
+///
+/// A run's column serves its rows from the pin. Its values are read the
+/// first time any access needs them — [`ColumnStore::with_column`] always,
+/// [`ColumnStore::with_rows_first`] only when
+/// [`RowsFirst::values`](effres::column_store::RowsFirst::values) is
+/// called — once per run, shared by every reader over the pin (window
+/// workers included), and kept until the pin drops. A failed or rotten
+/// value read is that access's typed
+/// [`EffresError::StoreFailure`](effres::EffresError), and every later
+/// access to the run's values gets the same error without reading again.
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedReader<'s> {
     store: &'s PagedColumnStore,
@@ -1581,6 +1728,19 @@ impl<'s> PinnedReader<'s> {
             secondary,
         }
     }
+
+    /// Column `j` from the pins, if one holds it.
+    fn pinned(&self, j: usize) -> Option<PinnedColumn<'s>> {
+        assert!(
+            j < self.store.order,
+            "column {j} out of bounds for order {}",
+            self.store.order
+        );
+        let pid = self.store.page_of_column(j);
+        std::iter::once(self.primary)
+            .chain(self.secondary)
+            .find_map(|set| set.column(j, pid, &self.store.col_ptr))
+    }
 }
 
 impl ColumnStore for PinnedReader<'_> {
@@ -1597,18 +1757,36 @@ impl ColumnStore for PinnedReader<'_> {
         j: usize,
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError> {
-        assert!(
-            j < self.store.order,
-            "column {j} out of bounds for order {}",
-            self.store.order
-        );
-        let pid = self.store.page_of_column(j);
-        let pinned = std::iter::once(self.primary)
-            .chain(self.secondary)
-            .find_map(|set| set.column(j, pid, &self.store.col_ptr));
-        match pinned {
-            Some((rows, vals)) => Ok(f(ColumnView::from_slices(self.store.order, rows, vals))),
+        let order = self.store.order;
+        match self.pinned(j) {
+            Some(PinnedColumn::Whole(rows, vals)) => {
+                Ok(f(ColumnView::from_slices(order, rows, vals)))
+            }
+            Some(PinnedColumn::Run { rows, run, lo }) => {
+                let vals = &self.store.run_values(run)?[lo..lo + rows.len()];
+                Ok(f(ColumnView::from_slices(order, rows, vals)))
+            }
             None => self.store.with_column(j, f),
+        }
+    }
+
+    /// A pinned run's column lends its rows at once and reads the run's
+    /// values only when they are asked for.
+    fn with_rows_first<R>(
+        &self,
+        j: usize,
+        f: impl FnOnce(RowsFirst<'_>) -> R,
+    ) -> Result<R, EffresError> {
+        match self.pinned(j) {
+            Some(PinnedColumn::Whole(rows, vals)) => Ok(f(RowsFirst::lent(
+                ColumnView::from_slices(self.store.order, rows, vals),
+            ))),
+            Some(PinnedColumn::Run { rows, run, lo }) => Ok(f(RowsFirst::deferred(rows, &|| {
+                self.store
+                    .run_values(run)
+                    .map(|vals| &vals[lo..lo + rows.len()])
+            }))),
+            None => self.store.with_rows_first(j, f),
         }
     }
 }
@@ -1859,6 +2037,7 @@ fn open_paged_impl(
         bytes_read: AtomicU64::new(0),
         readahead_reads: AtomicU64::new(0),
         column_runs: AtomicU64::new(0),
+        value_reads: AtomicU64::new(0),
         retries: AtomicU64::new(0),
         faulted_reads: AtomicU64::new(0),
         pages_scrubbed: AtomicU64::new(0),

@@ -6,12 +6,14 @@
 //! size (including a one-page cache that evicts on every page switch), and
 //! hostile files — including corrupt raw rows, varint rows and norms blocks
 //! — must produce typed errors *before* corrupt data can serve a query.
-//! Demand-sized pins must read exactly the demanded columns' on-disk bytes,
-//! serve the same bits, and fail, heal and degrade the way whole pages do.
+//! Demand-sized pins must read exactly the demanded columns' on-disk bytes
+//! — their rows when pinned, a run's values on its first use — serve the
+//! same bits, and fail, heal and degrade the way whole pages do: rotten
+//! rows at pin time, rotten values where they are first read.
 
 use effres::column_store::{self, ColumnStore};
 use effres::EffresError;
-use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
+use effres_io::paged::{open_paged, PageCacheStats, PagedOptions, PagedSnapshot};
 use effres_io::snapshot::load_snapshot;
 use effres_io::{IoError, RowCodec, Snapshot};
 use proptest::prelude::*;
@@ -571,10 +573,23 @@ fn sparse_options() -> PagedOptions {
     }
 }
 
-/// On-disk bytes (rows plus values) of each column of a served file, from
-/// its `col_ptr` block and — for the varint codec — its `row_off` table,
-/// read straight from the bytes at the layout offsets above.
-fn column_disk_bytes(path: &Path) -> Vec<u64> {
+/// On-disk bytes of one column of a served file: its rows, then its values.
+#[derive(Debug, Clone, Copy)]
+struct DiskBytes {
+    rows: u64,
+    vals: u64,
+}
+
+impl DiskBytes {
+    fn total(self) -> u64 {
+        self.rows + self.vals
+    }
+}
+
+/// On-disk bytes of each column of a served file, from its `col_ptr` block
+/// and — for the varint codec — its `row_off` table, read straight from the
+/// bytes at the layout offsets above.
+fn column_disk_bytes(path: &Path) -> Vec<DiskBytes> {
     let bytes = std::fs::read(path).expect("file bytes");
     let table = |at: usize| -> Vec<u64> {
         bytes[at..at + 8 * (N + 1)]
@@ -590,7 +605,10 @@ fn column_disk_bytes(path: &Path) -> Vec<u64> {
             let rows = row_off
                 .as_ref()
                 .map_or(4 * entries, |off| off[j + 1] - off[j]);
-            rows + 8 * entries
+            DiskBytes {
+                rows,
+                vals: 8 * entries,
+            }
         })
         .collect()
 }
@@ -612,14 +630,20 @@ fn column_bits<S: ColumnStore>(store: &S, j: usize) -> (Vec<u32>, u64) {
 fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
     for (name, path) in served_files() {
         let disk = column_disk_bytes(&path);
-        let page_bytes =
-            |pid: usize| -> u64 { disk[16 * pid..(16 * pid + 16).min(N)].iter().sum() };
-        let demanded_bytes: u64 = SPARSE_DEMAND.iter().map(|&j| disk[j]).sum();
+        let page_bytes = |pid: usize| -> u64 {
+            disk[16 * pid..(16 * pid + 16).min(N)]
+                .iter()
+                .map(|d| d.total())
+                .sum()
+        };
+        let demanded = |bytes: fn(DiskBytes) -> u64| -> u64 {
+            SPARSE_DEMAND.iter().map(|&j| bytes(disk[j])).sum()
+        };
         for pid in SPARSE_PAGES {
             let on_page: u64 = SPARSE_DEMAND
                 .iter()
                 .filter(|&&j| j / 16 == pid)
-                .map(|&j| disk[j])
+                .map(|&j| disk[j].total())
                 .sum();
             assert!(
                 4 * on_page < page_bytes(pid),
@@ -632,14 +656,17 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
             .expect("healthy fixture");
         assert_eq!(pinned.len(), 2, "{name}");
+        // The pin reads the demanded columns' rows, one read per run.
         let stats = paged.store.page_cache_stats();
-        assert_eq!(stats.bytes_read, demanded_bytes, "{name}");
+        assert_eq!(stats.bytes_read, demanded(|d| d.rows), "{name}");
         assert_eq!(stats.column_runs, 3, "{name}: runs 17..19, 29, 70");
+        assert_eq!(stats.value_reads, 0, "{name}");
         assert_eq!((stats.hits, stats.misses), (0, 2), "{name}");
         assert_eq!(stats.readahead_reads, 0, "{name}");
 
         // The demanded columns serve off the runs, bit-identical to the
-        // resident arena, without touching the store again.
+        // resident arena; the first use of each run reads its values, and
+        // nothing else touches the store.
         let empty = effres_io::PinnedPages::default();
         let reader = effres_io::PinnedReader::new(&paged.store, &empty, Some(&pinned));
         let inverse = resident().estimator.approximate_inverse();
@@ -651,8 +678,15 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
                 "{name} col {j} norm"
             );
         }
+        let served = paged.store.page_cache_stats();
+        assert_eq!(served.bytes_read, demanded(DiskBytes::total), "{name}");
+        assert_eq!(served.value_reads, 3, "{name}: each run's values once");
         assert_eq!(
-            paged.store.page_cache_stats(),
+            PageCacheStats {
+                bytes_read: stats.bytes_read,
+                value_reads: 0,
+                ..served
+            },
             stats,
             "{name}: demanded columns never fall back"
         );
@@ -737,20 +771,95 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
     let victim = 29;
     let offset = clean.store.column_value_byte_offset(victim) + 6;
 
-    // Persistent rot: the run fails validation twice and surfaces typed.
+    // Persistent rot: the pin reads rows only and stands; the first use
+    // of the victim's run reads its values, which fail validation twice
+    // and surface typed. Later uses get the same error without a read.
     let rotten = open_paged_with_faults(&path, &options, FaultPlan::new(0).poison(offset, 2))
         .expect("opens");
+    for partial in [false, true] {
+        let before = rotten.store.page_cache_stats();
+        let pinned = if partial {
+            let (pinned, failures) = rotten
+                .store
+                .pin_pages_partial(&SPARSE_PAGES, Some(&SPARSE_DEMAND));
+            assert!(failures.is_empty(), "{failures:?}");
+            pinned
+        } else {
+            rotten
+                .store
+                .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+                .expect("rows are healthy")
+        };
+        assert_eq!(pinned.len(), 2);
+        assert_eq!(rotten.store.page_cache_stats().since(before).retries, 0);
+        let empty = effres_io::PinnedPages::default();
+        let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+        for _ in 0..2 {
+            let err = reader
+                .with_column(victim, |_| ())
+                .expect_err("poisoned demanded column");
+            assert!(
+                matches!(err, EffresError::StoreFailure { column, .. } if column == victim),
+                "{err:?}"
+            );
+        }
+        let stats = rotten.store.page_cache_stats().since(before);
+        assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
+        assert_eq!(stats.value_reads, 1);
+
+        // The rot stays in its run: the other runs, on the rotten page and
+        // off it, serve bit-identically.
+        let inverse = resident().estimator.approximate_inverse();
+        for j in [17, 18, 70] {
+            assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
+        }
+        drop(pinned);
+        assert_eq!(rotten.store.pinned_pages_now(), 0);
+    }
+
+    // Rot in transit: the re-fetch of the values reads clean bytes and the
+    // run serves.
+    let healing = open_paged_with_faults(
+        &path,
+        &options,
+        FaultPlan::new(0).poison_until_refetch(offset, 2),
+    )
+    .expect("opens");
+    let pinned = healing
+        .store
+        .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+        .expect("rows are healthy");
+    let empty = effres_io::PinnedPages::default();
+    let reader = effres_io::PinnedReader::new(&healing.store, &pinned, Some(&empty));
+    let inverse = resident().estimator.approximate_inverse();
+    assert_eq!(column_bits(&reader, victim), column_bits(inverse, victim));
+    let stats = healing.store.page_cache_stats();
+    assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
+    for j in SPARSE_DEMAND {
+        assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
+    }
+}
+
+#[test]
+fn row_rot_on_a_demanded_column_still_fails_the_pin() {
+    // Column 29's first row, pointed past the 144-node order in the raw
+    // file: the run's rows are read and validated when it is pinned.
+    let victim = 29;
+    let path = hostile_copy("run_row", |bytes| {
+        let at = COL_PTR_OFFSET + 8 * victim;
+        let entry = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let row = RAW_ROWS_OFFSET + 4 * entry;
+        bytes[row..row + 4].copy_from_slice(&500u32.to_le_bytes());
+    });
+    let rotten = open_paged(&path, &sparse_options()).expect("open skips row blocks");
     let err = rotten
         .store
         .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
-        .expect_err("poisoned demanded column");
+        .expect_err("rotten rows fail the pin");
     assert!(
         matches!(err, EffresError::StoreFailure { column, .. } if column == victim),
         "{err:?}"
     );
-    let stats = rotten.store.page_cache_stats();
-    assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
-
     // The partial pin fails only the rotten page; the other sparse page
     // pins and serves bit-identically.
     let (pinned, failures) = rotten
@@ -767,26 +876,6 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
     let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
     let inverse = resident().estimator.approximate_inverse();
     assert_eq!(column_bits(&reader, 70), column_bits(inverse, 70));
-    drop(pinned);
-    assert_eq!(rotten.store.pinned_pages_now(), 0);
-
-    // Rot in transit: the re-fetch reads clean bytes and the run serves.
-    let healing = open_paged_with_faults(
-        &path,
-        &options,
-        FaultPlan::new(0).poison_until_refetch(offset, 2),
-    )
-    .expect("opens");
-    let pinned = healing
-        .store
-        .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
-        .expect("heals on the re-fetch");
-    let stats = healing.store.page_cache_stats();
-    assert_eq!((stats.faulted_reads, stats.retries), (1, 1));
-    let reader = effres_io::PinnedReader::new(&healing.store, &pinned, Some(&empty));
-    for j in SPARSE_DEMAND {
-        assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
-    }
 }
 
 #[test]
@@ -809,43 +898,63 @@ fn a_partial_pin_fails_only_its_rotten_page_and_counts_each_page_once() {
     drop(rotten.store.pin_pages(&[2], Some(&dense)).expect("page 2"));
     let cached = rotten.store.page_cache_stats();
 
+    // Runs pin their rows only, and the victim's rows are healthy: every
+    // page pins.
     let mut demand = dense.clone();
     demand.extend([17, 18, 29, victim, 100]);
     let (pinned, failures) = rotten.store.pin_pages_partial(&[1, 2, 4, 6], Some(&demand));
-    assert_eq!(failures.len(), 1, "{failures:?}");
-    assert_eq!(failures[0].0, 4);
-    assert!(matches!(
-        failures[0].1,
-        EffresError::StoreFailure { column, .. } if column == victim
-    ));
-    assert_eq!(pinned.len(), 3);
-    assert_eq!(rotten.store.pinned_pages_now(), 3);
-
-    // One hit, three misses, runs 17..19, 29, 70 and 100, and one re-fetch
-    // of the rotten run, whose bytes are read twice.
-    let stats = rotten.store.page_cache_stats().since(cached);
+    assert!(failures.is_empty(), "{failures:?}");
+    assert_eq!(pinned.len(), 4);
+    assert_eq!(rotten.store.pinned_pages_now(), 4);
     let disk = column_disk_bytes(&path);
-    assert_eq!((stats.hits, stats.misses, stats.column_runs), (1, 3, 4));
-    assert_eq!((stats.retries, stats.faulted_reads), (1, 1));
-    assert_eq!(stats.readahead_reads, 0);
+    let pinning = rotten.store.page_cache_stats().since(cached);
     assert_eq!(
-        stats.bytes_read,
-        disk[17] + disk[18] + disk[29] + 2 * disk[victim] + disk[100]
+        (pinning.hits, pinning.misses, pinning.column_runs),
+        (1, 3, 4)
+    );
+    assert_eq!((pinning.retries, pinning.faulted_reads), (0, 0));
+    assert_eq!(
+        pinning.bytes_read,
+        [17, 18, 29, victim, 100]
+            .iter()
+            .map(|&j| disk[j].rows)
+            .sum::<u64>()
     );
 
-    // Every demanded column of the healthy pages serves off the pin,
-    // bit-identical to the resident arena.
+    // The victim's first use reads its run's values, fails validation,
+    // re-fetches them once and fails typed.
     let empty = effres_io::PinnedPages::default();
     let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+    let err = reader
+        .with_column(victim, |_| ())
+        .expect_err("rotten values");
+    assert!(
+        matches!(err, EffresError::StoreFailure { column, .. } if column == victim),
+        "{err:?}"
+    );
+
+    // One hit, three misses, runs 17..19, 29, 70 and 100, and one re-fetch
+    // of the rotten run's values, which are read twice.
     let inverse = resident().estimator.approximate_inverse();
     for &j in demand.iter().filter(|&&j| j != victim) {
         assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
     }
+    let stats = rotten.store.page_cache_stats().since(cached);
+    assert_eq!((stats.hits, stats.misses, stats.column_runs), (1, 3, 4));
+    assert_eq!(stats.value_reads, 4);
+    assert_eq!((stats.retries, stats.faulted_reads), (1, 1));
+    assert_eq!(stats.readahead_reads, 0);
     assert_eq!(
-        rotten.store.page_cache_stats().since(cached),
-        stats,
-        "pinned columns never fall back"
+        stats.bytes_read,
+        disk[17].total()
+            + disk[18].total()
+            + disk[29].total()
+            + disk[victim].rows
+            + 2 * disk[victim].vals
+            + disk[100].total()
     );
+    // Every demanded column of the healthy runs served off the pin,
+    // bit-identical to the resident arena, without falling back.
     drop(pinned);
     assert_eq!(rotten.store.pinned_pages_now(), 0);
 }

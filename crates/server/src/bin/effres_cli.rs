@@ -765,7 +765,7 @@ fn serve_batch(
         let lookups = page.hits + page.misses;
         println!(
             "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read, \
-             {} readahead read(s), {} column run(s) — this batch",
+             {} readahead read(s), {} column run(s), {} value read(s) — this batch",
             page.hits,
             page.misses,
             if lookups == 0 {
@@ -775,7 +775,8 @@ fn serve_batch(
             },
             page.bytes_read as f64 / (1024.0 * 1024.0),
             page.readahead_reads,
-            page.column_runs
+            page.column_runs,
+            page.value_reads
         );
     }
     if let Some(schedule) = result.schedule {

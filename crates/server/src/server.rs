@@ -1238,6 +1238,7 @@ fn stats_json<B: ResistanceBackend>(shared: &Shared<B>) -> String {
                 ("page_cache_misses", Json::Int(service.page_cache_misses)),
                 ("page_bytes_read", Json::Int(service.page_bytes_read)),
                 ("page_column_runs", Json::Int(service.page_column_runs)),
+                ("page_value_reads", Json::Int(service.page_value_reads)),
                 (
                     "page_readahead_reads",
                     Json::Int(service.page_readahead_reads),

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The paged server's document: every key of the schema.
-const PAGED_SCHEMA: [&str; 61] = [
+const PAGED_SCHEMA: [&str; 62] = [
     "backend: str",
     "nodes: int",
     "snapshot_version: int",
@@ -58,6 +58,7 @@ const PAGED_SCHEMA: [&str; 61] = [
     "service.page_cache_misses: int",
     "service.page_bytes_read: int",
     "service.page_column_runs: int",
+    "service.page_value_reads: int",
     "service.page_readahead_reads: int",
     "service.page_retries: int",
     "service.page_faulted_reads: int",

@@ -188,6 +188,10 @@ pub struct ServiceStats {
     /// demanded pages (their bytes count in `page_bytes_read`). Zero for
     /// resident backends.
     pub page_column_runs: u64,
+    /// Column runs whose values an out-of-core backend read: a run's values
+    /// are read only when a pair's suffixes share a row on one of its
+    /// columns. Zero for resident backends.
+    pub page_value_reads: u64,
     /// Page read attempts an out-of-core backend re-issued after a transient
     /// fault (including corruption re-fetches). Zero for resident backends
     /// and on fault-free storage.
@@ -545,6 +549,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             page_bytes_read: page.bytes_read,
             page_readahead_reads: page.readahead_reads,
             page_column_runs: page.column_runs,
+            page_value_reads: page.value_reads,
             page_retries: page.retries,
             page_faulted_reads: page.faulted_reads,
         }

@@ -38,10 +38,13 @@
 //! anyway, so each block and window pin carries the columns its queries
 //! read as a *demand*, and a page whose demanded columns hold under a
 //! quarter of its bytes is read as runs of adjacent demanded columns —
-//! pinned, not cached. A uniform batch over a file many times the cache
-//! uses a few columns per page, so this is where its I/O goes from
-//! whole-page to per-column. The plan — blocks, windows, evaluation order
-//! — is the same either way; only the bytes behind each pin change.
+//! pinned, not cached. A run pins its rows; its values are read the first
+//! time a pair's suffixes share a row on one of its columns, and most
+//! random pairs on a large sparse graph share none. A uniform batch over a
+//! file many times the cache uses a few columns per page, so this is where
+//! its I/O goes from whole-page to per-column, and from per-column to the
+//! rows of most columns. The plan — blocks, windows, evaluation order — is
+//! the same either way; only the bytes behind each pin change.
 //!
 //! Pin capacity is not assumed but **leased**: every block acquires its
 //! pages from the engine's
@@ -57,8 +60,9 @@
 //! block and window pins degrade page by page
 //! ([`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial)),
 //! a window whose grouped kernel fails is re-run query by query so only
-//! the queries touching an unproducible page fail, and a shed after the
-//! first block marks the remaining queries [`EffresError::Busy`]. In both
+//! the queries touching an unproducible page, or needing a run's
+//! unproducible values, fail, and a shed after the first block marks the
+//! remaining queries [`EffresError::Busy`]. In both
 //! modes a cancellation token is checked at every block and readahead-wave
 //! boundary — where the lease, the block pin and the window pins all
 //! release by RAII — and a trip marks every query not yet drained
@@ -493,8 +497,8 @@ fn demand_of(queries: &[Pending]) -> Vec<usize> {
 /// With `fail_fast` a failed window pin or kernel fails the window. Without
 /// it the window pin degrades page by page, and a failed grouped kernel is
 /// re-run query by query over the same pinned reader, so the successes stay
-/// bit-identical and only queries actually touching an unproducible page
-/// fail.
+/// bit-identical and only queries actually touching an unproducible page,
+/// or needing the values of a run that cannot produce them, fail.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn drain_window<B: ResistanceBackend>(
     core: &EngineCore<B>,

@@ -76,25 +76,72 @@ const BLOCK: usize = 8;
 /// Every shared index still contributes the same product, added in
 /// ascending index order from `+0.0`, so the result is bit-identical to the
 /// plain merge.
+///
+/// It runs in two parts, which callers whose values cost a read can run
+/// apart: [`sparse_meet`] walks the indices alone up to where the first
+/// product lands, and [`sparse_dot_from`] sums the products from there.
 pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
-    let mut s = 0.0;
+    match sparse_meet(ai, bi) {
+        Some(at) => sparse_dot_from(ai, av, bi, bv, at),
+        None => 0.0,
+    }
+}
+
+/// The index half of [`sparse_dot`]: its block walk over `ai` and `bi`
+/// without values, up to the first block pair that shares an index, or
+/// into the merged tail up to its first shared index. Returns where the
+/// values are first needed — the start for [`sparse_dot_from`] — or `None`
+/// when the two supports share no index, whose dot is `+0.0`.
+pub fn sparse_meet<I: Copy + Ord>(ai: &[I], bi: &[I]) -> Option<(usize, usize)> {
     let (mut ia, mut ib) = (0, 0);
     while let (Some(a), Some(b)) = (ai.get(ia..ia + BLOCK), bi.get(ib..ib + BLOCK)) {
-        let shared = a
-            .iter()
-            .fold(false, |any, x| b.iter().fold(any, |any, y| any | (x == y)));
-        if shared {
-            let (sum, passed_a, passed_b) =
-                merge_dot(s, (a, &av[ia..ia + BLOCK]), (b, &bv[ib..ib + BLOCK]));
-            (s, ia, ib) = (sum, ia + passed_a, ib + passed_b);
-            continue;
+        if shares_an_index(a, b) {
+            return Some((ia, ib));
         }
         // Which block moves on is as unpredictable as the rows: no branch.
         let a_first = a[BLOCK - 1] < b[BLOCK - 1];
         ia += BLOCK * usize::from(a_first);
         ib += BLOCK * usize::from(!a_first);
     }
+    while ia < ai.len() && ib < bi.len() {
+        match ai[ia].cmp(&bi[ib]) {
+            std::cmp::Ordering::Less => ia += 1,
+            std::cmp::Ordering::Greater => ib += 1,
+            std::cmp::Ordering::Equal => return Some((ia, ib)),
+        }
+    }
+    None
+}
+
+/// The value half of [`sparse_dot`]: its walk from `(ia, ib)`, where
+/// [`sparse_meet`] stopped, to the end. Every product lands at or after
+/// that point, so the sum is [`sparse_dot`]'s, bit for bit.
+pub fn sparse_dot_from<I: Copy + Ord>(
+    ai: &[I],
+    av: &[f64],
+    bi: &[I],
+    bv: &[f64],
+    (mut ia, mut ib): (usize, usize),
+) -> f64 {
+    let mut s = 0.0;
+    while let (Some(a), Some(b)) = (ai.get(ia..ia + BLOCK), bi.get(ib..ib + BLOCK)) {
+        if shares_an_index(a, b) {
+            let (sum, passed_a, passed_b) =
+                merge_dot(s, (a, &av[ia..ia + BLOCK]), (b, &bv[ib..ib + BLOCK]));
+            (s, ia, ib) = (sum, ia + passed_a, ib + passed_b);
+            continue;
+        }
+        let a_first = a[BLOCK - 1] < b[BLOCK - 1];
+        ia += BLOCK * usize::from(a_first);
+        ib += BLOCK * usize::from(!a_first);
+    }
     merge_dot(s, (&ai[ia..], &av[ia..]), (&bi[ib..], &bv[ib..])).0
+}
+
+/// Whether two blocks share an index: all pairs compared, no branch.
+fn shares_an_index<I: Copy + Ord>(a: &[I], b: &[I]) -> bool {
+    a.iter()
+        .fold(false, |any, x| b.iter().fold(any, |any, y| any | (x == y)))
 }
 
 /// The two-pointer merge of [`sparse_dot`]: adds the product at every
@@ -242,6 +289,18 @@ mod tests {
             bi.iter().map(|&i| i as usize).collect(),
         );
         assert_eq!(sparse_dot(&au, &av, &bu, &bv).to_bits(), expected);
+        // The index walk stops at or before the first shared index of
+        // either side, and finds one iff there is one.
+        let shared: Vec<(usize, usize)> = (0..ai.len())
+            .filter_map(|ka| bi.binary_search(&ai[ka]).ok().map(|kb| (ka, kb)))
+            .collect();
+        match (sparse_meet(ai, bi), shared.first()) {
+            (None, None) => {}
+            (Some((ia, ib)), Some(&(ka, kb))) => {
+                assert!(ia <= ka && ib <= kb, "{ai:?} · {bi:?}: met at {ia}, {ib}")
+            }
+            (met, first) => panic!("{ai:?} · {bi:?}: met {met:?}, first shared {first:?}"),
+        }
         assert_eq!(
             sparse_dot(bi, &bv, ai, &av).to_bits(),
             merged_dot(bi, &bv, ai, &av).to_bits()
