@@ -12,10 +12,12 @@
 //!
 //! The `random_pairs_kernel` section times the isolated-pair kernel alone
 //! on the random batch, sorted as the engine runs it: the plain two-pointer
-//! merge against `column_distances_squared_batch` (rows touched up front,
-//! then intersected eight at a time), interleaved per sample, in ns per
-//! pair, under the bench's RCM ordering and under minimum-degree ordering
-//! (the serving benchmark's build).
+//! merge against `column_distances_squared_batch` (pairs the arena's
+//! row-bucket skeleton certifies disjoint answered without a row read, the
+//! others' rows touched up front, then intersected eight at a time from
+//! their first shared bucket), interleaved per sample, in ns per pair,
+//! under the bench's RCM ordering and under minimum-degree ordering (the
+//! serving benchmark's build), with the count of certified pairs.
 //!
 //! This is the acceptance workload of the ingestion/service subsystem: a
 //! ≥ 100k-node generated graph answering tens of thousands of `(p, q)`
@@ -61,7 +63,7 @@
 //! ratio and median queries/s.
 
 use effres::approx_inverse::SparseApproximateInverse;
-use effres::column_store::column_distances_squared_batch;
+use effres::column_store::{column_distances_squared_batch, ColumnStore};
 use effres::prelude::*;
 use effres_bench::report::{write_report, Json, Sample};
 use effres_io::paged::{open_paged, PagedOptions};
@@ -251,6 +253,7 @@ fn main() {
         ("hub_loads", Json::Int(kernel.hub_loads)),
         ("hub_pairs", Json::Int(kernel.hub_pairs)),
         ("isolated_pairs", Json::Int(kernel.isolated_pairs)),
+        ("certified_pairs", Json::Int(kernel.certified_pairs)),
         ("bytes_streamed", Json::Int(kernel.bytes_streamed)),
         ("centrality_sum", Json::Num(centrality_sum)),
     ]);
@@ -773,9 +776,15 @@ fn random_pairs_kernel(
         }
         let ns_per_pair = 1e9 / sorted.len() as f64;
         let [merge, block] = seconds.map(|s| Sample::of(s).scaled(ns_per_pair));
+        // Pairs the arena's row-bucket skeleton certifies disjoint: the
+        // kernel answers them without reading a row.
+        let certified = (sorted.iter())
+            .filter(|&&(p, q)| p != q && inverse.suffixes_meet_from(p, q).is_none())
+            .count();
         println!(
             "random_pairs_kernel/{name} (median ns/pair): plain merge {:.0} [{:.0}-{:.0}], \
-             touched block intersection {:.0} [{:.0}-{:.0}], {:.2}x",
+             skeleton + touched block intersection {:.0} [{:.0}-{:.0}], {:.2}x; \
+             {certified} pair(s) certified",
             merge.median,
             merge.min,
             merge.max,
@@ -789,6 +798,7 @@ fn random_pairs_kernel(
             ("plain_merge_ns_per_pair", merge.json()),
             ("block_intersection_ns_per_pair", block.json()),
             ("speedup", Json::Num(merge.median / block.median)),
+            ("certified_pairs", Json::Int(certified as u64)),
         ])
     });
     Json::Obj(vec![

@@ -28,13 +28,27 @@
 //!
 //! Most random pairs need no stored value at all: `⟨z̃_p, z̃_q⟩` sums over
 //! the rows the two suffixes share, and on large sparse graphs most pairs
-//! share none, so the norm table answers them alone. The trait's one
-//! provided method, [`ColumnStore::with_rows_first`], lends a column's rows
-//! at once and its values on request ([`RowsFirst`]); the two-column dot
-//! walks the rows first and asks for values only where the suffixes meet,
-//! so a store that can produce rows for less than rows and values — a paged
-//! pin that reads a run's values on first use — reads no value a pair's
-//! answer does not use.
+//! share none, so the norm table answers them alone. The trait has two
+//! provided methods for them:
+//!
+//! * [`ColumnStore::suffixes_meet_from`] answers, before any column is
+//!   read, where two suffixes can first share a row, or that they share
+//!   none. The resident arena answers from its row-bucket skeleton (each
+//!   column's distinct `row >> 4` as `u16`, about one cache line per column
+//!   on the benchmark grid): a pair whose skeletons share no bucket is
+//!   *certified* disjoint and gets the `+0.0` dot without a row read — about
+//!   85% of uniform random pairs there ([`KernelStats::certified_pairs`]) —
+//!   and any other pair's walk starts at its first shared bucket. Paged
+//!   stores keep the default, which proves nothing: a skeleton would have
+//!   to be computed from the whole row block at open or persisted in the
+//!   snapshot, and at about half of a paged server's resident set it would
+//!   not pay there.
+//! * [`ColumnStore::with_rows_first`] lends a column's rows at once and its
+//!   values on request ([`RowsFirst`]); the two-column dot walks the rows
+//!   first and asks for values only where the suffixes meet, so a store
+//!   that can produce rows for less than rows and values — a paged pin that
+//!   reads a run's values on first use — reads no value a pair's answer
+//!   does not use.
 
 use crate::approx_inverse::{ColumnView, SparseApproximateInverse};
 use crate::error::EffresError;
@@ -100,6 +114,25 @@ pub trait ColumnStore {
         f: impl FnOnce(RowsFirst<'_>) -> R,
     ) -> Result<R, EffresError> {
         self.with_column(j, |column| f(RowsFirst::lent(column)))
+    }
+
+    /// Where the suffixes of columns `p` and `q` at rows `max(p, q)..` can
+    /// first share a row, known without reading either column: `None` when
+    /// the store can prove they share none (their dot is `+0.0`), otherwise
+    /// a row below which they share none. It must be sound: `None` only for
+    /// disjoint suffixes, and never a row above a shared one.
+    ///
+    /// The default proves nothing and returns `max(p, q)`. The resident
+    /// arena answers from its row-bucket skeleton (see
+    /// [`SparseApproximateInverse`]); a paged store keeps the default, since
+    /// a skeleton would have to be read from the whole row block at open or
+    /// persisted in the file.
+    ///
+    /// # Panics
+    ///
+    /// May panic if either index is out of bounds.
+    fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
+        Some(p.max(q) as u32)
     }
 }
 
@@ -199,6 +232,10 @@ impl ColumnStore for SparseApproximateInverse {
     ) -> Result<R, EffresError> {
         Ok(f(self.column(j)))
     }
+
+    fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
+        self.skeleton_meet_from(p, q)
+    }
 }
 
 /// Stores behind shared references are stores (lets kernels and engines take
@@ -227,6 +264,10 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
     ) -> Result<R, EffresError> {
         (**self).with_rows_first(j, f)
     }
+
+    fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
+        (**self).suffixes_meet_from(p, q)
+    }
 }
 
 /// Inner product `⟨z̃_p, z̃_q⟩` of two columns of a store.
@@ -239,9 +280,12 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
 /// kernel of [`column_distance_squared_with_norms`] cheaper than the full
 /// union merge of [`column_distance_squared`].
 ///
-/// The rows come first ([`ColumnStore::with_rows_first`]): values are asked
-/// for only when the two suffixes share a row, so a pair whose suffixes
-/// share none reads no value and gets the `+0.0` dot.
+/// The store is asked first ([`ColumnStore::suffixes_meet_from`]): a pair
+/// it certifies disjoint gets the `+0.0` dot without a row read, and any
+/// other pair's merge starts where the suffixes can first meet. Then the
+/// rows come first ([`ColumnStore::with_rows_first`]): values are asked for
+/// only when the two suffixes share a row, so a pair whose suffixes share
+/// none reads no value and gets the `+0.0` dot.
 ///
 /// # Errors
 ///
@@ -256,7 +300,7 @@ pub fn column_dot<S: ColumnStore + ?Sized>(
     p: usize,
     q: usize,
 ) -> Result<f64, EffresError> {
-    suffix_merge(store, p, q).map(|(dot, _)| dot)
+    suffix_merge(store, p, q).map(|merge| merge.dot)
 }
 
 /// Where the entries of column `j` at rows `bound..` start in its `rows`.
@@ -278,12 +322,28 @@ fn suffix(column: ColumnView<'_>, j: usize, bound: u32) -> (&[u32], &[f64]) {
     (&column.indices()[start..], &column.values()[start..])
 }
 
+/// What [`suffix_merge`] answered and walked.
+struct SuffixMerge {
+    dot: f64,
+    /// [`KernelStats::bytes_streamed`]: 12 per suffix entry walked.
+    bytes: usize,
+    /// The store certified the suffixes disjoint; no row was read.
+    certified: bool,
+}
+
 /// The suffix-restricted intersection of columns `p` and `q` over rows
 /// `max(p, q)..`: the shared sparse dot product of `vecops`, and its
-/// [`KernelStats::bytes_streamed`] count. One rows-first access per column;
-/// only the smaller index's column is searched for its suffix start. The
-/// dot's index walk ([`vecops::sparse_meet`]) runs over the rows alone, and
-/// both columns' values are asked for only when it finds a shared row.
+/// [`KernelStats`] counts.
+///
+/// The store is asked first where the suffixes can meet
+/// ([`ColumnStore::suffixes_meet_from`]). A pair it certifies disjoint gets
+/// the `+0.0` dot with no column access at all. Otherwise both suffixes
+/// start at the row it returns: no shared row lies below it, so the dot
+/// adds the same products in the same order as from `max(p, q)`. One
+/// rows-first access per column; a column is searched for its suffix start
+/// only when that row lies above the column's own index. The dot's index
+/// walk ([`vecops::sparse_meet`]) runs over the rows alone, and both
+/// columns' values are asked for only when it finds a shared row.
 ///
 /// A random pair's columns are cold, and reading them is a chain of cache
 /// misses: the suffix search probes one line after another, then the dot
@@ -294,8 +354,14 @@ fn suffix_merge<S: ColumnStore + ?Sized>(
     store: &S,
     p: usize,
     q: usize,
-) -> Result<(f64, usize), EffresError> {
-    let bound = p.max(q) as u32;
+) -> Result<SuffixMerge, EffresError> {
+    let Some(bound) = store.suffixes_meet_from(p, q) else {
+        return Ok(SuffixMerge {
+            dot: 0.0,
+            bytes: 0,
+            certified: true,
+        });
+    };
     let merge = |a: RowsFirst<'_>, b: RowsFirst<'_>| {
         std::hint::black_box(touch_lines(a.rows()) ^ touch_lines(b.rows()));
         let (a_from, b_from) = (
@@ -310,7 +376,11 @@ fn suffix_merge<S: ColumnStore + ?Sized>(
             }
             None => 0.0,
         };
-        Ok::<_, EffresError>((dot, ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes()))
+        Ok::<_, EffresError>(SuffixMerge {
+            dot,
+            bytes: ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes(),
+            certified: false,
+        })
     };
     store.with_rows_first(p, |a| store.with_rows_first(q, |b| merge(a, b)))??
 }
@@ -466,9 +536,11 @@ pub fn column_distances_squared_batch<S: ColumnStore + ?Sized>(
 
 /// Work counters of the multi-pair kernels — the observability half of
 /// the batched path: `bytes_streamed / pairs()` is the per-query work
-/// figure (12 bytes per column entry walked) the hub kernels exist to
-/// shrink, and `hub_pairs / hub_loads` is how many pairs each hub-column
-/// load was amortized over.
+/// figure (12 bytes per column entry walked) the hub kernels and the
+/// skeleton's certificates exist to shrink, `hub_pairs / hub_loads` is how
+/// many pairs each hub-column load was amortized over, and
+/// `certified_pairs / isolated_pairs` is the share of isolated pairs
+/// answered without a row read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Hub columns scattered into a dense scratch (each streams the hub's
@@ -480,14 +552,24 @@ pub struct KernelStats {
     /// Pairs answered by the two-column suffix intersection (no neighbour
     /// shared a hub, so batching had nothing to amortize).
     pub isolated_pairs: u64,
+    /// The part of `isolated_pairs` the store certified disjoint before
+    /// reading a row ([`ColumnStore::suffixes_meet_from`]): answered from
+    /// the norm table alone, walking no entry. Only the resident arena
+    /// certifies; on the benchmark grid it certifies about 85% of uniform
+    /// random pairs. Hub pairs are not asked: the hub kernels scatter the
+    /// shared column once and stream every partner's suffix.
+    pub certified_pairs: u64,
     /// A work count, not a byte count: 12 (a 4-byte row index plus an
     /// 8-byte value) per suffix entry the kernels walked. The hub paths
-    /// read every value they count; the two-column intersection reads
-    /// values only from the first block of rows the suffixes share (about 2
-    /// of 290 entries for a random pair of the benchmark grid, none at all
-    /// for most), while its suffix search and touch pass load rows below
-    /// the bound that are not counted. Norm-table lookups are not counted
-    /// either.
+    /// read every value they count. The two-column intersection walks
+    /// nothing for a certified pair, and otherwise walks both suffixes from
+    /// the row where the store says they can first meet (on the resident
+    /// arena, their first shared row bucket); it reads values only from the
+    /// first block of rows the suffixes share (about 2 of the walked entries
+    /// for a random pair of the benchmark grid, none at all for most),
+    /// while its suffix search and touch pass load rows below the walk's
+    /// start that are not counted. Skeleton and norm-table lookups are not
+    /// counted either.
     pub bytes_streamed: u64,
 }
 
@@ -513,6 +595,7 @@ impl KernelStats {
         self.hub_loads += other.hub_loads;
         self.hub_pairs += other.hub_pairs;
         self.isolated_pairs += other.isolated_pairs;
+        self.certified_pairs += other.certified_pairs;
         self.bytes_streamed += other.bytes_streamed;
     }
 }
@@ -726,7 +809,8 @@ impl HubScratch {
 
     /// The two-column suffix intersection of [`column_dot`], counted as an
     /// isolated pair (the grouped kernels fall back to this when no
-    /// neighbouring pair shares a hub, leaving any resident hub untouched).
+    /// neighbouring pair shares a hub, leaving any resident hub untouched),
+    /// and as a certified one when the store proved the suffixes disjoint.
     /// Like [`column_dot`], it asks for values only when the two suffixes
     /// share a row.
     ///
@@ -743,10 +827,11 @@ impl HubScratch {
         p: usize,
         q: usize,
     ) -> Result<f64, EffresError> {
-        let (dot, bytes) = suffix_merge(store, p, q)?;
+        let merge = suffix_merge(store, p, q)?;
         self.stats.isolated_pairs += 1;
-        self.stats.bytes_streamed += bytes as u64;
-        Ok(dot)
+        self.stats.certified_pairs += u64::from(merge.certified);
+        self.stats.bytes_streamed += merge.bytes as u64;
+        Ok(merge.dot)
     }
 }
 
@@ -915,6 +1000,37 @@ mod tests {
         SparseApproximateInverse::from_factor(chol.factor_l(), 1e-3, 2).expect("valid")
     }
 
+    /// The estimator's inverse of a weighted 40 × 40 grid under minimum
+    /// degree ordering: its pairs share row buckets, but many first share
+    /// one above `max(p, q)`, where their walks start.
+    fn md_grid_inverse() -> SparseApproximateInverse {
+        let graph = effres_graph::generators::grid_2d(40, 40, 0.5, 2.0, 7).expect("generator");
+        let config = crate::EffresConfig::default().with_ordering(crate::Ordering::MinimumDegree);
+        let estimator = crate::EffectiveResistanceEstimator::build(&graph, &config).expect("build");
+        estimator.approximate_inverse().clone()
+    }
+
+    /// The estimator's inverse of four disjoint weighted 16 × 16 grids in
+    /// natural order: a pair across two grids has its suffixes in disjoint
+    /// 256-row blocks, so it is certified.
+    fn four_grids_inverse() -> SparseApproximateInverse {
+        let (side, grids) = (16, 4);
+        let n = side * side;
+        let mut graph = effres_graph::Graph::with_capacity(grids * n, 2 * grids * n);
+        for u in 0..grids * n {
+            let weight = 0.5 + (u % 7) as f64 / 4.0;
+            if u % side + 1 < side {
+                graph.add_edge(u, u + 1, weight).expect("edge");
+            }
+            if u % n + side < n {
+                graph.add_edge(u, u + side, weight).expect("edge");
+            }
+        }
+        let config = crate::EffresConfig::default().with_ordering(crate::Ordering::Natural);
+        let estimator = crate::EffectiveResistanceEstimator::build(&graph, &config).expect("build");
+        estimator.approximate_inverse().clone()
+    }
+
     #[test]
     fn generic_kernels_match_the_arena_inherent_methods() {
         let z = sample_inverse();
@@ -1033,6 +1149,27 @@ mod tests {
         rows.iter().filter(|&&row| row as usize >= bound).count() as u64
     }
 
+    /// Where the pair kernel starts both walks of `(p, q)` on the arena,
+    /// from the definition of its skeleton: the 16-row buckets of the
+    /// larger column's rows, against the smaller column's buckets from the
+    /// larger column's own bucket on. `None` when they share none,
+    /// otherwise the first row of the first shared bucket, raised to
+    /// `max(p, q)`.
+    fn bucket_start(z: &SparseApproximateInverse, p: usize, q: usize) -> Option<usize> {
+        use std::collections::BTreeSet;
+        let (lo, hi) = (p.min(q), p.max(q));
+        let buckets = |j: usize| -> BTreeSet<usize> {
+            let rows = z.column(j).indices().iter();
+            rows.map(|&row| row as usize >> 4).collect()
+        };
+        let from = hi >> 4;
+        let hi_buckets = buckets(hi);
+        let shared = buckets(lo)
+            .into_iter()
+            .find(|b| *b >= from && hi_buckets.contains(b));
+        shared.map(|bucket| (bucket << 4).max(hi))
+    }
+
     #[test]
     fn kernels_stream_twelve_bytes_per_suffix_entry() {
         // A 4-byte row index plus an 8-byte value per suffix entry walked.
@@ -1060,15 +1197,127 @@ mod tests {
             );
             assert_eq!(stats.bytes_streamed, ENTRY_BYTES * entries, "hub {hub}");
         }
+        // An isolated pair walks both suffixes from where their first
+        // shared bucket starts, and a certified pair walks nothing.
         let mut scratch = HubScratch::new(z.order());
         for (p, q) in [(0, 35), (3, 3), (10, 20), (34, 35), (20, 10), (0, 1)] {
             scratch.isolated_dot(&z, p, q).expect("infallible");
-            let bound = p.max(q);
+            let bound = bucket_start(&z, p, q).expect("a 6 × 6 grid's pairs share buckets");
             let entries = suffix_entries(&z, p, bound) + suffix_entries(&z, q, bound);
             let stats = scratch.take_stats();
-            assert_eq!(stats.isolated_pairs, 1);
+            assert_eq!((stats.isolated_pairs, stats.certified_pairs), (1, 0));
             assert_eq!(stats.bytes_streamed, ENTRY_BYTES * entries, "({p}, {q})");
         }
+        let (mut certified, mut raised) = (0, 0);
+        for z in [md_grid_inverse(), four_grids_inverse()] {
+            for (p, q) in (0..z.order())
+                .step_by(3)
+                .flat_map(|p| (0..z.order()).step_by(13).map(move |q| (p, q)))
+            {
+                scratch.isolated_dot(&z, p, q).expect("infallible");
+                let stats = scratch.take_stats();
+                let entries = match bucket_start(&z, p, q) {
+                    None => 0,
+                    Some(bound) => {
+                        raised += usize::from(bound > p.max(q));
+                        suffix_entries(&z, p, bound) + suffix_entries(&z, q, bound)
+                    }
+                };
+                certified += stats.certified_pairs;
+                assert_eq!(
+                    stats.certified_pairs,
+                    u64::from(bucket_start(&z, p, q).is_none()),
+                    "({p}, {q})"
+                );
+                assert_eq!(stats.bytes_streamed, ENTRY_BYTES * entries, "({p}, {q})");
+            }
+        }
+        assert!(
+            certified > 0 && raised > 0,
+            "{certified} certified, {raised} raised"
+        );
+    }
+
+    /// The arena, counting every column access and value request, with its
+    /// skeleton forwarded.
+    struct Counting {
+        z: SparseApproximateInverse,
+        accesses: std::cell::Cell<usize>,
+    }
+
+    impl ColumnStore for Counting {
+        fn order(&self) -> usize {
+            self.z.order()
+        }
+
+        fn nnz(&self) -> usize {
+            self.z.nnz()
+        }
+
+        fn with_column<R>(
+            &self,
+            j: usize,
+            f: impl FnOnce(ColumnView<'_>) -> R,
+        ) -> Result<R, EffresError> {
+            self.accesses.set(self.accesses.get() + 1);
+            self.z.with_column(j, f)
+        }
+
+        fn with_rows_first<R>(
+            &self,
+            j: usize,
+            f: impl FnOnce(RowsFirst<'_>) -> R,
+        ) -> Result<R, EffresError> {
+            self.accesses.set(self.accesses.get() + 1);
+            let column = self.z.column(j);
+            let values = || {
+                self.accesses.set(self.accesses.get() + 1);
+                Ok(column.values())
+            };
+            Ok(f(RowsFirst::deferred(column.indices(), &values)))
+        }
+
+        fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
+            self.z.skeleton_meet_from(p, q)
+        }
+    }
+
+    #[test]
+    fn a_certified_pair_makes_no_row_or_value_access() {
+        let store = Counting {
+            z: four_grids_inverse(),
+            accesses: std::cell::Cell::new(0),
+        };
+        let norms = store.z.column_norms_squared();
+        let mut scratch = HubScratch::new(store.order());
+        let mut certified = 0;
+        for p in (0..store.order()).step_by(3) {
+            for q in (1..store.order()).step_by(11) {
+                store.accesses.set(0);
+                let dot = scratch.isolated_dot(&store, p, q).expect("infallible");
+                assert_eq!(
+                    dot.to_bits(),
+                    store.z.column_dot(p, q).to_bits(),
+                    "({p}, {q})"
+                );
+                if scratch.take_stats().certified_pairs == 1 {
+                    certified += 1;
+                    assert_eq!(store.accesses.get(), 0, "({p}, {q})");
+                    assert_eq!(dot.to_bits(), 0.0f64.to_bits());
+                } else {
+                    assert!(store.accesses.get() >= 2, "({p}, {q})");
+                }
+                // The batch kernel and the distance take the same path.
+                store.accesses.set(0);
+                let distance =
+                    column_distance_squared_with_norms(&store, p, q, &norms).expect("infallible");
+                if ColumnStore::suffixes_meet_from(&store.z, p, q).is_none() {
+                    assert_eq!(store.accesses.get(), 0, "({p}, {q})");
+                    assert_eq!(distance, (norms[p] + norms[q]).max(0.0));
+                }
+            }
+        }
+        assert!(certified > 0);
     }
 
     #[test]
@@ -1077,17 +1326,20 @@ mod tests {
             hub_loads: 1,
             hub_pairs: 2,
             isolated_pairs: 3,
+            certified_pairs: 2,
             bytes_streamed: 4,
         };
         a.merge(KernelStats {
             hub_loads: 10,
             hub_pairs: 20,
             isolated_pairs: 30,
+            certified_pairs: 20,
             bytes_streamed: 40,
         });
         assert_eq!(a.hub_loads, 11);
         assert_eq!(a.hub_pairs, 22);
         assert_eq!(a.isolated_pairs, 33);
+        assert_eq!(a.certified_pairs, 22);
         assert_eq!(a.bytes_streamed, 44);
         assert_eq!(a.pairs(), 55);
     }

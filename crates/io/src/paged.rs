@@ -857,6 +857,7 @@ impl PagedColumnStore {
             col_ptr_bytes: self.col_ptr.len() * 8,
             rows_bytes,
             vals_bytes: self.nnz * 8,
+            skeleton_bytes: 0,
             index_width_bytes: 4,
         }
     }

@@ -752,11 +752,12 @@ fn serve_batch(
     if k.pairs() > 0 {
         println!(
             "kernel     {:.1} MiB streamed, {} hub load(s) × {:.1} pair(s)/hub column, \
-             {} isolated pair(s)",
+             {} isolated pair(s), {} certified disjoint",
             k.bytes_streamed as f64 / (1024.0 * 1024.0),
             k.hub_loads,
             k.pairs_per_hub_load(),
-            k.isolated_pairs
+            k.isolated_pairs,
+            k.certified_pairs
         );
     }
     if let Some(page) = result.page_cache {
@@ -1021,11 +1022,12 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
     if k.pairs() > 0 {
         println!(
             "kernel     {:.1} MiB streamed, {} hub load(s) × {:.1} pair(s)/hub column, \
-             {} isolated pair(s)",
+             {} isolated pair(s), {} certified disjoint",
             k.bytes_streamed as f64 / (1024.0 * 1024.0),
             k.hub_loads,
             k.pairs_per_hub_load(),
-            k.isolated_pairs
+            k.isolated_pairs,
+            k.certified_pairs
         );
     }
     if let Some(page) = result.page_cache {
@@ -1602,14 +1604,16 @@ fn print_estimator_stats(estimator: &EffectiveResistanceEstimator) {
         s.inverse_nnz, s.pruned_entries, s.inverse_nnz_ratio
     );
     // The arena footprint is what the query path actually streams; the row
-    // block is the one the u32 index narrowing halved.
+    // block is the one the u32 index narrowing halved. The skeleton is the
+    // row-bucket index a resident load derives from the rows.
     let f = estimator.approximate_inverse().footprint();
     println!(
-        "arena      col_ptr {:.1} MiB + rows {:.1} MiB + vals {:.1} MiB = {:.1} MiB \
-         ({}-byte row indices)",
+        "arena      col_ptr {:.1} MiB + rows {:.1} MiB + vals {:.1} MiB + skeleton {:.1} MiB \
+         = {:.1} MiB ({}-byte row indices)",
         mib(f.col_ptr_bytes),
         mib(f.rows_bytes),
         mib(f.vals_bytes),
+        mib(f.skeleton_bytes),
         mib(f.total_bytes()),
         f.index_width_bytes
     );

@@ -10,10 +10,13 @@
 //!   server workloads' cache misses, where the answers come from the
 //!   two-column suffix merge.
 //!
-//! On each batch the grouped kernel must keep its four counters, and one
+//! On each batch the grouped kernel must keep its five counters, and one
 //! FNV-1a fingerprint of the answers must hold for the grouped kernel, the
 //! pairwise batch kernel, and `QueryEngine::execute` with its default pair
 //! cache (which both batches outgrow, so they bypass it) and without one.
+//! The count of isolated pairs the arena's row-bucket skeleton certified
+//! disjoint is cross-checked against a brute-force bucket intersection, and
+//! no certified pair may share a row.
 //!
 //! The build takes tens of seconds in a debug build, so the cases are
 //! ignored there; CI runs them in release:
@@ -23,12 +26,14 @@
 //! ```
 
 use effres::column_store::{
-    column_distances_squared_batch, column_distances_squared_grouped, HubScratch, KernelStats,
+    column_distances_squared_batch, column_distances_squared_grouped, ColumnStore, HubScratch,
+    KernelStats,
 };
 use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering};
 use effres_graph::generators;
 use effres_graph::Graph;
 use effres_service::{EngineOptions, QueryBatch, QueryEngine};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 /// FNV-1a over the little-endian bytes of each value's bits.
@@ -79,6 +84,11 @@ fn assert_pinned(batch: &QueryBatch, counters: KernelStats, expected: u64) {
         .count() as u64;
 
     let inverse = estimator.approximate_inverse();
+    assert_eq!(
+        certified_by_brute_force(&isolated_pairs(&sorted)),
+        counters.certified_pairs,
+        "certified isolated pairs"
+    );
     let norms = estimator.column_norms_squared();
     let mut scratch = HubScratch::new(inverse.order());
     let grouped = column_distances_squared_grouped(inverse, &sorted, Some(&norms), &mut scratch)
@@ -120,6 +130,57 @@ fn assert_pinned(batch: &QueryBatch, counters: KernelStats, expected: u64) {
     }
 }
 
+/// The pairs of a sorted batch the grouped kernel answers by the
+/// two-column intersection: its hub-or-isolated choice, pair by pair.
+fn isolated_pairs(sorted: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut resident = None;
+    let mut isolated = Vec::new();
+    for (slot, &(p, q)) in sorted.iter().enumerate() {
+        if p == q {
+            continue;
+        }
+        let next_shares = sorted.get(slot + 1).is_some_and(|&(r, s)| r.min(s) == p);
+        if resident == Some(p) || next_shares {
+            resident = Some(p);
+        } else {
+            isolated.push((p, q));
+        }
+    }
+    isolated
+}
+
+/// How many of the permuted pairs `(p, q)`, `p < q`, the definition of the
+/// row-bucket skeleton certifies: no 16-row bucket of column `q`'s rows
+/// holds a row of column `p` (the bench grid's 102,400 rows need no wider
+/// bucket). Each certified pair's suffixes must share no row.
+fn certified_by_brute_force(pairs: &[(usize, usize)]) -> u64 {
+    let inverse = bench_grid().1.approximate_inverse();
+    let buckets = |j: usize| -> BTreeSet<u32> {
+        inverse
+            .column(j)
+            .indices()
+            .iter()
+            .map(|row| row >> 4)
+            .collect()
+    };
+    let mut certified = 0;
+    for &(p, q) in pairs {
+        let from = (q >> 4) as u32;
+        let shared = buckets(q);
+        if buckets(p)
+            .range(from..)
+            .any(|bucket| shared.contains(bucket))
+        {
+            continue;
+        }
+        let a = inverse.column(p).indices();
+        let meets = (inverse.column(q).indices().iter()).any(|row| a.binary_search(row).is_ok());
+        assert!(!meets, "certified pair ({p}, {q}) shares a row");
+        certified += 1;
+    }
+    certified
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -130,6 +191,7 @@ fn bench_grid_all_edge_sweep_is_pinned() {
         hub_loads: 51_313,
         hub_pairs: 203_433,
         isolated_pairs: 727,
+        certified_pairs: 0,
         bytes_streamed: 469_487_388,
     };
     let sweep = QueryBatch::all_edges(&bench_grid().0);
@@ -146,8 +208,48 @@ fn bench_grid_random_pairs_are_pinned() {
         hub_loads: 26_894,
         hub_pairs: 69_521,
         isolated_pairs: 30_479,
-        bytes_streamed: 279_820_380,
+        certified_pairs: 25_840,
+        bytes_streamed: 185_812_596,
     };
     let batch = QueryBatch::random(100_000, bench_grid().1.node_count(), 0x7A1D);
     assert_pinned(&batch, counters, 0xb213_e78c_b11d_fd1b);
+}
+
+/// On the bench grid the skeleton is small and certifies most uniform
+/// random pairs: at least 80% of the 100,000 pairs, for at most 16% as
+/// many entries as the arena stores.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in debug builds; CI runs it in release"
+)]
+fn bench_grid_skeleton_certifies_most_random_pairs() {
+    let estimator = &bench_grid().1;
+    let inverse = estimator.approximate_inverse();
+    let permutation = estimator.permutation();
+    let batch = QueryBatch::random(100_000, estimator.node_count(), 0x7A1D);
+    let pairs: Vec<(usize, usize)> = (batch.pairs().iter())
+        .map(|&(u, v)| {
+            let (p, q) = (permutation.new(u), permutation.new(v));
+            (p.min(q), p.max(q))
+        })
+        .filter(|&(p, q)| p != q)
+        .collect();
+    let certified = certified_by_brute_force(&pairs);
+    let by_store = (pairs.iter())
+        .filter(|&&(p, q)| inverse.suffixes_meet_from(p, q).is_none())
+        .count() as u64;
+    assert_eq!(by_store, certified);
+    assert!(
+        certified * 100 >= 80 * pairs.len() as u64,
+        "{certified} of {} pairs certified",
+        pairs.len()
+    );
+    let footprint = inverse.footprint();
+    let entries = (footprint.skeleton_bytes - (inverse.order() + 1) * 8) / 2;
+    assert!(
+        entries * 100 <= 16 * inverse.nnz(),
+        "{entries} skeleton entries for {} stored",
+        inverse.nnz()
+    );
 }

@@ -275,20 +275,34 @@ fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
         cache_shards: 1,
         ..PagedOptions::default()
     };
-    let engine = Arc::new(engine_over(
-        open_paged(path, &store_options).expect("open"),
-        options,
-    ));
+    let paged = open_paged(path, &store_options).expect("open");
+    // The scheduler leases pin capacity per block, and at queue depth 0 a
+    // block whose lease a racing batch took in between is shed. So the
+    // holder's plan must be one block. Its 6-page budget funds one
+    // readahead page for each of the 2 workers and a block of 4 distinct
+    // lo pages; with 1-column pages, a pair holding one of the 4 nodes the
+    // permutation places first has its lo page among theirs.
+    let first: Vec<usize> = (0..4).map(|column| paged.permutation.old(column)).collect();
+    let holder_batch = QueryBatch::from_pairs(
+        (QueryBatch::random(60_000, 256, 0xB16).pairs().iter())
+            .map(|&(p, q)| (first[p % first.len()], q))
+            .collect(),
+    );
+    let engine = Arc::new(engine_over(paged, options));
     let budget = engine
         .admission_stats()
         .expect("paged engines have a ledger")
         .budget;
+    assert_eq!(budget, 6);
 
     let holder = {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || {
-            let batch = QueryBatch::random(60_000, 256, 0xB16);
-            engine.execute_scheduled(&batch).expect("holder batch")
+            let result = engine
+                .execute_scheduled(&holder_batch)
+                .expect("holder batch");
+            assert_eq!(result.schedule.map(|plan| plan.blocks), Some(1));
+            result
         })
     };
     // Wait until the holder's lease is actually granted (its pins are

@@ -57,10 +57,32 @@ fn paged() -> &'static PagedSnapshot {
 /// The counters of answering `pairs` one at a time on a fresh scratch —
 /// the grouped kernel's hub-or-isolated choice and suffix-bounded scatter,
 /// pair by pair — counted from the arena's column entries (12 bytes each).
-fn one_at_a_time(inverse: &SparseApproximateInverse, pairs: &[(usize, usize)]) -> KernelStats {
+/// With `skeleton`, an isolated pair walks from where the arena's row-bucket
+/// skeleton says its suffixes can first meet (the first 16-row bucket of
+/// the larger column that holds a row of the smaller one), or not at all
+/// when they share no bucket; without it, from `max(p, q)`.
+fn one_at_a_time(
+    inverse: &SparseApproximateInverse,
+    pairs: &[(usize, usize)],
+    skeleton: bool,
+) -> KernelStats {
     let bytes_from = |j: usize, bound: usize| {
         let rows = inverse.column(j).indices();
         12 * rows.iter().filter(|&&row| row as usize >= bound).count() as u64
+    };
+    let meet_from = |lo: usize, hi: usize| {
+        if !skeleton {
+            return Some(hi);
+        }
+        let buckets = |j: usize| {
+            inverse
+                .column(j)
+                .indices()
+                .iter()
+                .map(|&row| row as usize >> 4)
+        };
+        let mut shared = buckets(lo).filter(|&b| b >= hi >> 4 && buckets(hi).any(|c| c == b));
+        shared.next().map(|bucket| (bucket << 4).max(hi))
     };
     let mut stats = KernelStats::default();
     // The resident hub and the first row its scatter covers.
@@ -81,7 +103,10 @@ fn one_at_a_time(inverse: &SparseApproximateInverse, pairs: &[(usize, usize)]) -
             stats.bytes_streamed += bytes_from(partner, partner);
         } else {
             stats.isolated_pairs += 1;
-            stats.bytes_streamed += bytes_from(p, partner) + bytes_from(q, partner);
+            match meet_from(hub, partner) {
+                Some(from) => stats.bytes_streamed += bytes_from(p, from) + bytes_from(q, from),
+                None => stats.certified_pairs += 1,
+            }
         }
     }
     stats
@@ -112,10 +137,12 @@ fn batch_of_runs(runs: &[(usize, Vec<usize>, bool)], sorted: bool) -> Vec<(usize
 }
 
 /// Asserts the grouped kernel on `store` returns the pairwise reference's
-/// bits and the one-at-a-time counters, on a fresh scratch.
+/// bits and the one-at-a-time counters, on a fresh scratch. Only the
+/// resident arena has a `skeleton`.
 fn assert_lanes_exact<S: effres::ColumnStore + ?Sized>(
     store: &S,
     pairs: &[(usize, usize)],
+    skeleton: bool,
 ) -> Result<(), String> {
     let inverse = estimator().approximate_inverse();
     let reference =
@@ -135,7 +162,10 @@ fn assert_lanes_exact<S: effres::ColumnStore + ?Sized>(
             return Err(format!("pair {:?}: {r} vs {g}", pairs[slot]));
         }
     }
-    let (got, want) = (scratch.take_stats(), one_at_a_time(inverse, pairs));
+    let (got, want) = (
+        scratch.take_stats(),
+        one_at_a_time(inverse, pairs, skeleton),
+    );
     if got != want {
         return Err(format!("counters {got:?}, one at a time {want:?}"));
     }
@@ -157,7 +187,7 @@ proptest! {
         sorted in any::<bool>(),
     ) {
         let pairs = batch_of_runs(&runs, sorted);
-        let resident = assert_lanes_exact(estimator().approximate_inverse(), &pairs);
+        let resident = assert_lanes_exact(estimator().approximate_inverse(), &pairs, true);
         prop_assert_eq!(resident, Ok(()));
 
         let store = &paged().store;
@@ -165,7 +195,7 @@ proptest! {
         let block = store.pin_pages(&even, None).expect("block pin");
         let window = store.pin_pages(&[1], None).expect("window pin");
         let reader = PinnedReader::new(store, &block, Some(&window));
-        prop_assert_eq!(assert_lanes_exact(&reader, &pairs), Ok(()));
+        prop_assert_eq!(assert_lanes_exact(&reader, &pairs, false), Ok(()));
     }
 }
 
@@ -193,11 +223,15 @@ fn lane_shapes_keep_bits_and_one_at_a_time_counters() {
     let reader = PinnedReader::new(store, &block, None);
     for pairs in shapes {
         assert_eq!(
-            assert_lanes_exact(estimator().approximate_inverse(), pairs),
+            assert_lanes_exact(estimator().approximate_inverse(), pairs, true),
             Ok(()),
             "{pairs:?}"
         );
-        assert_eq!(assert_lanes_exact(&reader, pairs), Ok(()), "{pairs:?}");
+        assert_eq!(
+            assert_lanes_exact(&reader, pairs, false),
+            Ok(()),
+            "{pairs:?}"
+        );
     }
     // The unsorted shape re-scatters: three loads for one hub.
     let mut scratch = HubScratch::new(NODES);
