@@ -31,9 +31,9 @@
 //! page cache, recording the cold-start (time-to-first-query) and the paged
 //! vs resident throughput at two cache sizes — first in arrival order (the
 //! PR-4 baseline path), then through the **locality scheduler**
-//! (`paged_scheduled`): queries clustered by page pair, blocks pinned and
-//! drained, the hi side swept with coalesced readahead, and — since the
-//! batch touches more pages than either cache holds — sparsely used pages
+//! (`paged_scheduled`): queries clustered by page pair, cut by lease
+//! rounds into chunks that are each pinned once and drained, and — since
+//! the batch touches more pages than either cache holds — sparsely used pages
 //! read as column runs, whose values are read only for the pairs whose
 //! suffixes share a row (`disjoint_pairs` counts the batch's pairs that
 //! share none). Bytes read, readahead reads, column runs, value reads and
@@ -374,9 +374,9 @@ fn main() {
     }
 
     // The locality-scheduled paged path: same file, same batch, same
-    // engine options — queries re-ordered into page-sorted clusters with
-    // pinned blocks and coalesced readahead (results scattered back to
-    // request order). Answers are asserted bit-identical to the resident
+    // engine options — queries re-ordered into page-sorted clusters, each
+    // lease round's chunks pinned once (results scattered back to request
+    // order); `blocks` counts lease rounds and `windows` pins. Answers are asserted bit-identical to the resident
     // engine's batch before timing.
     let resident_reference = {
         let engine = QueryEngine::new(Arc::clone(&estimator), paged_engine_options());
@@ -412,7 +412,7 @@ fn main() {
             "paged_scheduled/{cache_pages}_pages (median): {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read, \
              {} readahead read(s), {} column run(s), {} value read(s); {} cluster(s) -> \
-             {} block(s), {} window(s))",
+             {} lease round(s), {} pin(s))",
             sequential_seconds / seconds,
             page.hits,
             page.misses,

@@ -1228,12 +1228,13 @@ impl PagedColumnStore {
         self.vals_offset + self.col_ptr[j] * 8
     }
 
-    /// Pins a set of pages for the duration of a batch: pages already in the
-    /// LRU are reused (a **hit** each), and the missing ones are fetched with
-    /// **coalesced readahead** — maximal runs of adjacent missing pages
-    /// become one large positioned read per block (rows and values), instead
-    /// of two small reads per page — then decoded and validated page by
-    /// page.
+    /// Pins a set of pages until the returned set drops (the locality
+    /// scheduler pins each chunk of a batch once, in one call): pages
+    /// already in the LRU are reused (a **hit** each), and the missing ones
+    /// are fetched with **coalesced readahead** — maximal runs of adjacent
+    /// missing pages become one large positioned read per block (rows and
+    /// values), instead of two small reads per page — then decoded and
+    /// validated page by page.
     ///
     /// `demand`, when given, lists the columns the pin's queries will read
     /// (in any order, duplicates allowed; columns on other pages are
@@ -1524,7 +1525,7 @@ impl PagedColumnStore {
     /// Cuts a sorted, deduplicated list of missing pages into the chunks
     /// coalesced readahead reads whole: at every break in adjacency, and
     /// before a chunk would outgrow [`MAX_COALESCED_BYTES`] (so a large
-    /// pinned block never demands a read buffer proportional to itself).
+    /// pin never demands a read buffer proportional to itself).
     fn coalesced_chunks<'a>(&self, missing: &'a [usize]) -> Vec<&'a [usize]> {
         let page_bytes = |pid: usize| {
             let (first_col, last_col) = self.page_columns(pid);
@@ -1691,46 +1692,36 @@ struct PinPlan {
     sparse: Vec<(usize, Vec<(usize, usize)>)>,
 }
 
-/// A [`ColumnStore`] view combining a [`PagedColumnStore`] with up to two
-/// [`PinnedPages`] sets (a batch scheduler's long-lived *block* pin and its
-/// rolling *readahead window* pin). A column resolves to a slice of a
-/// pinned whole page or of a pin's run arena, without touching the cache
-/// or its locks; anything else — including a column outside a sparse pin's
-/// demand — falls back to the store's normal cached path. Pins hold the
-/// same decoded bits the cache would, so answers are bit-identical to
-/// unpinned serving.
+/// A [`ColumnStore`] view combining a [`PagedColumnStore`] with one
+/// [`PinnedPages`] set (a batch scheduler's chunk pin). A column resolves
+/// to a slice of a pinned whole page or of the pin's run arena, without
+/// touching the cache or its locks; anything else — including a column
+/// outside a sparse pin's demand — falls back to the store's normal cached
+/// path. Pins hold the same decoded bits the cache would, so answers are
+/// bit-identical to unpinned serving.
 ///
 /// A run's column serves its rows from the pin. Its values are read the
 /// first time any access needs them — [`ColumnStore::with_column`] always,
 /// [`ColumnStore::with_rows_first`] only when
 /// [`RowsFirst::values`](effres::column_store::RowsFirst::values) is
-/// called — once per run, shared by every reader over the pin (window
-/// workers included), and kept until the pin drops. A failed or rotten
-/// value read is that access's typed
-/// [`EffresError::StoreFailure`](effres::EffresError), and every later
-/// access to the run's values gets the same error without reading again.
+/// called — once per run, shared by every reader over the pin, and kept
+/// until the pin drops. A failed or rotten value read is that access's
+/// typed [`EffresError::StoreFailure`](effres::EffresError), and every
+/// later access to the run's values gets the same error without reading
+/// again.
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedReader<'s> {
     store: &'s PagedColumnStore,
-    primary: &'s PinnedPages,
-    secondary: Option<&'s PinnedPages>,
+    pinned: &'s PinnedPages,
 }
 
 impl<'s> PinnedReader<'s> {
-    /// A view over `store` preferring `primary` (then `secondary`) pins.
-    pub fn new(
-        store: &'s PagedColumnStore,
-        primary: &'s PinnedPages,
-        secondary: Option<&'s PinnedPages>,
-    ) -> Self {
-        PinnedReader {
-            store,
-            primary,
-            secondary,
-        }
+    /// A view over `store` preferring the `pinned` pages.
+    pub fn new(store: &'s PagedColumnStore, pinned: &'s PinnedPages) -> Self {
+        PinnedReader { store, pinned }
     }
 
-    /// Column `j` from the pins, if one holds it.
+    /// Column `j` from the pin, if it holds it.
     fn pinned(&self, j: usize) -> Option<PinnedColumn<'s>> {
         assert!(
             j < self.store.order,
@@ -1738,9 +1729,7 @@ impl<'s> PinnedReader<'s> {
             self.store.order
         );
         let pid = self.store.page_of_column(j);
-        std::iter::once(self.primary)
-            .chain(self.secondary)
-            .find_map(|set| set.column(j, pid, &self.store.col_ptr))
+        self.pinned.column(j, pid, &self.store.col_ptr)
     }
 }
 
@@ -2250,8 +2239,7 @@ mod tests {
         assert!(pinning.bytes_read > 0);
 
         // Pinned columns serve without the cache; unpinned ones fall back.
-        let empty = PinnedPages::default();
-        let reader = PinnedReader::new(&paged.store, &pinned, Some(&empty));
+        let reader = PinnedReader::new(&paged.store, &pinned);
         for j in 0..inverse.order() {
             let (rows, vals) = reader
                 .with_column(j, |c| (c.indices().to_vec(), c.values().to_vec()))

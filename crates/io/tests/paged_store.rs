@@ -667,8 +667,7 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
         // The demanded columns serve off the runs, bit-identical to the
         // resident arena; the first use of each run reads its values, and
         // nothing else touches the store.
-        let empty = effres_io::PinnedPages::default();
-        let reader = effres_io::PinnedReader::new(&paged.store, &empty, Some(&pinned));
+        let reader = effres_io::PinnedReader::new(&paged.store, &pinned);
         let inverse = resident().estimator.approximate_inverse();
         for j in SPARSE_DEMAND {
             assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
@@ -735,8 +734,7 @@ fn a_column_outside_the_demand_reads_the_resident_value() {
             .store
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
             .expect("healthy fixture");
-        let empty = effres_io::PinnedPages::default();
-        let reader = effres_io::PinnedReader::new(&paged.store, &pinned, Some(&empty));
+        let reader = effres_io::PinnedReader::new(&paged.store, &pinned);
         let inverse = resident().estimator.approximate_inverse();
         // Column 20 sits on sparsely pinned page 1 but was not demanded. An
         // empty slice here would answer ‖z_p‖² + ‖z_q‖²; the reader must
@@ -792,8 +790,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         };
         assert_eq!(pinned.len(), 2);
         assert_eq!(rotten.store.page_cache_stats().since(before).retries, 0);
-        let empty = effres_io::PinnedPages::default();
-        let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+        let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
         for _ in 0..2 {
             let err = reader
                 .with_column(victim, |_| ())
@@ -829,8 +826,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         .store
         .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
         .expect("rows are healthy");
-    let empty = effres_io::PinnedPages::default();
-    let reader = effres_io::PinnedReader::new(&healing.store, &pinned, Some(&empty));
+    let reader = effres_io::PinnedReader::new(&healing.store, &pinned);
     let inverse = resident().estimator.approximate_inverse();
     assert_eq!(column_bits(&reader, victim), column_bits(inverse, victim));
     let stats = healing.store.page_cache_stats();
@@ -872,8 +868,7 @@ fn row_rot_on_a_demanded_column_still_fails_the_pin() {
         EffresError::StoreFailure { column, .. } if column == victim
     ));
     assert_eq!(pinned.len(), 1);
-    let empty = effres_io::PinnedPages::default();
-    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
     let inverse = resident().estimator.approximate_inverse();
     assert_eq!(column_bits(&reader, 70), column_bits(inverse, 70));
 }
@@ -923,8 +918,7 @@ fn a_partial_pin_fails_only_its_rotten_page_and_counts_each_page_once() {
 
     // The victim's first use reads its run's values, fails validation,
     // re-fetches them once and fails typed.
-    let empty = effres_io::PinnedPages::default();
-    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned, Some(&empty));
+    let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
     let err = reader
         .with_column(victim, |_| ())
         .expect_err("rotten values");

@@ -117,8 +117,6 @@ PAGED OPTIONS (snapshot inputs; out-of-core serving):
                             `build <old.snap> --output <new.snap>`
     --page-cache <n>        decoded pages kept resident   [default: 1024]
     --columns-per-page <n>  columns decoded per page      [default: 64]
-    --readahead <n>         scheduled-batch readahead window, in pages
-                            (0 = auto-size from the cache budget)
 
 SERVE OPTIONS:
     --host <h>              listen address               [default: 127.0.0.1]
@@ -240,7 +238,6 @@ struct Options {
     cache: usize,
     paged: bool,
     columns_per_page: Option<usize>,
-    readahead: usize,
     dense: bool,
     host: String,
     port: u16,
@@ -278,7 +275,6 @@ impl Default for Options {
             cache: EngineOptions::default().cache_capacity,
             paged: false,
             columns_per_page: None,
-            readahead: 0,
             dense: false,
             host: "127.0.0.1".to_string(),
             port: 7878,
@@ -379,10 +375,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     &value_of("--columns-per-page", &mut iter)?,
                     "--columns-per-page",
                 )?)
-            }
-            "--readahead" => {
-                options.readahead =
-                    parse_number(&value_of("--readahead", &mut iter)?, "--readahead")?
             }
             "--dense" => options.dense = true,
             "--host" => options.host = value_of("--host", &mut iter)?,
@@ -638,33 +630,16 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             "query needs exactly `<input> <p> <q>`".into(),
         ));
     };
-    let p: u64 = parse_number(p, "<p>")?;
-    let q: u64 = parse_number(q, "<q>")?;
+    let (p, q): (u64, u64) = (parse_number(p, "<p>")?, parse_number(q, "<q>")?);
+    let labels_of = |labels: &Option<Vec<u64>>| if options.dense { None } else { labels.clone() };
     if options.paged {
         let boot = Instant::now();
         let paged = obtain_paged(path, &options)?;
-        let labels = if options.dense {
-            None
-        } else {
-            paged.labels.clone()
-        };
-        let map = label_map(&labels);
-        let dense_p = resolve_node(p, &labels, &map)
-            .ok_or_else(|| CliError::Run(format!("node id {p} not in the dataset")))?;
-        let dense_q = resolve_node(q, &labels, &map)
-            .ok_or_else(|| CliError::Run(format!("node id {q} not in the dataset")))?;
-        let engine = QueryEngine::new(
-            Arc::new(paged),
-            EngineOptions {
-                cache_capacity: 0,
-                ..EngineOptions::default()
-            },
-        );
-        let start = Instant::now();
-        let r = engine.query(dense_p, dense_q)?;
+        let labels = labels_of(&paged.labels);
+        let (engine, r, took) = query_engine(paged, &labels, (p, q))?;
         println!(
-            "R({p}, {q}) = {r:.9}   ({:.1} µs; first answer {:.3}s after open began)",
-            start.elapsed().as_secs_f64() * 1e6,
+            "R({p}, {q}) = {r}   ({:.1} µs; first answer {:.3}s after open began)",
+            took.as_secs_f64() * 1e6,
             boot.elapsed().as_secs_f64()
         );
         let s = engine.stats();
@@ -672,26 +647,40 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             "page cache {} hit(s), {} miss(es)",
             s.page_cache_hits, s.page_cache_misses
         );
-        return Ok(());
-    }
-    let snapshot = obtain_snapshot(path, &options)?;
-    let labels = if options.dense {
-        None
     } else {
-        snapshot.labels.clone()
-    };
-    let map = label_map(&labels);
-    let dense_p = resolve_node(p, &labels, &map)
-        .ok_or_else(|| CliError::Run(format!("node id {p} not in the dataset")))?;
-    let dense_q = resolve_node(q, &labels, &map)
-        .ok_or_else(|| CliError::Run(format!("node id {q} not in the dataset")))?;
-    let start = Instant::now();
-    let r = snapshot.estimator.query(dense_p, dense_q)?;
-    println!(
-        "R({p}, {q}) = {r:.9}   ({:.1} µs)",
-        start.elapsed().as_secs_f64() * 1e6
-    );
+        let snapshot = obtain_snapshot(path, &options)?;
+        let labels = labels_of(&snapshot.labels);
+        let (_, r, took) = query_engine(snapshot.estimator, &labels, (p, q))?;
+        println!("R({p}, {q}) = {r}   ({:.1} µs)", took.as_secs_f64() * 1e6);
+    }
     Ok(())
+}
+
+/// Answers one `(p, q)` pair of dataset ids through a cache-less
+/// [`QueryEngine`] over `backend` — the path `batch` and `serve` answer
+/// through, so `query` prints the bits they serve on either backend —
+/// returning the engine, the resistance and the time the query took.
+fn query_engine<B: ResistanceBackend>(
+    backend: B,
+    labels: &Option<Vec<u64>>,
+    (p, q): (u64, u64),
+) -> Result<(QueryEngine<B>, f64, Duration), CliError> {
+    let map = label_map(labels);
+    let dense = |id: u64| {
+        resolve_node(id, labels, &map)
+            .ok_or_else(|| CliError::Run(format!("node id {id} not in the dataset")))
+    };
+    let (dense_p, dense_q) = (dense(p)?, dense(q)?);
+    let engine = QueryEngine::new(
+        Arc::new(backend),
+        EngineOptions {
+            cache_capacity: 0,
+            ..EngineOptions::default()
+        },
+    );
+    let start = Instant::now();
+    let r = engine.query(dense_p, dense_q)?;
+    Ok((engine, r, start.elapsed()))
 }
 
 /// Where a batch's pairs come from.
@@ -782,7 +771,7 @@ fn serve_batch(
     }
     if let Some(schedule) = result.schedule {
         println!(
-            "schedule   {} page-pair cluster(s) -> {} pinned block(s), {} readahead window(s)",
+            "schedule   {} page-pair cluster(s) -> {} lease round(s), {} pin(s)",
             schedule.clusters, schedule.blocks, schedule.windows
         );
     }
@@ -859,15 +848,14 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     )
 }
 
-/// The engine options every command serves with: the CLI's thread, cache,
-/// readahead and admission flags on the shared worker pool (resident
-/// backends ignore the paged-only knobs).
+/// The engine options every command serves with: the CLI's thread, cache
+/// and admission flags on the shared worker pool (resident backends ignore
+/// the paged-only knobs).
 fn engine_options(options: &Options, pool: &WorkerPool) -> EngineOptions {
     EngineOptions {
         threads: options.threads,
         cache_capacity: options.cache,
         pool: Some(pool.clone()),
-        readahead_pages: options.readahead,
         admission_queue_depth: (options.admission_depth > 0).then_some(options.admission_depth),
         admission_timeout: Duration::from_millis(options.admission_timeout_ms),
         ..EngineOptions::default()
@@ -876,8 +864,7 @@ fn engine_options(options: &Options, pool: &WorkerPool) -> EngineOptions {
 
 /// Executes a batch the way a server does ([`QueryEngine::execute_with`]:
 /// paged batches run through the locality scheduler, which clusters
-/// queries by the pages they touch, pins blocks and sweeps the hi side with
-/// coalesced readahead).
+/// queries by the pages they touch and pins each chunk of them once).
 fn execute<B: ResistanceBackend>(
     engine: &QueryEngine<B>,
     batch: &QueryBatch,
@@ -1046,7 +1033,7 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(schedule) = result.schedule {
         println!(
-            "schedule   {} page-pair cluster(s) -> {} pinned block(s), {} readahead window(s)",
+            "schedule   {} page-pair cluster(s) -> {} lease round(s), {} pin(s)",
             schedule.clusters, schedule.blocks, schedule.windows
         );
     }

@@ -55,8 +55,7 @@ pub struct PingReport {
     /// brownout) or draining (shutdown in progress).
     pub health: Health,
     /// Whether the brownout overload controller currently holds the server
-    /// in degraded mode (trimmed readahead, fail-fast batches served in
-    /// partial mode).
+    /// in degraded mode (fail-fast batches served in partial mode).
     pub brownout: bool,
     /// The snapshot file the current epoch serves, when it came from one.
     pub snapshot_path: Option<String>,

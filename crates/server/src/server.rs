@@ -112,11 +112,10 @@ pub struct ServerOptions {
     pub scrub_bytes_per_sec: u64,
     /// Brownout entry threshold: when the EWMA of batch outcomes (1.0 for a
     /// shed or deadline miss, 0.0 for a success) reaches this value the
-    /// server enters **brownout** — `health` flips to degraded, paged
-    /// readahead windows shrink to one page (less speculative I/O per
-    /// lease), and fail-fast batches are served in partial mode so answers
-    /// computed before pressure cuts a batch short still ship. Set above
-    /// `1.0` to disable brownout entirely.
+    /// server enters **brownout** — `health` flips to degraded and
+    /// fail-fast batches are served in partial mode so answers computed
+    /// before pressure cuts a batch short still ship. Set above `1.0` to
+    /// disable brownout entirely.
     pub brownout_enter: f64,
     /// Brownout exit threshold: the pressure EWMA must decay to this value
     /// (successes drain it) before the server leaves brownout. Keep it well
@@ -255,9 +254,6 @@ impl<B: ResistanceBackend> Shared<B> {
             .get()
             .ok_or_else(|| "this server has no reloader installed".to_string())?;
         let (engine, snapshot_version) = reloader(path)?;
-        // The swapped-in engine inherits the controller's brownout state:
-        // pressure is a property of the traffic, not of the epoch.
-        engine.set_brownout(self.brownout_active.load(Ordering::Relaxed));
         let node_count = engine.node_count() as u64;
         let version = snapshot_version.unwrap_or(0);
         let mut guard = self.engine.write().expect("engine lock poisoned");
@@ -298,8 +294,7 @@ impl<B: ResistanceBackend> Shared<B> {
     /// Feeds one batch outcome into the brownout controller: updates the
     /// pressure EWMA (1.0 for a shed or deadline miss, 0.0 for a success)
     /// and flips brownout on crossing [`ServerOptions::brownout_enter`] /
-    /// off on decaying past [`ServerOptions::brownout_exit`]. The engine's
-    /// own brownout flag follows every transition.
+    /// off on decaying past [`ServerOptions::brownout_exit`].
     fn note_batch_outcome(&self, shed: bool) {
         let sample = if shed { 1.0 } else { 0.0 };
         let mut old_bits = self.pressure_bits.load(Ordering::Relaxed);
@@ -321,13 +316,11 @@ impl<B: ResistanceBackend> Shared<B> {
                 && !self.brownout_active.swap(true, Ordering::SeqCst)
             {
                 self.brownout_entries.fetch_add(1, Ordering::Relaxed);
-                self.current_epoch().engine.set_brownout(true);
             }
         } else if pressure <= self.options.brownout_exit
             && self.brownout_active.swap(false, Ordering::SeqCst)
         {
             self.brownout_exits.fetch_add(1, Ordering::Relaxed);
-            self.current_epoch().engine.set_brownout(false);
         }
     }
 

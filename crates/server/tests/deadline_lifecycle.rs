@@ -417,8 +417,8 @@ fn cancellation_recovers_goodput_under_a_deadline_storm() {
     // lease, answered before it finished. A round that slips into the gap
     // between two storm batches runs uncontended; it is still checked, but
     // timing it would measure no storm at all. Even inside a storm batch a
-    // round's wait varies several-fold (the storm leases per block), so
-    // both phases sum `LIVE_ROUNDS` rounds.
+    // round's wait varies several-fold (a storm batch re-leases at every
+    // scheduler round), so both phases sum `LIVE_ROUNDS` rounds.
     let (stop, storm) = run_storm(None);
     let mut without_cancellation = Duration::ZERO;
     let mut timed_rounds = 0;

@@ -1,9 +1,9 @@
 //! Cross-batch admission control for the paged backend's pin budget.
 //!
 //! The locality scheduler pins pages out of the store's cache budget for the
-//! lifetime of a block (see [`crate::scheduler`]). One batch at a time that
-//! is safe by construction — the scheduler sizes its block and readahead
-//! pins so their sum never exceeds the budget. Two *concurrent* batches,
+//! lifetime of a round (see [`crate::scheduler`]). One batch at a time that
+//! is safe by construction — the scheduler sizes a round's chunk pins so
+//! their sum never exceeds the budget. Two *concurrent* batches,
 //! each assuming it owns the whole budget, would together pin up to twice
 //! the cache capacity: every pinned page beyond the budget is memory the
 //! deployment never agreed to spend, and the cache underneath devolves to
@@ -11,18 +11,18 @@
 //!
 //! [`AdmissionLedger`] is the fix: a semaphore-like ledger of pin capacity
 //! that schedulers **lease** from before pinning anything. Each lease names
-//! a minimum viable grant (enough for one block page plus one readahead
-//! page) and a desired grant (the full plan); the ledger grants what is
-//! available, so concurrent batches split the budget instead of both taking
-//! all of it. Requests queue FIFO — a large batch cannot be starved by a
-//! stream of later small ones — but a small request may *bypass* the queue
-//! when its desired grant fits over and above the minimums of everything
-//! ahead of it, which keeps single-block batches flowing while a large
-//! batch waits for capacity. A batch leases per **block**, not per batch,
-//! so a long batch releases and re-acquires capacity at every block
-//! boundary and concurrent traffic interleaves at block granularity (this
-//! is what "queued/split" means operationally: a large batch's plan shrinks
-//! to its grant and proceeds block by block).
+//! a minimum viable grant (two pages: one per side of a pair) and a desired
+//! grant (the full plan); the ledger grants what is available, so
+//! concurrent batches split the budget instead of both taking all of it.
+//! Requests queue FIFO — a large batch cannot be starved by a stream of
+//! later small ones — but a small request may *bypass* the queue when its
+//! desired grant fits over and above the minimums of everything ahead of
+//! it, which keeps single-round batches flowing while a large batch waits
+//! for capacity. A batch leases per **round**, not per batch, so a long
+//! batch releases and re-acquires capacity at every round boundary and
+//! concurrent traffic interleaves at round granularity (this is what
+//! "queued/split" means operationally: a large batch's plan shrinks to its
+//! grant and proceeds round by round).
 //!
 //! Leases are RAII ([`PinLease`]): dropping one returns its grant and wakes
 //! every waiter, so a panicking batch cannot leak budget. The ledger is
@@ -183,7 +183,7 @@ impl AdmissionLedger {
     ///
     /// The returned [`PinLease`] gives the grant back on drop. Callers must
     /// not hold one lease while requesting another (self-deadlock under
-    /// contention); the scheduler leases once per block and releases before
+    /// contention); the scheduler leases once per round and releases before
     /// the next.
     pub fn lease_within(
         &self,

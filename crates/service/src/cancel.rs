@@ -6,8 +6,8 @@
 //! is the std-only primitive that lets the serving layers stop that work
 //! **cooperatively**: the owner (a connection handler, a deadline clock)
 //! trips the token, and the engine checks it at natural chunk boundaries —
-//! per pair in the arrival-order paths, per block and per readahead wave in
-//! the locality scheduler — never mid-kernel. Stopping only at chunk
+//! per kernel chunk in the hub-sorted runner, per lease round in the
+//! locality scheduler — never mid-kernel. Stopping only at chunk
 //! boundaries is what keeps the bit-identity contract intact: every answer
 //! a cancelled batch *did* produce went through exactly the kernel calls a
 //! completed run would have made.

@@ -52,7 +52,7 @@ use crate::metrics::ServiceTimeEwma;
 use effres::column_store::{self, ColumnStore, HubScratch, KernelStats};
 use effres::{CancelReason, EffectiveResistanceEstimator, EffresError, WorkerPool};
 use effres_io::{PageCacheStats, PagedColumnStore};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,9 @@ use std::time::{Duration, Instant};
 pub struct EngineOptions {
     /// Parallel fan-out for batch execution; `0` means one job chunk per
     /// available core (or per worker of a shared [`EngineOptions::pool`]).
-    /// Actual concurrency is capped by the worker-pool size.
+    /// On a paged backend it also caps how many chunks a scheduler round
+    /// pins and drains at once. Actual concurrency is capped by the
+    /// worker-pool size.
     pub threads: usize,
     /// Total entries of the pair-result cache, split over 16 lock stripes
     /// and rounded up to whole four-entry sets; `0` disables caching. A
@@ -79,12 +81,6 @@ pub struct EngineOptions {
     /// estimator build used (`EffresConfig::with_worker_pool`) so the whole
     /// pipeline shares one set of workers.
     pub pool: Option<WorkerPool>,
-    /// Readahead window of the locality scheduler that paged batches run
-    /// through ([`QueryEngine::execute_with`]), in pages: how many upcoming
-    /// non-resident pages each scheduling step pins with one coalesced
-    /// read. `0` (the default) sizes the window automatically from the
-    /// store's cache budget. Resident backends ignore it.
-    pub readahead_pages: usize,
     /// Bound on the admission ledger's queue depth for scheduled paged
     /// batches. `None` (the default) keeps the PR-5 behavior — lease
     /// requests queue without bound and never fail. `Some(depth)` turns
@@ -107,7 +103,6 @@ impl Default for EngineOptions {
             cache_capacity: 1 << 16,
             parallel_threshold: 1 << 10,
             pool: None,
-            readahead_pages: 0,
             admission_queue_depth: None,
             admission_timeout: Duration::from_secs(2),
         }
@@ -139,9 +134,8 @@ pub struct ExecOptions {
     pub mode: ExecMode,
     /// A cancellation token, checked between chunks of work — between
     /// kernel chunks of a job slice (about 4,096 pairs) on the hub-sorted
-    /// runner, at block and readahead-wave boundaries in the scheduler —
-    /// and never mid-kernel. When it trips,
-    /// every query not yet run fails with
+    /// runner, at every lease round in the scheduler — and never
+    /// mid-kernel. When it trips, every query not yet run fails with
     /// [`EffresError::DeadlineExceeded`] and the run stops, releasing
     /// scratch, pinned pages and the admission lease with the abandoned
     /// tail; answers produced before the trip went through exactly the
@@ -254,9 +248,10 @@ pub struct ScheduleReport {
     /// Distinct `(page_lo, page_hi)` clusters the batch's cache-missing
     /// queries collapsed into.
     pub clusters: usize,
-    /// Pinned page blocks the lo-side page space was partitioned into.
+    /// Lease rounds: how many times the batch leased pin capacity from the
+    /// admission ledger.
     pub blocks: usize,
-    /// Readahead windows (hi-side page groups) processed across all blocks.
+    /// Pins: the chunks the rounds cut the batch into, each pinned once.
     pub windows: usize,
 }
 
@@ -446,10 +441,6 @@ pub struct QueryEngine<B: ResistanceBackend = EffectiveResistanceEstimator> {
     /// Smoothed per-pair service time of completed batches, feeding the
     /// doomed-deadline check of cancellable batches.
     service_time: ServiceTimeEwma,
-    /// Brownout flag (set by the server's overload controller): while on,
-    /// the locality scheduler trims its readahead windows to the minimum so
-    /// a pressured cache stops speculating.
-    brownout: AtomicBool,
 }
 
 impl QueryEngine {
@@ -491,7 +482,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             service_time: ServiceTimeEwma::new(),
-            brownout: AtomicBool::new(false),
         }
     }
 
@@ -499,16 +489,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// the doomed-deadline admission check divides deadlines by).
     pub fn service_time(&self) -> &ServiceTimeEwma {
         &self.service_time
-    }
-
-    /// Flips brownout mode (see the field docs); idempotent.
-    pub fn set_brownout(&self, on: bool) {
-        self.brownout.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the engine is currently in brownout mode.
-    pub fn brownout_active(&self) -> bool {
-        self.brownout.load(Ordering::Relaxed)
     }
 
     /// The shared backend.

@@ -20,9 +20,9 @@
 //!   [`paged_store`](backend::ResistanceBackend::paged_store) hook picks
 //!   the batch runner;
 //! * [`scheduler`] — the locality scheduler paged batches run through:
-//!   it clusters queries by the pages they touch, pins blocks out of the
-//!   cache budget and sweeps the rest with coalesced readahead — same bits,
-//!   a fraction of the I/O;
+//!   it clusters queries by the pages they touch, leases pin capacity out
+//!   of the cache budget round by round and pins each chunk of queries
+//!   once — same bits, a fraction of the I/O;
 //! * [`cache::ShardedLru`] — a striped, four-way set-associative cache of
 //!   recent pair results in front of the sparse kernel (one cache line per
 //!   probe, LRU within each set);

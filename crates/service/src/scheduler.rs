@@ -7,7 +7,7 @@
 //! thrashes — the PR-4 bench measured ~400× below resident throughput with
 //! the work being pure page decode, not arithmetic. The fix is the classic
 //! external-memory discipline (PEERS; Yang et al., "Efficient Estimation of
-//! Pairwise Effective Resistance"): *amortize every fetched block over all
+//! Pairwise Effective Resistance"): *amortize every fetched page over all
 //! the queries that need it before letting it go*.
 //!
 //! [`QueryEngine::execute_with`] runs every batch on a backend with a
@@ -15,58 +15,60 @@
 //! scheduler, in three steps:
 //!
 //! 1. **Cluster** — each cache-missing query is mapped to its page pair
-//!    `(page_lo, page_hi)` (permuted endpoints, unordered) and the batch is
-//!    sorted into page-pair clusters.
-//! 2. **Block** — the `page_lo` side is partitioned into blocks of pinned
-//!    pages sized to the store's cache budget minus a readahead window.
-//!    Each block is pinned once
+//!    `(page_lo, page_hi)` (the pages of its smaller and larger permuted
+//!    endpoint) and the batch is sorted into page-pair clusters.
+//! 2. **Lease** — each round leases pin capacity for the distinct pages
+//!    (either side) the remaining queries touch, capped at the store's
+//!    cache budget, and cuts the next queries, in page-pair order, into up
+//!    to `fan` chunks of at most `grant / fan` distinct pages each, where
+//!    `fan` is the batch's thread count, at most one chunk per two granted
+//!    pages. A round never pins more than its grant.
+//! 3. **Drain** — each chunk is pinned once
 //!    ([`PagedColumnStore::pin_pages`](effres_io::PagedColumnStore::pin_pages))
-//!    and stays resident while *all* of its queries drain.
-//! 3. **Sweep** — within a block, queries are re-sorted by `page_hi`, and
-//!    the hi side becomes a sorted sweep: successive readahead windows of
-//!    upcoming hi pages are pinned, drained, and dropped. Windows fan out
-//!    as jobs on the engine's [`WorkerPool`](effres::WorkerPool) — each
-//!    worker pins its own window (its private cache shard, in effect) while
-//!    sharing the block pin.
+//!    and stays resident while *all* of its queries drain. A round with
+//!    more than one chunk runs each on a worker of the engine's
+//!    [`WorkerPool`](effres::WorkerPool), which makes the chunk's pin itself,
+//!    so the reads run in parallel; a lone chunk drains on the calling
+//!    thread.
 //!
-//! Every page is therefore read `O(blocks)` times instead of `O(queries)`
-//! times. How much of a page is read depends on the batch's **page
-//! footprint** (the distinct pages its queries touch). A batch that fits
-//! the store's cache budget pins whole pages: adjacent missing pages merge
-//! into large sequential reads, and the pages stay cached for whatever
-//! comes next. A batch that outgrows the budget would flush the cache
-//! anyway, so each block and window pin carries the columns its queries
-//! read as a *demand*, and a page whose demanded columns hold under a
-//! quarter of its bytes is read as runs of adjacent demanded columns —
+//! Every page is therefore read about once per chunk that touches it
+//! instead of once per query. How much of a page is read depends on the
+//! batch's **page footprint** (the distinct pages its queries touch). A
+//! batch that fits the store's cache budget pins whole pages: adjacent
+//! missing pages merge into large sequential reads, and the pages stay
+//! cached for whatever comes next. A batch that outgrows the budget would
+//! flush the cache anyway, so each chunk pin carries the columns its
+//! queries read as a *demand*, and a page whose demanded columns hold under
+//! a quarter of its bytes is read as runs of adjacent demanded columns —
 //! pinned, not cached. A run pins its rows; its values are read the first
 //! time a pair's suffixes share a row on one of its columns, and most
 //! random pairs on a large sparse graph share none. A uniform batch over a
 //! file many times the cache uses a few columns per page, so this is where
 //! its I/O goes from whole-page to per-column, and from per-column to the
-//! rows of most columns. The plan — blocks, windows, evaluation order — is
+//! rows of most columns. The plan — rounds, chunks, evaluation order — is
 //! the same either way; only the bytes behind each pin change.
 //!
-//! Pin capacity is not assumed but **leased**: every block acquires its
+//! Pin capacity is not assumed but **leased**: every round acquires its
 //! pages from the engine's
 //! [`AdmissionLedger`](crate::admission::AdmissionLedger) first, so
 //! concurrent batches on one engine split the cache budget between them
-//! (block by block) instead of over-pinning it — an uncontended lease gets
-//! the full budget and the plan is exactly the solo plan.
+//! (round by round) instead of over-pinning it — an uncontended lease gets
+//! what the round asked for and the plan is exactly the solo plan.
 //!
 //! One body serves both [`ExecMode`](crate::ExecMode)s: every query gets a
-//! value or a failure, and the mode only decides what a failure does. Fail-fast stops
-//! at the first failure other than a cancellation (a block or window pin,
-//! a window's kernel, an admission shed). Partial mode degrades instead:
-//! block and window pins degrade page by page
+//! value or a failure, and the mode only decides what a failure does.
+//! Fail-fast stops at the first failure other than a cancellation (a chunk
+//! pin, a chunk's kernel, an admission shed). Partial mode degrades
+//! instead: chunk pins degrade page by page
 //! ([`pin_pages_partial`](effres_io::PagedColumnStore::pin_pages_partial)),
-//! a window whose grouped kernel fails is re-run query by query so only
-//! the queries touching an unproducible page, or needing a run's
-//! unproducible values, fail, and a shed after the first block marks the
-//! remaining queries [`EffresError::Busy`]. In both
-//! modes a cancellation token is checked at every block and readahead-wave
-//! boundary — where the lease, the block pin and the window pins all
-//! release by RAII — and a trip marks every query not yet drained
-//! [`EffresError::DeadlineExceeded`].
+//! a query on a page that did not pin reads through the store, a chunk
+//! whose grouped kernel fails is re-run query by query so only the queries
+//! touching an unproducible page, or needing a run's unproducible values,
+//! fail, and a shed after the first round marks the remaining queries
+//! [`EffresError::Busy`]. In both modes a cancellation token is checked at
+//! the top of every round — where the previous round's lease and pins have
+//! all been released by RAII — and a trip marks every query not yet
+//! drained [`EffresError::DeadlineExceeded`].
 //!
 //! Results are scattered back into the batch's original request order, and
 //! each query is evaluated by exactly the same store-generic kernels as the
@@ -90,8 +92,7 @@ use crate::engine::{
 };
 use effres::column_store::KernelStats;
 use effres::EffresError;
-use effres_io::{PagedColumnStore, PagedSnapshot, PinnedPages, PinnedReader};
-use std::collections::VecDeque;
+use effres_io::{PagedColumnStore, PagedSnapshot, PinnedReader};
 use std::sync::Arc;
 
 /// One cache-missing query, resolved into the permuted domain and mapped
@@ -107,10 +108,6 @@ struct Pending {
     page_lo: u32,
     page_hi: u32,
 }
-
-/// A readahead window of one block: the hi pages it pins, and the range of
-/// the block's queries it drains.
-type Window = (Vec<usize>, usize, usize);
 
 impl QueryEngine<PagedSnapshot> {
     /// [`execute_with`](QueryEngine::execute_with) with default options —
@@ -132,7 +129,7 @@ impl QueryEngine<PagedSnapshot> {
 }
 
 impl<B: ResistanceBackend> QueryEngine<B> {
-    /// Leases pin capacity for one block, honoring the engine's admission
+    /// Leases pin capacity for one round, honoring the engine's admission
     /// bounds: unbounded blocking by default, shedding with a typed
     /// [`EffresError::Busy`] when
     /// [`admission_queue_depth`](crate::engine::EngineOptions::admission_queue_depth)
@@ -180,7 +177,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// `queries`, the sorted distinct `(key, slot)` queries of a batch, into
     /// `run`. `Err` only in fail-fast mode, on the first failure that is
     /// not a cancellation — and, in either mode, for a
-    /// [`EffresError::Busy`] shed before the first block ran.
+    /// [`EffresError::Busy`] shed before the first round ran.
     pub(crate) fn run_scheduled(
         &self,
         store: &PagedColumnStore,
@@ -211,7 +208,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             });
         }
         run.misses = pending.len() as u64;
-        let sparse = outgrows_cache(store, &pending);
 
         // 1. Cluster: queries sharing a page pair become adjacent; the slot
         // tiebreak keeps the plan deterministic for identical batches.
@@ -222,48 +218,34 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             .count()
             + usize::from(!pending.is_empty());
 
-        // 2. Budget split: the store's page budget funds one long-lived
-        // block pin plus a readahead window per concurrent worker. The
-        // scheduler needs at least two pages of budget (one per side of a
-        // pair) — a smaller cache still works, it just re-reads more.
-        //
-        // Under concurrent batches the budget is not ours to assume: each
-        // block **leases** its pin capacity from the engine's admission
-        // ledger (full budget when uncontended — identical plan to solo
-        // execution — a fair share otherwise), and the block/window split is
-        // recomputed from the actual grant. Leasing per block, not per
-        // batch, is what lets a large batch split: it re-queues at every
-        // block boundary, so competing traffic interleaves.
+        // Distinct pages (either side) in `pending[i..]`: what the round
+        // starting at `i` can use at most. One backward pass over a page
+        // bitmap; the bitmap is left clear for the chunk cuts below.
+        let mut marked = vec![false; store.page_count()];
+        let mut pages_from = vec![0usize; pending.len() + 1];
+        for i in (0..pending.len()).rev() {
+            let t = pending[i];
+            let new = [t.page_lo, t.page_hi]
+                .into_iter()
+                .filter(|&page| !std::mem::replace(&mut marked[page as usize], true))
+                .count();
+            pages_from[i] = pages_from[i + 1] + new;
+        }
+        marked.fill(false);
+        // A batch whose footprint outgrows the cache would flush the LRU
+        // anyway, so its pins are demand-sized (see
+        // [`pin_pages`](effres_io::PagedColumnStore::pin_pages)); a batch
+        // that fits reads, caches and reuses whole pages.
+        let sparse = pages_from[0] > store.cache_capacity_pages();
+
+        // 2. Rounds. The scheduler needs at least two pages (one per side of
+        // a pair) — a smaller cache still works, it just re-reads more.
+        // Each round **leases** its pin capacity from the engine's admission
+        // ledger (what it asked for when uncontended — the solo plan — a
+        // fair share otherwise) and re-queues for the next, so competing
+        // traffic interleaves with a long batch round by round.
         let budget = store.cache_capacity_pages().max(2);
         let threads = self.effective_threads(batch_len).max(1);
-        // Brownout trims readahead to the single-page minimum: a pressured
-        // cache stops speculating, at the cost of more, smaller reads. The
-        // plan changes shape but the kernels and their inputs do not, so
-        // values stay bit-identical.
-        let brownout = self.brownout_active();
-        let window_of = |grant: usize| {
-            if brownout {
-                1
-            } else {
-                match self.options.readahead_pages {
-                    0 => (grant / 8).clamp(1, 64),
-                    w => w,
-                }
-            }
-            .min(grant - 1)
-            .max(1)
-        };
-        let full_window = window_of(budget);
-        let full_block_cap = budget.saturating_sub(full_window * threads).max(1);
-
-        // Distinct lo pages in `pending[i..]`, for sizing the lease of a
-        // final partial block to what it can actually use.
-        let mut distinct_lo_from = vec![0usize; pending.len() + 1];
-        for i in (0..pending.len()).rev() {
-            let new_page = i + 1 == pending.len() || pending[i].page_lo != pending[i + 1].page_lo;
-            distinct_lo_from[i] = distinct_lo_from[i + 1] + usize::from(new_page);
-        }
-
         let mut report = ScheduleReport {
             clusters,
             blocks: 0,
@@ -272,7 +254,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         let mut parallel_fan = 1usize;
         let mut at = 0usize;
         while at < pending.len() {
-            // Block boundary: the cheapest place to notice a tripped token —
+            // Round boundary: the cheapest place to notice a tripped token —
             // no lease held, nothing pinned, everything after `at` unread.
             if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
                 fail_all(
@@ -282,15 +264,10 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 );
                 break;
             }
-            let desired = if distinct_lo_from[at] >= full_block_cap {
-                budget
-            } else {
-                (distinct_lo_from[at] + full_window * threads).min(budget)
-            };
-            // Two pages is the smallest viable grant: one block page plus
-            // one window page. The lease blocks until capacity is free and
-            // returns it when dropped at the end of the block (or sheds
-            // with `Busy` under bounded admission).
+            let desired = pages_from[at].clamp(2, budget);
+            // The lease blocks until capacity is free and returns it when
+            // dropped at the end of the round (or sheds with `Busy` under
+            // bounded admission).
             let lease = match self.lease_block(desired, cancel.map(Arc::as_ref)) {
                 Ok(lease) => lease,
                 // A shed before anything drained rejects the batch whole,
@@ -305,145 +282,76 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                     break;
                 }
             };
-            let grant = lease.as_ref().map_or(budget, |l| l.granted());
-            // Re-derive the split from the grant. `fan` caps how many
-            // windows may be pinned at once so block + concurrent windows
-            // never exceed the grant (`block_cap + fan·window ≤ grant`).
-            let window = window_of(grant.max(2));
-            let fan = threads.min((grant.saturating_sub(1) / window).max(1));
-            let block_cap = grant.saturating_sub(window * fan).max(1);
+            let grant = lease.as_ref().map_or(desired, |l| l.granted());
+            report.blocks += 1;
 
-            // Grow the block until it holds `block_cap` distinct lo pages.
-            let block_start = at;
-            let mut lo_pages: Vec<usize> = Vec::new();
-            while at < pending.len() {
-                let lo = pending[at].page_lo as usize;
-                if lo_pages.last() != Some(&lo) {
-                    if lo_pages.len() == block_cap {
+            // Cut up to `fan` chunks of at most `cap` distinct pages, so the
+            // round's pins never exceed the grant. A chunk always takes its
+            // first query, which fits: `cap >= 2`.
+            let fan = threads.min(grant / 2).max(1);
+            let cap = grant / fan;
+            let mut chunks: Vec<(Vec<usize>, usize, usize)> = Vec::new();
+            while chunks.len() < fan && at < pending.len() {
+                let start = at;
+                let mut pages: Vec<usize> = Vec::new();
+                while at < pending.len() {
+                    let t = pending[at];
+                    let (lo, hi) = (t.page_lo as usize, t.page_hi as usize);
+                    let new = usize::from(!marked[lo]) + usize::from(lo != hi && !marked[hi]);
+                    if at > start && pages.len() + new > cap {
                         break;
                     }
-                    lo_pages.push(lo);
-                }
-                at += 1;
-            }
-            report.blocks += 1;
-            let block = &mut pending[block_start..at];
-            // 3. Pin the block (demand-sized when the batch outgrows the
-            // cache) and sweep its hi side in sorted page order. A degraded
-            // pin fails only the queries anchored on pages it could not
-            // produce; the rest of the block proceeds over what did pin.
-            let demand = sparse.then(|| demand_of(block));
-            let (pinned, pin_failures) = if fail_fast {
-                (store.pin_pages(&lo_pages, demand.as_deref())?, Vec::new())
-            } else {
-                store.pin_pages_partial(&lo_pages, demand.as_deref())
-            };
-            let pinned = Arc::new(pinned);
-            block.sort_unstable_by_key(|t| (t.page_hi, t.page_lo, t.slot));
-            let mut drainable: Vec<Pending> = Vec::new();
-            let block: &[Pending] = if pin_failures.is_empty() {
-                block
-            } else {
-                for t in block.iter() {
-                    match pin_failures
-                        .iter()
-                        .find(|(pid, _)| *pid == t.page_lo as usize)
-                    {
-                        Some((_, err)) => run.failures.push((t.slot as usize, err.clone())),
-                        None => drainable.push(*t),
+                    for page in [lo, hi] {
+                        if !std::mem::replace(&mut marked[page], true) {
+                            pages.push(page);
+                        }
                     }
+                    at += 1;
                 }
-                &drainable
-            };
-
-            // Cut the sweep into windows: each accumulates up to `window`
-            // distinct hi pages that are not already pinned with the block.
-            let mut windows: Vec<Window> = Vec::new();
-            let mut job_pids: Vec<usize> = Vec::new();
-            let mut job_start = 0usize;
-            for (i, t) in block.iter().enumerate() {
-                let hi = t.page_hi as usize;
-                let needed = lo_pages.binary_search(&hi).is_err() && job_pids.last() != Some(&hi);
-                if needed && job_pids.len() == window {
-                    windows.push((std::mem::take(&mut job_pids), job_start, i));
-                    job_start = i;
+                for &page in &pages {
+                    marked[page] = false;
                 }
-                if needed {
-                    job_pids.push(hi);
-                }
+                chunks.push((pages, start, at));
             }
-            windows.push((job_pids, job_start, block.len()));
-            report.windows += windows.len();
+            report.windows += chunks.len();
 
-            // Fan the windows out when there is more than one and room for
-            // more than one at a time: each worker pins its own window (its
-            // per-worker shard of the grant) over the shared block pin.
-            // Windows go out in waves of at most `fan`, because the pin
-            // bound is per *concurrent* window — a pool with more workers
-            // than `fan` would otherwise pin every window of the block at
-            // once and blow through the lease. Otherwise waves hold one
-            // window each, drained on this thread. Jobs are built per wave,
-            // so a token that trips between waves abandons the
-            // un-dispatched windows without ever materializing them.
-            let fan_out = fan > 1 && windows.len() > 1;
-            let wave_size = if fan_out { fan } else { 1 };
-            if fan_out {
-                parallel_fan = parallel_fan.max(windows.len().min(fan));
-            }
-            let mut windows: VecDeque<Window> = windows.into();
-            let mut job_index = 0usize;
-            while !windows.is_empty() {
-                // Wave boundary: abandon the un-dispatched windows of this
-                // block (the sticky token marks the later blocks at the top
-                // of the outer loop).
-                if let Some(reason) = cancel.and_then(|token| token.cancelled()) {
-                    let error = EffresError::DeadlineExceeded { reason };
-                    for (_, lo, hi) in &windows {
-                        fail_all(&mut run.failures, &block[*lo..*hi], &error);
-                    }
-                    break;
-                }
-                let wave = windows.drain(..wave_size.min(windows.len()));
-                let drained = if fan_out {
-                    let jobs: Vec<_> = wave
-                        .map(|(pids, lo, hi)| {
-                            let job = job_index;
-                            job_index += 1;
-                            let core = Arc::clone(&self.core);
-                            let pinned = Arc::clone(&pinned);
-                            let queries = block[lo..hi].to_vec();
-                            move || {
-                                drain_window(
-                                    &core, &pinned, &pids, &queries, batch_len, job, sparse,
-                                    fail_fast,
-                                )
-                            }
-                        })
-                        .collect();
-                    self.worker_pool().run(jobs)
-                } else {
-                    wave.map(|(pids, lo, hi)| {
-                        drain_window(
-                            &self.core,
-                            &pinned,
-                            &pids,
-                            &block[lo..hi],
-                            batch_len,
-                            0,
-                            sparse,
-                            fail_fast,
-                        )
+            // 3. Drain: each chunk on a pool worker, which makes the chunk's
+            // pin too, when the round has more than one; inline otherwise.
+            let drained = if chunks.len() > 1 {
+                parallel_fan = parallel_fan.max(chunks.len());
+                let jobs: Vec<_> = (chunks.into_iter().enumerate())
+                    .map(|(job, (pages, lo, hi))| {
+                        let core = Arc::clone(&self.core);
+                        let mut queries = pending[lo..hi].to_vec();
+                        move || {
+                            drain_chunk(
+                                &core,
+                                &pages,
+                                &mut queries,
+                                batch_len,
+                                job,
+                                sparse,
+                                fail_fast,
+                            )
+                        }
+                    })
+                    .collect();
+                self.worker_pool().run(jobs)
+            } else {
+                (chunks.into_iter())
+                    .map(|(pages, lo, hi)| {
+                        let queries = &mut pending[lo..hi];
+                        drain_chunk(&self.core, &pages, queries, batch_len, 0, sparse, fail_fast)
                     })
                     .collect()
-                };
-                for result in drained {
-                    let (answers, window_failures, window_kernel) = result?;
-                    run.kernel.merge(window_kernel);
-                    for (slot, value) in answers {
-                        run.values[slot as usize] = value;
-                    }
-                    run.failures.extend(window_failures);
+            };
+            for result in drained {
+                let (answers, chunk_failures, chunk_kernel) = result?;
+                run.kernel.merge(chunk_kernel);
+                for (slot, value) in answers {
+                    run.values[slot as usize] = value;
                 }
+                run.failures.extend(chunk_failures);
             }
         }
 
@@ -458,53 +366,29 @@ fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error
     failures.extend(queries.iter().map(|t| (t.slot as usize, error.clone())));
 }
 
-/// Whether the batch's distinct page footprint exceeds the store's cache
-/// budget. Such a batch would flush the LRU anyway, so its pins are
-/// demand-sized (see
-/// [`pin_pages`](effres_io::PagedColumnStore::pin_pages)); a batch that
-/// fits reads, caches and reuses whole pages.
-fn outgrows_cache(store: &PagedColumnStore, pending: &[Pending]) -> bool {
-    let mut pages: Vec<u32> = pending
-        .iter()
-        .flat_map(|t| [t.page_lo, t.page_hi])
-        .collect();
-    pages.sort_unstable();
-    pages.dedup();
-    pages.len() > store.cache_capacity_pages()
-}
-
-/// The columns `queries` read — the demand of a demand-sized pin.
-fn demand_of(queries: &[Pending]) -> Vec<usize> {
-    queries
-        .iter()
-        .flat_map(|t| [t.pp as usize, t.qq as usize])
-        .collect()
-}
-
-/// Drains one readahead window: pins its hi pages (one coalesced read for
-/// adjacent pages — the sweep keeps them mostly adjacent — or, when
-/// `sparse`, just the columns the window's queries read), then answers the
-/// window's queries through the grouped multi-pair kernel
-/// ([`grouped_values`]) — bit-identical to the pairwise kernel, but a
-/// window's queries sharing a hub column stream that column once — via a
-/// reader that prefers the pinned pages and never touches the cache locks
-/// for them. The answers fill the pair cache unless the batch of
-/// `batch_len` pairs bypasses it. The hub scratch comes from the engine's
-/// sharded free list (`scratch_hint` spreads concurrent windows over
-/// distinct shards), and the kernel counters it accumulated ride back
+/// Drains one chunk: pins its `pages` in one call (one coalesced read for
+/// adjacent missing pages or, when `sparse`, just the columns the chunk's
+/// queries read), then answers the chunk's queries through the grouped
+/// multi-pair kernel ([`grouped_values`]) — bit-identical to the pairwise
+/// kernel, but a chunk's queries sharing a hub column stream that column
+/// once — via a reader that prefers the pinned pages and never touches the
+/// cache locks for them. The answers fill the pair cache unless the batch
+/// of `batch_len` pairs bypasses it. The hub scratch comes from the
+/// engine's sharded free list (`scratch_hint` spreads concurrent chunks
+/// over distinct shards), and the kernel counters it accumulated ride back
 /// alongside the `(slot, value)` answers and the `(slot, error)` failures.
 ///
-/// With `fail_fast` a failed window pin or kernel fails the window. Without
-/// it the window pin degrades page by page, and a failed grouped kernel is
-/// re-run query by query over the same pinned reader, so the successes stay
-/// bit-identical and only queries actually touching an unproducible page,
-/// or needing the values of a run that cannot produce them, fail.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn drain_window<B: ResistanceBackend>(
+/// With `fail_fast` a failed pin or kernel fails the chunk. Without it the
+/// pin degrades page by page, a query on a page that did not pin reads
+/// through the store, and a failed grouped kernel is re-run query by query
+/// over the same reader, so the successes stay bit-identical and only
+/// queries actually touching an unproducible page, or needing the values
+/// of a run that cannot produce them, fail.
+#[allow(clippy::type_complexity)]
+fn drain_chunk<B: ResistanceBackend>(
     core: &EngineCore<B>,
-    block_pin: &PinnedPages,
-    window_pids: &[usize],
-    queries: &[Pending],
+    pages: &[usize],
+    queries: &mut [Pending],
     batch_len: usize,
     scratch_hint: usize,
     sparse: bool,
@@ -514,24 +398,23 @@ fn drain_window<B: ResistanceBackend>(
         .backend
         .paged_store()
         .expect("the scheduler runs on paged backends");
-    let demand = sparse.then(|| demand_of(queries));
-    // Failed window pins are not fatal in partial mode: the reader falls
-    // back to the store for unpinned pages, and any page that truly cannot
-    // be produced fails its queries in the per-query pass below.
-    let window_pin = if fail_fast {
-        store.pin_pages(window_pids, demand.as_deref())?
+    let demand: Option<Vec<usize>> = sparse.then(|| {
+        (queries.iter())
+            .flat_map(|t| [t.pp as usize, t.qq as usize])
+            .collect()
+    });
+    let pinned = if fail_fast {
+        store.pin_pages(pages, demand.as_deref())?
     } else {
-        store.pin_pages_partial(window_pids, demand.as_deref()).0
+        store.pin_pages_partial(pages, demand.as_deref()).0
     };
-    let reader = PinnedReader::new(store, block_pin, Some(&window_pin));
-    // Re-sort the window by column pair: pages hold neighbouring columns,
-    // so the page-sorted window is nearly column-sorted already, and this
-    // makes runs sharing a hub column contiguous for the grouped kernel.
-    // Safe because queries are independent and answers scatter back by
-    // slot.
-    let mut sorted: Vec<Pending> = queries.to_vec();
-    sorted.sort_unstable_by_key(|t| (t.pp, t.qq, t.slot));
-    let pairs: Vec<(usize, usize)> = sorted
+    let reader = PinnedReader::new(store, &pinned);
+    // Re-sort the chunk by column pair: pages hold neighbouring columns, so
+    // the page-sorted chunk is nearly column-sorted already, and this makes
+    // runs sharing a hub column contiguous for the grouped kernel. Safe
+    // because queries are independent and answers scatter back by slot.
+    queries.sort_unstable_by_key(|t| (t.pp, t.qq, t.slot));
+    let pairs: Vec<(usize, usize)> = queries
         .iter()
         .map(|t| (t.pp as usize, t.qq as usize))
         .collect();
@@ -541,7 +424,7 @@ fn drain_window<B: ResistanceBackend>(
     core.return_scratch(scratch_hint, scratch);
     let (values, failures) = outcome?;
     if let Some(cache) = core.pair_cache(batch_len) {
-        for (i, (t, &value)) in sorted.iter().zip(&values).enumerate() {
+        for (i, (t, &value)) in queries.iter().zip(&values).enumerate() {
             if failures.binary_search_by_key(&i, |&(i, _)| i).is_err() {
                 cache.insert(cache_key(t.pp as usize, t.qq as usize), value);
             }
@@ -549,9 +432,9 @@ fn drain_window<B: ResistanceBackend>(
     }
     let failures = failures
         .into_iter()
-        .map(|(i, error)| (sorted[i].slot as usize, error))
+        .map(|(i, error)| (queries[i].slot as usize, error))
         .collect();
-    let answers = sorted.iter().map(|t| t.slot).zip(values).collect();
+    let answers = queries.iter().map(|t| t.slot).zip(values).collect();
     Ok((answers, failures, kernel))
 }
 
@@ -664,16 +547,105 @@ mod tests {
                 cache_capacity: 0,
                 threads: 4,
                 parallel_threshold: 8,
-                readahead_pages: 2,
                 ..EngineOptions::default()
             },
         );
         let a = sequential.execute_scheduled(&batch).expect("sequential");
         let b = parallel.execute_scheduled(&batch).expect("parallel");
-        assert!(b.threads > 1, "expected window fan-out");
+        assert!(b.threads > 1, "expected chunk fan-out");
         for (x, y) in a.values.iter().zip(&b.values) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn a_batch_that_fits_the_budget_is_one_round_and_one_pin() {
+        let (path, _estimator) = temp_snapshot("sched16_fits.snap");
+        let paged_options = PagedOptions {
+            columns_per_page: 4,
+            cache_pages: 8,
+            cache_shards: 1,
+            ..PagedOptions::default()
+        };
+        let options = || EngineOptions {
+            cache_capacity: 0,
+            parallel_threshold: usize::MAX,
+            ..EngineOptions::default()
+        };
+        let engine = paged_engine(&path, &paged_options, options());
+        // Nodes whose permuted columns sit on the first 8 pages: any batch
+        // over them touches at most the 8 pages of the budget.
+        let permutation = &engine.backend().permutation;
+        let nodes: Vec<usize> = (0..32).map(|column| permutation.old(column)).collect();
+        let batch = QueryBatch::from_pairs(
+            (QueryBatch::random(1000, nodes.len(), 17).pairs().iter())
+                .map(|&(p, q)| (nodes[p], nodes[q]))
+                .collect(),
+        );
+        let result = engine.execute_scheduled(&batch).expect("scheduled");
+        let schedule = result.schedule.expect("scheduled path reports its shape");
+        assert_eq!((schedule.blocks, schedule.windows), (1, 1), "{schedule:?}");
+        assert_eq!(result.threads, 1);
+        let page = result.page_cache.expect("paged");
+        assert!(page.misses <= 8, "each page read once: {page:?}");
+        let reference = paged_engine(&path, &paged_options, options());
+        let expected = reference.execute(&batch).expect("unscheduled");
+        for (x, y) in expected.values.iter().zip(&result.values) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn two_chunk_rounds_are_bit_identical_within_the_pin_budget() {
+        let (path, _estimator) = temp_snapshot("sched16_fan2.snap");
+        let paged_options = PagedOptions {
+            columns_per_page: 2,
+            cache_pages: 4,
+            cache_shards: 1,
+            ..PagedOptions::default()
+        };
+        let engine = paged_engine(
+            &path,
+            &paged_options,
+            EngineOptions {
+                cache_capacity: 0,
+                threads: 2,
+                parallel_threshold: 8,
+                ..EngineOptions::default()
+            },
+        );
+        let reference = paged_engine(
+            &path,
+            &paged_options,
+            EngineOptions {
+                cache_capacity: 0,
+                parallel_threshold: usize::MAX,
+                ..EngineOptions::default()
+            },
+        );
+        let batch = QueryBatch::random(3000, 256, 23);
+        let expected = reference.execute(&batch).expect("unscheduled");
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let result = engine
+                .execute_with(&batch, &ExecOptions { mode, cancel: None })
+                .expect("scheduled");
+            // A 4-page grant at two threads: two chunks of at most 2 pages
+            // drain at once on pool workers, each pinning its own.
+            assert_eq!(result.threads, 2, "{mode:?}");
+            let schedule = result.schedule.expect("scheduled");
+            assert!(schedule.windows > schedule.blocks, "{schedule:?}");
+            assert!(result.failures.is_empty());
+            for (x, y) in expected.values.iter().zip(&result.values) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
+            }
+        }
+        let store = &engine.backend().store;
+        assert_eq!(store.cache_capacity_pages(), 4);
+        assert!(
+            store.pinned_pages_high_water() <= store.cache_capacity_pages(),
+            "pinned {} pages at once",
+            store.pinned_pages_high_water()
+        );
     }
 
     #[test]
@@ -775,46 +747,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn brownout_trims_readahead_windows_but_not_values() {
-        let (path, _estimator) = temp_snapshot("sched16_brownout.snap");
-        let paged_options = PagedOptions {
-            columns_per_page: 2,
-            cache_pages: 16,
-            cache_shards: 2,
-            ..PagedOptions::default()
-        };
-        let options = || EngineOptions {
-            cache_capacity: 0,
-            parallel_threshold: usize::MAX,
-            ..EngineOptions::default()
-        };
-        let normal = paged_engine(&path, &paged_options, options());
-        let browned = paged_engine(&path, &paged_options, options());
-        browned.set_brownout(true);
-        assert!(browned.brownout_active());
-        let batch = QueryBatch::random(2000, 256, 33);
-        let a = normal.execute_scheduled(&batch).expect("normal");
-        let b = browned.execute_scheduled(&batch).expect("brownout");
-        // Brownout only reshapes the I/O plan — single-page readahead means
-        // strictly more, smaller windows — while every value stays
-        // bit-identical.
-        for (x, y) in a.values.iter().zip(&b.values) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let (sa, sb) = (a.schedule.expect("normal"), b.schedule.expect("brownout"));
-        assert!(
-            sb.windows > sa.windows,
-            "brownout must trim readahead: {} vs {}",
-            sb.windows,
-            sa.windows
-        );
-        // Clearing brownout restores the original plan.
-        browned.set_brownout(false);
-        let c = browned.execute_scheduled(&batch).expect("recovered");
-        assert_eq!(c.schedule.expect("recovered").windows, sa.windows);
     }
 
     #[test]

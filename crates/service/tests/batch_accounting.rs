@@ -37,7 +37,7 @@ fn resident() -> QueryEngine {
 }
 
 /// Two columns per page and a twelve-page cache: a large batch runs many
-/// scheduler blocks, so a deadline lands between them.
+/// scheduler lease rounds, so a deadline lands between them.
 fn paged() -> QueryEngine<PagedSnapshot> {
     let options = PagedOptions {
         columns_per_page: 2,

@@ -267,8 +267,7 @@ fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
         admission_timeout: timeout,
         ..plain_options()
     };
-    // A tiny cache keeps the holder's lease at the full budget and its
-    // drain slow enough (page churn on every window) to observe overlap.
+    // A tiny cache keeps the holder's lease at the full budget.
     let store_options = PagedOptions {
         columns_per_page: 1,
         cache_pages: 6,
@@ -276,16 +275,24 @@ fn overloaded_engine_sheds_busy_within_the_lease_timeout() {
         ..PagedOptions::default()
     };
     let paged = open_paged(path, &store_options).expect("open");
-    // The scheduler leases pin capacity per block, and at queue depth 0 a
-    // block whose lease a racing batch took in between is shed. So the
-    // holder's plan must be one block. Its 6-page budget funds one
-    // readahead page for each of the 2 workers and a block of 4 distinct
-    // lo pages; with 1-column pages, a pair holding one of the 4 nodes the
-    // permutation places first has its lo page among theirs.
-    let first: Vec<usize> = (0..4).map(|column| paged.permutation.old(column)).collect();
+    // The scheduler leases pin capacity per round, and at queue depth 0 a
+    // round whose lease a racing batch took in between is shed. So the
+    // holder's plan must be one round: its pairs touch 6 distinct pages,
+    // which its 6-page lease covers. At 2 threads the round cuts two chunks
+    // of at most 3 pages, so each pair stays within the 3 nodes the
+    // permutation places first or within the 3 it places next; with
+    // 1-column pages, those are 3 pages each. The pair cache is off, so
+    // every one of the batch's pairs runs the kernel, keeping the drain
+    // long enough to observe overlap.
+    let first: Vec<usize> = (0..6).map(|column| paged.permutation.old(column)).collect();
     let holder_batch = QueryBatch::from_pairs(
         (QueryBatch::random(60_000, 256, 0xB16).pairs().iter())
-            .map(|&(p, q)| (first[p % first.len()], q))
+            .map(|&(p, q)| {
+                // Two distinct nodes of one group of three.
+                let group = &first[3 * (p % 2)..][..3];
+                let i = p / 2 % 3;
+                (group[i], group[(i + 1 + q % 2) % 3])
+            })
             .collect(),
     );
     let engine = Arc::new(engine_over(paged, options));

@@ -1,9 +1,9 @@
 //! Rows-first column runs through the locality scheduler, on a unit grid
 //! large enough that some random pairs' suffixes share rows and some share
 //! none. A sparse pin reads each run's rows; a run's values are read only
-//! when a pair's suffixes meet on one of its columns, once, however many
-//! window workers share the pin. Answers stay bit-identical to the
-//! arrival-order path, and value rot fails only the pairs that read it.
+//! when a pair's suffixes meet on one of its columns, once per pin, at one
+//! thread or two. Answers stay bit-identical to the arrival-order path, and
+//! value rot fails only the pairs that read it.
 
 use effres::{EffectiveResistanceEstimator, EffresConfig, EffresError};
 use effres_graph::generators;

@@ -176,8 +176,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Runs of one to six pairs, sorted and unsorted, on the resident arena
-    /// and through a `PinnedReader` that pins every other page (the rest
-    /// fall back to the page cache).
+    /// and through a `PinnedReader` that pins every even page and page 1
+    /// (the rest fall back to the page cache).
     #[test]
     fn two_lane_runs_match_the_pairwise_kernel_bitwise(
         runs in proptest::collection::vec(
@@ -191,10 +191,11 @@ proptest! {
         prop_assert_eq!(resident, Ok(()));
 
         let store = &paged().store;
-        let even: Vec<usize> = (0..store.page_count()).step_by(2).collect();
-        let block = store.pin_pages(&even, None).expect("block pin");
-        let window = store.pin_pages(&[1], None).expect("window pin");
-        let reader = PinnedReader::new(store, &block, Some(&window));
+        let pages: Vec<usize> = (0..store.page_count())
+            .filter(|page| page % 2 == 0 || *page == 1)
+            .collect();
+        let pinned = store.pin_pages(&pages, None).expect("pin");
+        let reader = PinnedReader::new(store, &pinned);
         prop_assert_eq!(assert_lanes_exact(&reader, &pairs, false), Ok(()));
     }
 }
@@ -219,8 +220,8 @@ fn lane_shapes_keep_bits_and_one_at_a_time_counters() {
     ];
     let store = &paged().store;
     let pages: Vec<usize> = (0..store.page_count()).collect();
-    let block = store.pin_pages(&pages[..3], None).expect("block pin");
-    let reader = PinnedReader::new(store, &block, None);
+    let pinned = store.pin_pages(&pages[..3], None).expect("pin");
+    let reader = PinnedReader::new(store, &pinned);
     for pairs in shapes {
         assert_eq!(
             assert_lanes_exact(estimator().approximate_inverse(), pairs, true),

@@ -203,14 +203,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The locality-scheduler contract, as a property over random page
-    /// geometries (including a one-page cache), cache budgets, readahead
-    /// windows and batches: `execute_scheduled` returns its values in the
+    /// geometries (including a one-page cache), cache budgets and batches:
+    /// `execute_scheduled` returns its values in the
     /// batch's original request order and bit-identical to the unscheduled
     /// paged path, and so does the scheduler in partial mode.
     #[test]
     fn scheduler_preserves_order_and_bits_across_page_geometries(
-        (columns_per_page, cache_pages, readahead, queries, seed) in
-            (1usize..48, 1usize..32, 0usize..8, 1usize..600, any::<u64>()),
+        (columns_per_page, cache_pages, queries, seed) in
+            (1usize..48, 1usize..32, 1usize..600, any::<u64>()),
     ) {
         let path = shared_snapshot_path();
         let paged_options = effres_io::paged::PagedOptions {
@@ -219,19 +219,18 @@ proptest! {
             cache_shards: 1 + (seed as usize % 4),
             ..effres_io::paged::PagedOptions::default()
         };
-        let engine_options = |readahead: usize| EngineOptions {
+        let engine_options = || EngineOptions {
             cache_capacity: 0,
             parallel_threshold: usize::MAX,
-            readahead_pages: readahead,
             ..EngineOptions::default()
         };
         let reference = QueryEngine::new(
             Arc::new(effres_io::paged::open_paged(path, &paged_options).expect("open")),
-            engine_options(0),
+            engine_options(),
         );
         let scheduled = QueryEngine::new(
             Arc::new(effres_io::paged::open_paged(path, &paged_options).expect("open")),
-            engine_options(readahead),
+            engine_options(),
         );
         let batch = QueryBatch::random(queries, reference.node_count(), seed);
         let a = reference.execute(&batch).expect("unscheduled");
