@@ -26,13 +26,16 @@
 //! trajectory is tracked across PRs.
 //!
 //! The `paged_query` variant serves the same batch **out of core**: the
-//! estimator is snapshotted to disk (v3: delta-varint rows + persisted
-//! norms) and a paged engine answers straight from the file through the LRU
+//! estimator is snapshotted to disk (v4: delta-varint rows, persisted
+//! norms and row-bucket skeleton) and a paged engine answers straight from the file through the LRU
 //! page cache, recording the cold-start (time-to-first-query) and the paged
 //! vs resident throughput at two cache sizes — first in arrival order (the
 //! PR-4 baseline path), then through the **locality scheduler**
-//! (`paged_scheduled`): queries clustered by page pair, cut by lease
-//! rounds into chunks that are each pinned once and drained, and — since
+//! (`paged_scheduled`): pairs the persisted skeleton certifies disjoint
+//! answered from the norm table first (`certified_pairs`, after
+//! `skeleton_reads` reads of the skeleton block), the rest clustered by
+//! page pair, cut by lease rounds into chunks that are each pinned once
+//! and drained, and — since
 //! the batch touches more pages than either cache holds — sparsely used pages
 //! read as column runs, whose values are read only for the pairs whose
 //! suffixes share a row (`disjoint_pairs` counts the batch's pairs that
@@ -411,8 +414,8 @@ fn main() {
         println!(
             "paged_scheduled/{cache_pages}_pages (median): {seconds:.3}s  ({qps:.0} queries/s, \
              {:.2}x sequential resident; per batch: {} hits / {} misses, {:.1} MiB read, \
-             {} readahead read(s), {} column run(s), {} value read(s); {} cluster(s) -> \
-             {} lease round(s), {} pin(s))",
+             {} readahead read(s), {} column run(s), {} value read(s), {} skeleton read(s); \
+             {} certified pair(s); {} cluster(s) -> {} lease round(s), {} pin(s))",
             sequential_seconds / seconds,
             page.hits,
             page.misses,
@@ -420,6 +423,8 @@ fn main() {
             page.readahead_reads,
             page.column_runs,
             page.value_reads,
+            page.skeleton_reads,
+            last.kernel.certified_pairs,
             schedule.clusters,
             schedule.blocks,
             schedule.windows,
@@ -438,6 +443,8 @@ fn main() {
             ("readahead_reads", Json::Int(page.readahead_reads)),
             ("column_runs", Json::Int(page.column_runs)),
             ("value_reads", Json::Int(page.value_reads)),
+            ("skeleton_reads", Json::Int(page.skeleton_reads)),
+            ("certified_pairs", Json::Int(last.kernel.certified_pairs)),
             ("clusters", Json::Int(schedule.clusters as u64)),
             ("blocks", Json::Int(schedule.blocks as u64)),
             ("windows", Json::Int(schedule.windows as u64)),
@@ -477,7 +484,7 @@ fn main() {
             "paged",
             Json::Obj(vec![
                 ("snapshot_bytes", Json::Int(snapshot_bytes)),
-                ("snapshot_version", Json::Int(3)),
+                ("snapshot_version", Json::Int(4)),
                 ("row_codec", Json::Str(row_codec.to_string())),
                 (
                     "columns_per_page",

@@ -33,11 +33,13 @@
 //! pointer-chasing per-column `Vec`s.
 //!
 //! Beside the three buffers the arena keeps a row-bucket skeleton derived
-//! from the rows (each column's distinct `row >> shift` as `u16`), which
-//! lets the pair kernel prove two suffixes disjoint from about one cache
-//! line per column, and start the walks of other pairs at their first
-//! shared bucket. It costs about 3% of the arena on the benchmark grid and
-//! is built in the pass that checks the rows, never persisted.
+//! from the rows (each column's distinct `row >> shift` as `u16`; see
+//! [`crate::skeleton`]), which lets the pair kernel prove two suffixes
+//! disjoint from about one cache line per column, and start the walks of
+//! other pairs at their first shared bucket. It costs about 3% of the arena
+//! on the benchmark grid and is built in the pass that checks the rows. The
+//! v4 snapshot writer persists it for paged serving; the resident loader
+//! derives it again.
 //!
 //! # Building a column, and the build's memory
 //!
@@ -72,6 +74,7 @@
 
 use crate::config::BuildOptions;
 use crate::error::EffresError;
+use crate::skeleton::{RowSkeleton, SkeletonBuilder};
 use effres_sparse::schedule::LevelSchedule;
 use effres_sparse::sparse_vec::{SparseAccumulator, SparseVec};
 use effres_sparse::{CscMatrix, WorkerPool};
@@ -124,11 +127,11 @@ pub struct ArenaFootprint {
     pub rows_bytes: usize,
     /// Bytes of the value block (`nnz × 8`).
     pub vals_bytes: usize,
-    /// Bytes of the row-bucket skeleton the resident arena derives from its
-    /// rows (2 per distinct bucket of a column and 8 padding buckets, plus
-    /// an 8-byte offset per column; see [`SparseApproximateInverse`]);
-    /// about 3% of the arena on the benchmark grid. It is never persisted,
-    /// so a paged store reports 0.
+    /// Bytes of the row-bucket skeleton. The resident arena derives it from
+    /// its rows (2 per distinct bucket of a column and 8 padding buckets,
+    /// plus an 8-byte offset per column; see [`SparseApproximateInverse`]),
+    /// about 3% of the arena on the benchmark grid. A paged store reports
+    /// its file's on-disk skeleton block, 0 for a v3 file.
     pub skeleton_bytes: usize,
     /// Width of one stored row index in bytes (4 for the `u32` arena).
     pub index_width_bytes: usize,
@@ -138,188 +141,6 @@ impl ArenaFootprint {
     /// Total bytes across the three arena blocks and the skeleton.
     pub fn total_bytes(&self) -> usize {
         self.col_ptr_bytes + self.rows_bytes + self.vals_bytes + self.skeleton_bytes
-    }
-}
-
-/// The row-bucket skeleton of an arena: for each column, the ascending
-/// distinct values of `row >> shift` as `u16`, in one flat array with an
-/// offset per column. It is derived from the rows, never persisted.
-///
-/// A column of the benchmark grid holds about 155 rows in about 22 distinct
-/// 16-row buckets, so its skeleton is about one cache line. Two suffixes
-/// that share a row `r` both hold the bucket `r >> shift`, so two skeletons
-/// that share no bucket from the larger column's own bucket on prove that
-/// the suffixes share no row ([`RowSkeleton::meet_from`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RowSkeleton {
-    /// `max(4, bits(order) − 16)`: every bucket fits `u16` up to the
-    /// arena's `u32` order cap.
-    shift: u32,
-    /// `ptr[j]..ptr[j + 1]` indexes `buckets` for column `j`.
-    ptr: Vec<usize>,
-    buckets: Vec<u16>,
-}
-
-impl RowSkeleton {
-    /// The bucket shift for an arena of `order` rows (see the `shift`
-    /// field).
-    fn shift_for(order: usize) -> u32 {
-        (usize::BITS - order.leading_zeros())
-            .saturating_sub(16)
-            .max(4)
-    }
-
-    /// The skeleton of a column-ordered arena, in one pass over its rows.
-    fn of(order: usize, col_ptr: &[usize], rows: &[u32]) -> Self {
-        let mut builder = SkeletonBuilder::new(order, rows.len());
-        for j in 0..order {
-            builder.push_column(&rows[col_ptr[j]..col_ptr[j + 1]]);
-        }
-        builder.finish()
-    }
-
-    /// The [`BUCKET_BLOCK`] buckets from position `at` of the flat array,
-    /// which may run past a column's end into the next column or the
-    /// padding; callers mask the lanes past the end.
-    fn block(&self, at: usize) -> &[u16; BUCKET_BLOCK] {
-        (self.buckets[at..at + BUCKET_BLOCK].try_into()).expect("a block of the padded buckets")
-    }
-
-    /// Where the suffixes of columns `p` and `q` at rows `max(p, q)..` can
-    /// first share a row: `None` when their skeletons share no bucket from
-    /// `max(p, q)`'s on, so the suffixes share no row; otherwise the first
-    /// row of their first shared bucket, raised to `max(p, q)`. No shared
-    /// row lies below it, since a shared row's bucket is in both skeletons.
-    ///
-    /// The two lists are compared a block of eight at a time, all pairs
-    /// without a branch (see [`held_lanes`]); a block pair that shares no
-    /// bucket moves the block with the smaller last bucket on.
-    fn meet_from(&self, p: usize, q: usize) -> Option<u32> {
-        let (lo, hi) = (p.min(q), p.max(q));
-        let (mut a, a_end) = (self.ptr[lo], self.ptr[lo + 1]);
-        let (mut b, b_end) = (self.ptr[hi], self.ptr[hi + 1]);
-        // Column `hi` is supported on `hi..`, so its skeleton starts at or
-        // after `hi`'s own bucket; column `lo`'s is cut there.
-        let from = (hi >> self.shift) as u16;
-        a += self.buckets[a..a_end].partition_point(|&bucket| bucket < from);
-        while a < a_end && b < b_end {
-            let (x, y) = (self.block(a), self.block(b));
-            let (na, nb) = ((a_end - a).min(BUCKET_BLOCK), (b_end - b).min(BUCKET_BLOCK));
-            let held = held_lanes(x, na, y, nb);
-            if held != 0 {
-                // The lists ascend, so the first held lane is the first
-                // shared bucket.
-                let shared = x[held.trailing_zeros() as usize];
-                return Some((u32::from(shared) << self.shift).max(hi as u32));
-            }
-            // Which block moves on is as unpredictable as the buckets.
-            let a_first = x[na - 1] < y[nb - 1];
-            a += na * usize::from(a_first);
-            b += nb * usize::from(!a_first);
-        }
-        None
-    }
-
-    fn bytes(&self) -> usize {
-        self.ptr.len() * std::mem::size_of::<usize>()
-            + self.buckets.len() * std::mem::size_of::<u16>()
-    }
-}
-
-/// Buckets [`RowSkeleton::meet_from`] compares at once; the flat bucket
-/// array ends with this many padding buckets, so a block can start at any
-/// bucket.
-const BUCKET_BLOCK: usize = 8;
-
-/// Which of the first `na` lanes of `x` equal one of the first `nb` lanes
-/// of `y`, as bits, without a branch. The lanes past either end are first
-/// overwritten with the block's lane 0, a bucket its list really holds:
-/// that can only repeat a real match, and never on a lane below the first
-/// real one. Then all 64 pairs are compared.
-fn held_lanes(x: &[u16; BUCKET_BLOCK], na: usize, y: &[u16; BUCKET_BLOCK], nb: usize) -> u32 {
-    // `LIVE[n]` keeps the first `n` lanes. A mask loaded by length, not a
-    // compare against it, keeps the lanes in vector registers.
-    const LIVE: [[u16; BUCKET_BLOCK]; BUCKET_BLOCK + 1] = {
-        let mut live = [[0; BUCKET_BLOCK]; BUCKET_BLOCK + 1];
-        let mut n = 0;
-        while n <= BUCKET_BLOCK {
-            let mut lane = 0;
-            while lane < n {
-                live[n][lane] = u16::MAX;
-                lane += 1;
-            }
-            n += 1;
-        }
-        live
-    };
-    let live = |block: &[u16; BUCKET_BLOCK], n: usize| -> [u16; BUCKET_BLOCK] {
-        let keep = &LIVE[n];
-        std::array::from_fn(|i| (block[i] & keep[i]) | (block[0] & !keep[i]))
-    };
-    let (x, y) = (live(x, na), live(y, nb));
-    let mut held = [0u16; BUCKET_BLOCK];
-    for bucket in y {
-        for (held, &lane) in held.iter_mut().zip(&x) {
-            *held |= u16::from(lane == bucket).wrapping_neg();
-        }
-    }
-    (held.iter().enumerate()).fold(0, |bits, (lane, &held)| bits | u32::from(held != 0) << lane)
-}
-
-/// Appends columns to a [`RowSkeleton`], one column's rows at a time.
-struct SkeletonBuilder {
-    skeleton: RowSkeleton,
-    /// Buckets written so far; `skeleton.buckets` is sized for one per row.
-    len: usize,
-}
-
-impl SkeletonBuilder {
-    /// A builder for `order` columns holding `nnz` rows in all. The bucket
-    /// buffer is allocated zeroed for one bucket per row and cut to size by
-    /// [`SkeletonBuilder::finish`], so no column zero-fills its part.
-    fn new(order: usize, nnz: usize) -> Self {
-        let mut ptr = Vec::with_capacity(order + 1);
-        ptr.push(0);
-        SkeletonBuilder {
-            skeleton: RowSkeleton {
-                shift: RowSkeleton::shift_for(order),
-                ptr,
-                buckets: vec![0; nnz],
-            },
-            len: 0,
-        }
-    }
-
-    /// Appends the next column's distinct buckets without a branch: every
-    /// row's bucket is written at the end, which advances only past a bucket
-    /// that differs from the one before. Returns whether `rows` strictly
-    /// increase, the check the loader makes on the column while it is in
-    /// cache.
-    ///
-    /// Kept out of line: inlined into the loader's column loop, the row
-    /// loop ran short of registers and reloaded its pointers every row.
-    #[inline(never)]
-    fn push_column(&mut self, rows: &[u32]) -> bool {
-        let increasing = rows.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
-        let (shift, buckets) = (self.skeleton.shift, &mut self.skeleton.buckets[..]);
-        let (mut len, mut last) = (self.len, u32::MAX);
-        for &row in rows {
-            let bucket = row >> shift;
-            buckets[len] = bucket as u16;
-            len += usize::from(bucket != last);
-            last = bucket;
-        }
-        self.len = len;
-        self.skeleton.ptr.push(len);
-        increasing
-    }
-
-    fn finish(self) -> RowSkeleton {
-        let mut skeleton = self.skeleton;
-        skeleton.buckets.truncate(self.len);
-        skeleton.buckets.resize(self.len + BUCKET_BLOCK, 0);
-        skeleton.buckets.shrink_to_fit();
-        skeleton
     }
 }
 
@@ -449,7 +270,7 @@ impl<'a> ColumnView<'a> {
 ///
 /// Beside the arena it keeps a row-bucket skeleton derived from the rows:
 /// each column's distinct `row >> shift` as `u16`, built in the pass that
-/// validates (or, after a build, follows) the rows, never persisted. It lets
+/// validates (or, after a build, follows) the rows. It lets
 /// the pair kernel prove most random pairs' suffixes disjoint before it
 /// reads a row (see [`crate::column_store::ColumnStore::suffixes_meet_from`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -720,6 +541,22 @@ impl SparseApproximateInverse {
     /// arena answers from its row-bucket skeleton.
     pub(crate) fn skeleton_meet_from(&self, p: usize, q: usize) -> Option<u32> {
         self.skeleton.meet_from(p, q)
+    }
+
+    /// The bucket shift of the row-bucket skeleton
+    /// ([`crate::skeleton::bucket_shift`] of the order).
+    pub fn skeleton_shift(&self) -> u32 {
+        self.skeleton.shift()
+    }
+
+    /// Column `j`'s row-bucket skeleton: its distinct `row >> shift`,
+    /// ascending (what the v4 snapshot persists).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of bounds.
+    pub fn skeleton_buckets(&self, j: usize) -> &[u16] {
+        self.skeleton.column(j).buckets()
     }
 
     /// Squared Euclidean distance between two columns — the effective

@@ -13,7 +13,7 @@
 //! * the **resident** backend — [`SparseApproximateInverse`]'s arena, where a
 //!   column is two slice borrows and access can never fail; and
 //! * **out-of-core** backends — `effres_io::PagedColumnStore` decodes
-//!   columns on demand from a v3 snapshot file behind a page cache (column
+//!   columns on demand from a v3 or v4 snapshot file behind a page cache (column
 //!   norms come from the file's persisted norm table), where a fetch can
 //!   fail (I/O error, corruption discovered while decoding a page) and
 //!   borrowed access must be scoped to a closure because the page a view
@@ -39,10 +39,12 @@
 //!   *certified* disjoint and gets the `+0.0` dot without a row read — about
 //!   85% of uniform random pairs there ([`KernelStats::certified_pairs`]) —
 //!   and any other pair's walk starts at its first shared bucket. Paged
-//!   stores keep the default, which proves nothing: a skeleton would have
-//!   to be computed from the whole row block at open or persisted in the
-//!   snapshot, and at about half of a paged server's resident set it would
-//!   not pay there.
+//!   stores keep the default, which proves nothing per pair: a resident
+//!   skeleton would be about half of a paged server's resident set. A v4
+//!   snapshot persists the skeleton instead, and the paged scheduler reads
+//!   the skeletons of a batch's columns from it and certifies the batch's
+//!   pairs with the same meet routine ([`crate::skeleton::meet_from`])
+//!   before it pins a page.
 //! * [`ColumnStore::with_rows_first`] lends a column's rows at once and its
 //!   values on request ([`RowsFirst`]); the two-column dot walks the rows
 //!   first and asks for values only where the suffixes meet, so a store
@@ -124,9 +126,9 @@ pub trait ColumnStore {
     ///
     /// The default proves nothing and returns `max(p, q)`. The resident
     /// arena answers from its row-bucket skeleton (see
-    /// [`SparseApproximateInverse`]); a paged store keeps the default, since
-    /// a skeleton would have to be read from the whole row block at open or
-    /// persisted in the file.
+    /// [`SparseApproximateInverse`]); a paged store keeps the default, and
+    /// its scheduler certifies a batch's pairs from a v4 file's persisted
+    /// skeleton before any pair reaches a kernel.
     ///
     /// # Panics
     ///
@@ -552,12 +554,15 @@ pub struct KernelStats {
     /// Pairs answered by the two-column suffix intersection (no neighbour
     /// shared a hub, so batching had nothing to amortize).
     pub isolated_pairs: u64,
-    /// The part of `isolated_pairs` the store certified disjoint before
-    /// reading a row ([`ColumnStore::suffixes_meet_from`]): answered from
-    /// the norm table alone, walking no entry. Only the resident arena
-    /// certifies; on the benchmark grid it certifies about 85% of uniform
-    /// random pairs. Hub pairs are not asked: the hub kernels scatter the
-    /// shared column once and stream every partner's suffix.
+    /// The part of `isolated_pairs` certified disjoint before a row was
+    /// read: answered from the norm table alone, walking no entry. The
+    /// resident arena certifies in the pair kernel
+    /// ([`ColumnStore::suffixes_meet_from`]); the paged scheduler certifies
+    /// a batch's pairs from a v4 file's persisted skeleton before it
+    /// clusters them, and counts them here and in `isolated_pairs`. On the
+    /// benchmark grid either certifies about 85% of uniform random pairs.
+    /// Hub pairs are not asked: the hub kernels scatter the shared column
+    /// once and stream every partner's suffix.
     pub certified_pairs: u64,
     /// A work count, not a byte count: 12 (a 4-byte row index plus an
     /// 8-byte value) per suffix entry the kernels walked. The hub paths
@@ -964,7 +969,7 @@ fn fetched_norm<S: ColumnStore + ?Sized>(store: &S, j: usize) -> Result<f64, Eff
 
 /// Squared Euclidean norms `‖z̃_j‖²` of every column, in column order,
 /// summed in index order — the table resident services precompute once (and
-/// v3 snapshots persist) so a query reduces to one sparse dot product.
+/// v3 and v4 snapshots persist) so a query reduces to one sparse dot product.
 ///
 /// # Errors
 ///

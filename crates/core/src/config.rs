@@ -103,7 +103,7 @@ pub struct EffresConfig {
     /// share the *same* pool. Results are bit-identical either way.
     pub worker_pool: Option<WorkerPool>,
     /// Decoded-page budget of a *paged* (out-of-core) column store, in
-    /// pages, when the deployment serves straight from a v3 snapshot file
+    /// pages, when the deployment serves straight from a v3 or v4 snapshot file
     /// and its persisted norm table instead of a resident arena
     /// (`effres_io::PagedColumnStore`, `effres-cli --paged`). Resident
     /// serving ignores it. Carried here so a build-then-serve deployment

@@ -12,6 +12,8 @@
 //!   abstraction the query kernels are generic over, so the same kernels
 //!   serve the resident CSC arena and out-of-core (paged, disk-backed)
 //!   column stores;
+//! * [`skeleton`] — row-bucket skeletons, which prove most random pairs'
+//!   suffixes disjoint before a row is read;
 //! * [`depth`] — the filled-graph depth of Eq. (11), which bounds the column
 //!   error (Theorem 1);
 //! * [`estimator`] — Alg. 3: the end-to-end effective-resistance engine
@@ -54,6 +56,7 @@ pub mod error;
 pub mod estimator;
 pub mod exact;
 pub mod random_projection;
+pub mod skeleton;
 pub mod stats;
 
 pub use approx_inverse::SparseApproximateInverse;

@@ -16,8 +16,9 @@
 //!   [`EffectiveResistanceEstimator`](effres::EffectiveResistanceEstimator)
 //!   (the pruned approximate-inverse columns and the permutation) so query
 //!   services restart without refactorizing;
-//! * [`paged`] — the out-of-core column store: queries read a v3 snapshot
-//!   file in place, with its persisted norm table (v1/v2 files are refused),
+//! * [`paged`] — the out-of-core column store: queries read a v3 or v4
+//!   snapshot file in place, with its persisted norm table and (v4)
+//!   row-bucket skeleton (v1/v2 files are refused),
 //!   via positioned reads and an LRU page cache — no resident arena;
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
 //!   positioned-read retry policy ([`RetryPolicy`]) behind the paged store's

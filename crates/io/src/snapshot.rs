@@ -7,7 +7,40 @@
 //! graph came from a dataset file, the original node labels) so a service
 //! can restart without refactorizing.
 //!
-//! ## Format version 3 (current, all little-endian)
+//! ## Format version 4 (current, all little-endian)
+//!
+//! Version 4 is version 3 plus one block, the arena's **row-bucket
+//! skeleton** ([`effres::skeleton`]), between the norms block and the
+//! labels flag. A column's skeleton is its distinct `row >> shift`,
+//! ascending, with the shift `max(4, bits(n) − 16)` of the order (it is not
+//! stored). The block holds one *record* per column, in column order: the
+//! byte length of the record's body as a LEB128 varint, then the body, the
+//! buckets delta-varint coded from the column's own bucket `j >> shift`
+//! (the first delta may be 0, every later one is at least 1). An empty
+//! column's record is the single byte 0. The length prefix lets a reader
+//! skip a record without decoding it. The block ends with an offset table:
+//! the byte offset, within the records, of the record of every 64th column
+//! (a *group* of 64 columns, a constant of the format), `⌈n / 64⌉ + 1`
+//! entries from 0 to the records' byte count.
+//!
+//! ```text
+//!   ... v3 payload up to and including the norms block,
+//!   skeleton block:  records_bytes u64,
+//!                    records (records_bytes bytes),
+//!                    group offsets u64 × (⌈n / 64⌉ + 1),
+//!   labels flag u8 (0|1), then labels u64 × n if 1
+//! crc32     u32      of the payload bytes
+//! ```
+//!
+//! The paged store keeps the offset table resident and reads the groups a
+//! batch needs (see [`crate::paged`]); the resident loader reads the block
+//! under the payload checksum and checks the table, but keeps nothing: it
+//! derives the same skeleton from the rows. On the benchmark grid the block
+//! is about 2% of the file. [`write_snapshot`] writes v4 from the arena's
+//! own skeleton; [`write_snapshot_v3`] keeps the v3 writer for
+//! compatibility tests.
+//!
+//! ## Format version 3 (legacy, read and paged serving kept)
 //!
 //! Version 3 extends the v2 bulk-arena layout with two blocks aimed at the
 //! out-of-core serving path:
@@ -31,7 +64,7 @@
 //!
 //! ```text
 //! magic     8 bytes  "EFRSNAP\n"
-//! version   u32      3
+//! version   u32      3 (4: see above)
 //! payload   (crc-checked):
 //!   node_count u64, epsilon f64,
 //!   estimator stats (factor_nnz u64, inverse_nnz u64, inverse_nnz_ratio f64,
@@ -80,6 +113,12 @@ pub(crate) const MAGIC: &[u8; 8] = b"EFRSNAP\n";
 pub(crate) const VERSION_V1: u32 = 1;
 pub(crate) const VERSION_V2: u32 = 2;
 pub(crate) const VERSION_V3: u32 = 3;
+pub(crate) const VERSION_V4: u32 = 4;
+
+/// Columns per group of the v4 skeleton block: its offset table locates the
+/// record of every `SKELETON_GROUP`-th column. A constant of the format,
+/// independent of any paged store's page size.
+pub(crate) const SKELETON_GROUP: usize = 64;
 
 /// v3 row-codec ids (one byte on disk).
 pub(crate) const ROW_CODEC_RAW: u8 = 0;
@@ -129,6 +168,55 @@ pub(crate) fn encode_varint_column(out: &mut Vec<u8>, rows: &[u32]) {
         push_varint(out, if k == 0 { row } else { row - prev });
         prev = row;
     }
+}
+
+/// Appends column `j`'s v4 skeleton record to `out`: the byte length of its
+/// body as a varint, then the body, the column's buckets delta-varint coded
+/// from the column's own bucket `j >> shift` (so the first delta may be 0
+/// and every later one is at least 1).
+pub(crate) fn encode_skeleton_record(out: &mut Vec<u8>, j: usize, shift: u32, buckets: &[u16]) {
+    let mut body = Vec::with_capacity(buckets.len());
+    let mut prev = (j >> shift) as u32;
+    for &bucket in buckets {
+        push_varint(&mut body, u32::from(bucket) - prev);
+        prev = u32::from(bucket);
+    }
+    push_varint(out, body.len() as u32);
+    out.extend_from_slice(&body);
+}
+
+/// Decodes the body of column `j`'s v4 skeleton record (see
+/// [`encode_skeleton_record`]) onto `out`: buckets that strictly increase
+/// from `j >> shift` and never pass `last_bucket`, the bucket of the
+/// order's last row. Every malformation is an error; `out` may then hold
+/// part of the column.
+pub(crate) fn decode_skeleton_body(
+    body: &[u8],
+    j: usize,
+    shift: u32,
+    last_bucket: u64,
+    out: &mut Vec<u16>,
+) -> Result<(), String> {
+    let mut at = 0;
+    let mut bucket = (j >> shift) as u64;
+    let mut first = true;
+    while at < body.len() {
+        let delta = long_varint(body, &mut at)?;
+        if delta == 0 && !first {
+            return Err(format!(
+                "column {j}: skeleton buckets do not strictly increase"
+            ));
+        }
+        bucket += delta;
+        if bucket > last_bucket {
+            return Err(format!(
+                "column {j}: skeleton bucket {bucket} lies past the last bucket {last_bucket}"
+            ));
+        }
+        out.push(bucket as u16);
+        first = false;
+    }
+    Ok(())
 }
 
 /// Decodes one column's delta-varint row encoding: exactly `count` strictly
@@ -204,7 +292,7 @@ fn decode_varint_words(bytes: &[u8], order: usize, rows: &mut [u32]) -> bool {
 }
 
 /// Reads one LEB128 varint of at most five bytes at `*at`, moving past it.
-fn long_varint(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
+pub(crate) fn long_varint(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -283,7 +371,7 @@ pub struct Snapshot {
     /// Original dataset ids of the estimator's dense nodes, if the snapshot
     /// was written from an ingested dataset.
     pub labels: Option<Vec<u64>>,
-    /// On-disk format version the snapshot was read from (1, 2 or 3), or
+    /// On-disk format version the snapshot was read from (1 to 4), or
     /// `None` for estimators built in memory that never touched a file.
     /// Surfaced so `effres-cli stats` and the server's stats reply can name
     /// the format a deployment is actually serving.
@@ -480,10 +568,12 @@ impl<R: Read> CrcReader<'_, R> {
 }
 
 /// Serializes an estimator (and optional node labels) to `writer` in the
-/// current format (version 3): the arena's bulk buffers behind a checksummed
+/// current format (version 4): the arena's bulk buffers behind a checksummed
 /// header, with the row block auto-negotiated between the raw and
-/// delta-varint codecs and the per-column squared norms persisted so loads
-/// (resident and paged) never recompute them.
+/// delta-varint codecs, the per-column squared norms persisted so loads
+/// (resident and paged) never recompute them, and the arena's row-bucket
+/// skeleton persisted so paged batches can certify pairs disjoint before
+/// they read a row.
 ///
 /// # Errors
 ///
@@ -495,9 +585,35 @@ pub fn write_snapshot<W: Write>(
     estimator: &EffectiveResistanceEstimator,
     labels: Option<&[u64]>,
 ) -> Result<(), IoError> {
+    write_arena_snapshot(writer, estimator, labels, VERSION_V4)
+}
+
+/// Serializes an estimator in the version-3 format (no skeleton block).
+///
+/// Kept so compatibility tests can produce fresh v3 bytes; new snapshots
+/// should use [`write_snapshot`].
+///
+/// # Errors
+///
+/// See [`write_snapshot`].
+pub fn write_snapshot_v3<W: Write>(
+    writer: &mut W,
+    estimator: &EffectiveResistanceEstimator,
+    labels: Option<&[u64]>,
+) -> Result<(), IoError> {
+    write_arena_snapshot(writer, estimator, labels, VERSION_V3)
+}
+
+/// The v3 and v4 writer: v4 is v3 plus the skeleton block.
+fn write_arena_snapshot<W: Write>(
+    writer: &mut W,
+    estimator: &EffectiveResistanceEstimator,
+    labels: Option<&[u64]>,
+    version: u32,
+) -> Result<(), IoError> {
     let n = validate_for_write(estimator, labels)?;
     writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION_V3.to_le_bytes())?;
+    writer.write_all(&version.to_le_bytes())?;
     let mut out = CrcWriter::new(writer);
     write_header_fields(&mut out, estimator, n)?;
     let inverse = estimator.approximate_inverse();
@@ -542,10 +658,35 @@ pub fn write_snapshot<W: Write>(
     // (This also primes the estimator's own memoized table as a side effect.)
     let norms = estimator.column_norms_shared();
     out.put_block(&norms, f64::to_le_bytes)?;
+    if version == VERSION_V4 {
+        let (records, group_off) = skeleton_block(inverse);
+        out.put_u64(records.len() as u64)?;
+        out.put(&records)?;
+        out.put_block(&group_off, u64::to_le_bytes)?;
+    }
     write_labels(&mut out, labels)?;
     let crc = out.crc.finish();
     writer.write_all(&crc.to_le_bytes())?;
     Ok(())
+}
+
+/// The v4 skeleton block of an arena, from the arena's own row-bucket
+/// skeleton: every column's record, and the byte offset of the record of
+/// every [`SKELETON_GROUP`]-th column (`⌈n / 64⌉ + 1` entries, the last
+/// one the records' byte count).
+fn skeleton_block(inverse: &SparseApproximateInverse) -> (Vec<u8>, Vec<u64>) {
+    let n = inverse.order();
+    let shift = inverse.skeleton_shift();
+    let mut records = Vec::new();
+    let mut group_off = Vec::with_capacity(n.div_ceil(SKELETON_GROUP) + 1);
+    for j in 0..n {
+        if j % SKELETON_GROUP == 0 {
+            group_off.push(records.len() as u64);
+        }
+        encode_skeleton_record(&mut records, j, shift, inverse.skeleton_buckets(j));
+    }
+    group_off.push(records.len() as u64);
+    (records, group_off)
 }
 
 /// Serializes an estimator in the version-2 format (bulk arena blocks, raw
@@ -675,9 +816,9 @@ fn write_labels<W: Write>(
     }
 }
 
-/// Reads a snapshot written by [`write_snapshot`] (version 3, the current
-/// format) or the legacy [`write_snapshot_v2`] and [`write_snapshot_v1`]
-/// formats, auto-detecting the version from the header, verifying magic and
+/// Reads a snapshot written by [`write_snapshot`] (version 4, the current
+/// format) or the legacy [`write_snapshot_v3`], [`write_snapshot_v2`] and
+/// [`write_snapshot_v1`] formats, auto-detecting the version from the header, verifying magic and
 /// checksum, and revalidating every structural invariant.
 ///
 /// # Errors
@@ -700,9 +841,10 @@ pub fn read_snapshot<R: Read>(reader: &mut R) -> Result<Snapshot, IoError> {
         VERSION_V1 => read_payload(reader, Version::V1),
         VERSION_V2 => read_payload(reader, Version::V2),
         VERSION_V3 => read_payload(reader, Version::V3),
+        VERSION_V4 => read_payload(reader, Version::V4),
         other => Err(IoError::Format(format!(
             "unsupported snapshot version {other} \
-             (this build reads {VERSION_V1}, {VERSION_V2} and {VERSION_V3})"
+             (this build reads {VERSION_V1} to {VERSION_V4})"
         ))),
     }
 }
@@ -712,6 +854,7 @@ enum Version {
     V1,
     V2,
     V3,
+    V4,
 }
 
 /// The payload fields shared by both snapshot versions, up to (and
@@ -785,8 +928,11 @@ fn read_payload<R: Read>(reader: &mut R, version: Version) -> Result<Snapshot, I
             let (c, r, v) = read_arena_v2(&mut input, n)?;
             (c, r, v, None)
         }
-        Version::V3 => {
+        Version::V3 | Version::V4 => {
             let (c, r, v, norms) = read_arena_v3(&mut input, n)?;
+            if version == Version::V4 {
+                read_skeleton_block(&mut input, n)?;
+            }
             (c, r, v, Some(norms))
         }
     };
@@ -840,6 +986,7 @@ fn read_payload<R: Read>(reader: &mut R, version: Version) -> Result<Snapshot, I
         Version::V1 => 1,
         Version::V2 => 2,
         Version::V3 => 3,
+        Version::V4 => 4,
     });
     Ok(Snapshot {
         estimator,
@@ -1074,6 +1221,51 @@ fn read_arena_v3<R: Read>(
     Ok((col_ptr, arena_rows, arena_vals, norms))
 }
 
+/// Reads the v4 skeleton block under the payload checksum without keeping
+/// it: the resident arena derives its skeleton from the rows. The records
+/// stream through one bounded chunk buffer; the offset table is checked
+/// ([`read_skeleton_offsets`]).
+fn read_skeleton_block<R: Read>(input: &mut CrcReader<'_, R>, n: usize) -> Result<(), IoError> {
+    let records_bytes = input.take_u64()?;
+    let count = usize::try_from(records_bytes)
+        .map_err(|_| IoError::Format("skeleton block overflows the address space".into()))?;
+    input.take_chunks(count, |_: &[[u8; 1]]| Ok(()))?;
+    read_skeleton_offsets(input, n, records_bytes).map(drop)
+}
+
+/// Reads and checks the offset table that ends a v4 skeleton block:
+/// `⌈n / 64⌉ + 1` `u64` byte offsets into the records, which must start at
+/// 0, never decrease, and end at `records_bytes`. Violations are rejected
+/// while streaming, so a paged store can locate any group of records with
+/// one positioned read.
+pub(crate) fn read_skeleton_offsets<R: Read>(
+    input: &mut CrcReader<'_, R>,
+    n: usize,
+    records_bytes: u64,
+) -> Result<Vec<u64>, IoError> {
+    let entries = n.div_ceil(SKELETON_GROUP) + 1;
+    let mut offsets: Vec<u64> = Vec::with_capacity(entries.min(PREALLOC_CAP));
+    input.take_block(entries, |b: [u8; 8]| {
+        let off = u64::from_le_bytes(b);
+        let prev = offsets.last().copied().unwrap_or(0);
+        if (offsets.is_empty() && off != 0) || off < prev || off > records_bytes {
+            return Err(IoError::Format(format!(
+                "skeleton offset {} ({off}) is outside the ascending range {prev}..={records_bytes}",
+                offsets.len()
+            )));
+        }
+        offsets.push(off);
+        Ok(())
+    })?;
+    if offsets.last() != Some(&records_bytes) {
+        return Err(IoError::Format(format!(
+            "skeleton offsets must end at the block's {records_bytes} bytes, got {:?}",
+            offsets.last()
+        )));
+    }
+    Ok(offsets)
+}
+
 /// The staging path [`save_snapshot`] writes to before its atomic rename: a
 /// dot-prefixed sibling of `path` tagged with the writing process id, so the
 /// rename never crosses a filesystem boundary and concurrent writers from
@@ -1277,26 +1469,31 @@ mod tests {
     #[test]
     fn all_writers_round_trip_identically() {
         // Same estimator through every format: the loaded arenas must match
-        // bit-for-bit — v1's per-column records, v2's bulk blocks and v3's
-        // codec-negotiated blocks are three encodings of the same buffers.
+        // bit-for-bit — v1's per-column records, v2's bulk blocks, v3's
+        // codec-negotiated blocks and v4's v3 plus skeleton are four
+        // encodings of the same buffers.
         let estimator = sample_estimator();
         let mut v1 = Vec::new();
         write_snapshot_v1(&mut v1, &estimator, None).expect("write v1");
         let mut v2 = Vec::new();
         write_snapshot_v2(&mut v2, &estimator, None).expect("write v2");
         let mut v3 = Vec::new();
-        write_snapshot(&mut v3, &estimator, None).expect("write v3");
+        write_snapshot_v3(&mut v3, &estimator, None).expect("write v3");
+        let mut v4 = Vec::new();
+        write_snapshot(&mut v4, &estimator, None).expect("write v4");
         assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
         assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 2);
         assert_eq!(u32::from_le_bytes(v3[8..12].try_into().unwrap()), 3);
+        assert_eq!(u32::from_le_bytes(v4[8..12].try_into().unwrap()), 4);
         // Same rows/vals payload; v1 and v2 differ only in framing (v1: one
         // u32 nnz per column, v2: a u64 col_ptr block + nnz header).
         assert_eq!(v2.len() as i64 - v1.len() as i64, 8 * 145 + 8 - 4 * 144);
         let from_v1 = read_snapshot(&mut v1.as_slice()).expect("read v1");
         let from_v2 = read_snapshot(&mut v2.as_slice()).expect("read v2");
         let from_v3 = read_snapshot(&mut v3.as_slice()).expect("read v3");
+        let from_v4 = read_snapshot(&mut v4.as_slice()).expect("read v4");
         let a = from_v1.estimator.approximate_inverse();
-        for loaded in [&from_v2, &from_v3] {
+        for loaded in [&from_v2, &from_v3, &from_v4] {
             let b = loaded.estimator.approximate_inverse();
             assert_eq!(a.col_ptr(), b.col_ptr());
             assert_eq!(a.arena_rows(), b.arena_rows());
@@ -1537,6 +1734,7 @@ mod tests {
         let estimator = sample_estimator();
         for write in [
             write_snapshot::<Vec<u8>>,
+            write_snapshot_v3::<Vec<u8>>,
             write_snapshot_v2::<Vec<u8>>,
             write_snapshot_v1::<Vec<u8>>,
         ] {
@@ -1632,7 +1830,7 @@ mod tests {
         // A tiny snapshot whose header claims u32::MAX nodes must fail with a
         // clean format error (truncated payload), not abort the process
         // trying to preallocate gigabytes — in every version.
-        for version in [1u32, 2, 3] {
+        for version in [1u32, 2, 3, 4] {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(b"EFRSNAP\n");
             bytes.extend_from_slice(&version.to_le_bytes());

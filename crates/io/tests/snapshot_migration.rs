@@ -1,22 +1,25 @@
 //! Snapshot compatibility: version-1 snapshot files written *before* the
 //! arena-backed column store existed must keep loading, version-2 files
-//! (the bulk-arena encoding) and version-3 files (codec-negotiated rows +
-//! persisted norms) must load to the *same bits*, and the arena-backed
-//! query kernels must reproduce the pre-arena answers bit-for-bit.
+//! (the bulk-arena encoding), version-3 files (codec-negotiated rows +
+//! persisted norms) and version-4 files (v3 plus the row-bucket skeleton)
+//! must load to the *same bits*, and the arena-backed query kernels must
+//! reproduce the pre-arena answers bit-for-bit.
 //!
 //! `tests/fixtures/v1_grid12.snap` was generated by the pre-arena build
 //! (per-column `Vec<SparseVec>` store) from `generators::grid_2d(12, 12,
 //! 0.5, 2.0, 9)` with the default config, together with
 //! `v1_grid12.expected`: lines of `p q bits` where `bits` is the hex
 //! `f64::to_bits` of the resistance that build computed for `(p, q)`.
-//! `tests/fixtures/v2_grid12.snap` and `v3_grid12.snap` are the same
-//! estimator re-encoded in the v2 / v3 formats (see the `regenerate_*`
-//! tests below).
+//! `tests/fixtures/v2_grid12.snap`, `v3_grid12.snap` and `v4_grid12.snap`
+//! are the same estimator re-encoded in the v2 / v3 / v4 formats (see the
+//! `regenerate_*` tests below; the v4 fixture is also exactly what
+//! `effres-cli build v3_grid12.snap --output v4_grid12.snap` writes).
 
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::snapshot::{
     load_snapshot, read_snapshot, write_snapshot, write_snapshot_v1, write_snapshot_v2,
+    write_snapshot_v3,
 };
 use std::path::PathBuf;
 
@@ -64,7 +67,12 @@ fn committed_fixtures_store_only_finite_values_with_the_sign_bit_clear() {
     // Lemma 1: every stored value of Z̃ is nonnegative, and no fixture
     // stores a -0.0 either, so a decoded value with its sign bit set can
     // only be corruption.
-    for name in ["v1_grid12.snap", "v2_grid12.snap", "v3_grid12.snap"] {
+    for name in [
+        "v1_grid12.snap",
+        "v2_grid12.snap",
+        "v3_grid12.snap",
+        "v4_grid12.snap",
+    ] {
         let loaded = load_snapshot(fixture(name)).expect("fixture must load");
         let values = loaded.estimator.approximate_inverse().arena_values();
         assert!(!values.is_empty(), "{name}");
@@ -80,12 +88,12 @@ fn committed_fixtures_store_only_finite_values_with_the_sign_bit_clear() {
 #[test]
 fn v2_and_v3_fixtures_load_bit_identical_to_the_v1_fixture() {
     // The same estimator through every on-disk encoding: the per-column v1
-    // records, the v2 bulk arena blocks and the v3 codec-negotiated blocks
-    // must load into byte-identical arenas and answer every pinned query
-    // with the same bits.
+    // records, the v2 bulk arena blocks, the v3 codec-negotiated blocks and
+    // v4's v3 plus skeleton must load into byte-identical arenas and answer
+    // every pinned query with the same bits.
     let v1 = load_snapshot(fixture("v1_grid12.snap")).expect("v1 snapshot must load");
     let a = v1.estimator.approximate_inverse();
-    for name in ["v2_grid12.snap", "v3_grid12.snap"] {
+    for name in ["v2_grid12.snap", "v3_grid12.snap", "v4_grid12.snap"] {
         let loaded = load_snapshot(fixture(name)).expect("fixture must load");
         assert_eq!(v1.labels, loaded.labels, "{name}");
         assert_eq!(v1.estimator.stats(), loaded.estimator.stats(), "{name}");
@@ -144,11 +152,12 @@ fn rebuilding_the_fixture_graph_matches_the_v1_snapshot_bitwise() {
 }
 
 #[test]
-fn snapshots_written_today_use_v3_and_round_trip() {
-    // The writer now emits format version 3 (codec-negotiated row block +
-    // persisted norms): a snapshot produced by the arena-backed estimator
-    // must be readable — via the version auto-detection — answer
-    // identically, and hand the loader a ready norm table.
+fn snapshots_written_today_use_v4_and_round_trip() {
+    // The writer now emits format version 4 (codec-negotiated row block,
+    // persisted norms and skeleton): a snapshot produced by the
+    // arena-backed estimator must be readable — via the version
+    // auto-detection — answer identically, and hand the loader a ready norm
+    // table.
     let graph = generators::grid_2d(9, 9, 1.0, 1.0, 4).expect("generator");
     let estimator =
         EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build");
@@ -157,7 +166,7 @@ fn snapshots_written_today_use_v3_and_round_trip() {
     assert_eq!(&bytes[..8], b"EFRSNAP\n", "magic");
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-        3,
+        4,
         "version"
     );
     let reread = read_snapshot(&mut bytes.as_slice()).expect("read");
@@ -173,7 +182,7 @@ fn snapshots_written_today_use_v3_and_round_trip() {
 
 #[test]
 fn the_legacy_writers_still_produce_loadable_bytes() {
-    // The v1 and v2 writers stay available for compatibility tests and
+    // The v1, v2 and v3 writers stay available for compatibility tests and
     // fixture regeneration; fresh legacy bytes must keep round-tripping
     // through the auto-detecting reader.
     let graph = generators::grid_2d(9, 9, 1.0, 1.0, 4).expect("generator");
@@ -190,6 +199,7 @@ fn the_legacy_writers_still_produce_loadable_bytes() {
             1u32,
         ),
         (write_snapshot_v2, 2),
+        (write_snapshot_v3, 3),
     ] {
         let mut bytes = Vec::new();
         write(&mut bytes, &estimator, None).expect("write legacy");
@@ -227,7 +237,7 @@ fn regenerate_v2_fixture() {
 }
 
 /// Regenerates `v3_grid12.snap` from the committed v1 fixture — same
-/// estimator, labels included — in the current format. Run manually with
+/// estimator, labels included — in the v3 format. Run manually with
 /// `cargo test -p effres-io --test snapshot_migration -- --ignored
 /// regenerate_v3_fixture` after an intentional format change, then commit
 /// the file.
@@ -237,8 +247,51 @@ fn regenerate_v3_fixture() {
     let snapshot = load_snapshot(fixture("v1_grid12.snap")).expect("v1 snapshot must load");
     let file = std::fs::File::create(fixture("v3_grid12.snap")).expect("create fixture");
     let mut writer = std::io::BufWriter::new(file);
-    write_snapshot(&mut writer, &snapshot.estimator, snapshot.labels.as_deref())
+    write_snapshot_v3(&mut writer, &snapshot.estimator, snapshot.labels.as_deref())
         .expect("write v3 fixture");
     use std::io::Write as _;
     writer.flush().expect("flush fixture");
+}
+
+/// Regenerates `v4_grid12.snap` from the committed v3 fixture — same
+/// estimator, labels included — in the current format, as `effres-cli
+/// build v3_grid12.snap --output v4_grid12.snap` does. Run manually with
+/// `cargo test -p effres-io --test snapshot_migration -- --ignored
+/// regenerate_v4_fixture` after an intentional format change, then commit
+/// the file.
+#[test]
+#[ignore = "fixture generator, run manually"]
+fn regenerate_v4_fixture() {
+    let snapshot = load_snapshot(fixture("v3_grid12.snap")).expect("v3 snapshot must load");
+    let file = std::fs::File::create(fixture("v4_grid12.snap")).expect("create fixture");
+    let mut writer = std::io::BufWriter::new(file);
+    write_snapshot(&mut writer, &snapshot.estimator, snapshot.labels.as_deref())
+        .expect("write v4 fixture");
+    use std::io::Write as _;
+    writer.flush().expect("flush fixture");
+}
+
+#[test]
+fn every_older_fixture_reencodes_to_the_v4_fixture_byte_for_byte() {
+    // `effres-cli build <old.snap> --output <new.snap>` is a resident load
+    // and a `write_snapshot`: from any version it must write exactly the
+    // committed v4 bytes, skeleton block included, since the writer takes
+    // the skeleton from the loaded arena and the loader derives it from
+    // the same rows.
+    let v4 = std::fs::read(fixture("v4_grid12.snap")).expect("v4 fixture");
+    assert_eq!(
+        u32::from_le_bytes(v4[8..12].try_into().expect("4 bytes")),
+        4,
+        "version"
+    );
+    for name in ["v1_grid12.snap", "v2_grid12.snap", "v3_grid12.snap"] {
+        let loaded = load_snapshot(fixture(name)).expect("fixture must load");
+        let mut bytes = Vec::new();
+        write_snapshot(&mut bytes, &loaded.estimator, loaded.labels.as_deref()).expect("re-encode");
+        assert!(bytes == v4, "{name} re-encodes to different bytes");
+    }
+    let v4_loaded = load_snapshot(fixture("v4_grid12.snap")).expect("v4 fixture loads");
+    assert_eq!(v4_loaded.version, Some(4));
+    let v3 = std::fs::read(fixture("v3_grid12.snap")).expect("v3 fixture");
+    assert!(v4.len() > v3.len(), "v4 adds the skeleton block");
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! effres-cli load  <dataset>                      ingest + report
 //! effres-cli build <dataset> [-o out.snap]        ingest + factor + snapshot
-//! effres-cli build <snapshot> -o out.snap         re-encode as v3
+//! effres-cli build <snapshot> -o out.snap         re-encode as v4
 //! effres-cli query <dataset|snapshot> <p> <q>     one resistance
 //! effres-cli batch <dataset|snapshot> --random N  thousands of queries
 //! effres-cli batch <dataset|snapshot> --pairs f   ... from a pair file
@@ -23,13 +23,15 @@
 //! estimator uses internally (`--dense` skips the mapping — that is the id
 //! space the network protocol speaks).
 //!
-//! With `--paged`, `query`/`batch`/`stats` serve a **v3 snapshot straight
-//! from disk**: only the header, permutation, column pointers and persisted
-//! norm table are loaded (milliseconds even for huge graphs) and column data
-//! pages in on demand through an LRU cache sized by `--page-cache`. Answers
-//! are bit-identical to resident serving. v1 and v2 snapshots have no norm
-//! table and are refused; `build <old.snap> --output <new.snap>` loads any
-//! version and writes it as v3.
+//! With `--paged`, `query`/`batch`/`stats` serve a **v3 or v4 snapshot
+//! straight from disk**: only the header, permutation, column pointers,
+//! persisted norm table and (v4) the skeleton's group offsets are loaded
+//! (milliseconds even for huge graphs) and column data pages in on demand
+//! through an LRU cache sized by `--page-cache`. A v4 batch first reads the
+//! row-bucket skeletons of its columns and answers the pairs they certify
+//! disjoint from the norm table. Answers are bit-identical to resident
+//! serving. v1 and v2 snapshots have no norm table and are refused; `build
+//! <old.snap> --output <new.snap>` loads any version and writes it as v4.
 
 use effres::centrality::centralities_from_resistances;
 use effres::{EffectiveResistanceEstimator, EffresConfig, Ordering, WorkerPool};
@@ -109,7 +111,7 @@ BATCH OPTIONS:
     --output <file>         write `p q resistance` lines here
 
 PAGED OPTIONS (snapshot inputs; out-of-core serving):
-    --paged                 serve columns directly from the v3 snapshot
+    --paged                 serve columns directly from the v3/v4 snapshot
                             file (positioned reads + LRU page cache) instead
                             of loading the arena into memory; answers are
                             bit-identical to resident serving. Re-encode a
@@ -755,7 +757,8 @@ fn serve_batch(
         let lookups = page.hits + page.misses;
         println!(
             "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read, \
-             {} readahead read(s), {} column run(s), {} value read(s) — this batch",
+             {} readahead read(s), {} column run(s), {} value read(s), \
+             {} skeleton read(s) — this batch",
             page.hits,
             page.misses,
             if lookups == 0 {
@@ -766,7 +769,8 @@ fn serve_batch(
             page.bytes_read as f64 / (1024.0 * 1024.0),
             page.readahead_reads,
             page.column_runs,
-            page.value_reads
+            page.value_reads,
+            page.skeleton_reads
         );
     }
     if let Some(schedule) = result.schedule {
@@ -1078,7 +1082,10 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     if options.paged {
         let paged = obtain_paged(path, &options)?;
         println!("snapshot   {} (paged)", path.display());
-        println!("format     v3");
+        println!(
+            "format     v{}",
+            if paged.store.has_skeleton() { 4 } else { 3 }
+        );
         let s = paged.stats;
         println!("nodes      {}", s.node_count);
         println!(
@@ -1091,14 +1098,23 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         );
         let f = paged.store.footprint();
         println!(
-            "on disk    col_ptr {:.1} MiB + rows {:.1} MiB + vals {:.1} MiB = {:.1} MiB \
-             ({}-byte row indices)",
+            "on disk    col_ptr {:.1} MiB + rows {:.1} MiB + vals {:.1} MiB + skeleton {:.1} MiB \
+             = {:.1} MiB ({}-byte row indices)",
             mib(f.col_ptr_bytes),
             mib(f.rows_bytes),
             mib(f.vals_bytes),
+            mib(f.skeleton_bytes),
             mib(f.total_bytes()),
             f.index_width_bytes
         );
+        if paged.store.has_skeleton() {
+            println!(
+                "skeleton   persisted, {:.2} MiB on disk (batches certify disjoint pairs from it)",
+                mib(f.skeleton_bytes)
+            );
+        } else {
+            println!("skeleton   none (v3: every pair reads its columns' rows)");
+        }
         println!(
             "resident   {:.1} MiB (col_ptr/offset/norm blocks; columns page in on demand)",
             mib(paged.store.resident_bytes())
@@ -1169,9 +1185,10 @@ fn open_paged_engine(
     pool: &WorkerPool,
 ) -> Result<(QueryEngine<PagedSnapshot>, Option<u32>), CliError> {
     let paged = obtain_paged(path, options)?;
+    // `open_paged` serves v3 and v4 files; only v4 carries a skeleton.
+    let version = if paged.store.has_skeleton() { 4 } else { 3 };
     let engine = QueryEngine::new(Arc::new(paged), engine_options(options, pool));
-    // `open_paged` serves v3 files only.
-    Ok((engine, Some(3)))
+    Ok((engine, Some(version)))
 }
 
 /// The resident [`Opener`]: a snapshot loaded, or a dataset built, into

@@ -1238,6 +1238,10 @@ fn stats_json<B: ResistanceBackend>(shared: &Shared<B>) -> String {
                 ),
                 ("page_retries", Json::Int(service.page_retries)),
                 ("page_faulted_reads", Json::Int(service.page_faulted_reads)),
+                (
+                    "page_skeleton_reads",
+                    Json::Int(service.page_skeleton_reads),
+                ),
             ]),
         ),
         ("admission", admission),

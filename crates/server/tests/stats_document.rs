@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The paged server's document: every key of the schema.
-const PAGED_SCHEMA: [&str; 62] = [
+const PAGED_SCHEMA: [&str; 63] = [
     "backend: str",
     "nodes: int",
     "snapshot_version: int",
@@ -62,6 +62,7 @@ const PAGED_SCHEMA: [&str; 62] = [
     "service.page_readahead_reads: int",
     "service.page_retries: int",
     "service.page_faulted_reads: int",
+    "service.page_skeleton_reads: int",
     "admission: obj",
     "admission.budget: int",
     "admission.available: int",

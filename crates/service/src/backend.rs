@@ -8,11 +8,11 @@
 //! scratch reuse and worker-pool fan-out serve:
 //!
 //! * [`EffectiveResistanceEstimator`] — the **resident** backend: the arena
-//!   is in memory, the norm table is computed once (or loaded with a v3
-//!   snapshot), and every query is a single suffix dot product;
+//!   is in memory, the norm table is computed once (or loaded with a v3 or
+//!   v4 snapshot), and every query is a single suffix dot product;
 //! * [`PagedSnapshot`] — the **out-of-core** backend: columns live in a v3
-//!   snapshot file behind a page cache, and the norm table is the file's
-//!   persisted norms block.
+//!   or v4 snapshot file behind a page cache, and the norm table is the
+//!   file's persisted norms block.
 
 use effres::column_store::ColumnStore;
 use effres::EffectiveResistanceEstimator;

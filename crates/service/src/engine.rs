@@ -32,7 +32,7 @@
 //! The engine is generic over *where the columns live*: the resident
 //! [`EffectiveResistanceEstimator`] backend reads them out of the in-memory
 //! CSC arena, while the paged [`effres_io::PagedSnapshot`] backend pages
-//! them in from a v3 snapshot file on demand. Both hand the engine one
+//! them in from a v3 or v4 snapshot file on demand. Both hand the engine one
 //! `‖z̃_j‖²` norm table, summed in the same order (the paged one is the
 //! file's persisted block), so both return bit-identical resistances.
 //! Column fetches are fallible for the paged backend, so the batch paths
@@ -195,6 +195,10 @@ pub struct ServiceStats {
     /// `page_retries`, faults burned through the retry budget and surfaced
     /// as typed per-column failures.
     pub page_faulted_reads: u64,
+    /// Positioned reads of a v4 snapshot's skeleton block by an
+    /// out-of-core backend (their bytes count in `page_bytes_read`). Zero
+    /// for resident backends and v3 files.
+    pub page_skeleton_reads: u64,
 }
 
 /// Result of one batch execution.
@@ -532,6 +536,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             page_value_reads: page.value_reads,
             page_retries: page.retries,
             page_faulted_reads: page.faulted_reads,
+            page_skeleton_reads: page.skeleton_reads,
         }
     }
 

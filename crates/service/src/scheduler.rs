@@ -12,7 +12,13 @@
 //!
 //! [`QueryEngine::execute_with`] runs every batch on a backend with a
 //! [`paged_store`](crate::ResistanceBackend::paged_store) through this
-//! scheduler, in three steps:
+//! scheduler. On a v4 file a **certification** pass comes first: it reads
+//! the persisted row-bucket skeletons of the batch's columns
+//! ([`PagedColumnStore::read_skeletons`](effres_io::PagedColumnStore::read_skeletons)),
+//! in a few large reads, and answers every cache-missing query whose
+//! skeletons share no bucket from the norm table — about 85% of uniform
+//! random pairs on the benchmark grid — so only the rest reach the three
+//! steps below:
 //!
 //! 1. **Cluster** — each cache-missing query is mapped to its page pair
 //!    `(page_lo, page_hi)` (the pages of its smaller and larger permuted
@@ -21,8 +27,9 @@
 //!    (either side) the remaining queries touch, capped at the store's
 //!    cache budget, and cuts the next queries, in page-pair order, into up
 //!    to `fan` chunks of at most `grant / fan` distinct pages each, where
-//!    `fan` is the batch's thread count, at most one chunk per two granted
-//!    pages. A round never pins more than its grant.
+//!    `fan` is the batch's thread count, at most one chunk per
+//!    `MIN_CHUNK_PAGES` (16) granted pages. A round never pins more than
+//!    its grant.
 //! 3. **Drain** — each chunk is pinned once
 //!    ([`PagedColumnStore::pin_pages`](effres_io::PagedColumnStore::pin_pages))
 //!    and stays resident while *all* of its queries drain. A round with
@@ -85,6 +92,7 @@
 use crate::admission::PinLease;
 use crate::backend::ResistanceBackend;
 use crate::batch::QueryBatch;
+use crate::cache::ShardedLru;
 use crate::cancel::CancelToken;
 use crate::engine::{
     cache_key, grouped_values, BatchResult, EngineCore, ExecOptions, QueryEngine, Run,
@@ -208,6 +216,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             });
         }
         run.misses = pending.len() as u64;
+        if store.has_skeleton() && cancel.is_none_or(|token| token.cancelled().is_none()) {
+            self.certify(store, &mut pending, run, cache);
+        }
 
         // 1. Cluster: queries sharing a page pair become adjacent; the slot
         // tiebreak keeps the plan deterministic for identical batches.
@@ -288,7 +299,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             // Cut up to `fan` chunks of at most `cap` distinct pages, so the
             // round's pins never exceed the grant. A chunk always takes its
             // first query, which fits: `cap >= 2`.
-            let fan = threads.min(grant / 2).max(1);
+            let fan = threads.min(grant / MIN_CHUNK_PAGES).max(1);
             let cap = grant / fan;
             let mut chunks: Vec<(Vec<usize>, usize, usize)> = Vec::new();
             while chunks.len() < fan && at < pending.len() {
@@ -359,7 +370,54 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         run.schedule = Some(report);
         Ok(())
     }
+
+    /// The certification pass of [`QueryEngine::run_scheduled`] on a store
+    /// with a persisted skeleton: reads the skeletons of the pending
+    /// queries' columns in a few large reads
+    /// ([`PagedColumnStore::read_skeletons`]), answers every query whose
+    /// suffixes they certify disjoint from the norm table, with the
+    /// kernels' own arithmetic for a `+0.0` dot, fills the pair cache with
+    /// those answers, and leaves only the other queries pending.
+    fn certify(
+        &self,
+        store: &PagedColumnStore,
+        pending: &mut Vec<Pending>,
+        run: &mut Run,
+        cache: Option<&ShardedLru>,
+    ) {
+        let mut columns: Vec<usize> = (pending.iter())
+            .flat_map(|t| [t.pp as usize, t.qq as usize])
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let skeletons = store.read_skeletons(&columns);
+        let norms = &self.core.norms;
+        let before = pending.len();
+        pending.retain(|t| {
+            let (p, q) = (t.pp as usize, t.qq as usize);
+            if !skeletons.certifies(p, q) {
+                return true;
+            }
+            // The same bits as the kernels' `+0.0` dot of two disjoint
+            // suffixes (and their `-0.0` over an empty one).
+            let value = (norms[p] + norms[q] - 2.0 * 0.0).max(0.0);
+            run.values[t.slot as usize] = value;
+            if let Some(cache) = cache {
+                cache.insert(cache_key(p, q), value);
+            }
+            false
+        });
+        let certified = (before - pending.len()) as u64;
+        run.kernel.isolated_pairs += certified;
+        run.kernel.certified_pairs += certified;
+    }
 }
+
+/// Fewest pages a chunk gets when a round fans out over threads: a grant
+/// that cannot give every chunk this many drains as one chunk. Below it,
+/// a second worker's pin and hand-off cost more than its share of the
+/// round's reads saves.
+const MIN_CHUNK_PAGES: usize = 16;
 
 /// Fails every query in `queries` with `error`.
 fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error: &EffresError) {
@@ -525,9 +583,10 @@ mod tests {
     fn scheduled_parallel_fan_out_is_bit_identical_too() {
         let (path, _estimator) = temp_snapshot("sched16_par.snap");
         let batch = QueryBatch::random(4000, 256, 5);
+        // A grant of four chunks' worth of pages: four threads fan out.
         let paged_options = PagedOptions {
             columns_per_page: 2,
-            cache_pages: 16,
+            cache_pages: 4 * MIN_CHUNK_PAGES,
             cache_shards: 2,
             ..PagedOptions::default()
         };
@@ -600,6 +659,61 @@ mod tests {
         let (path, _estimator) = temp_snapshot("sched16_fan2.snap");
         let paged_options = PagedOptions {
             columns_per_page: 2,
+            cache_pages: 2 * MIN_CHUNK_PAGES,
+            cache_shards: 1,
+            ..PagedOptions::default()
+        };
+        let engine = paged_engine(
+            &path,
+            &paged_options,
+            EngineOptions {
+                cache_capacity: 0,
+                threads: 2,
+                parallel_threshold: 8,
+                ..EngineOptions::default()
+            },
+        );
+        let reference = paged_engine(
+            &path,
+            &paged_options,
+            EngineOptions {
+                cache_capacity: 0,
+                parallel_threshold: usize::MAX,
+                ..EngineOptions::default()
+            },
+        );
+        let batch = QueryBatch::random(3000, 256, 23);
+        let expected = reference.execute(&batch).expect("unscheduled");
+        for mode in [ExecMode::FailFast, ExecMode::Partial] {
+            let result = engine
+                .execute_with(&batch, &ExecOptions { mode, cancel: None })
+                .expect("scheduled");
+            // A grant of twice the fan-out threshold at two threads: two
+            // chunks of at most `MIN_CHUNK_PAGES` pages drain at once on
+            // pool workers, each pinning its own.
+            assert_eq!(result.threads, 2, "{mode:?}");
+            let schedule = result.schedule.expect("scheduled");
+            assert!(schedule.windows > schedule.blocks, "{schedule:?}");
+            assert!(result.failures.is_empty());
+            for (x, y) in expected.values.iter().zip(&result.values) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
+            }
+        }
+        let store = &engine.backend().store;
+        assert_eq!(store.cache_capacity_pages(), 2 * MIN_CHUNK_PAGES);
+        assert!(
+            store.pinned_pages_high_water() <= store.cache_capacity_pages(),
+            "pinned {} pages at once",
+            store.pinned_pages_high_water()
+        );
+    }
+
+    #[test]
+    fn a_grant_below_the_fan_out_threshold_drains_one_chunk_per_round() {
+        let (path, _estimator) = temp_snapshot("sched16_small_grant.snap");
+        // A 4-page cache: every grant is under two chunks' worth of pages.
+        let paged_options = PagedOptions {
+            columns_per_page: 2,
             cache_pages: 4,
             cache_shards: 1,
             ..PagedOptions::default()
@@ -629,23 +743,14 @@ mod tests {
             let result = engine
                 .execute_with(&batch, &ExecOptions { mode, cancel: None })
                 .expect("scheduled");
-            // A 4-page grant at two threads: two chunks of at most 2 pages
-            // drain at once on pool workers, each pinning its own.
-            assert_eq!(result.threads, 2, "{mode:?}");
+            assert_eq!(result.threads, 1, "{mode:?}");
             let schedule = result.schedule.expect("scheduled");
-            assert!(schedule.windows > schedule.blocks, "{schedule:?}");
-            assert!(result.failures.is_empty());
+            assert!(schedule.blocks > 1, "{schedule:?}");
+            assert_eq!(schedule.windows, schedule.blocks, "{schedule:?}");
             for (x, y) in expected.values.iter().zip(&result.values) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{mode:?}");
             }
         }
-        let store = &engine.backend().store;
-        assert_eq!(store.cache_capacity_pages(), 4);
-        assert!(
-            store.pinned_pages_high_water() <= store.cache_capacity_pages(),
-            "pinned {} pages at once",
-            store.pinned_pages_high_water()
-        );
     }
 
     #[test]

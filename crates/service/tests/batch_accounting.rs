@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// A 16×16 grid (256 nodes), built once and persisted as a v3 snapshot.
+/// A 16×16 grid (256 nodes), built once and persisted as a v4 snapshot.
 fn fixture() -> &'static (PathBuf, Arc<EffectiveResistanceEstimator>) {
     static FIXTURE: OnceLock<(PathBuf, Arc<EffectiveResistanceEstimator>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {

@@ -8,7 +8,7 @@
 use effres::{EffectiveResistanceEstimator, EffresConfig, EffresError};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, open_paged_with_faults, PagedOptions, PagedSnapshot};
-use effres_io::snapshot::save_snapshot;
+use effres_io::snapshot::write_snapshot_v3;
 use effres_io::{FaultPlan, RetryPolicy, RowCodec};
 use effres_service::{EngineOptions, ExecMode, ExecOptions, QueryBatch, QueryEngine};
 use std::path::PathBuf;
@@ -40,7 +40,13 @@ fn fixture() -> &'static Fixture {
         let dir = std::env::temp_dir().join("effres-rows-first-pins");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join(format!("grid{SIDE}-{}.snap", std::process::id()));
-        save_snapshot(&path, &estimator, None).expect("save");
+        // A v3 file, without the skeleton: on a v4 file the batch
+        // certifies every pair of this set whose suffixes share no row
+        // before it pins a page, and no run would be left to show that a
+        // disjoint pair reads no values.
+        let mut bytes = Vec::new();
+        write_snapshot_v3(&mut bytes, &estimator, None).expect("write");
+        std::fs::write(&path, bytes).expect("save");
         let pairs = sparse_pairs(&estimator);
         Fixture {
             path,
