@@ -88,9 +88,10 @@
 //! too high, silently, as value rot does. The integrity scrubber
 //! ([`PagedColumnStore::scrub_page`]) recomputes the skeletons of each
 //! page's columns from the rows it decodes and compares them with the
-//! persisted records; a group that disagrees is distrusted from then on
-//! and its pairs take the row path (answers already in a pair cache stay
-//! there until evicted).
+//! persisted records; a group that disagrees is distrusted from then on,
+//! its pairs take the row path, and it counts in
+//! [`ScrubStats::skeleton_groups_distrusted`], which tells a caller holding
+//! answers certified from it (a query engine's pair cache) to drop them.
 //!
 //! Answers are **bit-identical** to the resident arena's for every page
 //! geometry and cache size: pages decode the same little-endian bytes the
@@ -299,6 +300,11 @@ pub struct ScrubStats {
     /// [`PagedColumnStore::quarantine_page`] — the next query touching one
     /// re-fetches from disk and surfaces a typed error if the rot persists.
     pub quarantined: u64,
+    /// Groups of a v4 file's skeleton the scrubber found disagreeing with
+    /// their columns' rows (or unreadable) and stopped trusting. Each such
+    /// find also counts in `scrub_failures`; a pair cache holding answers
+    /// certified from the group should be cleared when this grows.
+    pub skeleton_groups_distrusted: u64,
 }
 
 impl PageCacheStats {
@@ -736,6 +742,7 @@ pub struct PagedColumnStore {
     pages_scrubbed: AtomicU64,
     scrub_failures: AtomicU64,
     quarantined: AtomicU64,
+    skeleton_groups_distrusted: AtomicU64,
     /// Live/high-water pin accounting, shared (`Arc`) with the guards inside
     /// every outstanding [`PinnedPages`] so drops decrement from anywhere.
     pin_counters: Arc<PinCounters>,
@@ -834,6 +841,7 @@ impl PagedColumnStore {
             pages_scrubbed: self.pages_scrubbed.load(Ordering::Relaxed),
             scrub_failures: self.scrub_failures.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            skeleton_groups_distrusted: self.skeleton_groups_distrusted.load(Ordering::SeqCst),
         }
     }
 
@@ -854,7 +862,9 @@ impl PagedColumnStore {
     /// skeletons checked against the skeletons of the rows just decoded: a
     /// group of 64 columns whose records disagree (or cannot be read) counts
     /// a scrub failure and is distrusted, so no batch certifies a pair from
-    /// it again; the page is not quarantined.
+    /// it again, and counts in [`ScrubStats::skeleton_groups_distrusted`]
+    /// (answers certified from it before are the caller's to drop); the
+    /// page is not quarantined.
     ///
     /// # Errors
     ///
@@ -897,7 +907,10 @@ impl PagedColumnStore {
             let hi = (self.col_ptr[j + 1] - page.base) as usize;
             let rows = skeleton::column_buckets(&page.rows[lo..hi], index.shift);
             if persisted.buckets(j) != Some(rows.as_slice()) {
-                index.distrust(j / SKELETON_GROUP);
+                if index.distrust(j / SKELETON_GROUP) {
+                    self.skeleton_groups_distrusted
+                        .fetch_add(1, Ordering::SeqCst);
+                }
                 rot.get_or_insert(j);
             }
         }
@@ -2027,11 +2040,13 @@ struct SkeletonIndex {
 
 impl SkeletonIndex {
     fn is_distrusted(&self, g: usize) -> bool {
-        self.distrusted[g / 64].load(Ordering::Relaxed) & (1 << (g % 64)) != 0
+        self.distrusted[g / 64].load(Ordering::SeqCst) & (1 << (g % 64)) != 0
     }
 
-    fn distrust(&self, g: usize) {
-        self.distrusted[g / 64].fetch_or(1 << (g % 64), Ordering::Relaxed);
+    /// Marks group `g` distrusted; whether it was trusted until now.
+    fn distrust(&self, g: usize) -> bool {
+        let bit = 1 << (g % 64);
+        self.distrusted[g / 64].fetch_or(bit, Ordering::SeqCst) & bit == 0
     }
 }
 
@@ -2063,6 +2078,34 @@ impl BatchSkeletons {
             &self.buckets[start as usize..],
             len as usize,
         ))
+    }
+
+    /// Appends `later`: the skeletons of columns that all come after this
+    /// batch's, read from the same store (a batch read in parts). One
+    /// arena then answers for both. A skeleton whose place in the joined
+    /// arena would not fit its `u32` span is dropped, so its pairs take the
+    /// row path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column of `later` does not come after every column here.
+    pub fn append(&mut self, later: BatchSkeletons) {
+        if let (Some(&last), Some(&first)) = (self.columns.last(), later.columns.first()) {
+            assert!(last < first, "appended skeletons follow in column order");
+        }
+        if self.columns.is_empty() {
+            self.shift = later.shift;
+        }
+        // Both arenas end in padding; `later`'s pads the joined one.
+        let base = self.buckets.len().saturating_sub(BUCKET_BLOCK);
+        self.buckets.truncate(base);
+        let base = u32::try_from(base).ok();
+        self.spans.extend(later.spans.into_iter().map(|span| {
+            let (start, len) = span?;
+            Some((base?.checked_add(start)?, len))
+        }));
+        self.columns.extend(later.columns);
+        self.buckets.extend(later.buckets);
     }
 
     /// Column `j`'s persisted skeleton, if it was asked for and read.
@@ -2219,6 +2262,9 @@ pub struct PagedSnapshot {
     /// Original dataset ids of the dense nodes, if the snapshot was written
     /// from an ingested dataset.
     pub labels: Option<Vec<u64>>,
+    /// On-disk format version of the file (3 or 4; only 4 carries a
+    /// skeleton).
+    pub version: u32,
 }
 
 impl PagedSnapshot {
@@ -2440,6 +2486,7 @@ fn open_paged_impl(
         pages_scrubbed: AtomicU64::new(0),
         scrub_failures: AtomicU64::new(0),
         quarantined: AtomicU64::new(0),
+        skeleton_groups_distrusted: AtomicU64::new(0),
         pin_counters: Arc::new(PinCounters::default()),
         buffers,
     };
@@ -2449,6 +2496,7 @@ fn open_paged_impl(
         stats,
         epsilon,
         labels,
+        version,
     })
 }
 

@@ -117,8 +117,9 @@ pub(crate) const VERSION_V4: u32 = 4;
 
 /// Columns per group of the v4 skeleton block: its offset table locates the
 /// record of every `SKELETON_GROUP`-th column. A constant of the format,
-/// independent of any paged store's page size.
-pub(crate) const SKELETON_GROUP: usize = 64;
+/// independent of any paged store's page size; a reader that splits a
+/// batch's columns at multiples of it reads no group twice.
+pub const SKELETON_GROUP: usize = 64;
 
 /// v3 row-codec ids (one byte on disk).
 pub(crate) const ROW_CODEC_RAW: u8 = 0;

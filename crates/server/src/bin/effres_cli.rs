@@ -1082,10 +1082,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     if options.paged {
         let paged = obtain_paged(path, &options)?;
         println!("snapshot   {} (paged)", path.display());
-        println!(
-            "format     v{}",
-            if paged.store.has_skeleton() { 4 } else { 3 }
-        );
+        println!("format     v{}", paged.version);
         let s = paged.stats;
         println!("nodes      {}", s.node_count);
         println!(
@@ -1185,8 +1182,7 @@ fn open_paged_engine(
     pool: &WorkerPool,
 ) -> Result<(QueryEngine<PagedSnapshot>, Option<u32>), CliError> {
     let paged = obtain_paged(path, options)?;
-    // `open_paged` serves v3 and v4 files; only v4 carries a skeleton.
-    let version = if paged.store.has_skeleton() { 4 } else { 3 };
+    let version = paged.version;
     let engine = QueryEngine::new(Arc::new(paged), engine_options(options, pool));
     Ok((engine, Some(version)))
 }

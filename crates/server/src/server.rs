@@ -35,8 +35,10 @@
 //! ([`ServerOptions::scrub_bytes_per_sec`]), a low-priority **integrity
 //! scrubber** thread walks the snapshot's pages in the background,
 //! revalidating each with the same checks the fetch path applies; rotten
-//! pages are quarantined out of the cache. Its findings ride in the stats
-//! document and in the `health` byte of [`OP_PING`].
+//! pages are quarantined out of the cache, and a v4 skeleton group that
+//! disagrees with its columns' rows is distrusted and clears the pair
+//! cache. Its findings ride in the stats document and in the `health` byte
+//! of [`OP_PING`].
 //!
 //! The [`OP_STATS`] response is a JSON object with stable keys, rendered
 //! by the workspace's one JSON writer ([`crate::json`]). It carries the
@@ -519,7 +521,7 @@ impl<B: ResistanceBackend> Server<B> {
 /// [`paged_store`](ResistanceBackend::paged_store) at roughly
 /// [`ServerOptions::scrub_bytes_per_sec`], revalidating each page with the
 /// serve path's own checks (see
-/// [`PagedColumnStore::scrub_page`](effres_io::PagedColumnStore::scrub_page)) and
+/// [`QueryEngine::scrub_page`](effres_service::QueryEngine::scrub_page)) and
 /// quarantining rot. It follows epoch swaps (a reload restarts the walk on
 /// the new snapshot) and exits at shutdown — at once on a resident backend,
 /// which has nothing to scrub.
@@ -560,8 +562,9 @@ fn scrub_loop<B: ResistanceBackend>(shared: &Shared<B>, bytes_per_sec: u64) {
                 next_page = 0;
             }
             // The verdict already landed in the store's scrub stats; rotten
-            // pages were quarantined there too.
-            let _ = store.scrub_page(next_page);
+            // pages were quarantined there too, and a distrusted skeleton
+            // group cleared the engine's pair cache.
+            let _ = current.engine.scrub_page(next_page);
             next_page += 1;
             // Pace to the byte budget using the mean page size.
             let footprint = store.footprint();

@@ -182,6 +182,15 @@ impl ShardedLru {
         self.shard(stripe).insert(set, key, value);
     }
 
+    /// Drops every entry.
+    pub fn clear(&self) {
+        for stripe in 0..self.shards.len() {
+            let mut shard = self.shard(stripe);
+            shard.sets.fill(Set::VACANT);
+            shard.len = 0;
+        }
+    }
+
     /// Number of cached entries across all stripes.
     pub fn len(&self) -> usize {
         (0..self.shards.len()).map(|s| self.shard(s).len).sum()

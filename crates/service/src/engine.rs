@@ -546,6 +546,30 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         self.core.admission.as_deref().map(AdmissionLedger::stats)
     }
 
+    /// Scrubs page `pid` of the backend's paged store
+    /// ([`PagedColumnStore::scrub_page`]) and, when the scrub stops trusting
+    /// a group of the file's skeleton, clears the pair cache: answers the
+    /// group certified before the scrub must not outlive it. A backend
+    /// without a paged store has nothing to scrub.
+    ///
+    /// # Errors
+    ///
+    /// Returns the scrub's typed [`EffresError::StoreFailure`] when the
+    /// page or its columns' skeletons are rotten.
+    pub fn scrub_page(&self, pid: usize) -> Result<(), EffresError> {
+        let Some(store) = self.core.backend.paged_store() else {
+            return Ok(());
+        };
+        let distrusted = store.scrub_stats().skeleton_groups_distrusted;
+        let result = store.scrub_page(pid);
+        if store.scrub_stats().skeleton_groups_distrusted != distrusted {
+            if let Some(cache) = &self.core.cache {
+                cache.clear();
+            }
+        }
+        result
+    }
+
     /// The backend store's page counters, for out-of-core backends.
     fn page_cache_stats(&self) -> Option<PageCacheStats> {
         Some(self.core.backend.paged_store()?.page_cache_stats())

@@ -12,13 +12,20 @@
 //!
 //! [`QueryEngine::execute_with`] runs every batch on a backend with a
 //! [`paged_store`](crate::ResistanceBackend::paged_store) through this
-//! scheduler. On a v4 file a **certification** pass comes first: it reads
-//! the persisted row-bucket skeletons of the batch's columns
+//! scheduler. On a v4 file, a batch whose page footprint outgrows the cache
+//! (see below) gets a **certification** pass first: it reads the persisted
+//! row-bucket skeletons of the batch's columns
 //! ([`PagedColumnStore::read_skeletons`](effres_io::PagedColumnStore::read_skeletons)),
-//! in a few large reads, and answers every cache-missing query whose
+//! in a few large reads, split over the worker pool when the batch runs on
+//! more than one thread, and answers every cache-missing query whose
 //! skeletons share no bucket from the norm table — about 85% of uniform
 //! random pairs on the benchmark grid — so only the rest reach the three
-//! steps below:
+//! steps below. A batch of more than `PROBE_PAIRS` (64) queries probes
+//! first: it reads the skeletons of up to 64 queries spread over the batch,
+//! in rounds of 1, 2, 4, … queries, and skips the rest of the pass when
+//! none of them certifies, as for graph edges, whose suffixes always meet.
+//! A batch that fits the cache is not certified: it reads, caches and
+//! reuses whole pages, so its repeats read nothing.
 //!
 //! 1. **Cluster** — each cache-missing query is mapped to its page pair
 //!    `(page_lo, page_hi)` (the pages of its smaller and larger permuted
@@ -100,6 +107,7 @@ use crate::engine::{
 };
 use effres::column_store::KernelStats;
 use effres::EffresError;
+use effres_io::snapshot::SKELETON_GROUP;
 use effres_io::{PagedColumnStore, PagedSnapshot, PinnedReader};
 use std::sync::Arc;
 
@@ -216,8 +224,18 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             });
         }
         run.misses = pending.len() as u64;
-        if store.has_skeleton() && cancel.is_none_or(|token| token.cancelled().is_none()) {
-            self.certify(store, &mut pending, run, cache);
+        let threads = self.effective_threads(batch_len).max(1);
+        // A page bitmap, left clear after every use.
+        let mut marked = vec![false; store.page_count()];
+        // Only a batch whose pages outgrow the cache is certified: one that
+        // fits reads, caches and reuses whole pages, so its repeats read
+        // nothing, while an outgrown one's pins are demand-sized and kept
+        // by no later batch.
+        if store.has_skeleton()
+            && cancel.is_none_or(|token| token.cancelled().is_none())
+            && distinct_pages(&pending, &mut marked) > store.cache_capacity_pages()
+        {
+            self.certify(store, &mut pending, run, cache, threads);
         }
 
         // 1. Cluster: queries sharing a page pair become adjacent; the slot
@@ -230,9 +248,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             + usize::from(!pending.is_empty());
 
         // Distinct pages (either side) in `pending[i..]`: what the round
-        // starting at `i` can use at most. One backward pass over a page
-        // bitmap; the bitmap is left clear for the chunk cuts below.
-        let mut marked = vec![false; store.page_count()];
+        // starting at `i` can use at most. One backward pass over the page
+        // bitmap, cleared again for the chunk cuts below.
         let mut pages_from = vec![0usize; pending.len() + 1];
         for i in (0..pending.len()).rev() {
             let t = pending[i];
@@ -256,7 +273,6 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         // fair share otherwise) and re-queues for the next, so competing
         // traffic interleaves with a long batch round by round.
         let budget = store.cache_capacity_pages().max(2);
-        let threads = self.effective_threads(batch_len).max(1);
         let mut report = ScheduleReport {
             clusters,
             blocks: 0,
@@ -378,26 +394,72 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// suffixes they certify disjoint from the norm table, with the
     /// kernels' own arithmetic for a `+0.0` dot, fills the pair cache with
     /// those answers, and leaves only the other queries pending.
+    ///
+    /// A batch of more than [`PROBE_PAIRS`] queries probes first
+    /// ([`probe_certifies`]) and skips the pass when no probed pair
+    /// certifies: traffic such as graph edges, whose suffixes always meet,
+    /// would pay for the reads and save nothing. With more than one thread
+    /// the reads and the certificates are split over the worker pool.
     fn certify(
         &self,
         store: &PagedColumnStore,
         pending: &mut Vec<Pending>,
         run: &mut Run,
         cache: Option<&ShardedLru>,
+        threads: usize,
     ) {
+        if pending.len() > PROBE_PAIRS && !probe_certifies(store, pending) {
+            return;
+        }
         let mut columns: Vec<usize> = (pending.iter())
             .flat_map(|t| [t.pp as usize, t.qq as usize])
             .collect();
         columns.sort_unstable();
         columns.dedup();
-        let skeletons = store.read_skeletons(&columns);
+        // A group the scrubber distrusts while this pass reads may have
+        // certified some of its answers: then they leave the pair cache
+        // again below, whichever of the scrubber's clear and these inserts
+        // came first.
+        let distrusted = store.scrub_stats().skeleton_groups_distrusted;
+        let certified: Vec<bool> = if threads > 1 {
+            let cuts = group_cuts(&columns, threads);
+            let reads: Vec<_> = (cuts.windows(2))
+                .map(|cut| {
+                    let core = Arc::clone(&self.core);
+                    let part = columns[cut[0]..cut[1]].to_vec();
+                    move || paged_store(&core).read_skeletons(&part)
+                })
+                .collect();
+            let mut parts = self.worker_pool().run(reads).into_iter();
+            let mut skeletons = parts.next().unwrap_or_default();
+            parts.for_each(|part| skeletons.append(part));
+            let skeletons = Arc::new(skeletons);
+            let checks: Vec<_> = (pending.chunks(pending.len().div_ceil(threads)))
+                .map(|queries| {
+                    let skeletons = Arc::clone(&skeletons);
+                    let queries = queries.to_vec();
+                    move || -> Vec<bool> {
+                        (queries.iter())
+                            .map(|t| skeletons.certifies(t.pp as usize, t.qq as usize))
+                            .collect()
+                    }
+                })
+                .collect();
+            self.worker_pool().run(checks).concat()
+        } else {
+            let skeletons = store.read_skeletons(&columns);
+            (pending.iter())
+                .map(|t| skeletons.certifies(t.pp as usize, t.qq as usize))
+                .collect()
+        };
         let norms = &self.core.norms;
         let before = pending.len();
+        let mut verdicts = certified.into_iter();
         pending.retain(|t| {
-            let (p, q) = (t.pp as usize, t.qq as usize);
-            if !skeletons.certifies(p, q) {
+            if !verdicts.next().expect("one verdict per query") {
                 return true;
             }
+            let (p, q) = (t.pp as usize, t.qq as usize);
             // The same bits as the kernels' `+0.0` dot of two disjoint
             // suffixes (and their `-0.0` over an empty one).
             let value = (norms[p] + norms[q] - 2.0 * 0.0).max(0.0);
@@ -407,10 +469,94 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             }
             false
         });
+        if let Some(cache) = cache {
+            if store.scrub_stats().skeleton_groups_distrusted != distrusted {
+                cache.clear();
+            }
+        }
         let certified = (before - pending.len()) as u64;
         run.kernel.isolated_pairs += certified;
         run.kernel.certified_pairs += certified;
     }
+}
+
+/// Queries a batch probes before its certification pass: up to this many
+/// (a power of two), spread over the batch. None of 64 certifying puts the
+/// batch's share of certifiable pairs below about 5% with 95% confidence;
+/// uniform pairs on the benchmark grid (84%) almost always certify at the
+/// first probe.
+const PROBE_PAIRS: usize = 64;
+
+/// Whether any of [`PROBE_PAIRS`] queries spread over `pending` certifies.
+/// They are probed in rounds of 1, 2, 4, … queries, each round one
+/// [`PagedColumnStore::read_skeletons`] of its queries' columns, until a
+/// round certifies one. The `k`-th probe takes the query at fraction
+/// `bit-reverse(k) / PROBE_PAIRS` of the batch, so every round spreads
+/// over the whole batch.
+fn probe_certifies(store: &PagedColumnStore, pending: &[Pending]) -> bool {
+    let bits = PROBE_PAIRS.trailing_zeros();
+    let probe = |k: usize| {
+        pending[(k.reverse_bits() >> (usize::BITS - bits)) * pending.len() / PROBE_PAIRS]
+    };
+    let (mut from, mut round) = (0, 1);
+    while from < PROBE_PAIRS {
+        let to = (from + round).min(PROBE_PAIRS);
+        let mut columns: Vec<usize> = (from..to)
+            .flat_map(|k| [probe(k).pp as usize, probe(k).qq as usize])
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let skeletons = store.read_skeletons(&columns);
+        if (from..to).any(|k| skeletons.certifies(probe(k).pp as usize, probe(k).qq as usize)) {
+            return true;
+        }
+        (from, round) = (to, 2 * round);
+    }
+    false
+}
+
+/// Cut points of ascending `columns` into at most `parts` runs of about
+/// equal length, from 0 to `columns.len()`: each cut moves on past the
+/// skeleton group it falls in, so no group is read by two runs.
+fn group_cuts(columns: &[usize], parts: usize) -> Vec<usize> {
+    let mut cuts = vec![0];
+    for k in 1..parts {
+        let at = columns.len() * k / parts;
+        let Some(&before) = columns.get(at.wrapping_sub(1)) else {
+            continue;
+        };
+        let group = before / SKELETON_GROUP;
+        let at = at + columns[at..].partition_point(|&j| j / SKELETON_GROUP == group);
+        if at > *cuts.last().expect("starts at 0") && at < columns.len() {
+            cuts.push(at);
+        }
+    }
+    cuts.push(columns.len());
+    cuts
+}
+
+/// Distinct pages (either side) of `queries`, counted on `marked`, which
+/// is left clear.
+fn distinct_pages(queries: &[Pending], marked: &mut [bool]) -> usize {
+    let mut pages = Vec::new();
+    for t in queries {
+        for page in [t.page_lo as usize, t.page_hi as usize] {
+            if !std::mem::replace(&mut marked[page], true) {
+                pages.push(page);
+            }
+        }
+    }
+    for &page in &pages {
+        marked[page] = false;
+    }
+    pages.len()
+}
+
+/// The paged store of a scheduled engine's backend.
+fn paged_store<B: ResistanceBackend>(core: &EngineCore<B>) -> &PagedColumnStore {
+    core.backend
+        .paged_store()
+        .expect("the scheduler runs on paged backends")
 }
 
 /// Fewest pages a chunk gets when a round fans out over threads: a grant
@@ -452,10 +598,7 @@ fn drain_chunk<B: ResistanceBackend>(
     sparse: bool,
     fail_fast: bool,
 ) -> Result<(Vec<(u32, f64)>, Vec<(usize, EffresError)>, KernelStats), EffresError> {
-    let store = core
-        .backend
-        .paged_store()
-        .expect("the scheduler runs on paged backends");
+    let store = paged_store(core);
     let demand: Option<Vec<usize>> = sparse.then(|| {
         (queries.iter())
             .flat_map(|t| [t.pp as usize, t.qq as usize])
@@ -706,6 +849,28 @@ mod tests {
             "pinned {} pages at once",
             store.pinned_pages_high_water()
         );
+    }
+
+    #[test]
+    fn group_cuts_split_columns_evenly_between_skeleton_groups() {
+        let columns: Vec<usize> = (0..1000).map(|k| k * 7 + k % 3).collect();
+        for parts in 1..6 {
+            let cuts = group_cuts(&columns, parts);
+            assert_eq!((cuts[0], cuts[cuts.len() - 1]), (0, columns.len()));
+            assert!(cuts.len() <= parts + 1, "{cuts:?}");
+            for w in cuts.windows(2) {
+                // No part outgrows an even share by a group's columns.
+                assert!(w[0] < w[1], "{cuts:?}");
+                assert!(w[1] - w[0] <= columns.len() / parts + SKELETON_GROUP);
+            }
+            for &cut in &cuts[1..cuts.len() - 1] {
+                let (before, after) = (columns[cut - 1], columns[cut]);
+                assert_ne!(before / SKELETON_GROUP, after / SKELETON_GROUP);
+            }
+        }
+        // One group cannot be cut; nor can nothing.
+        assert_eq!(group_cuts(&[3, 5, 9, 60], 4), vec![0, 4]);
+        assert_eq!(group_cuts(&[], 2), vec![0, 0]);
     }
 
     #[test]

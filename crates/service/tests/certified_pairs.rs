@@ -6,14 +6,16 @@
 //! one and two threads; no certified pair's suffixes share a row; a v3
 //! file certifies nothing and reads what it read before; a hostile
 //! skeleton record sends its group's pairs down the row path instead of
-//! failing them; and the scrubber catches a record that rotted into a
-//! well-formed lie.
+//! failing them; the scrubber catches a record that rotted into a
+//! well-formed lie, and the pair cache drops the lie with it; a batch
+//! that fits the page cache is not certified; and traffic whose pairs all
+//! meet stops the pass at its probe.
 
 use effres::column_store::ColumnStore;
 use effres::{EffectiveResistanceEstimator, EffresConfig};
 use effres_graph::generators;
 use effres_io::paged::{open_paged, PagedOptions, PagedSnapshot};
-use effres_io::snapshot::{load_snapshot, write_snapshot};
+use effres_io::snapshot::{load_snapshot, write_snapshot, write_snapshot_v3};
 use effres_service::{EngineOptions, ExecMode, ExecOptions, QueryBatch, QueryEngine};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -408,27 +410,124 @@ fn the_scrubber_catches_a_skeleton_record_that_rots_into_a_well_formed_lie() {
         .execute(&batch)
         .expect("resident")
         .values[0];
-    let engine = paged_engine(&path, &options, 1);
+    // Served with the default pair cache, on one-column pages and a
+    // one-page cache, so the one-pair batch outgrows the cache and is
+    // certified.
+    let paged = open_paged(&path, &pages(1, 1)).expect("open paged");
+    let engine = QueryEngine::new(Arc::new(paged), EngineOptions::default());
     let before = engine.execute_scheduled(&batch).expect("rotten batch");
     assert_eq!(before.kernel.certified_pairs, 1);
     assert!(
         before.values[0] > expected,
         "a lost bucket answers too high"
     );
-    // One scrubber pass flags the rotten column's page, once.
+    // The pair cache keeps the lie: a repeat is answered from it.
+    let repeat = engine.execute_scheduled(&batch).expect("repeat");
+    assert_eq!(repeat.cache_hits, 1);
+    assert_eq!(repeat.values[0].to_bits(), before.values[0].to_bits());
+    // One scrubber pass flags the rotten column's page, once, and clears
+    // the pair cache.
     let store = &engine.backend().store;
     let failed: Vec<usize> = (0..store.page_count())
-        .filter(|&pid| store.scrub_page(pid).is_err())
+        .filter(|&pid| engine.scrub_page(pid).is_err())
         .collect();
     assert_eq!(failed, vec![store.page_of_column(p)]);
-    assert_eq!(store.scrub_stats().scrub_failures, 1);
+    let scrub = store.scrub_stats();
     assert_eq!(
-        store.scrub_stats().quarantined,
-        0,
-        "the page itself is sound"
+        (scrub.scrub_failures, scrub.skeleton_groups_distrusted),
+        (1, 1)
     );
+    assert_eq!(scrub.quarantined, 0, "the page itself is sound");
+    assert_eq!(engine.stats().cache_entries, 0);
     // From then on the pair takes the row path, and answers as resident.
     let after = engine.execute_scheduled(&batch).expect("scrubbed batch");
     assert_eq!(after.kernel.certified_pairs, 0);
     assert_eq!(after.values[0].to_bits(), expected.to_bits());
+}
+
+#[test]
+fn a_batch_that_fits_the_cache_is_not_certified_and_repeats_without_reads() {
+    // 20 pairs touch at most 40 of the grid's 157 pages: within a 64-page
+    // cache the batch reads, caches and reuses whole pages.
+    let (estimator, bytes) = grid100();
+    let path = temp_file("grid100-fits.snap", bytes);
+    let batch = QueryBatch::random(20, estimator.node_count(), 5);
+    let resident = QueryEngine::new(Arc::clone(estimator), engine_options(1))
+        .execute(&batch)
+        .expect("resident")
+        .values;
+    let engine = paged_engine(&path, &pages(64, 64), 1);
+    let first = engine.execute_scheduled(&batch).expect("first run");
+    assert_same_bits(&resident, &first.values, "first run");
+    assert_eq!(first.kernel.certified_pairs, 0);
+    let page = first.page_cache.expect("paged");
+    assert_eq!((page.skeleton_reads, page.column_runs), (0, 0), "{page:?}");
+    assert!(page.misses > 0);
+    let second = engine.execute_scheduled(&batch).expect("second run");
+    assert_same_bits(&resident, &second.values, "second run");
+    let page = second.page_cache.expect("paged");
+    assert_eq!(
+        (page.misses, page.bytes_read, page.skeleton_reads),
+        (0, 0, 0),
+        "{page:?}"
+    );
+}
+
+#[test]
+fn graph_edges_stop_the_pass_at_its_probe() {
+    // The column of an edge's earlier endpoint holds the later endpoint's
+    // row, so the suffixes of every edge meet (checked below): no probed
+    // pair certifies, the pass stops, and the batch reads the rows a v3
+    // file of the same inverse makes it read, plus the probe's groups.
+    let (estimator, bytes) = grid100();
+    let graph = generators::grid_2d(100, 100, 1.0, 1.0, 1).expect("generator");
+    let edges: Vec<(usize, usize)> = graph.edges().map(|(_, e)| (e.u, e.v)).collect();
+    let batch = QueryBatch::from_pairs(
+        (0..2000)
+            .map(|k| edges[(k * 7_919) % edges.len()])
+            .collect(),
+    );
+    let permutation = estimator.permutation();
+    for &(u, v) in batch.pairs() {
+        let (p, q) = (permutation.new(u), permutation.new(v));
+        assert!(suffixes_meet(estimator, p, q), "edge ({u}, {v})");
+    }
+    let resident = QueryEngine::new(Arc::clone(estimator), engine_options(1))
+        .execute(&batch)
+        .expect("resident")
+        .values;
+    let v4 = temp_file("grid100-edges.snap", bytes);
+    let mut v3_bytes = Vec::new();
+    write_snapshot_v3(&mut v3_bytes, estimator, None).expect("write v3");
+    let v3 = temp_file("grid100-edges-v3.snap", &v3_bytes);
+    for threads in [1, 2] {
+        let run = |path: &Path| {
+            let engine = paged_engine(path, &pages(64, 8), threads);
+            let result = engine.execute_scheduled(&batch).expect("scheduled");
+            assert_same_bits(&resident, &result.values, "edges");
+            assert_eq!(result.kernel.certified_pairs, 0);
+            let page = result.page_cache.expect("paged");
+            let schedule = result.schedule.expect("scheduled");
+            (page, schedule)
+        };
+        let ((page, schedule), (v3_page, v3_schedule)) = (run(&v4), run(&v3));
+        assert!(page.skeleton_reads > 0, "threads {threads}: {page:?}");
+        // At most one read per probed column.
+        assert!(page.skeleton_reads <= 128, "threads {threads}: {page:?}");
+        let traffic = |page: effres_io::PageCacheStats| {
+            (
+                page.hits,
+                page.misses,
+                page.column_runs,
+                page.value_reads,
+                page.readahead_reads,
+            )
+        };
+        assert_eq!(traffic(page), traffic(v3_page), "threads {threads}");
+        assert_eq!(
+            (schedule.blocks, schedule.windows),
+            (v3_schedule.blocks, v3_schedule.windows),
+            "threads {threads}"
+        );
+    }
 }
