@@ -42,9 +42,9 @@
 //!   stores keep the default, which proves nothing per pair: a resident
 //!   skeleton would be about half of a paged server's resident set. A v4
 //!   snapshot persists the skeleton instead, and the paged scheduler reads
-//!   the skeletons of a batch's columns from it and certifies the batch's
-//!   pairs with the same meet routine ([`crate::skeleton::meet_from`])
-//!   before it pins a page.
+//!   the skeletons of the columns of a batch that outgrows the page cache
+//!   from it and certifies the batch's pairs with the same meet routine
+//!   ([`crate::skeleton::meet_from`]) before it pins a page.
 //! * [`ColumnStore::with_rows_first`] lends a column's rows at once and its
 //!   values on request ([`RowsFirst`]); the two-column dot walks the rows
 //!   first and asks for values only where the suffixes meet, so a store
@@ -127,8 +127,9 @@ pub trait ColumnStore {
     /// The default proves nothing and returns `max(p, q)`. The resident
     /// arena answers from its row-bucket skeleton (see
     /// [`SparseApproximateInverse`]); a paged store keeps the default, and
-    /// its scheduler certifies a batch's pairs from a v4 file's persisted
-    /// skeleton before any pair reaches a kernel.
+    /// its scheduler certifies the pairs of a batch that outgrows the page
+    /// cache from a v4 file's persisted skeleton before any pair reaches a
+    /// kernel.
     ///
     /// # Panics
     ///
@@ -558,8 +559,9 @@ pub struct KernelStats {
     /// read: answered from the norm table alone, walking no entry. The
     /// resident arena certifies in the pair kernel
     /// ([`ColumnStore::suffixes_meet_from`]); the paged scheduler certifies
-    /// a batch's pairs from a v4 file's persisted skeleton before it
-    /// clusters them, and counts them here and in `isolated_pairs`. On the
+    /// the pairs of a batch that outgrows the page cache from a v4 file's
+    /// persisted skeleton before it clusters them, and counts them here and
+    /// in `isolated_pairs`. On the
     /// benchmark grid either certifies about 85% of uniform random pairs.
     /// Hub pairs are not asked: the hub kernels scatter the shared column
     /// once and stream every partner's suffix.

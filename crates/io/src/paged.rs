@@ -42,12 +42,13 @@
 //! never read their values. A partial pin plans once and degrades in place.
 //!
 //! A v4 file also persists every column's row-bucket skeleton
-//! ([`effres::skeleton`]) in groups of 64 columns. A batch reads the
-//! skeletons of its columns first ([`PagedColumnStore::read_skeletons`]),
-//! in a few large reads of whole groups, and every pair whose skeletons
-//! share no bucket is certified disjoint and answered from the norm table
-//! without a pin: about 85% of uniform random pairs on the benchmark grid.
-//! A v3 file has no skeleton and certifies nothing.
+//! ([`effres::skeleton`]) in groups of 64 columns. A scheduled batch that
+//! outgrows the cache reads the skeletons of its columns first
+//! ([`PagedColumnStore::read_skeletons`]), in a few large reads of whole
+//! groups, and every pair whose skeletons share no bucket is certified
+//! disjoint and answered from the norm table without a pin: about 85% of
+//! uniform random pairs on the benchmark grid. A v3 file has no skeleton
+//! and certifies nothing.
 //!
 //! Decoded-page buffers are **recycled**, not churned: when the last `Arc`
 //! to an evicted page drops, its row/value vectors return to a

@@ -27,9 +27,9 @@
 //! straight from disk**: only the header, permutation, column pointers,
 //! persisted norm table and (v4) the skeleton's group offsets are loaded
 //! (milliseconds even for huge graphs) and column data pages in on demand
-//! through an LRU cache sized by `--page-cache`. A v4 batch first reads the
-//! row-bucket skeletons of its columns and answers the pairs they certify
-//! disjoint from the norm table. Answers are bit-identical to resident
+//! through an LRU cache sized by `--page-cache`. A v4 batch whose pages
+//! outgrow that cache first reads the row-bucket skeletons of its columns
+//! and answers the pairs they certify disjoint from the norm table. Answers are bit-identical to resident
 //! serving. v1 and v2 snapshots have no norm table and are refused; `build
 //! <old.snap> --output <new.snap>` loads any version and writes it as v4.
 

@@ -434,7 +434,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             let mut skeletons = parts.next().unwrap_or_default();
             parts.for_each(|part| skeletons.append(part));
             let skeletons = Arc::new(skeletons);
-            let checks: Vec<_> = (pending.chunks(pending.len().div_ceil(threads)))
+            let checks: Vec<_> = (pending.chunks(pending.len().div_ceil(threads).max(1)))
                 .map(|queries| {
                     let skeletons = Arc::clone(&skeletons);
                     let queries = queries.to_vec();
