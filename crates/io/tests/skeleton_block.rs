@@ -1,6 +1,7 @@
 //! The v4 skeleton block: what `write_snapshot` persists is exactly the
 //! arena's row-bucket skeleton, a paged store reads it back bit for bit in
-//! any batch-shaped subset of columns, its certificates agree with the
+//! any batch-shaped subset of columns, whole or in parts joined by
+//! `BatchSkeletons::append`, its certificates agree with the
 //! resident arena's, and `open_paged` rejects a hostile offset table with
 //! a typed error.
 //!
@@ -82,6 +83,18 @@ fn assert_persisted_skeleton_matches(
         assert_eq!(subset.buckets(j), Some(z.skeleton_buckets(j)), "column {j}");
     }
     assert_eq!(subset.buckets(0), None, "a column not asked for has none");
+    // The same subset read in three parts and joined, as a batch split
+    // over workers: the same skeletons and the same certificates.
+    let third = some.len() / 3;
+    let mut parts = paged.store.read_skeletons(&some[..third]);
+    parts.append(paged.store.read_skeletons(&some[third..2 * third]));
+    parts.append(paged.store.read_skeletons(&some[2 * third..]));
+    for &j in &some {
+        assert_eq!(parts.buckets(j), subset.buckets(j), "column {j}");
+    }
+    for &(p, q) in pairs {
+        assert_eq!(parts.certifies(p, q), subset.certifies(p, q), "({p}, {q})");
+    }
     for &(p, q) in pairs {
         assert_eq!(
             whole.certifies(p, q),

@@ -108,6 +108,8 @@ fn scheduled_v4_batches_certify_pairs_and_stay_bit_identical() {
             .expect("arrival order")
             .values;
         assert_same_bits(&resident, &reference, "execute");
+        // The pass split over two workers certifies what one thread does.
+        let mut certified = Vec::new();
         for threads in [1, 2] {
             for mode in [ExecMode::FailFast, ExecMode::Partial] {
                 let engine = paged_engine(&path, &options, threads);
@@ -124,8 +126,10 @@ fn scheduled_v4_batches_certify_pairs_and_stay_bit_identical() {
                 assert!(page.skeleton_reads > 0, "{what}: {page:?}");
                 assert_eq!(page.faulted_reads, 0, "{what}");
                 assert_eq!(engine.stats().page_skeleton_reads, page.skeleton_reads);
+                certified.push(kernel.certified_pairs);
             }
         }
+        assert!(certified.windows(2).all(|w| w[0] == w[1]), "{certified:?}");
     }
 }
 
