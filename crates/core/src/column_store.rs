@@ -28,8 +28,8 @@
 //!
 //! Most random pairs need no stored value at all: `⟨z̃_p, z̃_q⟩` sums over
 //! the rows the two suffixes share, and on large sparse graphs most pairs
-//! share none, so the norm table answers them alone. The trait has two
-//! provided methods for them:
+//! share none, so the norm table answers them alone ([`norm_identity`] with
+//! a `+0.0` dot). Two steps find them:
 //!
 //! * [`ColumnStore::suffixes_meet_from`] answers, before any column is
 //!   read, where two suffixes can first share a row, or that they share
@@ -45,12 +45,12 @@
 //!   the skeletons of the columns of a batch that outgrows the page cache
 //!   from it and certifies the batch's pairs with the same meet routine
 //!   ([`crate::skeleton::meet_from`]) before it pins a page.
-//! * [`ColumnStore::with_rows_first`] lends a column's rows at once and its
-//!   values on request ([`RowsFirst`]); the two-column dot walks the rows
-//!   first and asks for values only where the suffixes meet, so a store
-//!   that can produce rows for less than rows and values — a paged pin that
-//!   reads a run's values on first use — reads no value a pair's answer
-//!   does not use.
+//! * [`suffix_rows_meet`] walks two suffixes' rows alone, the index half
+//!   of the two-column dot ([`vecops::sparse_meet`]). It serves a caller
+//!   that holds rows before values: the paged scheduler's sparse pins read
+//!   each column run's rows, answer every pair whose suffixes share no row
+//!   from the norm table, and then read the values of only the runs the
+//!   remaining pairs use, before any kernel runs.
 
 use crate::approx_inverse::{ColumnView, SparseApproximateInverse};
 use crate::error::EffresError;
@@ -96,28 +96,6 @@ pub trait ColumnStore {
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError>;
 
-    /// Calls `f` with column `j` lent rows first: its rows at once, its
-    /// values on request ([`RowsFirst::values`]). A store that can produce
-    /// a column's rows for less than its rows and values overrides this;
-    /// the default lends [`ColumnStore::with_column`]'s view, so it is the
-    /// same one access.
-    ///
-    /// # Errors
-    ///
-    /// As [`ColumnStore::with_column`]. A store that defers the values
-    /// reports a failure to produce them from [`RowsFirst::values`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.order()`.
-    fn with_rows_first<R>(
-        &self,
-        j: usize,
-        f: impl FnOnce(RowsFirst<'_>) -> R,
-    ) -> Result<R, EffresError> {
-        self.with_column(j, |column| f(RowsFirst::lent(column)))
-    }
-
     /// Where the suffixes of columns `p` and `q` at rows `max(p, q)..` can
     /// first share a row, known without reading either column: `None` when
     /// the store can prove they share none (their dot is `+0.0`), otherwise
@@ -136,86 +114,6 @@ pub trait ColumnStore {
     /// May panic if either index is out of bounds.
     fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
         Some(p.max(q) as u32)
-    }
-}
-
-/// A column lent rows first (see [`ColumnStore::with_rows_first`]): its row
-/// indices at once, and its values when [`RowsFirst::values`] asks for them.
-#[derive(Clone, Copy)]
-pub struct RowsFirst<'a> {
-    rows: &'a [u32],
-    values: Values<'a>,
-}
-
-/// Where a [`RowsFirst`] column's values come from.
-#[derive(Clone, Copy)]
-enum Values<'a> {
-    /// Lent with the rows.
-    Lent(&'a [f64]),
-    /// Produced by the store on request.
-    Deferred(&'a dyn Fn() -> Result<&'a [f64], EffresError>),
-}
-
-impl<'a> RowsFirst<'a> {
-    /// A column whose values are lent with its rows.
-    pub fn lent(column: ColumnView<'a>) -> Self {
-        RowsFirst {
-            rows: column.indices(),
-            values: Values::Lent(column.values()),
-        }
-    }
-
-    /// A column whose values `values` produces on request: exactly one per
-    /// row of `rows`, or the store's failure to produce them.
-    pub fn deferred(
-        rows: &'a [u32],
-        values: &'a dyn Fn() -> Result<&'a [f64], EffresError>,
-    ) -> Self {
-        RowsFirst {
-            rows,
-            values: Values::Deferred(values),
-        }
-    }
-
-    /// The column's row indices, strictly increasing.
-    pub fn rows(&self) -> &'a [u32] {
-        self.rows
-    }
-
-    /// The column's values, parallel to [`RowsFirst::rows`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the store's [`EffresError::StoreFailure`] when it cannot
-    /// produce the values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store produced a different number of values than rows.
-    pub fn values(&self) -> Result<&'a [f64], EffresError> {
-        let values = match self.values {
-            Values::Lent(values) => values,
-            Values::Deferred(read) => read()?,
-        };
-        assert_eq!(
-            values.len(),
-            self.rows.len(),
-            "a column's values must be parallel to its rows"
-        );
-        Ok(values)
-    }
-
-    /// Bytes per stored entry: a `u32` row index plus an `f64` value.
-    pub fn entry_bytes(&self) -> usize {
-        std::mem::size_of::<u32>() + std::mem::size_of::<f64>()
-    }
-}
-
-impl std::fmt::Debug for RowsFirst<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RowsFirst")
-            .field("rows", &self.rows)
-            .finish_non_exhaustive()
     }
 }
 
@@ -260,14 +158,6 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
         (**self).with_column(j, f)
     }
 
-    fn with_rows_first<R>(
-        &self,
-        j: usize,
-        f: impl FnOnce(RowsFirst<'_>) -> R,
-    ) -> Result<R, EffresError> {
-        (**self).with_rows_first(j, f)
-    }
-
     fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
         (**self).suffixes_meet_from(p, q)
     }
@@ -285,15 +175,11 @@ impl<S: ColumnStore + ?Sized> ColumnStore for &S {
 ///
 /// The store is asked first ([`ColumnStore::suffixes_meet_from`]): a pair
 /// it certifies disjoint gets the `+0.0` dot without a row read, and any
-/// other pair's merge starts where the suffixes can first meet. Then the
-/// rows come first ([`ColumnStore::with_rows_first`]): values are asked for
-/// only when the two suffixes share a row, so a pair whose suffixes share
-/// none reads no value and gets the `+0.0` dot.
+/// other pair's merge starts where the suffixes can first meet.
 ///
 /// # Errors
 ///
-/// Propagates the store's fetch errors (see [`ColumnStore::with_column`]
-/// and [`RowsFirst::values`]).
+/// Propagates the store's fetch errors (see [`ColumnStore::with_column`]).
 ///
 /// # Panics
 ///
@@ -316,6 +202,24 @@ fn suffix_start(rows: &[u32], j: usize, bound: u32) -> usize {
     } else {
         rows.partition_point(|&row| row < bound)
     }
+}
+
+/// Whether the suffixes of columns `p` and `q` at rows `max(p, q)..` share
+/// a row, from their rows `p_rows` and `q_rows` alone: the index walk of
+/// [`column_dot`] ([`vecops::sparse_meet`]), for a caller that holds a
+/// column's rows before its values. A pair whose suffixes share none has
+/// the `+0.0` dot, and [`norm_identity`] answers it without a stored value.
+/// Also returns the walk's [`KernelStats::bytes_streamed`]: 12 per suffix
+/// entry, as the two-column intersection counts it.
+pub fn suffix_rows_meet(p: usize, p_rows: &[u32], q: usize, q_rows: &[u32]) -> (bool, usize) {
+    let bound = p.max(q) as u32;
+    let a = &p_rows[suffix_start(p_rows, p, bound)..];
+    let b = &q_rows[suffix_start(q_rows, q, bound)..];
+    let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<f64>();
+    (
+        vecops::sparse_meet(a, b).is_some(),
+        (a.len() + b.len()) * entry_bytes,
+    )
 }
 
 /// Entries of column `j` at rows `bound..`, as parallel slices (see
@@ -343,10 +247,8 @@ struct SuffixMerge {
 /// the `+0.0` dot with no column access at all. Otherwise both suffixes
 /// start at the row it returns: no shared row lies below it, so the dot
 /// adds the same products in the same order as from `max(p, q)`. One
-/// rows-first access per column; a column is searched for its suffix start
-/// only when that row lies above the column's own index. The dot's index
-/// walk ([`vecops::sparse_meet`]) runs over the rows alone, and both
-/// columns' values are asked for only when it finds a shared row.
+/// access per column; a column is searched for its suffix start only when
+/// that row lies above the column's own index.
 ///
 /// A random pair's columns are cold, and reading them is a chain of cache
 /// misses: the suffix search probes one line after another, then the dot
@@ -365,27 +267,16 @@ fn suffix_merge<S: ColumnStore + ?Sized>(
             certified: true,
         });
     };
-    let merge = |a: RowsFirst<'_>, b: RowsFirst<'_>| {
-        std::hint::black_box(touch_lines(a.rows()) ^ touch_lines(b.rows()));
-        let (a_from, b_from) = (
-            suffix_start(a.rows(), p, bound),
-            suffix_start(b.rows(), q, bound),
-        );
-        let (ai, bi) = (&a.rows()[a_from..], &b.rows()[b_from..]);
-        let dot = match vecops::sparse_meet(ai, bi) {
-            Some(at) => {
-                let (av, bv) = (&a.values()?[a_from..], &b.values()?[b_from..]);
-                vecops::sparse_dot_from(ai, av, bi, bv, at)
-            }
-            None => 0.0,
-        };
-        Ok::<_, EffresError>(SuffixMerge {
-            dot,
+    let merge = |a: ColumnView<'_>, b: ColumnView<'_>| {
+        std::hint::black_box(touch_lines(a.indices()) ^ touch_lines(b.indices()));
+        let ((ai, av), (bi, bv)) = (suffix(a, p, bound), suffix(b, q, bound));
+        SuffixMerge {
+            dot: vecops::sparse_dot(ai, av, bi, bv),
             bytes: ai.len() * a.entry_bytes() + bi.len() * b.entry_bytes(),
             certified: false,
-        })
+        }
     };
-    store.with_rows_first(p, |a| store.with_rows_first(q, |b| merge(a, b)))??
+    store.with_column(p, |a| store.with_column(q, |b| merge(a, b)))?
 }
 
 /// Row indices per 64-byte cache line.
@@ -491,9 +382,18 @@ pub fn column_distance_squared_with_norms<S: ColumnStore + ?Sized>(
     norms_squared: &[f64],
 ) -> Result<f64, EffresError> {
     let dot = column_dot(store, p, q)?;
-    // Clamp: cancellation can produce a tiny negative value when the columns
-    // are nearly identical, and resistances are nonnegative.
-    Ok((norms_squared[p] + norms_squared[q] - 2.0 * dot).max(0.0))
+    Ok(norm_identity(norms_squared[p], norms_squared[q], dot))
+}
+
+/// The norm identity of Eq. (22), `‖z̃_p − z̃_q‖² = ‖z̃_p‖² + ‖z̃_q‖² −
+/// 2⟨z̃_p, z̃_q⟩`, from the two squared norms and the dot: the one place
+/// every path answers a pair, so every path gives the same bits. Clamped
+/// at zero: cancellation can produce a tiny negative value when the columns
+/// are nearly identical, and resistances are nonnegative. A pair whose
+/// suffixes share no row passes a `+0.0` dot; the `-0.0` a hub dot over an
+/// empty suffix sums to gives the same bits, since the norms are positive.
+pub fn norm_identity(norm_p: f64, norm_q: f64, dot: f64) -> f64 {
+    (norm_p + norm_q - 2.0 * dot).max(0.0)
 }
 
 /// Batched form of the effective-resistance kernel: answers every (permuted)
@@ -531,8 +431,7 @@ pub fn column_distances_squared_batch<S: ColumnStore + ?Sized>(
                 Some(table) => (table[p], table[q]),
                 None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
             };
-            // Same clamp as the scalar kernel: cancellation can dip below 0.
-            Ok((np + nq - 2.0 * dot).max(0.0))
+            Ok(norm_identity(np, nq, dot))
         })
         .collect()
 }
@@ -553,7 +452,12 @@ pub struct KernelStats {
     /// streamed).
     pub hub_pairs: u64,
     /// Pairs answered by the two-column suffix intersection (no neighbour
-    /// shared a hub, so batching had nothing to amortize).
+    /// shared a hub, so batching had nothing to amortize). A paged sparse
+    /// pin's row phase counts here too: each pair with a column on a pinned
+    /// run whose suffix rows share no row ([`suffix_rows_meet`]) is
+    /// answered from the norm table
+    /// before the kernel runs, as an isolated pair whose walk finds no
+    /// shared row, and not in `certified_pairs`.
     pub isolated_pairs: u64,
     /// The part of `isolated_pairs` certified disjoint before a row was
     /// read: answered from the norm table alone, walking no entry. The
@@ -564,7 +468,8 @@ pub struct KernelStats {
     /// in `isolated_pairs`. On the
     /// benchmark grid either certifies about 85% of uniform random pairs.
     /// Hub pairs are not asked: the hub kernels scatter the shared column
-    /// once and stream every partner's suffix.
+    /// once and stream every partner's suffix. Only a skeleton certifies:
+    /// pairs a paged pin's row phase answers are not counted here.
     pub certified_pairs: u64,
     /// A work count, not a byte count: 12 (a 4-byte row index plus an
     /// 8-byte value) per suffix entry the kernels walked. The hub paths
@@ -575,8 +480,9 @@ pub struct KernelStats {
     /// first block of rows the suffixes share (about 2 of the walked entries
     /// for a random pair of the benchmark grid, none at all for most),
     /// while its suffix search and touch pass load rows below the walk's
-    /// start that are not counted. Skeleton and norm-table lookups are not
-    /// counted either.
+    /// start that are not counted. A pair a paged pin's row phase answers
+    /// counts both suffixes from `max(p, q)`, and reads no value. Skeleton
+    /// and norm-table lookups are not counted.
     pub bytes_streamed: u64,
 }
 
@@ -818,8 +724,6 @@ impl HubScratch {
     /// isolated pair (the grouped kernels fall back to this when no
     /// neighbouring pair shares a hub, leaving any resident hub untouched),
     /// and as a certified one when the store proved the suffixes disjoint.
-    /// Like [`column_dot`], it asks for values only when the two suffixes
-    /// share a row.
     ///
     /// # Errors
     ///
@@ -920,8 +824,7 @@ pub fn column_distances_squared_grouped<S: ColumnStore + ?Sized>(
             Some(table) => (table[p], table[q]),
             None => (fetched_norm(store, p)?, fetched_norm(store, q)?),
         };
-        // Same clamp as the scalar kernel: cancellation can dip below 0.
-        Ok::<f64, EffresError>((np + nq - 2.0 * dot).max(0.0))
+        Ok::<f64, EffresError>(norm_identity(np, nq, dot))
     };
     let mut out = Vec::with_capacity(pairs.len());
     let mut slot = 0;
@@ -1245,8 +1148,8 @@ mod tests {
         );
     }
 
-    /// The arena, counting every column access and value request, with its
-    /// skeleton forwarded.
+    /// The arena, counting every column access, with its skeleton
+    /// forwarded.
     struct Counting {
         z: SparseApproximateInverse,
         accesses: std::cell::Cell<usize>,
@@ -1268,20 +1171,6 @@ mod tests {
         ) -> Result<R, EffresError> {
             self.accesses.set(self.accesses.get() + 1);
             self.z.with_column(j, f)
-        }
-
-        fn with_rows_first<R>(
-            &self,
-            j: usize,
-            f: impl FnOnce(RowsFirst<'_>) -> R,
-        ) -> Result<R, EffresError> {
-            self.accesses.set(self.accesses.get() + 1);
-            let column = self.z.column(j);
-            let values = || {
-                self.accesses.set(self.accesses.get() + 1);
-                Ok(column.values())
-            };
-            Ok(f(RowsFirst::deferred(column.indices(), &values)))
         }
 
         fn suffixes_meet_from(&self, p: usize, q: usize) -> Option<u32> {
@@ -1376,51 +1265,6 @@ mod tests {
         );
     }
 
-    /// The arena, lent rows first with values that cost a request: each
-    /// request is counted, and column `rotten`'s fail.
-    struct DeferredValues {
-        z: SparseApproximateInverse,
-        rotten: usize,
-        requests: std::cell::Cell<usize>,
-    }
-
-    impl ColumnStore for DeferredValues {
-        fn order(&self) -> usize {
-            self.z.order()
-        }
-
-        fn nnz(&self) -> usize {
-            self.z.nnz()
-        }
-
-        fn with_column<R>(
-            &self,
-            j: usize,
-            f: impl FnOnce(ColumnView<'_>) -> R,
-        ) -> Result<R, EffresError> {
-            self.z.with_column(j, f)
-        }
-
-        fn with_rows_first<R>(
-            &self,
-            j: usize,
-            f: impl FnOnce(RowsFirst<'_>) -> R,
-        ) -> Result<R, EffresError> {
-            let column = self.z.column(j);
-            let values = || {
-                self.requests.set(self.requests.get() + 1);
-                match j == self.rotten {
-                    true => Err(EffresError::StoreFailure {
-                        column: j,
-                        message: "rotten".to_string(),
-                    }),
-                    false => Ok(column.values()),
-                }
-            };
-            Ok(f(RowsFirst::deferred(column.indices(), &values)))
-        }
-    }
-
     /// Two grounded 3×6 grids with no edge between them: a column of one
     /// block has no row in the other, so pairs across the blocks share no
     /// row, and pairs within a block share some.
@@ -1446,47 +1290,46 @@ mod tests {
     }
 
     #[test]
-    fn the_pair_dot_asks_for_values_only_where_suffixes_meet() {
+    fn the_rows_only_walk_finds_where_suffixes_meet() {
         let z = two_block_inverse();
         let n = z.order();
+        let norms = z.column_norms_squared();
         let meets = |p: usize, q: usize| {
             let b = z.column(q).indices();
             let bound = p.max(q) as u32;
             let mut a = z.column(p).indices().iter();
             a.any(|r| *r >= bound && b.binary_search(r).is_ok())
         };
-        // A rotten column whose suffix meets some partners and not others.
-        let rotten = (0..n)
-            .find(|&j| (0..n).any(|q| meets(j, q)) && (0..n).any(|q| !meets(j, q)))
-            .expect("both kinds of pairs");
-        let store = DeferredValues {
-            z: two_block_inverse(),
-            rotten,
-            requests: std::cell::Cell::new(0),
-        };
-        let mut scratch = HubScratch::new(n);
+        let (mut disjoint, mut meeting) = (0, 0);
         for p in 0..n {
             for q in 0..n {
-                store.requests.set(0);
-                let dot = scratch.isolated_dot(&store, p, q);
-                if !meets(p, q) {
-                    // No shared row: no value is read and the dot is
-                    // `+0.0`, rotten column or not.
-                    assert_eq!(store.requests.get(), 0, "({p}, {q})");
-                    assert_eq!(dot.expect("no value read").to_bits(), 0.0f64.to_bits());
+                let (p_rows, q_rows) = (z.column(p).indices(), z.column(q).indices());
+                let (meet, bytes) = suffix_rows_meet(p, p_rows, q, q_rows);
+                assert_eq!(meet, meets(p, q), "({p}, {q})");
+                // Both suffixes from `max(p, q)`, 12 per entry.
+                let bound = p.max(q);
+                let entries = suffix_entries(&z, p, bound) + suffix_entries(&z, q, bound);
+                assert_eq!(bytes as u64, 12 * entries, "({p}, {q})");
+                if meet {
+                    meeting += 1;
                     continue;
                 }
-                // Column `p`'s values are asked for first.
-                let asked = if p == rotten { 1 } else { 2 };
-                assert_eq!(store.requests.get(), asked, "({p}, {q})");
-                match p == rotten || q == rotten {
-                    true => assert!(dot.is_err(), "({p}, {q})"),
-                    false => assert_eq!(
-                        dot.expect("healthy").to_bits(),
-                        z.column_dot(p, q).to_bits()
-                    ),
+                // No shared row: the `+0.0` dot, so the norm identity on
+                // `+0.0` gives the kernel's bits without a value.
+                disjoint += 1;
+                assert_eq!(z.column_dot(p, q).to_bits(), 0.0f64.to_bits());
+                if p != q {
+                    assert_eq!(
+                        norm_identity(norms[p], norms[q], 0.0).to_bits(),
+                        z.column_distance_squared_with_norms(p, q, &norms).to_bits(),
+                        "({p}, {q})"
+                    );
                 }
             }
         }
+        assert!(
+            disjoint > 0 && meeting > 0,
+            "{disjoint} disjoint, {meeting} meeting"
+        );
     }
 }

@@ -67,12 +67,12 @@ pub use estimator::EffectiveResistanceEstimator;
 pub use exact::ExactEffectiveResistance;
 pub use random_projection::{RandomProjectionEstimator, RandomProjectionOptions, SolverKind};
 
-pub use column_store::{ColumnStore, HubScratch, KernelStats, RowsFirst};
+pub use column_store::{ColumnStore, HubScratch, KernelStats};
 
 /// Convenient glob import of the main types.
 pub mod prelude {
     pub use crate::approx_inverse::SparseApproximateInverse;
-    pub use crate::column_store::{ColumnStore, HubScratch, KernelStats, RowsFirst};
+    pub use crate::column_store::{ColumnStore, HubScratch, KernelStats};
     pub use crate::config::{BuildOptions, EffresConfig, Ordering};
     pub use crate::error::{BusyReason, CancelReason, EffresError};
     pub use crate::estimator::EffectiveResistanceEstimator;

@@ -34,12 +34,13 @@
 //! queries will read) that covers under a quarter of a page's bytes, in
 //! which case only the demanded columns are read, as runs of adjacent
 //! columns pinned without entering the cache. A run pins its **rows** only
-//! (one positioned read, decoded back to back into one arena per pin); its
-//! values are read the first time a column of the run is asked for them,
-//! and kept in the pin. The two-column dot asks for values only where a
-//! pair's suffixes share a row (see `effres::column_store::column_dot`),
-//! and on large sparse graphs most random pairs share none, so most runs
-//! never read their values. A partial pin plans once and degrades in place.
+//! (one positioned read, decoded back to back into one arena per pin). Its
+//! values are read when the pin's owner asks for them
+//! ([`PagedColumnStore::read_run_values`]), into one buffer per run. The
+//! scheduler first answers, from the rows alone, the pairs whose
+//! suffixes share no row (`effres::column_store::suffix_rows_meet`), and on
+//! large sparse graphs most random pairs share none, so most runs never
+//! read their values. A partial pin plans once and degrades in place.
 //!
 //! A v4 file also persists every column's row-bucket skeleton
 //! ([`effres::skeleton`]) in groups of 64 columns. A scheduled batch that
@@ -71,9 +72,9 @@
 //! lower-triangular row indices in range, finite values) — a corrupt page
 //! is a typed [`EffresError::StoreFailure`](effres::EffresError), never a
 //! panic and never silently wrong answers. A column run's rows are
-//! validated when it is pinned and its values when they are first read, so
-//! rotten rows fail the pin and rotten values fail the first access that
-//! reads them. A skeleton group is validated when a batch reads it (its
+//! validated when it is pinned and its values when they are read, so
+//! rotten rows fail the pin and rotten values fail every access to their
+//! run. A skeleton group is validated when a batch reads it (its
 //! records fill it exactly, a record's buckets strictly increase from its
 //! column's own bucket and stay within the order); a group that stays
 //! malformed certifies nothing, so its pairs take the row path and no
@@ -112,7 +113,7 @@ use crate::snapshot::{
     VERSION_V4,
 };
 use effres::approx_inverse::{ensure_u32_indexable, ArenaFootprint, ColumnView};
-use effres::column_store::{ColumnStore, RowsFirst};
+use effres::column_store::ColumnStore;
 use effres::error::EffresError;
 use effres::estimator::EstimatorStats;
 use effres::skeleton::{self, PaddedBuckets, BUCKET_BLOCK};
@@ -122,7 +123,7 @@ use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Positioned reads over a shared [`File`], std-only on every platform:
 /// `pread` on Unix and `seek_read` on Windows never touch a shared cursor,
@@ -262,13 +263,15 @@ pub struct PageCacheStats {
     /// Column runs read by demand-sized pins (see
     /// [`PagedColumnStore::pin_pages`]): each covers adjacent demanded
     /// columns of a sparsely demanded page, and is one positioned read of
-    /// their rows, plus one of their values when a pair first needs them
+    /// their rows, plus one of their values when the pin's pairs need them
     /// (counted in `value_reads`). Their bytes count in `bytes_read`; the
     /// page they stand in for counts as one miss.
     pub column_runs: u64,
-    /// Column runs whose values were read: a run's values are read the
-    /// first time a pair asks for a value of one of its columns, so a run
-    /// whose pairs all share no row with their partners is never counted.
+    /// Column runs whose values were read
+    /// ([`PagedColumnStore::read_run_values`]): the scheduler reads the
+    /// values of only the runs its pairs with a shared suffix row use, so a
+    /// run whose pairs all share no row with their partners is never
+    /// counted.
     pub value_reads: u64,
     /// Read attempts re-issued after a fault: transient-failure retries
     /// plus validation-failure page re-fetches. A fault-free store reports
@@ -1299,31 +1302,36 @@ impl PagedColumnStore {
         Ok(())
     }
 
-    /// The values of pinned column run `run`, read and validated the first
-    /// time a column of the run is asked for (see
-    /// [`PagedColumnStore::pin_pages`]), through the same retry and
-    /// re-fetch cycle as any read. Later asks, from any thread sharing the
-    /// pin, get that read's values or its typed failure without reading
-    /// again.
-    fn run_values<'r>(&self, run: &'r Run) -> Result<&'r [f64], EffresError> {
-        run.values
-            .get_or_init(|| {
-                self.value_reads.fetch_add(1, Ordering::Relaxed);
-                let entries = self.col_ptr[run.last_col] - self.col_ptr[run.first_col];
-                let mut vals = Vec::with_capacity(entries as usize);
-                let mut scratch = self.buffers.take_scratch();
-                let read = self.read_columns(
-                    run.first_col,
-                    run.last_col,
-                    &mut scratch,
-                    None,
-                    Some(&mut vals),
-                );
-                self.buffers.put_scratch(scratch);
-                read.map(|()| vals)
-            })
-            .as_deref()
-            .map_err(Clone::clone)
+    /// Reads the values of the column runs of `pinned` that hold any of
+    /// `columns` (in any order) and whose values were not read yet: one
+    /// read per run, through the same retry, validation and re-fetch cycle
+    /// as any read, each counted in [`PageCacheStats::value_reads`], into
+    /// a buffer of the run's own. Other columns need no read. A read
+    /// that fails is kept as its run's typed [`EffresError::StoreFailure`]:
+    /// every [`PinnedReader`] access to the run's columns gets it, and the
+    /// run is not read again.
+    pub fn read_run_values(&self, pinned: &mut PinnedPages, columns: &[usize]) {
+        let runs = &mut pinned.runs.runs;
+        let mut scratch = None;
+        for &j in columns {
+            let at = runs.partition_point(|run| run.first_col <= j);
+            let Some(run) = at.checked_sub(1).map(|at| &mut runs[at]) else {
+                continue;
+            };
+            if j >= run.last_col || run.values.is_some() {
+                continue;
+            }
+            self.value_reads.fetch_add(1, Ordering::Relaxed);
+            let scratch = scratch.get_or_insert_with(|| self.buffers.take_scratch());
+            let entries = self.col_ptr[run.last_col] - self.col_ptr[run.first_col];
+            let mut vals = Vec::with_capacity(entries as usize);
+            let read =
+                self.read_columns(run.first_col, run.last_col, scratch, None, Some(&mut vals));
+            run.values = Some(read.map(|()| vals));
+        }
+        if let Some(scratch) = scratch {
+            self.buffers.put_scratch(scratch);
+        }
     }
 
     /// The persisted row-bucket skeletons of `columns` (ascending and
@@ -1566,15 +1574,13 @@ impl PagedColumnStore {
     /// its rows — one positioned read through the same retry, validation
     /// and re-fetch cycle as a page — and the page counts as one miss. All
     /// runs' rows decode into one arena owned by the pin, reserved once from
-    /// `col_ptr` before any read and freed when the pin drops. A run's
-    /// values are read, through the same cycle, the first time a
-    /// [`PinnedReader`] is asked for a value of one of its columns (counted
-    /// in [`PageCacheStats::value_reads`]); they stay in the pin, shared by
-    /// every reader over it, and a run no pair needs values from never
-    /// reads them. Cached pages and densely demanded pages take the
-    /// whole-page path either way. A column outside the demand is still
-    /// served correctly — the [`PinnedReader`] falls back to the store's
-    /// cached path for it.
+    /// `col_ptr` before any read and freed when the pin drops. The pin reads
+    /// no run's values: [`PagedColumnStore::read_run_values`] reads them,
+    /// through the same cycle, for the runs the pin's owner names, after it
+    /// has answered from the rows what needs no value. Cached pages and
+    /// densely demanded pages take the whole-page path either way. A column
+    /// outside the demand is still served correctly — the [`PinnedReader`]
+    /// falls back to the store's cached path for it.
     ///
     /// Whole pages are owned by the returned [`PinnedPages`], so eviction
     /// can never pull one out from under the queries draining it; they are
@@ -1590,8 +1596,9 @@ impl PagedColumnStore {
     ///
     /// Returns [`EffresError::StoreFailure`] on read failure or if any
     /// fetched page or column run's rows fail validation. A run's values
-    /// are not read here: their read failure or rot surfaces, as the same
-    /// typed error, from the [`PinnedReader`] access that first reads them.
+    /// are not read here: their read failure or rot is kept by
+    /// [`PagedColumnStore::read_run_values`] and surfaces, as the same typed
+    /// error, from every [`PinnedReader`] access to the run.
     ///
     /// # Panics
     ///
@@ -1614,9 +1621,9 @@ impl PagedColumnStore {
     /// other page and run stands, and each page counts its hit or miss, its
     /// runs and its retries once — so one rotten page costs the batch that
     /// page's queries, not the batch. Runs pin their rows only, so rotten
-    /// values fail no pin: they fail the first [`PinnedReader`] access that
-    /// reads them, and every later one, and only the pairs whose answers
-    /// need them.
+    /// values fail no pin: once [`PagedColumnStore::read_run_values`] has
+    /// read them, they fail every [`PinnedReader`] access to their run, and
+    /// only the pairs whose answers need them.
     ///
     /// # Panics
     ///
@@ -1680,7 +1687,7 @@ impl PagedColumnStore {
             .sum();
         let mut arena = RunArena {
             rows: Vec::with_capacity(entries),
-            runs: Vec::new(),
+            ..RunArena::default()
         };
         for (pid, runs) in sparse {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -1688,7 +1695,7 @@ impl PagedColumnStore {
             for (first_col, last_col) in runs {
                 self.column_runs.fetch_add(1, Ordering::Relaxed);
                 let offset = arena.rows.len();
-                // Rows only: the values wait for the run's first use.
+                // Rows only: the values wait for `read_run_values`.
                 let read = self.read_columns(
                     first_col,
                     last_col,
@@ -1701,7 +1708,7 @@ impl PagedColumnStore {
                         first_col,
                         last_col,
                         offset,
-                        values: OnceLock::new(),
+                        values: None,
                     }),
                     Err(error) if !partial => return Err(error),
                     Err(error) => {
@@ -1945,10 +1952,10 @@ impl PinnedPages {
         if let Some(page) = self.pages.get(&pid) {
             let at = (col_ptr[j] - page.base) as usize;
             let end = at + entries;
-            return Some(PinnedColumn::Whole(
-                &page.rows[at..end],
-                &page.vals[at..end],
-            ));
+            return Some(PinnedColumn {
+                rows: &page.rows[at..end],
+                values: Some(Ok(&page.vals[at..end])),
+            });
         }
         let runs = &self.runs.runs;
         let run = runs[..runs.partition_point(|run| run.first_col <= j)]
@@ -1956,31 +1963,31 @@ impl PinnedPages {
             .filter(|run| j < run.last_col)?;
         let lo = (col_ptr[j] - col_ptr[run.first_col]) as usize;
         let at = run.offset + lo;
-        Some(PinnedColumn::Run {
+        let values = run.values.as_ref().map(|read| match read {
+            Ok(vals) => Ok(&vals[lo..lo + entries]),
+            Err(error) => Err(error),
+        });
+        Some(PinnedColumn {
             rows: &self.runs.rows[at..at + entries],
-            run,
-            lo,
+            values,
         })
     }
 }
 
-/// A column a [`PinnedPages`] set holds.
+/// A column a [`PinnedPages`] set holds: its rows, and its values as far
+/// as the pin has them.
 #[derive(Debug, Clone, Copy)]
-enum PinnedColumn<'a> {
-    /// The rows and values of a column of a pinned whole page.
-    Whole(&'a [u32], &'a [f64]),
-    /// The rows of a column of a pinned run; its values sit at `lo..` of
-    /// the run's values, once read ([`PagedColumnStore::run_values`]).
-    Run {
-        rows: &'a [u32],
-        run: &'a Run,
-        lo: usize,
-    },
+struct PinnedColumn<'a> {
+    rows: &'a [u32],
+    /// The values of a whole page's column or of a run read by
+    /// [`PagedColumnStore::read_run_values`], or that read's failure;
+    /// `None` for a run whose values were never read.
+    values: Option<Result<&'a [f64], &'a EffresError>>,
 }
 
 /// The column runs of one pin's sparsely demanded pages: their rows,
-/// decoded back to back into one buffer when the pin is made, and each
-/// run's values, read on the run's first use.
+/// decoded back to back into one buffer when the pin is made, and the
+/// values of the runs [`PagedColumnStore::read_run_values`] read.
 #[derive(Debug, Default)]
 struct RunArena {
     rows: Vec<u32>,
@@ -1995,9 +2002,11 @@ struct Run {
     last_col: usize,
     /// Where the run's rows start in the arena's `rows`.
     offset: usize,
-    /// The run's values once read and validated, or the typed failure of
-    /// that read ([`PagedColumnStore::run_values`]).
-    values: OnceLock<Result<Vec<f64>, EffresError>>,
+    /// The run's values, or the typed failure of their read; `None` until
+    /// [`PagedColumnStore::read_run_values`] reads them. One buffer per
+    /// run, not one per pin: a pin-sized buffer outgrows the allocator's
+    /// heap, and every pin would then fault its pages in afresh.
+    values: Option<Result<Vec<f64>, EffresError>>,
 }
 
 /// How one pin produces its pages (see [`PagedColumnStore::pin_pages`]).
@@ -2129,21 +2138,19 @@ impl BatchSkeletons {
 
 /// A [`ColumnStore`] view combining a [`PagedColumnStore`] with one
 /// [`PinnedPages`] set (a batch scheduler's chunk pin). A column resolves
-/// to a slice of a pinned whole page or of the pin's run arena, without
+/// to a slice of a pinned whole page or of the pin's runs, without
 /// touching the cache or its locks; anything else — including a column
 /// outside a sparse pin's demand — falls back to the store's normal cached
 /// path. Pins hold the same decoded bits the cache would, so answers are
 /// bit-identical to unpinned serving.
 ///
-/// A run's column serves its rows from the pin. Its values are read the
-/// first time any access needs them — [`ColumnStore::with_column`] always,
-/// [`ColumnStore::with_rows_first`] only when
-/// [`RowsFirst::values`](effres::column_store::RowsFirst::values) is
-/// called — once per run, shared by every reader over the pin, and kept
-/// until the pin drops. A failed or rotten value read is that access's
-/// typed [`EffresError::StoreFailure`](effres::EffresError), and every
-/// later access to the run's values gets the same error without reading
-/// again.
+/// A run's column serves its rows from the pin at once
+/// ([`PinnedReader::rows`]). [`ColumnStore::with_column`] serves it from
+/// the run's values once [`PagedColumnStore::read_run_values`] has read
+/// them, or with that read's typed
+/// [`EffresError::StoreFailure`](effres::EffresError) when it failed. The
+/// values must be read before a run's column is asked for them (see
+/// [`PinnedReader::new`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedReader<'s> {
     store: &'s PagedColumnStore,
@@ -2152,6 +2159,15 @@ pub struct PinnedReader<'s> {
 
 impl<'s> PinnedReader<'s> {
     /// A view over `store` preferring the `pinned` pages.
+    ///
+    /// A sparse pin's column runs hold their rows only, so the pin's owner
+    /// reads the values of every run whose columns it will ask
+    /// [`ColumnStore::with_column`] for
+    /// ([`PagedColumnStore::read_run_values`]) before it makes this view;
+    /// [`PinnedReader::rows`] needs no such step. A run column asked for
+    /// before its values were read is a caller's bug: debug builds panic,
+    /// and release builds serve it through the store's cached path, which
+    /// reads its whole page.
     pub fn new(store: &'s PagedColumnStore, pinned: &'s PinnedPages) -> Self {
         PinnedReader { store, pinned }
     }
@@ -2165,6 +2181,15 @@ impl<'s> PinnedReader<'s> {
         );
         let pid = self.store.page_of_column(j);
         self.pinned.column(j, pid, &self.store.col_ptr)
+    }
+
+    /// The rows of column `j`, if the pin holds the column, and whether it
+    /// holds the column's values too: a whole page's column always does, a
+    /// column run's once [`PagedColumnStore::read_run_values`] has read
+    /// them (a run whose read failed holds none).
+    pub fn rows(&self, j: usize) -> Option<(&'s [u32], bool)> {
+        self.pinned(j)
+            .map(|column| (column.rows, matches!(column.values, Some(Ok(_)))))
     }
 }
 
@@ -2182,36 +2207,19 @@ impl ColumnStore for PinnedReader<'_> {
         j: usize,
         f: impl FnOnce(ColumnView<'_>) -> R,
     ) -> Result<R, EffresError> {
-        let order = self.store.order;
-        match self.pinned(j) {
-            Some(PinnedColumn::Whole(rows, vals)) => {
-                Ok(f(ColumnView::from_slices(order, rows, vals)))
-            }
-            Some(PinnedColumn::Run { rows, run, lo }) => {
-                let vals = &self.store.run_values(run)?[lo..lo + rows.len()];
-                Ok(f(ColumnView::from_slices(order, rows, vals)))
+        let Some(PinnedColumn { rows, values }) = self.pinned(j) else {
+            return self.store.with_column(j, f);
+        };
+        debug_assert!(
+            values.is_some(),
+            "column {j} is on a pinned run whose values were never read"
+        );
+        match values {
+            Some(values) => {
+                let vals = values.map_err(Clone::clone)?;
+                Ok(f(ColumnView::from_slices(self.store.order, rows, vals)))
             }
             None => self.store.with_column(j, f),
-        }
-    }
-
-    /// A pinned run's column lends its rows at once and reads the run's
-    /// values only when they are asked for.
-    fn with_rows_first<R>(
-        &self,
-        j: usize,
-        f: impl FnOnce(RowsFirst<'_>) -> R,
-    ) -> Result<R, EffresError> {
-        match self.pinned(j) {
-            Some(PinnedColumn::Whole(rows, vals)) => Ok(f(RowsFirst::lent(
-                ColumnView::from_slices(self.store.order, rows, vals),
-            ))),
-            Some(PinnedColumn::Run { rows, run, lo }) => Ok(f(RowsFirst::deferred(rows, &|| {
-                self.store
-                    .run_values(run)
-                    .map(|vals| &vals[lo..lo + rows.len()])
-            }))),
-            None => self.store.with_rows_first(j, f),
         }
     }
 }

@@ -80,10 +80,31 @@ fn no_crash_point_tears_an_existing_snapshot() {
     assert_eq!(std::fs::read(&dest).expect("new bytes"), replacement);
 }
 
+/// A directory of one test's own, removed with everything in it when the
+/// guard drops: when its test ends, also on a panic.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Self {
+        let dir = temp_path(&format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn crash_with_no_preexisting_snapshot_leaves_no_file() {
-    let dest = temp_path("fresh.snap");
-    let _ = std::fs::remove_file(&dest);
+    // The crash leaves its truncated staging sibling beside `dest`, in a
+    // directory that goes when the test ends.
+    let dir = TempDir::new("fresh");
+    let dest = dir.0.join("fresh.snap");
     let est = estimator(7);
     let done =
         save_snapshot_crashing_at(&dest, &est, None, 64).expect("simulated crash is not an error");

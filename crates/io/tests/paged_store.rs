@@ -7,9 +7,10 @@
 //! hostile files — including corrupt raw rows, varint rows and norms blocks
 //! — must produce typed errors *before* corrupt data can serve a query.
 //! Demand-sized pins must read exactly the demanded columns' on-disk bytes
-//! — their rows when pinned, a run's values on its first use — serve the
-//! same bits, and fail, heal and degrade the way whole pages do: rotten
-//! rows at pin time, rotten values where they are first read.
+//! — their rows when pinned, a run's values when `read_run_values` names
+//! its columns — serve the same bits, and fail, heal and degrade the way
+//! whole pages do: rotten rows at pin time, rotten values where they are
+//! read, kept as the run's typed error.
 
 use effres::column_store::{self, ColumnStore};
 use effres::EffresError;
@@ -651,7 +652,7 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
             );
         }
         let paged = open_paged(&path, &sparse_options()).expect("opens");
-        let pinned = paged
+        let mut pinned = paged
             .store
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
             .expect("healthy fixture");
@@ -664,9 +665,10 @@ fn a_sparse_pin_reads_exactly_the_demanded_columns_bytes() {
         assert_eq!((stats.hits, stats.misses), (0, 2), "{name}");
         assert_eq!(stats.readahead_reads, 0, "{name}");
 
-        // The demanded columns serve off the runs, bit-identical to the
-        // resident arena; the first use of each run reads its values, and
-        // nothing else touches the store.
+        // Reading the runs' values reads each run's once; the demanded
+        // columns then serve off the runs, bit-identical to the resident
+        // arena, and nothing else touches the store.
+        paged.store.read_run_values(&mut pinned, &SPARSE_DEMAND);
         let reader = effres_io::PinnedReader::new(&paged.store, &pinned);
         let inverse = resident().estimator.approximate_inverse();
         for j in SPARSE_DEMAND {
@@ -730,10 +732,11 @@ fn a_dense_demand_and_a_cached_page_keep_the_whole_page_path() {
 fn a_column_outside_the_demand_reads_the_resident_value() {
     for (name, path) in served_files() {
         let paged = open_paged(&path, &sparse_options()).expect("opens");
-        let pinned = paged
+        let mut pinned = paged
             .store
             .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
             .expect("healthy fixture");
+        paged.store.read_run_values(&mut pinned, &SPARSE_DEMAND);
         let reader = effres_io::PinnedReader::new(&paged.store, &pinned);
         let inverse = resident().estimator.approximate_inverse();
         // Column 20 sits on sparsely pinned page 1 but was not demanded. An
@@ -754,6 +757,29 @@ fn a_column_outside_the_demand_reads_the_resident_value() {
     }
 }
 
+/// A run column serves its rows before its values are read, and asking it
+/// for values before `read_run_values` has read them is a caller's bug
+/// that debug builds catch.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "whose values were never read")]
+fn a_run_column_asked_for_values_before_they_are_read_panics_in_debug() {
+    let paged = open_paged(raw_v3_path(), &sparse_options()).expect("opens");
+    let mut pinned = paged
+        .store
+        .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
+        .expect("healthy fixture");
+    paged.store.read_run_values(&mut pinned, &[17]);
+    let reader = effres_io::PinnedReader::new(&paged.store, &pinned);
+    let inverse = resident().estimator.approximate_inverse();
+    for (j, read) in [(17, true), (29, false)] {
+        let (rows, held) = reader.rows(j).expect("pinned run");
+        assert_eq!(rows, inverse.column(j).indices(), "col {j}");
+        assert_eq!(held, read, "col {j}");
+    }
+    let _ = reader.with_column(29, |_| ());
+}
+
 #[test]
 fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confined() {
     use effres_io::{open_paged_with_faults, FaultPlan, RetryPolicy};
@@ -769,14 +795,14 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
     let victim = 29;
     let offset = clean.store.column_value_byte_offset(victim) + 6;
 
-    // Persistent rot: the pin reads rows only and stands; the first use
-    // of the victim's run reads its values, which fail validation twice
-    // and surface typed. Later uses get the same error without a read.
+    // Persistent rot: the pin reads rows only and stands; reading the
+    // victim's run's values fails validation twice, and every use of the
+    // run gets that typed failure without a read.
     let rotten = open_paged_with_faults(&path, &options, FaultPlan::new(0).poison(offset, 2))
         .expect("opens");
     for partial in [false, true] {
         let before = rotten.store.page_cache_stats();
-        let pinned = if partial {
+        let mut pinned = if partial {
             let (pinned, failures) = rotten
                 .store
                 .pin_pages_partial(&SPARSE_PAGES, Some(&SPARSE_DEMAND));
@@ -790,6 +816,7 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         };
         assert_eq!(pinned.len(), 2);
         assert_eq!(rotten.store.page_cache_stats().since(before).retries, 0);
+        rotten.store.read_run_values(&mut pinned, &[victim]);
         let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
         for _ in 0..2 {
             let err = reader
@@ -806,6 +833,8 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
 
         // The rot stays in its run: the other runs, on the rotten page and
         // off it, serve bit-identically.
+        rotten.store.read_run_values(&mut pinned, &[17, 18, 70]);
+        let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
         let inverse = resident().estimator.approximate_inverse();
         for j in [17, 18, 70] {
             assert_eq!(column_bits(&reader, j), column_bits(inverse, j), "col {j}");
@@ -822,10 +851,11 @@ fn poison_on_a_demanded_column_fails_typed_heals_on_refetch_and_stays_page_confi
         FaultPlan::new(0).poison_until_refetch(offset, 2),
     )
     .expect("opens");
-    let pinned = healing
+    let mut pinned = healing
         .store
         .pin_pages(&SPARSE_PAGES, Some(&SPARSE_DEMAND))
         .expect("rows are healthy");
+    healing.store.read_run_values(&mut pinned, &SPARSE_DEMAND);
     let reader = effres_io::PinnedReader::new(&healing.store, &pinned);
     let inverse = resident().estimator.approximate_inverse();
     assert_eq!(column_bits(&reader, victim), column_bits(inverse, victim));
@@ -858,7 +888,7 @@ fn row_rot_on_a_demanded_column_still_fails_the_pin() {
     );
     // The partial pin fails only the rotten page; the other sparse page
     // pins and serves bit-identically.
-    let (pinned, failures) = rotten
+    let (mut pinned, failures) = rotten
         .store
         .pin_pages_partial(&SPARSE_PAGES, Some(&SPARSE_DEMAND));
     assert_eq!(failures.len(), 1);
@@ -868,6 +898,7 @@ fn row_rot_on_a_demanded_column_still_fails_the_pin() {
         EffresError::StoreFailure { column, .. } if column == victim
     ));
     assert_eq!(pinned.len(), 1);
+    rotten.store.read_run_values(&mut pinned, &SPARSE_DEMAND);
     let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
     let inverse = resident().estimator.approximate_inverse();
     assert_eq!(column_bits(&reader, 70), column_bits(inverse, 70));
@@ -897,7 +928,7 @@ fn a_partial_pin_fails_only_its_rotten_page_and_counts_each_page_once() {
     // page pins.
     let mut demand = dense.clone();
     demand.extend([17, 18, 29, victim, 100]);
-    let (pinned, failures) = rotten.store.pin_pages_partial(&[1, 2, 4, 6], Some(&demand));
+    let (mut pinned, failures) = rotten.store.pin_pages_partial(&[1, 2, 4, 6], Some(&demand));
     assert!(failures.is_empty(), "{failures:?}");
     assert_eq!(pinned.len(), 4);
     assert_eq!(rotten.store.pinned_pages_now(), 4);
@@ -916,8 +947,9 @@ fn a_partial_pin_fails_only_its_rotten_page_and_counts_each_page_once() {
             .sum::<u64>()
     );
 
-    // The victim's first use reads its run's values, fails validation,
-    // re-fetches them once and fails typed.
+    // Reading the runs' values fails validation on the victim's, re-fetches
+    // them once and keeps the typed failure, which its use gets.
+    rotten.store.read_run_values(&mut pinned, &demand);
     let reader = effres_io::PinnedReader::new(&rotten.store, &pinned);
     let err = reader
         .with_column(victim, |_| ())

@@ -717,28 +717,10 @@ fn build_batch(
     }
 }
 
-/// Prints a batch summary (plus the per-batch page-traffic and scheduler
-/// lines when the backend pages columns in from disk) and writes the result
-/// file.
-fn serve_batch(
-    result: &effres_service::BatchResult,
-    batch: &QueryBatch,
-    labels: &Option<Vec<u64>>,
-    output: Option<&Path>,
-    pool_threads: usize,
-) -> Result<(), CliError> {
-    println!(
-        "batch      {} queries in {:.3}s, {} chunk(s) on a {}-worker pool — {:.0} queries/s",
-        batch.len(),
-        result.elapsed.as_secs_f64(),
-        result.threads,
-        pool_threads,
-        result.throughput()
-    );
-    println!(
-        "cache      {} hits, {} misses",
-        result.cache_hits, result.cache_misses
-    );
+/// Prints the kernel line of a batch that reached the kernels, and the
+/// page-cache and schedule lines of a paged one. The page figures are the
+/// store counters' growth across the batch, not process-lifetime totals.
+fn print_batch_work(result: &BatchResult) {
     let k = result.kernel;
     if k.pairs() > 0 {
         println!(
@@ -752,8 +734,6 @@ fn serve_batch(
         );
     }
     if let Some(page) = result.page_cache {
-        // Per-batch traffic (the store counters' growth across the batch),
-        // not process-lifetime totals.
         let lookups = page.hits + page.misses;
         println!(
             "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read, \
@@ -779,6 +759,31 @@ fn serve_batch(
             schedule.clusters, schedule.blocks, schedule.windows
         );
     }
+}
+
+/// Prints a batch summary (plus the per-batch page-traffic and scheduler
+/// lines when the backend pages columns in from disk) and writes the result
+/// file.
+fn serve_batch(
+    result: &BatchResult,
+    batch: &QueryBatch,
+    labels: &Option<Vec<u64>>,
+    output: Option<&Path>,
+    pool_threads: usize,
+) -> Result<(), CliError> {
+    println!(
+        "batch      {} queries in {:.3}s, {} chunk(s) on a {}-worker pool — {:.0} queries/s",
+        batch.len(),
+        result.elapsed.as_secs_f64(),
+        result.threads,
+        pool_threads,
+        result.throughput()
+    );
+    println!(
+        "cache      {} hits, {} misses",
+        result.cache_hits, result.cache_misses
+    );
+    print_batch_work(result);
     let mean = if result.values.is_empty() {
         0.0
     } else {
@@ -1009,38 +1014,7 @@ fn cmd_centrality(args: &[String]) -> Result<(), CliError> {
         pool.threads(),
         result.throughput()
     );
-    let k = result.kernel;
-    if k.pairs() > 0 {
-        println!(
-            "kernel     {:.1} MiB streamed, {} hub load(s) × {:.1} pair(s)/hub column, \
-             {} isolated pair(s), {} certified disjoint",
-            k.bytes_streamed as f64 / (1024.0 * 1024.0),
-            k.hub_loads,
-            k.pairs_per_hub_load(),
-            k.isolated_pairs,
-            k.certified_pairs
-        );
-    }
-    if let Some(page) = result.page_cache {
-        let lookups = page.hits + page.misses;
-        println!(
-            "page cache {} hits, {} misses ({:.1}% hit rate), {:.1} MiB read — this batch",
-            page.hits,
-            page.misses,
-            if lookups == 0 {
-                100.0
-            } else {
-                100.0 * page.hits as f64 / lookups as f64
-            },
-            page.bytes_read as f64 / (1024.0 * 1024.0)
-        );
-    }
-    if let Some(schedule) = result.schedule {
-        println!(
-            "schedule   {} page-pair cluster(s) -> {} lease round(s), {} pin(s)",
-            schedule.clusters, schedule.blocks, schedule.windows
-        );
-    }
+    print_batch_work(&result);
     // For exact resistances the centralities of a connected graph sum to
     // n − 1 (every spanning tree has n − 1 edges); the approximate sum
     // landing near it is a cheap whole-workload sanity check.

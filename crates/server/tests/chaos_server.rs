@@ -27,7 +27,7 @@ fn snapshot_path() -> &'static PathBuf {
             EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build");
         let dir = std::env::temp_dir().join("effres-chaos-server");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("chaos-{}.snap", std::process::id()));
+        let path = dir.join("chaos.snap");
         save_snapshot(&path, &estimator, None).expect("save");
         path
     })

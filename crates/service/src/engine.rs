@@ -376,9 +376,11 @@ impl<B: ResistanceBackend> EngineCore<B> {
     /// the norm identity `‖z̃_p − z̃_q‖² = ‖z̃_p‖² + ‖z̃_q‖² − 2⟨z̃_p, z̃_q⟩`.
     fn pair_value(&self, pp: usize, qq: usize) -> Result<f64, EffresError> {
         let dot = column_store::column_dot(self.backend.store(), pp, qq)?;
-        // Clamp: cancellation can go slightly negative for near-identical
-        // columns, and resistances are nonnegative.
-        Ok((self.norms[pp] + self.norms[qq] - 2.0 * dot).max(0.0))
+        Ok(column_store::norm_identity(
+            self.norms[pp],
+            self.norms[qq],
+            dot,
+        ))
     }
 
     /// The pair cache a batch of `batch_len` pairs probes and fills: none

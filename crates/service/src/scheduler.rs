@@ -54,13 +54,16 @@
 //! flush the cache anyway, so each chunk pin carries the columns its
 //! queries read as a *demand*, and a page whose demanded columns hold under
 //! a quarter of its bytes is read as runs of adjacent demanded columns —
-//! pinned, not cached. A run pins its rows; its values are read the first
-//! time a pair's suffixes share a row on one of its columns, and most
-//! random pairs on a large sparse graph share none. A uniform batch over a
-//! file many times the cache uses a few columns per page, so this is where
-//! its I/O goes from whole-page to per-column, and from per-column to the
-//! rows of most columns. The plan — rounds, chunks, evaluation order — is
-//! the same either way; only the bytes behind each pin change.
+//! pinned, not cached. A run pins its rows. Before its kernel runs, such a
+//! chunk answers the pairs whose pinned suffix rows share no row from the
+//! norm table (see `drain_chunk`), then reads the values of only the runs
+//! the remaining pairs use; most random pairs on a large sparse graph
+//! share no row. A uniform
+//! batch over a file many times the cache uses a few columns per page, so
+//! this is where its I/O goes from whole-page to per-column, and from
+//! per-column to the rows of most columns. The plan — rounds, chunks,
+//! evaluation order — is the same either way; only the bytes behind each
+//! pin change.
 //!
 //! Pin capacity is not assumed but **leased**: every round acquires its
 //! pages from the engine's
@@ -90,10 +93,12 @@
 //! [`column_distances_squared_grouped`](effres::column_store::column_distances_squared_grouped),
 //! property-pinned bit-identical to the pairwise
 //! [`column_dot`](effres::column_store::column_dot) loop, also on a
-//! one-pair slice), so the values are **bit-identical** to unscheduled
-//! paged — and to resident — execution in either mode; only the evaluation
-//! order and the I/O pattern change. Query independence makes that
-//! reordering safe by construction, and the property tests in
+//! one-pair slice) or, for a pair whose suffixes share no row, by the same
+//! [`norm_identity`](effres::column_store::norm_identity) with the `+0.0`
+//! dot those kernels give it, so the values are **bit-identical** to
+//! unscheduled paged — and to resident — execution in either mode; only
+//! the evaluation order and the I/O pattern change. Query independence
+//! makes that reordering safe by construction, and the property tests in
 //! `tests/io_service_end_to_end.rs` pin it.
 
 use crate::admission::PinLease;
@@ -105,7 +110,7 @@ use crate::engine::{
     cache_key, grouped_values, BatchResult, EngineCore, ExecOptions, QueryEngine, Run,
     ScheduleReport,
 };
-use effres::column_store::KernelStats;
+use effres::column_store::{self, KernelStats};
 use effres::EffresError;
 use effres_io::snapshot::SKELETON_GROUP;
 use effres_io::{PagedColumnStore, PagedSnapshot, PinnedReader};
@@ -349,17 +354,9 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 let jobs: Vec<_> = (chunks.into_iter().enumerate())
                     .map(|(job, (pages, lo, hi))| {
                         let core = Arc::clone(&self.core);
-                        let mut queries = pending[lo..hi].to_vec();
+                        let queries = pending[lo..hi].to_vec();
                         move || {
-                            drain_chunk(
-                                &core,
-                                &pages,
-                                &mut queries,
-                                batch_len,
-                                job,
-                                sparse,
-                                fail_fast,
-                            )
+                            drain_chunk(&core, &pages, queries, batch_len, job, sparse, fail_fast)
                         }
                     })
                     .collect();
@@ -367,7 +364,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
             } else {
                 (chunks.into_iter())
                     .map(|(pages, lo, hi)| {
-                        let queries = &mut pending[lo..hi];
+                        let queries = pending[lo..hi].to_vec();
                         drain_chunk(&self.core, &pages, queries, batch_len, 0, sparse, fail_fast)
                     })
                     .collect()
@@ -391,9 +388,8 @@ impl<B: ResistanceBackend> QueryEngine<B> {
     /// with a persisted skeleton: reads the skeletons of the pending
     /// queries' columns in a few large reads
     /// ([`PagedColumnStore::read_skeletons`]), answers every query whose
-    /// suffixes they certify disjoint from the norm table, with the
-    /// kernels' own arithmetic for a `+0.0` dot, fills the pair cache with
-    /// those answers, and leaves only the other queries pending.
+    /// suffixes they certify disjoint from the norm table
+    /// ([`answer_disjoint`]), and leaves only the other queries pending.
     ///
     /// A batch of more than [`PROBE_PAIRS`] queries probes first
     /// ([`probe_certifies`]) and skips the pass when no probed pair
@@ -411,9 +407,7 @@ impl<B: ResistanceBackend> QueryEngine<B> {
         if pending.len() > PROBE_PAIRS && !probe_certifies(store, pending) {
             return;
         }
-        let mut columns: Vec<usize> = (pending.iter())
-            .flat_map(|t| [t.pp as usize, t.qq as usize])
-            .collect();
+        let mut columns = columns_of(pending);
         columns.sort_unstable();
         columns.dedup();
         // A group the scrubber distrusts while this pass reads may have
@@ -452,21 +446,13 @@ impl<B: ResistanceBackend> QueryEngine<B> {
                 .map(|t| skeletons.certifies(t.pp as usize, t.qq as usize))
                 .collect()
         };
-        let norms = &self.core.norms;
         let before = pending.len();
         let mut verdicts = certified.into_iter();
         pending.retain(|t| {
             if !verdicts.next().expect("one verdict per query") {
                 return true;
             }
-            let (p, q) = (t.pp as usize, t.qq as usize);
-            // The same bits as the kernels' `+0.0` dot of two disjoint
-            // suffixes (and their `-0.0` over an empty one).
-            let value = (norms[p] + norms[q] - 2.0 * 0.0).max(0.0);
-            run.values[t.slot as usize] = value;
-            if let Some(cache) = cache {
-                cache.insert(cache_key(p, q), value);
-            }
+            run.values[t.slot as usize] = answer_disjoint(&self.core.norms, cache, t);
             false
         });
         if let Some(cache) = cache {
@@ -535,6 +521,26 @@ fn group_cuts(columns: &[usize], parts: usize) -> Vec<usize> {
     cuts
 }
 
+/// Answers query `t`, whose suffixes share no row, from the norm table:
+/// the norm identity with the kernels' `+0.0` dot, so the bits any kernel
+/// gives the pair. The answer also goes into the pair cache, if the batch
+/// uses one.
+fn answer_disjoint(norms: &[f64], cache: Option<&ShardedLru>, t: &Pending) -> f64 {
+    let (p, q) = (t.pp as usize, t.qq as usize);
+    let value = column_store::norm_identity(norms[p], norms[q], 0.0);
+    if let Some(cache) = cache {
+        cache.insert(cache_key(p, q), value);
+    }
+    value
+}
+
+/// Both permuted endpoints of every query, in query order.
+fn columns_of(queries: &[Pending]) -> Vec<usize> {
+    (queries.iter())
+        .flat_map(|t| [t.pp as usize, t.qq as usize])
+        .collect()
+}
+
 /// Distinct pages (either side) of `queries`, counted on `marked`, which
 /// is left clear.
 fn distinct_pages(queries: &[Pending], marked: &mut [bool]) -> usize {
@@ -565,6 +571,13 @@ fn paged_store<B: ResistanceBackend>(core: &EngineCore<B>) -> &PagedColumnStore 
 /// round's reads saves.
 const MIN_CHUNK_PAGES: usize = 16;
 
+/// Walks a chunk's row phase makes before it stops when all of them meet
+/// (see [`drain_chunk`]). None of 32 finding a pair that shares no row puts
+/// the chunk's share of such pairs below about 9% with 95% confidence,
+/// where a uniform batch on the benchmark grid leaves about half of its
+/// column runs unread.
+const ROW_PROBE: usize = 32;
+
 /// Fails every query in `queries` with `error`.
 fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error: &EffresError) {
     failures.extend(queries.iter().map(|t| (t.slot as usize, error.clone())));
@@ -582,6 +595,20 @@ fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error
 /// over distinct shards), and the kernel counters it accumulated ride back
 /// alongside the `(slot, value)` answers and the `(slot, error)` failures.
 ///
+/// A sparse pin reads its column runs' rows only, so such a chunk runs in
+/// two phases. The row phase takes the queries in turn. One with a column
+/// on a run whose values are still unread walks its pinned suffix rows
+/// ([`suffix_rows_meet`](column_store::suffix_rows_meet)): if they share
+/// no row it is answered from the norm table ([`answer_disjoint`]) and
+/// counted as an isolated pair, and if they meet its runs' values are read
+/// ([`read_run_values`](PagedColumnStore::read_run_values)). A query whose
+/// values are all in the pin already (whole pages, or runs an earlier
+/// query read) has no read to save and is not walked. A walk that meets
+/// is repeated by the kernel, so when the chunk's first [`ROW_PROBE`]
+/// walks all meet (graph edges, say) it walks no more. Then the values of
+/// every run the remaining queries use are read, and the kernel answers
+/// them.
+///
 /// With `fail_fast` a failed pin or kernel fails the chunk. Without it the
 /// pin degrades page by page, a query on a page that did not pin reads
 /// through the store, and a failed grouped kernel is re-run query by query
@@ -592,23 +619,51 @@ fn fail_all(failures: &mut Vec<(usize, EffresError)>, queries: &[Pending], error
 fn drain_chunk<B: ResistanceBackend>(
     core: &EngineCore<B>,
     pages: &[usize],
-    queries: &mut [Pending],
+    mut queries: Vec<Pending>,
     batch_len: usize,
     scratch_hint: usize,
     sparse: bool,
     fail_fast: bool,
 ) -> Result<(Vec<(u32, f64)>, Vec<(usize, EffresError)>, KernelStats), EffresError> {
     let store = paged_store(core);
-    let demand: Option<Vec<usize>> = sparse.then(|| {
-        (queries.iter())
-            .flat_map(|t| [t.pp as usize, t.qq as usize])
-            .collect()
-    });
-    let pinned = if fail_fast {
+    let demand = sparse.then(|| columns_of(&queries));
+    let mut pinned = if fail_fast {
         store.pin_pages(pages, demand.as_deref())?
     } else {
         store.pin_pages_partial(pages, demand.as_deref()).0
     };
+    let cache = core.pair_cache(batch_len);
+    let mut answers = Vec::with_capacity(queries.len());
+    let mut kernel = KernelStats::default();
+    if sparse {
+        let (mut walks, mut disjoint) = (0, false);
+        queries.retain(|t| {
+            if walks == ROW_PROBE && !disjoint {
+                return true; // Every walk met: stop walking.
+            }
+            let (p, q) = (t.pp as usize, t.qq as usize);
+            let reader = PinnedReader::new(store, &pinned);
+            let (Some((p_rows, p_held)), Some((q_rows, q_held))) = (reader.rows(p), reader.rows(q))
+            else {
+                return true; // A column off the pin is read through the store.
+            };
+            if p_held && q_held {
+                return true; // Both columns' values are in the pin: no read to save.
+            }
+            walks += 1;
+            let (meet, bytes) = column_store::suffix_rows_meet(p, p_rows, q, q_rows);
+            if meet {
+                store.read_run_values(&mut pinned, &[p, q]);
+                return true;
+            }
+            disjoint = true;
+            answers.push((t.slot, answer_disjoint(&core.norms, cache, t)));
+            kernel.isolated_pairs += 1;
+            kernel.bytes_streamed += bytes as u64;
+            false
+        });
+        store.read_run_values(&mut pinned, &columns_of(&queries));
+    }
     let reader = PinnedReader::new(store, &pinned);
     // Re-sort the chunk by column pair: pages hold neighbouring columns, so
     // the page-sorted chunk is nearly column-sorted already, and this makes
@@ -621,10 +676,10 @@ fn drain_chunk<B: ResistanceBackend>(
         .collect();
     let mut scratch = core.take_scratch(scratch_hint);
     let outcome = grouped_values(&reader, &pairs, &core.norms, &mut scratch, fail_fast);
-    let kernel = scratch.take_stats();
+    kernel.merge(scratch.take_stats());
     core.return_scratch(scratch_hint, scratch);
     let (values, failures) = outcome?;
-    if let Some(cache) = core.pair_cache(batch_len) {
+    if let Some(cache) = cache {
         for (i, (t, &value)) in queries.iter().zip(&values).enumerate() {
             if failures.binary_search_by_key(&i, |&(i, _)| i).is_err() {
                 cache.insert(cache_key(t.pp as usize, t.qq as usize), value);
@@ -635,7 +690,7 @@ fn drain_chunk<B: ResistanceBackend>(
         .into_iter()
         .map(|(i, error)| (queries[i].slot as usize, error))
         .collect();
-    let answers = queries.iter().map(|t| t.slot).zip(values).collect();
+    answers.extend(queries.iter().map(|t| t.slot).zip(values));
     Ok((answers, failures, kernel))
 }
 

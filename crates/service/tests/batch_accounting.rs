@@ -26,7 +26,7 @@ fn fixture() -> &'static (PathBuf, Arc<EffectiveResistanceEstimator>) {
             EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build");
         let dir = std::env::temp_dir().join("effres-batch-accounting");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("grid16-{}.snap", std::process::id()));
+        let path = dir.join("grid16.snap");
         save_snapshot(&path, &estimator, None).expect("save");
         (path, Arc::new(estimator))
     })

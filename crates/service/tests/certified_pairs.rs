@@ -33,12 +33,36 @@ fn grid100() -> &'static (Arc<EffectiveResistanceEstimator>, Vec<u8>) {
     })
 }
 
-fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
+/// A snapshot file under the temp dir, removed when the guard drops: when
+/// its test ends, also on a panic.
+struct TempFile(PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn temp_file(name: &str, bytes: &[u8]) -> TempFile {
     let dir = std::env::temp_dir().join("effres-certified-pairs");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("{}-{name}", std::process::id()));
-    std::fs::write(&path, bytes).expect("write");
-    path
+    let file = TempFile(dir.join(format!("{}-{name}", std::process::id())));
+    std::fs::write(&file.0, bytes).expect("write");
+    file
 }
 
 fn fixture(name: &str) -> PathBuf {

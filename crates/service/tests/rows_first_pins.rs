@@ -2,8 +2,9 @@
 //! large enough that some random pairs' suffixes share rows and some share
 //! none. A sparse pin reads each run's rows; a run's values are read only
 //! when a pair's suffixes meet on one of its columns, once per pin, at one
-//! thread or two. Answers stay bit-identical to the arrival-order path, and
-//! value rot fails only the pairs that read it.
+//! thread or two, also for pairs that share a hub column. Answers stay
+//! bit-identical to the arrival-order path, and value rot fails only the
+//! pairs that read it.
 
 use effres::{EffectiveResistanceEstimator, EffresConfig, EffresError};
 use effres_graph::generators;
@@ -39,14 +40,18 @@ fn fixture() -> &'static Fixture {
             EffectiveResistanceEstimator::build(&graph, &EffresConfig::default()).expect("build");
         let dir = std::env::temp_dir().join("effres-rows-first-pins");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("grid{SIDE}-{}.snap", std::process::id()));
+        let path = dir.join(format!("grid{SIDE}.snap"));
         // A v3 file, without the skeleton: on a v4 file the batch
         // certifies every pair of this set whose suffixes share no row
         // before it pins a page, and no run would be left to show that a
         // disjoint pair reads no values.
+        // Staged beside it and renamed into place, so a process that runs
+        // this binary at the same time never reads a torn file.
         let mut bytes = Vec::new();
         write_snapshot_v3(&mut bytes, &estimator, None).expect("write");
-        std::fs::write(&path, bytes).expect("save");
+        let staged = dir.join(format!(".grid{SIDE}.snap.{}", std::process::id()));
+        std::fs::write(&staged, bytes).expect("stage");
+        std::fs::rename(&staged, &path).expect("save");
         let pairs = sparse_pairs(&estimator);
         Fixture {
             path,
@@ -228,6 +233,69 @@ fn runs_read_their_values_only_where_suffixes_meet() {
             let store = &engine.backend().store;
             assert!(store.pinned_pages_high_water() <= store.cache_capacity_pages());
             assert_eq!(engine.stats().page_value_reads, page.value_reads);
+        }
+    }
+}
+
+/// Hub runs whose suffixes share no row: `HUBS` hub columns, two on each
+/// of the first pages (the grid's corner, where columns stay short), each
+/// paired with two columns of its own page among the last pages whose
+/// suffixes share no row with the hub's. The two pairs of a hub share
+/// their smaller endpoint and one page pair, so they drain in one chunk,
+/// where the grouped kernel would scatter the hub and stream both
+/// partners.
+fn disjoint_hub_pairs(estimator: &EffectiveResistanceEstimator) -> Vec<(usize, usize)> {
+    let pages = estimator.node_count() / COLUMNS_PER_PAGE;
+    let by_weight = |page: usize| {
+        let first = page * COLUMNS_PER_PAGE;
+        let mut columns: Vec<usize> = (first..first + COLUMNS_PER_PAGE).collect();
+        columns.sort_by_key(|&j| (rows(estimator, j).len(), j));
+        columns
+    };
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for k in 0..HUBS {
+        let partners = by_weight(pages - 1 - 3 * k);
+        let hubs = by_weight(k / 2).into_iter();
+        let found = hubs
+            .filter(|&hub| pairs.iter().all(|&(h, _)| h != hub))
+            .find_map(|hub| {
+                let mut apart = partners.iter().filter(|&&j| !meets(estimator, hub, j));
+                let a = *apart.next()?;
+                let b = *apart.find(|&&j| j.abs_diff(a) > 1)?;
+                Some([(hub, a), (hub, b)])
+            });
+        pairs.extend(found.expect("a hub with two disjoint partners"));
+    }
+    pairs
+}
+
+/// Hubs in [`disjoint_hub_pairs`]: on six pages, more than the cache holds.
+const HUBS: usize = 4;
+
+#[test]
+fn hub_runs_whose_suffixes_share_no_row_read_no_values() {
+    let fixture = fixture();
+    let pairs = disjoint_hub_pairs(&fixture.estimator);
+    let batch = node_batch(&pairs);
+    let expected = arrival_order(&batch);
+    for threads in [1, 2] {
+        for (mode, options) in modes() {
+            let context = format!("{mode}, {threads} thread(s)");
+            let paged = open_paged(&fixture.path, &paged_options()).expect("open paged");
+            let engine = engine(paged, threads);
+            let result = engine.execute_with(&batch, &options).expect("healthy");
+            assert!(result.failures.is_empty(), "{context}");
+            assert_bits(&expected, &result.values, &context);
+            // Every pair is answered from its pinned rows: no hub is
+            // scattered and no run reads its values.
+            let page = result.page_cache.expect("paged batch");
+            assert!(page.column_runs > 0, "{context}");
+            assert_eq!(page.value_reads, 0, "{context}");
+            let kernel = result.kernel;
+            assert_eq!(kernel.hub_loads, 0, "{context}");
+            assert_eq!(kernel.isolated_pairs, pairs.len() as u64, "{context}");
+            // A v3 file has no skeleton: nothing is certified.
+            assert_eq!(kernel.certified_pairs, 0, "{context}");
         }
     }
 }

@@ -77,9 +77,10 @@ const BLOCK: usize = 8;
 /// ascending index order from `+0.0`, so the result is bit-identical to the
 /// plain merge.
 ///
-/// It runs in two parts, which callers whose values cost a read can run
-/// apart: [`sparse_meet`] walks the indices alone up to where the first
-/// product lands, and [`sparse_dot_from`] sums the products from there.
+/// It runs in two parts: [`sparse_meet`] walks the indices alone up to where
+/// the first product lands, and `sparse_dot_from` sums the products from
+/// there. A caller that holds indices before values runs [`sparse_meet`]
+/// alone, and needs no value when it finds no shared index.
 pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> f64 {
     match sparse_meet(ai, bi) {
         Some(at) => sparse_dot_from(ai, av, bi, bv, at),
@@ -90,7 +91,7 @@ pub fn sparse_dot<I: Copy + Ord>(ai: &[I], av: &[f64], bi: &[I], bv: &[f64]) -> 
 /// The index half of [`sparse_dot`]: its block walk over `ai` and `bi`
 /// without values, up to the first block pair that shares an index, or
 /// into the merged tail up to its first shared index. Returns where the
-/// values are first needed — the start for [`sparse_dot_from`] — or `None`
+/// values are first needed — where [`sparse_dot`] starts summing — or `None`
 /// when the two supports share no index, whose dot is `+0.0`.
 pub fn sparse_meet<I: Copy + Ord>(ai: &[I], bi: &[I]) -> Option<(usize, usize)> {
     let (mut ia, mut ib) = (0, 0);
@@ -116,7 +117,7 @@ pub fn sparse_meet<I: Copy + Ord>(ai: &[I], bi: &[I]) -> Option<(usize, usize)> 
 /// The value half of [`sparse_dot`]: its walk from `(ia, ib)`, where
 /// [`sparse_meet`] stopped, to the end. Every product lands at or after
 /// that point, so the sum is [`sparse_dot`]'s, bit for bit.
-pub fn sparse_dot_from<I: Copy + Ord>(
+fn sparse_dot_from<I: Copy + Ord>(
     ai: &[I],
     av: &[f64],
     bi: &[I],
